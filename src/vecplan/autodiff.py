@@ -262,11 +262,6 @@ def l1_to_target(x: Tensor, target) -> Tensor:
     return x.tape._record(out, (x,), lambda g: (g[0, 0] * np.sign(diff) / rows,))
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Module-level alias of Tape.backward."""
-    return tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # named-tensor checkpoint files
 #

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -95,6 +96,10 @@ class SimulatorSection:
             raise ConfigError(f"simulator.planner must be one of {PLANNER_CHOICES}")
         if not (self.ego_length > 0 and self.ego_width > 0):
             raise ConfigError("ego box dims must be positive")
+        if self.refine_steps < 0:
+            raise ConfigError("simulator.refine_steps must be >= 0")
+        if not (self.refine_step_size > 0 and math.isfinite(self.refine_step_size)):
+            raise ConfigError("simulator.refine_step_size must be positive and finite")
 
     @property
     def ego_dims(self) -> tuple[float, float]:
@@ -183,6 +188,8 @@ def _build_section(cls, data: dict, path: str):
                 raise ConfigError(f"{path}{key} must be a list")
             allowed = {f.name for f in dataclasses.fields(AblationArm)}
             for arm in value:
+                if not isinstance(arm, dict):
+                    raise ConfigError(f"every ablation arm must be an object, got {arm!r}")
                 bad = set(arm) - allowed
                 if bad:
                     raise ConfigError(f"unknown ablation arm keys: {sorted(bad)}")
@@ -213,7 +220,10 @@ def config_from_dict(data: dict) -> RunConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            kwargs["seed"] = int(value)
+            try:
+                kwargs["seed"] = int(value)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"seed must be an integer, got {value!r}") from e
         elif key == "output_dir":
             kwargs["output_dir"] = str(value)
         elif key in _SECTIONS:

@@ -24,8 +24,8 @@ from .geometry import (
     Point2,
     angular_difference,
     closest_point_on_segment,
+    closest_polyline,
     closest_polyline_within,
-    point_polyline_distance,
 )
 from .scene import (
     AgentPrediction,
@@ -60,13 +60,10 @@ class ConstraintParams:
     divider_search_range: float = 2.0
     lateral_safety: float = 1.5
     longitudinal_safety: float = 3.0
-    # divergence knobs (see module docs): "per_axis" takes independent
+    # divergence knob (see module docs): "per_axis" takes independent
     # per-direction minima over the in-radius candidates, "single_nearest"
-    # reduces to the Euclidean-nearest candidate alone; heading_frame measures
-    # distances in a frame aligned with the planned per-step motion instead of
-    # the fixed ego frame
+    # reduces to the Euclidean-nearest candidate alone
     collision_mode: str = "per_axis"
-    heading_frame: bool = False
 
     def __post_init__(self):
         for name in (
@@ -144,6 +141,7 @@ def collision_loss(
     # (N_a, T_f, 2) best-mode positions
     tracks = np.stack([best_mode(a) for a in agents])
     margins = (params.lateral_safety, params.longitudinal_safety)
+    axes = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     total = 0.0
     for t in range(t_f):
         delta = tracks[:, t, :] - w[t]  # agent minus waypoint
@@ -151,10 +149,6 @@ def collision_loss(
         in_range = np.flatnonzero(dist <= params.agent_search_range)
         if in_range.size == 0:
             continue
-        if params.heading_frame:
-            axes = _step_axes(plan, t)
-        else:
-            axes = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         if params.collision_mode == "single_nearest":
             chosen = in_range[[int(np.argmin(dist[in_range]))]]
         else:
@@ -168,21 +162,6 @@ def collision_loss(
                 # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(proj) * axis
                 grad[t] += np.sign(proj[j]) * axis
     return LossResult(total / t_f, grad / t_f)
-
-
-def _step_axes(plan: PlanTrajectory, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lateral/longitudinal unit axes aligned with the planned step at t.
-
-    The frame is treated as constant when differentiating (stop-gradient);
-    a zero-length step falls back to the fixed ego axes.
-    """
-    v = ego_vectors(plan)[t]
-    n = math.hypot(v[0], v[1])
-    if n == 0.0:
-        return np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    forward = v / n
-    right = np.array([forward[1], -forward[0]])
-    return right, forward
 
 
 def boundary_loss(
@@ -201,18 +180,15 @@ def boundary_loss(
     if not boundaries:
         return LossResult(0.0, grad)
 
+    polylines = [mv.points for mv in boundaries]
     total = 0.0
     for t in range(t_f):
         p = Point2(float(w[t, 0]), float(w[t, 1]))
-        best_d, best_pl, best_seg = math.inf, -1, -1
-        for i, mv in enumerate(boundaries):
-            d, seg = point_polyline_distance(p, mv.points)
-            if d < best_d:
-                best_d, best_pl, best_seg = d, i, seg
+        best_pl, best_d, best_seg = closest_polyline(p, polylines)
         if best_d < params.boundary_clearance:
             total += params.boundary_clearance - best_d
             if best_d > 0.0:
-                pts = boundaries[best_pl].points.points
+                pts = polylines[best_pl].points
                 foot = closest_point_on_segment(p, pts[best_seg], pts[best_seg + 1])
                 grad[t] -= (w[t] - np.array([foot.x, foot.y])) / best_d
     return LossResult(total / t_f, grad / t_f)

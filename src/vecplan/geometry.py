@@ -76,9 +76,6 @@ class Polyline:
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyline) and self.points == other.points
 
-    def __hash__(self):
-        return hash(self.points)
-
     def __repr__(self) -> str:
         return f"Polyline({len(self.points)} points)"
 
@@ -151,23 +148,46 @@ def angular_difference(v1, v2) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def closest_polyline_within(
-    p: Point2, pls: Sequence[Polyline], within: float
-) -> Optional[tuple[int, float, int]]:
-    """Nearest polyline to `p` among `pls`, if one lies within `within` meters.
+def closest_polyline(p: Point2, pls: Sequence[Polyline]) -> Optional[tuple[int, float, int]]:
+    """Nearest polyline to `p` among `pls`.
 
-    Returns (polyline index, distance, segment index) for the polyline whose
-    point-to-polyline distance is minimal and <= within, or None when no
-    polyline qualifies.  Ties resolve to the lowest polyline index.
+    Returns (polyline index, distance, segment index), or None when `pls` is
+    empty.  Ties resolve to the lowest polyline index.
     """
-    if within <= 0.0:
-        raise GeometryError(f"search range must be positive, got {within}")
     best: Optional[tuple[int, float, int]] = None
     for i, pl in enumerate(pls):
         d, seg = point_polyline_distance(p, pl)
-        if d <= within and (best is None or d < best[1]):
+        if best is None or d < best[1]:
             best = (i, d, seg)
     return best
+
+
+def closest_polyline_within(
+    p: Point2, pls: Sequence[Polyline], within: float
+) -> Optional[tuple[int, float, int]]:
+    """`closest_polyline`, or None when the nearest lies beyond `within` meters."""
+    if within <= 0.0:
+        raise GeometryError(f"search range must be positive, got {within}")
+    best = closest_polyline(p, pls)
+    return best if best is not None and best[1] <= within else None
+
+
+def pose_track(track: np.ndarray, start: Point2, heading: float) -> list[tuple[Point2, float]]:
+    """(position, heading) at each point of a (T, 2) track that leaves `start`.
+
+    Each heading follows the step from the previous point (`start` for the
+    first); a zero-length step keeps the previous heading, `heading` before
+    any step.
+    """
+    poses = []
+    last_x, last_y = start.x, start.y
+    for p in track:
+        x, y = float(p[0]), float(p[1])
+        if x != last_x or y != last_y:
+            heading = math.atan2(y - last_y, x - last_x)
+        poses.append((Point2(x, y), heading))
+        last_x, last_y = x, y
+    return poses
 
 
 def rect_corners(center: Point2, heading: float, dims: tuple[float, float]) -> np.ndarray:
@@ -249,3 +269,16 @@ def oriented_rect_overlap(
 ) -> bool:
     """True iff two oriented rectangles intersect (touching counts)."""
     return oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2) >= 0.0
+
+
+def overlaps_any(
+    center: Point2,
+    heading: float,
+    dims: tuple[float, float],
+    boxes: Iterable[tuple[Point2, float, tuple[float, float]]],
+) -> bool:
+    """True iff the rectangle intersects any (center, heading, dims) box.
+
+    Boxes are tested in order and the sweep stops at the first hit.
+    """
+    return any(oriented_rect_overlap(center, heading, dims, c, h, d) for c, h, d in boxes)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -79,8 +78,8 @@ def _block_shapes(d: int, prefix: str):
     return shapes
 
 
-def parameter_shapes(config: InteractionConfig) -> list[tuple[str, tuple[int, int], Optional[int]]]:
-    """(name, shape, fan_in) of every parameter; fan_in None means zero-init."""
+def parameter_shapes(config: InteractionConfig) -> list[tuple[str, tuple[int, int], int]]:
+    """(name, shape, fan_in) of every parameter."""
     d = config.d_model
     head_in = 3 * d + config.d_command
     shapes = []
@@ -110,29 +109,20 @@ class InteractionParams:
 
     @classmethod
     def initialize(cls, config: InteractionConfig, seed: int) -> "InteractionParams":
-        """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
-        rng = np.random.default_rng(seed)
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape, fan_in in parameter_shapes(config):
-            if fan_in is None:
-                tensors[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / math.sqrt(fan_in)
-                tensors[name] = rng.uniform(-bound, bound, size=shape)
-        return cls(config, tensors)
+        """Seeded init: every tensor uniform in +-1/sqrt(fan_in) of its layer."""
+        params = cls(config, {})
+        params.extend(parameter_shapes(config), seed)
+        return params
 
     def copy(self) -> "InteractionParams":
         return InteractionParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
     def extend(self, extra_shapes, seed: int) -> None:
-        """Add auxiliary-head parameters (same init rule), skipping existing."""
+        """Draw the named tensors (e.g. auxiliary heads) with the init rule,
+        skipping names already present."""
         rng = np.random.default_rng(seed)
         for name, shape, fan_in in extra_shapes:
-            if name in self.tensors:
-                continue
-            if fan_in is None:
-                self.tensors[name] = np.zeros(shape)
-            else:
+            if name not in self.tensors:
                 bound = 1.0 / math.sqrt(fan_in)
                 self.tensors[name] = rng.uniform(-bound, bound, size=shape)
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Point2, oriented_rect_overlap, point_polyline_distance, rect_corners
+from .geometry import Point2, closest_polyline, overlaps_any, pose_track, rect_corners
 from .scene import MapClass, PlanTrajectory, Scenario
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
@@ -68,37 +68,14 @@ def displacement_error(
 
 
 def plan_pose_track(plan: PlanTrajectory, initial_heading: float = math.pi / 2):
-    """(position, heading) of the ego at each planned tick.
-
-    Headings follow the executed per-step vectors; a zero-length step keeps
-    the previous heading.
-    """
-    poses = []
-    prev = np.zeros(2)
-    heading = initial_heading
-    for wp in plan.waypoints:
-        step = wp - prev
-        if step[0] != 0.0 or step[1] != 0.0:
-            heading = math.atan2(step[1], step[0])
-        poses.append((Point2(float(wp[0]), float(wp[1])), heading))
-        prev = wp
-    return poses
+    """(position, heading) of the ego at each planned tick, leaving the origin."""
+    return pose_track(plan.waypoints, Point2(0.0, 0.0), initial_heading)
 
 
 def agent_pose_track(scenario: Scenario, agent_index: int):
     """(position, heading) of an agent along its ground-truth future."""
     agent = scenario.agents[agent_index]
-    future = scenario.agent_gt_futures[agent_index]
-    poses = []
-    prev = np.array([agent.position.x, agent.position.y])
-    heading = agent.heading
-    for p in future:
-        step = p - prev
-        if step[0] != 0.0 or step[1] != 0.0:
-            heading = math.atan2(step[1], step[0])
-        poses.append((Point2(float(p[0]), float(p[1])), heading))
-        prev = p
-    return poses
+    return pose_track(scenario.agent_gt_futures[agent_index], agent.position, agent.heading)
 
 
 def collision_ticks(
@@ -107,16 +84,13 @@ def collision_ticks(
     """Per-tick flags: does the ego box on the plan hit any agent's gt box?"""
     ego_poses = plan_pose_track(plan)
     agent_tracks = [agent_pose_track(scenario, i) for i in range(len(scenario.agents))]
-    flags = []
-    for t, (ego_pos, ego_heading) in enumerate(ego_poses):
-        hit = False
-        for agent, track in zip(scenario.agents, agent_tracks):
-            apos, aheading = track[t]
-            if oriented_rect_overlap(ego_pos, ego_heading, ego_dims, apos, aheading, agent.size):
-                hit = True
-                break
-        flags.append(hit)
-    return flags
+    return [
+        overlaps_any(
+            ego_pos, ego_heading, ego_dims,
+            ((*track[t], agent.size) for agent, track in zip(scenario.agents, agent_tracks)),
+        )
+        for t, (ego_pos, ego_heading) in enumerate(ego_poses)
+    ]
 
 
 def collision_rate(
@@ -149,14 +123,11 @@ def pose_oversteps_boundary(
     labeled = [m for m in boundaries if m.drivable_side]
     if not labeled:
         return False
+    polylines = [m.points for m in labeled]
     for corner in rect_corners(position, heading, ego_dims):
         p = Point2(float(corner[0]), float(corner[1]))
-        best = None
-        for mv in labeled:
-            d, seg = point_polyline_distance(p, mv.points)
-            if best is None or d < best[0]:
-                best = (d, seg, mv)
-        _d, seg, mv = best
+        i, _d, seg = closest_polyline(p, polylines)
+        mv = labeled[i]
         a, b = mv.points.points[seg], mv.points.points[seg + 1]
         cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
         side = "left" if cross > 0 else ("right" if cross < 0 else mv.drivable_side)
@@ -342,11 +313,10 @@ def ablation_report(
         params, _log = train(arm_train, gen_config, arm_interact, constraint_params)
         plans = [forward_plan(s, params).plan for s in eval_set]
         metrics = plan_metrics(eval_set, plans, ego_dims)
-        flags_3s = sum(
-            any(collision_ticks(s, p, ego_dims)[: _horizon_tick(3.0, s.horizon_dt, p.horizon)])
-            for s, p in zip(eval_set, plans)
-        )
-        rows.append(AblationRow(arm=arm, metrics=metrics, collision_count_3s=int(flags_3s)))
+        # the 3 s rate is count * 100 / eval_count; round back to the count
+        rate_3s = metrics.collision.values[DEFAULT_HORIZONS.index(3.0)]
+        count_3s = round(rate_3s * eval_count / 100.0)
+        rows.append(AblationRow(arm=arm, metrics=metrics, collision_count_3s=count_3s))
         if progress is not None:
             progress(rows[-1])
     return AblationReport(rows=rows, eval_count=eval_count)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ScenarioFormatError
-from .geometry import Point2, Polyline, oriented_rect_overlap
+from .geometry import Point2, Polyline, oriented_rect_overlap, pose_track
 
 SCHEMA_VERSION = 1
 
@@ -425,21 +425,6 @@ def _expert_track(
     return out
 
 
-def _heading_along(track: np.ndarray, start: np.ndarray, fallback: float) -> list[float]:
-    """Finite-difference headings along a track, reusing the previous heading
-    for zero-length steps."""
-    headings = []
-    prev = fallback
-    last = start
-    for p in track:
-        dx, dy = p[0] - last[0], p[1] - last[1]
-        if dx != 0.0 or dy != 0.0:
-            prev = math.atan2(dy, dx)
-        headings.append(prev)
-        last = p
-    return headings
-
-
 def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Procedurally build one scenario; bit-identical for a given seed."""
     rng = np.random.default_rng(seed)
@@ -534,10 +519,7 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     )
 
     # swept expert poses used for clearance checks (tick 0 is the start pose)
-    expert_headings = _heading_along(expert, np.zeros(2), math.pi / 2.0)
-    expert_poses = [(Point2(0.0, 0.0), math.pi / 2.0)] + [
-        (Point2(float(p[0]), float(p[1])), h) for p, h in zip(expert, expert_headings)
-    ]
+    expert_poses = [(ego.position, ego.heading)] + pose_track(expert, ego.position, ego.heading)
     clear_dims = (
         config.ego_dims[0] + 2.0 * config.min_agent_clearance,
         config.ego_dims[1] + 2.0 * config.min_agent_clearance,
@@ -545,11 +527,11 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
 
     agents: list[AgentPrediction] = []
     gt_futures: list[np.ndarray] = []
+    agent_poses: list[list[tuple[Point2, float]]] = []  # swept poses, tick 0 first
     n_agents = int(rng.integers(config.agent_count_range[0], config.agent_count_range[1] + 1))
     want_lead = rng.uniform() < config.lead_vehicle_probability
     for k in range(n_agents + int(want_lead)):
         is_lead = want_lead and k == 0
-        placed = False
         for _attempt in range(30):
             size = (float(rng.uniform(4.2, 4.9)), float(rng.uniform(1.7, 2.0)))
             if is_lead:
@@ -571,33 +553,19 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 s0 = float(rng.uniform(-0.5, 0.9)) * s_max
                 speed = float(rng.uniform(*config.agent_speed_range))
 
-            start = np.array(road.point(s0, d))
+            start = Point2(*road.point(s0, d))
+            heading = road.heading(s0)
             future = _lane_follow_track(road, s0, d, speed, dt, t_f)
-            headings = _heading_along(future, start, road.heading(s0))
-            poses = [(Point2(float(start[0]), float(start[1])), road.heading(s0))] + [
-                (Point2(float(p[0]), float(p[1])), h) for p, h in zip(future, headings)
-            ]
+            poses = [(start, heading)] + pose_track(future, start, heading)
 
-            ok = True
-            for (ep, eh), (ap, ah) in zip(expert_poses, poses):
-                if oriented_rect_overlap(ep, eh, clear_dims, ap, ah, size):
-                    ok = False
-                    break
-            if ok:
-                for other, other_fut in zip(agents, gt_futures):
-                    other_start = np.array([other.position.x, other.position.y])
-                    other_headings = _heading_along(other_fut, other_start, other.heading)
-                    other_poses = [(other.position, other.heading)] + [
-                        (Point2(float(p[0]), float(p[1])), h)
-                        for p, h in zip(other_fut, other_headings)
-                    ]
-                    for (ap, ah), (bp, bh) in zip(poses, other_poses):
-                        if oriented_rect_overlap(ap, ah, size, bp, bh, other.size):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
+            if any(
+                oriented_rect_overlap(ep, eh, clear_dims, ap, ah, size)
+                for (ep, eh), (ap, ah) in zip(expert_poses, poses)
+            ) or any(
+                oriented_rect_overlap(ap, ah, size, bp, bh, other.size)
+                for other, other_poses in zip(agents, agent_poses)
+                for (ap, ah), (bp, bh) in zip(poses, other_poses)
+            ):
                 continue
 
             n_k = config.mode_count
@@ -612,8 +580,8 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
             conf = float(rng.uniform(*config.agent_confidence_range))
             agents.append(
                 AgentPrediction(
-                    position=Point2(float(start[0]), float(start[1])),
-                    heading=road.heading(s0),
+                    position=start,
+                    heading=heading,
                     size=size,
                     confidence=conf,
                     modes=modes,
@@ -621,10 +589,8 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 )
             )
             gt_futures.append(future)
-            placed = True
+            agent_poses.append(poses)
             break
-        if not placed:
-            continue
 
     return Scenario(
         map=map_vectors,

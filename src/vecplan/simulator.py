@@ -28,7 +28,7 @@ from .constraints import (
     total_planning_loss,
 )
 from .errors import SimulationError
-from .geometry import Point2, Polyline, oriented_rect_overlap
+from .geometry import Point2, Polyline, overlaps_any
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_pose_track, pose_oversteps_boundary
 from .scene import (
@@ -360,11 +360,6 @@ def refine_trajectory(
     return PlanTrajectory(best)
 
 
-def plan_once(scenario: Scenario, planner: Planner) -> PlanTrajectory:
-    """One replanning call in the scenario's ego frame."""
-    return planner.plan(scenario)
-
-
 # ---------------------------------------------------------------------------
 # rollout logging
 
@@ -438,20 +433,14 @@ def run_closed_loop(
     state = SimState.initial(scenario, ego_dims)
     log = RolloutLog()
     for _ in range(ticks):
-        plan = plan_once(state.view, planner)
+        plan = planner.plan(state.view)
         losses = total_planning_loss(plan, state.view, cparams, LossWeights()).breakdown
         state = step(state, plan)
 
-        collision = False
-        for agent, apos, aheading in zip(
-            scenario.agents, state.agent_positions, state.agent_headings
-        ):
-            if oriented_rect_overlap(
-                state.ego_position, state.ego_heading, state.ego_dims,
-                apos, aheading, agent.size,
-            ):
-                collision = True
-                break
+        collision = overlaps_any(
+            state.ego_position, state.ego_heading, state.ego_dims,
+            zip(state.agent_positions, state.agent_headings, (a.size for a in scenario.agents)),
+        )
         boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
         overstep = pose_oversteps_boundary(
             boundaries, state.ego_position, state.ego_heading, state.ego_dims

@@ -59,6 +59,29 @@ class TestConfig:
         cfg = load_config(None, ["output_dir=exp1"], None, None)
         assert cfg.output_dir == str(tmp_path / "root" / "exp1")
 
+    @pytest.mark.parametrize(
+        "override, names",
+        [
+            ("seed=abc", "seed"),
+            ('metrics.ablation_arms=["full"]', "ablation arm must be an object"),
+            ("metrics.ablation_arms=[5]", "ablation arm must be an object"),
+            ("simulator.refine_steps=-1", "simulator.refine_steps"),
+            ("simulator.refine_step_size=0", "simulator.refine_step_size"),
+        ],
+    )
+    def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, override, names):
+        cfg = tiny_config(tmp_path)
+        rc = run(
+            "simulate", "--config", str(cfg), "--set", override,
+            "--scenario", str(tmp_path / "none.json"), "--planner", "refine",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), err
+        assert names in lines[0]
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("generate", "--config", str(tmp_path / "nope.json"))
         assert rc == 1
@@ -208,7 +231,17 @@ class TestTrainSimulateAblate:
             "tick,entity,entity_id,point_index,x,y,heading"
         )
 
-    def test_ablate_two_arms(self, tmp_path):
+    def test_ablate_two_arms(self, tmp_path, capsys, monkeypatch):
+        from vecplan import metrics
+
+        evaluated = []
+        original = metrics.plan_metrics
+
+        def recording_plan_metrics(scenarios, plans, ego_dims, *rest):
+            evaluated.append((scenarios, plans, ego_dims))
+            return original(scenarios, plans, ego_dims, *rest)
+
+        monkeypatch.setattr(metrics, "plan_metrics", recording_plan_metrics)
         cfg = tiny_config(
             tmp_path,
             metrics={
@@ -231,3 +264,23 @@ class TestTrainSimulateAblate:
         assert csv_lines[2].startswith("bare,1,1,0,0,0,")
         text = (tmp_path / "out" / "ablation.txt").read_text()
         assert "full" in text and "bare" in text
+
+        # collisions@3s matches a direct per-tick count over each arm's plans
+        printed = [
+            int(line.rsplit(" ", 1)[1])
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("arm ")
+        ]
+        direct = [
+            sum(
+                any(
+                    metrics.collision_ticks(s, p, ego_dims)[
+                        : metrics._horizon_tick(3.0, s.horizon_dt, p.horizon)
+                    ]
+                )
+                for s, p in zip(scenarios, plans)
+            )
+            for scenarios, plans, ego_dims in evaluated
+        ]
+        assert len(direct) == 2
+        assert printed == direct

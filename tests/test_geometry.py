@@ -11,9 +11,11 @@ from vecplan.geometry import (
     Polyline,
     angular_difference,
     closest_point_on_segment,
+    closest_polyline,
     closest_polyline_within,
     oriented_rect_margin,
     oriented_rect_overlap,
+    overlaps_any,
     point_polyline_distance,
     point_segment_distance,
     rect_corners,
@@ -161,6 +163,10 @@ class TestClosestPolylineWithin:
     def test_outside_range_returns_none(self):
         pls = [Polyline([P(3, -5), P(3, 5)])]
         assert closest_polyline_within(P(0, 0), pls, 2.0) is None
+        assert closest_polyline_within(P(0, 0), [], 2.0) is None
+        # without a range the same polyline is the nearest; none of none is
+        assert closest_polyline(P(0, 0), pls) == (0, pytest.approx(3.0), 0)
+        assert closest_polyline(P(0, 0), []) is None
 
     def test_picks_nearest_of_two(self):
         pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-0.5, -5), P(-0.5, 5)])]
@@ -172,6 +178,10 @@ class TestClosestPolylineWithin:
         pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-1, -5), P(-1, 5)])]
         idx, d, _seg = closest_polyline_within(P(0, 0), pls, 2.0)
         assert idx == 0
+        assert closest_polyline(P(0, 0), pls)[0] == 0
+        # a farther polyline before the tied pair does not shift the winner
+        pls = [Polyline([P(3, -5), P(3, 5)])] + pls
+        assert closest_polyline(P(0, 0), pls)[0] == 1
 
     def test_nonpositive_range_rejected(self):
         with pytest.raises(GeometryError):
@@ -201,7 +211,10 @@ class TestClosestPolylineWithin:
                     d = point_segment_distance(p, a, b)
                     if best is None or d < best[1]:
                         best = (i, d)
-            expected = best if best is not None and best[1] <= rng_range else None
+            nearest = closest_polyline(p, pls)
+            assert nearest[0] == best[0]
+            assert nearest[1] == pytest.approx(best[1], abs=1e-12)
+            expected = best if best[1] <= rng_range else None
 
             got = closest_polyline_within(p, pls, rng_range)
             if expected is None:
@@ -238,6 +251,18 @@ class TestOrientedRectOverlap:
     def test_rejects_non_positive_dims(self):
         with pytest.raises(GeometryError):
             oriented_rect_overlap(P(0, 0), 0.0, (0, 1), P(1, 0), 0.0, (2, 1))
+
+    def test_overlaps_any_sweeps_boxes_in_order(self):
+        far = (P(10, 0), 0.0, (2, 1))
+        near = (P(1.5, 0), 0.0, (2, 1))
+        assert not overlaps_any(P(0, 0), 0.0, (2, 1), [])
+        assert not overlaps_any(P(0, 0), 0.0, (2, 1), [far])
+        assert overlaps_any(P(0, 0), 0.0, (2, 1), [far, near])
+        # the sweep stops at the first hit: the invalid box after it is never tested
+        invalid = (P(0, 0), 0.0, (0, 1))
+        assert overlaps_any(P(0, 0), 0.0, (2, 1), [far, near, invalid])
+        with pytest.raises(GeometryError):
+            overlaps_any(P(0, 0), 0.0, (2, 1), [far, invalid, near])
 
     def test_rect_corners_axis_aligned(self):
         corners = rect_corners(P(1, 2), math.pi / 2, (4.0, 2.0))

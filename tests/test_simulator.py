@@ -23,7 +23,6 @@ from vecplan.simulator import (
     SimState,
     constant_velocity_plan,
     ego_to_world,
-    plan_once,
     refine_trajectory,
     run_closed_loop,
     smoothness_loss,
@@ -112,15 +111,15 @@ class TestStep:
 class TestPlanners:
     def test_constant_velocity_straight_line(self):
         s = empty_scenario(speed=6.0)
-        plan = plan_once(s, ConstantVelocityPlanner())
+        plan = ConstantVelocityPlanner().plan(s)
         np.testing.assert_allclose(plan.waypoints[:, 0], np.zeros(6))
         np.testing.assert_allclose(np.diff(plan.waypoints[:, 1]), np.full(5, 3.0))
 
     def test_deterministic(self):
         s = generate_scenario(9)
         planner = RefinePlanner(steps=20)
-        a = plan_once(s, planner).waypoints
-        b = plan_once(s, planner).waypoints
+        a = planner.plan(s).waypoints
+        b = planner.plan(s).waypoints
         np.testing.assert_array_equal(a, b)
 
 
