@@ -80,6 +80,14 @@ ERROR_CATEGORIES = [
 # run configuration
 
 
+def _require_int(value, name: str) -> int:
+    """`value` if it is an int; anything else, a float or a bool included, is
+    refused rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimulatorSection:
     ticks: int = 6
@@ -90,6 +98,8 @@ class SimulatorSection:
     refine_step_size: float = 0.2
 
     def __post_init__(self):
+        for name in ("ticks", "refine_steps"):
+            _require_int(getattr(self, name), f"simulator.{name}")
         if self.ticks < 1:
             raise ConfigError("simulator.ticks must be >= 1")
         if self.planner not in PLANNER_CHOICES:
@@ -220,10 +230,7 @@ def config_from_dict(data: dict) -> RunConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            try:
-                kwargs["seed"] = int(value)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"seed must be an integer, got {value!r}") from e
+            kwargs["seed"] = _require_int(value, "seed")
         elif key == "output_dir":
             kwargs["output_dir"] = str(value)
         elif key in _SECTIONS:
@@ -322,8 +329,16 @@ class OutputSet:
         return f"wrote {len(self.files)} files under {self.root}"
 
 
+def _json_artifact(payload: dict, name: str) -> str:
+    """Artifact JSON text; a NaN or infinity is an error, never written."""
+    try:
+        return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise VecplanError(f"{name}: {e}") from e
+
+
 def _echo_config(outputs: OutputSet, config: RunConfig) -> None:
-    outputs.add("config.resolved.json", json.dumps(config_to_dict(config), indent=1) + "\n")
+    outputs.add("config.resolved.json", _json_artifact(config_to_dict(config), "resolved config"))
 
 
 def _resolve_scenario_paths(patterns: Sequence[str]) -> list[Path]:
@@ -377,15 +392,15 @@ def cmd_generate(config: RunConfig, args, outputs: OutputSet) -> None:
 
 def _plan_report(scenario: Scenario, plan, config: RunConfig) -> str:
     loss = total_planning_loss(plan, scenario, config.constraints, config.weights)
-    return json.dumps(
+    return _json_artifact(
         {
             "schema_version": 1,
             "waypoints": plan.waypoints.tolist(),
             "loss_total": loss.value,
             "breakdown": loss.breakdown,
         },
-        indent=1,
-    ) + "\n"
+        "plan report",
+    )
 
 
 def cmd_plan(config: RunConfig, args, outputs: OutputSet) -> None:

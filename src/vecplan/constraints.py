@@ -23,7 +23,6 @@ from .errors import ShapeError
 from .geometry import (
     Point2,
     angular_difference,
-    closest_point_on_segment,
     closest_polyline,
     closest_polyline_within,
 )
@@ -103,8 +102,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("map", "motion", "collision", "boundary", "direction", "imitation"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"loss weight {name} must be non-negative")
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"loss weight {name} must be non-negative and finite, got {v}")
 
 
 @dataclass
@@ -138,29 +138,23 @@ def collision_loss(
     if not agents:
         return LossResult(0.0, grad)
 
-    # (N_a, T_f, 2) best-mode positions
-    tracks = np.stack([best_mode(a) for a in agents])
-    margins = (params.lateral_safety, params.longitudinal_safety)
-    axes = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    # (N_a, T_f, 2) best-mode positions minus waypoints
+    delta = np.stack([best_mode(a) for a in agents]) - w
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    candidate = dist <= params.agent_search_range
+    if params.collision_mode == "single_nearest":
+        nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
+        candidate &= np.arange(len(agents))[:, None] == nearest
+    steps = np.arange(t_f)
     total = 0.0
-    for t in range(t_f):
-        delta = tracks[:, t, :] - w[t]  # agent minus waypoint
-        dist = np.hypot(delta[:, 0], delta[:, 1])
-        in_range = np.flatnonzero(dist <= params.agent_search_range)
-        if in_range.size == 0:
-            continue
-        if params.collision_mode == "single_nearest":
-            chosen = in_range[[int(np.argmin(dist[in_range]))]]
-        else:
-            chosen = in_range
-        for axis, margin in zip(axes, margins):
-            proj = delta[chosen] @ axis
-            j = int(np.argmin(np.abs(proj)))
-            d = abs(proj[j])
-            if d < margin:
-                total += margin - d
-                # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(proj) * axis
-                grad[t] += np.sign(proj[j]) * axis
+    for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
+        gap = np.where(candidate, np.abs(delta[..., axis]), np.inf)
+        j = np.argmin(gap, axis=0)  # lowest agent index on ties
+        d = gap[j, steps]
+        active = d < margin
+        total += float((margin - d[active]).sum())
+        # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis)
+        grad[active, axis] = np.sign(delta[j, steps, axis][active])
     return LossResult(total / t_f, grad / t_f)
 
 
@@ -180,17 +174,11 @@ def boundary_loss(
     if not boundaries:
         return LossResult(0.0, grad)
 
-    polylines = [mv.points for mv in boundaries]
-    total = 0.0
-    for t in range(t_f):
-        p = Point2(float(w[t, 0]), float(w[t, 1]))
-        best_pl, best_d, best_seg = closest_polyline(p, polylines)
-        if best_d < params.boundary_clearance:
-            total += params.boundary_clearance - best_d
-            if best_d > 0.0:
-                pts = polylines[best_pl].points
-                foot = closest_point_on_segment(p, pts[best_seg], pts[best_seg + 1])
-                grad[t] -= (w[t] - np.array([foot.x, foot.y])) / best_d
+    hit = closest_polyline(w, [mv.points for mv in boundaries])
+    active = hit.dist < params.boundary_clearance
+    total = float((params.boundary_clearance - hit.dist[active]).sum())
+    pull = active & (hit.dist > 0.0)
+    grad[pull] = -(w[pull] - hit.foot[pull]) / hit.dist[pull, None]
     return LossResult(total / t_f, grad / t_f)
 
 
@@ -214,31 +202,26 @@ def direction_loss(
     if not dividers:
         return LossResult(0.0, grad)
 
-    polylines = [mv.points for mv in dividers]
+    hit = closest_polyline_within(w, [mv.points for mv in dividers], params.divider_search_range)
     vectors = ego_vectors(plan, origin)
-    total = 0.0
-    for t in range(t_f):
-        p = Point2(float(w[t, 0]), float(w[t, 1]))
-        hit = closest_polyline_within(p, polylines, params.divider_search_range)
-        if hit is None:
-            continue
-        v = vectors[t]
-        if v[0] == 0.0 and v[1] == 0.0:
-            continue
-        pl_idx, _d, seg = hit
-        pts = polylines[pl_idx].points
-        lane_dir = (pts[seg + 1].x - pts[seg].x, pts[seg + 1].y - pts[seg].y)
-        total += angular_difference(lane_dir, (float(v[0]), float(v[1])))
+    moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
+    active = np.flatnonzero((hit.poly >= 0) & moving)
+    if active.size == 0:
+        return LossResult(0.0, grad)
+    lane_dir = hit.end[active] - hit.start[active]
+    v = vectors[active]
+    total = float(angular_difference(lane_dir, v).sum())
 
-        # d angle / d v for the unsigned angle: sign comes from the 2-D cross
-        # product, magnitude from the perpendicular of v; zero subgradient at
-        # exactly parallel/antiparallel configurations
-        cross = lane_dir[0] * v[1] - lane_dir[1] * v[0]
-        norm_sq = float(v[0] * v[0] + v[1] * v[1])
-        g_v = math.copysign(1.0, cross) * np.array([-v[1], v[0]]) / norm_sq if cross != 0.0 else np.zeros(2)
-        grad[t] += g_v
-        if t > 0:
-            grad[t - 1] -= g_v
+    # d angle / d v for the unsigned angle: sign comes from the 2-D cross
+    # product, magnitude from the perpendicular of v; zero subgradient at
+    # exactly parallel/antiparallel configurations
+    cross = lane_dir[:, 0] * v[:, 1] - lane_dir[:, 1] * v[:, 0]
+    norm_sq = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    g_v = np.zeros_like(w)
+    g_v[active] = np.sign(cross)[:, None] * np.column_stack([-v[:, 1], v[:, 0]]) / norm_sq[:, None]
+    # v_t = w_t - w_{t-1}: each step's gradient enters w_t and leaves w_{t-1}
+    grad += g_v
+    grad[:-1] -= g_v[1:]
     return LossResult(total / t_f, grad / t_f)
 
 

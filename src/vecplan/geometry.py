@@ -4,13 +4,19 @@ All coordinates live in an ego-centric bird's-eye-view frame at the planning
 instant: +y points forward along the ego heading, +x points right, units are
 meters.  Every public operation validates that its inputs are finite and all
 tie-breaks resolve to the lowest index, so results are deterministic.
+
+The nearest-polyline chain (`closest_point_on_segment`,
+`point_polyline_distance`, `closest_polyline`, `closest_polyline_within`)
+and `angular_difference` work on (K, 2) arrays and broadcast over query
+points x segments; a single Point2 is the K = 1 case of the same code and
+gets scalar results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,19 +86,88 @@ class Polyline:
         return f"Polyline({len(self.points)} points)"
 
 
-def closest_point_on_segment(p: Point2, a: Point2, b: Point2) -> Point2:
-    """Closest point to `p` on the closed segment [a, b].
+def _as_xy(p, what: str = "query point") -> tuple[np.ndarray, bool]:
+    """`p` as a (K, 2) float64 array, and whether it was one 2-vector.
 
-    Falls back to `a` when the segment is degenerate (a == b).
+    A Point2 or a flat 2-sequence is the K = 1 case of the array form.
+
+    Raises:
+        GeometryError: on any other shape or a non-finite coordinate.
     """
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    dx, dy = bx - ax, by - ay
-    seg_sq = dx * dx + dy * dy
-    if seg_sq == 0.0:
-        return a
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / seg_sq
-    t = min(1.0, max(0.0, t))
-    return Point2(ax + t * dx, ay + t * dy)
+    if isinstance(p, Point2):
+        return np.array([[p.x, p.y]]), True
+    xy = np.asarray(p, dtype=np.float64)
+    single = xy.shape == (2,)
+    if single:
+        xy = xy[None, :]
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise GeometryError(f"{what}s must have shape (K, 2), got {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise GeometryError(f"non-finite {what}")
+    return xy, single
+
+
+class PolylineSet:
+    """Polylines packed into one array of segments, for nearest searches.
+
+    Segments are numbered polyline by polyline, so among tied segments the
+    lowest packed index is the lowest polyline and then its lowest segment.
+
+    Raises:
+        GeometryError: if a polyline has no non-degenerate segment.
+    """
+
+    __slots__ = ("start", "end", "live", "poly", "seg")
+
+    def __init__(self, pls: Sequence[Polyline]):
+        xy = [pl.xy() for pl in pls]
+        counts = [len(x) - 1 for x in xy]
+        self.start = np.concatenate([x[:-1] for x in xy])  # (S, 2)
+        self.end = np.concatenate([x[1:] for x in xy])
+        # degenerate segments are skipped by searches, never divided by
+        self.live = (self.start != self.end).any(axis=1)
+        self.poly = np.repeat(np.arange(len(xy)), counts)  # owner of each segment
+        self.seg = np.concatenate([np.arange(c) for c in counts])  # index within it
+        if not np.logical_or.reduceat(self.live, np.cumsum([0] + counts[:-1])).all():
+            raise GeometryError("polyline has no non-degenerate segment")
+
+
+class Nearest(NamedTuple):
+    """The nearest polyline segment of each of K query points."""
+
+    poly: np.ndarray  # (K,) polyline index, -1 where none lies in range
+    dist: np.ndarray  # (K,) distance to it, meters
+    seg: np.ndarray  # (K,) segment index within that polyline, -1 with poly
+    foot: np.ndarray  # (K, 2) closest point on that segment
+    start: np.ndarray  # (K, 2) first endpoint of that segment
+    end: np.ndarray  # (K, 2) second endpoint of that segment
+
+    def first(self) -> tuple[int, float, int]:
+        """(polyline index, distance, segment index) of the first query."""
+        return int(self.poly[0]), float(self.dist[0]), int(self.seg[0])
+
+
+def closest_point_on_segment(p, a, b):
+    """Closest point to each query point on each closed segment [a_s, b_s].
+
+    `p` holds K query points and `a`, `b` the endpoints of S segments, as
+    (K, 2) and (S, 2) arrays or single points; the result is the (K, S, 2)
+    array of foot points, or a Point2 when `p` and `a` are single points.  A
+    degenerate segment (a_s == b_s) gives a_s.
+    """
+    q, single = _as_xy(p)
+    a_xy, single_segment = _as_xy(a, "segment endpoint")
+    b_xy, _ = _as_xy(b, "segment endpoint")
+    d = b_xy - a_xy
+    seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    along = (q[:, None, 0] - a_xy[:, 0]) * d[:, 0] + (q[:, None, 1] - a_xy[:, 1]) * d[:, 1]
+    # along is 0 on a degenerate segment, so dividing by 1 there gives t = 0
+    t = along / np.where(seg_sq == 0.0, 1.0, seg_sq)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    foot = a_xy + t[..., None] * d
+    if single and single_segment:
+        return Point2(float(foot[0, 0, 0]), float(foot[0, 0, 1]))
+    return foot
 
 
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
@@ -104,72 +179,90 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(p.x - c.x, p.y - c.y)
 
 
-def point_polyline_distance(p: Point2, pl: Polyline) -> tuple[float, int]:
-    """Minimum distance from `p` to `pl` and the winning segment index.
+def point_polyline_distance(p, pl):
+    """Distance from each query point to the polyline `pl`, with the nearest
+    segment.
 
-    Degenerate segments are skipped; exact ties resolve to the lowest
-    segment index.
+    `p` is a (K, 2) array of query points; returns the (K,) distances, the
+    (K,) winning segment indices and the (K, 2) foot points on them.  For a
+    single point the result is the (distance, segment index) pair.  `pl` may
+    also be a PolylineSet, searched as one polyline with packed segment
+    indices.  Degenerate segments are skipped; exact ties resolve to the
+    lowest segment index.
 
     Raises:
         GeometryError: if the polyline has no non-degenerate segment.
     """
-    best_d: Optional[float] = None
-    best_i = -1
-    pts = pl.points
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        if a == b:
-            continue
-        d = point_segment_distance(p, a, b)
-        if best_d is None or d < best_d:
-            best_d = d
-            best_i = i
-    if best_d is None:
-        raise GeometryError("polyline has no non-degenerate segment")
-    return best_d, best_i
+    q, single = _as_xy(p)
+    packed = pl if isinstance(pl, PolylineSet) else PolylineSet([pl])
+    foot = closest_point_on_segment(q, packed.start, packed.end)
+    dist = np.hypot(q[:, None, 0] - foot[..., 0], q[:, None, 1] - foot[..., 1])
+    dist = np.where(packed.live, dist, np.inf)
+    seg = np.argmin(dist, axis=1)
+    rows = np.arange(q.shape[0])
+    if single:
+        return float(dist[0, seg[0]]), int(seg[0])
+    return dist[rows, seg], seg, foot[rows, seg]
 
 
-def angular_difference(v1, v2) -> float:
-    """Unsigned angle between two non-zero vectors, in [0, pi].
+def angular_difference(v1, v2):
+    """Unsigned angle between non-zero vectors, in [0, pi].
 
-    Symmetric in its arguments and invariant to positive scaling of either
-    one.  The acos argument is clamped to [-1, 1] for floating-point safety.
+    Takes two (K, 2) arrays of vectors and returns the (K,) angles between
+    their rows, or a float for two single vectors.  Symmetric in its
+    arguments and invariant to positive scaling of either one.  The acos
+    argument is clamped to [-1, 1] for floating-point safety.
 
     Raises:
-        GeometryError: if either vector has zero length.
+        GeometryError: if any vector has zero length.
     """
-    v1 = as_point(v1)
-    v2 = as_point(v2)
-    n1 = math.hypot(v1.x, v1.y)
-    n2 = math.hypot(v2.x, v2.y)
-    if n1 == 0.0 or n2 == 0.0:
+    a, single = _as_xy(v1, "vector")
+    b, _ = _as_xy(v2, "vector")
+    n1 = np.hypot(a[:, 0], a[:, 1])
+    n2 = np.hypot(b[:, 0], b[:, 1])
+    if not ((n1 != 0.0).all() and (n2 != 0.0).all()):
         raise GeometryError("angular_difference requires non-zero vectors")
-    c = (v1.x * v2.x + v1.y * v2.y) / (n1 * n2)
-    return math.acos(min(1.0, max(-1.0, c)))
+    c = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) / (n1 * n2)
+    angle = np.arccos(np.minimum(1.0, np.maximum(-1.0, c)))
+    return float(angle[0]) if single else angle
 
 
-def closest_polyline(p: Point2, pls: Sequence[Polyline]) -> Optional[tuple[int, float, int]]:
-    """Nearest polyline to `p` among `pls`.
+def closest_polyline(p, pls: Sequence[Polyline]):
+    """Nearest polyline to each query point among `pls`.
 
-    Returns (polyline index, distance, segment index), or None when `pls` is
-    empty.  Ties resolve to the lowest polyline index.
+    `p` is a (K, 2) array of query points; returns a `Nearest`, or for a
+    single point the (polyline index, distance, segment index) triple.  None
+    when `pls` is empty.  Ties resolve to the lowest polyline index, then to
+    the lowest segment index.
     """
-    best: Optional[tuple[int, float, int]] = None
-    for i, pl in enumerate(pls):
-        d, seg = point_polyline_distance(p, pl)
-        if best is None or d < best[1]:
-            best = (i, d, seg)
-    return best
+    q, single = _as_xy(p)
+    if not pls:
+        return None
+    packed = PolylineSet(pls)
+    dist, k, foot = point_polyline_distance(q, packed)
+    hit = Nearest(packed.poly[k], dist, packed.seg[k], foot, packed.start[k], packed.end[k])
+    return hit.first() if single else hit
 
 
-def closest_polyline_within(
-    p: Point2, pls: Sequence[Polyline], within: float
-) -> Optional[tuple[int, float, int]]:
-    """`closest_polyline`, or None when the nearest lies beyond `within` meters."""
+def closest_polyline_within(p, pls: Sequence[Polyline], within: float):
+    """`closest_polyline`, with no polyline for a query whose nearest lies
+    beyond `within` meters.
+
+    In the array form those queries get polyline and segment index -1, while
+    their distance, foot and endpoints still describe the nearest segment; a
+    single point gets None.
+    """
     if within <= 0.0:
         raise GeometryError(f"search range must be positive, got {within}")
-    best = closest_polyline(p, pls)
-    return best if best is not None and best[1] <= within else None
+    q, single = _as_xy(p)
+    hit = closest_polyline(q, pls)
+    if hit is None:
+        return None
+    near = hit.dist <= within
+    hit = hit._replace(poly=np.where(near, hit.poly, -1), seg=np.where(near, hit.seg, -1))
+    if single:
+        return hit.first() if near[0] else None
+    return hit
 
 
 def pose_track(track: np.ndarray, start: Point2, heading: float) -> list[tuple[Point2, float]]:

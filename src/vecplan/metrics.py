@@ -79,10 +79,16 @@ def agent_pose_track(scenario: Scenario, agent_index: int):
 
 
 def collision_ticks(
-    scenario: Scenario, plan: PlanTrajectory, ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS
+    scenario: Scenario,
+    plan: PlanTrajectory,
+    ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
+    poses: Optional[list[tuple[Point2, float]]] = None,
 ) -> list[bool]:
-    """Per-tick flags: does the ego box on the plan hit any agent's gt box?"""
-    ego_poses = plan_pose_track(plan)
+    """Per-tick flags: does the ego box on the plan hit any agent's gt box?
+
+    `poses` is the plan's pose track, when the caller has already built it.
+    """
+    ego_poses = plan_pose_track(plan) if poses is None else poses
     agent_tracks = [agent_pose_track(scenario, i) for i in range(len(scenario.agents))]
     return [
         overlaps_any(
@@ -102,38 +108,45 @@ def collision_rate(
     """Cumulative open-loop collision rate (percent) at each horizon."""
     if len(scenarios) != len(plans):
         raise ConfigError(f"{len(scenarios)} scenarios vs {len(plans)} plans")
+    flags = [collision_ticks(s, p, ego_dims) for s, p in zip(scenarios, plans)]
+    return _cumulative_rate(scenarios, plans, flags, horizons)
+
+
+def _cumulative_rate(scenarios, plans, flags, horizons) -> HorizonStats:
+    """Percent of scenarios whose per-tick flags hold by each horizon."""
     if not scenarios:
         return HorizonStats(tuple(horizons), tuple(0.0 for _ in horizons), 0.0)
     counts = np.zeros(len(horizons))
-    for scenario, plan in zip(scenarios, plans):
-        flags = collision_ticks(scenario, plan, ego_dims)
+    for scenario, plan, hits in zip(scenarios, plans, flags):
         for i, h in enumerate(horizons):
             tick = _horizon_tick(h, scenario.horizon_dt, plan.horizon)
-            if any(flags[:tick]):
+            if any(hits[:tick]):
                 counts[i] += 1
     rates = tuple(float(c) * 100.0 / len(scenarios) for c in counts)
     return HorizonStats(tuple(horizons), rates, float(np.mean(rates)))
 
 
 def pose_oversteps_boundary(
-    boundaries: Sequence, position: Point2, heading: float, ego_dims: tuple[float, float]
+    boundaries: Sequence,
+    poses: Sequence[tuple[Point2, float]],
+    ego_dims: tuple[float, float],
 ) -> bool:
-    """Does any corner of the ego box at this pose sit on the non-drivable
-    side of its nearest labeled boundary?"""
+    """Does any corner of the ego box at any of the (position, heading)
+    poses sit on the non-drivable side of its nearest labeled boundary?
+
+    A corner exactly on the boundary line counts as on the drivable side.
+    """
     labeled = [m for m in boundaries if m.drivable_side]
-    if not labeled:
+    if not labeled or not poses:
         return False
-    polylines = [m.points for m in labeled]
-    for corner in rect_corners(position, heading, ego_dims):
-        p = Point2(float(corner[0]), float(corner[1]))
-        i, _d, seg = closest_polyline(p, polylines)
-        mv = labeled[i]
-        a, b = mv.points.points[seg], mv.points.points[seg + 1]
-        cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        side = "left" if cross > 0 else ("right" if cross < 0 else mv.drivable_side)
-        if side != mv.drivable_side:
-            return True
-    return False
+    corners = np.concatenate([rect_corners(pos, heading, ego_dims) for pos, heading in poses])
+    hit = closest_polyline(corners, [m.points for m in labeled])
+    a, b = hit.start, hit.end
+    cross = (b[:, 0] - a[:, 0]) * (corners[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        corners[:, 0] - a[:, 0]
+    )
+    drivable_left = np.array([m.drivable_side == "left" for m in labeled])[hit.poly]
+    return bool(np.where(drivable_left, cross < 0.0, cross > 0.0).any())
 
 
 def boundary_overstep(
@@ -141,19 +154,20 @@ def boundary_overstep(
     plan: PlanTrajectory,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
     max_tick: Optional[int] = None,
+    poses: Optional[list[tuple[Point2, float]]] = None,
 ) -> bool:
     """Does the planned ego footprint cross a boundary at any tick?
 
     Uses the generator-provided side labels; boundaries without a label are
-    skipped.
+    skipped.  `poses` is the plan's pose track, when the caller has already
+    built it.
     """
     boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
-    poses = plan_pose_track(plan)
+    if poses is None:
+        poses = plan_pose_track(plan)
     if max_tick is not None:
         poses = poses[:max_tick]
-    return any(
-        pose_oversteps_boundary(boundaries, pos, heading, ego_dims) for pos, heading in poses
-    )
+    return pose_oversteps_boundary(boundaries, poses, ego_dims)
 
 
 def plan_metrics(
@@ -175,11 +189,16 @@ def plan_metrics(
     else:
         l2_values = tuple(0.0 for _ in horizons)
     l2 = HorizonStats(tuple(horizons), l2_values, float(np.mean(l2_values)) if l2_values else 0.0)
-    collision = collision_rate(scenarios, plans, ego_dims, horizons)
+    tracks = [plan_pose_track(p) for p in plans]
+    flags = [
+        collision_ticks(s, p, ego_dims, poses=t) for s, p, t in zip(scenarios, plans, tracks)
+    ]
+    collision = _cumulative_rate(scenarios, plans, flags, horizons)
     if scenarios:
         max_tick = _horizon_tick(max(horizons), scenarios[0].horizon_dt, plans[0].horizon)
         oversteps = sum(
-            boundary_overstep(s, p, ego_dims, max_tick) for s, p in zip(scenarios, plans)
+            boundary_overstep(s, p, ego_dims, max_tick, poses=t)
+            for s, p, t in zip(scenarios, plans, tracks)
         )
         overstep_rate = oversteps * 100.0 / len(scenarios)
     else:

@@ -87,6 +87,8 @@ class AgentPrediction:
             )
         if not np.all(np.isfinite(self.modes)) or not np.all(np.isfinite(self.mode_scores)):
             raise ScenarioFormatError("non-finite values in agent prediction")
+        if not math.isfinite(self.heading):
+            raise ScenarioFormatError(f"non-finite agent heading: {self.heading}")
         if np.any(self.mode_scores < 0.0) or np.any(self.mode_scores > 1.0):
             raise ScenarioFormatError("mode scores must lie in [0,1]")
         if not 0.0 <= self.confidence <= 1.0:
@@ -160,10 +162,18 @@ class Scenario:
     def __post_init__(self):
         self.expert = np.asarray(self.expert, dtype=np.float64)
         self.agent_gt_futures = [np.asarray(f, dtype=np.float64) for f in self.agent_gt_futures]
-        if self.horizon_dt <= 0.0:
-            raise ScenarioFormatError(f"horizon_dt must be positive, got {self.horizon_dt}")
+        if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
+            raise ScenarioFormatError(
+                f"horizon_dt must be positive and finite, got {self.horizon_dt}"
+            )
         if self.expert.ndim != 2 or self.expert.shape[1] != 2:
             raise ScenarioFormatError(f"expert must be (T_f, 2), got {self.expert.shape}")
+        if not np.all(np.isfinite(self.expert)):
+            raise ScenarioFormatError("non-finite values in expert")
+        for name in ("heading", "velocity", "acceleration", "steering_angle"):
+            value = getattr(self.ego, name)
+            if not math.isfinite(value):
+                raise ScenarioFormatError(f"non-finite ego {name}: {value}")
         t_f = self.expert.shape[0]
         if len(self.agent_gt_futures) != len(self.agents):
             raise ScenarioFormatError(
@@ -179,6 +189,8 @@ class Scenario:
                 raise ScenarioFormatError(
                     f"agent {i} ground-truth future has shape {fut.shape}, expected ({t_f}, 2)"
                 )
+            if not np.all(np.isfinite(fut)):
+                raise ScenarioFormatError(f"non-finite values in agent {i} ground-truth future")
         counts = {len(mv.points) for mv in self.map}
         if len(counts) > 1:
             raise ScenarioFormatError(f"map vectors have mixed point counts: {sorted(counts)}")
@@ -731,7 +743,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_json(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), indent=1)
+    return json.dumps(scenario_to_dict(s), indent=1, allow_nan=False)
 
 
 def save_scenario(s: Scenario, path) -> None:

@@ -82,6 +82,9 @@ class SimState:
     view: Scenario  # current ego-frame scenario for the planner
     agent_positions: list[Point2]
     agent_headings: list[float]
+    # each agent's world-frame (position, heading) per scripted tick; the
+    # scripts never change during a rollout, so these are built once
+    agent_tracks: list[list[tuple[Point2, float]]]
 
     @property
     def remaining_horizon(self) -> int:
@@ -100,6 +103,7 @@ class SimState:
             view=scenario,
             agent_positions=[a.position for a in scenario.agents],
             agent_headings=[a.heading for a in scenario.agents],
+            agent_tracks=[agent_pose_track(scenario, i) for i in range(len(scenario.agents))],
         )
 
 
@@ -116,6 +120,7 @@ def _pad_future(track: np.ndarray, start_tick: int, t_f: int) -> np.ndarray:
 
 def _build_view(
     scenario: Scenario,
+    agent_tracks: list[list[tuple[Point2, float]]],
     tick: int,
     position: Point2,
     heading: float,
@@ -136,8 +141,7 @@ def _build_view(
     ]
     new_agents = []
     new_futures = []
-    for i, agent in enumerate(scenario.agents):
-        track = agent_pose_track(scenario, i)
+    for i, (agent, track) in enumerate(zip(scenario.agents, agent_tracks)):
         if tick == 0:
             apos, aheading = agent.position, agent.heading
         else:
@@ -205,15 +209,10 @@ def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
     )
 
     new_tick = state.tick + 1
-    agent_positions = []
-    agent_headings = []
-    for i in range(len(scenario.agents)):
-        apos, aheading = agent_pose_track(scenario, i)[new_tick - 1]
-        agent_positions.append(apos)
-        agent_headings.append(aheading)
-
+    poses = [track[new_tick - 1] for track in state.agent_tracks]
     view = _build_view(
-        scenario, new_tick, new_pos, new_heading, new_velocity, new_accel, yaw_rate
+        scenario, state.agent_tracks, new_tick,
+        new_pos, new_heading, new_velocity, new_accel, yaw_rate,
     )
     return SimState(
         scenario=scenario,
@@ -224,8 +223,9 @@ def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
         ego_acceleration=new_accel,
         ego_dims=state.ego_dims,
         view=view,
-        agent_positions=agent_positions,
-        agent_headings=agent_headings,
+        agent_positions=[pos for pos, _ in poses],
+        agent_headings=[heading for _, heading in poses],
+        agent_tracks=state.agent_tracks,
     )
 
 
@@ -298,12 +298,11 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
     n = second.shape[0]
     value = float((second**2).sum() / n)
     coeff = 2.0 * second / n
-    # q index k receives +1/-2/+1 contributions; q row 0 is the fixed origin
-    for k in range(n):
-        grad[k + 1] += coeff[k]
-        grad[k] -= 2.0 * coeff[k]
-        if k >= 1:
-            grad[k - 1] += coeff[k]
+    # second difference k is w[k+1] - 2 w[k] + w[k-1], with w[-1] the fixed
+    # origin; each waypoint sums its +1/-2/+1 shares in order of k
+    grad[1:] += coeff
+    grad[:-1] -= 2.0 * coeff
+    grad[:-2] += coeff[1:]
     return LossResult(value, grad)
 
 
@@ -320,7 +319,9 @@ def refine_trajectory(
     The imitation weight is applied to the smoothness prior instead of the
     expert term.  Waypoints are clamped to the perception range after every
     step, and the best iterate seen (by objective value) is returned, so the
-    result never scores worse than the seed.
+    result never scores worse than the seed.  The objective runs once per
+    iterate: the evaluation that scores an iterate also gives the gradient
+    of the next step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -346,16 +347,16 @@ def refine_trajectory(
         )
 
     current = seed_plan.waypoints.copy()
-    best_value = objective(PlanTrajectory(current)).value
+    res = objective(PlanTrajectory(current))
+    best_value = res.value
     best = current.copy()
     for _ in range(steps):
-        res = objective(PlanTrajectory(current))
         current = current - step_size * res.grad
         current[:, 0] = np.clip(current[:, 0], -lat_half, lat_half)
         current[:, 1] = np.clip(current[:, 1], -long_half, long_half)
-        value = objective(PlanTrajectory(current)).value
-        if value < best_value:
-            best_value = value
+        res = objective(PlanTrajectory(current))
+        if res.value < best_value:
+            best_value = res.value
             best = current.copy()
     return PlanTrajectory(best)
 
@@ -443,7 +444,7 @@ def run_closed_loop(
         )
         boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
         overstep = pose_oversteps_boundary(
-            boundaries, state.ego_position, state.ego_heading, state.ego_dims
+            boundaries, [(state.ego_position, state.ego_heading)], state.ego_dims
         )
 
         log.records.append(

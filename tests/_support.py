@@ -101,6 +101,32 @@ def sample_collision_config(rng, params: ConstraintParams, t_f: int = 6):
     raise AssertionError("could not sample a non-degenerate collision config")
 
 
+def nearest_segment_oracle(p, polylines):
+    """Brute-force nearest segment to the point p = (x, y), in Python floats.
+
+    Scans every non-degenerate segment of every polyline in order and keeps
+    the first strict improvement, so ties go to the lowest polyline and then
+    the lowest segment.  Returns (polyline index, distance, segment index,
+    foot) or None when there is no polyline.
+    """
+    px, py = float(p[0]), float(p[1])
+    best = None
+    for i, pl in enumerate(polylines):
+        pts = [(float(x), float(y)) for x, y in pl.xy()]
+        for s in range(len(pts) - 1):
+            (ax, ay), (bx, by) = pts[s], pts[s + 1]
+            if (ax, ay) == (bx, by):
+                continue
+            dx, dy = bx - ax, by - ay
+            t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+            t = min(1.0, max(0.0, t))
+            foot = (ax + t * dx, ay + t * dy)
+            d = math.hypot(px - foot[0], py - foot[1])
+            if best is None or d < best[1]:
+                best = (i, d, s, foot)
+    return best
+
+
 def _wiggly_vertical(rng, x0: float, n_pts: int = 6) -> Polyline:
     ys = np.linspace(-12.0, 12.0, n_pts)
     xs = x0 + rng.uniform(-0.4, 0.4, size=n_pts)

@@ -67,6 +67,11 @@ class TestConfig:
             ("metrics.ablation_arms=[5]", "ablation arm must be an object"),
             ("simulator.refine_steps=-1", "simulator.refine_steps"),
             ("simulator.refine_step_size=0", "simulator.refine_step_size"),
+            ("simulator.refine_steps=2.5", "simulator.refine_steps must be an integer"),
+            ("simulator.ticks=2.5", "simulator.ticks must be an integer"),
+            ("simulator.ticks=true", "simulator.ticks must be an integer"),
+            ("seed=3.7", "seed must be an integer"),
+            ("seed=false", "seed must be an integer"),
         ],
     )
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, override, names):
@@ -81,6 +86,15 @@ class TestConfig:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), err
         assert names in lines[0]
+
+    def test_non_finite_value_never_reaches_a_json_artifact(self, tmp_path, capsys):
+        # train.* is only validated when training starts, so generate echoes it
+        cfg = tiny_config(tmp_path)
+        rc = run("generate", "--config", str(cfg), "--set", "train.learning_rate=NaN")
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:invalid-input:"), lines
+        assert not (tmp_path / "out" / "config.resolved.json").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("generate", "--config", str(tmp_path / "nope.json"))

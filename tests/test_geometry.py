@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _support import nearest_segment_oracle
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
     Point2,
@@ -223,6 +224,121 @@ class TestClosestPolylineWithin:
                 assert got is not None
                 assert got[0] == expected[0]
                 assert got[1] == pytest.approx(expected[1], abs=1e-12)
+
+
+def _random_polylines(rng, n_pl):
+    """Random polylines, some with repeated points (degenerate segments)."""
+    pls = []
+    for _ in range(n_pl):
+        pts = rng.uniform(-20, 20, size=(int(rng.integers(2, 12)), 2))
+        if len(pts) > 2 and rng.random() < 0.5:
+            k = int(rng.integers(0, len(pts)))
+            pts = np.insert(pts, k, pts[k], axis=0)
+        pls.append(Polyline(pts))
+    return pls
+
+
+class TestArrayChain:
+    """The batched nearest-polyline chain against a brute-force scalar loop."""
+
+    def check_against_oracle(self, queries, pls, within=None):
+        if within is None:
+            hit = closest_polyline(queries, pls)
+        else:
+            hit = closest_polyline_within(queries, pls, within)
+        assert hit.poly.shape == hit.dist.shape == hit.seg.shape == (len(queries),)
+        assert hit.foot.shape == hit.start.shape == hit.end.shape == (len(queries), 2)
+        for k, q in enumerate(queries):
+            poly, d, seg, foot = nearest_segment_oracle(q, pls)
+            assert hit.dist[k] == pytest.approx(d, rel=1e-12, abs=1e-12)
+            if within is not None and d > within:
+                assert (hit.poly[k], hit.seg[k]) == (-1, -1)
+                continue
+            assert (hit.poly[k], hit.seg[k]) == (poly, seg)
+            assert tuple(hit.foot[k]) == foot
+            xy = pls[poly].xy()
+            np.testing.assert_array_equal(hit.start[k], xy[seg])
+            np.testing.assert_array_equal(hit.end[k], xy[seg + 1])
+            # the single-point form is row k of the array form
+            single = closest_polyline(P(*q), pls)
+            assert single == (int(hit.poly[k]), float(hit.dist[k]), int(hit.seg[k]))
+
+    def test_matches_oracle_on_random_polylines(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            pls = _random_polylines(rng, int(rng.integers(1, 6)))
+            queries = rng.uniform(-25, 25, size=(int(rng.integers(0, 9)), 2))
+            self.check_against_oracle(queries, pls)
+            self.check_against_oracle(queries, pls, within=float(rng.uniform(0.5, 15.0)))
+            for pl in pls:
+                dist, seg, foot = point_polyline_distance(queries, pl)
+                for j, q in enumerate(queries):
+                    _, d, s, f = nearest_segment_oracle(q, [pl])
+                    assert (seg[j], tuple(foot[j])) == (s, f)
+                    assert dist[j] == pytest.approx(d, rel=1e-12, abs=1e-12)
+
+    def test_query_on_shared_vertex_ties_to_first_segment(self):
+        pls = [Polyline([P(-1, 0), P(0, 0), P(0, 2)])]
+        queries = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
+        hit = closest_polyline(queries, pls)
+        np.testing.assert_array_equal(hit.dist, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(hit.seg, [0, 0, 1])
+        self.check_against_oracle(queries, pls)
+
+    def test_exact_tie_between_polylines_goes_to_lowest(self):
+        pls = [
+            Polyline([P(3, -5), P(3, 5)]),
+            Polyline([P(1, -5), P(1, 5)]),
+            Polyline([P(-1, -5), P(-1, 5)]),
+        ]
+        queries = np.array([[0.0, 0.0], [0.0, 4.0], [2.0, 1.0]])
+        hit = closest_polyline(queries, pls)
+        np.testing.assert_array_equal(hit.poly, [1, 1, 0])
+        np.testing.assert_array_equal(hit.dist, [1.0, 1.0, 1.0])
+        self.check_against_oracle(queries, pls)
+
+    def test_degenerate_segments_are_skipped(self):
+        pls = [Polyline([P(5, 5), P(5, 5), P(5, 6), P(5, 6), P(6, 6)])]
+        queries = np.array([[5.0, 4.0], [5.0, 7.0], [7.0, 6.0]])
+        hit = closest_polyline(queries, pls)
+        np.testing.assert_array_equal(hit.seg, [1, 1, 3])
+        self.check_against_oracle(queries, pls)
+        with pytest.raises(GeometryError):
+            closest_polyline(queries, pls + [Polyline([P(0, 0), P(0, 0), P(0, 0)])])
+
+    def test_zero_and_one_queries(self):
+        pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-0.5, -5), P(-0.5, 5)])]
+        empty = closest_polyline(np.empty((0, 2)), pls)
+        assert [a.shape for a in empty] == [(0,), (0,), (0,), (0, 2), (0, 2), (0, 2)]
+        assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (0,)
+        one = closest_polyline(np.array([[0.0, 0.0]]), pls)
+        assert (one.poly.tolist(), one.dist.tolist(), one.seg.tolist()) == ([1], [0.5], [0])
+        assert closest_polyline(P(0, 0), pls) == one.first()
+        assert closest_polyline(np.empty((0, 2)), []) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_raises(self, bad):
+        pls = [Polyline([P(1, -5), P(1, 5)])]
+        queries = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(GeometryError):
+            closest_point_on_segment(queries, pls[0].xy()[:-1], pls[0].xy()[1:])
+        with pytest.raises(GeometryError):
+            point_polyline_distance(queries, pls[0])
+        with pytest.raises(GeometryError):
+            closest_polyline(queries, pls)
+        with pytest.raises(GeometryError):
+            closest_polyline_within(queries, pls, 2.0)
+        with pytest.raises(GeometryError):
+            angular_difference(queries, np.ones((2, 2)))
+
+    def test_angular_difference_rows_match_single_vectors(self):
+        rng = np.random.default_rng(5)
+        v1, v2 = rng.uniform(-3, 3, size=(2, 20, 2))
+        got = angular_difference(v1, v2)
+        assert got.shape == (20,)
+        assert got.tolist() == [angular_difference(tuple(a), tuple(b)) for a, b in zip(v1, v2)]
+        with pytest.raises(GeometryError):
+            angular_difference(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
 
 
 def _point_in_rect(points: np.ndarray, center: Point2, heading: float, dims) -> np.ndarray:

@@ -248,6 +248,31 @@ class TestScenarioIO:
         with pytest.raises(ScenarioFormatError, match="expert"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "path, value, names",
+        [
+            (("expert", 2, 0), math.nan, "expert"),
+            (("expert", 5, 1), math.inf, "expert"),
+            (("agent_gt_futures", 0, 3, 1), math.nan, "agent 0"),
+            (("ego", "velocity"), math.nan, "ego velocity"),
+            (("ego", "heading"), -math.inf, "ego heading"),
+            (("ego", "acceleration"), math.nan, "ego acceleration"),
+            (("ego", "steering_angle"), math.inf, "ego steering_angle"),
+            (("horizon_dt",), math.nan, "horizon_dt"),
+            (("agents", 0, "heading"), math.nan, "agent heading"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, path, value, names):
+        data = scenario_to_dict(generate_scenario(4, GeneratorConfig(agent_count_range=(1, 3))))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path / "nan.json"
+        target.write_text(json.dumps(data))  # json writes the non-standard NaN/Infinity
+        with pytest.raises(ScenarioFormatError, match=names):
+            load_scenario(target)
+
     def test_schema_version_mismatch(self, tmp_path):
         data = scenario_to_dict(generate_scenario(4))
         data["schema_version"] = 99

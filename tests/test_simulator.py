@@ -137,6 +137,22 @@ class TestSmoothness:
             fd = fd_plan_gradient(lambda x: smoothness_loss(PlanTrajectory(x)).value, w)
             assert max_rel_err(res.grad, fd) < 1e-6
 
+    def test_gradient_equals_per_difference_loop(self):
+        rng = np.random.default_rng(8)
+        for t_f in (1, 2, 3, 6):
+            w = rng.uniform(-5, 5, (t_f, 2))
+            q = np.vstack([np.zeros((1, 2)), w])
+            second = q[2:] - 2.0 * q[1:-1] + q[:-2]
+            coeff = 2.0 * second / max(len(second), 1)
+            # q row k + 1 is waypoint k; q row 0 is the fixed origin
+            expected = np.zeros_like(w)
+            for k in range(len(second)):
+                expected[k + 1] += coeff[k]
+                expected[k] -= 2.0 * coeff[k]
+                if k >= 1:
+                    expected[k - 1] += coeff[k]
+            np.testing.assert_array_equal(smoothness_loss(PlanTrajectory(w)).grad, expected)
+
 
 class TestRefineTrajectory:
     def test_zero_steps_returns_seed(self):
@@ -190,6 +206,46 @@ class TestRefineTrajectory:
         out = refine_trajectory(wild, s, PARAMS, LossWeights(), 3, 5.0)
         assert np.all(np.abs(out.waypoints[:, 0]) <= 15.0)
         assert np.all(np.abs(out.waypoints[:, 1]) <= 30.0)
+
+    def test_one_objective_evaluation_per_iterate(self, monkeypatch):
+        from vecplan import simulator
+
+        s = generate_scenario(3)
+        weights = LossWeights(imitation=0.5)
+        no_imitation = LossWeights(imitation=0.0)
+        steps, step_size = 25, 0.2
+        seed_plan = constant_velocity_plan(s)
+
+        def objective(w):
+            plan = PlanTrajectory(w)
+            res = total_planning_loss(plan, s, PARAMS, no_imitation)
+            smooth = smoothness_loss(plan)
+            return res.value + 0.5 * smooth.value, res.grad + 0.5 * smooth.grad
+
+        # reference: the gradient at the top of each step, then a second
+        # evaluation to score the new iterate
+        long_half, lat_half = s.perception_range[0] / 2.0, s.perception_range[1] / 2.0
+        current = seed_plan.waypoints.copy()
+        best_value, best = objective(current)[0], current.copy()
+        for _ in range(steps):
+            current = current - step_size * objective(current)[1]
+            current[:, 0] = np.clip(current[:, 0], -lat_half, lat_half)
+            current[:, 1] = np.clip(current[:, 1], -long_half, long_half)
+            value = objective(current)[0]
+            if value < best_value:
+                best_value, best = value, current.copy()
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return total_planning_loss(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "total_planning_loss", counted)
+        out = refine_trajectory(seed_plan, s, PARAMS, weights, steps, step_size)
+        assert len(calls) == steps + 1
+        np.testing.assert_array_equal(out.waypoints, best)
+        assert not np.array_equal(best, seed_plan.waypoints)
 
     def test_rejects_bad_arguments(self):
         s = generate_scenario(12)
