@@ -88,6 +88,27 @@ def _require_int(value, name: str) -> int:
     return value
 
 
+_PAIR_ANNOTATIONS = {"tuple[int, int]": "int", "tuple[float, float]": "float"}
+
+
+def _check_typed(value, annotation: str, name: str) -> None:
+    """Refuse a value that does not fit a field declared `int`, `float` or a
+    pair of them: an int must be an int (not a float or a bool), a float any
+    finite int or float.  Fields of other types are left to their section."""
+    if annotation == "int":
+        _require_int(value, name)
+    elif annotation == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    elif annotation in _PAIR_ANNOTATIONS:
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise ConfigError(f"{name} must be a pair, got {value!r}")
+        for v in value:
+            _check_typed(v, _PAIR_ANNOTATIONS[annotation], name)
+
+
 @dataclass(frozen=True)
 class SimulatorSection:
     ticks: int = 6
@@ -98,8 +119,6 @@ class SimulatorSection:
     refine_step_size: float = 0.2
 
     def __post_init__(self):
-        for name in ("ticks", "refine_steps"):
-            _require_int(getattr(self, name), f"simulator.{name}")
         if self.ticks < 1:
             raise ConfigError("simulator.ticks must be >= 1")
         if self.planner not in PLANNER_CHOICES:
@@ -186,13 +205,16 @@ _TUPLE_FIELDS = {
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
+    # every module declares its fields under postponed evaluation, so each
+    # type is its annotation string
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in names:
+        if key not in annotations:
             raise ConfigError(f"unknown config key: {path}{key}")
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
+        _check_typed(value, annotations[key], f"{path}{key}")
         if key == "ablation_arms":
             if not isinstance(value, list):
                 raise ConfigError(f"{path}{key} must be a list")

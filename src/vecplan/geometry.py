@@ -9,7 +9,9 @@ The nearest-polyline chain (`closest_point_on_segment`,
 `point_polyline_distance`, `closest_polyline`, `closest_polyline_within`)
 and `angular_difference` work on (K, 2) arrays and broadcast over query
 points x segments; a single Point2 is the K = 1 case of the same code and
-gets scalar results.
+gets scalar results.  The separating-axis test (`oriented_rect_margin`,
+`oriented_rect_overlap`) likewise broadcasts over box arrays, with scalar
+boxes as the one-pair case.
 """
 
 from __future__ import annotations
@@ -308,70 +310,101 @@ def rect_corners(center: Point2, heading: float, dims: tuple[float, float]) -> n
     )
 
 
-def oriented_rect_margin(
-    center1: Point2,
-    heading1: float,
-    dims1: tuple[float, float],
-    center2: Point2,
-    heading2: float,
-    dims2: tuple[float, float],
-) -> float:
-    """Separating-axis margin between two oriented rectangles.
+def _box_arrays(center, heading, dims):
+    """Centers, headings and dims of a set of boxes as float64 arrays.
 
-    Tests the four candidate axes (each rectangle's length and width
-    directions) and returns the minimum over axes of
+    Raises:
+        GeometryError: on a center or dims whose last axis is not 2, a
+            non-finite value or a non-positive dimension.
+    """
+    if isinstance(center, Point2):
+        xy = np.array((center.x, center.y))
+    else:
+        xy = np.asarray(center, dtype=np.float64)
+    h = np.asarray(heading, dtype=np.float64)
+    d = np.asarray(dims, dtype=np.float64)
+    if xy.shape[-1:] != (2,) or d.shape[-1:] != (2,):
+        raise GeometryError(
+            f"box centers and dims must have shape (..., 2), got {xy.shape} and {d.shape}"
+        )
+    if not (np.isfinite(xy).all() and np.isfinite(h).all() and np.isfinite(d).all()):
+        raise GeometryError("non-finite box center, heading or dims")
+    if not (d > 0.0).all():
+        raise GeometryError("rectangle dims must be positive")
+    return xy, h, d
+
+
+def _lead(a: np.ndarray, rank: int) -> np.ndarray:
+    """`a` with its first axis kept in front and the rest right-aligned to
+    `rank` axes, so it broadcasts against arrays of that many axes."""
+    return a.reshape(a.shape[:1] + (1,) * (rank + 1 - a.ndim) + a.shape[1:])
+
+
+def _box_frame(h, d, rank: int):
+    """Per-box quantities of the separating-axis test, each computed once.
+
+    Returns cos and sin of the headings, then (2, ...) arrays stacked over the
+    box's own two axes (length, width): their x and y components, the half
+    dims (half length, half width) and the box's half-extent on each of them.
+    """
+    sc = np.empty((3,) + h.shape)  # sin, cos, -sin
+    s = np.sin(h, out=sc[0, ...])
+    c = np.cos(h, out=sc[1, ...])
+    np.negative(s, out=sc[2, ...])
+    sc = _lead(sc, rank)
+    half = _lead(0.5 * d.transpose((d.ndim - 1, *range(d.ndim - 1))), rank)
+    # on its own axes a box reaches half length * |c c + s s| (length axis)
+    # and half width * |s s + c c| (width axis): the other term, |-s c + c s|,
+    # is exactly 0
+    return c, s, sc[1:], sc[:2], half, half * (c * c + s * s)
+
+
+def oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2):
+    """Separating-axis margin between oriented rectangles.
+
+    Each rectangle is a center, a heading and (length, width) dims, the
+    length axis pointing along the heading.  The two sets broadcast: (..., 2)
+    centers, (...) headings and (..., 2) dims give (...) margins, and
+    all-scalar inputs (a Point2 or 2-vector, a float, a 2-tuple) give a
+    float.  Tests the four candidate axes (each rectangle's length and width
+    directions) and returns, per pair, the minimum over axes of
 
         (projected half-extent 1 + projected half-extent 2) - |projected center gap|
 
     which is >= 0 iff the rectangles intersect (touching edges count) and
-    negative when a separating axis exists.
+    negative when a separating axis exists.  The margin is exactly symmetric
+    in the two rectangles.
+
+    Every margin is bit-equal to evaluating that formula pair by pair with
+    projections written as u_x v_x + u_y v_y: products commute and negation is
+    exact in floating point, so the four cross projections of one rectangle's
+    directions on the other's axes reduce to two values per pair,
+    |c2 c1 + s2 s1| and |s2 c1 - c2 s1|.
+
+    Raises:
+        GeometryError: on a non-finite input or a non-positive dimension.
     """
-    if not (dims1[0] > 0 and dims1[1] > 0 and dims2[0] > 0 and dims2[1] > 0):
-        raise GeometryError("rectangle dims must be positive")
-    dx = center2.x - center1.x
-    dy = center2.y - center1.y
-    axes = []
-    for h in (heading1, heading2):
-        c, s = math.cos(h), math.sin(h)
-        axes.append((c, s))
-        axes.append((-s, c))
-
-    def half_extent(heading: float, dims: tuple[float, float], axis) -> float:
-        c, s = math.cos(heading), math.sin(heading)
-        ux, uy = c, s
-        nx, ny = -s, c
-        return 0.5 * dims[0] * abs(ux * axis[0] + uy * axis[1]) + 0.5 * dims[1] * abs(
-            nx * axis[0] + ny * axis[1]
-        )
-
-    margin = math.inf
-    for axis in axes:
-        gap = abs(dx * axis[0] + dy * axis[1])
-        reach = half_extent(heading1, dims1, axis) + half_extent(heading2, dims2, axis)
-        margin = min(margin, reach - gap)
-    return margin
+    xy1, h1, d1 = _box_arrays(center1, heading1, dims1)
+    xy2, h2, d2 = _box_arrays(center2, heading2, dims2)
+    rank = max(xy1.ndim - 1, h1.ndim, d1.ndim - 1, xy2.ndim - 1, h2.ndim, d2.ndim - 1)
+    c1, s1, ax1, ay1, half1, own1 = _box_frame(h1, d1, rank)
+    c2, s2, ax2, ay2, half2, own2 = _box_frame(h2, d2, rank)
+    dx = xy2[..., 0] - xy1[..., 0]
+    dy = xy2[..., 1] - xy1[..., 1]
+    cos_d = np.abs(c2 * c1 + s2 * s1)
+    sin_d = np.abs(s2 * c1 - c2 * s1)
+    # rectangle 2 reaches half length * cos_d + half width * sin_d along
+    # rectangle 1's length axis and the swapped sum along its width axis
+    reach1 = own1 + (half2 * cos_d + half2[::-1] * sin_d)
+    reach2 = (half1 * cos_d + half1[::-1] * sin_d) + own2
+    margin1 = (reach1 - np.abs(dx * ax1 + dy * ay1)).min(axis=0)
+    margin2 = (reach2 - np.abs(dx * ax2 + dy * ay2)).min(axis=0)
+    margin = np.minimum(margin1, margin2)
+    return float(margin) if margin.ndim == 0 else margin
 
 
-def oriented_rect_overlap(
-    center1: Point2,
-    heading1: float,
-    dims1: tuple[float, float],
-    center2: Point2,
-    heading2: float,
-    dims2: tuple[float, float],
-) -> bool:
-    """True iff two oriented rectangles intersect (touching counts)."""
-    return oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2) >= 0.0
-
-
-def overlaps_any(
-    center: Point2,
-    heading: float,
-    dims: tuple[float, float],
-    boxes: Iterable[tuple[Point2, float, tuple[float, float]]],
-) -> bool:
-    """True iff the rectangle intersects any (center, heading, dims) box.
-
-    Boxes are tested in order and the sweep stops at the first hit.
-    """
-    return any(oriented_rect_overlap(center, heading, dims, c, h, d) for c, h, d in boxes)
+def oriented_rect_overlap(center1, heading1, dims1, center2, heading2, dims2) -> bool:
+    """True iff any broadcast pair of oriented rectangles intersects (touching
+    counts); False when there is no pair.  Inputs as `oriented_rect_margin`."""
+    margin = oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2)
+    return bool(np.asarray(margin >= 0.0).any())

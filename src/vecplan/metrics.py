@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Point2, closest_polyline, overlaps_any, pose_track, rect_corners
+from .geometry import Point2, closest_polyline, oriented_rect_margin, pose_track, rect_corners
 from .scene import MapClass, PlanTrajectory, Scenario
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
@@ -41,8 +41,17 @@ class PlanMetrics:
 
 
 def _horizon_tick(h: float, dt: float, t_f: int) -> int:
-    """1-based tick closest to horizon h."""
-    tick = round(h / dt)
+    """1-based tick at horizon h.
+
+    Raises:
+        ConfigError: if h is not a whole number of dt ticks (to 1e-9 of a
+            tick), so a metric never reports one horizon under another's name,
+            or if that tick lies outside 1..t_f.
+    """
+    ticks = h / dt
+    tick = round(ticks)
+    if abs(ticks - tick) > 1e-9:
+        raise ConfigError(f"horizon {h} s is not a whole number of {dt} s ticks")
     if tick < 1 or tick > t_f:
         raise ConfigError(
             f"horizon {h} s needs tick {tick}, but the plan covers 1..{t_f}"
@@ -89,14 +98,22 @@ def collision_ticks(
     `poses` is the plan's pose track, when the caller has already built it.
     """
     ego_poses = plan_pose_track(plan) if poses is None else poses
-    agent_tracks = [agent_pose_track(scenario, i) for i in range(len(scenario.agents))]
-    return [
-        overlaps_any(
-            ego_pos, ego_heading, ego_dims,
-            ((*track[t], agent.size) for agent, track in zip(scenario.agents, agent_tracks)),
-        )
-        for t, (ego_pos, ego_heading) in enumerate(ego_poses)
+    ticks = len(ego_poses)
+    n_agents = len(scenario.agents)
+    agent_poses = [
+        pose for i in range(n_agents) for pose in agent_pose_track(scenario, i)[:ticks]
     ]
+    # one margin per (agent, tick) pair: the ego's box at each tick against
+    # every agent's box at the same tick
+    margin = oriented_rect_margin(
+        np.array([(p.x, p.y) for p, _ in ego_poses]).reshape(ticks, 2),
+        np.array([h for _, h in ego_poses]),
+        ego_dims,
+        np.array([(p.x, p.y) for p, _ in agent_poses]).reshape(n_agents, ticks, 2),
+        np.array([h for _, h in agent_poses]).reshape(n_agents, ticks),
+        np.array([a.size for a in scenario.agents]).reshape(n_agents, 1, 2),
+    )
+    return (margin >= 0.0).any(axis=0).tolist()
 
 
 def collision_rate(

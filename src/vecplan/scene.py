@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScenarioFormatError
+from .errors import ConfigError, GeometryError, ScenarioFormatError
 from .geometry import Point2, Polyline, oriented_rect_overlap, pose_track
 
 SCHEMA_VERSION = 1
@@ -437,6 +437,19 @@ def _expert_track(
     return out
 
 
+def _swept_track(track: np.ndarray, start: Point2) -> np.ndarray:
+    """(T + 1, 2) positions of a mover: `start`, then its (T, 2) track."""
+    out = np.empty((track.shape[0] + 1, 2))
+    out[0] = (start.x, start.y)
+    out[1:] = track
+    return out
+
+
+def _swept_headings(track: np.ndarray, start: Point2, heading: float) -> list[float]:
+    """Headings of a mover at `start` and along its track (see `pose_track`)."""
+    return [heading] + [h for _, h in pose_track(track, start, heading)]
+
+
 def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Procedurally build one scenario; bit-identical for a given seed."""
     rng = np.random.default_rng(seed)
@@ -530,19 +543,25 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
         command=command,
     )
 
-    # swept expert poses used for clearance checks (tick 0 is the start pose)
-    expert_poses = [(ego.position, ego.heading)] + pose_track(expert, ego.position, ego.heading)
-    clear_dims = (
+    agents: list[AgentPrediction] = []
+    gt_futures: list[np.ndarray] = []
+    n_agents = int(rng.integers(config.agent_count_range[0], config.agent_count_range[1] + 1))
+    want_lead = rng.uniform() < config.lead_vehicle_probability
+    n_slots = n_agents + int(want_lead)
+
+    # boxes swept over ticks 0..t_f that a new agent must clear: row 0 is the
+    # expert's, inflated by the clearance, and row 1 + i is placed agent i's
+    box_xy = np.empty((1 + n_slots, t_f + 1, 2))
+    box_heading = np.empty((1 + n_slots, t_f + 1))
+    box_dims = np.empty((1 + n_slots, 1, 2))
+    box_xy[0] = _swept_track(expert, ego.position)
+    box_heading[0] = _swept_headings(expert, ego.position, ego.heading)
+    box_dims[0, 0] = (
         config.ego_dims[0] + 2.0 * config.min_agent_clearance,
         config.ego_dims[1] + 2.0 * config.min_agent_clearance,
     )
-
-    agents: list[AgentPrediction] = []
-    gt_futures: list[np.ndarray] = []
-    agent_poses: list[list[tuple[Point2, float]]] = []  # swept poses, tick 0 first
-    n_agents = int(rng.integers(config.agent_count_range[0], config.agent_count_range[1] + 1))
-    want_lead = rng.uniform() < config.lead_vehicle_probability
-    for k in range(n_agents + int(want_lead)):
+    placed = 1
+    for k in range(n_slots):
         is_lead = want_lead and k == 0
         for _attempt in range(30):
             size = (float(rng.uniform(4.2, 4.9)), float(rng.uniform(1.7, 2.0)))
@@ -568,15 +587,11 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
             start = Point2(*road.point(s0, d))
             heading = road.heading(s0)
             future = _lane_follow_track(road, s0, d, speed, dt, t_f)
-            poses = [(start, heading)] + pose_track(future, start, heading)
+            xy = _swept_track(future, start)
+            headings = _swept_headings(future, start, heading)
 
-            if any(
-                oriented_rect_overlap(ep, eh, clear_dims, ap, ah, size)
-                for (ep, eh), (ap, ah) in zip(expert_poses, poses)
-            ) or any(
-                oriented_rect_overlap(ap, ah, size, bp, bh, other.size)
-                for other, other_poses in zip(agents, agent_poses)
-                for (ap, ah), (bp, bh) in zip(poses, other_poses)
+            if oriented_rect_overlap(
+                xy, headings, size, box_xy[:placed], box_heading[:placed], box_dims[:placed]
             ):
                 continue
 
@@ -601,7 +616,10 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 )
             )
             gt_futures.append(future)
-            agent_poses.append(poses)
+            box_xy[placed] = xy
+            box_heading[placed] = headings
+            box_dims[placed, 0] = size
+            placed += 1
             break
 
     return Scenario(
@@ -662,10 +680,41 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _require(data: dict, key: str, where: str):
+def _require(data, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ScenarioFormatError(f"{where.rstrip('.') or 'scenario'} must be an object")
     if key not in data:
         raise ScenarioFormatError(f"missing field: {where}{key}")
     return data[key]
+
+
+def _field(data, key: str, where: str, decode):
+    """A required field passed through `decode`; a value of the wrong type or
+    form is a ScenarioFormatError that names the field's path."""
+    value = _require(data, key, where)
+    try:
+        return decode(value)
+    except (TypeError, ValueError, GeometryError) as e:
+        raise ScenarioFormatError(f"bad field {where}{key}: {e}") from e
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _pair(value) -> tuple[float, float]:
+    x, y = value
+    return float(x), float(y)
+
+
+def _point(value) -> Point2:
+    return Point2(*_pair(value))
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -675,65 +724,53 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     t_f = _require(data, "t_future", "")
-    dt = _require(data, "horizon_dt", "")
-    prange = _require(data, "perception_range", "")
 
     map_vectors = []
-    for i, mv in enumerate(_require(data, "map", "")):
+    for i, mv in enumerate(_field(data, "map", "", _list)):
         where = f"map[{i}]."
-        try:
-            kind = MapClass(_require(mv, "kind", where))
-        except ValueError as e:
-            raise ScenarioFormatError(f"map[{i}]: unknown kind {mv.get('kind')!r}") from e
         map_vectors.append(
             MapVector(
-                kind=kind,
-                points=Polyline(_require(mv, "points", where)),
-                confidence=float(_require(mv, "confidence", where)),
+                kind=_field(mv, "kind", where, MapClass),
+                points=_field(mv, "points", where, lambda v: Polyline(map(_pair, _list(v)))),
+                confidence=_field(mv, "confidence", where, float),
                 drivable_side=mv.get("drivable_side"),
             )
         )
 
     agents = []
-    for i, a in enumerate(_require(data, "agents", "")):
+    for i, a in enumerate(_field(data, "agents", "", _list)):
         where = f"agents[{i}]."
-        pos = _require(a, "position", where)
         agents.append(
             AgentPrediction(
-                position=Point2(float(pos[0]), float(pos[1])),
-                heading=float(_require(a, "heading", where)),
-                size=tuple(float(v) for v in _require(a, "size", where)),
-                confidence=float(_require(a, "confidence", where)),
-                modes=np.asarray(_require(a, "modes", where), dtype=np.float64),
-                mode_scores=np.asarray(_require(a, "mode_scores", where), dtype=np.float64),
+                position=_field(a, "position", where, _point),
+                heading=_field(a, "heading", where, float),
+                size=_field(a, "size", where, _pair),
+                confidence=_field(a, "confidence", where, float),
+                modes=_field(a, "modes", where, _array),
+                mode_scores=_field(a, "mode_scores", where, _array),
             )
         )
 
     ego_data = _require(data, "ego", "")
-    pos = _require(ego_data, "position", "ego.")
-    try:
-        command = Command(_require(ego_data, "command", "ego."))
-    except ValueError as e:
-        raise ScenarioFormatError(f"ego: unknown command {ego_data.get('command')!r}") from e
     ego = EgoState(
-        position=Point2(float(pos[0]), float(pos[1])),
-        heading=float(_require(ego_data, "heading", "ego.")),
-        velocity=float(_require(ego_data, "velocity", "ego.")),
-        acceleration=float(_require(ego_data, "acceleration", "ego.")),
-        steering_angle=float(_require(ego_data, "steering_angle", "ego.")),
-        command=command,
+        position=_field(ego_data, "position", "ego.", _point),
+        heading=_field(ego_data, "heading", "ego.", float),
+        velocity=_field(ego_data, "velocity", "ego.", float),
+        acceleration=_field(ego_data, "acceleration", "ego.", float),
+        steering_angle=_field(ego_data, "steering_angle", "ego.", float),
+        command=_field(ego_data, "command", "ego.", Command),
     )
 
     scenario = Scenario(
         map=map_vectors,
         agents=agents,
-        agent_gt_futures=[
-            np.asarray(f, dtype=np.float64) for f in _require(data, "agent_gt_futures", "")
-        ],
+        agent_gt_futures=_field(
+            data, "agent_gt_futures", "", lambda v: [_array(f) for f in _list(v)]
+        ),
         ego=ego,
-        expert=np.asarray(_require(data, "expert", ""), dtype=np.float64),
-        horizon_dt=float(dt),
-        perception_range=tuple(float(v) for v in prange),
+        expert=_field(data, "expert", "", _array),
+        horizon_dt=_field(data, "horizon_dt", "", float),
+        perception_range=_field(data, "perception_range", "", _pair),
     )
     if scenario.t_future != t_f:
         raise ScenarioFormatError(

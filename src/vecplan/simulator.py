@@ -28,7 +28,7 @@ from .constraints import (
     total_planning_loss,
 )
 from .errors import SimulationError
-from .geometry import Point2, Polyline, overlaps_any
+from .geometry import Point2, Polyline, oriented_rect_overlap
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_pose_track, pose_oversteps_boundary
 from .scene import (
@@ -438,9 +438,11 @@ def run_closed_loop(
         losses = total_planning_loss(plan, state.view, cparams, LossWeights()).breakdown
         state = step(state, plan)
 
-        collision = overlaps_any(
+        collision = oriented_rect_overlap(
             state.ego_position, state.ego_heading, state.ego_dims,
-            zip(state.agent_positions, state.agent_headings, (a.size for a in scenario.agents)),
+            np.array([(p.x, p.y) for p in state.agent_positions]).reshape(-1, 2),
+            state.agent_headings,
+            np.array([a.size for a in scenario.agents]).reshape(-1, 2),
         )
         boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
         overstep = pose_oversteps_boundary(

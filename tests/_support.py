@@ -237,3 +237,30 @@ def sample_imitation_config(rng, t_f: int = 6):
     w = rng.uniform(-8.0, 8.0, size=(t_f, 2))
     offset = rng.uniform(MARGIN * 2, 3.0, size=(t_f, 2)) * rng.choice([-1.0, 1.0], size=(t_f, 2))
     return PlanTrajectory(w), w + offset
+
+
+def sat_margin_oracle(center1, heading1, dims1, center2, heading2, dims2) -> float:
+    """Separating-axis margin of two rectangles, scalar and in Python floats.
+
+    The per-pair formula: for each of the four axes (each rectangle's length
+    and width directions) the projected half-extents of both rectangles minus
+    the projected center gap, minimised over the axes.  Each half-extent
+    recomputes its rectangle's cos/sin, as the formula is written.
+    """
+    dx = float(center2[0]) - float(center1[0])
+    dy = float(center2[1]) - float(center1[1])
+
+    def half_extent(heading, dims, axis):
+        c, s = math.cos(heading), math.sin(heading)
+        return 0.5 * dims[0] * abs(c * axis[0] + s * axis[1]) + 0.5 * dims[1] * abs(
+            -s * axis[0] + c * axis[1]
+        )
+
+    margin = math.inf
+    for h in (heading1, heading2):
+        c, s = math.cos(h), math.sin(h)
+        for axis in ((c, s), (-s, c)):
+            gap = abs(dx * axis[0] + dy * axis[1])
+            reach = half_extent(heading1, dims1, axis) + half_extent(heading2, dims2, axis)
+            margin = min(margin, reach - gap)
+    return margin

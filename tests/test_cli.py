@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from vecplan.cli import OUTPUT_ROOT_ENV, config_from_dict, config_to_dict, load_config, main
+from vecplan.cli import (
+    OUTPUT_ROOT_ENV,
+    _json_artifact,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    main,
+)
+from vecplan.errors import VecplanError
 
 
 def run(*argv):
@@ -72,6 +80,16 @@ class TestConfig:
             ("simulator.ticks=true", "simulator.ticks must be an integer"),
             ("seed=3.7", "seed must be an integer"),
             ("seed=false", "seed must be an integer"),
+            ("train.epochs=1.5", "train.epochs must be an integer"),
+            ("train.train_scenarios=2.5", "train.train_scenarios must be an integer"),
+            ("train.learning_rate=NaN", "train.learning_rate must be finite"),
+            ("train.weight_decay=\"high\"", "train.weight_decay must be a number"),
+            ("generator.lane_count=2.5", "generator.lane_count must be an integer"),
+            ("generator.min_agent_clearance=NaN", "generator.min_agent_clearance must be finite"),
+            ("generator.horizon_dt=Infinity", "generator.horizon_dt must be finite"),
+            ("generator.agent_count_range=[1.5,3]", "agent_count_range must be an integer"),
+            ("generator.perception_range=[60,NaN]", "generator.perception_range must be finite"),
+            ("generator.ego_dims=[4]", "generator.ego_dims must be a pair"),
         ],
     )
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, override, names):
@@ -88,13 +106,17 @@ class TestConfig:
         assert names in lines[0]
 
     def test_non_finite_value_never_reaches_a_json_artifact(self, tmp_path, capsys):
-        # train.* is only validated when training starts, so generate echoes it
+        # generate never trains, so only config parsing stops the NaN
         cfg = tiny_config(tmp_path)
         rc = run("generate", "--config", str(cfg), "--set", "train.learning_rate=NaN")
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:invalid-input:"), lines
+        assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), lines
+        assert "train.learning_rate" in lines[0]
         assert not (tmp_path / "out" / "config.resolved.json").exists()
+        # and a NaN that got past validation would stop at the writer
+        with pytest.raises(VecplanError, match="resolved config"):
+            _json_artifact({"learning_rate": float("nan")}, "resolved config")
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("generate", "--config", str(tmp_path / "nope.json"))
@@ -179,6 +201,18 @@ class TestPlanAndEvaluate:
         )
         assert (tmp_path / "out" / "report.csv").read_bytes() == from_files
 
+    def test_evaluate_rejects_horizons_between_ticks(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        rc = run(
+            "evaluate", "--config", str(cfg), "--planner", "constant_velocity",
+            "--count", "2", "--set", "generator.horizon_dt=0.7",
+        )
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), lines
+        assert "not a whole number of 0.7 s ticks" in lines[0]
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_model_planner_requires_checkpoint(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         rc = run("evaluate", "--config", str(cfg), "--planner", "model", "--count", "2")
@@ -192,6 +226,33 @@ class TestPlanAndEvaluate:
         rc = run("plan", "--config", str(cfg), "--scenario", str(bad))
         assert rc == 1
         assert "error:schema:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, names",
+        [
+            (("map", 0, "points"), 5, "map[0].points"),
+            (("ego", "velocity"), "fast", "ego.velocity"),
+            (("agents", 0, "size"), 4.5, "agents[0].size"),
+        ],
+    )
+    def test_malformed_scenario_is_one_schema_line(self, tmp_path, capsys, path, value, names):
+        cfg = tiny_config(tmp_path)
+        run("generate", "--config", str(cfg), "--count", "1")
+        scenario = tmp_path / "out" / "scenarios" / "scenario_0000.json"
+        data = json.loads(scenario.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scenario.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = run("plan", "--config", str(cfg), "--scenario", str(scenario))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:schema:"), err
+        assert names in lines[0]
 
 
 class TestTrainSimulateAblate:

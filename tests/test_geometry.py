@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _support import nearest_segment_oracle
+from _support import nearest_segment_oracle, sat_margin_oracle
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
     Point2,
@@ -16,7 +16,6 @@ from vecplan.geometry import (
     closest_polyline_within,
     oriented_rect_margin,
     oriented_rect_overlap,
-    overlaps_any,
     point_polyline_distance,
     point_segment_distance,
     rect_corners,
@@ -368,17 +367,20 @@ class TestOrientedRectOverlap:
         with pytest.raises(GeometryError):
             oriented_rect_overlap(P(0, 0), 0.0, (0, 1), P(1, 0), 0.0, (2, 1))
 
-    def test_overlaps_any_sweeps_boxes_in_order(self):
-        far = (P(10, 0), 0.0, (2, 1))
-        near = (P(1.5, 0), 0.0, (2, 1))
-        assert not overlaps_any(P(0, 0), 0.0, (2, 1), [])
-        assert not overlaps_any(P(0, 0), 0.0, (2, 1), [far])
-        assert overlaps_any(P(0, 0), 0.0, (2, 1), [far, near])
-        # the sweep stops at the first hit: the invalid box after it is never tested
-        invalid = (P(0, 0), 0.0, (0, 1))
-        assert overlaps_any(P(0, 0), 0.0, (2, 1), [far, near, invalid])
-        with pytest.raises(GeometryError):
-            overlaps_any(P(0, 0), 0.0, (2, 1), [far, invalid, near])
+    def test_overlap_sweeps_box_arrays(self):
+        far = (10.0, 0.0)
+        near = (1.5, 0.0)
+        none = np.empty((0, 2))
+        assert not oriented_rect_overlap(P(0, 0), 0.0, (2, 1), none, [], none)
+        assert not oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [far], [0.0], [(2, 1)])
+        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [far, near], [0.0, 0.0], (2, 1))
+        # an invalid box anywhere raises, before or after a hit
+        for boxes in ([far, near, near], [far, near, far], [near, far, far]):
+            for bad in range(3):
+                dims = np.full((3, 2), 1.0)
+                dims[bad, 0] = 0.0
+                with pytest.raises(GeometryError):
+                    oriented_rect_overlap(P(0, 0), 0.0, (2, 1), boxes, [0.0] * 3, dims)
 
     def test_rect_corners_axis_aligned(self):
         corners = rect_corners(P(1, 2), math.pi / 2, (4.0, 2.0))
@@ -420,3 +422,117 @@ class TestOrientedRectOverlap:
                 )
             checked += 1
         assert checked == 200
+
+
+def _random_boxes(rng, shape):
+    """Centers, headings and dims of random boxes, with some axis-aligned and
+    some shared headings so that exact zeros reach the projections."""
+    centers = rng.uniform(-4.0, 4.0, size=shape + (2,))
+    headings = rng.uniform(-7.0, 7.0, size=shape)
+    special = rng.uniform(size=shape) < 0.3
+    headings[special] = rng.choice(
+        [0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3], size=special.sum()
+    )
+    dims = rng.uniform(0.2, 5.0, size=shape + (2,))
+    return centers, headings, dims
+
+
+def _broadcast_source(idx, shape):
+    """The index into an array of `shape` that broadcasting reads at `idx`."""
+    tail = idx[len(idx) - len(shape):]
+    return tuple(0 if n == 1 else k for k, n in zip(tail, shape))
+
+
+class TestSeparatingAxisKernel:
+    """`oriented_rect_margin` against the scalar per-pair formula, bit for bit."""
+
+    def test_bit_equal_to_scalar_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(5)
+        c1, h1, d1 = _random_boxes(rng, (3000,))
+        c2, h2, d2 = _random_boxes(rng, (3000,))
+        h2[:500] = h1[:500]  # parallel boxes
+        got = oriented_rect_margin(c1, h1, d1, c2, h2, d2)
+        assert got.shape == (3000,)
+        want = [sat_margin_oracle(c1[i], h1[i], d1[i], c2[i], h2[i], d2[i]) for i in range(3000)]
+        assert got.tolist() == want
+        # exactly symmetric in the two rectangles
+        assert oriented_rect_margin(c2, h2, d2, c1, h1, d1).tolist() == want
+
+    @pytest.mark.parametrize(
+        "shape1, shape2",
+        [((7,), (5, 7)), ((4, 1), (1, 6)), ((), (9,)), ((3, 1, 2), (5, 1)), ((6,), (6,))],
+    )
+    def test_broadcast_shapes_match_pairwise_oracle(self, shape1, shape2):
+        rng = np.random.default_rng(len(shape1) * 10 + len(shape2))
+        c1, h1, d1 = _random_boxes(rng, shape1)
+        c2, h2, d2 = _random_boxes(rng, shape2)
+        got = oriented_rect_margin(c1, h1, d1, c2, h2, d2)
+        shape = np.broadcast_shapes(shape1, shape2)
+        assert np.shape(got) == shape
+        for idx in np.ndindex(shape):
+            i1, i2 = _broadcast_source(idx, shape1), _broadcast_source(idx, shape2)
+            want = sat_margin_oracle(c1[i1], h1[i1], d1[i1], c2[i2], h2[i2], d2[i2])
+            assert np.asarray(got)[idx] == want
+        assert oriented_rect_overlap(c1, h1, d1, c2, h2, d2) == bool((np.asarray(got) >= 0).any())
+
+    def test_dims_broadcast_per_row(self):
+        rng = np.random.default_rng(2)
+        c1, h1, _ = _random_boxes(rng, (7,))
+        c2, h2, d2 = _random_boxes(rng, (4, 7))
+        rows = d2[:, :1, :]
+        got = oriented_rect_margin(c1, h1, (4.5, 1.9), c2, h2, rows)
+        want = oriented_rect_margin(
+            c1, h1, np.broadcast_to([4.5, 1.9], (7, 2)), c2, h2, np.broadcast_to(rows, (4, 7, 2))
+        )
+        assert got.tolist() == want.tolist()
+
+    def test_scalar_inputs_give_a_float(self):
+        got = oriented_rect_margin(P(0.5, -1), 0.4, (3.0, 1.5), (2.0, 0.5), 1.1, [2.0, 1.0])
+        assert isinstance(got, float)
+        assert got == sat_margin_oracle((0.5, -1.0), 0.4, (3.0, 1.5), (2.0, 0.5), 1.1, (2.0, 1.0))
+        assert type(oriented_rect_overlap(P(0, 0), 0.0, (2, 1), P(0, 0), 0.0, (2, 1))) is bool
+
+    def test_zero_pairs(self):
+        boxes = (np.zeros((3, 2)), np.zeros(3), (2, 1))
+        none = (np.zeros((0, 3, 2)), np.zeros((0, 3)), np.ones((0, 1, 2)))
+        assert oriented_rect_margin(*boxes, *none).shape == (0, 3)
+        assert oriented_rect_overlap(*boxes, *none) is False
+
+    def test_touching_and_identical_boxes(self):
+        # edges touching exactly: margin 0, which counts as overlap
+        assert oriented_rect_margin(P(0, 0), 0.0, (2, 1), P(2, 0), 0.0, (2, 1)) == 0.0
+        assert oriented_rect_margin(P(0, 0), 0.0, (2, 1), P(0, 1), 0.0, (2, 1)) == 0.0
+        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [(2.0, 0.0), (0.0, 1.0)], 0.0, (2, 1))
+        # identical boxes reach across their narrower extent
+        for heading in (0.0, 0.7, math.pi / 2):
+            got = oriented_rect_margin(P(1, 2), heading, (4, 1), P(1, 2), heading, (4, 1))
+            assert got == sat_margin_oracle((1, 2), heading, (4, 1), (1, 2), heading, (4, 1))
+            assert got == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "which, value",
+        [
+            ("dims", (0.0, 1.0)),
+            ("dims", (2.0, -1.0)),
+            ("dims", (math.inf, 1.0)),
+            ("dims", (2.0, math.nan)),
+            ("center", (math.nan, 0.0)),
+            ("center", (0.0, math.inf)),
+            ("heading", math.inf),
+            ("heading", math.nan),
+        ],
+    )
+    def test_invalid_box_anywhere_raises(self, which, value):
+        centers, headings, dims = np.zeros((4, 2)), np.zeros(4), np.ones((4, 2))
+        target = {"center": centers, "heading": headings, "dims": dims}[which]
+        target[2] = value
+        with pytest.raises(GeometryError):
+            oriented_rect_margin(P(0, 0), 0.0, (2, 1), centers, headings, dims)
+        with pytest.raises(GeometryError):
+            oriented_rect_overlap(centers, headings, dims, P(50, 50), 0.0, (2, 1))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(GeometryError):
+            oriented_rect_margin(np.zeros((3, 3)), np.zeros(3), (2, 1), P(0, 0), 0.0, (2, 1))
+        with pytest.raises(GeometryError):
+            oriented_rect_margin(P(0, 0), 0.0, (2, 1, 1), P(0, 0), 0.0, (2, 1))

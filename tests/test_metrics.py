@@ -99,10 +99,16 @@ class TestDisplacementError:
         with pytest.raises(ConfigError):
             displacement_error(plan, plan.waypoints, 0.5)
 
-    def test_nonstandard_dt_rounds_to_nearest_tick(self):
+    def test_horizon_between_ticks_rejected(self):
         plan = straight_plan(t_f=10)
-        de = displacement_error(plan, plan.waypoints, 0.3)  # ticks 3, 7, 10
-        assert de.values == (0.0, 0.0, 0.0)
+        # 1 s is 3.33 ticks of 0.3 s: no tick reports it
+        with pytest.raises(ConfigError, match="whole number"):
+            displacement_error(plan, plan.waypoints, 0.3)
+        # 0.1 s ticks give 10.000000000000002 for 1 s, within the tolerance
+        plan = straight_plan(t_f=30, dt=0.1)
+        expert = plan.waypoints + np.arange(30)[:, None] * np.array([0.0, 0.01])
+        de = displacement_error(plan, expert, 0.1)
+        assert de.values == pytest.approx((0.09, 0.19, 0.29), abs=1e-12)
 
 
 class TestCollisionRate:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +212,30 @@ class TestGenerator:
         for agent, fut in zip(s.agents, s.agent_gt_futures):
             np.testing.assert_array_equal(agent.modes[0], fut)
 
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "5f3977b04b1c72e88831743b22cb1ed6731e17c35f6882ed981e49895ae1e28b"),
+            (
+                {"agent_count_range": (8, 12)},
+                "74c02f2808ea3db44b64b2e51533f8c39e0b7f114b6e4169bb20fa58b4b13247",
+            ),
+            (
+                {"agent_count_range": (12, 20), "lead_vehicle_probability": 0.5},
+                "8a2212534b0b773576a78e948061d15b7080a2e9c6c01612ad26eab195d276bc",
+            ),
+        ],
+        ids=["default", "dense", "crowded-lead"],
+    )
+    def test_scene_bytes_are_pinned(self, overrides, digest):
+        # sha256 over the scenario JSON of seeds 0..19; any change to the
+        # generator's draws, placement test or arithmetic moves it
+        config = GeneratorConfig(**overrides)
+        h = hashlib.sha256()
+        for seed in range(20):
+            h.update(scenario_to_json(generate_scenario(seed, config)).encode())
+        assert h.hexdigest() == digest
+
     def test_unfit_config_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(lane_count=8, lane_width=4.0, perception_range=(60.0, 30.0))
@@ -271,6 +297,39 @@ class TestScenarioIO:
         target = tmp_path / "nan.json"
         target.write_text(json.dumps(data))  # json writes the non-standard NaN/Infinity
         with pytest.raises(ScenarioFormatError, match=names):
+            load_scenario(target)
+
+    @pytest.mark.parametrize(
+        "path, value, names",
+        [
+            (("map", 0, "points"), 5, "map[0].points"),
+            (("map", 0, "points"), [[0.0], [1.0, 2.0]], "map[0].points"),
+            (("map", 0, "points"), [[0.0, "x"], [1.0, 2.0]], "map[0].points"),
+            (("map", 0, "kind"), "river", "map[0].kind"),
+            (("map", 1), "boundary", "map[1] must be an object"),
+            (("ego", "velocity"), "fast", "ego.velocity"),
+            (("ego", "position"), [1.0], "ego.position"),
+            (("ego", "command"), 3, "ego.command"),
+            (("ego",), [], "ego must be an object"),
+            (("agents", 0, "size"), 4.5, "agents[0].size"),
+            (("agents", 0, "heading"), None, "agents[0].heading"),
+            (("agents", 0, "modes"), [[1.0, 2.0], [3.0]], "agents[0].modes"),
+            (("agents",), 7, "agents"),
+            (("agent_gt_futures",), {"0": []}, "agent_gt_futures"),
+            (("expert",), "straight", "expert"),
+            (("perception_range",), 60.0, "perception_range"),
+            (("horizon_dt",), "0.5s", "horizon_dt"),
+        ],
+    )
+    def test_malformed_field_names_its_path(self, tmp_path, path, value, names):
+        data = scenario_to_dict(generate_scenario(4, GeneratorConfig(agent_count_range=(1, 3))))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match=re.escape(names)):
             load_scenario(target)
 
     def test_schema_version_mismatch(self, tmp_path):

@@ -37,3 +37,20 @@ def test_tracer_installs_and_uninstalls_on_vecplan(monkeypatch):
     finally:
         tracer.uninstall()
     assert {s.name: vars(s.owner)[s.attr] for s in spans} == originals
+
+
+def test_overlap_span_counts_truthy_sweeps(monkeypatch):
+    # the span counts truthy returns with `if out:`, which raises on an array,
+    # and the benchmark needs it to fire in scene generation
+    tracer_mod = _load_tracer(monkeypatch)
+    tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
+    tracer.install()
+    try:
+        from vecplan import scene
+
+        scene.generate_scenario(3, scene.GeneratorConfig(agent_count_range=(8, 12)))
+        calls, _, _, truthy = tracer.snapshot()["geometry.oriented_rect_overlap"]
+    finally:
+        tracer.uninstall()
+    assert calls > 0
+    assert truthy <= calls
