@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ShapeError, read_text
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -289,8 +289,7 @@ def save_checkpoint(path, named: Mapping[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path, CheckpointError).splitlines()
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     try:
@@ -311,9 +310,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                     )
                 data[r] = [float(v) for v in values]
                 pos += 1
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: non-finite values in tensor {name}")
             if name in out:
                 raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
             out[name] = data
         return out
-    except (ValueError, IndexError) as e:
+    # a MemoryError comes from a header declaring a tensor too large to allocate
+    except (ValueError, IndexError, MemoryError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint: {e}") from e

@@ -32,6 +32,7 @@ from .errors import (
     SimulationError,
     TrainingDivergedError,
     VecplanError,
+    read_text,
 )
 from .interact import InteractionConfig, InteractionParams
 from .learning import TrainConfig, train
@@ -89,13 +90,18 @@ def _require_int(value, name: str) -> int:
 
 
 _PAIR_ANNOTATIONS = {"tuple[int, int]": "int", "tuple[float, float]": "float"}
+_EXACT_TYPES = {"bool": bool, "str": str}
 
 
 def _check_typed(value, annotation: str, name: str) -> None:
-    """Refuse a value that does not fit a field declared `int`, `float` or a
-    pair of them: an int must be an int (not a float or a bool), a float any
-    finite int or float.  Fields of other types are left to their section."""
-    if annotation == "int":
+    """Refuse a value that does not fit a field declared `int`, `float`,
+    `bool`, `str` or a pair of numbers: an int must be an int (not a float or
+    a bool), a float any finite int or float, a bool a bool and a str a str.
+    Fields of other types are left to their section."""
+    if annotation in _EXACT_TYPES:
+        if not isinstance(value, _EXACT_TYPES[annotation]):
+            raise ConfigError(f"{name} must be a {annotation}, got {value!r}")
+    elif annotation == "int":
         _require_int(value, name)
     elif annotation == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -218,15 +224,17 @@ def _build_section(cls, data: dict, path: str):
         if key == "ablation_arms":
             if not isinstance(value, list):
                 raise ConfigError(f"{path}{key} must be a list")
-            allowed = {f.name for f in dataclasses.fields(AblationArm)}
-            for arm in value:
+            arm_types = {f.name: f.type for f in dataclasses.fields(AblationArm)}
+            for i, arm in enumerate(value):
                 if not isinstance(arm, dict):
                     raise ConfigError(f"every ablation arm must be an object, got {arm!r}")
-                bad = set(arm) - allowed
+                bad = set(arm) - set(arm_types)
                 if bad:
                     raise ConfigError(f"unknown ablation arm keys: {sorted(bad)}")
                 if "name" not in arm:
                     raise ConfigError("every ablation arm needs a name")
+                for arm_key, arm_value in arm.items():
+                    _check_typed(arm_value, arm_types[arm_key], f"{path}{key}[{i}].{arm_key}")
             value = tuple(tuple(sorted(a.items())) for a in value)
         kwargs[key] = value
     try:
@@ -298,7 +306,7 @@ def load_config(
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {config_path}")
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(read_text(path, ConfigError))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{config_path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     for raw in overrides:
@@ -473,10 +481,10 @@ def _trace_table(scenario: Scenario, log) -> str:
             record.tick, "ego", 0, 0,
             record.ego_position.x, record.ego_position.y, record.ego_heading,
         )
-        for ai, (pos, heading) in enumerate(
-            zip(record.agent_positions, record.agent_headings)
+        for ai, ((x, y), heading) in enumerate(
+            zip(record.agent_positions.tolist(), record.agent_headings.tolist())
         ):
-            row(record.tick, "agent", ai, 0, pos.x, pos.y, heading)
+            row(record.tick, "agent", ai, 0, x, y, heading)
         prev_pos = record.ego_position
         prev_heading = record.ego_heading
     return "\n".join(lines) + "\n"

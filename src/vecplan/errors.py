@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file reader that
+maps a file it cannot read onto them."""
 
 
 class VecplanError(Exception):
@@ -31,3 +32,15 @@ class TrainingDivergedError(VecplanError):
 
 class SimulationError(VecplanError):
     """Closed-loop rollout cannot proceed (e.g. horizon exhausted)."""
+
+
+def read_text(path, error: type[VecplanError]) -> str:
+    """The UTF-8 text of the file at `path`; a FileNotFoundError if there is
+    none, and `error` if it cannot be read (a directory, say) or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"{path}: cannot read: {e}") from e

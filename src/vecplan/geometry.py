@@ -10,8 +10,9 @@ The nearest-polyline chain (`closest_point_on_segment`,
 and `angular_difference` work on (K, 2) arrays and broadcast over query
 points x segments; a single Point2 is the K = 1 case of the same code and
 gets scalar results.  The separating-axis test (`oriented_rect_margin`,
-`oriented_rect_overlap`) likewise broadcasts over box arrays, with scalar
-boxes as the one-pair case.
+`oriented_rect_overlap`) and `rect_corners` likewise broadcast over box
+arrays, with a scalar box as the one-box case.  A pose track is a `Poses`
+pair of arrays, (T, 2) positions and (T,) headings, never a list of points.
 """
 
 from __future__ import annotations
@@ -267,47 +268,48 @@ def closest_polyline_within(p, pls: Sequence[Polyline], within: float):
     return hit
 
 
-def pose_track(track: np.ndarray, start: Point2, heading: float) -> list[tuple[Point2, float]]:
-    """(position, heading) at each point of a (T, 2) track that leaves `start`.
+class Poses(NamedTuple):
+    """Positions and headings of a mover along a track."""
+
+    xy: np.ndarray  # (..., T, 2) positions
+    heading: np.ndarray  # (..., T) headings, radians
+
+
+def pose_track(track, start, heading: float) -> Poses:
+    """Pose at each point of a (T, 2) track that leaves `start` (a Point2 or
+    2-vector): the positions are the track itself.
 
     Each heading follows the step from the previous point (`start` for the
-    first); a zero-length step keeps the previous heading, `heading` before
-    any step.
+    first), through `math.atan2` one step at a time; a zero-length step keeps
+    the previous heading, `heading` before any step.
     """
-    poses = []
-    last_x, last_y = start.x, start.y
-    for p in track:
-        x, y = float(p[0]), float(p[1])
+    xy, _ = _as_xy(track, "track point")
+    headings = []
+    last_x, last_y = start
+    for x, y in xy.tolist():
         if x != last_x or y != last_y:
             heading = math.atan2(y - last_y, x - last_x)
-        poses.append((Point2(x, y), heading))
+        headings.append(heading)
         last_x, last_y = x, y
-    return poses
+    return Poses(xy, np.array(headings, dtype=np.float64))
 
 
-def rect_corners(center: Point2, heading: float, dims: tuple[float, float]) -> np.ndarray:
-    """Corners of an oriented rectangle as a (4, 2) array.
+def rect_corners(center, heading, dims) -> np.ndarray:
+    """Corners of oriented rectangles as a (..., 4, 2) array.
 
-    `dims` is (length, width); the length axis points along `heading`.
-    Corner order: front-left, front-right, rear-right, rear-left.
+    (..., 2) centers, (...) headings and (..., 2) dims (length, width)
+    broadcast, and one rectangle gives (4, 2).  The length axis points along
+    the heading.  Corner order: front-left, front-right, rear-right, rear-left.
     """
-    length, width = dims
-    if not (length > 0.0 and width > 0.0):
-        raise GeometryError(f"rectangle dims must be positive, got {dims}")
-    ux, uy = math.cos(heading), math.sin(heading)
-    # right-hand normal of the heading direction
-    nx, ny = uy, -ux
-    hl, hw = 0.5 * length, 0.5 * width
-    cx, cy = center.x, center.y
-    return np.array(
-        [
-            (cx + hl * ux - hw * nx, cy + hl * uy - hw * ny),
-            (cx + hl * ux + hw * nx, cy + hl * uy + hw * ny),
-            (cx - hl * ux + hw * nx, cy - hl * uy + hw * ny),
-            (cx - hl * ux - hw * nx, cy - hl * uy - hw * ny),
-        ],
-        dtype=np.float64,
-    )
+    xy, h, d = _box_arrays(center, heading, dims)
+    ux, uy = np.cos(h), np.sin(h)
+    hl, hw = 0.5 * d[..., 0], 0.5 * d[..., 1]
+    # half length along the heading, half width along its right-hand normal
+    lx, ly, wx, wy = hl * ux, hl * uy, hw * uy, hw * -ux
+    cx, cy = xy[..., 0], xy[..., 1]
+    x = np.stack([cx + lx - wx, cx + lx + wx, cx - lx + wx, cx - lx - wx], axis=-1)
+    y = np.stack([cy + ly - wy, cy + ly + wy, cy - ly + wy, cy - ly - wy], axis=-1)
+    return np.stack([x, y], axis=-1)
 
 
 def _box_arrays(center, heading, dims):

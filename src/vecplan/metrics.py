@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Point2, closest_polyline, oriented_rect_margin, pose_track, rect_corners
+from .geometry import Poses, closest_polyline, oriented_rect_margin, pose_track, rect_corners
 from .scene import MapClass, PlanTrajectory, Scenario
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
@@ -76,42 +76,46 @@ def displacement_error(
     return HorizonStats(tuple(horizons), tuple(values), float(np.mean(values)))
 
 
-def plan_pose_track(plan: PlanTrajectory, initial_heading: float = math.pi / 2):
-    """(position, heading) of the ego at each planned tick, leaving the origin."""
-    return pose_track(plan.waypoints, Point2(0.0, 0.0), initial_heading)
+def plan_pose_track(plan: PlanTrajectory) -> Poses:
+    """Pose of the ego at each planned tick, leaving the origin heading +y."""
+    return pose_track(plan.waypoints, (0.0, 0.0), math.pi / 2)
 
 
-def agent_pose_track(scenario: Scenario, agent_index: int):
-    """(position, heading) of an agent along its ground-truth future."""
+def agent_pose_track(scenario: Scenario, agent_index: int) -> Poses:
+    """Pose of an agent along its ground-truth future."""
     agent = scenario.agents[agent_index]
     return pose_track(scenario.agent_gt_futures[agent_index], agent.position, agent.heading)
+
+
+def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
+    """Every agent's box at ticks 0..T: (A, T + 1, 2) positions and
+    (A, T + 1) headings, row 0 its current pose and then its ground-truth
+    future, and the (A, 2) box sizes."""
+    shape = (len(scenario.agents), scenario.t_future + 1)
+    poses = Poses(np.empty(shape + (2,)), np.empty(shape))
+    sizes = np.empty((shape[0], 2))
+    for i, agent in enumerate(scenario.agents):
+        poses.xy[i, 0] = (agent.position.x, agent.position.y)
+        poses.heading[i, 0] = agent.heading
+        poses.xy[i, 1:], poses.heading[i, 1:] = agent_pose_track(scenario, i)
+        sizes[i] = agent.size
+    return poses, sizes
 
 
 def collision_ticks(
     scenario: Scenario,
     plan: PlanTrajectory,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    poses: Optional[list[tuple[Point2, float]]] = None,
 ) -> list[bool]:
-    """Per-tick flags: does the ego box on the plan hit any agent's gt box?
-
-    `poses` is the plan's pose track, when the caller has already built it.
-    """
-    ego_poses = plan_pose_track(plan) if poses is None else poses
-    ticks = len(ego_poses)
-    n_agents = len(scenario.agents)
-    agent_poses = [
-        pose for i in range(n_agents) for pose in agent_pose_track(scenario, i)[:ticks]
-    ]
+    """Per-tick flags: does the ego box on the plan hit any agent's gt box?"""
+    ego = plan_pose_track(plan)
+    ticks = slice(1, plan.horizon + 1)
+    agents, sizes = agent_boxes(scenario)
     # one margin per (agent, tick) pair: the ego's box at each tick against
     # every agent's box at the same tick
     margin = oriented_rect_margin(
-        np.array([(p.x, p.y) for p, _ in ego_poses]).reshape(ticks, 2),
-        np.array([h for _, h in ego_poses]),
-        ego_dims,
-        np.array([(p.x, p.y) for p, _ in agent_poses]).reshape(n_agents, ticks, 2),
-        np.array([h for _, h in agent_poses]).reshape(n_agents, ticks),
-        np.array([a.size for a in scenario.agents]).reshape(n_agents, 1, 2),
+        ego.xy, ego.heading, ego_dims,
+        agents.xy[:, ticks], agents.heading[:, ticks], sizes[:, None],
     )
     return (margin >= 0.0).any(axis=0).tolist()
 
@@ -145,18 +149,20 @@ def _cumulative_rate(scenarios, plans, flags, horizons) -> HorizonStats:
 
 def pose_oversteps_boundary(
     boundaries: Sequence,
-    poses: Sequence[tuple[Point2, float]],
+    xy,
+    heading,
     ego_dims: tuple[float, float],
 ) -> bool:
-    """Does any corner of the ego box at any of the (position, heading)
-    poses sit on the non-drivable side of its nearest labeled boundary?
+    """Does any corner of the ego box at any pose, (..., 2) positions and
+    (...) headings, sit on the non-drivable side of its nearest labeled
+    boundary?
 
     A corner exactly on the boundary line counts as on the drivable side.
     """
     labeled = [m for m in boundaries if m.drivable_side]
-    if not labeled or not poses:
+    if not labeled:
         return False
-    corners = np.concatenate([rect_corners(pos, heading, ego_dims) for pos, heading in poses])
+    corners = rect_corners(xy, heading, ego_dims).reshape(-1, 2)
     hit = closest_polyline(corners, [m.points for m in labeled])
     a, b = hit.start, hit.end
     cross = (b[:, 0] - a[:, 0]) * (corners[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
@@ -171,20 +177,17 @@ def boundary_overstep(
     plan: PlanTrajectory,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
     max_tick: Optional[int] = None,
-    poses: Optional[list[tuple[Point2, float]]] = None,
 ) -> bool:
     """Does the planned ego footprint cross a boundary at any tick?
 
     Uses the generator-provided side labels; boundaries without a label are
-    skipped.  `poses` is the plan's pose track, when the caller has already
-    built it.
+    skipped.
     """
     boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
-    if poses is None:
-        poses = plan_pose_track(plan)
-    if max_tick is not None:
-        poses = poses[:max_tick]
-    return pose_oversteps_boundary(boundaries, poses, ego_dims)
+    ego = plan_pose_track(plan)
+    return pose_oversteps_boundary(
+        boundaries, ego.xy[:max_tick], ego.heading[:max_tick], ego_dims
+    )
 
 
 def plan_metrics(
@@ -206,16 +209,12 @@ def plan_metrics(
     else:
         l2_values = tuple(0.0 for _ in horizons)
     l2 = HorizonStats(tuple(horizons), l2_values, float(np.mean(l2_values)) if l2_values else 0.0)
-    tracks = [plan_pose_track(p) for p in plans]
-    flags = [
-        collision_ticks(s, p, ego_dims, poses=t) for s, p, t in zip(scenarios, plans, tracks)
-    ]
+    flags = [collision_ticks(s, p, ego_dims) for s, p in zip(scenarios, plans)]
     collision = _cumulative_rate(scenarios, plans, flags, horizons)
     if scenarios:
         max_tick = _horizon_tick(max(horizons), scenarios[0].horizon_dt, plans[0].horizon)
         oversteps = sum(
-            boundary_overstep(s, p, ego_dims, max_tick, poses=t)
-            for s, p, t in zip(scenarios, plans, tracks)
+            boundary_overstep(s, p, ego_dims, max_tick) for s, p in zip(scenarios, plans)
         )
         overstep_rate = oversteps * 100.0 / len(scenarios)
     else:

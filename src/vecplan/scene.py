@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ScenarioFormatError
+from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
 from .geometry import Point2, Polyline, oriented_rect_overlap, pose_track
 
 SCHEMA_VERSION = 1
@@ -93,8 +93,8 @@ class AgentPrediction:
             raise ScenarioFormatError("mode scores must lie in [0,1]")
         if not 0.0 <= self.confidence <= 1.0:
             raise ScenarioFormatError(f"agent confidence out of [0,1]: {self.confidence}")
-        if not (self.size[0] > 0.0 and self.size[1] > 0.0):
-            raise ScenarioFormatError(f"agent size must be positive, got {self.size}")
+        if not all(0.0 < v < math.inf for v in self.size):
+            raise ScenarioFormatError(f"agent size must be positive and finite, got {self.size}")
 
     @property
     def n_modes(self) -> int:
@@ -165,6 +165,10 @@ class Scenario:
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
                 f"horizon_dt must be positive and finite, got {self.horizon_dt}"
+            )
+        if not all(0.0 < v < math.inf for v in self.perception_range):
+            raise ScenarioFormatError(
+                f"perception_range must be positive and finite, got {self.perception_range}"
             )
         if self.expert.ndim != 2 or self.expert.shape[1] != 2:
             raise ScenarioFormatError(f"expert must be (T_f, 2), got {self.expert.shape}")
@@ -437,19 +441,6 @@ def _expert_track(
     return out
 
 
-def _swept_track(track: np.ndarray, start: Point2) -> np.ndarray:
-    """(T + 1, 2) positions of a mover: `start`, then its (T, 2) track."""
-    out = np.empty((track.shape[0] + 1, 2))
-    out[0] = (start.x, start.y)
-    out[1:] = track
-    return out
-
-
-def _swept_headings(track: np.ndarray, start: Point2, heading: float) -> list[float]:
-    """Headings of a mover at `start` and along its track (see `pose_track`)."""
-    return [heading] + [h for _, h in pose_track(track, start, heading)]
-
-
 def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Procedurally build one scenario; bit-identical for a given seed."""
     rng = np.random.default_rng(seed)
@@ -550,12 +541,15 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     n_slots = n_agents + int(want_lead)
 
     # boxes swept over ticks 0..t_f that a new agent must clear: row 0 is the
-    # expert's, inflated by the clearance, and row 1 + i is placed agent i's
+    # expert's, inflated by the clearance, and row 1 + i is placed agent i's;
+    # a swept track is the pose track of the track with its start prepended,
+    # whose zero first step keeps the start heading
     box_xy = np.empty((1 + n_slots, t_f + 1, 2))
     box_heading = np.empty((1 + n_slots, t_f + 1))
     box_dims = np.empty((1 + n_slots, 1, 2))
-    box_xy[0] = _swept_track(expert, ego.position)
-    box_heading[0] = _swept_headings(expert, ego.position, ego.heading)
+    box_xy[0], box_heading[0] = pose_track(
+        np.concatenate(([tuple(ego.position)], expert)), ego.position, ego.heading
+    )
     box_dims[0, 0] = (
         config.ego_dims[0] + 2.0 * config.min_agent_clearance,
         config.ego_dims[1] + 2.0 * config.min_agent_clearance,
@@ -584,11 +578,10 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 s0 = float(rng.uniform(-0.5, 0.9)) * s_max
                 speed = float(rng.uniform(*config.agent_speed_range))
 
-            start = Point2(*road.point(s0, d))
+            start = road.point(s0, d)
             heading = road.heading(s0)
             future = _lane_follow_track(road, s0, d, speed, dt, t_f)
-            xy = _swept_track(future, start)
-            headings = _swept_headings(future, start, heading)
+            xy, headings = pose_track(np.concatenate(([start], future)), start, heading)
 
             if oriented_rect_overlap(
                 xy, headings, size, box_xy[:placed], box_heading[:placed], box_dims[:placed]
@@ -607,7 +600,7 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
             conf = float(rng.uniform(*config.agent_confidence_range))
             agents.append(
                 AgentPrediction(
-                    position=start,
+                    position=Point2(*start),
                     heading=heading,
                     size=size,
                     confidence=conf,
@@ -724,6 +717,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     t_f = _require(data, "t_future", "")
+    if isinstance(t_f, bool) or not isinstance(t_f, int):
+        raise ScenarioFormatError(f"bad field t_future: expected an integer, got {t_f!r}")
 
     map_vectors = []
     for i, mv in enumerate(_field(data, "map", "", _list)):
@@ -790,10 +785,8 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
     try:
-        data = json.loads(text)
+        data = json.loads(read_text(path, ScenarioFormatError))
     except json.JSONDecodeError as e:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(data, dict):

@@ -15,6 +15,7 @@ time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
@@ -28,9 +29,9 @@ from .constraints import (
     total_planning_loss,
 )
 from .errors import SimulationError
-from .geometry import Point2, Polyline, oriented_rect_overlap
+from .geometry import Point2, Polyline, Poses, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
-from .metrics import DEFAULT_EGO_DIMS, agent_pose_track, pose_oversteps_boundary
+from .metrics import DEFAULT_EGO_DIMS, agent_boxes, pose_oversteps_boundary
 from .scene import (
     AgentPrediction,
     EgoState,
@@ -57,11 +58,9 @@ def ego_to_world(points: np.ndarray, position: Point2, heading: float) -> np.nda
     return np.atleast_2d(points) @ rot.T + [position.x, position.y]
 
 
-def _heading_to_ego(world_heading: float, ego_heading: float) -> float:
-    return math.atan2(
-        math.sin(world_heading + math.pi / 2 - ego_heading),
-        math.cos(world_heading + math.pi / 2 - ego_heading),
-    )
+def _wrap_angle(angle: float) -> float:
+    """`angle` wrapped to [-pi, pi]."""
+    return math.atan2(math.sin(angle), math.cos(angle))
 
 
 class Planner(Protocol):
@@ -80,18 +79,27 @@ class SimState:
     ego_acceleration: float
     ego_dims: tuple[float, float]
     view: Scenario  # current ego-frame scenario for the planner
-    agent_positions: list[Point2]
-    agent_headings: list[float]
-    # each agent's world-frame (position, heading) per scripted tick; the
-    # scripts never change during a rollout, so these are built once
-    agent_tracks: list[list[tuple[Point2, float]]]
+    # each agent's world-frame pose at ticks 0..T, (A, T + 1, 2) positions and
+    # (A, T + 1) headings, and its (A, 2) box size; the scripts never change
+    # during a rollout, so these are built once
+    agent_poses: Poses
+    agent_sizes: np.ndarray
 
     @property
     def remaining_horizon(self) -> int:
         return self.scenario.t_future - self.tick
 
+    @property
+    def agent_positions(self) -> np.ndarray:  # (A, 2), world frame
+        return self.agent_poses.xy[:, self.tick]
+
+    @property
+    def agent_headings(self) -> np.ndarray:  # (A,), world frame
+        return self.agent_poses.heading[:, self.tick]
+
     @classmethod
     def initial(cls, scenario: Scenario, ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS):
+        agent_poses, agent_sizes = agent_boxes(scenario)
         return cls(
             scenario=scenario,
             tick=0,
@@ -101,9 +109,8 @@ class SimState:
             ego_acceleration=scenario.ego.acceleration,
             ego_dims=ego_dims,
             view=scenario,
-            agent_positions=[a.position for a in scenario.agents],
-            agent_headings=[a.heading for a in scenario.agents],
-            agent_tracks=[agent_pose_track(scenario, i) for i in range(len(scenario.agents))],
+            agent_poses=agent_poses,
+            agent_sizes=agent_sizes,
         )
 
 
@@ -120,7 +127,7 @@ def _pad_future(track: np.ndarray, start_tick: int, t_f: int) -> np.ndarray:
 
 def _build_view(
     scenario: Scenario,
-    agent_tracks: list[list[tuple[Point2, float]]],
+    agent_poses: Poses,
     tick: int,
     position: Point2,
     heading: float,
@@ -141,12 +148,8 @@ def _build_view(
     ]
     new_agents = []
     new_futures = []
-    for i, (agent, track) in enumerate(zip(scenario.agents, agent_tracks)):
-        if tick == 0:
-            apos, aheading = agent.position, agent.heading
-        else:
-            apos, aheading = track[tick - 1]
-        local_pos = world_to_ego(np.array([[apos.x, apos.y]]), position, heading)[0]
+    for i, agent in enumerate(scenario.agents):
+        local_pos = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
         modes = np.stack(
             [
                 world_to_ego(_pad_future(mode, tick, t_f), position, heading)
@@ -159,7 +162,7 @@ def _build_view(
         new_agents.append(
             AgentPrediction(
                 position=Point2(float(local_pos[0]), float(local_pos[1])),
-                heading=_heading_to_ego(aheading, heading),
+                heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
                 size=agent.size,
                 confidence=agent.confidence,
                 modes=modes,
@@ -194,38 +197,23 @@ def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
         raise SimulationError(f"horizon exhausted at tick {state.tick}")
     scenario = state.scenario
     dt = scenario.horizon_dt
-    first = executed_plan.waypoints[0]
-    new_pos_arr = ego_to_world(first[None, :], state.ego_position, state.ego_heading)[0]
-    new_pos = Point2(float(new_pos_arr[0]), float(new_pos_arr[1]))
-    step_world = new_pos_arr - [state.ego_position.x, state.ego_position.y]
-    if step_world[0] != 0.0 or step_world[1] != 0.0:
-        new_heading = math.atan2(step_world[1], step_world[0])
-    else:
-        new_heading = state.ego_heading
+    new_xy = ego_to_world(executed_plan.waypoints[:1], state.ego_position, state.ego_heading)
+    new_pos = Point2(*new_xy[0].tolist())
+    new_heading = float(pose_track(new_xy, state.ego_position, state.ego_heading).heading[0])
+    step_world = new_xy[0] - [state.ego_position.x, state.ego_position.y]
     new_velocity = float(math.hypot(step_world[0], step_world[1]) / dt)
     new_accel = (new_velocity - state.ego_velocity) / dt
-    yaw_rate = math.atan2(
-        math.sin(new_heading - state.ego_heading), math.cos(new_heading - state.ego_heading)
-    )
+    yaw_rate = _wrap_angle(new_heading - state.ego_heading)
 
     new_tick = state.tick + 1
-    poses = [track[new_tick - 1] for track in state.agent_tracks]
     view = _build_view(
-        scenario, state.agent_tracks, new_tick,
+        scenario, state.agent_poses, new_tick,
         new_pos, new_heading, new_velocity, new_accel, yaw_rate,
     )
-    return SimState(
-        scenario=scenario,
-        tick=new_tick,
-        ego_position=new_pos,
-        ego_heading=new_heading,
-        ego_velocity=new_velocity,
-        ego_acceleration=new_accel,
-        ego_dims=state.ego_dims,
-        view=view,
-        agent_positions=[pos for pos, _ in poses],
-        agent_headings=[heading for _, heading in poses],
-        agent_tracks=state.agent_tracks,
+    # the scenario, the ego box and the agents' pose arrays carry over
+    return dataclasses.replace(
+        state, tick=new_tick, ego_position=new_pos, ego_heading=new_heading,
+        ego_velocity=new_velocity, ego_acceleration=new_accel, view=view,
     )
 
 
@@ -329,14 +317,7 @@ def refine_trajectory(
         raise ValueError(f"step_size must be positive, got {step_size}")
     long_half = scenario.perception_range[0] / 2.0
     lat_half = scenario.perception_range[1] / 2.0
-    no_imitation = LossWeights(
-        map=weights.map,
-        motion=weights.motion,
-        collision=weights.collision,
-        boundary=weights.boundary,
-        direction=weights.direction,
-        imitation=0.0,
-    )
+    no_imitation = dataclasses.replace(weights, imitation=0.0)
 
     def objective(plan: PlanTrajectory) -> LossResult:
         res = total_planning_loss(plan, scenario, params, no_imitation)
@@ -371,8 +352,8 @@ class TickRecord:
     plan: np.ndarray  # (T_f, 2) in the frame it was planned in
     ego_position: Point2  # world frame
     ego_heading: float
-    agent_positions: list[Point2]
-    agent_headings: list[float]
+    agent_positions: np.ndarray  # (A, 2) world frame
+    agent_headings: np.ndarray  # (A,)
     collision: bool
     boundary_overstep: bool
     losses: dict[str, float]
@@ -432,6 +413,7 @@ def run_closed_loop(
         )
     cparams = constraint_params if constraint_params is not None else ConstraintParams()
     state = SimState.initial(scenario, ego_dims)
+    boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
     log = RolloutLog()
     for _ in range(ticks):
         plan = planner.plan(state.view)
@@ -440,13 +422,10 @@ def run_closed_loop(
 
         collision = oriented_rect_overlap(
             state.ego_position, state.ego_heading, state.ego_dims,
-            np.array([(p.x, p.y) for p in state.agent_positions]).reshape(-1, 2),
-            state.agent_headings,
-            np.array([a.size for a in scenario.agents]).reshape(-1, 2),
+            state.agent_positions, state.agent_headings, state.agent_sizes,
         )
-        boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
         overstep = pose_oversteps_boundary(
-            boundaries, [(state.ego_position, state.ego_heading)], state.ego_dims
+            boundaries, state.ego_position, state.ego_heading, state.ego_dims
         )
 
         log.records.append(
@@ -455,8 +434,8 @@ def run_closed_loop(
                 plan=plan.waypoints.copy(),
                 ego_position=state.ego_position,
                 ego_heading=state.ego_heading,
-                agent_positions=list(state.agent_positions),
-                agent_headings=list(state.agent_headings),
+                agent_positions=state.agent_positions.copy(),
+                agent_headings=state.agent_headings.copy(),
                 collision=collision,
                 boundary_overstep=overstep,
                 losses=losses,

@@ -205,9 +205,15 @@ class TestCheckpoint:
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(CheckpointError):
-            ad.load_checkpoint(path)
+        for text in (
+            "not a checkpoint\n",
+            # a header declaring a tensor larger than any address space
+            "vecplan-checkpoint 1\n1\nw 2 9000000000000\n1 2\n",
+            "vecplan-checkpoint 1\n1\nw 1 2\n1.0 nan\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(CheckpointError):
+                ad.load_checkpoint(path)
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "trunc.txt"

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecplan.cli import (
     OUTPUT_ROOT_ENV,
@@ -11,6 +17,8 @@ from vecplan.cli import (
     main,
 )
 from vecplan.errors import VecplanError
+from vecplan.interact import InteractionParams
+from vecplan.scene import generate_scenario, save_scenario
 
 
 def run(*argv):
@@ -90,6 +98,19 @@ class TestConfig:
             ("generator.agent_count_range=[1.5,3]", "agent_count_range must be an integer"),
             ("generator.perception_range=[60,NaN]", "generator.perception_range must be finite"),
             ("generator.ego_dims=[4]", "generator.ego_dims must be a pair"),
+            ("train.enable_aux_heads=no", "train.enable_aux_heads must be a bool, got 'no'"),
+            ("train.shuffle=1", "train.shuffle must be a bool"),
+            ("train.scheduler=5", "train.scheduler must be a str"),
+            ("simulator.planner=null", "simulator.planner must be a str"),
+            ('metrics.ablation_arms=[{"name": 5}]', "metrics.ablation_arms[0].name must be a str"),
+            (
+                'metrics.ablation_arms=[{"name": "x"}, {"name": "y", "agent_interaction": "yes"}]',
+                "metrics.ablation_arms[1].agent_interaction must be a bool",
+            ),
+            (
+                'metrics.ablation_arms=[{"name": "x", "map_interaction": null}]',
+                "metrics.ablation_arms[0].map_interaction must be a bool",
+            ),
         ],
     )
     def test_bad_value_is_one_config_error_line(self, tmp_path, capsys, override, names):
@@ -359,3 +380,147 @@ class TestTrainSimulateAblate:
         ]
         assert len(direct) == 2
         assert printed == direct
+
+
+def _model_files(tmp_path):
+    """A tiny config, a scenario file and a checkpoint that fits the config,
+    all of which `plan --planner model` accepts."""
+    cfg = tiny_config(tmp_path)
+    config = load_config(str(cfg), [], None, None)
+    scenario = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(4, config.generator), scenario)
+    checkpoint = tmp_path / "checkpoint.txt"
+    InteractionParams.initialize(config.interact, 0).save(checkpoint)
+    return cfg, scenario, checkpoint
+
+
+def _plan_with_model(cfg, scenario, checkpoint, out):
+    """Run `plan` in-process; the exit code and the stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([
+            "plan", "--config", str(cfg), "--scenario", str(scenario),
+            "--planner", "model", "--checkpoint", str(checkpoint), "--out", str(out),
+        ])
+    return rc, err.getvalue().splitlines()
+
+
+class TestReadBoundary:
+    @pytest.mark.parametrize(
+        "target, category",
+        [("config", "config-parse"), ("scenario", "schema"), ("checkpoint", "checkpoint-mismatch")],
+    )
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, target, category):
+        files = dict(zip(("config", "scenario", "checkpoint"), _model_files(tmp_path)))
+        assert _plan_with_model(*files.values(), tmp_path / "out") == (0, [])
+        files[target].write_bytes(b"\xff\xfe" + files[target].read_bytes())
+        rc, lines = _plan_with_model(*files.values(), tmp_path / "out")
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error:{category}:"), lines
+        assert "can't decode" in lines[0]
+
+    @pytest.mark.parametrize(
+        "target, category",
+        [("config", "config-parse"), ("checkpoint", "checkpoint-mismatch")],
+    )
+    def test_directory_in_place_of_a_file_is_one_error_line(self, tmp_path, target, category):
+        files = dict(zip(("config", "scenario", "checkpoint"), _model_files(tmp_path)))
+        files[target] = tmp_path / "a_directory"
+        files[target].mkdir()
+        rc, lines = _plan_with_model(*files.values(), tmp_path / "out")
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error:{category}:"), lines
+
+    def test_directory_named_json_in_scenario_dir_is_one_schema_line(self, tmp_path):
+        cfg, scenario, checkpoint = _model_files(tmp_path)
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        scenario.rename(scenes / "a.json")
+        (scenes / "b.json").mkdir()
+        rc, lines = _plan_with_model(cfg, scenes, checkpoint, tmp_path / "out")
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:schema:"), lines
+        assert "b.json" in lines[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_checkpoint_value_is_refused_at_load(self, tmp_path, value):
+        cfg, scenario, checkpoint = _model_files(tmp_path)
+        lines = checkpoint.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("head.b3 ")) + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        checkpoint.write_text("\n".join(lines) + "\n")
+        rc, err = _plan_with_model(cfg, scenario, checkpoint, tmp_path / "out")
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:checkpoint-mismatch:"), err
+        assert "non-finite values in tensor head.b3" in err[0]
+
+
+# JSON values put in place of a valid one: wrong types, non-finite and
+# negative numbers
+_BAD_JSON_VALUES = ["x", [], {}, None, True, 1.5, math.nan, math.inf, -math.inf, -1, -0.5, -1e3]
+_BAD_CHECKPOINT_TOKENS = ["nan", "inf", "-inf", "-1", "1.5", "x", ""]
+
+
+def _json_nodes(data):
+    """(container, key) of every value in a JSON document, breadth first, so
+    small indices reach the top-level fields."""
+    nodes, queue = [], [data]
+    while queue:
+        node = queue.pop(0)
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            nodes.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                queue.append(node[key])
+    return nodes
+
+
+def _mutate(payload: bytes, is_json: bool, mutation) -> bytes:
+    kind, index, arg = mutation
+    if kind == "flip":
+        i = index % len(payload)
+        return payload[:i] + bytes([payload[i] ^ (1 << arg)]) + payload[i + 1:]
+    if kind == "truncate":
+        return payload[: index % len(payload)]
+    if is_json:
+        data = json.loads(payload)
+        nodes = _json_nodes(data)
+        node, key = nodes[index % len(nodes)]
+        node[key] = _BAD_JSON_VALUES[arg % len(_BAD_JSON_VALUES)]
+        return json.dumps(data).encode()
+    tokens = payload.decode().split(" ")
+    tokens[index % len(tokens)] = _BAD_CHECKPOINT_TOKENS[arg % len(_BAD_CHECKPOINT_TOKENS)]
+    return " ".join(tokens).encode()
+
+
+@pytest.fixture(scope="module")
+def pristine_files(tmp_path_factory):
+    return _model_files(tmp_path_factory.mktemp("fuzz"))
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0, max_value=1 << 20), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=1 << 20), st.just(0)),
+    st.tuples(st.just("replace"), st.integers(min_value=0, max_value=1 << 20), st.integers(0, 11)),
+)
+# the error categories each mutated file may be refused with: a config whose
+# network section changed no longer fits the checkpoint
+_CATEGORIES = (("config-parse", "checkpoint-mismatch"), ("schema",), ("checkpoint-mismatch",))
+
+
+@settings(max_examples=600)
+@given(target=st.sampled_from([0, 1, 2]), mutation=_MUTATIONS)
+def test_mutated_inputs_exit_cleanly_with_at_most_one_error_line(
+    pristine_files, target, mutation
+):
+    # a mutated config, scenario or checkpoint either still plans or is
+    # refused with exactly one error line in its category, never a traceback
+    files = list(pristine_files)
+    mutated = files[target].with_name("mutated" + files[target].suffix)
+    mutated.write_bytes(_mutate(files[target].read_bytes(), target != 2, mutation))
+    files[target] = mutated
+    rc, lines = _plan_with_model(*files, files[0].parent / "out")
+    assert rc in (0, 1)
+    if rc == 1:
+        assert len(lines) == 1, lines
+        assert re.match(f"error:({'|'.join(_CATEGORIES[target])}): ", lines[0]), lines

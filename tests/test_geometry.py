@@ -18,6 +18,7 @@ from vecplan.geometry import (
     oriented_rect_overlap,
     point_polyline_distance,
     point_segment_distance,
+    pose_track,
     rect_corners,
 )
 
@@ -536,3 +537,95 @@ class TestSeparatingAxisKernel:
             oriented_rect_margin(np.zeros((3, 3)), np.zeros(3), (2, 1), P(0, 0), 0.0, (2, 1))
         with pytest.raises(GeometryError):
             oriented_rect_margin(P(0, 0), 0.0, (2, 1, 1), P(0, 0), 0.0, (2, 1))
+
+
+def _scalar_headings(track, start, heading):
+    """Reference pose-track headings: one `math.atan2` per non-zero step."""
+    out, (last_x, last_y) = [], start
+    for x, y in track:
+        if x != last_x or y != last_y:
+            heading = math.atan2(y - last_y, x - last_x)
+        out.append(heading)
+        last_x, last_y = x, y
+    return out
+
+
+def _scalar_corners(center, heading, dims):
+    """Reference rectangle corners, written out per corner and coordinate."""
+    ux, uy = math.cos(heading), math.sin(heading)
+    nx, ny = uy, -ux
+    hl, hw = 0.5 * dims[0], 0.5 * dims[1]
+    cx, cy = center
+    return [
+        [cx + hl * ux - hw * nx, cy + hl * uy - hw * ny],
+        [cx + hl * ux + hw * nx, cy + hl * uy + hw * ny],
+        [cx - hl * ux + hw * nx, cy - hl * uy + hw * ny],
+        [cx - hl * ux - hw * nx, cy - hl * uy - hw * ny],
+    ]
+
+
+class TestPoseTrack:
+    def test_headings_bit_equal_to_scalar_atan2_loop(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            t = int(rng.integers(1, 12))
+            start = tuple(rng.uniform(-30, 30, size=2).tolist())
+            track = rng.uniform(-30, 30, size=(t, 2))
+            # repeat points to make zero-length steps; every third trial the
+            # first step has zero length, so the start heading carries over
+            stay = rng.uniform(size=t) < 0.4
+            for k in range(1, t):
+                if stay[k]:
+                    track[k] = track[k - 1]
+            if trial % 3 == 0:
+                track[0] = start
+            heading = float(rng.uniform(-math.pi, math.pi))
+            poses = pose_track(track, start, heading)
+            assert poses.xy.tolist() == track.tolist()
+            assert poses.heading.tolist() == _scalar_headings(track.tolist(), start, heading)
+            assert pose_track(track, P(*start), heading).heading.tolist() == (
+                poses.heading.tolist()
+            )
+
+    def test_all_zero_steps_keep_the_start_heading(self):
+        poses = pose_track(np.full((4, 2), 2.0), (2.0, 2.0), 0.7)
+        assert poses.heading.tolist() == [0.7] * 4
+        assert pose_track(np.empty((0, 2)), (0.0, 0.0), 0.7).heading.shape == (0,)
+
+    def test_non_finite_track_raises(self):
+        with pytest.raises(GeometryError):
+            pose_track(np.array([[0.0, math.nan]]), (0.0, 0.0), 0.0)
+
+
+class TestRectCornersBroadcast:
+    def test_bit_equal_to_scalar_formula(self):
+        rng = np.random.default_rng(22)
+        xy = rng.uniform(-50, 50, size=(7, 5, 2))
+        heading = rng.uniform(-2 * math.pi, 2 * math.pi, size=(7, 5))
+        dims = rng.uniform(0.5, 6.0, size=(7, 5, 2))
+        got = rect_corners(xy, heading, dims)
+        assert got.shape == (7, 5, 4, 2)
+        for i in range(7):
+            for j in range(5):
+                want = _scalar_corners(xy[i, j].tolist(), float(heading[i, j]), dims[i, j])
+                assert got[i, j].tolist() == want
+        # shared dims broadcast over every box, and one box gives (4, 2)
+        shared = rect_corners(xy[0], heading[0], (4.0, 1.85))
+        assert shared.tolist() == [
+            _scalar_corners(c.tolist(), float(h), (4.0, 1.85)) for c, h in zip(xy[0], heading[0])
+        ]
+        one = rect_corners(P(*xy[0, 0]), float(heading[0, 0]), (4.0, 1.85))
+        assert one.tolist() == shared[0].tolist()
+
+    @pytest.mark.parametrize(
+        "center, heading, dims",
+        [
+            ([[0.0, 0.0]], [0.0], [[0.0, 1.0]]),
+            ([[0.0, 0.0]], [math.inf], (2.0, 1.0)),
+            ([[math.nan, 0.0]], [0.0], (2.0, 1.0)),
+            ([[0.0, 0.0, 0.0]], [0.0], (2.0, 1.0)),
+        ],
+    )
+    def test_invalid_boxes_raise(self, center, heading, dims):
+        with pytest.raises(GeometryError):
+            rect_corners(center, heading, dims)

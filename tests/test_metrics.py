@@ -7,9 +7,11 @@ from vecplan.errors import ConfigError
 from vecplan.geometry import Point2, Polyline, oriented_rect_overlap
 from vecplan.metrics import (
     DEFAULT_EGO_DIMS,
+    agent_boxes,
     agent_pose_track,
     boundary_overstep,
     collision_rate,
+    collision_ticks,
     displacement_error,
     plan_metrics,
     plan_pose_track,
@@ -189,21 +191,40 @@ class TestPoseTracks:
     def test_plan_pose_heading_follows_motion(self):
         plan = PlanTrajectory(np.array([[0.0, 1.0], [1.0, 1.0]]))
         poses = plan_pose_track(plan)
-        assert poses[0][1] == pytest.approx(math.pi / 2)
-        assert poses[1][1] == pytest.approx(0.0)
+        assert poses.heading[0] == pytest.approx(math.pi / 2)
+        assert poses.heading[1] == pytest.approx(0.0)
 
     def test_zero_step_keeps_previous_heading(self):
         plan = PlanTrajectory(np.array([[0.0, 1.0], [0.0, 1.0]]))
         poses = plan_pose_track(plan)
-        assert poses[1][1] == poses[0][1]
+        assert poses.heading[1] == poses.heading[0]
 
     def test_agent_pose_track_uses_gt_future(self):
         track = np.array([[0.0, 2.0], [0.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0]])
         s = scenario_with_agent(track)
         poses = agent_pose_track(s, 0)
-        assert poses[0][0] == Point2(0.0, 2.0)
-        assert poses[2][1] == pytest.approx(0.0)  # moved +x
-        assert poses[3][1] == pytest.approx(0.0)  # parked keeps heading
+        assert poses.xy[0].tolist() == [0.0, 2.0]
+        assert poses.heading[2] == pytest.approx(0.0)  # moved +x
+        assert poses.heading[3] == pytest.approx(0.0)  # parked keeps heading
+
+
+    def test_agent_boxes_prepend_the_current_pose(self):
+        track = np.array([[0.0, 2.0], [0.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0]])
+        s = scenario_with_agent(track)
+        poses, sizes = agent_boxes(s)
+        assert poses.xy.shape == (1, 7, 2) and poses.heading.shape == (1, 7)
+        assert poses.xy[0, 0].tolist() == [0.0, 0.0]
+        assert poses.heading[0, 0] == math.pi / 2
+        gt = agent_pose_track(s, 0)
+        assert poses.xy[0, 1:].tolist() == gt.xy.tolist()
+        assert poses.heading[0, 1:].tolist() == gt.heading.tolist()
+        assert sizes.tolist() == [[4.5, 1.9]]
+
+    def test_agent_free_scene(self):
+        poses, sizes = agent_boxes(empty_scenario())
+        assert poses.xy.shape == (0, 7, 2) and poses.heading.shape == (0, 7)
+        assert sizes.shape == (0, 2)
+        assert collision_ticks(empty_scenario(), straight_plan()) == [False] * 6
 
 
 class TestBoundaryOverstep:

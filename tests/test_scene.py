@@ -286,6 +286,9 @@ class TestScenarioIO:
             (("ego", "steering_angle"), math.inf, "ego steering_angle"),
             (("horizon_dt",), math.nan, "horizon_dt"),
             (("agents", 0, "heading"), math.nan, "agent heading"),
+            (("agents", 0, "size", 0), math.inf, "agent size"),
+            (("perception_range", 1), math.inf, "perception_range"),
+            (("perception_range", 0), math.nan, "perception_range"),
         ],
     )
     def test_non_finite_values_rejected(self, tmp_path, path, value, names):
@@ -319,6 +322,11 @@ class TestScenarioIO:
             (("expert",), "straight", "expert"),
             (("perception_range",), 60.0, "perception_range"),
             (("horizon_dt",), "0.5s", "horizon_dt"),
+            (("perception_range",), [-60.0, 30.0], "perception_range"),
+            (("perception_range",), [60.0, 0.0], "perception_range"),
+            (("t_future",), "6", "bad field t_future: expected an integer, got '6'"),
+            (("t_future",), 6.0, "bad field t_future"),
+            (("t_future",), True, "bad field t_future"),
         ],
     )
     def test_malformed_field_names_its_path(self, tmp_path, path, value, names):

@@ -81,12 +81,19 @@ class TestStep:
         # agent world positions equal their gt tick-1 positions, and the
         # view re-expresses them with a hand-checkable transform
         for i, fut in enumerate(s.agent_gt_futures):
-            assert new.agent_positions[i] == Point2(float(fut[0][0]), float(fut[0][1]))
+            assert new.agent_positions[i].tolist() == [float(fut[0][0]), float(fut[0][1])]
             expected_local = world_to_ego(
                 fut[0][None], new.ego_position, new.ego_heading
             )[0]
             got = new.view.agents[i].position
             np.testing.assert_allclose((got.x, got.y), expected_local, atol=1e-9)
+
+    def test_agent_free_scene(self):
+        state = SimState.initial(empty_scenario())
+        assert state.agent_positions.shape == (0, 2)
+        assert state.agent_headings.shape == (0,)
+        new = step(state, constant_velocity_plan(state.view))
+        assert new.agent_positions.shape == (0, 2) and new.view.agents == []
 
     def test_horizon_exhausted(self):
         s = empty_scenario(t_f=2)

@@ -54,3 +54,27 @@ def test_overlap_span_counts_truthy_sweeps(monkeypatch):
         tracer.uninstall()
     assert calls > 0
     assert truthy <= calls
+
+
+def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
+    # the benchmark expects this span on evaluate_dense (through plan_metrics)
+    # and on refine_rollout (through run_closed_loop)
+    tracer_mod = _load_tracer(monkeypatch)
+    tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
+    tracer.install()
+    try:
+        from vecplan import metrics, scene, simulator
+
+        scenario = scene.generate_scenario(3)
+        assert scenario.agents
+        plan = simulator.constant_velocity_plan(scenario)
+        tracer.reset()
+        metrics.plan_metrics([scenario], [plan])
+        from_metrics = tracer.calls("metrics.agent_pose_track")
+        tracer.reset()
+        simulator.run_closed_loop(scenario, simulator.ConstantVelocityPlanner(), 2)
+        from_rollout = tracer.calls("metrics.agent_pose_track")
+    finally:
+        tracer.uninstall()
+    assert from_metrics == len(scenario.agents)
+    assert from_rollout == len(scenario.agents)
