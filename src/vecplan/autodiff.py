@@ -1,12 +1,16 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64
 arrays.
 
-Every value is a (rows, cols) matrix recorded on a Tape.  Primitives compute
-their forward value eagerly and register a vector-Jacobian product; backward
-replays the records in strict reverse order exactly once, accumulating
-gradients into every node (so a node used twice receives the sum of both
-paths).  There is no broadcasting beyond `add_bias_row` and no control-flow
-capture: record exactly what you execute.
+Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
+copied, finite-checked leaves (`Tape.leaf`) or, for parameters, as read-only
+views with no copy (`Tape.param`).  Primitives compute their forward value
+eagerly and register a vector-Jacobian product; backward replays the records
+in strict reverse order exactly once, accumulating gradients into every node
+(so a node used twice receives the sum of both paths).  `mlp` is the fused
+two-layer perceptron `relu(x @ w1 + b1) @ w2 + b2`: one record with one
+vector-Jacobian product for what the unfused ops record five times.  There is
+no broadcasting beyond the bias rows and no control-flow capture: record
+exactly what you execute.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ class Tape:
     """Recording of one forward pass.
 
     Single-writer: record and run backward from one thread; separate tapes
-    are independent.
+    are independent.  Parameter leaves (`param`) are views of the caller's
+    arrays, and the recorded vector-Jacobian products read them, so run
+    `backward_from` before updating the parameters in place.
     """
 
     def __init__(self):
@@ -83,8 +89,16 @@ class Tape:
         return Tensor(self, idx, data)
 
     def leaf(self, data) -> Tensor:
-        """Enter an input value (parameter or constant) onto the tape."""
+        """Enter an input value onto the tape as a finite-checked copy."""
         return self._node(_as_matrix(data).copy())
+
+    def param(self, data: np.ndarray) -> Tensor:
+        """Enter a 2-D float64 parameter array as a read-only view (no copy
+        when it is C-contiguous) with no finite check: the caller checks its
+        parameters once."""
+        if data.ndim != 2 or data.dtype != np.float64:
+            raise ShapeError(f"parameters are 2-D float64, got {data.dtype} {data.shape}")
+        return self._node(data.view())
 
     def _record(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
         self._records.append((out.index, tuple(t.index for t in inputs), vjp))
@@ -163,6 +177,32 @@ def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"add_bias_row: bias {bias.shape} for input {x.shape}")
     out = tape._node(x.data + bias.data)
     return tape._record(out, (x, bias), lambda g: (g, g.sum(axis=0, keepdims=True)))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
+    in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
+    tape = _same_tape(x, w1, b1, w2, b2)
+    if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"mlp: {x.shape} @ {w1.shape} @ {w2.shape}")
+    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
+        raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} for {w1.shape}, {w2.shape}")
+    pre = x.data @ w1.data + b1.data
+    mask = pre > 0.0
+    h = np.where(mask, pre, 0.0)
+    out = tape._node(h @ w2.data + b2.data)
+
+    def vjp(g):
+        g_h = (g @ w2.data.T) * mask
+        return (
+            g_h @ w1.data.T,
+            x.data.T @ g_h,
+            g_h.sum(axis=0, keepdims=True),
+            h.T @ g,
+            g.sum(axis=0, keepdims=True),
+        )
+
+    return tape._record(out, (x, w1, b1, w2, b2), vjp)
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:

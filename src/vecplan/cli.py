@@ -180,6 +180,14 @@ class TrainSection:
     enable_aux_heads: bool = False
     shuffle: bool = True
 
+    def __post_init__(self):
+        # TrainConfig less seed and weights: building one checks the ranges
+        # when the config is read, whichever command runs
+        try:
+            TrainConfig(**dataclasses.asdict(self))
+        except ConfigError as e:
+            raise ConfigError(f"train.{e}") from e
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .scene import Command, PlanTrajectory, Scenario, best_mode
 
 # fixed input normalization so activations stay O(1) at scene scale
@@ -101,11 +103,31 @@ def parameter_shapes(config: InteractionConfig) -> list[tuple[str, tuple[int, in
 
 
 class InteractionParams:
-    """Named parameter arrays for the interaction network."""
+    """Named parameter arrays for the interaction network, held in one
+    contiguous float64 vector.
 
-    def __init__(self, config: InteractionConfig, tensors: dict[str, np.ndarray]):
+    `flat` holds every parameter, tensor after tensor in the order of
+    `tensors`.
+    `tensors` is a read-only mapping from each name to a reshaped view of
+    `flat`: writing into a view (`tensors[name][...] = 0.0`) writes the
+    parameter, while assigning a new array to a name raises, since it would
+    leave `flat` stale.  `extend` rebuilds both, so views taken before it no
+    longer alias the parameters.
+    """
+
+    def __init__(self, config: InteractionConfig, tensors: Mapping[str, np.ndarray]):
         self.config = config
-        self.tensors = tensors
+        self._pack(tensors)
+
+    def _pack(self, tensors: Mapping[str, np.ndarray]) -> None:
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()] or [np.zeros(0)])
+        views = {}
+        offset = 0
+        for name, arr in arrays.items():
+            views[name] = self.flat[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        self.tensors = MappingProxyType(views)
 
     @classmethod
     def initialize(cls, config: InteractionConfig, seed: int) -> "InteractionParams":
@@ -115,16 +137,18 @@ class InteractionParams:
         return params
 
     def copy(self) -> "InteractionParams":
-        return InteractionParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return InteractionParams(self.config, self.tensors)
 
     def extend(self, extra_shapes, seed: int) -> None:
         """Draw the named tensors (e.g. auxiliary heads) with the init rule,
         skipping names already present."""
         rng = np.random.default_rng(seed)
+        tensors = dict(self.tensors)
         for name, shape, fan_in in extra_shapes:
-            if name not in self.tensors:
+            if name not in tensors:
                 bound = 1.0 / math.sqrt(fan_in)
-                self.tensors[name] = rng.uniform(-bound, bound, size=shape)
+                tensors[name] = rng.uniform(-bound, bound, size=shape)
+        self._pack(tensors)
 
     def save(self, path) -> None:
         ad.save_checkpoint(path, self.tensors)
@@ -169,8 +193,7 @@ class ForwardResult:
 
 
 def _mlp(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ad.relu(ad.add_bias_row(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return ad.add_bias_row(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    return ad.mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _agent_features(scenario: Scenario) -> np.ndarray:
@@ -305,8 +328,7 @@ def plan_head(
     """Decode the concatenated planning feature into 2*T_f coordinates."""
     feat = ad.concat_cols([q_agent, q_map, status_embed, cmd_embed])
     h1 = ad.relu(ad.add_bias_row(ad.matmul(feat, p["head.l1.w1"]), p["head.l1.b1"]))
-    h2 = ad.relu(ad.add_bias_row(ad.matmul(h1, p["head.w2"]), p["head.b2"]))
-    out = ad.add_bias_row(ad.matmul(h2, p["head.w3"]), p["head.b3"])
+    out = ad.mlp(h1, p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"])
     return ad.scalar_mul(out, OUTPUT_SCALE)
 
 
@@ -318,8 +340,10 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
             f"scenario horizon {scenario.t_future} does not match model t_future "
             f"{config.t_future}"
         )
+    if not np.all(np.isfinite(params.flat)):
+        raise ShapeError("non-finite values in tensor")
     tape = Tape()
-    p = {name: tape.leaf(arr) for name, arr in params.tensors.items()}
+    p = {name: tape.param(arr) for name, arr in params.tensors.items()}
 
     features = encode_queries(scenario, p, tape)
     attention: dict[str, list[np.ndarray]] = {}

@@ -121,29 +121,45 @@ def _focal_array(probs: np.ndarray, targets: np.ndarray, gamma: float, alpha: fl
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay over one flat parameter
+    vector (or any array: every operation is elementwise)."""
 
-    def __init__(self, shapes: dict[str, tuple], weight_decay: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size: int, weight_decay: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {n: np.zeros(s) for n, s in shapes.items()}
-        self.v = {n: np.zeros(s) for n, s in shapes.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update `theta` in place from its gradient `grad`.
+
+        The arithmetic of
+            m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            theta -= lr ((m / b1c) / (sqrt(v / b2c) + eps) + wd theta)
+        operation by operation in that order, written into two scratch
+        vectors instead of a fresh array per operation.
+        """
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        for name, theta in tensors.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            theta -= lr * (update + self.weight_decay * theta)
+        m, v = self.m, self.v
+        tmp, update = self._scratch
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, b1c, out=update)
+        update /= tmp
+        np.multiply(theta, self.weight_decay, out=tmp)
+        tmp += update
+        tmp *= lr
+        theta -= tmp
 
 
 def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
@@ -172,14 +188,15 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.train_scenarios < 1 or self.val_scenarios < 0:
-            raise ConfigError("epochs and dataset sizes must be positive")
+        for name in ("epochs", "train_scenarios", "val_scenarios"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size != 1:
-            raise ConfigError("only batch_size=1 is supported")
+            raise ConfigError(f"batch_size must be 1, got {self.batch_size}")
         if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.scheduler not in ("cosine", "constant"):
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
+            raise ConfigError(f"scheduler must be 'cosine' or 'constant', got {self.scheduler!r}")
 
 
 @dataclass
@@ -337,7 +354,7 @@ def _scenario_seeds(seed: int, train_count: int, val_count: int):
     ss = np.random.SeedSequence(seed)
     train_ss, val_ss, shuffle_ss = ss.spawn(3)
     train_seeds = [int(v) for v in train_ss.generate_state(train_count)]
-    val_seeds = [int(v) for v in val_ss.generate_state(max(val_count, 1))][:val_count]
+    val_seeds = [int(v) for v in val_ss.generate_state(val_count)]
     return train_seeds, val_seeds, shuffle_ss
 
 
@@ -370,9 +387,7 @@ def train(
     params = InteractionParams.initialize(interact_config, seed=config.seed)
     if config.enable_aux_heads:
         params.extend(aux_head_shapes(interact_config, gen_config), seed=config.seed + 1)
-    optimizer = AdamW(
-        {n: a.shape for n, a in params.tensors.items()}, weight_decay=config.weight_decay
-    )
+    optimizer = AdamW(params.flat.size, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng(shuffle_ss.generate_state(1)[0])
 
     log = TrainLog()
@@ -405,15 +420,15 @@ def train(
             for key in ("imitation", "collision", "boundary", "direction"):
                 sums[key] += plan_loss.breakdown[key]
             grads = result.tape.backward_from(seeds)
-            optimizer.step(
-                params.tensors, {n: grads[result.params[n]] for n in params.tensors}, lr
-            )
-            for name, arr in params.tensors.items():
-                if not np.all(np.isfinite(arr)):
-                    raise TrainingDivergedError(
-                        f"non-finite parameter {name} after epoch {epoch}, "
-                        f"scenario seed {train_seeds[idx]}"
-                    )
+            # result.params holds the leaves in the order of params.flat
+            flat_grad = np.concatenate([grads[p].reshape(-1) for p in result.params.values()])
+            optimizer.step(params.flat, flat_grad, lr)
+            if not np.all(np.isfinite(params.flat)):
+                name = next(n for n, a in params.tensors.items() if not np.all(np.isfinite(a)))
+                raise TrainingDivergedError(
+                    f"non-finite parameter {name} after epoch {epoch}, "
+                    f"scenario seed {train_seeds[idx]}"
+                )
 
         n = len(train_set)
         val_l2, val_cr = _validate(params, val_set, gen_config)
@@ -444,8 +459,6 @@ def train(
 
 def _validate(params: InteractionParams, val_set: list[Scenario], gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
-    if not val_set:
-        return 0.0, 0.0
     from .metrics import collision_rate, displacement_error
 
     plans = [forward_plan(s, params).plan for s in val_set]

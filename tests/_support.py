@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracles and non-degenerate
-constraint-configuration samplers.
+"""Shared test helpers: finite-difference oracles, reference loops and
+non-degenerate constraint-configuration samplers.
 
 The samplers construct random scenes and plans whose active sets are robust
 to perturbation: every hinge threshold, range gate, nearest-element
@@ -53,6 +53,23 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) 
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def adamw_per_tensor_step(tensors, grads, m, v, step_count, lr, weight_decay,
+                          beta1=0.9, beta2=0.999, eps=1e-8):
+    """One AdamW step as a loop over named tensors, updating `tensors`, `m`
+    and `v` (dicts of arrays) in place: the reference arithmetic for the flat
+    optimizer.  `step_count` counts this step."""
+    b1c = 1.0 - beta1**step_count
+    b2c = 1.0 - beta2**step_count
+    for name, theta in tensors.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        update = (m[name] / b1c) / (np.sqrt(v[name] / b2c) + eps)
+        theta -= lr * (update + weight_decay * theta)
 
 
 def _track_agent(track: np.ndarray) -> AgentPrediction:

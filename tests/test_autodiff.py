@@ -55,6 +55,11 @@ class TestForwardValues:
             ad.slice_cols(a, 2, 2)
         with pytest.raises(ShapeError, match="l1_to_target"):
             ad.l1_to_target(a, np.zeros((3, 2)))
+        w1, b1 = tape.leaf(np.zeros((3, 4))), tape.leaf(np.zeros((1, 4)))
+        w2, b2 = tape.leaf(np.zeros((4, 2))), tape.leaf(np.zeros((1, 2)))
+        for args in ((w2, b1, w2, b2), (w1, b1, w1, b2), (w1, b2, w2, b2), (w1, b1, w2, b1)):
+            with pytest.raises(ShapeError, match="mlp"):
+                ad.mlp(a, *args)
 
     def test_cross_tape_operands_rejected(self):
         a = ad.Tape().leaf(np.zeros((2, 2)))
@@ -66,6 +71,79 @@ class TestForwardValues:
         t = ad.Tape().leaf(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0] = 1.0
+
+
+class TestParamLeaves:
+    def test_param_is_a_read_only_view(self):
+        flat = np.arange(10.0)
+        w = flat[4:10].reshape(2, 3)
+        leaf = ad.Tape().param(w)
+        assert np.shares_memory(leaf.data, flat)
+        assert not leaf.data.flags.writeable
+        with pytest.raises(ValueError):
+            leaf.data[0, 0] = 1.0
+        assert w.flags.writeable
+        w[0, 0] = -1.0
+        assert leaf.data[0, 0] == -1.0
+
+    def test_param_needs_a_2d_float64_array(self):
+        tape = ad.Tape()
+        for bad in (np.zeros(3), np.zeros((1, 2, 2)), np.zeros((2, 2), dtype=np.float32)):
+            with pytest.raises(ShapeError):
+                tape.param(bad)
+
+
+def _mlp_by_parts(x, w1, b1, w2, b2):
+    h = ad.relu(ad.add_bias_row(ad.matmul(x, w1), b1))
+    return ad.add_bias_row(ad.matmul(h, w2), b2)
+
+
+class TestFusedMlp:
+    def test_bit_equal_to_the_unfused_ops(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            rows, d_in, d_hid, d_out = (int(v) for v in rng.integers(1, 9, size=4))
+            arrays = [
+                rng.standard_normal(shape)
+                for shape in ((rows, d_in), (d_in, d_hid), (1, d_hid), (d_hid, d_out), (1, d_out))
+            ]
+            if trial % 3 == 0:
+                arrays[2][0, 0] = -1e3  # a unit that is dead for every row
+            probe = rng.standard_normal((rows, d_out))
+            results = []
+            for build in (ad.mlp, _mlp_by_parts):
+                tape = ad.Tape()
+                leaves = [tape.leaf(a) for a in arrays]
+                out = build(*leaves)
+                grads = tape.backward_from([(out, probe)])
+                results.append((out.data, [grads[leaf] for leaf in leaves]))
+            (fused, fused_grads), (parts, parts_grads) = results
+            assert np.array_equal(fused, parts)
+            for i, (a, b) in enumerate(zip(fused_grads, parts_grads)):
+                assert np.array_equal(a, b), f"trial {trial} input {i}"
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            rows, d_in, d_hid, d_out = (int(v) for v in rng.integers(1, 6, size=4))
+            shapes = ((rows, d_in), (d_in, d_hid), (1, d_hid), (d_hid, d_out), (1, d_out))
+            # redraw until every pre-activation is clear of the relu kink
+            while True:
+                arrays = [rng.uniform(-1.5, 1.5, size=shape) for shape in shapes]
+                if np.abs(arrays[0] @ arrays[1] + arrays[2]).min() > 0.05:
+                    break
+            probe = rng.uniform(-1, 1, size=(rows, d_out))
+
+            def value():
+                tape = ad.Tape()
+                return float((ad.mlp(*(tape.leaf(a) for a in arrays)).data * probe).sum())
+
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            grads = tape.backward_from([(ad.mlp(*leaves), probe)])
+            for i, arr in enumerate(arrays):
+                err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
+                assert err < 1e-6, f"trial {trial} input {i}: rel err {err}"
 
 
 class TestBackward:

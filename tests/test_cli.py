@@ -90,6 +90,7 @@ class TestConfig:
             ("seed=false", "seed must be an integer"),
             ("train.epochs=1.5", "train.epochs must be an integer"),
             ("train.train_scenarios=2.5", "train.train_scenarios must be an integer"),
+            ("train.val_scenarios=0", "train.val_scenarios must be >= 1"),
             ("train.learning_rate=NaN", "train.learning_rate must be finite"),
             ("train.weight_decay=\"high\"", "train.weight_decay must be a number"),
             ("generator.lane_count=2.5", "generator.lane_count must be an integer"),

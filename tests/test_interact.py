@@ -4,7 +4,7 @@ from _support import fd_param_gradient, max_rel_err
 
 from vecplan import autodiff as ad
 from vecplan.constraints import imitation_loss
-from vecplan.errors import CheckpointError, ConfigError
+from vecplan.errors import CheckpointError, ConfigError, ShapeError
 from vecplan.geometry import Point2
 from vecplan.interact import (
     InteractionConfig,
@@ -196,7 +196,7 @@ class TestForwardPlan:
     def test_zeroed_head_gives_zero_trajectory(self):
         params = small_params()
         for name in ("head.l1.w1", "head.l1.b1", "head.w2", "head.b2", "head.w3", "head.b3"):
-            params.tensors[name] = np.zeros_like(params.tensors[name])
+            params.tensors[name][...] = 0.0
         result = forward_plan(scenario_with(9), params)
         np.testing.assert_array_equal(result.plan.waypoints, np.zeros((SMALL.t_future, 2)))
 
@@ -327,6 +327,59 @@ class TestGradientsThroughNetwork:
         )
         off_tape = imitation_loss(result.plan, s.expert).value
         assert on_tape.data[0, 0] == pytest.approx(off_tape, abs=1e-12)
+
+
+class TestFlatParams:
+    def test_tensors_are_views_of_flat(self):
+        params = small_params()
+        sizes = [a.size for a in params.tensors.values()]
+        assert params.flat.shape == (sum(sizes),)
+        offset = 0
+        for name, arr in params.tensors.items():
+            assert np.shares_memory(arr, params.flat), name
+            np.testing.assert_array_equal(arr.reshape(-1), params.flat[offset : offset + arr.size])
+            offset += arr.size
+
+    def test_replacing_a_tensor_raises(self):
+        params = small_params()
+        with pytest.raises(TypeError):
+            params.tensors["head.w3"] = np.zeros_like(params.tensors["head.w3"])
+        with pytest.raises(TypeError):
+            del params.tensors["head.w3"]
+
+    def test_non_finite_parameter_rejected_by_forward(self):
+        s = scenario_with(9)
+        for value in (np.nan, np.inf):
+            params = small_params()
+            params.tensors["map_block.ffn.b2"][0, 1] = value
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                forward_plan(s, params)
+
+    def test_parameter_leaves_are_read_only_views(self):
+        params = small_params()
+        result = forward_plan(scenario_with(9), params)
+        assert list(result.params) == list(params.tensors)
+        for name, leaf in result.params.items():
+            assert np.shares_memory(leaf.data, params.flat), name
+            assert not leaf.data.flags.writeable
+            with pytest.raises(ValueError):
+                leaf.data[0, 0] = 1.0
+        # the parameters themselves stay writable
+        params.tensors["head.b3"][0, 0] = 1.0
+        assert result.params["head.b3"].data[0, 0] == 1.0
+
+    def test_copy_and_extend_rebuild_the_vector(self):
+        params = small_params()
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        np.testing.assert_array_equal(dup.flat, params.flat)
+        before = params.flat.copy()
+        params.extend([("extra.w", (3, 2), 3), ("head.w3", (1, 1), 1)], seed=5)
+        assert list(params.tensors)[-1] == "extra.w"
+        assert params.tensors["head.w3"].shape == dup.tensors["head.w3"].shape
+        assert params.flat.size == before.size + 6
+        np.testing.assert_array_equal(params.flat[: before.size], before)
+        assert np.shares_memory(params.tensors["extra.w"], params.flat)
 
 
 class TestParamsIO:

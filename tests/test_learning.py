@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from _support import adamw_per_tensor_step
 
 from vecplan.errors import ConfigError, ShapeError, TrainingDivergedError
-from vecplan.interact import InteractionConfig
+from vecplan.interact import InteractionConfig, InteractionParams, parameter_shapes
 from vecplan.learning import (
     AdamW,
     EpochStats,
@@ -158,18 +159,43 @@ class TestFocalLoss:
 
 class TestOptimizer:
     def test_zero_lr_leaves_params_unchanged(self):
-        tensors = {"w": np.ones((2, 2))}
-        opt = AdamW({"w": (2, 2)}, weight_decay=0.01)
-        before = tensors["w"].copy()
+        theta = np.ones(4)
+        opt = AdamW(4, weight_decay=0.01)
+        before = theta.copy()
         for _ in range(5):
-            opt.step(tensors, {"w": np.full((2, 2), 3.0)}, lr=0.0)
-        np.testing.assert_array_equal(tensors["w"], before)
+            opt.step(theta, np.full(4, 3.0), lr=0.0)
+        np.testing.assert_array_equal(theta, before)
 
     def test_step_moves_against_gradient(self):
-        tensors = {"w": np.zeros((1, 1))}
-        opt = AdamW({"w": (1, 1)}, weight_decay=0.0)
-        opt.step(tensors, {"w": np.array([[1.0]])}, lr=0.1)
-        assert tensors["w"][0, 0] < 0.0
+        theta = np.zeros(1)
+        opt = AdamW(1, weight_decay=0.0)
+        opt.step(theta, np.array([1.0]), lr=0.1)
+        assert theta[0] < 0.0
+
+    def test_flat_step_bit_equal_to_per_tensor_loop(self):
+        # the 44 default parameter tensors, stepped 320 times with gradients
+        # of varied scale (some exactly zero) and a cosine schedule
+        params = InteractionParams.initialize(InteractionConfig(), seed=3)
+        assert len(params.tensors) == 44
+        ref = {n: a.copy() for n, a in params.tensors.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        opt = AdamW(params.flat.size, weight_decay=0.01)
+        rng = np.random.default_rng(0)
+        steps = 320
+        for k in range(1, steps + 1):
+            grads = {
+                n: rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-6, 2)
+                * (rng.uniform(size=a.shape) > 0.1)
+                for n, a in ref.items()
+            }
+            lr = cosine_lr(2e-3, k, steps)
+            adamw_per_tensor_step(ref, grads, m, v, k, lr, weight_decay=0.01)
+            opt.step(params.flat, np.concatenate([g.reshape(-1) for g in grads.values()]), lr)
+        for name, arr in ref.items():
+            assert np.array_equal(params.tensors[name], arr), name
+        assert np.array_equal(opt.m, np.concatenate([a.reshape(-1) for a in m.values()]))
+        assert np.array_equal(opt.v, np.concatenate([a.reshape(-1) for a in v.values()]))
 
     def test_cosine_schedule_endpoints(self):
         assert cosine_lr(1e-3, 0, 60) == pytest.approx(1e-3)
@@ -206,8 +232,14 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_guard_fires(self):
         config = tiny_train_config(learning_rate=1e12, epochs=50, train_scenarios=4)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError, match="non-finite parameter ") as info:
             train(config, TINY_GEN, TINY_NET)
+        name = str(info.value).split("non-finite parameter ")[1].split()[0]
+        assert name in {n for n, _, _ in parameter_shapes(TINY_NET)}
+
+    def test_validation_set_must_be_non_empty(self):
+        with pytest.raises(ConfigError, match="val_scenarios must be >= 1"):
+            tiny_train_config(val_scenarios=0)
 
     def test_aux_heads_train_and_log(self):
         config = tiny_train_config(enable_aux_heads=True, epochs=2)
