@@ -8,6 +8,10 @@ loss returns its value and the exact subgradient with respect to the (T_f, 2)
 plan waypoints, treating the discrete nearest-element assignments as fixed
 (the losses are piecewise smooth; at hinge boundaries the inactive branch is
 used and at L1/abs kinks the subgradient is zero).
+
+The losses read a scene packed into arrays once (`scene.pack`), however many
+times a planner or a training run evaluates them on it; lists of agents and
+map elements are packed on entry.
 """
 
 from __future__ import annotations
@@ -21,21 +25,20 @@ import numpy as np
 
 from .errors import ShapeError
 from .geometry import (
-    Point2,
+    PolylineSet,
     angular_difference,
     closest_polyline,
     closest_polyline_within,
 )
 from .scene import (
     AgentPrediction,
-    MapClass,
     MapVector,
+    PackedScene,
     PlanTrajectory,
     Scenario,
     best_mode,
     ego_vectors,
-    filter_agents,
-    filter_map,
+    pack,
 )
 
 COLLISION_MODES = ("per_axis", "single_nearest")
@@ -119,7 +122,9 @@ class TotalLossResult(LossResult):
 
 
 def collision_loss(
-    plan: PlanTrajectory, agents: Sequence[AgentPrediction], params: ConstraintParams
+    plan: PlanTrajectory,
+    agents: Sequence[AgentPrediction] | np.ndarray,
+    params: ConstraintParams,
 ) -> LossResult:
     """Per-axis safety hinge against the agents' best-mode positions.
 
@@ -131,20 +136,22 @@ def collision_loss(
     contributes (margin - d) when d falls below its safety margin.  The
     result is the mean over the horizon of the summed X and Y terms.  Agents
     must be pre-filtered by confidence; the best-scoring mode of each is used.
+    `agents` may also be their (N_a, T_f, 2) best-mode tracks, as packed.
     """
+    tracks = agents if isinstance(agents, np.ndarray) else np.array([best_mode(a) for a in agents])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)
-    if not agents:
+    if not len(tracks):
         return LossResult(0.0, grad)
 
     # (N_a, T_f, 2) best-mode positions minus waypoints
-    delta = np.stack([best_mode(a) for a in agents]) - w
+    delta = tracks - w
     dist = np.hypot(delta[..., 0], delta[..., 1])
     candidate = dist <= params.agent_search_range
     if params.collision_mode == "single_nearest":
         nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
-        candidate &= np.arange(len(agents))[:, None] == nearest
+        candidate &= np.arange(len(tracks))[:, None] == nearest
     steps = np.arange(t_f)
     total = 0.0
     for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
@@ -159,22 +166,27 @@ def collision_loss(
 
 
 def boundary_loss(
-    plan: PlanTrajectory, boundaries: Sequence[MapVector], params: ConstraintParams
+    plan: PlanTrajectory,
+    boundaries: Sequence[MapVector] | PolylineSet,
+    params: ConstraintParams,
 ) -> LossResult:
     """Clearance hinge against the closest road-boundary polyline.
 
     Per timestep, if the waypoint is closer than `boundary_clearance` to the
     nearest boundary the hinge contributes (clearance - distance); mean over
     the horizon.  The gradient points along the foot-point direction of the
-    winning segment and is zero exactly on a boundary.
+    winning segment and is zero exactly on a boundary.  `boundaries` may also
+    be their packed PolylineSet.
     """
+    if not isinstance(boundaries, PolylineSet):
+        boundaries = PolylineSet([mv.points for mv in boundaries])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)
     if not boundaries:
         return LossResult(0.0, grad)
 
-    hit = closest_polyline(w, [mv.points for mv in boundaries])
+    hit = closest_polyline(w, boundaries)
     active = hit.dist < params.boundary_clearance
     total = float((params.boundary_clearance - hit.dist[active]).sum())
     pull = active & (hit.dist > 0.0)
@@ -184,26 +196,28 @@ def boundary_loss(
 
 def direction_loss(
     plan: PlanTrajectory,
-    dividers: Sequence[MapVector],
+    dividers: Sequence[MapVector] | PolylineSet,
     params: ConstraintParams,
-    origin: Point2 = Point2(0.0, 0.0),
 ) -> LossResult:
     """Angular misalignment between per-step motion and the nearest divider.
 
     Per timestep, the lane-divider polyline within `divider_search_range` of
     the waypoint supplies a direction (its winning segment, point order runs
     along travel direction); the term is the unsigned angle between it and
-    the step's motion vector, zero when no divider is in range or the step
-    has zero length.  Mean over the horizon.
+    the step's motion vector (the first step leaves the ego origin), zero
+    when no divider is in range or the step has zero length.  Mean over the
+    horizon.  `dividers` may also be their packed PolylineSet.
     """
+    if not isinstance(dividers, PolylineSet):
+        dividers = PolylineSet([mv.points for mv in dividers])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)
     if not dividers:
         return LossResult(0.0, grad)
 
-    hit = closest_polyline_within(w, [mv.points for mv in dividers], params.divider_search_range)
-    vectors = ego_vectors(plan, origin)
+    hit = closest_polyline_within(w, dividers, params.divider_search_range)
+    vectors = ego_vectors(plan)
     moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
     active = np.flatnonzero((hit.poly >= 0) & moving)
     if active.size == 0:
@@ -218,7 +232,7 @@ def direction_loss(
     cross = lane_dir[:, 0] * v[:, 1] - lane_dir[:, 1] * v[:, 0]
     norm_sq = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
     g_v = np.zeros_like(w)
-    g_v[active] = np.sign(cross)[:, None] * np.column_stack([-v[:, 1], v[:, 0]]) / norm_sq[:, None]
+    g_v[active] = np.sign(cross)[:, None] * (v[:, ::-1] * (-1.0, 1.0)) / norm_sq[:, None]
     # v_t = w_t - w_{t-1}: each step's gradient enters w_t and leaves w_{t-1}
     grad += g_v
     grad[:-1] -= g_v[1:]
@@ -240,26 +254,27 @@ def imitation_loss(plan: PlanTrajectory, expert: np.ndarray) -> LossResult:
 
 def total_planning_loss(
     plan: PlanTrajectory,
-    scenario: Scenario,
+    scene: Scenario | PackedScene,
     params: ConstraintParams,
     weights: LossWeights,
     expert: Optional[np.ndarray] = None,
 ) -> TotalLossResult:
     """Weighted planning objective: collision + boundary + direction + imitation.
 
-    Filters the scene by the confidence thresholds, evaluates the four
-    plan-dependent terms, and returns the weighted total with its gradient
-    plus the unweighted per-term breakdown.  (The scene-learning terms enter
-    the training objective elsewhere; they do not depend on the plan.)
+    Evaluates the four plan-dependent terms on the scene packed under the
+    confidence thresholds of `params` (a Scenario is packed here) and returns
+    the weighted total with its gradient plus the unweighted per-term
+    breakdown.  (The scene-learning terms enter the training objective
+    elsewhere; they do not depend on the plan.)
     """
-    agents = filter_agents(scenario.agents, params.agent_min_confidence)
-    boundaries = filter_map(scenario.map, params.map_min_confidence, MapClass.ROAD_BOUNDARY)
-    dividers = filter_map(scenario.map, params.map_min_confidence, MapClass.LANE_DIVIDER)
+    packed = scene if isinstance(scene, PackedScene) else pack(scene, params)
+    if packed.thresholds != (params.agent_min_confidence, params.map_min_confidence):
+        raise ValueError(f"scene was packed under other confidence thresholds {packed.thresholds}")
 
-    col = collision_loss(plan, agents, params)
-    bd = boundary_loss(plan, boundaries, params)
-    dr = direction_loss(plan, dividers, params)
-    imi = imitation_loss(plan, scenario.expert if expert is None else expert)
+    col = collision_loss(plan, packed.agent_tracks, params)
+    bd = boundary_loss(plan, packed.boundaries, params)
+    dr = direction_loss(plan, packed.dividers, params)
+    imi = imitation_loss(plan, packed.scenario.expert if expert is None else expert)
 
     value = (
         weights.collision * col.value

@@ -89,6 +89,10 @@ class Polyline:
         return f"Polyline({len(self.points)} points)"
 
 
+class _Checked(NamedTuple):
+    xy: np.ndarray  # (K, 2) points `_as_xy` has checked, passed down the chain
+
+
 def _as_xy(p, what: str = "query point") -> tuple[np.ndarray, bool]:
     """`p` as a (K, 2) float64 array, and whether it was one 2-vector.
 
@@ -97,6 +101,8 @@ def _as_xy(p, what: str = "query point") -> tuple[np.ndarray, bool]:
     Raises:
         GeometryError: on any other shape or a non-finite coordinate.
     """
+    if isinstance(p, _Checked):
+        return p.xy, False
     if isinstance(p, Point2):
         return np.array([[p.x, p.y]]), True
     xy = np.asarray(p, dtype=np.float64)
@@ -115,24 +121,43 @@ class PolylineSet:
 
     Segments are numbered polyline by polyline, so among tied segments the
     lowest packed index is the lowest polyline and then its lowest segment.
+    A set of no polylines is empty, and searches over it find nothing.  The
+    arrays are read-only and finite (a Polyline checks its points when it is
+    made), so the chain uses them without checking them again.
 
     Raises:
         GeometryError: if a polyline has no non-degenerate segment.
     """
 
-    __slots__ = ("start", "end", "live", "poly", "seg")
+    __slots__ = ("start", "end", "step", "step_sq", "live", "poly", "seg", "count")
 
     def __init__(self, pls: Sequence[Polyline]):
         xy = [pl.xy() for pl in pls]
         counts = [len(x) - 1 for x in xy]
-        self.start = np.concatenate([x[:-1] for x in xy])  # (S, 2)
-        self.end = np.concatenate([x[1:] for x in xy])
+        none = np.zeros((0, 2))
+        self.start = np.concatenate([none] + [x[:-1] for x in xy])  # (S, 2)
+        self.end = np.concatenate([none] + [x[1:] for x in xy])
+        self.step, self.step_sq = _segment_steps(self.start, self.end)
         # degenerate segments are skipped by searches, never divided by
         self.live = (self.start != self.end).any(axis=1)
         self.poly = np.repeat(np.arange(len(xy)), counts)  # owner of each segment
-        self.seg = np.concatenate([np.arange(c) for c in counts])  # index within it
-        if not np.logical_or.reduceat(self.live, np.cumsum([0] + counts[:-1])).all():
+        self.seg = np.concatenate([np.arange(c) for c in [0] + counts])  # index within it
+        self.count = len(xy)
+        if not (np.bincount(self.poly, self.live, self.count) > 0).all():
             raise GeometryError("polyline has no non-degenerate segment")
+        for a in (self.start, self.end, self.step, self.step_sq, self.live, self.poly, self.seg):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _segment_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps b - a of segments [a, b] and their squared lengths, 1 for a
+    degenerate segment (whose projections are then 0 / 1 = 0)."""
+    d = b - a
+    seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    return d, np.where(seg_sq == 0.0, 1.0, seg_sq)
 
 
 class Nearest(NamedTuple):
@@ -150,23 +175,23 @@ class Nearest(NamedTuple):
         return int(self.poly[0]), float(self.dist[0]), int(self.seg[0])
 
 
-def closest_point_on_segment(p, a, b):
+def closest_point_on_segment(p, a, b=None):
     """Closest point to each query point on each closed segment [a_s, b_s].
 
     `p` holds K query points and `a`, `b` the endpoints of S segments, as
     (K, 2) and (S, 2) arrays or single points; the result is the (K, S, 2)
     array of foot points, or a Point2 when `p` and `a` are single points.  A
-    degenerate segment (a_s == b_s) gives a_s.
+    degenerate segment (a_s == b_s) gives a_s.  `a` may also be a
+    PolylineSet, whose segments are used as they are, with `b` omitted.
     """
     q, single = _as_xy(p)
-    a_xy, single_segment = _as_xy(a, "segment endpoint")
-    b_xy, _ = _as_xy(b, "segment endpoint")
-    d = b_xy - a_xy
-    seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    if isinstance(a, PolylineSet):
+        a_xy, d, seg_sq, single_segment = a.start, a.step, a.step_sq, False
+    else:
+        a_xy, single_segment = _as_xy(a, "segment endpoint")
+        d, seg_sq = _segment_steps(a_xy, _as_xy(b, "segment endpoint")[0])
     along = (q[:, None, 0] - a_xy[:, 0]) * d[:, 0] + (q[:, None, 1] - a_xy[:, 1]) * d[:, 1]
-    # along is 0 on a degenerate segment, so dividing by 1 there gives t = 0
-    t = along / np.where(seg_sq == 0.0, 1.0, seg_sq)
-    t = np.minimum(1.0, np.maximum(0.0, t))
+    t = np.minimum(1.0, np.maximum(0.0, along / seg_sq))
     foot = a_xy + t[..., None] * d
     if single and single_segment:
         return Point2(float(foot[0, 0, 0]), float(foot[0, 0, 1]))
@@ -194,11 +219,14 @@ def point_polyline_distance(p, pl):
     lowest segment index.
 
     Raises:
-        GeometryError: if the polyline has no non-degenerate segment.
+        GeometryError: if the polyline has no non-degenerate segment, or the
+            set is empty.
     """
     q, single = _as_xy(p)
     packed = pl if isinstance(pl, PolylineSet) else PolylineSet([pl])
-    foot = closest_point_on_segment(q, packed.start, packed.end)
+    if not packed:
+        raise GeometryError("no polyline to measure the distance to")
+    foot = closest_point_on_segment(_Checked(q), packed)
     dist = np.hypot(q[:, None, 0] - foot[..., 0], q[:, None, 1] - foot[..., 1])
     dist = np.where(packed.live, dist, np.inf)
     seg = np.argmin(dist, axis=1)
@@ -230,8 +258,8 @@ def angular_difference(v1, v2):
     return float(angle[0]) if single else angle
 
 
-def closest_polyline(p, pls: Sequence[Polyline]):
-    """Nearest polyline to each query point among `pls`.
+def closest_polyline(p, pls):
+    """Nearest polyline to each query point among Polylines or a PolylineSet.
 
     `p` is a (K, 2) array of query points; returns a `Nearest`, or for a
     single point the (polyline index, distance, segment index) triple.  None
@@ -241,24 +269,25 @@ def closest_polyline(p, pls: Sequence[Polyline]):
     q, single = _as_xy(p)
     if not pls:
         return None
-    packed = PolylineSet(pls)
-    dist, k, foot = point_polyline_distance(q, packed)
+    packed = pls if isinstance(pls, PolylineSet) else PolylineSet(pls)
+    dist, k, foot = point_polyline_distance(_Checked(q), packed)
     hit = Nearest(packed.poly[k], dist, packed.seg[k], foot, packed.start[k], packed.end[k])
     return hit.first() if single else hit
 
 
-def closest_polyline_within(p, pls: Sequence[Polyline], within: float):
+def closest_polyline_within(p, pls, within: float):
     """`closest_polyline`, with no polyline for a query whose nearest lies
     beyond `within` meters.
 
     In the array form those queries get polyline and segment index -1, while
     their distance, foot and endpoints still describe the nearest segment; a
-    single point gets None.
+    single point gets None.  Raises GeometryError unless `within` is positive
+    and finite.
     """
-    if within <= 0.0:
-        raise GeometryError(f"search range must be positive, got {within}")
+    if not (within > 0.0 and math.isfinite(within)):
+        raise GeometryError(f"search range must be positive and finite, got {within}")
     q, single = _as_xy(p)
-    hit = closest_polyline(q, pls)
+    hit = closest_polyline(_Checked(q), pls)
     if hit is None:
         return None
     near = hit.dist <= within

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import CheckpointError, ConfigError, ShapeError
-from .scene import Command, PlanTrajectory, Scenario, best_mode
+from .scene import Command, MapClass, PackedScene, PlanTrajectory, Scenario, best_mode
 
 # fixed input normalization so activations stay O(1) at scene scale
 POSITION_SCALE = 1.0 / 30.0
@@ -215,8 +215,6 @@ def _agent_features(scenario: Scenario) -> np.ndarray:
 
 
 def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    from .scene import MapClass
-
     kinds = [MapClass.LANE_DIVIDER, MapClass.ROAD_BOUNDARY, MapClass.PEDESTRIAN_CROSSING]
     rows = np.zeros((len(scenario.map), MAP_FEATURE_DIM))
     centroids = np.zeros((len(scenario.map), 2))
@@ -237,29 +235,38 @@ def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return rows, centroids
 
 
-def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> QueryFeatures:
+def scene_features(scene: Scenario | PackedScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The network's input rows of the whole scene: agent rows, map rows and
+    map centroids.  A packed scene holds them; a plain one builds them now."""
+    if isinstance(scene, PackedScene):
+        return scene.features
+    return _agent_features(scene), *_map_features(scene)
+
+
+def encode_queries(
+    scene: Scenario | PackedScene, p: dict[str, Tensor], tape: Tape
+) -> QueryFeatures:
     """Embed agents and map elements into query rows.
 
     Agents embed (position, heading, speed from the best mode, confidence);
     map elements embed (class one-hot, centroid, first-segment direction).
     Empty lists yield zero-row matrices that downstream blocks skip over.
     """
-    agent_rows = _agent_features(scenario)
-    map_rows, centroids = _map_features(scenario)
+    agent_rows, map_rows, centroids = scene_features(scene)
     agent_q = (
         _mlp(tape.leaf(agent_rows), p, "agent_enc")
-        if len(scenario.agents)
+        if len(agent_rows)
         else tape.leaf(np.zeros((0, p["agent_enc.w2"].shape[1])))
     )
     map_q = (
         _mlp(tape.leaf(map_rows), p, "map_enc")
-        if len(scenario.map)
+        if len(map_rows)
         else tape.leaf(np.zeros((0, p["map_enc.w2"].shape[1])))
     )
     return QueryFeatures(
         agent_queries=agent_q,
         map_queries=map_q,
-        agent_positions=agent_rows[:, :2] / POSITION_SCALE if len(scenario.agents) else np.zeros((0, 2)),
+        agent_positions=agent_rows[:, :2] / POSITION_SCALE,
         map_positions=centroids,
         ego_position=np.zeros((1, 2)),
     )
@@ -332,8 +339,9 @@ def plan_head(
     return ad.scalar_mul(out, OUTPUT_SCALE)
 
 
-def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult:
+def forward_plan(scene: Scenario | PackedScene, params: InteractionParams) -> ForwardResult:
     """Run the full interaction pipeline and return the plan plus its tape."""
+    scenario = scene.scenario if isinstance(scene, PackedScene) else scene
     config = params.config
     if scenario.t_future != config.t_future:
         raise ConfigError(
@@ -345,7 +353,7 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     tape = Tape()
     p = {name: tape.param(arr) for name, arr in params.tensors.items()}
 
-    features = encode_queries(scenario, p, tape)
+    features = encode_queries(scene, p, tape)
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .interact import (
     forward_plan,
     plan_gradient_seed,
 )
-from .scene import GeneratorConfig, Scenario, generate_scenario
+from .scene import GeneratorConfig, Scenario, generate_scenario, pack
 
 PROB_CLAMP = 1e-7
 
@@ -214,11 +214,7 @@ class EpochStats:
     val_collision_rate: float
 
 
-TRAIN_LOG_COLUMNS = [
-    "epoch", "lr", "loss_total", "loss_imitation", "loss_collision",
-    "loss_boundary", "loss_direction", "loss_map", "loss_motion",
-    "val_l2_avg", "val_collision_rate",
-]
+TRAIN_LOG_COLUMNS = [f.name for f in fields(EpochStats)]
 
 
 @dataclass
@@ -228,15 +224,8 @@ class TrainLog:
     def to_table(self) -> str:
         lines = [",".join(TRAIN_LOG_COLUMNS)]
         for e in self.epochs:
-            lines.append(
-                ",".join(
-                    [str(e.epoch)]
-                    + [
-                        repr(getattr(e, c))
-                        for c in TRAIN_LOG_COLUMNS[1:]
-                    ]
-                )
-            )
+            row = [str(e.epoch)] + [repr(getattr(e, c)) for c in TRAIN_LOG_COLUMNS[1:]]
+            lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
     def regression_epochs(self, window: int = 5, warmup: int = 10) -> list[int]:
@@ -368,8 +357,9 @@ def train(
     """End-to-end training of the interaction planner on generated scenes.
 
     Deterministic for a given config: scenario seeds, parameter init, and the
-    per-epoch shuffle all derive from `config.seed`.  Aborts with
-    TrainingDivergedError if a loss goes non-finite.
+    per-epoch shuffle all derive from `config.seed`.  Each training scene is
+    packed once for the whole run.  Aborts with TrainingDivergedError if a
+    loss goes non-finite.
     """
     if interact_config is None:
         interact_config = InteractionConfig(t_future=gen_config.t_future)
@@ -381,7 +371,7 @@ def train(
     train_seeds, val_seeds, shuffle_ss = _scenario_seeds(
         config.seed, config.train_scenarios, config.val_scenarios
     )
-    train_set = [generate_scenario(s, gen_config) for s in train_seeds]
+    train_set = [pack(generate_scenario(s, gen_config), cparams) for s in train_seeds]
     val_set = [generate_scenario(s, gen_config) for s in val_seeds]
 
     params = InteractionParams.initialize(interact_config, seed=config.seed)
@@ -401,13 +391,13 @@ def train(
         sums = {"total": 0.0, "imitation": 0.0, "collision": 0.0, "boundary": 0.0,
                 "direction": 0.0, "map": 0.0, "motion": 0.0}
         for idx in order:
-            scenario = train_set[idx]
-            result = forward_plan(scenario, params)
-            plan_loss = total_planning_loss(result.plan, scenario, cparams, weights)
+            packed = train_set[idx]
+            result = forward_plan(packed, params)
+            plan_loss = total_planning_loss(result.plan, packed, cparams, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
             if config.enable_aux_heads:
-                map_value, motion_value, aux_seeds = _aux_losses(result, scenario, weights)
+                map_value, motion_value, aux_seeds = _aux_losses(result, packed.scenario, weights)
                 seeds.extend(aux_seeds)
                 step_total += weights.map * map_value + weights.motion * motion_value
                 sums["map"] += map_value

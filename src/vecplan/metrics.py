@@ -259,27 +259,11 @@ class AblationReport:
     def to_csv(self) -> str:
         lines = [",".join(self.CSV_COLUMNS)]
         for row in self.rows:
-            arm = row.arm
-            m = row.metrics
-            lines.append(
-                ",".join(
-                    [arm.name]
-                    + [
-                        str(int(v))
-                        for v in (
-                            arm.agent_interaction,
-                            arm.map_interaction,
-                            arm.collision_constraint,
-                            arm.boundary_constraint,
-                            arm.direction_constraint,
-                        )
-                    ]
-                    + [repr(v) for v in m.l2.values]
-                    + [repr(m.l2.avg)]
-                    + [repr(v) for v in m.collision.values]
-                    + [repr(m.collision.avg)]
-                )
-            )
+            arm, m = row.arm, row.metrics
+            toggles = (arm.agent_interaction, arm.map_interaction, arm.collision_constraint,
+                       arm.boundary_constraint, arm.direction_constraint)
+            values = [*m.l2.values, m.l2.avg, *m.collision.values, m.collision.avg]
+            lines.append(",".join([arm.name, *(str(int(t)) for t in toggles), *map(repr, values)]))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

@@ -15,12 +15,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import Point2, Polyline, oriented_rect_overlap, pose_track
+from .geometry import Point2, Polyline, PolylineSet, oriented_rect_overlap, pose_track
 
 SCHEMA_VERSION = 1
 
@@ -273,6 +274,42 @@ def ego_vectors(plan: PlanTrajectory, origin: Point2 = Point2(0.0, 0.0)) -> np.n
     out[0] = w[0] - np.array([origin.x, origin.y])
     out[1:] = w[1:] - w[:-1]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class PackedScene:
+    """A scenario in the arrays that its losses and the network compute on,
+    built once by `pack`: the best-mode tracks of the agents and one
+    PolylineSet each of the road boundaries and lane dividers that pass the
+    confidence thresholds, and the network's input rows of the whole scene.
+    """
+
+    scenario: Scenario
+    thresholds: tuple[float, float]  # (agent, map) minimum confidence
+    agent_tracks: np.ndarray  # (A, T_f, 2), read-only
+    boundaries: PolylineSet
+    dividers: PolylineSet
+
+    @cached_property
+    def features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The network's input rows (`interact.scene_features`), built on first use."""
+        from .interact import scene_features  # the network module builds on this one
+
+        return scene_features(self.scenario)
+
+
+def pack(scenario: Scenario, params) -> PackedScene:
+    """`scenario` packed under the confidence thresholds of `params`, a
+    `constraints.ConstraintParams`."""
+    thresholds = (params.agent_min_confidence, params.map_min_confidence)
+    agents = filter_agents(scenario.agents, thresholds[0])
+    tracks = np.array([best_mode(a) for a in agents]).reshape(len(agents), scenario.t_future, 2)
+    tracks.flags.writeable = False
+    boundaries, dividers = (
+        PolylineSet([mv.points for mv in filter_map(scenario.map, thresholds[1], kind)])
+        for kind in (MapClass.ROAD_BOUNDARY, MapClass.LANE_DIVIDER)
+    )
+    return PackedScene(scenario, thresholds, tracks, boundaries, dividers)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,11 @@ from .geometry import Point2, Polyline, Poses, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_boxes, pose_oversteps_boundary
 from .scene import (
-    AgentPrediction,
     EgoState,
     MapClass,
-    MapVector,
     PlanTrajectory,
     Scenario,
+    pack,
 )
 
 
@@ -138,12 +137,7 @@ def _build_view(
     """Re-express the world scenario in the ego frame at the given pose."""
     t_f = scenario.t_future
     new_map = [
-        MapVector(
-            kind=mv.kind,
-            points=Polyline(world_to_ego(mv.points.xy(), position, heading)),
-            confidence=mv.confidence,
-            drivable_side=mv.drivable_side,
-        )
+        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy(), position, heading)))
         for mv in scenario.map
     ]
     new_agents = []
@@ -151,20 +145,16 @@ def _build_view(
     for i, agent in enumerate(scenario.agents):
         local_pos = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
         modes = np.stack(
-            [
-                world_to_ego(_pad_future(mode, tick, t_f), position, heading)
-                for mode in agent.modes
-            ]
+            [world_to_ego(_pad_future(mode, tick, t_f), position, heading) for mode in agent.modes]
         )
         future = world_to_ego(
             _pad_future(scenario.agent_gt_futures[i], tick, t_f), position, heading
         )
         new_agents.append(
-            AgentPrediction(
+            dataclasses.replace(
+                agent,
                 position=Point2(float(local_pos[0]), float(local_pos[1])),
                 heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
-                size=agent.size,
-                confidence=agent.confidence,
                 modes=modes,
                 mode_scores=agent.mode_scores.copy(),
             )
@@ -179,14 +169,9 @@ def _build_view(
         steering_angle=steering,
         command=scenario.ego.command,
     )
-    return Scenario(
-        map=new_map,
-        agents=new_agents,
-        agent_gt_futures=new_futures,
-        ego=ego,
-        expert=expert,
-        horizon_dt=scenario.horizon_dt,
-        perception_range=scenario.perception_range,
+    return dataclasses.replace(
+        scenario, map=new_map, agents=new_agents, agent_gt_futures=new_futures,
+        ego=ego, expert=expert,
     )
 
 
@@ -308,8 +293,8 @@ def refine_trajectory(
     expert term.  Waypoints are clamped to the perception range after every
     step, and the best iterate seen (by objective value) is returned, so the
     result never scores worse than the seed.  The objective runs once per
-    iterate: the evaluation that scores an iterate also gives the gradient
-    of the next step.
+    iterate, on the scene packed once for the whole descent: the evaluation
+    that scores an iterate also gives the gradient of the next step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -318,9 +303,10 @@ def refine_trajectory(
     long_half = scenario.perception_range[0] / 2.0
     lat_half = scenario.perception_range[1] / 2.0
     no_imitation = dataclasses.replace(weights, imitation=0.0)
+    packed = pack(scenario, params)
 
     def objective(plan: PlanTrajectory) -> LossResult:
-        res = total_planning_loss(plan, scenario, params, no_imitation)
+        res = total_planning_loss(plan, packed, params, no_imitation)
         smooth = smoothness_loss(plan)
         return LossResult(
             res.value + weights.imitation * smooth.value,
@@ -380,22 +366,10 @@ class RolloutLog:
     def to_table(self) -> str:
         lines = [",".join(ROLLOUT_COLUMNS)]
         for r in self.records:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.tick),
-                        repr(r.ego_position.x),
-                        repr(r.ego_position.y),
-                        repr(r.ego_heading),
-                        str(int(r.collision)),
-                        str(int(r.boundary_overstep)),
-                        repr(r.losses["collision"]),
-                        repr(r.losses["boundary"]),
-                        repr(r.losses["direction"]),
-                        repr(r.losses["imitation"]),
-                    ]
-                )
-            )
+            pose = [repr(v) for v in (r.ego_position.x, r.ego_position.y, r.ego_heading)]
+            flags = [str(int(r.collision)), str(int(r.boundary_overstep))]
+            losses = [repr(r.losses[c.removeprefix("loss_")]) for c in ROLLOUT_COLUMNS[6:]]
+            lines.append(",".join([str(r.tick), *pose, *flags, *losses]))
         return "\n".join(lines) + "\n"
 
 

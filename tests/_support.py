@@ -12,8 +12,25 @@ import math
 import numpy as np
 
 from vecplan.constraints import ConstraintParams
-from vecplan.geometry import Point2, Polyline, closest_point_on_segment, point_segment_distance
-from vecplan.scene import AgentPrediction, MapClass, MapVector, PlanTrajectory
+from vecplan.geometry import (
+    Point2,
+    Polyline,
+    angular_difference,
+    closest_point_on_segment,
+    closest_polyline,
+    closest_polyline_within,
+    point_segment_distance,
+)
+from vecplan.scene import (
+    AgentPrediction,
+    MapClass,
+    MapVector,
+    PlanTrajectory,
+    best_mode,
+    ego_vectors,
+    filter_agents,
+    filter_map,
+)
 
 MARGIN = 1e-3
 FD_STEP = 1e-5
@@ -281,3 +298,81 @@ def sat_margin_oracle(center1, heading1, dims1, center2, heading2, dims2) -> flo
             reach = half_extent(heading1, dims1, axis) + half_extent(heading2, dims2, axis)
             margin = min(margin, reach - gap)
     return margin
+
+
+def unpacked_planning_loss(plan, scenario, params, weights):
+    """The planning objective computed the way it was before scenes were
+    packed: filter the scene, stack the best modes and list the polylines on
+    every call.  Returns {term: (value, grad)} for the four terms and
+    "total", the reference that the packed losses must match bit for bit."""
+    w = plan.waypoints
+    t_f = w.shape[0]
+    agents = filter_agents(scenario.agents, params.agent_min_confidence)
+    boundaries = filter_map(scenario.map, params.map_min_confidence, MapClass.ROAD_BOUNDARY)
+    dividers = filter_map(scenario.map, params.map_min_confidence, MapClass.LANE_DIVIDER)
+    terms = {}
+
+    grad = np.zeros_like(w)
+    total = 0.0
+    if agents:
+        delta = np.stack([best_mode(a) for a in agents]) - w
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        candidate = dist <= params.agent_search_range
+        if params.collision_mode == "single_nearest":
+            nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
+            candidate &= np.arange(len(agents))[:, None] == nearest
+        steps = np.arange(t_f)
+        for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
+            gap = np.where(candidate, np.abs(delta[..., axis]), np.inf)
+            j = np.argmin(gap, axis=0)
+            d = gap[j, steps]
+            active = d < margin
+            total += float((margin - d[active]).sum())
+            grad[active, axis] = np.sign(delta[j, steps, axis][active])
+    terms["collision"] = (total / t_f, grad / t_f)
+
+    grad = np.zeros_like(w)
+    total = 0.0
+    if boundaries:
+        hit = closest_polyline(w, [mv.points for mv in boundaries])
+        active = hit.dist < params.boundary_clearance
+        total = float((params.boundary_clearance - hit.dist[active]).sum())
+        pull = active & (hit.dist > 0.0)
+        grad[pull] = -(w[pull] - hit.foot[pull]) / hit.dist[pull, None]
+    terms["boundary"] = (total / t_f, grad / t_f)
+
+    grad = np.zeros_like(w)
+    total = 0.0
+    if dividers:
+        hit = closest_polyline_within(
+            w, [mv.points for mv in dividers], params.divider_search_range
+        )
+        vectors = ego_vectors(plan)
+        moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
+        active = np.flatnonzero((hit.poly >= 0) & moving)
+        if active.size:
+            lane_dir = hit.end[active] - hit.start[active]
+            v = vectors[active]
+            total = float(angular_difference(lane_dir, v).sum())
+            cross = lane_dir[:, 0] * v[:, 1] - lane_dir[:, 1] * v[:, 0]
+            norm_sq = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+            g_v = np.zeros_like(w)
+            g_v[active] = (
+                np.sign(cross)[:, None] * np.column_stack([-v[:, 1], v[:, 0]]) / norm_sq[:, None]
+            )
+            grad += g_v
+            grad[:-1] -= g_v[1:]
+    terms["direction"] = (total / t_f, grad / t_f)
+
+    diff = w - scenario.expert
+    terms["imitation"] = (float(np.abs(diff).sum() / t_f), np.sign(diff) / t_f)
+
+    col, bd, dr, imi = (terms[k] for k in ("collision", "boundary", "direction", "imitation"))
+    terms["total"] = tuple(
+        weights.collision * col[i]
+        + weights.boundary * bd[i]
+        + weights.direction * dr[i]
+        + weights.imitation * imi[i]
+        for i in (0, 1)
+    )
+    return terms

@@ -9,9 +9,11 @@ from _support import (
     sample_collision_config,
     sample_direction_config,
     sample_imitation_config,
+    unpacked_planning_loss,
 )
 
 from vecplan.constraints import (
+    COLLISION_MODES,
     ConstraintParams,
     LossWeights,
     boundary_loss,
@@ -24,10 +26,13 @@ from vecplan.errors import ShapeError
 from vecplan.geometry import Point2, Polyline
 from vecplan.scene import (
     AgentPrediction,
+    GeneratorConfig,
     MapClass,
     MapVector,
     PlanTrajectory,
+    Scenario,
     generate_scenario,
+    pack,
 )
 
 PAPER_PARAMS = ConstraintParams()  # thresholds 0.5/0.5, 3.0, 1.0, 2.0, 1.5, 3.0
@@ -395,6 +400,117 @@ class TestTotalPlanningLoss:
         assert res.breakdown["collision"] == 0.0
         assert res.breakdown["boundary"] == 0.0
         assert res.breakdown["direction"] == 0.0
+
+
+def _packed_terms(plan, scenario, params, weights):
+    """{term: (value, grad)} of the losses on the packed scene, as the
+    reference `unpacked_planning_loss` returns them."""
+    packed = pack(scenario, params)
+    total = total_planning_loss(plan, packed, params, weights)
+    terms = {
+        "collision": collision_loss(plan, packed.agent_tracks, params),
+        "boundary": boundary_loss(plan, packed.boundaries, params),
+        "direction": direction_loss(plan, packed.dividers, params),
+        "imitation": imitation_loss(plan, packed.scenario.expert),
+        "total": total,
+    }
+    for name in ("collision", "boundary", "direction", "imitation"):
+        assert total.breakdown[name] == terms[name].value
+    return {name: (res.value, res.grad) for name, res in terms.items()}
+
+
+class TestPackedScene:
+    # confidences spread over [0, 1) so the 0.5 threshold keeps some of the
+    # scene and the 1.0 threshold none of it
+    SPREAD = dict(agent_confidence_range=(0.0, 0.99), map_confidence_range=(0.0, 0.99))
+    CONFIGS = {
+        "default": GeneratorConfig(**SPREAD),
+        "dense": GeneratorConfig(agent_count_range=(8, 12), **SPREAD),
+        "agent_free": GeneratorConfig(agent_count_range=(0, 0), **SPREAD),
+        "map_free": GeneratorConfig(**SPREAD),
+    }
+
+    @staticmethod
+    def _scene(kind, seed):
+        s = generate_scenario(seed, TestPackedScene.CONFIGS[kind])
+        if kind == "map_free":
+            s = Scenario(
+                map=[], agents=s.agents, agent_gt_futures=s.agent_gt_futures, ego=s.ego,
+                expert=s.expert, horizon_dt=s.horizon_dt, perception_range=s.perception_range,
+            )
+        return s
+
+    def test_bit_equal_to_unpacked_reference(self):
+        rng = np.random.default_rng(2024)
+        thresholds = (0.0, 0.5, 1.0)
+        scenes = 0
+        for kind in self.CONFIGS:
+            for seed in range(52):
+                s = self._scene(kind, 100 * seed + 7)
+                scenes += 1
+                for i, threshold in enumerate(thresholds):
+                    # every (agent, map) pair of thresholds over three seeds
+                    params = ConstraintParams(
+                        agent_min_confidence=threshold,
+                        map_min_confidence=thresholds[(i + seed) % 3],
+                        collision_mode=COLLISION_MODES[seed % 2],
+                    )
+                    weights = LossWeights(*rng.uniform(0.0, 2.0, size=6))
+                    # plans near the expert, where the hinges fire
+                    plan = PlanTrajectory(s.expert + rng.normal(0.0, 1.5, s.expert.shape))
+                    want = unpacked_planning_loss(plan, s, params, weights)
+                    got = _packed_terms(plan, s, params, weights)
+                    # a plain scenario is packed on entry, by the same code
+                    plain = total_planning_loss(plan, s, params, weights)
+                    got["plain"] = (plain.value, plain.grad)
+                    want["plain"] = want["total"]
+                    for name, (value, grad) in want.items():
+                        assert got[name][0] == value, (kind, seed, params, name)
+                        assert np.array_equal(got[name][1], grad), (kind, seed, params, name)
+        assert scenes >= 200
+
+    @pytest.mark.parametrize("kind", ["agent_free", "map_free", "filtered_out"])
+    def test_empty_parts_are_no_term(self, kind):
+        threshold = 1.0 if kind == "filtered_out" else 0.0
+        params = ConstraintParams(agent_min_confidence=threshold, map_min_confidence=threshold)
+        s = self._scene("default" if kind == "filtered_out" else kind, 3)
+        packed = pack(s, params)
+        plan = PlanTrajectory(s.expert + 0.3)
+        empty = []
+        if kind != "map_free":
+            assert len(packed.agent_tracks) == 0
+            empty.append(collision_loss(plan, packed.agent_tracks, params))
+        if kind != "agent_free":
+            assert len(packed.boundaries) == 0 and len(packed.dividers) == 0
+            empty.append(boundary_loss(plan, packed.boundaries, params))
+            empty.append(direction_loss(plan, packed.dividers, params))
+        for res in empty:
+            assert res.value == 0.0
+            assert np.array_equal(res.grad, np.zeros_like(plan.waypoints))
+        res = total_planning_loss(plan, packed, params, LossWeights())
+        zero = {
+            "agent_free": ["collision"],
+            "map_free": ["boundary", "direction"],
+            "filtered_out": ["collision", "boundary", "direction"],
+        }[kind]
+        assert all(res.breakdown[name] == 0.0 for name in zero)
+
+    def test_pack_is_read_only(self):
+        packed = pack(generate_scenario(4), PAPER_PARAMS)
+        assert packed.agent_tracks.shape == (len(packed.scenario.agents), 6, 2)
+        for a in (packed.agent_tracks, packed.boundaries.start, packed.dividers.end):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        with pytest.raises(AttributeError):
+            packed.agent_tracks = np.zeros((0, 6, 2))
+
+    def test_thresholds_must_match(self):
+        s = generate_scenario(8)
+        packed = pack(s, PAPER_PARAMS)
+        plan = PlanTrajectory(s.expert)
+        with pytest.raises(ValueError, match="confidence thresholds"):
+            other = ConstraintParams(map_min_confidence=0.2)
+            total_planning_loss(plan, packed, other, LossWeights())
 
 
 class TestConstraintParams:

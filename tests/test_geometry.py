@@ -10,6 +10,7 @@ from vecplan.errors import GeometryError
 from vecplan.geometry import (
     Point2,
     Polyline,
+    PolylineSet,
     angular_difference,
     closest_point_on_segment,
     closest_polyline,
@@ -188,6 +189,11 @@ class TestClosestPolylineWithin:
         with pytest.raises(GeometryError):
             closest_polyline_within(P(0, 0), [Polyline([P(0, 0), P(1, 0)])], 0.0)
 
+    @pytest.mark.parametrize("within", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_range_rejected(self, within):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            closest_polyline_within(P(0, 0), [Polyline([P(0, 0), P(1, 0)])], within)
+
     def test_matches_brute_force_on_random_scenes(self):
         rng = np.random.default_rng(7)
         for _ in range(120):
@@ -236,6 +242,49 @@ def _random_polylines(rng, n_pl):
             pts = np.insert(pts, k, pts[k], axis=0)
         pls.append(Polyline(pts))
     return pls
+
+
+class TestPolylineSet:
+    def test_empty_set_finds_nothing(self):
+        empty = PolylineSet([])
+        assert len(empty) == 0 and not empty
+        queries = np.array([[0.0, 0.0], [1.0, 2.0]])
+        for p in (P(0, 0), queries):
+            assert closest_polyline(p, empty) is None
+            assert closest_polyline_within(p, empty, 2.0) is None
+        with pytest.raises(GeometryError):
+            point_polyline_distance(queries, empty)
+
+    def test_search_matches_the_list_it_packs(self):
+        rng = np.random.default_rng(3)
+        pls = [Polyline(rng.uniform(-10, 10, size=(int(n), 2))) for n in (2, 5, 9)]
+        packed = PolylineSet(pls)
+        assert len(packed) == 3
+        queries = rng.uniform(-12, 12, size=(16, 2))
+        for got, want in (
+            (closest_polyline(queries, packed), closest_polyline(queries, pls)),
+            (
+                closest_polyline_within(queries, packed, 3.0),
+                closest_polyline_within(queries, pls, 3.0),
+            ),
+        ):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(
+            closest_point_on_segment(queries, packed),
+            closest_point_on_segment(queries, packed.start, packed.end),
+        )
+        assert np.array_equal(packed.seg, np.concatenate([np.arange(len(p) - 1) for p in pls]))
+
+    def test_arrays_are_read_only(self):
+        packed = PolylineSet([Polyline([P(0, 0), P(1, 0), P(1, 1)])])
+        for name in ("start", "end", "step", "step_sq", "live", "poly", "seg"):
+            with pytest.raises(ValueError):
+                getattr(packed, name)[...] = 0
+
+    def test_polyline_without_live_segment_rejected(self):
+        dead = Polyline([P(1, 1), P(1, 1), P(1, 1)])
+        with pytest.raises(GeometryError, match="non-degenerate"):
+            PolylineSet([Polyline([P(0, 0), P(1, 0)]), dead])
 
 
 class TestArrayChain:

@@ -178,6 +178,21 @@ class TestForwardPlan:
         assert r1.plan.waypoints.shape == (SMALL.t_future, 2)
         np.testing.assert_array_equal(r1.plan.waypoints, r2.plan.waypoints)
 
+    def test_packed_scene_plans_bit_equal(self):
+        from vecplan.constraints import ConstraintParams
+        from vecplan.scene import pack
+
+        params = small_params()
+        for seed, agents in ((10, (2, 8)), (11, (8, 12)), (12, (0, 0))):
+            s = scenario_with(seed, agent_count_range=agents)
+            packed = pack(s, ConstraintParams(agent_min_confidence=1.0, map_min_confidence=1.0))
+            # the network sees the whole scene, whatever the thresholds keep
+            got, want = forward_plan(packed, params), forward_plan(s, params)
+            assert got.plan == want.plan
+            for g, w in zip(got.features.agent_positions, want.features.agent_positions):
+                assert np.array_equal(g, w)
+            assert packed.features is packed.features  # built once
+
     def test_empty_scene_still_plans(self):
         s = scenario_with(8, agent_count_range=(0, 0))
         empty = Scenario(

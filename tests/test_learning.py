@@ -248,6 +248,22 @@ class TestTrainLoop:
         assert log.epochs[0].loss_map > 0.0
         assert log.epochs[0].loss_motion > 0.0
 
+    def test_each_training_scene_packed_once(self, monkeypatch):
+        from vecplan import learning
+
+        packed = []
+        pack = learning.pack
+
+        def counted(scenario, params):
+            packed.append(scenario)
+            return pack(scenario, params)
+
+        monkeypatch.setattr(learning, "pack", counted)
+        config = tiny_train_config(epochs=3, train_scenarios=5)
+        train(config, TINY_GEN, TINY_NET)
+        assert len(packed) == config.train_scenarios
+        assert len({id(s) for s in packed}) == config.train_scenarios
+
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ConfigError):
             train(tiny_train_config(), TINY_GEN, InteractionConfig(d_model=8, t_future=9))
