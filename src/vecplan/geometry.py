@@ -13,6 +13,18 @@ gets scalar results.  The separating-axis test (`oriented_rect_margin`,
 `oriented_rect_overlap`) and `rect_corners` likewise broadcast over box
 arrays, with a scalar box as the one-box case.  A pose track is a `Poses`
 pair of arrays, (T, 2) positions and (T,) headings, never a list of points.
+
+The separating-axis test runs on box frames (`BoxFrame`): each box's
+center, cos/sin, axes, half dims, half-extents on its own axes and circle
+radii, checked and built once by `box_frame` or `swept_box_frame`.  The two
+box kernels take two frames, or build them from raw (center, heading, dims)
+triples.  Before the test, `oriented_rect_overlap` decides what it can by
+circle bounds: centers closer than the sum of the inscribed radii overlap,
+and centers further apart than the sum of the circumscribed radii do not.
+Each bound is widened by a slack of 1e-12 times the box's center distance
+from the origin plus its circumscribed radius, far above the few ulps by
+which the SAT and the center distance can round, so a bound decides a call
+only where the SAT would give the same answer.
 """
 
 from __future__ import annotations
@@ -89,6 +101,12 @@ class Polyline:
         return f"Polyline({len(self.points)} points)"
 
 
+def _all(mask) -> bool:
+    """`mask.all()` without the call overhead of a ufunc reduction, which
+    dominates on the small arrays the kernels check."""
+    return np.count_nonzero(mask) == np.size(mask)
+
+
 class _Checked(NamedTuple):
     xy: np.ndarray  # (K, 2) points `_as_xy` has checked, passed down the chain
 
@@ -111,7 +129,7 @@ def _as_xy(p, what: str = "query point") -> tuple[np.ndarray, bool]:
         xy = xy[None, :]
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise GeometryError(f"{what}s must have shape (K, 2), got {xy.shape}")
-    if not np.isfinite(xy).all():
+    if not _all(np.isfinite(xy)):
         raise GeometryError(f"non-finite {what}")
     return xy, single
 
@@ -358,47 +376,173 @@ def _box_arrays(center, heading, dims):
         raise GeometryError(
             f"box centers and dims must have shape (..., 2), got {xy.shape} and {d.shape}"
         )
-    if not (np.isfinite(xy).all() and np.isfinite(h).all() and np.isfinite(d).all()):
+    if not (_all(np.isfinite(xy)) and _all(np.isfinite(h)) and _all(np.isfinite(d))):
         raise GeometryError("non-finite box center, heading or dims")
-    if not (d > 0.0).all():
+    if not _all(d > 0.0):
         raise GeometryError("rectangle dims must be positive")
     return xy, h, d
+
+
+# Relative slack of the circle bounds.  The separating-axis margin and the
+# center distance each carry a rounding error of a few ulps of the
+# coordinates and dims they are computed from; widening every bound by this
+# much of them keeps the bounds from deciding a pair that rounding could
+# make the SAT decide the other way.
+_SLACK = 1e-12
+
+
+class BoxFrame(NamedTuple):
+    """Per-box quantities of the separating-axis test and its circle bounds,
+    built once per box by `box_frame` or `swept_box_frame`.
+
+    Fields marked (...) are box-shaped.  Fields marked (2, ...) stack, in
+    front, one value per axis of the box itself (length, width): the
+    separating-axis arithmetic then runs over contiguous box arrays.  A field
+    may lack leading box axes where the box's inputs did (dims shared by every
+    box, say); it broadcasts.
+    """
+
+    x: np.ndarray  # (...) center x
+    y: np.ndarray  # (...) center y
+    c: np.ndarray  # (...) cos of the heading
+    s: np.ndarray  # (...) sin of the heading
+    inner: np.ndarray  # (...) inscribed radius, less the box's slack
+    outer: np.ndarray  # (...) circumscribed radius, plus the box's slack
+    ax: np.ndarray  # (2, ...) x components of the length and width axes
+    ay: np.ndarray  # (2, ...) y components of them
+    half: np.ndarray  # (2, ...) half length, half width
+    own: np.ndarray  # (2, ...) the box's half-extent on each of its own axes
+
+    @classmethod
+    def empty(cls, shape: tuple[int, ...]) -> "BoxFrame":
+        """Unfilled frames of `shape` boxes, to fill with `put`."""
+        box, pair = tuple(shape), (2,) + tuple(shape)
+        return cls(*[np.empty(box) for _ in range(_BOX_FIELDS)],
+                   *[np.empty(pair) for _ in range(len(cls._fields) - _BOX_FIELDS)])
+
+    def head(self, n: int) -> "BoxFrame":
+        """The first `n` boxes along the leading box axis, as views."""
+        return BoxFrame(*[a[:n] for a in self[:_BOX_FIELDS]],
+                        *[a[:, :n] for a in self[_BOX_FIELDS:]])
+
+    def put(self, i: int, frame: "BoxFrame") -> None:
+        """Copy `frame` into box `i` along the leading box axis, broadcast."""
+        for row, value in zip(self[:_BOX_FIELDS], frame[:_BOX_FIELDS]):
+            row[i] = value
+        for row, value in zip(self[_BOX_FIELDS:], frame[_BOX_FIELDS:]):
+            row[:, i] = _lead(value, row.ndim - 2)
+
+
+_BOX_FIELDS = 6  # BoxFrame fields before the (2, ...) ones
 
 
 def _lead(a: np.ndarray, rank: int) -> np.ndarray:
     """`a` with its first axis kept in front and the rest right-aligned to
     `rank` axes, so it broadcasts against arrays of that many axes."""
+    if a.ndim == rank + 1:
+        return a
     return a.reshape(a.shape[:1] + (1,) * (rank + 1 - a.ndim) + a.shape[1:])
 
 
-def _box_frame(h, d, rank: int):
-    """Per-box quantities of the separating-axis test, each computed once.
+def box_frame(center, heading, dims) -> BoxFrame:
+    """The `BoxFrame` of oriented rectangles: (..., 2) centers, (...)
+    headings and (..., 2) dims (length, width), broadcast as in
+    `oriented_rect_margin`.
 
-    Returns cos and sin of the headings, then (2, ...) arrays stacked over the
-    box's own two axes (length, width): their x and y components, the half
-    dims (half length, half width) and the box's half-extent on each of them.
+    Raises:
+        GeometryError: on a center or dims whose last axis is not 2, a
+            non-finite value or a non-positive dimension.
     """
+    return _frame(*_box_arrays(center, heading, dims))
+
+
+def swept_box_frame(track, start, heading: float, dims) -> BoxFrame:
+    """The `BoxFrame` of a box of (length, width) `dims` swept along a track:
+    at `start` (a Point2 or 2-vector) with `heading`, then at each point of
+    the (T, 2) `track` that leaves it, headed as `pose_track` heads them, so
+    T + 1 boxes.
+
+    Each input is checked once, here, and the frame is built from the
+    checked arrays.
+
+    Raises:
+        GeometryError: on a non-finite start, heading or track point, or dims
+            that are not a positive, finite pair.
+    """
+    try:
+        (x0, y0), (length, width) = start, dims
+        valid = (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(heading)
+                 and 0.0 < length < math.inf and 0.0 < width < math.inf)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise GeometryError(f"bad swept box: start {start!r}, heading {heading!r}, dims {dims!r}")
+    xy = np.concatenate(([(x0, y0)], _as_xy(track, "track point")[0]))
+    poses = pose_track(_Checked(xy), (x0, y0), heading)
+    return _frame(poses.xy, poses.heading, np.array((length, width), dtype=np.float64))
+
+
+def _frame(xy: np.ndarray, h: np.ndarray, d: np.ndarray, bounds: bool = True) -> BoxFrame:
+    """`box_frame` of checked float64 arrays.  Without `bounds`, the frame
+    serves the separating-axis test alone and its circle radii are None."""
+    if h.shape != xy.shape[:-1]:
+        # the centers span every box, so the circle bounds see every pair
+        xy = np.broadcast_to(xy, np.broadcast_shapes(xy.shape[:-1], h.shape) + (2,))
+    x, y = xy[..., 0], xy[..., 1]
     sc = np.empty((3,) + h.shape)  # sin, cos, -sin
     s = np.sin(h, out=sc[0, ...])
     c = np.cos(h, out=sc[1, ...])
     np.negative(s, out=sc[2, ...])
-    sc = _lead(sc, rank)
-    half = _lead(0.5 * d.transpose((d.ndim - 1, *range(d.ndim - 1))), rank)
+    half = 0.5 * d.transpose((d.ndim - 1, *range(d.ndim - 1)))
     # on its own axes a box reaches half length * |c c + s s| (length axis)
     # and half width * |s s + c c| (width axis): the other term, |-s c + c s|,
     # is exactly 0
-    return c, s, sc[1:], sc[:2], half, half * (c * c + s * s)
+    own = _lead(half, max(d.ndim - 1, h.ndim)) * (c * c + s * s)
+    inner = outer = None
+    if bounds:
+        r_out = np.hypot(half[0], half[1])
+        slack = _SLACK * (np.hypot(x, y) + r_out)
+        inner, outer = np.minimum(half[0], half[1]) - slack, r_out + slack
+    return BoxFrame(x, y, c, s, inner, outer, sc[1:], sc[:2], half, own)
 
 
-def oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2):
+def _frames(boxes, bounds: bool) -> tuple[BoxFrame, BoxFrame]:
+    """Two BoxFrames, given as they are or as six raw box arguments."""
+    if len(boxes) == 2 and isinstance(boxes[0], BoxFrame) and isinstance(boxes[1], BoxFrame):
+        return boxes
+    if len(boxes) != 6:
+        raise TypeError(f"expected two BoxFrames or six box arguments, got {len(boxes)}")
+    return (_frame(*_box_arrays(*boxes[:3]), bounds), _frame(*_box_arrays(*boxes[3:]), bounds))
+
+
+def _sat_margin(f1: BoxFrame, f2: BoxFrame, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Separating-axis margins of each broadcast pair of boxes, whose center
+    gaps are `dx`, `dy` (box 2 minus box 1)."""
+    rank = max(f1.x.ndim, f1.own.ndim - 1, f2.x.ndim, f2.own.ndim - 1)
+    ax1, ay1, half1, own1 = [_lead(a, rank) for a in f1[_BOX_FIELDS:]]
+    ax2, ay2, half2, own2 = [_lead(a, rank) for a in f2[_BOX_FIELDS:]]
+    # |cos| and |sin| of the heading difference: |c2 c1 + s2 s1| and
+    # |c2 (-s1) + s2 c1| = |s2 c1 - c2 s1|
+    cos_d, sin_d = np.abs(f2.c * ax1 + f2.s * ay1)
+    # box 2 reaches half length * cos_d + half width * sin_d along box 1's
+    # length axis and the swapped sum along its width axis
+    reach1 = own1 + (half2 * cos_d + half2[::-1] * sin_d)
+    reach2 = (half1 * cos_d + half1[::-1] * sin_d) + own2
+    margin = np.minimum(reach1 - np.abs(dx * ax1 + dy * ay1),
+                        reach2 - np.abs(dx * ax2 + dy * ay2))
+    return np.minimum(margin[0], margin[1])
+
+
+def oriented_rect_margin(*boxes):
     """Separating-axis margin between oriented rectangles.
 
-    Each rectangle is a center, a heading and (length, width) dims, the
-    length axis pointing along the heading.  The two sets broadcast: (..., 2)
-    centers, (...) headings and (..., 2) dims give (...) margins, and
-    all-scalar inputs (a Point2 or 2-vector, a float, a 2-tuple) give a
-    float.  Tests the four candidate axes (each rectangle's length and width
-    directions) and returns, per pair, the minimum over axes of
+    Takes two `BoxFrame`s, or six arguments: each rectangle as a center, a
+    heading and (length, width) dims, the length axis pointing along the
+    heading.  The two sets broadcast: (..., 2) centers, (...) headings and
+    (..., 2) dims give (...) margins, and all-scalar inputs (a Point2 or
+    2-vector, a float, a 2-tuple) give a float.  Tests the four candidate
+    axes (each rectangle's length and width directions) and returns, per
+    pair, the minimum over axes of
 
         (projected half-extent 1 + projected half-extent 2) - |projected center gap|
 
@@ -415,27 +559,28 @@ def oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2):
     Raises:
         GeometryError: on a non-finite input or a non-positive dimension.
     """
-    xy1, h1, d1 = _box_arrays(center1, heading1, dims1)
-    xy2, h2, d2 = _box_arrays(center2, heading2, dims2)
-    rank = max(xy1.ndim - 1, h1.ndim, d1.ndim - 1, xy2.ndim - 1, h2.ndim, d2.ndim - 1)
-    c1, s1, ax1, ay1, half1, own1 = _box_frame(h1, d1, rank)
-    c2, s2, ax2, ay2, half2, own2 = _box_frame(h2, d2, rank)
-    dx = xy2[..., 0] - xy1[..., 0]
-    dy = xy2[..., 1] - xy1[..., 1]
-    cos_d = np.abs(c2 * c1 + s2 * s1)
-    sin_d = np.abs(s2 * c1 - c2 * s1)
-    # rectangle 2 reaches half length * cos_d + half width * sin_d along
-    # rectangle 1's length axis and the swapped sum along its width axis
-    reach1 = own1 + (half2 * cos_d + half2[::-1] * sin_d)
-    reach2 = (half1 * cos_d + half1[::-1] * sin_d) + own2
-    margin1 = (reach1 - np.abs(dx * ax1 + dy * ay1)).min(axis=0)
-    margin2 = (reach2 - np.abs(dx * ax2 + dy * ay2)).min(axis=0)
-    margin = np.minimum(margin1, margin2)
+    f1, f2 = _frames(boxes, bounds=False)
+    margin = _sat_margin(f1, f2, f2.x - f1.x, f2.y - f1.y)
     return float(margin) if margin.ndim == 0 else margin
 
 
-def oriented_rect_overlap(center1, heading1, dims1, center2, heading2, dims2) -> bool:
+def oriented_rect_overlap(*boxes) -> bool:
     """True iff any broadcast pair of oriented rectangles intersects (touching
-    counts); False when there is no pair.  Inputs as `oriented_rect_margin`."""
-    margin = oriented_rect_margin(center1, heading1, dims1, center2, heading2, dims2)
-    return bool(np.asarray(margin >= 0.0).any())
+    counts); False when there is no pair.  Inputs as `oriented_rect_margin`.
+
+    Circle bounds decide most calls before the separating-axis test: a pair
+    whose centers are closer than the sum of the inscribed radii overlaps,
+    and pairs further apart than the sum of the circumscribed radii do not.
+    Both sums are widened by the boxes' slack, so a bound only decides a call
+    whose SAT result rounding cannot flip, and the answer always equals
+    `(oriented_rect_margin(...) >= 0).any()`.
+    """
+    f1, f2 = _frames(boxes, bounds=True)
+    dx, dy = f2.x - f1.x, f2.y - f1.y
+    gap = np.hypot(dx, dy)
+    # count_nonzero is `any` without the call overhead of a ufunc reduction
+    if np.count_nonzero(gap < f1.inner + f2.inner):
+        return True
+    if not np.count_nonzero(gap <= f1.outer + f2.outer):
+        return False
+    return bool(np.count_nonzero(_sat_margin(f1, f2, dx, dy) >= 0.0))

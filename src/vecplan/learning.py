@@ -29,7 +29,7 @@ from .interact import (
     forward_plan,
     plan_gradient_seed,
 )
-from .scene import GeneratorConfig, Scenario, generate_scenario, pack
+from .scene import GeneratorConfig, PackedScene, Scenario, generate_scenario, pack
 
 PROB_CLAMP = 1e-7
 
@@ -357,9 +357,9 @@ def train(
     """End-to-end training of the interaction planner on generated scenes.
 
     Deterministic for a given config: scenario seeds, parameter init, and the
-    per-epoch shuffle all derive from `config.seed`.  Each training scene is
-    packed once for the whole run.  Aborts with TrainingDivergedError if a
-    loss goes non-finite.
+    per-epoch shuffle all derive from `config.seed`.  Each training and
+    validation scene is packed once for the whole run.  Aborts with
+    TrainingDivergedError if a loss goes non-finite.
     """
     if interact_config is None:
         interact_config = InteractionConfig(t_future=gen_config.t_future)
@@ -372,7 +372,7 @@ def train(
         config.seed, config.train_scenarios, config.val_scenarios
     )
     train_set = [pack(generate_scenario(s, gen_config), cparams) for s in train_seeds]
-    val_set = [generate_scenario(s, gen_config) for s in val_seeds]
+    val_set = [pack(generate_scenario(s, gen_config), cparams) for s in val_seeds]
 
     params = InteractionParams.initialize(interact_config, seed=config.seed)
     if config.enable_aux_heads:
@@ -447,14 +447,15 @@ def train(
     return params, log
 
 
-def _validate(params: InteractionParams, val_set: list[Scenario], gen_config: GeneratorConfig):
+def _validate(params: InteractionParams, val_set: list[PackedScene], gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
     from .metrics import collision_rate, displacement_error
 
-    plans = [forward_plan(s, params).plan for s in val_set]
+    plans = [forward_plan(packed, params).plan for packed in val_set]
+    scenes = [packed.scenario for packed in val_set]
     l2s = [
         displacement_error(plan, s.expert, s.horizon_dt).avg
-        for plan, s in zip(plans, val_set)
+        for plan, s in zip(plans, scenes)
     ]
-    cr = collision_rate(val_set, plans, ego_dims=gen_config.ego_dims).avg
+    cr = collision_rate(scenes, plans, ego_dims=gen_config.ego_dims).avg
     return float(np.mean(l2s)), cr

@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import Point2, Polyline, PolylineSet, oriented_rect_overlap, pose_track
+from .geometry import (
+    BoxFrame,
+    Point2,
+    Polyline,
+    PolylineSet,
+    oriented_rect_overlap,
+    swept_box_frame,
+)
 
 SCHEMA_VERSION = 1
 
@@ -86,11 +93,11 @@ class AgentPrediction:
                 f"mode_scores shape {self.mode_scores.shape} does not match "
                 f"{self.modes.shape[0]} modes"
             )
-        if not np.all(np.isfinite(self.modes)) or not np.all(np.isfinite(self.mode_scores)):
+        if not (np.isfinite(self.modes).all() and np.isfinite(self.mode_scores).all()):
             raise ScenarioFormatError("non-finite values in agent prediction")
         if not math.isfinite(self.heading):
             raise ScenarioFormatError(f"non-finite agent heading: {self.heading}")
-        if np.any(self.mode_scores < 0.0) or np.any(self.mode_scores > 1.0):
+        if (self.mode_scores < 0.0).any() or (self.mode_scores > 1.0).any():
             raise ScenarioFormatError("mode scores must lie in [0,1]")
         if not 0.0 <= self.confidence <= 1.0:
             raise ScenarioFormatError(f"agent confidence out of [0,1]: {self.confidence}")
@@ -173,7 +180,7 @@ class Scenario:
             )
         if self.expert.ndim != 2 or self.expert.shape[1] != 2:
             raise ScenarioFormatError(f"expert must be (T_f, 2), got {self.expert.shape}")
-        if not np.all(np.isfinite(self.expert)):
+        if not np.isfinite(self.expert).all():
             raise ScenarioFormatError("non-finite values in expert")
         for name in ("heading", "velocity", "acceleration", "steering_angle"):
             value = getattr(self.ego, name)
@@ -194,7 +201,7 @@ class Scenario:
                 raise ScenarioFormatError(
                     f"agent {i} ground-truth future has shape {fut.shape}, expected ({t_f}, 2)"
                 )
-            if not np.all(np.isfinite(fut)):
+            if not np.isfinite(fut).all():
                 raise ScenarioFormatError(f"non-finite values in agent {i} ground-truth future")
         counts = {len(mv.points) for mv in self.map}
         if len(counts) > 1:
@@ -410,8 +417,8 @@ class _RoadFrame:
         k = self.curvature
         if k == 0.0:
             return (d, s)
-        ks = k * s
-        return ((1.0 - math.cos(ks)) / k + d * math.cos(ks), math.sin(ks) / k - d * math.sin(ks))
+        cos, sin = math.cos(k * s), math.sin(k * s)
+        return ((1.0 - cos) / k + d * cos, sin / k - d * sin)
 
     def heading(self, s: float) -> float:
         return math.pi / 2.0 - self.curvature * s
@@ -450,12 +457,13 @@ def _lane_follow_track(
     road: _RoadFrame, s0: float, d: float, speed: float, dt: float, steps: int
 ) -> np.ndarray:
     """Ground-truth future of a lane-following mover, shape (steps, 2)."""
-    out = np.empty((steps, 2), dtype=np.float64)
+    step = speed * dt * road.arc_rate(d)
     s = s0
-    for t in range(steps):
-        s += speed * dt * road.arc_rate(d)
-        out[t] = road.point(s, d)
-    return out
+    out = []
+    for _ in range(steps):
+        s += step
+        out.append(road.point(s, d))
+    return np.array(out, dtype=np.float64)
 
 
 def _expert_track(
@@ -577,21 +585,15 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     want_lead = rng.uniform() < config.lead_vehicle_probability
     n_slots = n_agents + int(want_lead)
 
-    # boxes swept over ticks 0..t_f that a new agent must clear: row 0 is the
-    # expert's, inflated by the clearance, and row 1 + i is placed agent i's;
-    # a swept track is the pose track of the track with its start prepended,
-    # whose zero first step keeps the start heading
-    box_xy = np.empty((1 + n_slots, t_f + 1, 2))
-    box_heading = np.empty((1 + n_slots, t_f + 1))
-    box_dims = np.empty((1 + n_slots, 1, 2))
-    box_xy[0], box_heading[0] = pose_track(
-        np.concatenate(([tuple(ego.position)], expert)), ego.position, ego.heading
-    )
-    box_dims[0, 0] = (
-        config.ego_dims[0] + 2.0 * config.min_agent_clearance,
-        config.ego_dims[1] + 2.0 * config.min_agent_clearance,
-    )
+    # frames of the boxes swept over ticks 0..t_f that a new agent must
+    # clear, each built once: row 0 is the expert's, inflated by the
+    # clearance, and row 1 + i is placed agent i's
+    frames = BoxFrame.empty((1 + n_slots, t_f + 1))
+    clearance = 2.0 * config.min_agent_clearance
+    expert_dims = (config.ego_dims[0] + clearance, config.ego_dims[1] + clearance)
+    frames.put(0, swept_box_frame(expert, ego.position, ego.heading, expert_dims))
     placed = 1
+    clear_of = frames.head(placed)
     for k in range(n_slots):
         is_lead = want_lead and k == 0
         for _attempt in range(30):
@@ -618,11 +620,8 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
             start = road.point(s0, d)
             heading = road.heading(s0)
             future = _lane_follow_track(road, s0, d, speed, dt, t_f)
-            xy, headings = pose_track(np.concatenate(([start], future)), start, heading)
-
-            if oriented_rect_overlap(
-                xy, headings, size, box_xy[:placed], box_heading[:placed], box_dims[:placed]
-            ):
+            box = swept_box_frame(future, start, heading, size)
+            if oriented_rect_overlap(box, clear_of):
                 continue
 
             n_k = config.mode_count
@@ -646,10 +645,9 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 )
             )
             gt_futures.append(future)
-            box_xy[placed] = xy
-            box_heading[placed] = headings
-            box_dims[placed, 0] = size
+            frames.put(placed, box)
             placed += 1
+            clear_of = frames.head(placed)
             break
 
     return Scenario(

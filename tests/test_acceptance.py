@@ -310,6 +310,7 @@ ABLATION_CONSTRAINTS = ConstraintParams(
 ABLATION_TRAIN = TrainConfig(epochs=50, train_scenarios=512, val_scenarios=16, seed=0)
 
 
+@pytest.mark.slow
 class TestCriterion6AblationDirection:
     def test_constraints_and_map_interaction_help(self):
         """Table-2-shaped directional check over 200 seeded scenarios."""
@@ -351,6 +352,7 @@ class TestCriterion6AblationDirection:
                   f"(full) < {no_map.metrics.l2.avg:.3f} (no map inter); {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion7TrainingProgress:
     def test_sixty_epoch_run_halves_validation_l2(self):
         """Threshold frozen at the stated halving after the calibration run

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from _support import nearest_segment_oracle, sat_margin_oracle
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
+    BoxFrame,
     Point2,
     Polyline,
     PolylineSet,
     angular_difference,
+    box_frame,
     closest_point_on_segment,
     closest_polyline,
     closest_polyline_within,
@@ -21,6 +23,7 @@ from vecplan.geometry import (
     point_segment_distance,
     pose_track,
     rect_corners,
+    swept_box_frame,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -586,6 +589,142 @@ class TestSeparatingAxisKernel:
             oriented_rect_margin(np.zeros((3, 3)), np.zeros(3), (2, 1), P(0, 0), 0.0, (2, 1))
         with pytest.raises(GeometryError):
             oriented_rect_margin(P(0, 0), 0.0, (2, 1, 1), P(0, 0), 0.0, (2, 1))
+
+
+def _sat_says(c1, h1, d1, c2, h2, d2) -> bool:
+    """The separating-axis test's own answer, with no circle bound."""
+    return bool((np.asarray(oriented_rect_margin(c1, h1, d1, c2, h2, d2)) >= 0.0).any())
+
+
+def _touching_pairs(rng, n, bound, offset=0.0):
+    """Pairs of boxes whose centers lie the sum of their inscribed
+    (`bound="inner"`) or circumscribed (`"outer"`) radii apart, then 1 to 4
+    ulp nearer or further.
+
+    Headings are random, axis-aligned or shared; one pair in four is thin
+    (1:100).  Most pairs are placed where that distance also makes the boxes
+    touch (along the shared width axis for inscribed radii, along the
+    diagonal of similar boxes for circumscribed ones), so the separating-axis
+    margin is 0 up to rounding; the rest lie in a random direction.  Centers
+    are shifted by up to `offset` meters.
+    """
+    pairs = []
+    for k in range(n):
+        length = rng.uniform(0.5, 6.0)
+        width = length / 100.0 if k % 4 == 0 else rng.uniform(0.2, 1.0) * length
+        d1 = np.array([length, width])
+        scale = rng.uniform(0.3, 3.0)
+        # similar boxes for circumscribed radii; for inscribed ones, boxes
+        # whose narrower side is the width
+        d2 = d1 * scale if bound == "outer" else width * scale * np.array([rng.uniform(1.0, 8.0), 1.0])
+        h1 = [rng.uniform(-7.0, 7.0), 0.0, math.pi / 2, math.pi, -math.pi / 2][k % 5]
+        h2 = h1 + (math.pi if k % 3 == 0 else 0.0)
+        half1, half2 = 0.5 * d1, 0.5 * d2
+        if bound == "inner":
+            dist = min(half1) + min(half2)
+            direction = h1 + math.pi / 2
+        else:
+            dist = math.hypot(*half1) + math.hypot(*half2)
+            direction = h1 + math.atan2(half1[1], half1[0])
+        if k % 7 == 6:
+            direction, h2 = rng.uniform(-math.pi, math.pi), rng.uniform(-7.0, 7.0)
+        c1 = rng.uniform(-offset, offset, size=2) + rng.uniform(-5.0, 5.0, size=2)
+        for ulps in range(-4, 5):
+            gap = dist
+            for _ in range(abs(ulps)):
+                gap = np.nextafter(gap, math.copysign(math.inf, ulps))
+            c2 = c1 + gap * np.array([math.cos(direction), math.sin(direction)])
+            pairs.append((c1, h1, d1, c2, h2, d2))
+    return pairs
+
+
+class TestCircleBoundPrefilter:
+    """`oriented_rect_overlap` decides a call by circle bounds where it can;
+    every answer must equal the separating-axis test's."""
+
+    def test_random_families_match_the_separating_axis_test(self):
+        rng = np.random.default_rng(31)
+        c1, h1, d1 = _random_boxes(rng, (3000,))
+        c2, h2, d2 = _random_boxes(rng, (3000,))
+        h2[:500] = h1[:500]  # parallel boxes
+        got = [oriented_rect_overlap(c1[i], h1[i], d1[i], c2[i], h2[i], d2[i]) for i in range(3000)]
+        assert got == (oriented_rect_margin(c1, h1, d1, c2, h2, d2) >= 0.0).tolist()
+        # both bounds decide some of these pairs
+        f1, f2 = box_frame(c1, h1, d1), box_frame(c2, h2, d2)
+        gap = np.hypot(f2.x - f1.x, f2.y - f1.y)
+        assert (gap < f1.inner + f2.inner).sum() > 100
+        assert (gap > f1.outer + f2.outer).sum() > 100
+        # broadcast sets, one call each
+        for shape1, shape2 in [((7,), (5, 7)), ((4, 1), (1, 6)), ((), (9,)), ((3, 1, 2), (5, 1))]:
+            for _ in range(20):
+                boxes = (*_random_boxes(rng, shape1), *_random_boxes(rng, shape2))
+                assert oriented_rect_overlap(*boxes) == _sat_says(*boxes)
+
+    @pytest.mark.parametrize("bound", ["inner", "outer"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_touching_radius_sums_match_the_separating_axis_test(self, bound, offset):
+        rng = np.random.default_rng(40 + len(bound) + int(offset) % 97)
+        for pair in _touching_pairs(rng, 300, bound, offset):
+            assert oriented_rect_overlap(*pair) == _sat_says(*pair), pair
+
+    def test_thin_axis_aligned_and_parallel_boxes(self):
+        rng = np.random.default_rng(33)
+        for _ in range(400):
+            length = rng.uniform(1.0, 50.0)
+            d1, d2 = (length, length / 100.0), (rng.uniform(0.01, 50.0), rng.uniform(0.01, 0.5))
+            h1 = float(rng.choice([0.0, math.pi / 2, math.pi, 1.1]))
+            h2 = h1 + float(rng.choice([0.0, math.pi, math.pi / 2]))
+            c1 = rng.uniform(-1e6, 1e6, size=2)
+            c2 = c1 + rng.uniform(-1.2, 1.2, size=2) * (length / 2.0 + 1.0)
+            assert oriented_rect_overlap(c1, h1, d1, c2, h2, d2) == _sat_says(c1, h1, d1, c2, h2, d2)
+
+    def test_ready_made_frames_give_the_raw_triples_margins(self):
+        rng = np.random.default_rng(34)
+        c1, h1, d1 = _random_boxes(rng, (7,))
+        c2, h2, d2 = _random_boxes(rng, (5, 7))
+        # frames of the second set kept row by row in a buffer, as the
+        # generator keeps them, and read back through a view of its rows
+        rows = BoxFrame.empty((8, 7))
+        for i in range(5):
+            rows.put(i, box_frame(c2[i], h2[i], d2[i]))
+        for f1 in (box_frame(c1, h1, d1), box_frame(c1, h1, (4.5, 1.9))):
+            d = d1 if f1.half.ndim == 2 else (4.5, 1.9)
+            want = oriented_rect_margin(c1, h1, d, c2, h2, d2)
+            assert oriented_rect_margin(f1, rows.head(5)).tolist() == want.tolist()
+            assert oriented_rect_margin(rows.head(5), f1).tolist() == want.tolist()
+            assert oriented_rect_overlap(f1, rows.head(5)) == bool((want >= 0.0).any())
+        with pytest.raises(TypeError):
+            oriented_rect_overlap(box_frame(c1, h1, d1))
+
+    def test_swept_frame_is_the_frame_of_the_pose_track(self):
+        rng = np.random.default_rng(35)
+        for trial in range(50):
+            track = rng.uniform(-30.0, 30.0, size=(int(rng.integers(0, 8)), 2))
+            start = tuple(rng.uniform(-30.0, 30.0, size=2).tolist())
+            if trial % 3 == 0 and len(track):
+                track[0] = start  # a zero first step keeps the start heading
+            heading, dims = float(rng.uniform(-4.0, 4.0)), tuple(rng.uniform(0.5, 5.0, size=2))
+            swept = swept_box_frame(track, P(*start), heading, dims)
+            poses = pose_track(np.concatenate(([start], track)), start, heading)
+            plain = box_frame(poses.xy, poses.heading, dims)
+            assert all(np.array_equal(a, b) for a, b in zip(swept, plain))
+
+    @pytest.mark.parametrize(
+        "track, start, heading, dims",
+        [
+            ([[1.0, math.nan]], (0.0, 0.0), 0.0, (2.0, 1.0)),
+            ([[1.0, 0.0, 0.0]], (0.0, 0.0), 0.0, (2.0, 1.0)),
+            ([[1.0, 0.0]], (math.inf, 0.0), 0.0, (2.0, 1.0)),
+            ([[1.0, 0.0]], (0.0, 0.0, 0.0), 0.0, (2.0, 1.0)),
+            ([[1.0, 0.0]], (0.0, 0.0), math.nan, (2.0, 1.0)),
+            ([[1.0, 0.0]], (0.0, 0.0), 0.0, (0.0, 1.0)),
+            ([[1.0, 0.0]], (0.0, 0.0), 0.0, (2.0, math.inf)),
+            ([[1.0, 0.0]], (0.0, 0.0), 0.0, (2.0, 1.0, 1.0)),
+        ],
+    )
+    def test_swept_frame_rejects_bad_input(self, track, start, heading, dims):
+        with pytest.raises(GeometryError):
+            swept_box_frame(track, start, heading, dims)
 
 
 def _scalar_headings(track, start, heading):

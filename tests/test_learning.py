@@ -261,8 +261,9 @@ class TestTrainLoop:
         monkeypatch.setattr(learning, "pack", counted)
         config = tiny_train_config(epochs=3, train_scenarios=5)
         train(config, TINY_GEN, TINY_NET)
-        assert len(packed) == config.train_scenarios
-        assert len({id(s) for s in packed}) == config.train_scenarios
+        scenes = config.train_scenarios + config.val_scenarios
+        assert len(packed) == scenes
+        assert len({id(s) for s in packed}) == scenes
 
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from vecplan import geometry, scene
 from vecplan.errors import ConfigError, ScenarioFormatError
 from vecplan.geometry import Point2, Polyline, point_polyline_distance
 from vecplan.scene import (
@@ -235,6 +236,29 @@ class TestGenerator:
         for seed in range(20):
             h.update(scenario_to_json(generate_scenario(seed, config)).encode())
         assert h.hexdigest() == digest
+
+    def test_each_box_framed_once(self, monkeypatch):
+        # one overlap call per placement attempt (21 here, 12 of them
+        # rejected), against the frames of the boxes placed so far, each
+        # built once when its box was placed: one frame per attempt plus the
+        # expert's row
+        counts = {"calls": 0, "hits": 0, "frames": 0}
+        overlap, frame = scene.oriented_rect_overlap, geometry._frame
+
+        def counting_overlap(*boxes):
+            hit = overlap(*boxes)
+            counts["calls"] += 1
+            counts["hits"] += hit
+            return hit
+
+        def counting_frame(*arrays):
+            counts["frames"] += 1
+            return frame(*arrays)
+
+        monkeypatch.setattr(scene, "oriented_rect_overlap", counting_overlap)
+        monkeypatch.setattr(geometry, "_frame", counting_frame)
+        generate_scenario(3, GeneratorConfig(agent_count_range=(8, 12)))
+        assert counts == {"calls": 21, "hits": 12, "frames": 22}
 
     def test_unfit_config_rejected(self):
         with pytest.raises(ConfigError):
