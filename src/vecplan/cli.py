@@ -171,7 +171,6 @@ class MetricsSection:
 @dataclass(frozen=True)
 class TrainSection:
     epochs: int = 60
-    batch_size: int = 1
     learning_rate: float = 2e-4
     weight_decay: float = 0.01
     scheduler: str = "cosine"
@@ -473,8 +472,8 @@ def _trace_table(scenario: Scenario, log) -> str:
         )
 
     for mi, mv in enumerate(scenario.map):
-        for pi, p in enumerate(mv.points.points):
-            row(0, f"map_{mv.kind.value}", mi, pi, p.x, p.y, 0.0)
+        for pi, (x, y) in enumerate(mv.points.xy.tolist()):
+            row(0, f"map_{mv.kind.value}", mi, pi, x, y, 0.0)
     row(0, "ego", 0, 0, scenario.ego.position.x, scenario.ego.position.y, scenario.ego.heading)
     for ai, agent in enumerate(scenario.agents):
         row(0, "agent", ai, 0, agent.position.x, agent.position.y, agent.heading)

@@ -201,7 +201,7 @@ def _agent_features(scenario: Scenario) -> np.ndarray:
     dt = scenario.horizon_dt
     for i, agent in enumerate(scenario.agents):
         track = best_mode(agent)
-        step = track[0] - np.array([agent.position.x, agent.position.y])
+        step = track[0] - agent.position
         speed = math.hypot(step[0], step[1]) / dt
         rows[i] = (
             agent.position.x * POSITION_SCALE,
@@ -219,7 +219,7 @@ def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     rows = np.zeros((len(scenario.map), MAP_FEATURE_DIM))
     centroids = np.zeros((len(scenario.map), 2))
     for i, mv in enumerate(scenario.map):
-        xy = mv.points.xy()
+        xy = mv.points.xy
         centroid = xy.mean(axis=0)
         centroids[i] = centroid
         direction = np.zeros(2)

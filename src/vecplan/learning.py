@@ -176,7 +176,6 @@ def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
-    batch_size: int = 1
     learning_rate: float = 2e-4
     weight_decay: float = 0.01
     scheduler: str = "cosine"
@@ -191,8 +190,6 @@ class TrainConfig:
         for name in ("epochs", "train_scenarios", "val_scenarios"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.batch_size != 1:
-            raise ConfigError(f"batch_size must be 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.scheduler not in ("cosine", "constant"):
@@ -283,7 +280,7 @@ def _aux_losses(result: ForwardResult, scenario: Scenario, weights: LossWeights)
 
     n_m = len(scenario.map)
     if n_m:
-        gt_pts = np.stack([mv.points.xy().reshape(-1) for mv in scenario.map])
+        gt_pts = np.stack([mv.points.xy.reshape(-1) for mv in scenario.map])
         pred = ad.add_bias_row(
             ad.matmul(result.features.map_queries, p["aux.map_pts.w"]), p["aux.map_pts.b"]
         )

@@ -17,7 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Poses, closest_polyline, oriented_rect_margin, pose_track, rect_corners
+from .geometry import (
+    Poses,
+    PolylineSet,
+    box_frame,
+    closest_polyline,
+    oriented_rect_margin,
+    pose_track,
+    rect_corners,
+)
 from .scene import MapClass, PlanTrajectory, Scenario
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
@@ -95,7 +103,7 @@ def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
     poses = Poses(np.empty(shape + (2,)), np.empty(shape))
     sizes = np.empty((shape[0], 2))
     for i, agent in enumerate(scenario.agents):
-        poses.xy[i, 0] = (agent.position.x, agent.position.y)
+        poses.xy[i, 0] = agent.position
         poses.heading[i, 0] = agent.heading
         poses.xy[i, 1:], poses.heading[i, 1:] = agent_pose_track(scenario, i)
         sizes[i] = agent.size
@@ -114,8 +122,8 @@ def collision_ticks(
     # one margin per (agent, tick) pair: the ego's box at each tick against
     # every agent's box at the same tick
     margin = oriented_rect_margin(
-        ego.xy, ego.heading, ego_dims,
-        agents.xy[:, ticks], agents.heading[:, ticks], sizes[:, None],
+        box_frame(ego.xy, ego.heading, ego_dims),
+        box_frame(agents.xy[:, ticks], agents.heading[:, ticks], sizes[:, None]),
     )
     return (margin >= 0.0).any(axis=0).tolist()
 
@@ -163,7 +171,7 @@ def pose_oversteps_boundary(
     if not labeled:
         return False
     corners = rect_corners(xy, heading, ego_dims).reshape(-1, 2)
-    hit = closest_polyline(corners, [m.points for m in labeled])
+    hit = closest_polyline(corners, PolylineSet([m.points for m in labeled]))
     a, b = hit.start, hit.end
     cross = (b[:, 0] - a[:, 0]) * (corners[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         corners[:, 0] - a[:, 0]

@@ -203,7 +203,7 @@ class Scenario:
                 )
             if not np.isfinite(fut).all():
                 raise ScenarioFormatError(f"non-finite values in agent {i} ground-truth future")
-        counts = {len(mv.points) for mv in self.map}
+        counts = {len(mv.points.xy) for mv in self.map}
         if len(counts) > 1:
             raise ScenarioFormatError(f"map vectors have mixed point counts: {sorted(counts)}")
 
@@ -213,7 +213,7 @@ class Scenario:
 
     @property
     def n_map_points(self) -> Optional[int]:
-        return len(self.map[0].points) if self.map else None
+        return len(self.map[0].points.xy) if self.map else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,15 +270,15 @@ def best_mode(agent: AgentPrediction) -> np.ndarray:
     return agent.modes[best_mode_index(agent)]
 
 
-def ego_vectors(plan: PlanTrajectory, origin: Point2 = Point2(0.0, 0.0)) -> np.ndarray:
+def ego_vectors(plan: PlanTrajectory) -> np.ndarray:
     """Per-step displacement vectors of a plan, shape (T_f, 2).
 
-    The first vector runs from `origin` (the ego position) to waypoint 1;
-    each later vector runs from waypoint t-1 to waypoint t.
+    The first vector runs from the ego origin to waypoint 1; each later
+    vector runs from waypoint t-1 to waypoint t.
     """
     w = plan.waypoints
     out = np.empty_like(w)
-    out[0] = w[0] - np.array([origin.x, origin.y])
+    out[0] = w[0]
     out[1:] = w[1:] - w[:-1]
     return out
 
@@ -680,13 +680,13 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "kind": mv.kind.value,
                 "confidence": mv.confidence,
                 "drivable_side": mv.drivable_side,
-                "points": [[p.x, p.y] for p in mv.points.points],
+                "points": mv.points.xy.tolist(),
             }
             for mv in s.map
         ],
         "agents": [
             {
-                "position": [a.position.x, a.position.y],
+                "position": list(a.position),
                 "heading": a.heading,
                 "size": list(a.size),
                 "confidence": a.confidence,
@@ -697,7 +697,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         ],
         "agent_gt_futures": [f.tolist() for f in s.agent_gt_futures],
         "ego": {
-            "position": [s.ego.position.x, s.ego.position.y],
+            "position": list(s.ego.position),
             "heading": s.ego.heading,
             "velocity": s.ego.velocity,
             "acceleration": s.ego.acceleration,
@@ -761,7 +761,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         map_vectors.append(
             MapVector(
                 kind=_field(mv, "kind", where, MapClass),
-                points=_field(mv, "points", where, lambda v: Polyline(map(_pair, _list(v)))),
+                points=_field(mv, "points", where, lambda v: Polyline(_list(v))),
                 confidence=_field(mv, "confidence", where, float),
                 drivable_side=mv.get("drivable_side"),
             )

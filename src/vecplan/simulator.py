@@ -29,7 +29,7 @@ from .constraints import (
     total_planning_loss,
 )
 from .errors import SimulationError
-from .geometry import Point2, Polyline, Poses, oriented_rect_overlap, pose_track
+from .geometry import Point2, Polyline, Poses, box_frame, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_boxes, pose_oversteps_boundary
 from .scene import (
@@ -49,12 +49,12 @@ def _rotation(angle: float) -> np.ndarray:
 def world_to_ego(points: np.ndarray, position: Point2, heading: float) -> np.ndarray:
     """Express world points in the ego frame anchored at (position, heading)."""
     rot = _rotation(math.pi / 2 - heading)
-    return (np.atleast_2d(points) - [position.x, position.y]) @ rot.T
+    return (np.atleast_2d(points) - position) @ rot.T
 
 
 def ego_to_world(points: np.ndarray, position: Point2, heading: float) -> np.ndarray:
     rot = _rotation(heading - math.pi / 2)
-    return np.atleast_2d(points) @ rot.T + [position.x, position.y]
+    return np.atleast_2d(points) @ rot.T + position
 
 
 def _wrap_angle(angle: float) -> float:
@@ -137,7 +137,7 @@ def _build_view(
     """Re-express the world scenario in the ego frame at the given pose."""
     t_f = scenario.t_future
     new_map = [
-        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy(), position, heading)))
+        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy, position, heading)))
         for mv in scenario.map
     ]
     new_agents = []
@@ -153,7 +153,7 @@ def _build_view(
         new_agents.append(
             dataclasses.replace(
                 agent,
-                position=Point2(float(local_pos[0]), float(local_pos[1])),
+                position=Point2(*local_pos),
                 heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
                 modes=modes,
                 mode_scores=agent.mode_scores.copy(),
@@ -185,7 +185,7 @@ def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
     new_xy = ego_to_world(executed_plan.waypoints[:1], state.ego_position, state.ego_heading)
     new_pos = Point2(*new_xy[0].tolist())
     new_heading = float(pose_track(new_xy, state.ego_position, state.ego_heading).heading[0])
-    step_world = new_xy[0] - [state.ego_position.x, state.ego_position.y]
+    step_world = new_xy[0] - state.ego_position
     new_velocity = float(math.hypot(step_world[0], step_world[1]) / dt)
     new_accel = (new_velocity - state.ego_velocity) / dt
     yaw_rate = _wrap_angle(new_heading - state.ego_heading)
@@ -395,8 +395,8 @@ def run_closed_loop(
         state = step(state, plan)
 
         collision = oriented_rect_overlap(
-            state.ego_position, state.ego_heading, state.ego_dims,
-            state.agent_positions, state.agent_headings, state.agent_sizes,
+            box_frame(state.ego_position, state.ego_heading, state.ego_dims),
+            box_frame(state.agent_positions, state.agent_headings, state.agent_sizes),
         )
         overstep = pose_oversteps_boundary(
             boundaries, state.ego_position, state.ego_heading, state.ego_dims

@@ -15,11 +15,10 @@ from vecplan.constraints import ConstraintParams
 from vecplan.geometry import (
     Point2,
     Polyline,
+    PolylineSet,
     angular_difference,
-    closest_point_on_segment,
     closest_polyline,
     closest_polyline_within,
-    point_segment_distance,
 )
 from vecplan.scene import (
     AgentPrediction,
@@ -135,6 +134,20 @@ def sample_collision_config(rng, params: ConstraintParams, t_f: int = 6):
     raise AssertionError("could not sample a non-degenerate collision config")
 
 
+def segment_distance(p, a, b) -> tuple[float, tuple[float, float]]:
+    """Distance from the point p to the closed segment [a, b] and the foot
+    point on it, in Python floats: project p onto the segment's line and
+    clamp to its ends.  A degenerate segment (a == b) gives |p - a| and a."""
+    px, py = float(p[0]), float(p[1])
+    ax, ay = float(a[0]), float(a[1])
+    dx, dy = float(b[0]) - ax, float(b[1]) - ay
+    seg_sq = dx * dx + dy * dy
+    t = 0.0 if seg_sq == 0.0 else ((px - ax) * dx + (py - ay) * dy) / seg_sq
+    t = min(1.0, max(0.0, t))
+    foot = (ax + t * dx, ay + t * dy)
+    return math.hypot(px - foot[0], py - foot[1]), foot
+
+
 def nearest_segment_oracle(p, polylines):
     """Brute-force nearest segment to the point p = (x, y), in Python floats.
 
@@ -143,19 +156,13 @@ def nearest_segment_oracle(p, polylines):
     the lowest segment.  Returns (polyline index, distance, segment index,
     foot) or None when there is no polyline.
     """
-    px, py = float(p[0]), float(p[1])
     best = None
     for i, pl in enumerate(polylines):
-        pts = [(float(x), float(y)) for x, y in pl.xy()]
+        pts = pl.xy.tolist()
         for s in range(len(pts) - 1):
-            (ax, ay), (bx, by) = pts[s], pts[s + 1]
-            if (ax, ay) == (bx, by):
+            if pts[s] == pts[s + 1]:
                 continue
-            dx, dy = bx - ax, by - ay
-            t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-            t = min(1.0, max(0.0, t))
-            foot = (ax + t * dx, ay + t * dy)
-            d = math.hypot(px - foot[0], py - foot[1])
+            d, foot = segment_distance(p, pts[s], pts[s + 1])
             if best is None or d < best[1]:
                 best = (i, d, s, foot)
     return best
@@ -164,23 +171,21 @@ def nearest_segment_oracle(p, polylines):
 def _wiggly_vertical(rng, x0: float, n_pts: int = 6) -> Polyline:
     ys = np.linspace(-12.0, 12.0, n_pts)
     xs = x0 + rng.uniform(-0.4, 0.4, size=n_pts)
-    return Polyline([Point2(float(x), float(y)) for x, y in zip(xs, ys)])
+    return Polyline(np.column_stack([xs, ys]))
 
 
-def _segment_distances(p: Point2, polylines) -> list[tuple[float, Point2]]:
+def _segment_distances(p, polylines) -> list[tuple[float, tuple[float, float]]]:
     """(distance, foot) for every non-degenerate segment of every polyline."""
     out = []
     for pl in polylines:
-        pts = pl.points
+        pts = pl.xy.tolist()
         for i in range(len(pts) - 1):
-            if pts[i] == pts[i + 1]:
-                continue
-            foot = closest_point_on_segment(p, pts[i], pts[i + 1])
-            out.append((point_segment_distance(p, pts[i], pts[i + 1]), foot))
+            if pts[i] != pts[i + 1]:
+                out.append(segment_distance(p, pts[i], pts[i + 1]))
     return out
 
 
-def _assignment_clear(p: Point2, polylines, min_distance: float) -> tuple[bool, float]:
+def _assignment_clear(p, polylines, min_distance: float) -> tuple[bool, float]:
     """True when the nearest-segment assignment at p is perturbation-robust."""
     ds = sorted(_segment_distances(p, polylines), key=lambda e: e[0])
     best_d, best_foot = ds[0]
@@ -191,7 +196,7 @@ def _assignment_clear(p: Point2, polylines, min_distance: float) -> tuple[bool, 
             break
         # a rival segment at (numerically) the same distance is harmless when
         # it shares the winning foot point (adjacent segments at a vertex)
-        if math.hypot(foot.x - best_foot.x, foot.y - best_foot.y) > 1e-9:
+        if math.hypot(foot[0] - best_foot[0], foot[1] - best_foot[1]) > 1e-9:
             return False, best_d
     return True, best_d
 
@@ -213,8 +218,7 @@ def sample_boundary_config(rng, params: ConstraintParams, t_f: int = 6):
         polylines = [b.points for b in boundaries]
         ok = True
         for t in range(t_f):
-            p = Point2(float(w[t, 0]), float(w[t, 1]))
-            clear, d = _assignment_clear(p, polylines, min_distance=0.05)
+            clear, d = _assignment_clear(w[t], polylines, min_distance=0.05)
             if not clear or abs(d - params.boundary_clearance) < MARGIN:
                 ok = False
                 break
@@ -237,7 +241,7 @@ def sample_direction_config(rng, params: ConstraintParams, t_f: int = 6):
         ok = True
         prev = np.zeros(2)
         for t in range(t_f):
-            p = Point2(float(w[t, 0]), float(w[t, 1]))
+            p = w[t]
             ds = [min(d for d, _ in _segment_distances(p, [pl])) for pl in polylines]
             if any(abs(d - params.divider_search_range) < MARGIN for d in ds):
                 ok = False
@@ -250,8 +254,7 @@ def sample_direction_config(rng, params: ConstraintParams, t_f: int = 6):
                 winner = polylines[int(np.argmin(ds))]
                 seg_ds = _segment_distances(p, [winner])
                 seg_i = int(np.argmin([d for d, _ in seg_ds]))
-                pts = winner.points
-                u = np.array([pts[seg_i + 1].x - pts[seg_i].x, pts[seg_i + 1].y - pts[seg_i].y])
+                u = np.diff(winner.xy, axis=0)[seg_i]
                 v = w[t] - prev
                 vn = math.hypot(v[0], v[1])
                 if vn < 0.4:
@@ -334,7 +337,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     grad = np.zeros_like(w)
     total = 0.0
     if boundaries:
-        hit = closest_polyline(w, [mv.points for mv in boundaries])
+        hit = closest_polyline(w, PolylineSet([mv.points for mv in boundaries]))
         active = hit.dist < params.boundary_clearance
         total = float((params.boundary_clearance - hit.dist[active]).sum())
         pull = active & (hit.dist > 0.0)
@@ -345,7 +348,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     total = 0.0
     if dividers:
         hit = closest_polyline_within(
-            w, [mv.points for mv in dividers], params.divider_search_range
+            w, PolylineSet([mv.points for mv in dividers]), params.divider_search_range
         )
         vectors = ego_vectors(plan)
         moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)

@@ -17,6 +17,7 @@ from _support import (
     sample_collision_config,
     sample_direction_config,
     sample_imitation_config,
+    segment_distance,
 )
 
 from vecplan import autodiff as ad
@@ -31,9 +32,10 @@ from vecplan.constraints import (
 from vecplan.geometry import (
     Point2,
     Polyline,
+    PolylineSet,
     angular_difference,
+    box_frame,
     oriented_rect_overlap,
-    point_segment_distance,
 )
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.learning import TrainConfig, minfde_select, train
@@ -202,24 +204,24 @@ class TestCriterion5OracleEquivalence:
                 pts = rng.uniform(-20, 20, size=(int(rng.integers(2, 21)), 2))
                 if pts.shape[0] == 2 and np.allclose(pts[0], pts[1]):
                     pts[1] += 1.0
-                pls.append(Polyline([Point2(float(x), float(y)) for x, y in pts]))
-            p = Point2(*rng.uniform(-25, 25, size=2))
+                pls.append(Polyline(pts))
+            p = rng.uniform(-25, 25, size=2)
             within = float(rng.uniform(0.5, 30.0))
             best = None
             for i, pl in enumerate(pls):
-                for s in range(pl.segment_count):
-                    a, b = pl.points[s], pl.points[s + 1]
-                    if a == b:
+                pts = pl.xy.tolist()
+                for s in range(len(pts) - 1):
+                    if pts[s] == pts[s + 1]:
                         continue
-                    d = point_segment_distance(p, a, b)
+                    d, _ = segment_distance(p, pts[s], pts[s + 1])
                     if best is None or d < best[1]:
                         best = (i, d)
             expected = best if best is not None and best[1] <= within else None
-            got = closest_polyline_within(p, pls, within)
+            got = closest_polyline_within(p[None], PolylineSet(pls), within)
             if expected is None:
-                assert got is None
+                assert (got.poly[0], got.seg[0]) == (-1, -1)
             else:
-                assert got[0] == expected[0] and abs(got[1] - expected[1]) <= 1e-12
+                assert got.poly[0] == expected[0] and abs(got.dist[0] - expected[1]) <= 1e-12
             checked += 1
         assert checked >= 100
 
@@ -280,8 +282,8 @@ class TestCriterion5OracleEquivalence:
                             agent.heading,
                         )
                         if oriented_rect_overlap(
-                            ego[t][0], ego[t][1], (4.0, 1.85),
-                            track[t][0], track[t][1], agent.size,
+                            box_frame(ego[t][0], ego[t][1], (4.0, 1.85)),
+                            box_frame(track[t][0], track[t][1], agent.size),
                         ):
                             hit = True
                 if hit:
@@ -452,7 +454,7 @@ class TestCriterion9InvarianceSuite:
         moved_bd = [
             MapVector(
                 b.kind,
-                Polyline([Point2(p.x + shift[0], p.y + shift[1]) for p in b.points.points]),
+                Polyline(b.points.xy + shift),
                 b.confidence,
                 b.drivable_side,
             )
@@ -471,7 +473,7 @@ class TestCriterion9InvarianceSuite:
         rot_dividers = [
             MapVector(
                 d.kind,
-                Polyline([tuple(rot @ np.array([p.x, p.y])) for p in d.points.points]),
+                Polyline([rot @ p for p in d.points.xy]),
                 d.confidence,
             )
             for d in dividers
@@ -509,9 +511,9 @@ class TestCriterion9InvarianceSuite:
             if n1 < 0.1 or n2 < 0.1 or sin_angle < 0.01:
                 continue
             scale = float(rng.uniform(0.01, 80.0))
-            base = angular_difference(tuple(v1), tuple(v2))
-            assert abs(angular_difference(tuple(v1 * scale), tuple(v2)) - base) <= 1e-9
-            assert abs(angular_difference(tuple(v1), tuple(v2 * scale)) - base) <= 1e-9
+            base = angular_difference([v1], [v2])[0]
+            assert abs(angular_difference([v1 * scale], [v2])[0] - base) <= 1e-9
+            assert abs(angular_difference([v1], [v2 * scale])[0] - base) <= 1e-9
 
         report(9, "invariance suite: collision/boundary translation, direction rotation, "
                   "network permutation equivariance, angular scaling")

@@ -102,6 +102,7 @@ class TestConfig:
             ("train.enable_aux_heads=no", "train.enable_aux_heads must be a bool, got 'no'"),
             ("train.shuffle=1", "train.shuffle must be a bool"),
             ("train.scheduler=5", "train.scheduler must be a str"),
+            ("train.batch_size=1", "unknown config key: train.batch_size"),
             ("simulator.planner=null", "simulator.planner must be a str"),
             ('metrics.ablation_arms=[{"name": 5}]', "metrics.ablation_arms[0].name must be a str"),
             (

@@ -204,7 +204,7 @@ class TestBoundaryLoss:
         moved = [
             MapVector(
                 b.kind,
-                Polyline([Point2(p.x + shift[0], p.y + shift[1]) for p in b.points.points]),
+                Polyline(b.points.xy + shift),
                 b.confidence,
                 b.drivable_side,
             )
@@ -269,7 +269,7 @@ class TestDirectionLoss:
         rdividers = [
             MapVector(
                 d.kind,
-                Polyline([tuple(rot @ np.array([p.x, p.y])) for p in d.points.points]),
+                Polyline([rot @ p for p in d.points.xy]),
                 d.confidence,
             )
             for d in dividers

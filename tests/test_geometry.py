@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from _support import nearest_segment_oracle, sat_margin_oracle
@@ -20,7 +20,6 @@ from vecplan.geometry import (
     oriented_rect_margin,
     oriented_rect_overlap,
     point_polyline_distance,
-    point_segment_distance,
     pose_track,
     rect_corners,
     swept_box_frame,
@@ -33,6 +32,11 @@ def P(x, y):
     return Point2(float(x), float(y))
 
 
+def _set(*pls) -> PolylineSet:
+    """The PolylineSet of polylines given as point lists."""
+    return PolylineSet([Polyline(pts) for pts in pls])
+
+
 class TestPoint2:
     def test_rejects_non_finite(self):
         with pytest.raises(GeometryError):
@@ -43,6 +47,9 @@ class TestPoint2:
     def test_unpacks(self):
         x, y = P(1, 2)
         assert (x, y) == (1.0, 2.0)
+        assert (P(1, 2).x, P(1, 2).y) == (1.0, 2.0)
+        # a plain 2-vector to every kernel
+        assert np.asarray(P(1, 2)).tolist() == [1.0, 2.0]
 
 
 class TestPolyline:
@@ -56,94 +63,133 @@ class TestPolyline:
 
     def test_longer_polyline_may_repeat_points(self):
         pl = Polyline([P(0, 0), P(0, 0), P(1, 0)])
-        assert pl.segment_count == 2
+        assert pl.xy.shape == (3, 2)
 
     def test_xy_matches_points(self):
-        pl = Polyline([P(0, 1), P(2, 3)])
-        np.testing.assert_array_equal(pl.xy(), [[0, 1], [2, 3]])
+        pl = Polyline([P(0, 1), (2, 3)])
+        assert pl.xy.dtype == np.float64
+        np.testing.assert_array_equal(pl.xy, [[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],  # bad shape
+            [0.0, 1.0],
+            [[[0.0, 1.0]], [[2.0, 3.0]]],
+            [],
+            [[0.0, 1.0]],  # fewer than 2 points
+            [[2.0, -1.0], [2.0, -1.0]],  # degenerate two-point line
+            [[0.0, math.nan], [1.0, 1.0]],  # non-finite point
+            [[0.0, 0.0], [1.0, 1.0], [math.inf, 1.0]],
+            [[0.0, 0.0], [-math.inf, 1.0]],
+        ],
+    )
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(GeometryError):
+            Polyline(points)
+
+    def test_xy_is_a_read_only_copy(self):
+        points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        pl = Polyline(points)
+        with pytest.raises(ValueError):
+            pl.xy[0, 0] = 9.0
+        points[0, 0] = 9.0
+        assert not np.shares_memory(pl.xy, points)
+        assert pl.xy.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
+def _feet(p, *points):
+    """Foot points on, and distances to, every segment of the polyline
+    through `points`, from one query point p: a one-row query to
+    `closest_point_on_segment`."""
+    q = np.array([p], dtype=np.float64)
+    foot = closest_point_on_segment(q, _set(points))[0]
+    return foot, np.hypot(q[0, 0] - foot[:, 0], q[0, 1] - foot[:, 1])
 
 
 class TestPointSegmentDistance:
     def test_perpendicular_foot_inside_segment(self):
-        assert point_segment_distance(P(0, 1), P(-1, 0), P(1, 0)) == pytest.approx(1.0)
+        assert _feet(P(0, 1), P(-1, 0), P(1, 0))[1] == pytest.approx([1.0])
 
     def test_nearest_endpoint(self):
-        assert point_segment_distance(P(3, 0), P(-1, 0), P(1, 0)) == pytest.approx(2.0)
+        assert _feet(P(3, 0), P(-1, 0), P(1, 0))[1] == pytest.approx([2.0])
 
     def test_degenerate_segment_falls_back_to_point_distance(self):
-        # hand evaluation of sqrt(8)
-        d = point_segment_distance(P(2, 2), P(0, 0), P(0, 0))
-        assert d == pytest.approx(2.8284271247461903, abs=1e-12)
+        # segment 0 of the polyline is the degenerate [(0, 0), (0, 0)]: its
+        # foot is its one point, at the hand-evaluated distance sqrt(8)
+        foot, d = _feet(P(2, 2), P(0, 0), P(0, 0), P(1, 0))
+        assert foot[0].tolist() == [0.0, 0.0]
+        assert d[0] == pytest.approx(2.8284271247461903, abs=1e-12)
 
     @given(finite, finite, finite, finite, finite, finite)
     def test_symmetric_in_endpoints(self, px, py, ax, ay, bx, by):
-        p, a, b = P(px, py), P(ax, ay), P(bx, by)
-        assert point_segment_distance(p, a, b) == pytest.approx(
-            point_segment_distance(p, b, a), abs=1e-9
-        )
+        assume((ax, ay) != (bx, by))
+        # segments [a, b] and [b, a] of one polyline
+        _, d = _feet(P(px, py), P(ax, ay), P(bx, by), P(ax, ay))
+        assert d[0] == pytest.approx(d[1], abs=1e-9)
 
     @given(finite, finite, finite, finite, finite, finite)
     def test_never_exceeds_endpoint_distance(self, px, py, ax, ay, bx, by):
-        p, a, b = P(px, py), P(ax, ay), P(bx, by)
-        d = point_segment_distance(p, a, b)
-        assert d <= math.hypot(px - ax, py - ay) + 1e-9
-        assert d <= math.hypot(px - bx, py - by) + 1e-9
+        assume((ax, ay) != (bx, by))
+        _, d = _feet(P(px, py), P(ax, ay), P(bx, by), P(ax, ay))
+        assert (d <= math.hypot(px - ax, py - ay) + 1e-9).all()
+        assert (d <= math.hypot(px - bx, py - by) + 1e-9).all()
 
     def test_closest_point_on_segment_interior(self):
-        c = closest_point_on_segment(P(0.25, 5.0), P(-1, 0), P(1, 0))
-        assert (c.x, c.y) == pytest.approx((0.25, 0.0))
+        foot, _ = _feet(P(0.25, 5.0), P(-1, 0), P(1, 0))
+        assert foot[0].tolist() == pytest.approx([0.25, 0.0])
 
 
 class TestPointPolylineDistance:
     def test_single_segment(self):
-        d, i = point_polyline_distance(P(0, 0), Polyline([P(1, -1), P(1, 1)]))
-        assert d == pytest.approx(1.0)
-        assert i == 0
+        d, i, foot = point_polyline_distance([P(0, 0)], _set([P(1, -1), P(1, 1)]))
+        assert d.tolist() == pytest.approx([1.0])
+        assert i.tolist() == [0]
+        assert foot.tolist() == [[1.0, 0.0]]
 
     def test_two_segment_hand_check(self):
         # segment 0 at distance 3, segment 1 at distance 1
-        d, i = point_polyline_distance(P(0, 3), Polyline([P(-1, 0), P(0, 0), P(0, 2)]))
-        assert d == pytest.approx(1.0)
-        assert i == 1
+        d, i, _ = point_polyline_distance([P(0, 3)], _set([P(-1, 0), P(0, 0), P(0, 2)]))
+        assert d.tolist() == pytest.approx([1.0])
+        assert i.tolist() == [1]
 
     def test_point_on_shared_vertex_ties_to_first_incident_segment(self):
-        pl = Polyline([P(-1, 0), P(0, 0), P(0, 2)])
-        d, i = point_polyline_distance(P(0, 0), pl)
-        assert d == 0.0
-        assert i == 0
+        d, i, _ = point_polyline_distance([P(0, 0)], _set([P(-1, 0), P(0, 0), P(0, 2)]))
+        assert d.tolist() == [0.0]
+        assert i.tolist() == [0]
 
     def test_degenerate_segments_skipped(self):
-        pl = Polyline([P(5, 5), P(5, 5), P(5, 6)])
-        d, i = point_polyline_distance(P(5, 7), pl)
-        assert d == pytest.approx(1.0)
-        assert i == 1
+        d, i, _ = point_polyline_distance([P(5, 7)], _set([P(5, 5), P(5, 5), P(5, 6)]))
+        assert d.tolist() == pytest.approx([1.0])
+        assert i.tolist() == [1]
 
     def test_all_degenerate_is_an_error(self):
-        pl = Polyline([P(5, 5), P(5, 5), P(5, 5)])
         with pytest.raises(GeometryError):
-            point_polyline_distance(P(0, 0), pl)
+            point_polyline_distance([P(0, 0)], _set([P(5, 5), P(5, 5), P(5, 5)]))
+        with pytest.raises(GeometryError):
+            point_polyline_distance([P(0, 0)], PolylineSet([]))
 
 
 class TestAngularDifference:
     def test_identical_direction(self):
-        assert angular_difference(P(0, 1), P(0, 1)) == 0.0
+        assert angular_difference([P(0, 1)], [P(0, 1)]).tolist() == [0.0]
 
     def test_orthogonal(self):
-        assert angular_difference(P(0, 1), P(1, 0)) == pytest.approx(math.pi / 2)
+        assert angular_difference([P(0, 1)], [P(1, 0)]) == pytest.approx([math.pi / 2])
 
     def test_opposite(self):
-        assert angular_difference(P(0, 1), P(0, -1)) == pytest.approx(math.pi)
+        assert angular_difference([P(0, 1)], [P(0, -1)]) == pytest.approx([math.pi])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(GeometryError):
-            angular_difference(P(0, 0), P(1, 0))
+            angular_difference([P(0, 0)], [P(1, 0)])
 
     @given(finite, finite, finite, finite)
     def test_symmetric(self, ax, ay, bx, by):
         if math.hypot(ax, ay) < 1e-6 or math.hypot(bx, by) < 1e-6:
             return
-        assert angular_difference(P(ax, ay), P(bx, by)) == pytest.approx(
-            angular_difference(P(bx, by), P(ax, ay)), abs=1e-12
+        assert angular_difference([P(ax, ay)], [P(bx, by)]) == pytest.approx(
+            angular_difference([P(bx, by)], [P(ax, ay)]), abs=1e-12
         )
 
     @given(finite, finite, finite, finite, st.floats(min_value=0.01, max_value=50.0))
@@ -151,51 +197,58 @@ class TestAngularDifference:
         if math.hypot(ax, ay) < 1e-3 or math.hypot(bx, by) < 1e-3:
             return
         # acos amplifies dot-product rounding near 0 and pi, hence 1e-6
-        base = angular_difference(P(ax, ay), P(bx, by))
-        assert angular_difference(P(ax * s, ay * s), P(bx, by)) == pytest.approx(base, abs=1e-6)
-        assert angular_difference(P(ax, ay), P(bx * s, by * s)) == pytest.approx(base, abs=1e-6)
+        base = angular_difference([P(ax, ay)], [P(bx, by)])
+        assert angular_difference([P(ax * s, ay * s)], [P(bx, by)]) == pytest.approx(
+            base, abs=1e-6
+        )
+        assert angular_difference([P(ax, ay)], [P(bx * s, by * s)]) == pytest.approx(
+            base, abs=1e-6
+        )
 
     def test_zero_iff_parallel_same_sign(self):
-        assert angular_difference(P(2, 3), P(4, 6)) == pytest.approx(0.0, abs=1e-9)
-        assert angular_difference(P(2, 3), P(-2, -3)) == pytest.approx(math.pi, abs=1e-9)
+        got = angular_difference([P(2, 3), P(2, 3)], [P(4, 6), P(-2, -3)])
+        assert got == pytest.approx([0.0, math.pi], abs=1e-9)
 
 
 class TestClosestPolylineWithin:
     def test_single_divider_in_range(self):
-        pls = [Polyline([P(1, -5), P(1, 5)])]
-        assert closest_polyline_within(P(0, 0), pls, 2.0) == (0, pytest.approx(1.0), 0)
+        hit = closest_polyline_within([P(0, 0)], _set([P(1, -5), P(1, 5)]), 2.0)
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([0], [1.0], [0])
 
     def test_outside_range_returns_none(self):
-        pls = [Polyline([P(3, -5), P(3, 5)])]
-        assert closest_polyline_within(P(0, 0), pls, 2.0) is None
-        assert closest_polyline_within(P(0, 0), [], 2.0) is None
+        pls = _set([P(3, -5), P(3, 5)])
+        # beyond the range a query gets no polyline, but its distance and
+        # foot still describe the nearest segment
+        hit = closest_polyline_within([P(0, 0)], pls, 2.0)
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([-1], [3.0], [-1])
+        assert hit.foot.tolist() == [[3.0, 0.0]]
+        assert closest_polyline_within([P(0, 0)], PolylineSet([]), 2.0) is None
         # without a range the same polyline is the nearest; none of none is
-        assert closest_polyline(P(0, 0), pls) == (0, pytest.approx(3.0), 0)
-        assert closest_polyline(P(0, 0), []) is None
+        hit = closest_polyline([P(0, 0)], pls)
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([0], [3.0], [0])
+        assert closest_polyline([P(0, 0)], PolylineSet([])) is None
 
     def test_picks_nearest_of_two(self):
-        pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-0.5, -5), P(-0.5, 5)])]
-        idx, d, _seg = closest_polyline_within(P(0, 0), pls, 2.0)
-        assert idx == 1
-        assert d == pytest.approx(0.5)
+        pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
+        hit = closest_polyline_within([P(0, 0)], pls, 2.0)
+        assert hit.poly.tolist() == [1]
+        assert hit.dist.tolist() == pytest.approx([0.5])
 
     def test_tie_breaks_to_lowest_index(self):
-        pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-1, -5), P(-1, 5)])]
-        idx, d, _seg = closest_polyline_within(P(0, 0), pls, 2.0)
-        assert idx == 0
-        assert closest_polyline(P(0, 0), pls)[0] == 0
+        pls = [[P(1, -5), P(1, 5)], [P(-1, -5), P(-1, 5)]]
+        assert closest_polyline_within([P(0, 0)], _set(*pls), 2.0).poly.tolist() == [0]
+        assert closest_polyline([P(0, 0)], _set(*pls)).poly.tolist() == [0]
         # a farther polyline before the tied pair does not shift the winner
-        pls = [Polyline([P(3, -5), P(3, 5)])] + pls
-        assert closest_polyline(P(0, 0), pls)[0] == 1
+        assert closest_polyline([P(0, 0)], _set([P(3, -5), P(3, 5)], *pls)).poly.tolist() == [1]
 
     def test_nonpositive_range_rejected(self):
         with pytest.raises(GeometryError):
-            closest_polyline_within(P(0, 0), [Polyline([P(0, 0), P(1, 0)])], 0.0)
+            closest_polyline_within([P(0, 0)], _set([P(0, 0), P(1, 0)]), 0.0)
 
     @pytest.mark.parametrize("within", [float("nan"), float("inf"), -1.0])
     def test_non_finite_range_rejected(self, within):
         with pytest.raises(GeometryError, match="positive and finite"):
-            closest_polyline_within(P(0, 0), [Polyline([P(0, 0), P(1, 0)])], within)
+            closest_polyline_within([P(0, 0)], _set([P(0, 0), P(1, 0)]), within)
 
     def test_matches_brute_force_on_random_scenes(self):
         rng = np.random.default_rng(7)
@@ -207,32 +260,22 @@ class TestClosestPolylineWithin:
                 pts = rng.uniform(-20, 20, size=(n_pts, 2))
                 if n_pts == 2 and np.allclose(pts[0], pts[1]):
                     pts[1] += 1.0
-                pls.append(Polyline([P(*q) for q in pts]))
-            p = P(*rng.uniform(-25, 25, size=2))
+                pls.append(Polyline(pts))
+            p = rng.uniform(-25, 25, size=2)
             rng_range = float(rng.uniform(0.5, 30.0))
 
             # exhaustive oracle over every segment of every polyline
-            best = None
-            for i, pl in enumerate(pls):
-                for s in range(pl.segment_count):
-                    a, b = pl.points[s], pl.points[s + 1]
-                    if a == b:
-                        continue
-                    d = point_segment_distance(p, a, b)
-                    if best is None or d < best[1]:
-                        best = (i, d)
-            nearest = closest_polyline(p, pls)
-            assert nearest[0] == best[0]
-            assert nearest[1] == pytest.approx(best[1], abs=1e-12)
-            expected = best if best[1] <= rng_range else None
+            best, best_d, best_seg, _ = nearest_segment_oracle(p, pls)
+            nearest = closest_polyline(p[None], PolylineSet(pls))
+            assert (nearest.poly[0], nearest.seg[0]) == (best, best_seg)
+            assert nearest.dist[0] == pytest.approx(best_d, abs=1e-12)
 
-            got = closest_polyline_within(p, pls, rng_range)
-            if expected is None:
-                assert got is None
+            got = closest_polyline_within(p[None], PolylineSet(pls), rng_range)
+            if best_d > rng_range:
+                assert (got.poly[0], got.seg[0]) == (-1, -1)
             else:
-                assert got is not None
-                assert got[0] == expected[0]
-                assert got[1] == pytest.approx(expected[1], abs=1e-12)
+                assert got.poly[0] == best
+                assert got.dist[0] == pytest.approx(best_d, abs=1e-12)
 
 
 def _random_polylines(rng, n_pl):
@@ -251,12 +294,11 @@ class TestPolylineSet:
     def test_empty_set_finds_nothing(self):
         empty = PolylineSet([])
         assert len(empty) == 0 and not empty
-        queries = np.array([[0.0, 0.0], [1.0, 2.0]])
-        for p in (P(0, 0), queries):
-            assert closest_polyline(p, empty) is None
-            assert closest_polyline_within(p, empty, 2.0) is None
-        with pytest.raises(GeometryError):
-            point_polyline_distance(queries, empty)
+        for queries in (np.array([[0.0, 0.0], [1.0, 2.0]]), [P(0, 0)], np.empty((0, 2))):
+            assert closest_polyline(queries, empty) is None
+            assert closest_polyline_within(queries, empty, 2.0) is None
+            with pytest.raises(GeometryError):
+                point_polyline_distance(queries, empty)
 
     def test_search_matches_the_list_it_packs(self):
         rng = np.random.default_rng(3)
@@ -264,30 +306,35 @@ class TestPolylineSet:
         packed = PolylineSet(pls)
         assert len(packed) == 3
         queries = rng.uniform(-12, 12, size=(16, 2))
-        for got, want in (
-            (closest_polyline(queries, packed), closest_polyline(queries, pls)),
-            (
-                closest_polyline_within(queries, packed, 3.0),
-                closest_polyline_within(queries, pls, 3.0),
-            ),
-        ):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the packed search is the search of each polyline alone, the first
+        # of the nearest ones winning
+        alone = [point_polyline_distance(queries, PolylineSet([pl])) for pl in pls]
+        dist = np.array([d for d, _, _ in alone])
+        poly = np.argmin(dist, axis=0)
+        rows = np.arange(len(queries))
+        hit = closest_polyline(queries, packed)
+        assert hit.poly.tolist() == poly.tolist()
+        assert hit.dist.tolist() == dist[poly, rows].tolist()
+        assert hit.seg.tolist() == [alone[k][1][j] for j, k in enumerate(poly)]
+        assert hit.foot.tolist() == [alone[k][2][j].tolist() for j, k in enumerate(poly)]
+        within = closest_polyline_within(queries, packed, 3.0)
+        assert within.poly.tolist() == np.where(hit.dist <= 3.0, hit.poly, -1).tolist()
         assert np.array_equal(
             closest_point_on_segment(queries, packed),
-            closest_point_on_segment(queries, packed.start, packed.end),
+            np.concatenate([closest_point_on_segment(queries, PolylineSet([pl])) for pl in pls],
+                           axis=1),
         )
-        assert np.array_equal(packed.seg, np.concatenate([np.arange(len(p) - 1) for p in pls]))
+        assert np.array_equal(packed.seg, np.concatenate([np.arange(len(p.xy) - 1) for p in pls]))
 
     def test_arrays_are_read_only(self):
-        packed = PolylineSet([Polyline([P(0, 0), P(1, 0), P(1, 1)])])
+        packed = _set([P(0, 0), P(1, 0), P(1, 1)])
         for name in ("start", "end", "step", "step_sq", "live", "poly", "seg"):
             with pytest.raises(ValueError):
                 getattr(packed, name)[...] = 0
 
     def test_polyline_without_live_segment_rejected(self):
-        dead = Polyline([P(1, 1), P(1, 1), P(1, 1)])
         with pytest.raises(GeometryError, match="non-degenerate"):
-            PolylineSet([Polyline([P(0, 0), P(1, 0)]), dead])
+            _set([P(0, 0), P(1, 0)], [P(1, 1), P(1, 1), P(1, 1)])
 
 
 class TestArrayChain:
@@ -295,9 +342,9 @@ class TestArrayChain:
 
     def check_against_oracle(self, queries, pls, within=None):
         if within is None:
-            hit = closest_polyline(queries, pls)
+            hit = closest_polyline(queries, PolylineSet(pls))
         else:
-            hit = closest_polyline_within(queries, pls, within)
+            hit = closest_polyline_within(queries, PolylineSet(pls), within)
         assert hit.poly.shape == hit.dist.shape == hit.seg.shape == (len(queries),)
         assert hit.foot.shape == hit.start.shape == hit.end.shape == (len(queries), 2)
         for k, q in enumerate(queries):
@@ -308,12 +355,9 @@ class TestArrayChain:
                 continue
             assert (hit.poly[k], hit.seg[k]) == (poly, seg)
             assert tuple(hit.foot[k]) == foot
-            xy = pls[poly].xy()
+            xy = pls[poly].xy
             np.testing.assert_array_equal(hit.start[k], xy[seg])
             np.testing.assert_array_equal(hit.end[k], xy[seg + 1])
-            # the single-point form is row k of the array form
-            single = closest_polyline(P(*q), pls)
-            assert single == (int(hit.poly[k]), float(hit.dist[k]), int(hit.seg[k]))
 
     def test_matches_oracle_on_random_polylines(self):
         rng = np.random.default_rng(11)
@@ -323,7 +367,7 @@ class TestArrayChain:
             self.check_against_oracle(queries, pls)
             self.check_against_oracle(queries, pls, within=float(rng.uniform(0.5, 15.0)))
             for pl in pls:
-                dist, seg, foot = point_polyline_distance(queries, pl)
+                dist, seg, foot = point_polyline_distance(queries, PolylineSet([pl]))
                 for j, q in enumerate(queries):
                     _, d, s, f = nearest_segment_oracle(q, [pl])
                     assert (seg[j], tuple(foot[j])) == (s, f)
@@ -332,7 +376,7 @@ class TestArrayChain:
     def test_query_on_shared_vertex_ties_to_first_segment(self):
         pls = [Polyline([P(-1, 0), P(0, 0), P(0, 2)])]
         queries = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-        hit = closest_polyline(queries, pls)
+        hit = closest_polyline(queries, PolylineSet(pls))
         np.testing.assert_array_equal(hit.dist, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(hit.seg, [0, 0, 1])
         self.check_against_oracle(queries, pls)
@@ -344,7 +388,7 @@ class TestArrayChain:
             Polyline([P(-1, -5), P(-1, 5)]),
         ]
         queries = np.array([[0.0, 0.0], [0.0, 4.0], [2.0, 1.0]])
-        hit = closest_polyline(queries, pls)
+        hit = closest_polyline(queries, PolylineSet(pls))
         np.testing.assert_array_equal(hit.poly, [1, 1, 0])
         np.testing.assert_array_equal(hit.dist, [1.0, 1.0, 1.0])
         self.check_against_oracle(queries, pls)
@@ -352,30 +396,33 @@ class TestArrayChain:
     def test_degenerate_segments_are_skipped(self):
         pls = [Polyline([P(5, 5), P(5, 5), P(5, 6), P(5, 6), P(6, 6)])]
         queries = np.array([[5.0, 4.0], [5.0, 7.0], [7.0, 6.0]])
-        hit = closest_polyline(queries, pls)
+        hit = closest_polyline(queries, PolylineSet(pls))
         np.testing.assert_array_equal(hit.seg, [1, 1, 3])
         self.check_against_oracle(queries, pls)
         with pytest.raises(GeometryError):
-            closest_polyline(queries, pls + [Polyline([P(0, 0), P(0, 0), P(0, 0)])])
+            PolylineSet(pls + [Polyline([P(0, 0), P(0, 0), P(0, 0)])])
 
     def test_zero_and_one_queries(self):
-        pls = [Polyline([P(1, -5), P(1, 5)]), Polyline([P(-0.5, -5), P(-0.5, 5)])]
+        pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
         empty = closest_polyline(np.empty((0, 2)), pls)
         assert [a.shape for a in empty] == [(0,), (0,), (0,), (0, 2), (0, 2), (0, 2)]
         assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (0,)
         one = closest_polyline(np.array([[0.0, 0.0]]), pls)
         assert (one.poly.tolist(), one.dist.tolist(), one.seg.tolist()) == ([1], [0.5], [0])
-        assert closest_polyline(P(0, 0), pls) == one.first()
-        assert closest_polyline(np.empty((0, 2)), []) is None
+        assert closest_polyline(np.empty((0, 2)), PolylineSet([])) is None
+        # a lone 2-vector is not a (K, 2) array of queries
+        for lone in (P(0, 0), (0.0, 0.0), np.zeros(2)):
+            with pytest.raises(GeometryError, match="shape"):
+                closest_polyline(lone, pls)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_raises(self, bad):
-        pls = [Polyline([P(1, -5), P(1, 5)])]
+        pls = _set([P(1, -5), P(1, 5)])
         queries = np.array([[0.0, 0.0], [bad, 1.0]])
         with pytest.raises(GeometryError):
-            closest_point_on_segment(queries, pls[0].xy()[:-1], pls[0].xy()[1:])
+            closest_point_on_segment(queries, pls)
         with pytest.raises(GeometryError):
-            point_polyline_distance(queries, pls[0])
+            point_polyline_distance(queries, pls)
         with pytest.raises(GeometryError):
             closest_polyline(queries, pls)
         with pytest.raises(GeometryError):
@@ -388,9 +435,21 @@ class TestArrayChain:
         v1, v2 = rng.uniform(-3, 3, size=(2, 20, 2))
         got = angular_difference(v1, v2)
         assert got.shape == (20,)
-        assert got.tolist() == [angular_difference(tuple(a), tuple(b)) for a, b in zip(v1, v2)]
+        assert got.tolist() == [angular_difference([a], [b])[0] for a, b in zip(v1, v2)]
         with pytest.raises(GeometryError):
             angular_difference(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
+        with pytest.raises(GeometryError, match="shape"):
+            angular_difference(v1[0], v2[0])
+
+
+def _margin(c1, h1, d1, c2, h2, d2):
+    """`oriented_rect_margin` of the frames of two (center, heading, dims) triples."""
+    return oriented_rect_margin(box_frame(c1, h1, d1), box_frame(c2, h2, d2))
+
+
+def _overlap(c1, h1, d1, c2, h2, d2) -> bool:
+    """`oriented_rect_overlap` of the frames of two (center, heading, dims) triples."""
+    return oriented_rect_overlap(box_frame(c1, h1, d1), box_frame(c2, h2, d2))
 
 
 def _point_in_rect(points: np.ndarray, center: Point2, heading: float, dims) -> np.ndarray:
@@ -403,37 +462,37 @@ def _point_in_rect(points: np.ndarray, center: Point2, heading: float, dims) -> 
 
 class TestOrientedRectOverlap:
     def test_identical_rectangles(self):
-        assert oriented_rect_overlap(P(0, 0), 0.3, (2, 1), P(0, 0), 0.3, (2, 1))
+        assert _overlap(P(0, 0), 0.3, (2, 1), P(0, 0), 0.3, (2, 1))
 
     def test_far_apart(self):
-        assert not oriented_rect_overlap(P(0, 0), 0.0, (2, 1), P(10, 0), 0.0, (2, 1))
+        assert not _overlap(P(0, 0), 0.0, (2, 1), P(10, 0), 0.0, (2, 1))
 
     def test_half_lengths_sum_exceeds_center_gap(self):
         # 2x1 rects, heading 0 puts the length axis on x: half-lengths sum to
         # 2.0 > 1.5, all other axes overlap too
-        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), P(1.5, 0), 0.0, (2, 1))
+        assert _overlap(P(0, 0), 0.0, (2, 1), P(1.5, 0), 0.0, (2, 1))
 
     def test_touching_edges_count_as_overlap(self):
-        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), P(2.0, 0), 0.0, (2, 1))
+        assert _overlap(P(0, 0), 0.0, (2, 1), P(2.0, 0), 0.0, (2, 1))
 
     def test_rejects_non_positive_dims(self):
         with pytest.raises(GeometryError):
-            oriented_rect_overlap(P(0, 0), 0.0, (0, 1), P(1, 0), 0.0, (2, 1))
+            _overlap(P(0, 0), 0.0, (0, 1), P(1, 0), 0.0, (2, 1))
 
     def test_overlap_sweeps_box_arrays(self):
         far = (10.0, 0.0)
         near = (1.5, 0.0)
         none = np.empty((0, 2))
-        assert not oriented_rect_overlap(P(0, 0), 0.0, (2, 1), none, [], none)
-        assert not oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [far], [0.0], [(2, 1)])
-        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [far, near], [0.0, 0.0], (2, 1))
+        assert not _overlap(P(0, 0), 0.0, (2, 1), none, [], none)
+        assert not _overlap(P(0, 0), 0.0, (2, 1), [far], [0.0], [(2, 1)])
+        assert _overlap(P(0, 0), 0.0, (2, 1), [far, near], [0.0, 0.0], (2, 1))
         # an invalid box anywhere raises, before or after a hit
         for boxes in ([far, near, near], [far, near, far], [near, far, far]):
             for bad in range(3):
                 dims = np.full((3, 2), 1.0)
                 dims[bad, 0] = 0.0
                 with pytest.raises(GeometryError):
-                    oriented_rect_overlap(P(0, 0), 0.0, (2, 1), boxes, [0.0] * 3, dims)
+                    _overlap(P(0, 0), 0.0, (2, 1), boxes, [0.0] * 3, dims)
 
     def test_rect_corners_axis_aligned(self):
         corners = rect_corners(P(1, 2), math.pi / 2, (4.0, 2.0))
@@ -453,7 +512,7 @@ class TestOrientedRectOverlap:
             d1 = tuple(rng.uniform(0.5, 4.0, size=2))
             d2 = tuple(rng.uniform(0.5, 4.0, size=2))
 
-            got = oriented_rect_overlap(c1, h1, d1, c2, h2, d2)
+            got = _overlap(c1, h1, d1, c2, h2, d2)
 
             # sample uniformly inside rect 1, test membership in rect 2
             local = rng.uniform(-0.5, 0.5, size=(n_samples, 2)) * np.array(d1)
@@ -468,7 +527,7 @@ class TestOrientedRectOverlap:
             elif got:
                 # SAT says overlap but sampling missed it: only acceptable
                 # within one sample-resolution margin of tangency
-                margin = oriented_rect_margin(c1, h1, d1, c2, h2, d2)
+                margin = _margin(c1, h1, d1, c2, h2, d2)
                 resolution = 2.0 * math.sqrt(d1[0] * d1[1] / n_samples)
                 assert margin <= resolution, (
                     f"sampler missed a non-tangent overlap (margin {margin:.4f})"
@@ -504,12 +563,12 @@ class TestSeparatingAxisKernel:
         c1, h1, d1 = _random_boxes(rng, (3000,))
         c2, h2, d2 = _random_boxes(rng, (3000,))
         h2[:500] = h1[:500]  # parallel boxes
-        got = oriented_rect_margin(c1, h1, d1, c2, h2, d2)
+        got = _margin(c1, h1, d1, c2, h2, d2)
         assert got.shape == (3000,)
         want = [sat_margin_oracle(c1[i], h1[i], d1[i], c2[i], h2[i], d2[i]) for i in range(3000)]
         assert got.tolist() == want
         # exactly symmetric in the two rectangles
-        assert oriented_rect_margin(c2, h2, d2, c1, h1, d1).tolist() == want
+        assert _margin(c2, h2, d2, c1, h1, d1).tolist() == want
 
     @pytest.mark.parametrize(
         "shape1, shape2",
@@ -519,46 +578,46 @@ class TestSeparatingAxisKernel:
         rng = np.random.default_rng(len(shape1) * 10 + len(shape2))
         c1, h1, d1 = _random_boxes(rng, shape1)
         c2, h2, d2 = _random_boxes(rng, shape2)
-        got = oriented_rect_margin(c1, h1, d1, c2, h2, d2)
+        got = _margin(c1, h1, d1, c2, h2, d2)
         shape = np.broadcast_shapes(shape1, shape2)
         assert np.shape(got) == shape
         for idx in np.ndindex(shape):
             i1, i2 = _broadcast_source(idx, shape1), _broadcast_source(idx, shape2)
             want = sat_margin_oracle(c1[i1], h1[i1], d1[i1], c2[i2], h2[i2], d2[i2])
             assert np.asarray(got)[idx] == want
-        assert oriented_rect_overlap(c1, h1, d1, c2, h2, d2) == bool((np.asarray(got) >= 0).any())
+        assert _overlap(c1, h1, d1, c2, h2, d2) == bool((np.asarray(got) >= 0).any())
 
     def test_dims_broadcast_per_row(self):
         rng = np.random.default_rng(2)
         c1, h1, _ = _random_boxes(rng, (7,))
         c2, h2, d2 = _random_boxes(rng, (4, 7))
         rows = d2[:, :1, :]
-        got = oriented_rect_margin(c1, h1, (4.5, 1.9), c2, h2, rows)
-        want = oriented_rect_margin(
+        got = _margin(c1, h1, (4.5, 1.9), c2, h2, rows)
+        want = _margin(
             c1, h1, np.broadcast_to([4.5, 1.9], (7, 2)), c2, h2, np.broadcast_to(rows, (4, 7, 2))
         )
         assert got.tolist() == want.tolist()
 
     def test_scalar_inputs_give_a_float(self):
-        got = oriented_rect_margin(P(0.5, -1), 0.4, (3.0, 1.5), (2.0, 0.5), 1.1, [2.0, 1.0])
+        got = _margin(P(0.5, -1), 0.4, (3.0, 1.5), (2.0, 0.5), 1.1, [2.0, 1.0])
         assert isinstance(got, float)
         assert got == sat_margin_oracle((0.5, -1.0), 0.4, (3.0, 1.5), (2.0, 0.5), 1.1, (2.0, 1.0))
-        assert type(oriented_rect_overlap(P(0, 0), 0.0, (2, 1), P(0, 0), 0.0, (2, 1))) is bool
+        assert type(_overlap(P(0, 0), 0.0, (2, 1), P(0, 0), 0.0, (2, 1))) is bool
 
     def test_zero_pairs(self):
         boxes = (np.zeros((3, 2)), np.zeros(3), (2, 1))
         none = (np.zeros((0, 3, 2)), np.zeros((0, 3)), np.ones((0, 1, 2)))
-        assert oriented_rect_margin(*boxes, *none).shape == (0, 3)
-        assert oriented_rect_overlap(*boxes, *none) is False
+        assert _margin(*boxes, *none).shape == (0, 3)
+        assert _overlap(*boxes, *none) is False
 
     def test_touching_and_identical_boxes(self):
         # edges touching exactly: margin 0, which counts as overlap
-        assert oriented_rect_margin(P(0, 0), 0.0, (2, 1), P(2, 0), 0.0, (2, 1)) == 0.0
-        assert oriented_rect_margin(P(0, 0), 0.0, (2, 1), P(0, 1), 0.0, (2, 1)) == 0.0
-        assert oriented_rect_overlap(P(0, 0), 0.0, (2, 1), [(2.0, 0.0), (0.0, 1.0)], 0.0, (2, 1))
+        assert _margin(P(0, 0), 0.0, (2, 1), P(2, 0), 0.0, (2, 1)) == 0.0
+        assert _margin(P(0, 0), 0.0, (2, 1), P(0, 1), 0.0, (2, 1)) == 0.0
+        assert _overlap(P(0, 0), 0.0, (2, 1), [(2.0, 0.0), (0.0, 1.0)], 0.0, (2, 1))
         # identical boxes reach across their narrower extent
         for heading in (0.0, 0.7, math.pi / 2):
-            got = oriented_rect_margin(P(1, 2), heading, (4, 1), P(1, 2), heading, (4, 1))
+            got = _margin(P(1, 2), heading, (4, 1), P(1, 2), heading, (4, 1))
             assert got == sat_margin_oracle((1, 2), heading, (4, 1), (1, 2), heading, (4, 1))
             assert got == pytest.approx(1.0)
 
@@ -580,20 +639,20 @@ class TestSeparatingAxisKernel:
         target = {"center": centers, "heading": headings, "dims": dims}[which]
         target[2] = value
         with pytest.raises(GeometryError):
-            oriented_rect_margin(P(0, 0), 0.0, (2, 1), centers, headings, dims)
+            _margin(P(0, 0), 0.0, (2, 1), centers, headings, dims)
         with pytest.raises(GeometryError):
-            oriented_rect_overlap(centers, headings, dims, P(50, 50), 0.0, (2, 1))
+            _overlap(centers, headings, dims, P(50, 50), 0.0, (2, 1))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(GeometryError):
-            oriented_rect_margin(np.zeros((3, 3)), np.zeros(3), (2, 1), P(0, 0), 0.0, (2, 1))
+            _margin(np.zeros((3, 3)), np.zeros(3), (2, 1), P(0, 0), 0.0, (2, 1))
         with pytest.raises(GeometryError):
-            oriented_rect_margin(P(0, 0), 0.0, (2, 1, 1), P(0, 0), 0.0, (2, 1))
+            _margin(P(0, 0), 0.0, (2, 1, 1), P(0, 0), 0.0, (2, 1))
 
 
 def _sat_says(c1, h1, d1, c2, h2, d2) -> bool:
     """The separating-axis test's own answer, with no circle bound."""
-    return bool((np.asarray(oriented_rect_margin(c1, h1, d1, c2, h2, d2)) >= 0.0).any())
+    return bool((np.asarray(_margin(c1, h1, d1, c2, h2, d2)) >= 0.0).any())
 
 
 def _touching_pairs(rng, n, bound, offset=0.0):
@@ -647,8 +706,8 @@ class TestCircleBoundPrefilter:
         c1, h1, d1 = _random_boxes(rng, (3000,))
         c2, h2, d2 = _random_boxes(rng, (3000,))
         h2[:500] = h1[:500]  # parallel boxes
-        got = [oriented_rect_overlap(c1[i], h1[i], d1[i], c2[i], h2[i], d2[i]) for i in range(3000)]
-        assert got == (oriented_rect_margin(c1, h1, d1, c2, h2, d2) >= 0.0).tolist()
+        got = [_overlap(c1[i], h1[i], d1[i], c2[i], h2[i], d2[i]) for i in range(3000)]
+        assert got == (_margin(c1, h1, d1, c2, h2, d2) >= 0.0).tolist()
         # both bounds decide some of these pairs
         f1, f2 = box_frame(c1, h1, d1), box_frame(c2, h2, d2)
         gap = np.hypot(f2.x - f1.x, f2.y - f1.y)
@@ -658,14 +717,14 @@ class TestCircleBoundPrefilter:
         for shape1, shape2 in [((7,), (5, 7)), ((4, 1), (1, 6)), ((), (9,)), ((3, 1, 2), (5, 1))]:
             for _ in range(20):
                 boxes = (*_random_boxes(rng, shape1), *_random_boxes(rng, shape2))
-                assert oriented_rect_overlap(*boxes) == _sat_says(*boxes)
+                assert _overlap(*boxes) == _sat_says(*boxes)
 
     @pytest.mark.parametrize("bound", ["inner", "outer"])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_touching_radius_sums_match_the_separating_axis_test(self, bound, offset):
         rng = np.random.default_rng(40 + len(bound) + int(offset) % 97)
         for pair in _touching_pairs(rng, 300, bound, offset):
-            assert oriented_rect_overlap(*pair) == _sat_says(*pair), pair
+            assert _overlap(*pair) == _sat_says(*pair), pair
 
     def test_thin_axis_aligned_and_parallel_boxes(self):
         rng = np.random.default_rng(33)
@@ -676,7 +735,7 @@ class TestCircleBoundPrefilter:
             h2 = h1 + float(rng.choice([0.0, math.pi, math.pi / 2]))
             c1 = rng.uniform(-1e6, 1e6, size=2)
             c2 = c1 + rng.uniform(-1.2, 1.2, size=2) * (length / 2.0 + 1.0)
-            assert oriented_rect_overlap(c1, h1, d1, c2, h2, d2) == _sat_says(c1, h1, d1, c2, h2, d2)
+            assert _overlap(c1, h1, d1, c2, h2, d2) == _sat_says(c1, h1, d1, c2, h2, d2)
 
     def test_ready_made_frames_give_the_raw_triples_margins(self):
         rng = np.random.default_rng(34)
@@ -689,12 +748,15 @@ class TestCircleBoundPrefilter:
             rows.put(i, box_frame(c2[i], h2[i], d2[i]))
         for f1 in (box_frame(c1, h1, d1), box_frame(c1, h1, (4.5, 1.9))):
             d = d1 if f1.half.ndim == 2 else (4.5, 1.9)
-            want = oriented_rect_margin(c1, h1, d, c2, h2, d2)
+            want = _margin(c1, h1, d, c2, h2, d2)
             assert oriented_rect_margin(f1, rows.head(5)).tolist() == want.tolist()
             assert oriented_rect_margin(rows.head(5), f1).tolist() == want.tolist()
             assert oriented_rect_overlap(f1, rows.head(5)) == bool((want >= 0.0).any())
+        # two frames, never one or six raw box arguments
         with pytest.raises(TypeError):
             oriented_rect_overlap(box_frame(c1, h1, d1))
+        with pytest.raises(TypeError):
+            oriented_rect_margin(c1, h1, d1, c2, h2, d2)
 
     def test_swept_frame_is_the_frame_of_the_pose_track(self):
         rng = np.random.default_rng(35)

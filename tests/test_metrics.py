@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vecplan.errors import ConfigError
-from vecplan.geometry import Point2, Polyline, oriented_rect_overlap
+from vecplan.geometry import Point2, Polyline, box_frame, oriented_rect_overlap
 from vecplan.metrics import (
     DEFAULT_EGO_DIMS,
     agent_boxes,
@@ -174,8 +174,8 @@ class TestCollisionRate:
                             agent.heading,
                         )
                         if oriented_rect_overlap(
-                            ego_poses[t][0], ego_poses[t][1], DEFAULT_EGO_DIMS,
-                            track[t][0], track[t][1], agent.size,
+                            box_frame(ego_poses[t][0], ego_poses[t][1], DEFAULT_EGO_DIMS),
+                            box_frame(track[t][0], track[t][1], agent.size),
                         ):
                             hit = True
                 if hit:

@@ -8,7 +8,7 @@ import pytest
 
 from vecplan import geometry, scene
 from vecplan.errors import ConfigError, ScenarioFormatError
-from vecplan.geometry import Point2, Polyline, point_polyline_distance
+from vecplan.geometry import Point2, Polyline, PolylineSet, point_polyline_distance
 from vecplan.scene import (
     AgentPrediction,
     Command,
@@ -161,7 +161,7 @@ class TestGenerator:
         for seed in range(25):
             s = generate_scenario(seed, cfg)
             for mv in s.map:
-                xy = mv.points.xy()
+                xy = mv.points.xy
                 assert np.all(np.abs(xy[:, 0]) <= lat_half + 1e-9)
                 assert np.all(np.abs(xy[:, 1]) <= long_half + 1e-9)
 
@@ -174,20 +174,17 @@ class TestGenerator:
             dividers = [m for m in s.map if m.kind == MapClass.LANE_DIVIDER]
             assert len(boundaries) == 2
             for dv in dividers:
-                for p in dv.points.points:
-                    for bd in boundaries:
-                        d, _ = point_polyline_distance(p, bd.points)
-                        assert d > 0.1
+                for bd in boundaries:
+                    d, _, _ = point_polyline_distance(dv.points.xy, PolylineSet([bd.points]))
+                    assert (d > 0.1).all()
 
     def test_expert_never_crosses_a_boundary(self):
         for seed in range(50):
             s = generate_scenario(seed)
             boundaries = [m for m in s.map if m.kind == MapClass.ROAD_BOUNDARY]
-            for wp in s.expert:
-                p = Point2(float(wp[0]), float(wp[1]))
-                for bd in boundaries:
-                    d, _ = point_polyline_distance(p, bd.points)
-                    assert d > 0.05
+            for bd in boundaries:
+                d, _, _ = point_polyline_distance(s.expert, PolylineSet([bd.points]))
+                assert (d > 0.05).all()
 
     def test_structure(self):
         cfg = GeneratorConfig(lane_count=3)
@@ -313,6 +310,10 @@ class TestScenarioIO:
             (("agents", 0, "size", 0), math.inf, "agent size"),
             (("perception_range", 1), math.inf, "perception_range"),
             (("perception_range", 0), math.nan, "perception_range"),
+            (("map", 0, "points", 3, 1), math.nan, r"map\[0\]\.points"),
+            (("map", 1, "points", 0, 0), -math.inf, r"map\[1\]\.points"),
+            (("agents", 0, "position", 0), math.inf, r"agents\[0\]\.position"),
+            (("ego", "position", 1), math.nan, r"ego\.position"),
         ],
     )
     def test_non_finite_values_rejected(self, tmp_path, path, value, names):

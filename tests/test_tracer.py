@@ -8,16 +8,20 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer(monkeypatch):
+    return _load(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 def test_tracer_installs_and_uninstalls_on_vecplan(monkeypatch):
@@ -30,8 +34,8 @@ def test_tracer_installs_and_uninstalls_on_vecplan(monkeypatch):
         from vecplan import geometry
 
         assert all(hasattr(vars(s.owner)[s.attr], "__perfbench_original__") for s in spans)
-        pls = [geometry.Polyline([(1.0, -1.0), (1.0, 1.0)])]
-        geometry.closest_polyline_within(geometry.Point2(0.0, 0.0), pls, 2.0)
+        pls = geometry.PolylineSet([geometry.Polyline([(1.0, -1.0), (1.0, 1.0)])])
+        geometry.closest_polyline_within([geometry.Point2(0.0, 0.0)], pls, 2.0)
         assert tracer.calls("geometry.closest_polyline_within") == 1
         assert tracer.calls("geometry.point_polyline_distance") == 1
     finally:
@@ -78,3 +82,52 @@ def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
         tracer.uninstall()
     assert from_metrics == len(scenario.agents)
     assert from_rollout == len(scenario.agents)
+
+
+def _tiny_train():
+    from vecplan import learning, scene
+
+    config = learning.TrainConfig(epochs=1, train_scenarios=2, val_scenarios=1)
+    learning.train(config, scene.GeneratorConfig())
+
+
+def _tiny_evaluate_dense():
+    from vecplan import interact, metrics, scene
+
+    config = scene.GeneratorConfig(agent_count_range=(8, 12))
+    scenarios = [scene.generate_scenario(seed, config) for seed in (0, 1)]
+    params = interact.InteractionParams.initialize(
+        interact.InteractionConfig(t_future=config.t_future), seed=0
+    )
+    metrics.plan_metrics(scenarios, [interact.forward_plan(s, params).plan for s in scenarios])
+
+
+def _tiny_refine_rollout():
+    from vecplan import scene, simulator
+
+    simulator.run_closed_loop(scene.generate_scenario(0), simulator.RefinePlanner(), 1)
+
+
+def test_tiny_workloads_fire_every_expected_span(monkeypatch):
+    # the calls of each benchmark workload, scaled down, must reach every
+    # span the benchmark's self-test expects of that workload
+    tracer_mod = _load_tracer(monkeypatch)
+    run_mod = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    tiny = {
+        "train": _tiny_train,
+        "evaluate_dense": _tiny_evaluate_dense,
+        "refine_rollout": _tiny_refine_rollout,
+    }
+    tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
+    fired = {}
+    tracer.install()
+    try:
+        for name, work in tiny.items():
+            tracer.reset()
+            work()
+            fired[name] = {span for span, stats in tracer.snapshot().items() if stats[0]}
+    finally:
+        tracer.uninstall()
+    for name in tiny:
+        missing = set(run_mod.expected_spans(name)) - fired[name]
+        assert not missing, f"{name}: {sorted(missing)}"
