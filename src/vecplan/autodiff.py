@@ -2,19 +2,24 @@
 arrays.
 
 Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
-copied, finite-checked leaves (`Tape.leaf`) or, for parameters, as read-only
-views with no copy (`Tape.param`).  Primitives compute their forward value
-eagerly and register a vector-Jacobian product; backward replays the records
-in strict reverse order exactly once, accumulating gradients into every node
-(so a node used twice receives the sum of both paths).  `mlp` is the fused
-two-layer perceptron `relu(x @ w1 + b1) @ w2 + b2`: one record with one
-vector-Jacobian product for what the unfused ops record five times.  There is
-no broadcasting beyond the bias rows and no control-flow capture: record
-exactly what you execute.
+copied, finite-checked leaves (`Tape.leaf`); parameters enter all at once as
+read-only views with no copy or check (`Tape.params`), since their owner
+checks them.  Primitives compute their forward value eagerly and register a
+vector-Jacobian product; backward replays the records in strict reverse order
+exactly once, accumulating gradients into every node (so a node used twice
+receives the sum of both paths).  Two fused records stand in for chains of
+primitives, with the same numpy operations in the same order: `mlp`, the
+perceptron `relu(x @ w1 + b1) @ w2 + b2`, and `attention`, multi-head
+cross-attention with an output projection and a residual.  A record holds
+input indices and a closure over arrays and shapes, never a `Tensor`, so a
+tape holds no reference cycle and reference counting frees it as soon as
+nothing refers to it.  There is no broadcasting beyond the bias rows and no
+control-flow capture: record exactly what you execute.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +33,7 @@ def _as_matrix(data) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ShapeError("non-finite values in tensor")
     return arr
 
@@ -71,7 +76,7 @@ class Tape:
     """Recording of one forward pass.
 
     Single-writer: record and run backward from one thread; separate tapes
-    are independent.  Parameter leaves (`param`) are views of the caller's
+    are independent.  Parameter leaves (`params`) are views of the caller's
     arrays, and the recorded vector-Jacobian products read them, so run
     `backward_from` before updating the parameters in place.
     """
@@ -92,13 +97,13 @@ class Tape:
         """Enter an input value onto the tape as a finite-checked copy."""
         return self._node(_as_matrix(data).copy())
 
-    def param(self, data: np.ndarray) -> Tensor:
-        """Enter a 2-D float64 parameter array as a read-only view (no copy
-        when it is C-contiguous) with no finite check: the caller checks its
-        parameters once."""
-        if data.ndim != 2 or data.dtype != np.float64:
-            raise ShapeError(f"parameters are 2-D float64, got {data.dtype} {data.shape}")
-        return self._node(data.view())
+    def params(self, views: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
+        """Enter named parameters as leaves, in order, with no copy and no
+        check: the caller passes read-only, C-contiguous 2-D float64 views
+        whose values it has checked."""
+        start = len(self._data)
+        self._data.extend(views.values())
+        return {name: Tensor(self, i, v) for i, (name, v) in enumerate(views.items(), start)}
 
     def _record(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
         self._records.append((out.index, tuple(t.index for t in inputs), vjp))
@@ -154,10 +159,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = tape._node(a.data @ b.data)
+    a_in, b_in = a.data, b.data
+    out = tape._node(a_in @ b_in)
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b_in.T, a_in.T @ g
 
     return tape._record(out, (a, b), vjp)
 
@@ -187,22 +193,126 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp: {x.shape} @ {w1.shape} @ {w2.shape}")
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} for {w1.shape}, {w2.shape}")
-    pre = x.data @ w1.data + b1.data
+    x_in, w1_in, w2_in = x.data, w1.data, w2.data
+    pre = x_in @ w1_in + b1.data
     mask = pre > 0.0
     h = np.where(mask, pre, 0.0)
-    out = tape._node(h @ w2.data + b2.data)
+    out = tape._node(h @ w2_in + b2.data)
 
     def vjp(g):
-        g_h = (g @ w2.data.T) * mask
+        g_h = (g @ w2_in.T) * mask
         return (
-            g_h @ w1.data.T,
-            x.data.T @ g_h,
+            g_h @ w1_in.T,
+            x_in.T @ g_h,
             g_h.sum(axis=0, keepdims=True),
             h.T @ g,
             g.sum(axis=0, keepdims=True),
         )
 
     return tape._record(out, (x, w1, b1, w2, b2), vjp)
+
+
+def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
+    # what a tape sums for a node read by column slices, slice by slice
+    full = np.zeros(shape)
+    full[:, lo:hi] = g
+    return full if total is None else total + full
+
+
+def attention(
+    q: Tensor,
+    q_pos: Tensor,
+    k: Tensor,
+    k_pos: Tensor,
+    v: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    n_heads: int,
+) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head cross-attention with output projection and residual, as one
+    record: q + concat_h(softmax((q + q_pos) wq_h ((k + k_pos) wk_h)^T
+    / sqrt(d_head)) (v wv)_h) wo, with the heads taking equal column slices.
+
+    Returns the output and each head's (q rows, k rows) attention weights,
+    read-only.  It runs the numpy operations of the `add`, `matmul`,
+    `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows` and `concat_cols`
+    chain in the same order, on the same memory layouts, and delivers the
+    input gradients in the order that chain does, so both give the same bits.
+    """
+    tape = _same_tape(q, q_pos, k, k_pos, v, wq, wk, wv, wo)
+    d = q.shape[1]
+    if (
+        q_pos.shape != q.shape
+        or k.shape[1] != d
+        or k_pos.shape != k.shape
+        or v.shape != k.shape
+        or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+    ):
+        raise ShapeError(
+            f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}, k_pos {k_pos.shape}, "
+            f"v {v.shape}, weights {[w.shape for w in (wq, wk, wv, wo)]}"
+        )
+    if k.shape[0] == 0:
+        raise ShapeError("attention: needs at least one key row")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
+    v_in, wq_in, wk_in, wv_in, wo_in = v.data, wq.data, wk.data, wv.data, wo.data
+    qq = q.data + q_pos.data
+    kk = k.data + k_pos.data
+    qh = qq @ wq_in
+    kh = kk @ wk_in
+    vh = v_in @ wv_in
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    heads = []
+    outs = []
+    for h in range(n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        qs = np.ascontiguousarray(qh[:, lo:hi])
+        k_t = np.ascontiguousarray(kh[:, lo:hi].T)
+        logits = (qs @ k_t) * scale
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        y = e / e.sum(axis=1, keepdims=True)
+        y.flags.writeable = False
+        vs = np.ascontiguousarray(vh[:, lo:hi])
+        heads.append((lo, hi, qs, k_t, y, vs))
+        outs.append(y @ vs)
+    att = outs[0] if n_heads == 1 else np.concatenate(outs, axis=1)
+    out = tape._node(q.data + att @ wo_in)
+
+    def vjp(g):
+        g_att = g @ wo_in.T
+        g_qh = g_kh = g_vh = None
+        for lo, hi, qs, k_t, y, vs in reversed(heads):
+            g_o = g_att if n_heads == 1 else np.array(g_att[:, lo:hi])
+            g_y = g_o @ vs.T
+            g_vh = _add_cols(g_vh, y.T @ g_o, v_in.shape, lo, hi)
+            g_logits = y * (g_y - (g_y * y).sum(axis=1, keepdims=True))
+            g_raw = g_logits * scale
+            g_kh = _add_cols(g_kh, (qs.T @ g_raw).T, kk.shape, lo, hi)
+            g_qh = _add_cols(g_qh, g_raw @ k_t.T, qq.shape, lo, hi)
+        g_kk = g_kh @ wk_in.T
+        g_qq = g_qh @ wq_in.T
+        return (
+            g,
+            att.T @ g,
+            g_vh @ wv_in.T,
+            v_in.T @ g_vh,
+            kk.T @ g_kh,
+            g_kk,
+            g_kk,
+            qq.T @ g_qh,
+            g_qq,
+            g_qq,
+        )
+
+    # the inputs in the order the chain's records, replayed in reverse, reach
+    # them: the residual before the query path, and the values before the
+    # keys, which the decoder blocks pass as the same tensor
+    weights = [y for _, _, _, _, y, _ in heads]
+    return tape._record(out, (q, wo, v, wv, wk, k, k_pos, wq, q, q_pos), vjp), weights
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
@@ -250,9 +360,10 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.shape[1] for p in parts]
     out = tape._node(np.concatenate([p.data for p in parts], axis=1))
     offsets = np.cumsum([0] + widths)
+    n = len(parts)
 
     def vjp(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(n))
 
     return tape._record(out, tuple(parts), vjp)
 
@@ -261,9 +372,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.shape[1]:
         raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
     out = x.tape._node(x.data[:, start:stop])
+    shape = x.shape
 
     def vjp(g):
-        full = np.zeros(x.shape)
+        full = np.zeros(shape)
         full[:, start:stop] = g
         return (full,)
 
@@ -277,7 +389,8 @@ def transpose(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = x.tape._node(np.array([[x.data.sum()]]))
-    return x.tape._record(out, (x,), lambda g: (np.full(x.shape, g[0, 0]),))
+    shape = x.shape
+    return x.tape._record(out, (x,), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -285,7 +398,8 @@ def mean_all(x: Tensor) -> Tensor:
     if size == 0:
         raise ShapeError("mean_all of an empty tensor")
     out = x.tape._node(np.array([[x.data.mean()]]))
-    return x.tape._record(out, (x,), lambda g: (np.full(x.shape, g[0, 0] / size),))
+    shape = x.shape
+    return x.tape._record(out, (x,), lambda g: (np.full(shape, g[0, 0] / size),))
 
 
 def l1_to_target(x: Tensor, target) -> Tensor:

@@ -10,8 +10,8 @@ plan waypoints, treating the discrete nearest-element assignments as fixed
 used and at L1/abs kinks the subgradient is zero).
 
 The losses read a scene packed into arrays once (`scene.pack`), however many
-times a planner or a training run evaluates them on it; lists of agents and
-map elements are packed on entry.
+times a planner or a training run evaluates them on it: the agents as their
+(A, T_f, 2) best-mode tracks and the map elements as a PolylineSet.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,16 +30,7 @@ from .geometry import (
     closest_polyline,
     closest_polyline_within,
 )
-from .scene import (
-    AgentPrediction,
-    MapVector,
-    PackedScene,
-    PlanTrajectory,
-    Scenario,
-    best_mode,
-    ego_vectors,
-    pack,
-)
+from .scene import PackedScene, PlanTrajectory, Scenario, ego_vectors, pack
 
 COLLISION_MODES = ("per_axis", "single_nearest")
 
@@ -122,9 +113,7 @@ class TotalLossResult(LossResult):
 
 
 def collision_loss(
-    plan: PlanTrajectory,
-    agents: Sequence[AgentPrediction] | np.ndarray,
-    params: ConstraintParams,
+    plan: PlanTrajectory, tracks: np.ndarray, params: ConstraintParams
 ) -> LossResult:
     """Per-axis safety hinge against the agents' best-mode positions.
 
@@ -134,11 +123,10 @@ def collision_loss(
     Within the candidates, the minimum |dx| defines the lateral distance and
     the minimum |dy| the longitudinal one, independently; each direction
     contributes (margin - d) when d falls below its safety margin.  The
-    result is the mean over the horizon of the summed X and Y terms.  Agents
-    must be pre-filtered by confidence; the best-scoring mode of each is used.
-    `agents` may also be their (N_a, T_f, 2) best-mode tracks, as packed.
+    result is the mean over the horizon of the summed X and Y terms.  `tracks`
+    are the (N_a, T_f, 2) best-mode tracks of the agents that passed the
+    confidence threshold, as `scene.pack` stacks them.
     """
-    tracks = agents if isinstance(agents, np.ndarray) else np.array([best_mode(a) for a in agents])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)
@@ -166,20 +154,15 @@ def collision_loss(
 
 
 def boundary_loss(
-    plan: PlanTrajectory,
-    boundaries: Sequence[MapVector] | PolylineSet,
-    params: ConstraintParams,
+    plan: PlanTrajectory, boundaries: PolylineSet, params: ConstraintParams
 ) -> LossResult:
     """Clearance hinge against the closest road-boundary polyline.
 
     Per timestep, if the waypoint is closer than `boundary_clearance` to the
     nearest boundary the hinge contributes (clearance - distance); mean over
     the horizon.  The gradient points along the foot-point direction of the
-    winning segment and is zero exactly on a boundary.  `boundaries` may also
-    be their packed PolylineSet.
+    winning segment and is zero exactly on a boundary.
     """
-    if not isinstance(boundaries, PolylineSet):
-        boundaries = PolylineSet([mv.points for mv in boundaries])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)
@@ -195,9 +178,7 @@ def boundary_loss(
 
 
 def direction_loss(
-    plan: PlanTrajectory,
-    dividers: Sequence[MapVector] | PolylineSet,
-    params: ConstraintParams,
+    plan: PlanTrajectory, dividers: PolylineSet, params: ConstraintParams
 ) -> LossResult:
     """Angular misalignment between per-step motion and the nearest divider.
 
@@ -206,10 +187,8 @@ def direction_loss(
     along travel direction); the term is the unsigned angle between it and
     the step's motion vector (the first step leaves the ego origin), zero
     when no divider is in range or the step has zero length.  Mean over the
-    horizon.  `dividers` may also be their packed PolylineSet.
+    horizon.
     """
-    if not isinstance(dividers, PolylineSet):
-        dividers = PolylineSet([mv.points for mv in dividers])
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros_like(w)

@@ -111,8 +111,9 @@ class InteractionParams:
     `tensors` is a read-only mapping from each name to a reshaped view of
     `flat`: writing into a view (`tensors[name][...] = 0.0`) writes the
     parameter, while assigning a new array to a name raises, since it would
-    leave `flat` stale.  `extend` rebuilds both, so views taken before it no
-    longer alias the parameters.
+    leave `flat` stale.  `leaves` holds read-only views of the same memory,
+    built once, which `forward_plan` enters on each tape.  `extend` rebuilds
+    all three, so views taken before it no longer alias the parameters.
     """
 
     def __init__(self, config: InteractionConfig, tensors: Mapping[str, np.ndarray]):
@@ -123,11 +124,17 @@ class InteractionParams:
         arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
         self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()] or [np.zeros(0)])
         views = {}
+        leaves = {}
         offset = 0
         for name, arr in arrays.items():
+            if arr.ndim != 2:
+                raise ShapeError(f"parameter {name} must be 2-D, got shape {arr.shape}")
             views[name] = self.flat[offset : offset + arr.size].reshape(arr.shape)
+            leaves[name] = views[name].view()
+            leaves[name].flags.writeable = False
             offset += arr.size
         self.tensors = MappingProxyType(views)
+        self.leaves = MappingProxyType(leaves)
 
     @classmethod
     def initialize(cls, config: InteractionConfig, seed: int) -> "InteractionParams":
@@ -293,27 +300,14 @@ def decoder_block(
     d = q.shape[1]
     if k.shape[1] != d or v.shape[1] != d:
         raise ConfigError(f"decoder_block width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    attn_weights: list[np.ndarray] = []
     if k.shape[0] == 0:
-        x = q
+        x, attn_weights = q, []
     else:
-        qh = ad.matmul(ad.add(q, q_pos), p[f"{prefix}.wq"])
-        kh = ad.matmul(ad.add(k, k_pos), p[f"{prefix}.wk"])
-        vh = ad.matmul(v, p[f"{prefix}.wv"])
-        d_head = d // n_heads
-        scale = 1.0 / math.sqrt(d_head)
-        head_outs = []
-        for h in range(n_heads):
-            lo, hi = h * d_head, (h + 1) * d_head
-            logits = ad.scalar_mul(
-                ad.matmul(ad.slice_cols(qh, lo, hi), ad.transpose(ad.slice_cols(kh, lo, hi))),
-                scale,
-            )
-            weights = ad.softmax_rows(logits)
-            attn_weights.append(weights.data)
-            head_outs.append(ad.matmul(weights, ad.slice_cols(vh, lo, hi)))
-        attended = head_outs[0] if n_heads == 1 else ad.concat_cols(head_outs)
-        x = ad.add(q, ad.matmul(attended, p[f"{prefix}.wo"]))
+        x, attn_weights = ad.attention(
+            q, q_pos, k, k_pos, v,
+            *(p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo")),
+            n_heads,
+        )
     out = ad.add(x, _mlp(x, p, f"{prefix}.ffn"))
     return out, attn_weights
 
@@ -348,10 +342,10 @@ def forward_plan(scene: Scenario | PackedScene, params: InteractionParams) -> Fo
             f"scenario horizon {scenario.t_future} does not match model t_future "
             f"{config.t_future}"
         )
-    if not np.all(np.isfinite(params.flat)):
+    if np.count_nonzero(np.isfinite(params.flat)) != params.flat.size:
         raise ShapeError("non-finite values in tensor")
     tape = Tape()
-    p = {name: tape.param(arr) for name, arr in params.tensors.items()}
+    p = tape.params(params.leaves)
 
     features = encode_queries(scene, p, tape)
     attention: dict[str, list[np.ndarray]] = {}

@@ -88,6 +88,18 @@ def adamw_per_tensor_step(tensors, grads, m, v, step_count, lr, weight_decay,
         theta -= lr * (update + weight_decay * theta)
 
 
+def agent_tracks(agents) -> np.ndarray:
+    """The (A, T_f, 2) best-mode tracks of a non-empty list of agents, the
+    form `collision_loss` takes, stacked as `scene.pack` stacks them."""
+    return np.array([best_mode(a) for a in agents]).reshape(len(agents), -1, 2)
+
+
+def polyline_set(map_vectors) -> PolylineSet:
+    """The polylines of map vectors, the form `boundary_loss` and
+    `direction_loss` take, packed as `scene.pack` packs them."""
+    return PolylineSet([mv.points for mv in map_vectors])
+
+
 def _track_agent(track: np.ndarray) -> AgentPrediction:
     return AgentPrediction(
         position=Point2(float(track[0, 0]), float(track[0, 1])),

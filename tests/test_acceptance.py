@@ -10,9 +10,11 @@ import time
 import numpy as np
 import pytest
 from _support import (
+    agent_tracks,
     fd_param_gradient,
     fd_plan_gradient,
     max_rel_err,
+    polyline_set,
     sample_boundary_config,
     sample_collision_config,
     sample_direction_config,
@@ -66,27 +68,30 @@ class TestCriterion1GradientFidelity:
         rng = np.random.default_rng(1001)
         for _ in range(100):
             plan, agents = sample_collision_config(rng, PAPER_PARAMS)
-            res = collision_loss(plan, agents, PAPER_PARAMS)
+            tracks = agent_tracks(agents)
+            res = collision_loss(plan, tracks, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: collision_loss(PlanTrajectory(w), agents, PAPER_PARAMS).value,
+                lambda w: collision_loss(PlanTrajectory(w), tracks, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             worst = max(worst, max_rel_err(res.grad, fd))
         rng = np.random.default_rng(1002)
         for _ in range(100):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            res = boundary_loss(plan, boundaries, PAPER_PARAMS)
+            polylines = polyline_set(boundaries)
+            res = boundary_loss(plan, polylines, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: boundary_loss(PlanTrajectory(w), boundaries, PAPER_PARAMS).value,
+                lambda w: boundary_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             worst = max(worst, max_rel_err(res.grad, fd))
         rng = np.random.default_rng(1003)
         for _ in range(100):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            res = direction_loss(plan, dividers, PAPER_PARAMS)
+            polylines = polyline_set(dividers)
+            res = direction_loss(plan, polylines, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: direction_loss(PlanTrajectory(w), dividers, PAPER_PARAMS).value,
+                lambda w: direction_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             worst = max(worst, max_rel_err(res.grad, fd))
@@ -130,9 +135,9 @@ class TestCriterion2CollisionHandCases:
         plan = PlanTrajectory(np.zeros((1, 2)))
         wide = ConstraintParams(agent_search_range=100.0)
 
-        case_a = collision_loss(plan, [agent(10.0, 10.0)], PAPER_PARAMS).value
-        case_b = collision_loss(plan, [agent(1.0, 3.5)], wide).value
-        case_c = collision_loss(plan, [agent(1.0, 2.0)], PAPER_PARAMS).value
+        case_a = collision_loss(plan, agent_tracks([agent(10.0, 10.0)]), PAPER_PARAMS).value
+        case_b = collision_loss(plan, agent_tracks([agent(1.0, 3.5)]), wide).value
+        case_c = collision_loss(plan, agent_tracks([agent(1.0, 2.0)]), PAPER_PARAMS).value
         assert abs(case_a - 0.0) <= 1e-12
         assert abs(case_b - 0.5) <= 1e-12
         assert abs(case_c - 1.5) <= 1e-12
@@ -148,7 +153,7 @@ class TestCriterion3BoundaryDirectionHandCases:
             "left",
         )
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        bd_value = boundary_loss(plan, [bd], PAPER_PARAMS).value
+        bd_value = boundary_loss(plan, polyline_set([bd]), PAPER_PARAMS).value
         assert abs(bd_value - 0.6) <= 1e-12
 
         divider = MapVector(
@@ -157,7 +162,7 @@ class TestCriterion3BoundaryDirectionHandCases:
             1.0,
         )
         diag = PlanTrajectory(np.array([[1.0, 1.0]]))
-        dir_value = direction_loss(diag, [divider], PAPER_PARAMS).value
+        dir_value = direction_loss(diag, polyline_set([divider]), PAPER_PARAMS).value
         assert abs(dir_value - math.pi / 4) <= 1e-12
         report(3, f"boundary 0.6 fixture -> {bd_value}; direction pi/4 fixture -> {dir_value:.12f}")
 
@@ -443,9 +448,9 @@ class TestCriterion9InvarianceSuite:
             )
             for a in agents
         ]
-        base = collision_loss(plan, agents, PAPER_PARAMS).value
+        base = collision_loss(plan, agent_tracks(agents), PAPER_PARAMS).value
         moved = collision_loss(
-            PlanTrajectory(plan.waypoints + shift), moved_agents, PAPER_PARAMS
+            PlanTrajectory(plan.waypoints + shift), agent_tracks(moved_agents), PAPER_PARAMS
         ).value
         assert abs(base - moved) <= 1e-12
 
@@ -460,9 +465,9 @@ class TestCriterion9InvarianceSuite:
             )
             for b in boundaries
         ]
-        base = boundary_loss(plan, boundaries, PAPER_PARAMS).value
+        base = boundary_loss(plan, polyline_set(boundaries), PAPER_PARAMS).value
         moved = boundary_loss(
-            PlanTrajectory(plan.waypoints + shift), moved_bd, PAPER_PARAMS
+            PlanTrajectory(plan.waypoints + shift), polyline_set(moved_bd), PAPER_PARAMS
         ).value
         assert abs(base - moved) <= 1e-12
 
@@ -478,9 +483,9 @@ class TestCriterion9InvarianceSuite:
             )
             for d in dividers
         ]
-        base = direction_loss(plan, dividers, PAPER_PARAMS).value
+        base = direction_loss(plan, polyline_set(dividers), PAPER_PARAMS).value
         rotated = direction_loss(
-            PlanTrajectory(plan.waypoints @ rot.T), rot_dividers, PAPER_PARAMS
+            PlanTrajectory(plan.waypoints @ rot.T), polyline_set(rot_dividers), PAPER_PARAMS
         ).value
         assert abs(base - rotated) <= 1e-9
 

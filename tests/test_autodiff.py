@@ -1,9 +1,14 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from _support import fd_param_gradient, max_rel_err
 
 from vecplan import autodiff as ad
 from vecplan.errors import CheckpointError, ShapeError
+from vecplan.interact import InteractionConfig, InteractionParams
 
 
 def rand(rng, rows, cols):
@@ -77,20 +82,31 @@ class TestParamLeaves:
     def test_param_is_a_read_only_view(self):
         flat = np.arange(10.0)
         w = flat[4:10].reshape(2, 3)
-        leaf = ad.Tape().param(w)
+        view = w.view()
+        view.flags.writeable = False
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((1, 2)))
+        leaf = tape.params({"w": view})["w"]
+        assert leaf.data is view
         assert np.shares_memory(leaf.data, flat)
-        assert not leaf.data.flags.writeable
         with pytest.raises(ValueError):
             leaf.data[0, 0] = 1.0
         assert w.flags.writeable
         w[0, 0] = -1.0
         assert leaf.data[0, 0] == -1.0
+        # the parameters are numbered after the nodes already on the tape
+        grads = tape.backward(ad.sum_all(ad.matmul(x, leaf)))
+        np.testing.assert_array_equal(grads[leaf], np.ones((2, 3)))
+        np.testing.assert_array_equal(grads[x], [[w[0].sum(), w[1].sum()]])
 
     def test_param_needs_a_2d_float64_array(self):
-        tape = ad.Tape()
-        for bad in (np.zeros(3), np.zeros((1, 2, 2)), np.zeros((2, 2), dtype=np.float32)):
-            with pytest.raises(ShapeError):
-                tape.param(bad)
+        config = InteractionConfig()
+        for bad in (np.zeros(3), np.zeros((1, 2, 2))):
+            with pytest.raises(ShapeError, match="2-D"):
+                InteractionParams(config, {"w": bad})
+        params = InteractionParams(config, {"w": np.zeros((2, 2), dtype=np.float32)})
+        assert params.leaves["w"].dtype == np.float64
+        assert params.leaves["w"].flags.c_contiguous
 
 
 def _mlp_by_parts(x, w1, b1, w2, b2):
@@ -144,6 +160,96 @@ class TestFusedMlp:
             for i, arr in enumerate(arrays):
                 err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
                 assert err < 1e-6, f"trial {trial} input {i}: rel err {err}"
+
+
+def _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads):
+    """The public-op chain that `ad.attention` stands in for, op for op."""
+    qh = ad.matmul(ad.add(q, q_pos), wq)
+    kh = ad.matmul(ad.add(k, k_pos), wk)
+    vh = ad.matmul(v, wv)
+    d_head = q.shape[1] // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    head_outs, weights = [], []
+    for h in range(n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        logits = ad.scalar_mul(
+            ad.matmul(ad.slice_cols(qh, lo, hi), ad.transpose(ad.slice_cols(kh, lo, hi))),
+            scale,
+        )
+        w = ad.softmax_rows(logits)
+        weights.append(w.data)
+        head_outs.append(ad.matmul(w, ad.slice_cols(vh, lo, hi)))
+    attended = head_outs[0] if n_heads == 1 else ad.concat_cols(head_outs)
+    return ad.add(q, ad.matmul(attended, wo)), weights
+
+
+def _attention_arrays(rng, rows, n_keys, d, spread=1.0):
+    """q, q_pos, k, k_pos, v and the four (d, d) weights."""
+    shapes = [(rows, d), (rows, d), (n_keys, d), (n_keys, d), (n_keys, d)] + [(d, d)] * 4
+    return [rng.uniform(-spread, spread, size=shape) for shape in shapes]
+
+
+class TestFusedAttention:
+    def test_bit_equal_to_the_public_op_chain(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n_heads = int(rng.choice([1, 2, 4]))
+            d = n_heads * int(rng.integers(1, 5))
+            rows, n_keys = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            arrays = _attention_arrays(rng, rows, n_keys, d, spread=2.0)
+            # values are the keys, as in the decoder blocks, in every other trial
+            shared = trial % 2 == 0
+            probes = [rng.standard_normal(shape) for shape in ((rows, d), (rows, d), (n_keys, d))]
+            results = []
+            for build in (ad.attention, _attention_by_parts):
+                tape = ad.Tape()
+                leaves = [tape.leaf(a) for a in arrays]
+                if shared:
+                    leaves[4] = leaves[2]
+                out, weights = build(*leaves, n_heads)
+                # q and k start with a gradient, as if read again downstream,
+                # so the order in which their paths add up shows in the bits
+                grads = tape.backward_from(zip((out, leaves[0], leaves[2]), probes))
+                results.append((out.data, weights, [grads[leaf] for leaf in leaves]))
+            (fused, fused_w, fused_g), (parts, parts_w, parts_g) = results
+            assert fused.tobytes() == parts.tobytes(), f"trial {trial}"
+            assert [w.tobytes() for w in fused_w] == [w.tobytes() for w in parts_w]
+            assert all(not w.flags.writeable for w in fused_w)
+            for i, (a, b) in enumerate(zip(fused_g, parts_g)):
+                assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("n_keys", [1, 7])
+    def test_matches_finite_differences(self, n_heads, n_keys):
+        rng = np.random.default_rng(17 + 10 * n_heads + n_keys)
+        for trial in range(3):
+            arrays = _attention_arrays(rng, 2, n_keys, 4)
+            probe = rng.uniform(-1, 1, size=(2, 4))
+
+            def value():
+                tape = ad.Tape()
+                out, _ = ad.attention(*(tape.leaf(a) for a in arrays), n_heads)
+                return float((out.data * probe).sum())
+
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            out, _ = ad.attention(*leaves, n_heads)
+            grads = tape.backward_from([(out, probe)])
+            for i, arr in enumerate(arrays):
+                err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
+                assert err < 1e-6, f"trial {trial} input {i}: rel err {err}"
+
+    def test_rejects_zero_keys_and_bad_shapes(self):
+        rng = np.random.default_rng(3)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
+        empty = tape.leaf(np.zeros((0, 4)))
+        with pytest.raises(ShapeError, match="key row"):
+            ad.attention(leaves[0], leaves[1], empty, empty, empty, *leaves[5:], 1)
+        with pytest.raises(ShapeError, match="heads"):
+            ad.attention(*leaves, 3)
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(leaves[0], leaves[0], leaves[2], leaves[2], leaves[0], *leaves[5:], 1)
 
 
 class TestBackward:
@@ -264,6 +370,35 @@ class TestPrimitiveVJPs:
                     )
                     err = max_rel_err(grads[leaves[i]], fd)
                     assert err < 1e-6, f"{name} leaf {i}: rel err {err}"
+
+
+class TestTapeLifecycle:
+    def test_a_dropped_tape_is_freed_without_the_cycle_collector(self):
+        rng = np.random.default_rng(8)
+
+        def dropped_tape():
+            tape = ad.Tape()
+            outs = []
+            for _, build, arrays in _primitive_cases(rng):
+                outs.append(build(tape, [tape.leaf(a) for a in arrays]))
+            mlp_shapes = ((2, 3), (3, 4), (1, 4), (4, 2), (1, 2))
+            outs.append(ad.mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
+            attention_leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
+            outs.append(ad.attention(*attention_leaves, 2)[0])
+            view = np.ones((2, 2))
+            view.flags.writeable = False
+            outs.append(tape.params({"w": view})["w"])
+            grads = tape.backward_from([(out, np.ones(out.shape)) for out in outs])
+            assert grads[outs[0]].shape == outs[0].shape
+            return weakref.ref(tape)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert dropped_tape()() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCheckpoint:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from _support import (
+    agent_tracks,
     fd_plan_gradient,
     max_rel_err,
+    polyline_set,
     sample_boundary_config,
     sample_collision_config,
     sample_direction_config,
@@ -63,7 +65,7 @@ def divider_line(x, lo=-10.0, hi=10.0):
 class TestCollisionLoss:
     def test_no_agent_in_range(self):
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, [agent_at(20.0, 20.0)], PAPER_PARAMS)
+        res = collision_loss(plan, agent_tracks([agent_at(20.0, 20.0)]), PAPER_PARAMS)
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -72,13 +74,13 @@ class TestCollisionLoss:
         # hinge gives 1.5 - 1.0 = 0.5, longitudinal 3.5 >= 3.0 contributes 0
         params = ConstraintParams(agent_search_range=100.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, [agent_at(1.0, 3.5)], params)
+        res = collision_loss(plan, agent_tracks([agent_at(1.0, 3.5)]), params)
         assert res.value == pytest.approx(0.5, abs=1e-12)
 
     def test_search_radius_gates_candidates(self):
         # same agent at Euclidean distance 3.64 > 3.0: not a candidate
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, [agent_at(1.0, 3.5)], PAPER_PARAMS)
+        res = collision_loss(plan, agent_tracks([agent_at(1.0, 3.5)]), PAPER_PARAMS)
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -86,30 +88,30 @@ class TestCollisionLoss:
         # per-axis distances (1.0, 2.0), Euclidean 2.24 < 3.0:
         # 0.5 lateral + 1.0 longitudinal
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, [agent_at(1.0, 2.0)], PAPER_PARAMS)
+        res = collision_loss(plan, agent_tracks([agent_at(1.0, 2.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.5, abs=1e-12)
 
     def test_hinge_boundary_uses_zero_branch(self):
         params = ConstraintParams(agent_search_range=100.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, [agent_at(1.5, 3.0)], params)
+        res = collision_loss(plan, agent_tracks([agent_at(1.5, 3.0)]), params)
         assert res.value == 0.0
 
     def test_empty_agent_list(self):
         plan = PlanTrajectory(np.zeros((3, 2)))
-        res = collision_loss(plan, [], PAPER_PARAMS)
+        res = collision_loss(plan, np.zeros((0, 3, 2)), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_mean_over_horizon(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = collision_loss(plan, [agent_at(1.0, 2.0, t_f=2)], PAPER_PARAMS)
+        res = collision_loss(plan, agent_tracks([agent_at(1.0, 2.0, t_f=2)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.5, abs=1e-12)  # same term both steps
 
     def test_per_axis_minima_can_come_from_different_agents(self):
         params = ConstraintParams(agent_search_range=10.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
         agents = [agent_at(1.0, 2.9), agent_at(2.9, 2.0)]
-        res = collision_loss(plan, agents, params)
+        res = collision_loss(plan, agent_tracks(agents), params)
         # lateral min 1.0 from agent 0, longitudinal min 2.0 from agent 1
         assert res.value == pytest.approx(0.5 + 1.0, abs=1e-12)
 
@@ -119,14 +121,14 @@ class TestCollisionLoss:
         agents = [agent_at(1.0, 2.0), agent_at(0.5, 2.8)]
         # Euclidean nearest is agent 0 at sqrt(5)=2.24 (< 2.84), its per-axis
         # distances (1.0, 2.0) drive both hinges
-        res = collision_loss(plan, agents, params)
+        res = collision_loss(plan, agent_tracks(agents), params)
         assert res.value == pytest.approx(1.5, abs=1e-12)
 
     def test_monotone_in_active_agent_distance(self):
         plan = PlanTrajectory(np.zeros((1, 2)))
         prev = math.inf
         for dx in np.linspace(0.1, 3.5, 30):
-            value = collision_loss(plan, [agent_at(dx, 0.5)], PAPER_PARAMS).value
+            value = collision_loss(plan, agent_tracks([agent_at(dx, 0.5)]), PAPER_PARAMS).value
             assert value <= prev + 1e-12
             prev = value
 
@@ -147,17 +149,19 @@ class TestCollisionLoss:
                 )
             )
         moved_plan = PlanTrajectory(plan.waypoints + shift)
-        assert collision_loss(moved_plan, moved_agents, PAPER_PARAMS).value == pytest.approx(
-            collision_loss(plan, agents, PAPER_PARAMS).value, abs=1e-12
+        moved = collision_loss(moved_plan, agent_tracks(moved_agents), PAPER_PARAMS).value
+        assert moved == pytest.approx(
+            collision_loss(plan, agent_tracks(agents), PAPER_PARAMS).value, abs=1e-12
         )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             plan, agents = sample_collision_config(rng, PAPER_PARAMS)
-            res = collision_loss(plan, agents, PAPER_PARAMS)
+            tracks = agent_tracks(agents)
+            res = collision_loss(plan, tracks, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: collision_loss(PlanTrajectory(w), agents, PAPER_PARAMS).value,
+                lambda w: collision_loss(PlanTrajectory(w), tracks, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6
@@ -167,9 +171,10 @@ class TestCollisionLoss:
         rng = np.random.default_rng(43)
         for _ in range(10):
             plan, agents = sample_collision_config(rng, params)
-            res = collision_loss(plan, agents, params)
+            tracks = agent_tracks(agents)
+            res = collision_loss(plan, tracks, params)
             fd = fd_plan_gradient(
-                lambda w: collision_loss(PlanTrajectory(w), agents, params).value,
+                lambda w: collision_loss(PlanTrajectory(w), tracks, params).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6
@@ -178,24 +183,24 @@ class TestCollisionLoss:
 class TestBoundaryLoss:
     def test_all_waypoints_clear(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = boundary_loss(plan, [boundary_line(5.0)], PAPER_PARAMS)
+        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_hand_case(self):
         # waypoint 0.4 m from the boundary, clearance 1.0 -> penalty 0.6
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        res = boundary_loss(plan, [boundary_line(5.0)], PAPER_PARAMS)
+        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(0.6, abs=1e-12)
 
     def test_waypoint_on_boundary_gets_max_penalty(self):
         plan = PlanTrajectory(np.array([[5.0, 0.0]]))
-        res = boundary_loss(plan, [boundary_line(5.0)], PAPER_PARAMS)
+        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert not res.grad.any()  # zero subgradient exactly on the line
 
     def test_no_boundaries(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        assert boundary_loss(plan, [], PAPER_PARAMS).value == 0.0
+        assert boundary_loss(plan, polyline_set([]), PAPER_PARAMS).value == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
@@ -211,8 +216,8 @@ class TestBoundaryLoss:
             for b in boundaries
         ]
         moved_plan = PlanTrajectory(plan.waypoints + shift)
-        assert boundary_loss(moved_plan, moved, PAPER_PARAMS).value == pytest.approx(
-            boundary_loss(plan, boundaries, PAPER_PARAMS).value, abs=1e-12
+        assert boundary_loss(moved_plan, polyline_set(moved), PAPER_PARAMS).value == pytest.approx(
+            boundary_loss(plan, polyline_set(boundaries), PAPER_PARAMS).value, abs=1e-12
         )
 
     def test_gradient_matches_finite_differences(self):
@@ -220,11 +225,12 @@ class TestBoundaryLoss:
         active = 0
         for _ in range(25):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            res = boundary_loss(plan, boundaries, PAPER_PARAMS)
+            polylines = polyline_set(boundaries)
+            res = boundary_loss(plan, polylines, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
             fd = fd_plan_gradient(
-                lambda w: boundary_loss(PlanTrajectory(w), boundaries, PAPER_PARAMS).value,
+                lambda w: boundary_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6
@@ -235,33 +241,33 @@ class TestDirectionLoss:
     def test_parallel_to_divider(self):
         # plan runs straight up from the origin, divider is 0.5 m to the side
         plan = PlanTrajectory(np.array([[0.0, 1.0], [0.0, 2.0]]))
-        res = direction_loss(plan, [divider_line(0.5)], PAPER_PARAMS)
+        res = direction_loss(plan, polyline_set([divider_line(0.5)]), PAPER_PARAMS)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_motion_hand_case(self):
         # divider along +y, single step (1, 1): angle pi/4
         plan = PlanTrajectory(np.array([[1.0, 1.0]]))
-        res = direction_loss(plan, [divider_line(0.0)], PAPER_PARAMS)
+        res = direction_loss(plan, polyline_set([divider_line(0.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_out_of_range_divider_contributes_nothing(self):
         plan = PlanTrajectory(np.array([[0.0, 1.0]]))
-        res = direction_loss(plan, [divider_line(2.5)], PAPER_PARAMS)
+        res = direction_loss(plan, polyline_set([divider_line(2.5)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_zero_step_contributes_nothing(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = direction_loss(plan, [divider_line(0.5)], PAPER_PARAMS)
+        res = direction_loss(plan, polyline_set([divider_line(0.5)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_no_dividers(self):
         plan = PlanTrajectory(np.ones((2, 2)))
-        assert direction_loss(plan, [], PAPER_PARAMS).value == 0.0
+        assert direction_loss(plan, polyline_set([]), PAPER_PARAMS).value == 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-        base = direction_loss(plan, dividers, PAPER_PARAMS).value
+        base = direction_loss(plan, polyline_set(dividers), PAPER_PARAMS).value
         phi = 0.7
         c, s = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -s], [s, c]])
@@ -274,7 +280,7 @@ class TestDirectionLoss:
             )
             for d in dividers
         ]
-        assert direction_loss(rplan, rdividers, PAPER_PARAMS).value == pytest.approx(
+        assert direction_loss(rplan, polyline_set(rdividers), PAPER_PARAMS).value == pytest.approx(
             base, abs=1e-9
         )
 
@@ -283,11 +289,12 @@ class TestDirectionLoss:
         active = 0
         for _ in range(25):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            res = direction_loss(plan, dividers, PAPER_PARAMS)
+            polylines = polyline_set(dividers)
+            res = direction_loss(plan, polylines, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
             fd = fd_plan_gradient(
-                lambda w: direction_loss(PlanTrajectory(w), dividers, PAPER_PARAMS).value,
+                lambda w: direction_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from _support import fd_param_gradient, max_rel_err
@@ -7,6 +10,7 @@ from vecplan.constraints import imitation_loss
 from vecplan.errors import CheckpointError, ConfigError, ShapeError
 from vecplan.geometry import Point2
 from vecplan.interact import (
+    OUTPUT_SCALE,
     InteractionConfig,
     InteractionParams,
     decoder_block,
@@ -14,6 +18,7 @@ from vecplan.interact import (
     forward_plan,
     parameter_shapes,
 )
+from vecplan.learning import AdamW
 from vecplan.scene import AgentPrediction, GeneratorConfig, Scenario, generate_scenario
 
 SMALL = InteractionConfig(d_model=8, d_command=4)
@@ -159,6 +164,31 @@ class TestDecoderBlock:
         assert attn == []
         assert out.shape == (1, 8)
 
+    def test_zero_keys_skip_attention_bit_for_bit(self):
+        params = small_params()
+        q_arr = np.random.default_rng(4).uniform(-1, 1, (1, 8))
+        probe = np.random.default_rng(5).uniform(-1, 1, (1, 8))
+        results = []
+        for skip in (True, False):
+            tape = ad.Tape()
+            p = self._leaves(tape, params)
+            q = tape.leaf(q_arr)
+            empty = tape.leaf(np.zeros((0, 8)))
+            before = len(tape._records)
+            if skip:
+                out, attn = decoder_block(q, empty, empty, q, empty, p, "agent_block", 1)
+            else:
+                # what the skip branch is: only the feed-forward sublayer
+                ffn = [p[f"agent_block.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")]
+                out, attn = ad.add(q, ad.mlp(q, *ffn)), []
+            grads = tape.backward_from([(out, probe)])
+            results.append((len(tape._records) - before, out.data, grads[q], attn))
+        (n_skip, out_skip, g_skip, attn_skip), (n_ref, out_ref, g_ref, _) = results
+        assert attn_skip == []
+        assert n_skip == n_ref == 2
+        assert out_skip.tobytes() == out_ref.tobytes()
+        assert g_skip.tobytes() == g_ref.tobytes()
+
     def test_width_mismatch_rejected(self):
         params = small_params()
         tape = ad.Tape()
@@ -303,6 +333,32 @@ class TestForwardPlan:
         with pytest.raises(ConfigError, match="t_future"):
             forward_plan(s, bad)
 
+    def test_default_forward_records_twenty_ops(self):
+        # the agent and map encoders, two positional encoders and one fused
+        # attention, feed-forward and residual per block, the status encoder,
+        # the command embedding and six head ops
+        params = InteractionParams.initialize(InteractionConfig(), 0)
+        result = forward_plan(scenario_with(3), params)
+        assert len(result.tape._records) == 20
+
+    def test_a_dropped_forward_frees_its_tape_without_the_cycle_collector(self):
+        s = scenario_with(6, agent_count_range=(4, 4))
+        params = small_params()
+
+        def dropped_tape():
+            result = forward_plan(s, params)
+            grads = result.tape.backward_from([(result.plan_node, np.ones((1, 12)))])
+            assert grads[result.params["ego_query"]].any()
+            return weakref.ref(result.tape)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert dropped_tape()() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_multi_head_forward_runs(self):
         cfg = InteractionConfig(d_model=8, n_heads=2, d_command=4)
         result = forward_plan(scenario_with(16), InteractionParams.initialize(cfg, 0))
@@ -382,6 +438,40 @@ class TestFlatParams:
         # the parameters themselves stay writable
         params.tensors["head.b3"][0, 0] = 1.0
         assert result.params["head.b3"].data[0, 0] == 1.0
+
+    def test_next_forward_sees_updated_parameters(self):
+        s = scenario_with(9)
+        params = small_params()
+        first = forward_plan(s, params)
+        grads = first.tape.backward_from([(first.plan_node, np.ones((1, 12)))])
+        optimizer = AdamW(params.flat.size, weight_decay=0.01)
+        flat_grad = np.concatenate([grads[leaf].reshape(-1) for leaf in first.params.values()])
+        optimizer.step(params.flat, flat_grad, 1e-2)
+        after_step = forward_plan(s, params)
+        params.tensors["head.b3"][0, :] += 1.0
+        after_write = forward_plan(s, params)
+        for result in (after_step, after_write):
+            for name, leaf in result.params.items():
+                np.testing.assert_array_equal(leaf.data, params.tensors[name])
+        # each forward equals one on fresh parameters with the same values
+        fresh = forward_plan(s, params.copy())
+        assert after_write.plan_node.data.tobytes() == fresh.plan_node.data.tobytes()
+        assert not np.array_equal(after_step.plan_node.data, first.plan_node.data)
+        np.testing.assert_allclose(
+            after_write.plan_node.data, after_step.plan_node.data + OUTPUT_SCALE, rtol=1e-12
+        )
+
+    def test_extended_parameters_enter_the_tape_as_read_only_views(self):
+        params = small_params()
+        params.extend([("extra.w", (3, 2), 3)], seed=5)
+        result = forward_plan(scenario_with(9), params)
+        assert list(result.params) == list(params.tensors)
+        assert list(result.params)[-1] == "extra.w"
+        for name, leaf in result.params.items():
+            assert np.shares_memory(leaf.data, params.flat), name
+            assert not leaf.data.flags.writeable, name
+        params.tensors["extra.w"][...] = 2.0
+        assert (result.params["extra.w"].data == 2.0).all()
 
     def test_copy_and_extend_rebuild_the_vector(self):
         params = small_params()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _support import polyline_set
 
 from vecplan.constraints import ConstraintParams, LossWeights, boundary_loss, total_planning_loss
 from vecplan.errors import SimulationError
@@ -182,10 +183,10 @@ class TestRefineTrajectory:
         )
         # seed plan hugs the boundary: 0.5 m violation of the 1.0 m clearance
         seed_plan = PlanTrajectory(constant_velocity_plan(s).waypoints + [1.0, 0.0])
-        before = boundary_loss(seed_plan, [bd], PARAMS).value
+        before = boundary_loss(seed_plan, polyline_set([bd]), PARAMS).value
         weights = LossWeights(collision=0, direction=0, imitation=0.05)
         out = refine_trajectory(seed_plan, s, PARAMS, weights, 80, 0.2)
-        after = boundary_loss(out, [bd], PARAMS).value
+        after = boundary_loss(out, polyline_set([bd]), PARAMS).value
         assert before > 0
         assert after < before
 
