@@ -42,6 +42,7 @@ from .metrics import (
     plan_metrics,
 )
 from .scene import (
+    MAP_CLASSES,
     GeneratorConfig,
     Scenario,
     generate_scenario,
@@ -208,13 +209,6 @@ class RunConfig:
         )
 
 
-_TUPLE_FIELDS = {
-    "curvature_range", "agent_count_range", "speed_range", "agent_speed_range",
-    "agent_confidence_range", "map_confidence_range", "perception_range", "ego_dims",
-    "lead_gap_slack",
-}
-
-
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
@@ -225,7 +219,7 @@ def _build_section(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in annotations:
             raise ConfigError(f"unknown config key: {path}{key}")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
+        if annotations[key].startswith("tuple[") and isinstance(value, list):
             value = tuple(value)
         _check_typed(value, annotations[key], f"{path}{key}")
         if key == "ablation_arms":
@@ -471,12 +465,13 @@ def _trace_table(scenario: Scenario, log) -> str:
             f"{tick},{entity},{ident},{idx},{x!r},{y!r},{heading!r}"
         )
 
-    for mi, mv in enumerate(scenario.map):
-        for pi, (x, y) in enumerate(mv.points.xy.tolist()):
-            row(0, f"map_{mv.kind.value}", mi, pi, x, y, 0.0)
+    for mi, (kind, points) in enumerate(zip(scenario.map_kind, scenario.map_xy.tolist())):
+        for pi, (x, y) in enumerate(points):
+            row(0, f"map_{MAP_CLASSES[kind].value}", mi, pi, x, y, 0.0)
     row(0, "ego", 0, 0, scenario.ego.position.x, scenario.ego.position.y, scenario.ego.heading)
-    for ai, agent in enumerate(scenario.agents):
-        row(0, "agent", ai, 0, agent.position.x, agent.position.y, agent.heading)
+    headings = scenario.agent_heading.tolist()
+    for ai, ((x, y), heading) in enumerate(zip(scenario.agent_xy.tolist(), headings)):
+        row(0, "agent", ai, 0, x, y, heading)
 
     prev_pos = scenario.ego.position
     prev_heading = scenario.ego.heading

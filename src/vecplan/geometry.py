@@ -65,13 +65,13 @@ class Polyline:
     least two finite points, copied from the array-like it is made from and
     checked once, here.
 
-    Consecutive points may coincide only when the polyline has more than two
-    points; such zero-length segments are skipped by distance queries, never
-    divided by.
+    Consecutive points may coincide, as long as some pair does not: every
+    polyline has a non-degenerate segment.  Zero-length segments are skipped
+    by distance queries, never divided by.
 
     Raises:
         GeometryError: on another shape, fewer than two points, a non-finite
-            coordinate or a two-point polyline whose points coincide.
+            coordinate or no non-degenerate segment.
     """
 
     __slots__ = ("xy",)
@@ -84,8 +84,8 @@ class Polyline:
             raise GeometryError(f"polyline needs at least 2 points, got {len(xy)}")
         if not _all(np.isfinite(xy)):
             raise GeometryError("non-finite polyline point")
-        if len(xy) == 2 and _all(xy[0] == xy[1]):
-            raise GeometryError("two-point polyline must not be degenerate")
+        if _all(xy[1:] == xy[:-1]):
+            raise GeometryError("polyline has no non-degenerate segment")
         xy.flags.writeable = False
         self.xy = xy
 
@@ -122,17 +122,24 @@ class PolylineSet:
     Segments are numbered polyline by polyline, so among tied segments the
     lowest packed index is the lowest polyline and then its lowest segment.
     A set of no polylines is empty, and searches over it find nothing.  The
-    arrays are read-only and finite (a Polyline checks its points when it is
-    made), so the chain uses them without checking them again.
-
-    Raises:
-        GeometryError: if a polyline has no non-degenerate segment.
+    arrays are read-only and finite, and each polyline has a live segment (a
+    Polyline checks its points when it is made), so the chain uses them
+    without checking them again.
     """
 
     __slots__ = ("start", "end", "step", "step_sq", "live", "poly", "seg", "count")
 
     def __init__(self, pls: Sequence[Polyline]):
-        xy = [pl.xy for pl in pls]
+        self._pack([pl.xy for pl in pls])
+
+    @classmethod
+    def of_rows(cls, xy: np.ndarray) -> "PolylineSet":
+        """The rows of an (M, P, 2) array that Polylines checked, as `Scenario.map_xy`."""
+        out = cls.__new__(cls)
+        out._pack(list(xy))
+        return out
+
+    def _pack(self, xy: list[np.ndarray]) -> None:
         counts = [len(x) - 1 for x in xy]
         none = np.zeros((0, 2))
         self.start = np.concatenate([none] + [x[:-1] for x in xy])  # (S, 2)
@@ -146,8 +153,6 @@ class PolylineSet:
         self.poly = np.repeat(np.arange(len(xy)), counts)  # owner of each segment
         self.seg = np.concatenate([np.arange(c) for c in [0] + counts])  # index within it
         self.count = len(xy)
-        if not (np.bincount(self.poly, self.live, self.count) > 0).all():
-            raise GeometryError("polyline has no non-degenerate segment")
         for a in (self.start, self.end, self.step, self.step_sq, self.live, self.poly, self.seg):
             a.flags.writeable = False
 

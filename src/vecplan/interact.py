@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import CheckpointError, ConfigError, ShapeError
-from .scene import Command, MapClass, PackedScene, PlanTrajectory, Scenario, best_mode
+from .scene import Command, PlanTrajectory, Scenario
 
 # fixed input normalization so activations stay O(1) at scene scale
 POSITION_SCALE = 1.0 / 30.0
@@ -204,62 +204,49 @@ def _mlp(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def _agent_features(scenario: Scenario) -> np.ndarray:
-    rows = np.zeros((len(scenario.agents), AGENT_FEATURE_DIM))
-    dt = scenario.horizon_dt
-    for i, agent in enumerate(scenario.agents):
-        track = best_mode(agent)
-        step = track[0] - agent.position
-        speed = math.hypot(step[0], step[1]) / dt
-        rows[i] = (
-            agent.position.x * POSITION_SCALE,
-            agent.position.y * POSITION_SCALE,
-            math.cos(agent.heading),
-            math.sin(agent.heading),
-            speed * SPEED_SCALE,
-            agent.confidence,
-        )
-    return rows
+    step = scenario.agent_track[:, 0] - scenario.agent_xy
+    # one math.hypot a row: np.hypot differs from it in the last bit on some steps
+    speed = np.array([math.hypot(x, y) for x, y in step.tolist()]) / scenario.horizon_dt
+    return np.column_stack([
+        scenario.agent_xy * POSITION_SCALE,
+        np.cos(scenario.agent_heading),
+        np.sin(scenario.agent_heading),
+        speed * SPEED_SCALE,
+        scenario.agent_confidence,
+    ])
 
 
 def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    kinds = [MapClass.LANE_DIVIDER, MapClass.ROAD_BOUNDARY, MapClass.PEDESTRIAN_CROSSING]
-    rows = np.zeros((len(scenario.map), MAP_FEATURE_DIM))
-    centroids = np.zeros((len(scenario.map), 2))
-    for i, mv in enumerate(scenario.map):
-        xy = mv.points.xy
-        centroid = xy.mean(axis=0)
-        centroids[i] = centroid
-        direction = np.zeros(2)
-        for a, b in zip(xy[:-1], xy[1:]):
-            d = b - a
-            n = math.hypot(d[0], d[1])
-            if n > 0.0:
-                direction = d / n
-                break
-        rows[i, kinds.index(mv.kind)] = 1.0
-        rows[i, 3:5] = centroid * POSITION_SCALE
-        rows[i, 5:7] = direction
+    xy = scenario.map_xy
+    rows = np.zeros((len(xy), MAP_FEATURE_DIM))
+    if not len(xy):
+        return rows, np.zeros((0, 2))
+    centroids = xy.sum(axis=1) / xy.shape[1]  # the bits of xy.mean(axis=1), without its overhead
+    # every polyline has a non-degenerate segment: the first gives the direction
+    steps = xy[:, 1:] - xy[:, :-1]
+    live = (steps[..., 0] != 0.0) | (steps[..., 1] != 0.0)
+    first = steps[np.arange(len(xy)), live.argmax(axis=1)]
+    norms = np.array([math.hypot(x, y) for x, y in first.tolist()])
+    rows[np.arange(len(xy)), scenario.map_kind] = 1.0
+    rows[:, 3:5] = centroids * POSITION_SCALE
+    rows[:, 5:7] = first / norms[:, None]
     return rows, centroids
 
 
-def scene_features(scene: Scenario | PackedScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The network's input rows of the whole scene: agent rows, map rows and
-    map centroids.  A packed scene holds them; a plain one builds them now."""
-    if isinstance(scene, PackedScene):
-        return scene.features
-    return _agent_features(scene), *_map_features(scene)
+def scene_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The network's input rows of the whole scene, read from the scenario's
+    arrays: agent rows, map rows and map centroids."""
+    return _agent_features(scenario), *_map_features(scenario)
 
 
-def encode_queries(
-    scene: Scenario | PackedScene, p: dict[str, Tensor], tape: Tape
-) -> QueryFeatures:
+def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> QueryFeatures:
     """Embed agents and map elements into query rows.
 
     Agents embed (position, heading, speed from the best mode, confidence);
     map elements embed (class one-hot, centroid, first-segment direction).
     Empty lists yield zero-row matrices that downstream blocks skip over.
     """
-    agent_rows, map_rows, centroids = scene_features(scene)
+    agent_rows, map_rows, centroids = scene_features(scenario)
     agent_q = (
         _mlp(tape.leaf(agent_rows), p, "agent_enc")
         if len(agent_rows)
@@ -333,9 +320,8 @@ def plan_head(
     return ad.scalar_mul(out, OUTPUT_SCALE)
 
 
-def forward_plan(scene: Scenario | PackedScene, params: InteractionParams) -> ForwardResult:
+def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult:
     """Run the full interaction pipeline and return the plan plus its tape."""
-    scenario = scene.scenario if isinstance(scene, PackedScene) else scene
     config = params.config
     if scenario.t_future != config.t_future:
         raise ConfigError(
@@ -347,7 +333,7 @@ def forward_plan(scene: Scenario | PackedScene, params: InteractionParams) -> Fo
     tape = Tape()
     p = tape.params(params.leaves)
 
-    features = encode_queries(scene, p, tape)
+    features = encode_queries(scenario, p, tape)
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]

@@ -29,7 +29,7 @@ from .interact import (
     forward_plan,
     plan_gradient_seed,
 )
-from .scene import GeneratorConfig, PackedScene, Scenario, generate_scenario, pack
+from .scene import GeneratorConfig, Scenario, generate_scenario, pack
 
 PROB_CLAMP = 1e-7
 
@@ -246,8 +246,6 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 # auxiliary scene-learning heads (optional)
 
-MAP_KIND_ORDER = ("lane_divider", "road_boundary", "pedestrian_crossing")
-
 
 def aux_head_shapes(config: InteractionConfig, gen_config: GeneratorConfig):
     d = config.d_model
@@ -278,9 +276,9 @@ def _aux_losses(result: ForwardResult, scenario: Scenario, weights: LossWeights)
     map_value = 0.0
     motion_value = 0.0
 
-    n_m = len(scenario.map)
+    n_m = len(scenario.map_xy)
     if n_m:
-        gt_pts = np.stack([mv.points.xy.reshape(-1) for mv in scenario.map])
+        gt_pts = scenario.map_xy.reshape(n_m, -1)
         pred = ad.add_bias_row(
             ad.matmul(result.features.map_queries, p["aux.map_pts.w"]), p["aux.map_pts.b"]
         )
@@ -295,34 +293,35 @@ def _aux_losses(result: ForwardResult, scenario: Scenario, weights: LossWeights)
             ad.matmul(result.features.map_queries, p["aux.map_cls.w"]), p["aux.map_cls.b"]
         )
         probs = _sigmoid_on_tape(logits)
+        # one class column per entry of scene.MAP_CLASSES, as map_kind indexes
         targets = np.zeros((n_m, 3), dtype=int)
-        for i, mv in enumerate(scenario.map):
-            targets[i, MAP_KIND_ORDER.index(mv.kind.value)] = 1
+        targets[np.arange(n_m), scenario.map_kind] = 1
         cls_value, dprobs = _focal_array(probs.data, targets, gamma=2.0, alpha=0.25)
         map_value += cls_value
         seeds.append((probs, weights.map * dprobs))
 
-    n_a = len(scenario.agents)
+    n_a = len(scenario.agent_future)
     if n_a:
         t_f = scenario.t_future
-        n_k = scenario.agents[0].n_modes
+        n_k = p["aux.mode_cls.w"].shape[1]
         pred = ad.add_bias_row(
             ad.matmul(result.features.agent_queries, p["aux.motion.w"]), p["aux.motion.b"]
         )
+        logits = ad.add_bias_row(
+            ad.matmul(result.features.agent_queries, p["aux.mode_cls.w"]), p["aux.mode_cls.b"]
+        )
+        probs = _sigmoid_on_tape(logits)
+        # the head's own mode probabilities score the modes it predicts
         pred_modes = pred.data.reshape(n_a, n_k, t_f, 2)
         dpred = np.zeros_like(pred_modes)
         selected = np.zeros(n_a, dtype=int)
-        for i, gt in enumerate(scenario.agent_gt_futures):
-            reg = motion_regression_loss(pred_modes[i], scenario.agents[i].mode_scores, gt)
+        for i, gt in enumerate(scenario.agent_future):
+            reg = motion_regression_loss(pred_modes[i], probs.data[i], gt)
             motion_value += reg.value / n_a
             dpred[i] = reg.mode_grads / n_a
             selected[i] = reg.selected
         seeds.append((pred, weights.motion * dpred.reshape(n_a, -1)))
 
-        logits = ad.add_bias_row(
-            ad.matmul(result.features.agent_queries, p["aux.mode_cls.w"]), p["aux.mode_cls.b"]
-        )
-        probs = _sigmoid_on_tape(logits)
         targets = np.zeros((n_a, n_k), dtype=int)
         targets[np.arange(n_a), selected] = 1
         cls_value, dprobs = _focal_array(probs.data, targets, gamma=2.0, alpha=0.25)
@@ -354,8 +353,8 @@ def train(
     """End-to-end training of the interaction planner on generated scenes.
 
     Deterministic for a given config: scenario seeds, parameter init, and the
-    per-epoch shuffle all derive from `config.seed`.  Each training and
-    validation scene is packed once for the whole run.  Aborts with
+    per-epoch shuffle all derive from `config.seed`.  Each training scene is
+    packed once for the whole run.  Aborts with
     TrainingDivergedError if a loss goes non-finite.
     """
     if interact_config is None:
@@ -369,7 +368,7 @@ def train(
         config.seed, config.train_scenarios, config.val_scenarios
     )
     train_set = [pack(generate_scenario(s, gen_config), cparams) for s in train_seeds]
-    val_set = [pack(generate_scenario(s, gen_config), cparams) for s in val_seeds]
+    val_set = [generate_scenario(s, gen_config) for s in val_seeds]
 
     params = InteractionParams.initialize(interact_config, seed=config.seed)
     if config.enable_aux_heads:
@@ -389,7 +388,7 @@ def train(
                 "direction": 0.0, "map": 0.0, "motion": 0.0}
         for idx in order:
             packed = train_set[idx]
-            result = forward_plan(packed, params)
+            result = forward_plan(packed.scenario, params)
             plan_loss = total_planning_loss(result.plan, packed, cparams, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
@@ -444,15 +443,14 @@ def train(
     return params, log
 
 
-def _validate(params: InteractionParams, val_set: list[PackedScene], gen_config: GeneratorConfig):
+def _validate(params: InteractionParams, val_set: list[Scenario], gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
     from .metrics import collision_rate, displacement_error
 
-    plans = [forward_plan(packed, params).plan for packed in val_set]
-    scenes = [packed.scenario for packed in val_set]
+    plans = [forward_plan(s, params).plan for s in val_set]
     l2s = [
         displacement_error(plan, s.expert, s.horizon_dt).avg
-        for plan, s in zip(plans, scenes)
+        for plan, s in zip(plans, val_set)
     ]
-    cr = collision_rate(scenes, plans, ego_dims=gen_config.ego_dims).avg
+    cr = collision_rate(val_set, plans, ego_dims=gen_config.ego_dims).avg
     return float(np.mean(l2s)), cr

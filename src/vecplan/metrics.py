@@ -26,7 +26,7 @@ from .geometry import (
     pose_track,
     rect_corners,
 )
-from .scene import MapClass, PlanTrajectory, Scenario
+from .scene import DRIVABLE_SIDES, MAP_CLASSES, MapClass, PlanTrajectory, Scenario
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
 DEFAULT_EGO_DIMS = (4.0, 1.85)
@@ -91,23 +91,22 @@ def plan_pose_track(plan: PlanTrajectory) -> Poses:
 
 def agent_pose_track(scenario: Scenario, agent_index: int) -> Poses:
     """Pose of an agent along its ground-truth future."""
-    agent = scenario.agents[agent_index]
-    return pose_track(scenario.agent_gt_futures[agent_index], agent.position, agent.heading)
+    i = agent_index
+    return pose_track(scenario.agent_future[i], scenario.agent_xy[i], scenario.agent_heading[i])
 
 
 def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
     """Every agent's box at ticks 0..T: (A, T + 1, 2) positions and
     (A, T + 1) headings, row 0 its current pose and then its ground-truth
     future, and the (A, 2) box sizes."""
-    shape = (len(scenario.agents), scenario.t_future + 1)
+    shape = (len(scenario.agent_xy), scenario.t_future + 1)
     poses = Poses(np.empty(shape + (2,)), np.empty(shape))
-    sizes = np.empty((shape[0], 2))
-    for i, agent in enumerate(scenario.agents):
-        poses.xy[i, 0] = agent.position
-        poses.heading[i, 0] = agent.heading
+    poses.xy[:, 0] = scenario.agent_xy
+    poses.heading[:, 0] = scenario.agent_heading
+    # one scalar heading track an agent (see pose_track)
+    for i in range(shape[0]):
         poses.xy[i, 1:], poses.heading[i, 1:] = agent_pose_track(scenario, i)
-        sizes[i] = agent.size
-    return poses, sizes
+    return poses, scenario.agent_size
 
 
 def collision_ticks(
@@ -155,29 +154,37 @@ def _cumulative_rate(scenarios, plans, flags, horizons) -> HorizonStats:
     return HorizonStats(tuple(horizons), rates, float(np.mean(rates)))
 
 
+def labeled_boundaries(scenario: Scenario) -> tuple[PolylineSet, np.ndarray]:
+    """The road boundaries that carry a drivable side, as a PolylineSet, and
+    for each one whether its drivable side is its left."""
+    is_boundary = scenario.map_kind == MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)
+    side = np.where(is_boundary, scenario.map_side, DRIVABLE_SIDES[None])
+    labeled = side != DRIVABLE_SIDES[None]
+    return PolylineSet.of_rows(scenario.map_xy[labeled]), side[labeled] == DRIVABLE_SIDES["left"]
+
+
 def pose_oversteps_boundary(
-    boundaries: Sequence,
+    boundaries: tuple[PolylineSet, np.ndarray],
     xy,
     heading,
     ego_dims: tuple[float, float],
 ) -> bool:
     """Does any corner of the ego box at any pose, (..., 2) positions and
-    (...) headings, sit on the non-drivable side of its nearest labeled
-    boundary?
+    (...) headings, sit on the non-drivable side of its nearest boundary of
+    `labeled_boundaries`?
 
     A corner exactly on the boundary line counts as on the drivable side.
     """
-    labeled = [m for m in boundaries if m.drivable_side]
+    labeled, drivable_left = boundaries
     if not labeled:
         return False
     corners = rect_corners(xy, heading, ego_dims).reshape(-1, 2)
-    hit = closest_polyline(corners, PolylineSet([m.points for m in labeled]))
+    hit = closest_polyline(corners, labeled)
     a, b = hit.start, hit.end
     cross = (b[:, 0] - a[:, 0]) * (corners[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         corners[:, 0] - a[:, 0]
     )
-    drivable_left = np.array([m.drivable_side == "left" for m in labeled])[hit.poly]
-    return bool(np.where(drivable_left, cross < 0.0, cross > 0.0).any())
+    return bool(np.where(drivable_left[hit.poly], cross < 0.0, cross > 0.0).any())
 
 
 def boundary_overstep(
@@ -191,10 +198,9 @@ def boundary_overstep(
     Uses the generator-provided side labels; boundaries without a label are
     skipped.
     """
-    boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
     ego = plan_pose_track(plan)
     return pose_oversteps_boundary(
-        boundaries, ego.xy[:max_tick], ego.heading[:max_tick], ego_dims
+        labeled_boundaries(scenario), ego.xy[:max_tick], ego.heading[:max_tick], ego_dims
     )
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,9 +154,19 @@ class PlanTrajectory:
         )
 
 
-@dataclass(eq=False)
+MAP_CLASSES = tuple(MapClass)  # the order of `Scenario.map_kind` indices
+DRIVABLE_SIDES = {None: 0, "left": 1, "right": -1}  # `Scenario.map_side` codes
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A full vectorized scene in the ego frame at the planning instant."""
+    """A full vectorized scene in the ego frame at the planning instant.
+
+    A scene is built from, saved and compared as agent and map records.
+    Construction checks them and stacks them once into the read-only arrays
+    that compute reads, (0, ...) arrays where a scene has no agents or map;
+    the scenario is frozen, so they never go stale.
+    """
 
     map: list[MapVector]
     agents: list[AgentPrediction]
@@ -166,10 +175,19 @@ class Scenario:
     expert: np.ndarray
     horizon_dt: float
     perception_range: tuple[float, float]
+    agent_xy: np.ndarray = field(init=False, repr=False)  # (A, 2)
+    agent_heading: np.ndarray = field(init=False, repr=False)  # (A,)
+    agent_size: np.ndarray = field(init=False, repr=False)  # (A, 2) length, width
+    agent_confidence: np.ndarray = field(init=False, repr=False)  # (A,)
+    agent_track: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) best modes
+    agent_future: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) ground truth
+    map_xy: np.ndarray = field(init=False, repr=False)  # (M, P, 2)
+    map_kind: np.ndarray = field(init=False, repr=False)  # (M,) index into MAP_CLASSES
+    map_confidence: np.ndarray = field(init=False, repr=False)  # (M,)
+    map_side: np.ndarray = field(init=False, repr=False)  # (M,) DRIVABLE_SIDES code
 
     def __post_init__(self):
-        self.expert = np.asarray(self.expert, dtype=np.float64)
-        self.agent_gt_futures = [np.asarray(f, dtype=np.float64) for f in self.agent_gt_futures]
+        object.__setattr__(self, "expert", np.asarray(self.expert, dtype=np.float64))
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
                 f"horizon_dt must be positive and finite, got {self.horizon_dt}"
@@ -192,7 +210,8 @@ class Scenario:
                 f"{len(self.agent_gt_futures)} ground-truth futures for "
                 f"{len(self.agents)} agents"
             )
-        for i, (agent, fut) in enumerate(zip(self.agents, self.agent_gt_futures)):
+        futures = [np.asarray(f, dtype=np.float64) for f in self.agent_gt_futures]
+        for i, (agent, fut) in enumerate(zip(self.agents, futures)):
             if agent.modes.shape[1] != t_f:
                 raise ScenarioFormatError(
                     f"agent {i} modes cover {agent.modes.shape[1]} steps, expected {t_f}"
@@ -207,24 +226,39 @@ class Scenario:
         if len(counts) > 1:
             raise ScenarioFormatError(f"map vectors have mixed point counts: {sorted(counts)}")
 
+        def stack(name, rows, shape, dtype=np.float64):
+            a = np.array(rows, dtype=dtype).reshape(shape)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+        agents, n_a, n_m = self.agents, len(self.agents), len(self.map)
+        stack("agent_xy", [a.position for a in agents], (n_a, 2))
+        stack("agent_heading", [a.heading for a in agents], (n_a,))
+        stack("agent_size", [a.size for a in agents], (n_a, 2))
+        stack("agent_confidence", [a.confidence for a in agents], (n_a,))
+        stack("agent_track", [best_mode(a) for a in agents], (n_a, t_f, 2))
+        stack("agent_future", futures, (n_a, t_f, 2))
+        # the futures become rows of the read-only stack, so they cannot drift from it
+        object.__setattr__(self, "agent_gt_futures", list(self.agent_future))
+        stack("map_xy", [mv.points.xy for mv in self.map], (n_m, next(iter(counts), 0), 2))
+        stack("map_kind", [MAP_CLASSES.index(mv.kind) for mv in self.map], (n_m,), np.intp)
+        stack("map_confidence", [mv.confidence for mv in self.map], (n_m,))
+        stack("map_side", [DRIVABLE_SIDES[mv.drivable_side] for mv in self.map], (n_m,), np.int8)
+
     @property
     def t_future(self) -> int:
         return self.expert.shape[0]
 
     @property
     def n_map_points(self) -> Optional[int]:
-        return len(self.map[0].points.xy) if self.map else None
+        return self.map_xy.shape[1] if len(self.map_xy) else None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scenario)
             and self.map == other.map
             and self.agents == other.agents
-            and len(self.agent_gt_futures) == len(other.agent_gt_futures)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.agent_gt_futures, other.agent_gt_futures)
-            )
+            and np.array_equal(self.agent_future, other.agent_future)
             and self.ego == other.ego
             and np.array_equal(self.expert, other.expert)
             and self.horizon_dt == other.horizon_dt
@@ -253,13 +287,6 @@ def filter_map(
     ]
 
 
-def filter_agents(agents: Sequence[AgentPrediction], min_confidence: float) -> list[AgentPrediction]:
-    """Keep agents with confidence >= min_confidence, preserving order."""
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ConfigError(f"confidence threshold out of [0,1]: {min_confidence}")
-    return [a for a in agents if a.confidence >= min_confidence]
-
-
 def best_mode_index(agent: AgentPrediction) -> int:
     """Index of the highest-scoring mode; lowest index on ties."""
     return int(np.argmax(agent.mode_scores))
@@ -285,10 +312,10 @@ def ego_vectors(plan: PlanTrajectory) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PackedScene:
-    """A scenario in the arrays that its losses and the network compute on,
-    built once by `pack`: the best-mode tracks of the agents and one
-    PolylineSet each of the road boundaries and lane dividers that pass the
-    confidence thresholds, and the network's input rows of the whole scene.
+    """A scenario in the arrays that its losses compute on, built once by
+    `pack`: the best-mode tracks of the agents and one PolylineSet each of
+    the road boundaries and lane dividers that pass the confidence
+    thresholds.
     """
 
     scenario: Scenario
@@ -297,24 +324,17 @@ class PackedScene:
     boundaries: PolylineSet
     dividers: PolylineSet
 
-    @cached_property
-    def features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The network's input rows (`interact.scene_features`), built on first use."""
-        from .interact import scene_features  # the network module builds on this one
-
-        return scene_features(self.scenario)
-
 
 def pack(scenario: Scenario, params) -> PackedScene:
     """`scenario` packed under the confidence thresholds of `params`, a
-    `constraints.ConstraintParams`."""
+    `constraints.ConstraintParams`; both thresholds are inclusive."""
     thresholds = (params.agent_min_confidence, params.map_min_confidence)
-    agents = filter_agents(scenario.agents, thresholds[0])
-    tracks = np.array([best_mode(a) for a in agents]).reshape(len(agents), scenario.t_future, 2)
+    tracks = scenario.agent_track[scenario.agent_confidence >= thresholds[0]]
     tracks.flags.writeable = False
+    kept = scenario.map_confidence >= thresholds[1]
     boundaries, dividers = (
-        PolylineSet([mv.points for mv in filter_map(scenario.map, thresholds[1], kind)])
-        for kind in (MapClass.ROAD_BOUNDARY, MapClass.LANE_DIVIDER)
+        PolylineSet.of_rows(scenario.map_xy[kept & (scenario.map_kind == MAP_CLASSES.index(c))])
+        for c in (MapClass.ROAD_BOUNDARY, MapClass.LANE_DIVIDER)
     )
     return PackedScene(scenario, thresholds, tracks, boundaries, dividers)
 

@@ -31,14 +31,8 @@ from .constraints import (
 from .errors import SimulationError
 from .geometry import Point2, Polyline, Poses, box_frame, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
-from .metrics import DEFAULT_EGO_DIMS, agent_boxes, pose_oversteps_boundary
-from .scene import (
-    EgoState,
-    MapClass,
-    PlanTrajectory,
-    Scenario,
-    pack,
-)
+from .metrics import DEFAULT_EGO_DIMS, agent_boxes, labeled_boundaries, pose_oversteps_boundary
+from .scene import EgoState, PlanTrajectory, Scenario, pack
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -113,17 +107,6 @@ class SimState:
         )
 
 
-def _pad_future(track: np.ndarray, start_tick: int, t_f: int) -> np.ndarray:
-    """Remaining ticks of a world-frame track, held at the last point."""
-    remaining = track[start_tick:]
-    if remaining.shape[0] == 0:
-        remaining = track[-1:]
-    pad = t_f - remaining.shape[0]
-    if pad > 0:
-        remaining = np.vstack([remaining, np.tile(remaining[-1], (pad, 1))])
-    return remaining
-
-
 def _build_view(
     scenario: Scenario,
     agent_poses: Poses,
@@ -134,33 +117,38 @@ def _build_view(
     acceleration: float,
     steering: float,
 ) -> Scenario:
-    """Re-express the world scenario in the ego frame at the given pose."""
+    """Re-express the world scenario in the ego frame at the given pose.
+
+    Each track (agent modes and futures, the expert) keeps its ticks from
+    `tick` on, held at its last point.  One `world_to_ego` call each moves
+    the stacked tracks, the map and the agent positions: a stacked matmul
+    gives each row block the bits of a call of its own.
+    """
     t_f = scenario.t_future
+    ticks = np.minimum(np.arange(tick, tick + t_f), t_f - 1)
+    tracks = [agent.modes for agent in scenario.agents]
+    tracks += [scenario.agent_future, scenario.expert[None]]
+    # per agent its modes, then the ground-truth futures and the expert
+    *modes, rest = np.split(
+        world_to_ego(np.concatenate(tracks)[:, ticks], position, heading),
+        np.cumsum([len(m) for m in tracks[:-2]]),
+    )
+    local_xy = world_to_ego(agent_poses.xy[:, tick, None], position, heading)[:, 0]
     new_map = [
-        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy, position, heading)))
-        for mv in scenario.map
+        dataclasses.replace(mv, points=Polyline(xy))
+        for mv, xy in zip(scenario.map, world_to_ego(scenario.map_xy, position, heading))
     ]
-    new_agents = []
-    new_futures = []
-    for i, agent in enumerate(scenario.agents):
-        local_pos = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
-        modes = np.stack(
-            [world_to_ego(_pad_future(mode, tick, t_f), position, heading) for mode in agent.modes]
+    headings = agent_poses.heading[:, tick].tolist()
+    new_agents = [
+        dataclasses.replace(
+            agent,
+            position=Point2(*xy),
+            heading=_wrap_angle(h + math.pi / 2 - heading),
+            modes=agent_modes,
+            mode_scores=agent.mode_scores.copy(),
         )
-        future = world_to_ego(
-            _pad_future(scenario.agent_gt_futures[i], tick, t_f), position, heading
-        )
-        new_agents.append(
-            dataclasses.replace(
-                agent,
-                position=Point2(*local_pos),
-                heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
-                modes=modes,
-                mode_scores=agent.mode_scores.copy(),
-            )
-        )
-        new_futures.append(future)
-    expert = world_to_ego(_pad_future(scenario.expert, tick, t_f), position, heading)
+        for agent, xy, h, agent_modes in zip(scenario.agents, local_xy.tolist(), headings, modes)
+    ]
     ego = EgoState(
         position=Point2(0.0, 0.0),
         heading=math.pi / 2,
@@ -170,8 +158,8 @@ def _build_view(
         command=scenario.ego.command,
     )
     return dataclasses.replace(
-        scenario, map=new_map, agents=new_agents, agent_gt_futures=new_futures,
-        ego=ego, expert=expert,
+        scenario, map=new_map, agents=new_agents, agent_gt_futures=list(rest[:-1]),
+        ego=ego, expert=rest[-1],
     )
 
 
@@ -387,7 +375,7 @@ def run_closed_loop(
         )
     cparams = constraint_params if constraint_params is not None else ConstraintParams()
     state = SimState.initial(scenario, ego_dims)
-    boundaries = [m for m in scenario.map if m.kind == MapClass.ROAD_BOUNDARY]
+    boundaries = labeled_boundaries(scenario)
     log = RolloutLog()
     for _ in range(ticks):
         plan = planner.plan(state.view)

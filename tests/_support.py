@@ -7,6 +7,7 @@ assignment, and abs/angle kink is at least MARGIN away, so central finite
 differences of the loss value are a valid oracle for the analytic gradient.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,13 +23,14 @@ from vecplan.geometry import (
 )
 from vecplan.scene import (
     AgentPrediction,
+    GeneratorConfig,
     MapClass,
     MapVector,
     PlanTrajectory,
     best_mode,
     ego_vectors,
-    filter_agents,
     filter_map,
+    generate_scenario,
 )
 
 MARGIN = 1e-3
@@ -322,7 +324,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     "total", the reference that the packed losses must match bit for bit."""
     w = plan.waypoints
     t_f = w.shape[0]
-    agents = filter_agents(scenario.agents, params.agent_min_confidence)
+    agents = [a for a in scenario.agents if a.confidence >= params.agent_min_confidence]
     boundaries = filter_map(scenario.map, params.map_min_confidence, MapClass.ROAD_BOUNDARY)
     dividers = filter_map(scenario.map, params.map_min_confidence, MapClass.LANE_DIVIDER)
     terms = {}
@@ -391,3 +393,120 @@ def unpacked_planning_loss(plan, scenario, params, weights):
         for i in (0, 1)
     )
     return terms
+
+
+def looped_scene_features(scenario):
+    """The network's input rows built one agent and one map element at a
+    time from the scene's records, the way they were built before scenes
+    carried arrays: the reference that `interact.scene_features` must match
+    bit for bit.  Returns (agent rows, map rows, map centroids)."""
+    from vecplan.interact import (
+        AGENT_FEATURE_DIM,
+        MAP_FEATURE_DIM,
+        POSITION_SCALE,
+        SPEED_SCALE,
+    )
+
+    agent_rows = np.zeros((len(scenario.agents), AGENT_FEATURE_DIM))
+    for i, agent in enumerate(scenario.agents):
+        step = best_mode(agent)[0] - agent.position
+        speed = math.hypot(step[0], step[1]) / scenario.horizon_dt
+        agent_rows[i] = (
+            agent.position.x * POSITION_SCALE,
+            agent.position.y * POSITION_SCALE,
+            math.cos(agent.heading),
+            math.sin(agent.heading),
+            speed * SPEED_SCALE,
+            agent.confidence,
+        )
+    kinds = [MapClass.LANE_DIVIDER, MapClass.ROAD_BOUNDARY, MapClass.PEDESTRIAN_CROSSING]
+    map_rows = np.zeros((len(scenario.map), MAP_FEATURE_DIM))
+    centroids = np.zeros((len(scenario.map), 2))
+    for i, mv in enumerate(scenario.map):
+        xy = mv.points.xy
+        centroids[i] = xy.mean(axis=0)
+        for a, b in zip(xy[:-1], xy[1:]):
+            d = b - a
+            n = math.hypot(d[0], d[1])
+            if n > 0.0:
+                map_rows[i, 5:7] = d / n
+                break
+        map_rows[i, kinds.index(mv.kind)] = 1.0
+        map_rows[i, 3:5] = centroids[i] * POSITION_SCALE
+    return agent_rows, map_rows, centroids
+
+
+# confidences spread over [0, 1) so that thresholds keep part of a scene
+_SPREAD = dict(agent_confidence_range=(0.0, 0.99), map_confidence_range=(0.0, 0.99))
+SCENE_KINDS = {
+    "default": GeneratorConfig(**_SPREAD),
+    "dense": GeneratorConfig(agent_count_range=(8, 12), **_SPREAD),
+    "agent_free": GeneratorConfig(agent_count_range=(0, 0), **_SPREAD),
+    "map_free": GeneratorConfig(**_SPREAD),
+}
+
+
+def scene_of_kind(kind: str, seed: int):
+    """A generated scene of one of SCENE_KINDS; "map_free" drops the map."""
+    s = generate_scenario(seed, SCENE_KINDS[kind])
+    return dataclasses.replace(s, map=[]) if kind == "map_free" else s
+
+
+def with_mixed_modes(scenario, rng):
+    """`scenario` with each agent keeping a random, shuffled subset of its
+    modes (at least one), so agents differ in mode count and best mode."""
+    agents = []
+    for a in scenario.agents:
+        keep = rng.permutation(a.n_modes)[: int(rng.integers(1, a.n_modes + 1))]
+        agents.append(dataclasses.replace(a, modes=a.modes[keep], mode_scores=a.mode_scores[keep]))
+    return dataclasses.replace(scenario, agents=agents)
+
+
+def with_repeated_map_points(scenario, rng):
+    """`scenario` with the first few points of each map polyline made equal,
+    so that its first non-degenerate segment is not always its first."""
+    map_vectors = []
+    for mv in scenario.map:
+        xy = mv.points.xy.copy()
+        xy[1 : int(rng.integers(1, 4))] = xy[0]
+        map_vectors.append(dataclasses.replace(mv, points=Polyline(xy)))
+    return dataclasses.replace(scenario, map=map_vectors)
+
+
+def looped_view(scenario, agent_poses, tick, position, heading, velocity, acceleration, steering):
+    """`simulator._build_view` as it was written before scenes carried
+    arrays: one `world_to_ego` call per map element, agent position, mode,
+    ground-truth future and the expert.  The reference the stacked calls
+    must match bit for bit."""
+    from vecplan.scene import EgoState, Scenario
+    from vecplan.simulator import _wrap_angle, world_to_ego
+
+    def pad(track):
+        remaining = track[tick:]
+        if remaining.shape[0] == 0:
+            remaining = track[-1:]
+        fill = scenario.t_future - remaining.shape[0]
+        return np.vstack([remaining, np.tile(remaining[-1], (fill, 1))]) if fill else remaining
+
+    new_map = [
+        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy, position, heading)))
+        for mv in scenario.map
+    ]
+    new_agents = []
+    for i, agent in enumerate(scenario.agents):
+        local = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
+        new_agents.append(dataclasses.replace(
+            agent,
+            position=Point2(*local),
+            heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
+            modes=np.stack([world_to_ego(pad(m), position, heading) for m in agent.modes]),
+            mode_scores=agent.mode_scores.copy(),
+        ))
+    futures = [world_to_ego(pad(f), position, heading) for f in scenario.agent_gt_futures]
+    ego = EgoState(Point2(0.0, 0.0), math.pi / 2, velocity, acceleration, steering,
+                   scenario.ego.command)
+    return Scenario(
+        map=new_map, agents=new_agents, agent_gt_futures=futures, ego=ego,
+        expert=world_to_ego(pad(scenario.expert), position, heading),
+        horizon_dt=scenario.horizon_dt, perception_range=scenario.perception_range,
+    )

@@ -278,6 +278,33 @@ class TestPlanAndEvaluate:
         assert names in lines[0]
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("plan", "--planner", "refine"),
+            ("plan", "--planner", "constant_velocity"),
+            ("evaluate", "--planner", "constant_velocity"),
+        ],
+    )
+    def test_boundary_of_equal_points_is_one_schema_line(self, tmp_path, capsys, command):
+        # a polyline with no non-degenerate segment is refused when the file
+        # is read, not later by the first search over it
+        cfg = tiny_config(tmp_path)
+        run("generate", "--config", str(cfg), "--count", "1")
+        scenario = tmp_path / "out" / "scenarios" / "scenario_0000.json"
+        data = json.loads(scenario.read_text())
+        boundary = next(mv for mv in data["map"] if mv["kind"] == "road_boundary")
+        boundary["points"] = [boundary["points"][0]] * len(boundary["points"])
+        scenario.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = run(*command, "--config", str(cfg), "--scenario", str(scenario))
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:schema:"), lines
+        assert "non-degenerate segment" in lines[0]
+        assert f"map[{data['map'].index(boundary)}].points" in lines[0]
+
+
 class TestTrainSimulateAblate:
     def test_train_then_plan_with_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path)

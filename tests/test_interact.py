@@ -1,9 +1,18 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
-from _support import fd_param_gradient, max_rel_err
+from _support import (
+    SCENE_KINDS,
+    fd_param_gradient,
+    looped_scene_features,
+    max_rel_err,
+    scene_of_kind,
+    with_mixed_modes,
+    with_repeated_map_points,
+)
 
 from vecplan import autodiff as ad
 from vecplan.constraints import imitation_loss
@@ -17,6 +26,7 @@ from vecplan.interact import (
     encode_queries,
     forward_plan,
     parameter_shapes,
+    scene_features,
 )
 from vecplan.learning import AdamW
 from vecplan.scene import AgentPrediction, GeneratorConfig, Scenario, generate_scenario
@@ -30,6 +40,27 @@ def small_params(seed=0, config=SMALL):
 
 def scenario_with(seed=0, **gen_kwargs):
     return generate_scenario(seed, GeneratorConfig(**gen_kwargs))
+
+
+class TestSceneFeatures:
+    def test_rows_bit_equal_to_the_record_loop(self):
+        rng = np.random.default_rng(11)
+        scenes = [scene_of_kind(kind, 31 * seed + 5) for kind in SCENE_KINDS for seed in range(40)]
+        base = [scene_of_kind("dense", 7 * seed + 1) for seed in range(40)]
+        scenes += [with_mixed_modes(s, rng) for s in base]
+        scenes += [with_repeated_map_points(s, rng) for s in base]
+        for s in scenes:
+            got, want = scene_features(s), looped_scene_features(s)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w)
+        assert len(scenes) == 240
+
+    def test_empty_scene_has_zero_rows(self):
+        s = dataclasses.replace(scenario_with(8, agent_count_range=(0, 0)), map=[])
+        agent_rows, map_rows, centroids = scene_features(s)
+        assert agent_rows.shape == (0, 6) and map_rows.shape == (0, 7)
+        assert centroids.shape == (0, 2)
 
 
 class TestConfig:
@@ -208,20 +239,20 @@ class TestForwardPlan:
         assert r1.plan.waypoints.shape == (SMALL.t_future, 2)
         np.testing.assert_array_equal(r1.plan.waypoints, r2.plan.waypoints)
 
-    def test_packed_scene_plans_bit_equal(self):
-        from vecplan.constraints import ConstraintParams
-        from vecplan.scene import pack
+    def test_plans_bit_equal_to_record_loop_features(self, monkeypatch):
+        # the rows read from the scene's arrays are the rows the records give
+        from vecplan import interact
 
         params = small_params()
-        for seed, agents in ((10, (2, 8)), (11, (8, 12)), (12, (0, 0))):
-            s = scenario_with(seed, agent_count_range=agents)
-            packed = pack(s, ConstraintParams(agent_min_confidence=1.0, map_min_confidence=1.0))
-            # the network sees the whole scene, whatever the thresholds keep
-            got, want = forward_plan(packed, params), forward_plan(s, params)
-            assert got.plan == want.plan
-            for g, w in zip(got.features.agent_positions, want.features.agent_positions):
-                assert np.array_equal(g, w)
-            assert packed.features is packed.features  # built once
+        scenes = [scenario_with(seed, agent_count_range=agents)
+                  for seed, agents in ((10, (2, 8)), (11, (8, 12)), (12, (0, 0)))]
+        want = [forward_plan(s, params) for s in scenes]
+        monkeypatch.setattr(interact, "scene_features", looped_scene_features)
+        for s, w in zip(scenes, want):
+            got = forward_plan(s, params)
+            assert got.plan == w.plan
+            assert np.array_equal(got.features.agent_positions, w.features.agent_positions)
+            assert np.array_equal(got.features.map_positions, w.features.map_positions)
 
     def test_empty_scene_still_plans(self):
         s = scenario_with(8, agent_count_range=(0, 0))

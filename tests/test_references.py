@@ -1,0 +1,40 @@
+"""The benchmark's committed reference outputs, replayed for seed 0.
+
+perfbench/run.py checks every operation of a workload against
+perfbench/references/<workload>.json.  This runs one pass of each workload
+through the same checker, so that an output drift fails the tests and not
+only a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # the benchmark's modules import each other by these names
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["train", "evaluate_dense", "refine_rollout"])
+def test_seed_zero_matches_the_references(monkeypatch, name):
+    pace = _load(monkeypatch, "pace", PERFBENCH / "pace.py")
+    workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
+    run = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    workload = workloads.WORKLOADS[name]
+    reference = run.load_reference(workload, 0)
+    assert reference is not None
+    inputs = workload.setup(0)
+    checker = run.Checker(workload, inputs, reference)
+    for index in range(workload.item_count(inputs)):
+        run.run_item(workload, inputs, index, checker, pace.Pacer(enabled=False))
+    assert checker.attempted > 0
+    assert checker.failed == 0, checker.reasons

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,11 +6,15 @@ import re
 
 import numpy as np
 import pytest
+from _support import SCENE_KINDS, scene_of_kind, with_mixed_modes
 
 from vecplan import geometry, scene
+from vecplan.constraints import ConstraintParams
 from vecplan.errors import ConfigError, ScenarioFormatError
 from vecplan.geometry import Point2, Polyline, PolylineSet, point_polyline_distance
 from vecplan.scene import (
+    DRIVABLE_SIDES,
+    MAP_CLASSES,
     AgentPrediction,
     Command,
     EgoState,
@@ -21,10 +26,10 @@ from vecplan.scene import (
     best_mode,
     best_mode_index,
     ego_vectors,
-    filter_agents,
     filter_map,
     generate_scenario,
     load_scenario,
+    pack,
     save_scenario,
     scenario_to_dict,
     scenario_to_json,
@@ -52,6 +57,19 @@ def make_map_vector(kind=MapClass.LANE_DIVIDER, confidence=1.0, x=1.0):
     )
 
 
+def make_scenario(agents=(), map_vectors=(), t_f=6):
+    """A scenario of the given records, ego at rest at the origin."""
+    return Scenario(
+        map=list(map_vectors),
+        agents=list(agents),
+        agent_gt_futures=[a.modes[0] for a in agents],
+        ego=EgoState(Point2(0.0, 0.0), math.pi / 2, 0.0, 0.0, 0.0, Command.GO_STRAIGHT),
+        expert=np.zeros((t_f, 2)),
+        horizon_dt=0.5,
+        perception_range=(60.0, 30.0),
+    )
+
+
 class TestFilters:
     def test_threshold_is_inclusive(self):
         elems = [make_map_vector(confidence=c) for c in (0.9, 0.4, 0.5)]
@@ -72,18 +90,19 @@ class TestFilters:
         assert filter_map([divider, boundary], 0.0, MapClass.ROAD_BOUNDARY) == [boundary]
 
     def test_agent_filter_mirrors_map_filter(self):
+        # pack keeps the agents at or above its threshold, in order, as
+        # filter_map keeps map elements
         agents = [make_agent(confidence=c) for c in (0.9, 0.4, 0.5)]
-        assert filter_agents(agents, 0.5) == [agents[0], agents[2]]
-        assert filter_agents(agents, 0.0) == agents
-        assert filter_agents(agents, 0.95) == []
+        s = make_scenario(agents)
+        for threshold, kept in ((0.5, [0, 2]), (0.0, [0, 1, 2]), (0.95, [])):
+            packed = pack(s, ConstraintParams(agent_min_confidence=threshold))
+            want = np.array([best_mode(agents[i]) for i in kept]).reshape(len(kept), 6, 2)
+            assert np.array_equal(packed.agent_tracks, want)
 
     def test_filtering_is_idempotent(self):
         elems = [make_map_vector(confidence=c) for c in np.linspace(0, 1, 11)]
         once = filter_map(elems, 0.37)
         assert filter_map(once, 0.37) == once
-        agents = [make_agent(confidence=c) for c in np.linspace(0, 1, 11)]
-        once_a = filter_agents(agents, 0.37)
-        assert filter_agents(once_a, 0.37) == once_a
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -436,3 +455,66 @@ class TestScenarioIO:
                 horizon_dt=0.5,
                 perception_range=(60.0, 30.0),
             )
+
+
+ARRAY_FIELDS = (
+    "agent_xy", "agent_heading", "agent_size", "agent_confidence", "agent_track",
+    "agent_future", "map_xy", "map_kind", "map_confidence", "map_side",
+)
+
+
+class TestSceneArrays:
+    @staticmethod
+    def _scenes(tmp_path):
+        rng = np.random.default_rng(8)
+        scenes = [scene_of_kind(kind, 13 * seed + 1) for kind in SCENE_KINDS for seed in range(8)]
+        scenes += [with_mixed_modes(scene_of_kind("dense", seed), rng) for seed in range(8)]
+        save_scenario(scenes[9], tmp_path / "s.json")
+        return scenes + [load_scenario(tmp_path / "s.json")]
+
+    def test_arrays_equal_the_records(self, tmp_path):
+        for s in self._scenes(tmp_path):
+            n_a, n_m, t_f = len(s.agents), len(s.map), s.t_future
+            assert s.agent_xy.shape == (n_a, 2) and s.agent_heading.shape == (n_a,)
+            assert s.agent_size.shape == (n_a, 2) and s.agent_confidence.shape == (n_a,)
+            assert s.agent_track.shape == s.agent_future.shape == (n_a, t_f, 2)
+            assert s.map_xy.shape[0] == n_m and s.map_xy.ndim == 3
+            for name in ("map_kind", "map_confidence", "map_side"):
+                assert getattr(s, name).shape == (n_m,)
+            for i, a in enumerate(s.agents):
+                assert s.agent_xy[i].tolist() == list(a.position)
+                assert s.agent_heading[i] == a.heading
+                assert s.agent_size[i].tolist() == list(a.size)
+                assert s.agent_confidence[i] == a.confidence
+                assert np.array_equal(s.agent_track[i], best_mode(a))
+                assert np.array_equal(s.agent_future[i], s.agent_gt_futures[i])
+            for i, mv in enumerate(s.map):
+                assert np.array_equal(s.map_xy[i], mv.points.xy)
+                assert MAP_CLASSES[s.map_kind[i]] == mv.kind
+                assert s.map_confidence[i] == mv.confidence
+                assert s.map_side[i] == DRIVABLE_SIDES[mv.drivable_side]
+            for name in ARRAY_FIELDS:
+                integral = name in ("map_kind", "map_side")
+                assert getattr(s, name).dtype.kind == ("i" if integral else "f")
+        assert scene_of_kind("agent_free", 3).agent_track.shape == (0, 6, 2)
+        assert scene_of_kind("map_free", 3).map_xy.shape[0] == 0
+
+    def test_arrays_are_read_only_and_fields_frozen(self):
+        s = generate_scenario(4)
+        for name in ARRAY_FIELDS:
+            with pytest.raises(ValueError):
+                getattr(s, name)[...] = 0
+        with pytest.raises(ValueError):
+            s.agent_gt_futures[0][...] = 0.0
+        for name, value in (("agents", []), ("map", []), ("agent_xy", np.zeros((0, 2)))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+
+    def test_replace_builds_new_arrays(self):
+        s = generate_scenario(4, GeneratorConfig(agent_count_range=(3, 3)))
+        fewer = dataclasses.replace(
+            s, agents=s.agents[1:], agent_gt_futures=s.agent_gt_futures[1:]
+        )
+        assert np.array_equal(fewer.agent_xy, s.agent_xy[1:])
+        assert np.array_equal(fewer.agent_track, s.agent_track[1:])
+        assert dataclasses.replace(s, map=[]).map_side.shape == (0,)

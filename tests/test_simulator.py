@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from _support import polyline_set
+from _support import (
+    SCENE_KINDS,
+    looped_view,
+    polyline_set,
+    scene_of_kind,
+    with_mixed_modes,
+)
 
 from vecplan.constraints import ConstraintParams, LossWeights, boundary_loss, total_planning_loss
 from vecplan.errors import SimulationError
+from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
+from vecplan.metrics import plan_metrics
 from vecplan.geometry import Point2, Polyline
 from vecplan.scene import (
     AgentPrediction,
@@ -14,14 +22,19 @@ from vecplan.scene import (
     MapClass,
     MapVector,
     PlanTrajectory,
+    GeneratorConfig,
     Scenario,
     generate_scenario,
+    pack,
+    scenario_to_json,
 )
 from vecplan.simulator import (
     ConstantVelocityPlanner,
     ExpertPlanner,
+    ModelPlanner,
     RefinePlanner,
     SimState,
+    _build_view,
     constant_velocity_plan,
     ego_to_world,
     refine_trajectory,
@@ -63,6 +76,46 @@ class TestFrameTransforms:
         ahead = np.array([[pos.x + 2 * math.cos(heading), pos.y + 2 * math.sin(heading)]])
         local = world_to_ego(ahead, pos, heading)
         np.testing.assert_allclose(local, [[0.0, 2.0]], atol=1e-12)
+
+
+class TestView:
+    def test_bit_equal_to_one_transform_per_element(self):
+        # the stacked transforms give every view the bytes of the
+        # per-element calls, for every tick, horizon and mode count
+        rng = np.random.default_rng(4)
+        scenes = [scene_of_kind(kind, 17 * seed + 2) for kind in SCENE_KINDS for seed in range(6)]
+        scenes += [with_mixed_modes(scene_of_kind("dense", seed), rng) for seed in range(6)]
+        short = GeneratorConfig(t_future=1, agent_count_range=(2, 5))
+        scenes += [generate_scenario(seed, short) for seed in range(4)]
+        for s in scenes:
+            state = SimState.initial(s)
+            for tick in range(s.t_future + 1):
+                position = Point2(*rng.uniform(-3.0, 3.0, 2))
+                heading = float(rng.uniform(-math.pi, math.pi))
+                args = (s, state.agent_poses, tick, position, heading, 4.0, 0.5, 0.1)
+                assert scenario_to_json(_build_view(*args)) == scenario_to_json(looped_view(*args))
+
+
+class TestMixedModeCounts:
+    def test_scene_runs_every_path(self):
+        # agents with 1 to 6 modes each, best modes anywhere in the list
+        s = with_mixed_modes(generate_scenario(5, GeneratorConfig(agent_count_range=(6, 6))),
+                             np.random.default_rng(1))
+        counts = [a.n_modes for a in s.agents]
+        assert len(set(counts)) > 1
+        packed = pack(s, PARAMS)
+        assert np.array_equal(packed.agent_tracks, s.agent_track)
+        params = InteractionParams.initialize(InteractionConfig(t_future=s.t_future), seed=0)
+        plan = forward_plan(s, params).plan
+        metrics = plan_metrics([s], [plan])
+        assert all(math.isfinite(v) for v in metrics.l2.values + metrics.collision.values)
+        state = SimState.initial(s)
+        for _ in range(2):
+            state = step(state, plan)
+            assert [a.n_modes for a in state.view.agents] == counts
+            plan = forward_plan(state.view, params).plan
+        log = run_closed_loop(s, ModelPlanner(params), 2)
+        assert [r.tick for r in log.records] == [1, 2]
 
 
 class TestStep:
