@@ -41,16 +41,13 @@ def _as_matrix(data) -> np.ndarray:
 class Tensor:
     """An immutable node on a tape: a (rows, cols) float64 value."""
 
-    __slots__ = ("tape", "index", "data")
+    __slots__ = ("tape", "index", "data", "shape")
 
     def __init__(self, tape: "Tape", index: int, data: np.ndarray):
         self.tape = tape
         self.index = index
         self.data = data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        self.shape: tuple[int, int] = data.shape  # `data` is never reassigned
 
     def __repr__(self) -> str:
         return f"Tensor(#{self.index}, shape={self.data.shape})"

@@ -12,6 +12,12 @@ used and at L1/abs kinks the subgradient is zero).
 The losses read a scene packed into arrays once (`scene.pack`), however many
 times a planner or a training run evaluates them on it: the agents as their
 (A, T_f, 2) best-mode tracks and the map elements as a PolylineSet.
+
+Each input is checked once.  A plan's waypoints were checked when the frozen
+`PlanTrajectory` was made, so the losses hand them, and the arrays they
+derive from them, down the geometry chain as `geometry.Checked`.  A track or
+expert array is checked on entry unless it comes as `Checked`, as
+`total_planning_loss` passes the read-only arrays of a packed scene.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .geometry import (
+    Checked,
     PolylineSet,
     angular_difference,
-    closest_polyline,
+    checked,
     closest_polyline_within,
+    point_polyline_distance,
 )
 from .scene import PackedScene, PlanTrajectory, Scenario, ego_vectors, pack
 
@@ -112,9 +120,7 @@ class TotalLossResult(LossResult):
     breakdown: dict[str, float]  # unweighted per-term values
 
 
-def collision_loss(
-    plan: PlanTrajectory, tracks: np.ndarray, params: ConstraintParams
-) -> LossResult:
+def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> LossResult:
     """Per-axis safety hinge against the agents' best-mode positions.
 
     At each timestep, agents whose best-mode position lies within Euclidean
@@ -126,10 +132,17 @@ def collision_loss(
     result is the mean over the horizon of the summed X and Y terms.  `tracks`
     are the (N_a, T_f, 2) best-mode tracks of the agents that passed the
     confidence threshold, as `scene.pack` stacks them.
+
+    Raises:
+        GeometryError: on tracks of another rank or with a non-finite point.
+        ShapeError: on tracks of another horizon than the plan.
     """
     w = plan.waypoints
+    tracks = checked(tracks, "track point", ndim=3)
+    if tracks.shape[1:] != w.shape:
+        raise ShapeError(f"tracks {tracks.shape} do not match plan {w.shape}")
     t_f = w.shape[0]
-    grad = np.zeros_like(w)
+    grad = np.zeros(w.shape)
     if not len(tracks):
         return LossResult(0.0, grad)
 
@@ -140,17 +153,20 @@ def collision_loss(
     if params.collision_mode == "single_nearest":
         nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
         candidate &= np.arange(len(tracks))[:, None] == nearest
+    apart = np.abs(delta)  # per-axis distances
+    sign = np.sign(delta)
     steps = np.arange(t_f)
     total = 0.0
     for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
-        gap = np.where(candidate, np.abs(delta[..., axis]), np.inf)
-        j = np.argmin(gap, axis=0)  # lowest agent index on ties
+        gap = np.where(candidate, apart[..., axis], np.inf)
+        j = gap.argmin(axis=0)  # lowest agent index on ties
         d = gap[j, steps]
         active = d < margin
-        total += float((margin - d[active]).sum())
+        total += float(np.add.reduce(margin - d[active]))
         # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis)
-        grad[active, axis] = np.sign(delta[j, steps, axis][active])
-    return LossResult(total / t_f, grad / t_f)
+        np.copyto(grad[:, axis], sign[j, steps, axis], where=active)
+    grad /= t_f
+    return LossResult(total / t_f, grad)
 
 
 def boundary_loss(
@@ -165,16 +181,17 @@ def boundary_loss(
     """
     w = plan.waypoints
     t_f = w.shape[0]
-    grad = np.zeros_like(w)
+    grad = np.zeros(w.shape)
     if not boundaries:
         return LossResult(0.0, grad)
 
-    hit = closest_polyline(w, boundaries)
-    active = hit.dist < params.boundary_clearance
-    total = float((params.boundary_clearance - hit.dist[active]).sum())
-    pull = active & (hit.dist > 0.0)
-    grad[pull] = -(w[pull] - hit.foot[pull]) / hit.dist[pull, None]
-    return LossResult(total / t_f, grad / t_f)
+    dist, _, foot = point_polyline_distance(Checked(w), boundaries)
+    active = dist < params.boundary_clearance
+    total = float(np.add.reduce(params.boundary_clearance - dist[active]))
+    pull = active & (dist > 0.0)
+    np.divide(-(w - foot), dist[:, None], out=grad, where=pull[:, None])
+    grad /= t_f
+    return LossResult(total / t_f, grad)
 
 
 def direction_loss(
@@ -191,43 +208,54 @@ def direction_loss(
     """
     w = plan.waypoints
     t_f = w.shape[0]
-    grad = np.zeros_like(w)
     if not dividers:
-        return LossResult(0.0, grad)
+        return LossResult(0.0, np.zeros(w.shape))
 
-    hit = closest_polyline_within(w, dividers, params.divider_search_range)
+    hit = closest_polyline_within(Checked(w), dividers, params.divider_search_range)
     vectors = ego_vectors(plan)
-    moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
-    active = np.flatnonzero((hit.poly >= 0) & moving)
+    moving = np.logical_or.reduce(vectors != 0.0, axis=1)
+    active = (hit.found & moving).nonzero()[0]
     if active.size == 0:
-        return LossResult(0.0, grad)
-    lane_dir = hit.end[active] - hit.start[active]
-    v = vectors[active]
-    total = float(angular_difference(lane_dir, v).sum())
+        return LossResult(0.0, np.zeros(w.shape))
+    # the winning segment's step, end - start
+    lane_dir = dividers.step.take(hit.index.take(active), axis=0)
+    v = vectors.take(active, axis=0)
+    total = float(np.add.reduce(angular_difference(Checked(lane_dir), Checked(v))))
 
     # d angle / d v for the unsigned angle: sign comes from the 2-D cross
     # product, magnitude from the perpendicular of v; zero subgradient at
     # exactly parallel/antiparallel configurations
-    cross = lane_dir[:, 0] * v[:, 1] - lane_dir[:, 1] * v[:, 0]
-    norm_sq = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-    g_v = np.zeros_like(w)
-    g_v[active] = np.sign(cross)[:, None] * (v[:, ::-1] * (-1.0, 1.0)) / norm_sq[:, None]
+    vx, vy = v[:, 0], v[:, 1]
+    cross = lane_dir[:, 0] * vy - lane_dir[:, 1] * vx
+    norm_sq = vx * vx + vy * vy
+    # sign * (-vy, vx) / |v|^2, rounded in that order
+    turn = np.sign(cross)
+    g_v = np.zeros(w.shape)
+    g_v[active, 0] = turn * -vy / norm_sq
+    g_v[active, 1] = turn * vx / norm_sq
     # v_t = w_t - w_{t-1}: each step's gradient enters w_t and leaves w_{t-1}
-    grad += g_v
+    grad = g_v + 0.0
     grad[:-1] -= g_v[1:]
-    return LossResult(total / t_f, grad / t_f)
+    grad /= t_f
+    return LossResult(total / t_f, grad)
 
 
-def imitation_loss(plan: PlanTrajectory, expert: np.ndarray) -> LossResult:
-    """Mean per-step L1 distance between the plan and the expert trajectory."""
-    expert = np.asarray(expert, dtype=np.float64)
+def imitation_loss(plan: PlanTrajectory, expert) -> LossResult:
+    """Mean per-step L1 distance between the plan and the expert trajectory.
+
+    Raises:
+        GeometryError: on an expert that is not a (T_f, 2) array of finite points.
+        ShapeError: on an expert of another horizon than the plan.
+    """
+    expert = checked(expert, "expert point")
     w = plan.waypoints
     if expert.shape != w.shape:
         raise ShapeError(f"expert shape {expert.shape} does not match plan {w.shape}")
     t_f = w.shape[0]
     diff = w - expert
-    value = float(np.abs(diff).sum() / t_f)
-    grad = np.sign(diff) / t_f
+    value = float(np.add.reduce(np.abs(diff), axis=None) / t_f)
+    grad = np.sign(diff)
+    grad /= t_f
     return LossResult(value, grad)
 
 
@@ -250,10 +278,10 @@ def total_planning_loss(
     if packed.thresholds != (params.agent_min_confidence, params.map_min_confidence):
         raise ValueError(f"scene was packed under other confidence thresholds {packed.thresholds}")
 
-    col = collision_loss(plan, packed.agent_tracks, params)
+    col = collision_loss(plan, Checked(packed.agent_tracks), params)
     bd = boundary_loss(plan, packed.boundaries, params)
     dr = direction_loss(plan, packed.dividers, params)
-    imi = imitation_loss(plan, packed.scenario.expert if expert is None else expert)
+    imi = imitation_loss(plan, Checked(packed.scenario.expert) if expert is None else expert)
 
     value = (
         weights.collision * col.value
@@ -261,12 +289,11 @@ def total_planning_loss(
         + weights.direction * dr.value
         + weights.imitation * imi.value
     )
-    grad = (
-        weights.collision * col.grad
-        + weights.boundary * bd.grad
-        + weights.direction * dr.grad
-        + weights.imitation * imi.grad
-    )
+    # summed in place, in the order of the value
+    grad = weights.collision * col.grad
+    grad += weights.boundary * bd.grad
+    grad += weights.direction * dr.grad
+    grad += weights.imitation * imi.grad
     return TotalLossResult(
         value=value,
         grad=grad,

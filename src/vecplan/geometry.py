@@ -12,11 +12,22 @@ checked, read-only (N, 2) array, and the polylines a search runs over are a
 `PolylineSet`.  A box is a `BoxFrame`.  A pose track is a `Poses` pair of
 arrays, (T, 2) positions and (T,) headings.
 
+Each input is checked once.  A kernel checks the arrays a caller hands it;
+an array that is already known to be finite float64 of the right shape (a
+read-only `PlanTrajectory.waypoints`, a scene's read-only stacks, an array
+computed from checked arrays) may be handed over as `Checked(array)`, and
+the kernels and the constraint losses then use it as it is.  The chain
+passes its own checked queries down that way, so a query is checked where
+it enters and nowhere below.
+
 The nearest-polyline chain (`closest_point_on_segment`,
 `point_polyline_distance`, `closest_polyline`, `closest_polyline_within`)
 and `angular_difference` take (K, 2) arrays, broadcast over query points x
-segments and return arrays or a `Nearest`.  `rect_corners` broadcasts over
-box arrays.
+segments and return arrays or a `Nearest`.  A `PolylineSet` holds, once per
+set, the per-segment constants of the projection (start and step columns,
+squared lengths, whether every segment is live), and a `Nearest` gathers
+the polyline, segment and endpoints of a hit only when they are read.
+`rect_corners` broadcasts over box arrays.
 
 The separating-axis test (`oriented_rect_margin`, `oriented_rect_overlap`)
 takes two box frames: each box's center, cos/sin, axes, half dims,
@@ -54,10 +65,10 @@ class Point2(namedtuple("Point2", "x y")):
         return super().__new__(cls, x, y)
 
 
-def _all(mask) -> bool:
-    """`mask.all()` without the call overhead of a ufunc reduction, which
+def _all(a: np.ndarray) -> bool:
+    """`a.all()` without the call overhead of a ufunc reduction, which
     dominates on the small arrays the kernels check."""
-    return np.count_nonzero(mask) == np.size(mask)
+    return np.count_nonzero(a) == a.size
 
 
 class Polyline:
@@ -96,21 +107,33 @@ class Polyline:
         return f"Polyline({len(self.xy)} points)"
 
 
-class _Checked(NamedTuple):
-    xy: np.ndarray  # (K, 2) points `_as_xy` has checked, passed down the chain
+class Checked(NamedTuple):
+    """An array known to be finite float64 of the shape its receiver takes,
+    handed over so that it is not checked again.
+
+    Wrap only an array for which that holds by construction: a read-only
+    array checked when its owner was made (`PlanTrajectory.waypoints`,
+    `Scenario.expert`, `PackedScene.agent_tracks`), or one computed from
+    checked arrays (step vectors, lane directions).  A caller's own array
+    goes in bare and is checked where it enters.
+    """
+
+    xy: np.ndarray
 
 
-def _as_xy(p, what: str = "query point") -> np.ndarray:
-    """`p` as a checked (K, 2) float64 array.
+def checked(p, what: str = "query point", ndim: int = 2) -> np.ndarray:
+    """`p` as a finite float64 array of `ndim` axes, the last of length 2:
+    a `Checked` array as it is, any other array-like after a check.
 
     Raises:
         GeometryError: on any other shape or a non-finite coordinate.
     """
-    if isinstance(p, _Checked):
+    if type(p) is Checked:
         return p.xy
     xy = np.asarray(p, dtype=np.float64)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise GeometryError(f"{what}s must have shape (K, 2), got {xy.shape}")
+    if xy.ndim != ndim or xy.shape[-1] != 2:
+        raise GeometryError(f"{what}s must have {ndim} axes, the last of length 2, "
+                            f"got shape {xy.shape}")
     if not _all(np.isfinite(xy)):
         raise GeometryError(f"non-finite {what}")
     return xy
@@ -121,13 +144,18 @@ class PolylineSet:
 
     Segments are numbered polyline by polyline, so among tied segments the
     lowest packed index is the lowest polyline and then its lowest segment.
-    A set of no polylines is empty, and searches over it find nothing.  The
-    arrays are read-only and finite, and each polyline has a live segment (a
-    Polyline checks its points when it is made), so the chain uses them
-    without checking them again.
+    A set of no polylines is empty, and searches over it find nothing.
+
+    The set holds, once, the constants every projection onto it needs: the
+    contiguous start and step columns `sx`, `sy`, `dx`, `dy`, the squared
+    lengths `step_sq` and the flag `all_live` (no segment is degenerate).
+    The arrays are read-only and finite, and each polyline has a live
+    segment (a Polyline checks its points when it is made), so the chain
+    uses them without checking them again.
     """
 
-    __slots__ = ("start", "end", "step", "step_sq", "live", "poly", "seg", "count")
+    __slots__ = ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
+                 "all_live", "poly", "seg", "count")
 
     def __init__(self, pls: Sequence[Polyline]):
         self._pack([pl.xy for pl in pls])
@@ -149,11 +177,15 @@ class PolylineSet:
         # a degenerate segment's squared length counts as 1, so its
         # projections are 0 / 1 = 0: searches skip it, never divide by it
         self.step, self.step_sq = d, np.where(seg_sq == 0.0, 1.0, seg_sq)
+        self.sx, self.sy = np.ascontiguousarray(self.start.T)
+        self.dx, self.dy = np.ascontiguousarray(d.T)
         self.live = (self.start != self.end).any(axis=1)
+        self.all_live = bool(self.live.all())
         self.poly = np.repeat(np.arange(len(xy)), counts)  # owner of each segment
         self.seg = np.concatenate([np.arange(c) for c in [0] + counts])  # index within it
         self.count = len(xy)
-        for a in (self.start, self.end, self.step, self.step_sq, self.live, self.poly, self.seg):
+        for a in (self.start, self.end, self.step, self.sx, self.sy, self.dx, self.dy,
+                  self.step_sq, self.live, self.poly, self.seg):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -161,14 +193,43 @@ class PolylineSet:
 
 
 class Nearest(NamedTuple):
-    """The nearest polyline segment of each of K query points."""
+    """The nearest polyline segment of each of K query points.
 
-    poly: np.ndarray  # (K,) polyline index, -1 where none lies in range
+    The search gives `dist`, `foot` and the packed segment `index` (and, for
+    a range search, `found`); the polyline, segment and endpoints are
+    gathered from the set when they are read, so a caller pays only for the
+    fields it uses.
+    """
+
+    segments: PolylineSet  # the set searched
+    index: np.ndarray  # (K,) packed index of the nearest segment
     dist: np.ndarray  # (K,) distance to it, meters
-    seg: np.ndarray  # (K,) segment index within that polyline, -1 with poly
-    foot: np.ndarray  # (K, 2) closest point on that segment
-    start: np.ndarray  # (K, 2) first endpoint of that segment
-    end: np.ndarray  # (K, 2) second endpoint of that segment
+    foot: np.ndarray  # (K, 2) closest point on it
+    found: np.ndarray | None = None  # (K,) in range of a range search; None: all
+
+    def _hit(self, ids: np.ndarray) -> np.ndarray:
+        ids = ids.take(self.index)
+        return ids if self.found is None else np.where(self.found, ids, -1)
+
+    @property
+    def poly(self) -> np.ndarray:
+        """(K,) polyline index, -1 where none lies in range."""
+        return self._hit(self.segments.poly)
+
+    @property
+    def seg(self) -> np.ndarray:
+        """(K,) segment index within that polyline, -1 with `poly`."""
+        return self._hit(self.segments.seg)
+
+    @property
+    def start(self) -> np.ndarray:
+        """(K, 2) first endpoint of the nearest segment."""
+        return self.segments.start.take(self.index, axis=0)
+
+    @property
+    def end(self) -> np.ndarray:
+        """(K, 2) second endpoint of the nearest segment."""
+        return self.segments.end.take(self.index, axis=0)
 
 
 def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
@@ -178,11 +239,19 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     of foot points on the set's S closed segments [a_s, b_s].  A degenerate
     segment (a_s == b_s) gives a_s.
     """
-    q = _as_xy(p)
-    a, d = segments.start, segments.step
-    along = (q[:, None, 0] - a[:, 0]) * d[:, 0] + (q[:, None, 1] - a[:, 1]) * d[:, 1]
-    t = np.minimum(1.0, np.maximum(0.0, along / segments.step_sq))
-    return a + t[..., None] * d
+    q = checked(p)
+    # along-segment parameter, projected and clamped to [0, 1] in place
+    t = q[:, 0, None] - segments.sx
+    t *= segments.dx
+    ty = q[:, 1, None] - segments.sy
+    ty *= segments.dy
+    t += ty
+    t /= segments.step_sq
+    np.maximum(0.0, t, out=t)
+    np.minimum(1.0, t, out=t)
+    foot = t[..., None] * segments.step
+    foot += segments.start
+    return foot
 
 
 def point_polyline_distance(p, pls: PolylineSet):
@@ -197,14 +266,15 @@ def point_polyline_distance(p, pls: PolylineSet):
     Raises:
         GeometryError: if the set is empty.
     """
-    q = _as_xy(p)
+    q = checked(p)
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
-    foot = closest_point_on_segment(_Checked(q), pls)
-    dist = np.hypot(q[:, None, 0] - foot[..., 0], q[:, None, 1] - foot[..., 1])
-    dist = np.where(pls.live, dist, np.inf)
-    seg = np.argmin(dist, axis=1)
-    rows = np.arange(q.shape[0])
+    foot = closest_point_on_segment(Checked(q), pls)
+    dist = np.hypot(q[:, 0, None] - foot[..., 0], q[:, 1, None] - foot[..., 1])
+    if not pls.all_live:
+        dist = np.where(pls.live, dist, np.inf)
+    seg = dist.argmin(axis=1)
+    rows = np.arange(len(q))
     return dist[rows, seg], seg, foot[rows, seg]
 
 
@@ -218,13 +288,18 @@ def angular_difference(v1, v2) -> np.ndarray:
     Raises:
         GeometryError: if any vector has zero length.
     """
-    a, b = _as_xy(v1, "vector"), _as_xy(v2, "vector")
-    n1 = np.hypot(a[:, 0], a[:, 1])
-    n2 = np.hypot(b[:, 0], b[:, 1])
-    if not ((n1 != 0.0).all() and (n2 != 0.0).all()):
+    a, b = checked(v1, "vector"), checked(v2, "vector")
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    n1 = np.hypot(ax, ay)
+    n2 = np.hypot(bx, by)
+    if not (_all(n1) and _all(n2)):
         raise GeometryError("angular_difference requires non-zero vectors")
-    c = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) / (n1 * n2)
-    return np.arccos(np.minimum(1.0, np.maximum(-1.0, c)))
+    c = ax * bx
+    c += ay * by
+    c /= n1 * n2
+    np.maximum(-1.0, c, out=c)
+    np.minimum(1.0, c, out=c)
+    return np.arccos(c, out=c)
 
 
 def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
@@ -232,26 +307,23 @@ def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     array, or None when the set is empty.  Ties resolve to the lowest
     polyline index, then to the lowest segment index.
     """
-    q = _as_xy(p)
+    q = checked(p)
     if not pls:
         return None
-    dist, k, foot = point_polyline_distance(_Checked(q), pls)
-    return Nearest(pls.poly[k], dist, pls.seg[k], foot, pls.start[k], pls.end[k])
+    dist, k, foot = point_polyline_distance(Checked(q), pls)
+    return Nearest(pls, k, dist, foot)
 
 
 def closest_polyline_within(p, pls: PolylineSet, within: float) -> Nearest | None:
     """`closest_polyline`, with polyline and segment index -1 for a query
-    whose nearest lies beyond `within` meters; its distance, foot and
-    endpoints still describe the nearest segment.  Raises GeometryError
-    unless `within` is positive and finite.
+    whose nearest lies beyond `within` meters (`found` False); its distance,
+    foot and endpoints still describe the nearest segment.  Raises
+    GeometryError unless `within` is positive and finite.
     """
     if not (within > 0.0 and math.isfinite(within)):
         raise GeometryError(f"search range must be positive and finite, got {within}")
     hit = closest_polyline(p, pls)
-    if hit is None:
-        return None
-    near = hit.dist <= within
-    return hit._replace(poly=np.where(near, hit.poly, -1), seg=np.where(near, hit.seg, -1))
+    return hit if hit is None else hit._replace(found=hit.dist <= within)
 
 
 class Poses(NamedTuple):
@@ -269,7 +341,7 @@ def pose_track(track, start, heading: float) -> Poses:
     first), through `math.atan2` one step at a time; a zero-length step keeps
     the previous heading, `heading` before any step.
     """
-    xy = _as_xy(track, "track point")
+    xy = checked(track, "track point")
     headings = []
     last_x, last_y = start
     for x, y in xy.tolist():
@@ -413,8 +485,8 @@ def swept_box_frame(track, start, heading: float, dims) -> BoxFrame:
         valid = False
     if not valid:
         raise GeometryError(f"bad swept box: start {start!r}, heading {heading!r}, dims {dims!r}")
-    xy = np.concatenate(([(x0, y0)], _as_xy(track, "track point")))
-    poses = pose_track(_Checked(xy), (x0, y0), heading)
+    xy = np.concatenate(([(x0, y0)], checked(track, "track point")))
+    poses = pose_track(Checked(xy), (x0, y0), heading)
     return _frame(poses.xy, poses.heading, np.array((length, width), dtype=np.float64))
 
 

@@ -51,17 +51,13 @@ class MotionRegression:
     selected: int
 
 
-def motion_regression_loss(modes: np.ndarray, scores: np.ndarray, gt: np.ndarray) -> MotionRegression:
+def motion_regression_loss(modes: np.ndarray, gt: np.ndarray) -> MotionRegression:
     """L1 regression on the minFDE-selected mode only.
 
-    `scores` identifies the modes (and is validated) but does not affect the
-    selection, which is winner-take-all by final displacement error; the
-    paired mode-classification loss consumes the scores.
+    The selection is winner-take-all by final displacement error; the mode
+    scores do not enter it (the paired mode-classification loss takes them).
     """
     modes = np.asarray(modes, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (modes.shape[0],):
-        raise ShapeError(f"{scores.shape[0] if scores.ndim else 0} scores for {modes.shape[0]} modes")
     k = minfde_select(modes, gt)
     t_f = modes.shape[1]
     diff = modes[k] - gt
@@ -311,12 +307,11 @@ def _aux_losses(result: ForwardResult, scenario: Scenario, weights: LossWeights)
             ad.matmul(result.features.agent_queries, p["aux.mode_cls.w"]), p["aux.mode_cls.b"]
         )
         probs = _sigmoid_on_tape(logits)
-        # the head's own mode probabilities score the modes it predicts
         pred_modes = pred.data.reshape(n_a, n_k, t_f, 2)
         dpred = np.zeros_like(pred_modes)
         selected = np.zeros(n_a, dtype=int)
         for i, gt in enumerate(scenario.agent_future):
-            reg = motion_regression_loss(pred_modes[i], probs.data[i], gt)
+            reg = motion_regression_loss(pred_modes[i], gt)
             motion_value += reg.value / n_a
             dpred[i] = reg.mode_grads / n_a
             selected[i] = reg.selected

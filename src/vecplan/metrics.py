@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import (
+    Checked,
     Poses,
     PolylineSet,
     box_frame,
@@ -86,7 +87,7 @@ def displacement_error(
 
 def plan_pose_track(plan: PlanTrajectory) -> Poses:
     """Pose of the ego at each planned tick, leaving the origin heading +y."""
-    return pose_track(plan.waypoints, (0.0, 0.0), math.pi / 2)
+    return pose_track(Checked(plan.waypoints), (0.0, 0.0), math.pi / 2)
 
 
 def agent_pose_track(scenario: Scenario, agent_index: int) -> Poses:

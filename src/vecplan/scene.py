@@ -129,20 +129,27 @@ class EgoState:
     command: Command
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PlanTrajectory:
-    """Planned future ego waypoints, shape (T_f, 2), in the ego frame."""
+    """Planned future ego waypoints, shape (T_f, 2), in the ego frame.
+
+    The waypoints are a read-only float64 copy of the array the plan is made
+    from, checked here, so the check holds for the plan's lifetime and the
+    losses take them as checked.
+    """
 
     waypoints: np.ndarray
 
     def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
-        if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 2:
-            raise ScenarioFormatError(f"waypoints must be (T_f, 2), got {self.waypoints.shape}")
-        if self.waypoints.shape[0] < 1:
+        w = np.array(self.waypoints, dtype=np.float64)  # a copy, never the caller's array
+        if w.ndim != 2 or w.shape[1] != 2:
+            raise ScenarioFormatError(f"waypoints must be (T_f, 2), got {w.shape}")
+        if w.shape[0] < 1:
             raise ScenarioFormatError("plan needs at least one waypoint")
-        if not np.all(np.isfinite(self.waypoints)):
+        if np.count_nonzero(np.isfinite(w)) != w.size:
             raise ScenarioFormatError("non-finite plan waypoints")
+        w.flags.writeable = False
+        object.__setattr__(self, "waypoints", w)
 
     @property
     def horizon(self) -> int:
@@ -187,7 +194,8 @@ class Scenario:
     map_side: np.ndarray = field(init=False, repr=False)  # (M,) DRIVABLE_SIDES code
 
     def __post_init__(self):
-        object.__setattr__(self, "expert", np.asarray(self.expert, dtype=np.float64))
+        # a read-only copy, so the check below holds for the scene's lifetime
+        object.__setattr__(self, "expert", np.array(self.expert, dtype=np.float64))
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
                 f"horizon_dt must be positive and finite, got {self.horizon_dt}"
@@ -200,6 +208,7 @@ class Scenario:
             raise ScenarioFormatError(f"expert must be (T_f, 2), got {self.expert.shape}")
         if not np.isfinite(self.expert).all():
             raise ScenarioFormatError("non-finite values in expert")
+        self.expert.flags.writeable = False
         for name in ("heading", "velocity", "acceleration", "steering_angle"):
             value = getattr(self.ego, name)
             if not math.isfinite(value):
@@ -267,24 +276,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# filtering and per-agent reductions
-
-
-def filter_map(
-    elements: Sequence[MapVector], min_confidence: float, kind: Optional[MapClass] = None
-) -> list[MapVector]:
-    """Keep elements with confidence >= min_confidence (and matching class).
-
-    The threshold is inclusive so a threshold of 1.0 still keeps
-    perfect-confidence elements.  Order is preserved; an empty result is legal.
-    """
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ConfigError(f"confidence threshold out of [0,1]: {min_confidence}")
-    return [
-        mv
-        for mv in elements
-        if mv.confidence >= min_confidence and (kind is None or mv.kind == kind)
-    ]
+# per-agent reductions
 
 
 def best_mode_index(agent: AgentPrediction) -> int:
@@ -304,9 +296,8 @@ def ego_vectors(plan: PlanTrajectory) -> np.ndarray:
     vector runs from waypoint t-1 to waypoint t.
     """
     w = plan.waypoints
-    out = np.empty_like(w)
-    out[0] = w[0]
-    out[1:] = w[1:] - w[:-1]
+    out = w.copy()
+    out[1:] -= w[:-1]
     return out
 
 

@@ -251,13 +251,15 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
     """
     w = plan.waypoints
     t_f = w.shape[0]
-    q = np.vstack([np.zeros((1, 2)), w])
-    grad = np.zeros_like(w)
+    grad = np.zeros(w.shape)
     if t_f < 2:
         return LossResult(0.0, grad)
+    q = np.empty((t_f + 1, 2))
+    q[0] = 0.0
+    q[1:] = w
     second = q[2:] - 2.0 * q[1:-1] + q[:-2]
     n = second.shape[0]
-    value = float((second**2).sum() / n)
+    value = float(np.add.reduce(second * second, axis=None) / n)
     coeff = 2.0 * second / n
     # second difference k is w[k+1] - 2 w[k] + w[k-1], with w[-1] the fixed
     # origin; each waypoint sums its +1/-2/+1 shares in order of k
@@ -288,32 +290,29 @@ def refine_trajectory(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if step_size <= 0.0:
         raise ValueError(f"step_size must be positive, got {step_size}")
-    long_half = scenario.perception_range[0] / 2.0
-    lat_half = scenario.perception_range[1] / 2.0
+    # (lateral, longitudinal) half extents of the perception range
+    high = np.array((scenario.perception_range[1] / 2.0, scenario.perception_range[0] / 2.0))
+    low = -high
     no_imitation = dataclasses.replace(weights, imitation=0.0)
     packed = pack(scenario, params)
 
-    def objective(plan: PlanTrajectory) -> LossResult:
+    def objective(plan: PlanTrajectory) -> tuple[float, np.ndarray]:
         res = total_planning_loss(plan, packed, params, no_imitation)
         smooth = smoothness_loss(plan)
-        return LossResult(
-            res.value + weights.imitation * smooth.value,
-            res.grad + weights.imitation * smooth.grad,
-        )
+        return (res.value + weights.imitation * smooth.value,
+                res.grad + weights.imitation * smooth.grad)
 
-    current = seed_plan.waypoints.copy()
-    res = objective(PlanTrajectory(current))
-    best_value = res.value
-    best = current.copy()
+    # a plan's waypoints are a read-only copy, so an iterate is kept as its plan
+    best = plan = seed_plan
+    best_value, grad = objective(plan)
     for _ in range(steps):
-        current = current - step_size * res.grad
-        current[:, 0] = np.clip(current[:, 0], -lat_half, lat_half)
-        current[:, 1] = np.clip(current[:, 1], -long_half, long_half)
-        res = objective(PlanTrajectory(current))
-        if res.value < best_value:
-            best_value = res.value
-            best = current.copy()
-    return PlanTrajectory(best)
+        current = plan.waypoints - step_size * grad
+        np.minimum(np.maximum(current, low, out=current), high, out=current)
+        plan = PlanTrajectory(current)
+        value, grad = objective(plan)
+        if value < best_value:
+            best_value, best = value, plan
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from vecplan.scene import (
     PlanTrajectory,
     best_mode,
     ego_vectors,
-    filter_map,
     generate_scenario,
 )
 
@@ -325,8 +324,9 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     w = plan.waypoints
     t_f = w.shape[0]
     agents = [a for a in scenario.agents if a.confidence >= params.agent_min_confidence]
-    boundaries = filter_map(scenario.map, params.map_min_confidence, MapClass.ROAD_BOUNDARY)
-    dividers = filter_map(scenario.map, params.map_min_confidence, MapClass.LANE_DIVIDER)
+    kept = [mv for mv in scenario.map if mv.confidence >= params.map_min_confidence]
+    boundaries = [mv for mv in kept if mv.kind == MapClass.ROAD_BOUNDARY]
+    dividers = [mv for mv in kept if mv.kind == MapClass.LANE_DIVIDER]
     terms = {}
 
     grad = np.zeros_like(w)

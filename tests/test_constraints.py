@@ -24,7 +24,7 @@ from vecplan.constraints import (
     imitation_loss,
     total_planning_loss,
 )
-from vecplan.errors import ShapeError
+from vecplan.errors import GeometryError, ShapeError
 from vecplan.geometry import Point2, Polyline
 from vecplan.scene import (
     AgentPrediction,
@@ -332,6 +332,46 @@ class TestImitationLoss:
                 lambda w: imitation_loss(PlanTrajectory(w), expert).value, plan.waypoints
             )
             assert max_rel_err(res.grad, fd) < 1e-6
+
+
+class TestRawInputsAreChecked:
+    """The losses take a plan's waypoints as checked; every raw array a
+    caller hands them is still checked where it enters."""
+
+    PLAN = PlanTrajectory(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tracks_and_expert_rejected(self, bad):
+        tracks = np.ones((2, 3, 2))
+        tracks[1, 2, 0] = bad
+        with pytest.raises(GeometryError):
+            collision_loss(self.PLAN, tracks, PAPER_PARAMS)
+        expert = np.ones((3, 2))
+        expert[0, 1] = bad
+        with pytest.raises(GeometryError):
+            imitation_loss(self.PLAN, expert)
+
+    def test_mis_shaped_tracks_and_expert_rejected(self):
+        with pytest.raises(ShapeError):
+            collision_loss(self.PLAN, np.ones((2, 4, 2)), PAPER_PARAMS)
+        for tracks in (np.ones((3, 2)), np.ones((2, 3, 3))):
+            with pytest.raises(GeometryError):
+                collision_loss(self.PLAN, tracks, PAPER_PARAMS)
+        with pytest.raises(ShapeError):
+            imitation_loss(self.PLAN, np.ones((2, 2)))
+        for expert in (np.ones(6), np.ones((3, 3))):
+            with pytest.raises(GeometryError):
+                imitation_loss(self.PLAN, expert)
+
+    @pytest.mark.parametrize("loss", [boundary_loss, direction_loss])
+    @pytest.mark.parametrize("bad", [
+        [[0.0, math.nan], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0, 1.0]],
+    ])
+    def test_map_sets_only_hold_checked_polylines(self, loss, bad):
+        # a PolylineSet is made of Polylines, each checked when it is made
+        with pytest.raises(GeometryError):
+            loss(self.PLAN, polyline_set([MapVector(MapClass.LANE_DIVIDER, Polyline(bad), 1.0)]),
+                 PAPER_PARAMS)
 
 
 class TestTotalPlanningLoss:

@@ -9,11 +9,13 @@ from _support import nearest_segment_oracle, sat_margin_oracle
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
     BoxFrame,
+    Checked,
     Point2,
     Polyline,
     PolylineSet,
     angular_difference,
     box_frame,
+    checked,
     closest_point_on_segment,
     closest_polyline,
     closest_polyline_within,
@@ -405,7 +407,8 @@ class TestArrayChain:
     def test_zero_and_one_queries(self):
         pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
         empty = closest_polyline(np.empty((0, 2)), pls)
-        assert [a.shape for a in empty] == [(0,), (0,), (0,), (0, 2), (0, 2), (0, 2)]
+        shapes = [getattr(empty, f).shape for f in ("poly", "dist", "seg", "foot", "start", "end")]
+        assert shapes == [(0,), (0,), (0,), (0, 2), (0, 2), (0, 2)]
         assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (0,)
         one = closest_polyline(np.array([[0.0, 0.0]]), pls)
         assert (one.poly.tolist(), one.dist.tolist(), one.seg.tolist()) == ([1], [0.5], [0])
@@ -429,6 +432,38 @@ class TestArrayChain:
             closest_polyline_within(queries, pls, 2.0)
         with pytest.raises(GeometryError):
             angular_difference(queries, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 0.0], [math.nan, 1.0]]),
+        np.array([[math.inf, 0.0]]),
+        np.zeros((2, 3)),
+        np.zeros(2),
+        np.zeros((1, 2, 2)),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda q, pls: closest_point_on_segment(q, pls),
+        lambda q, pls: point_polyline_distance(q, pls),
+        lambda q, pls: closest_polyline(q, pls),
+        lambda q, pls: closest_polyline_within(q, pls, 2.0),
+        lambda q, pls: angular_difference(q, np.ones((len(q), 2))),
+        lambda q, pls: angular_difference(np.ones((len(q), 2)), q),
+    ])
+    def test_caller_input_is_still_checked(self, call, bad):
+        # the chain hands its own checked queries down as Checked; a caller's
+        # bare array is checked at every public entry
+        with pytest.raises(GeometryError):
+            call(bad, _set([P(1, -5), P(1, 5)]))
+
+    def test_checked_arrays_pass_as_they_are(self):
+        xy = np.ones((3, 2))
+        assert checked(Checked(xy)) is xy
+        assert checked(xy) is xy
+        tracks = np.zeros((2, 3, 2))
+        assert checked(tracks, ndim=3) is tracks
+        with pytest.raises(GeometryError, match="shape"):
+            checked(tracks)
+        with pytest.raises(GeometryError, match="non-finite track"):
+            checked(np.full((1, 3, 2), math.nan), "track point", ndim=3)
 
     def test_angular_difference_rows_match_single_vectors(self):
         rng = np.random.default_rng(5)

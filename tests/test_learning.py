@@ -71,27 +71,32 @@ class TestMotionRegression:
     def test_selected_mode_equals_gt(self):
         gt = np.array([[1.0, 2.0]])
         modes = np.stack([gt + 3.0, gt])
-        res = motion_regression_loss(modes, np.array([0.9, 0.1]), gt)
+        res = motion_regression_loss(modes, gt)
         assert res.value == 0.0
         assert res.selected == 1
 
     def test_single_step_hand_case(self):
         gt = np.zeros((1, 2))
         modes = np.array([[[1.0, 1.0]]])
-        res = motion_regression_loss(modes, np.array([1.0]), gt)
+        res = motion_regression_loss(modes, gt)
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
     def test_non_selected_modes_get_zero_gradient(self):
         gt = np.zeros((2, 2))
         modes = np.stack([np.full((2, 2), 0.5), np.full((2, 2), 3.0)])
-        res = motion_regression_loss(modes, np.array([0.5, 0.5]), gt)
+        res = motion_regression_loss(modes, gt)
         assert res.selected == 0
         assert res.mode_grads[0].any()
         assert not res.mode_grads[1].any()
 
-    def test_scores_length_validated(self):
+    @pytest.mark.parametrize("modes, gt", [
+        (np.zeros((2, 3, 2)), np.zeros((4, 2))),  # horizons differ
+        (np.zeros((3, 2)), np.zeros((3, 2))),  # modes lack the mode axis
+        (np.zeros((2, 3, 2)), np.zeros((3, 3))),  # gt is not (T_f, 2)
+    ])
+    def test_modes_and_gt_shapes_validated(self, modes, gt):
         with pytest.raises(ShapeError):
-            motion_regression_loss(np.zeros((2, 3, 2)), np.array([1.0]), np.zeros((3, 2)))
+            motion_regression_loss(modes, gt)
 
 
 class TestMapRegression:

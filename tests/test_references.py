@@ -1,9 +1,10 @@
-"""The benchmark's committed reference outputs, replayed for seed 0.
+"""The benchmark's committed reference outputs, replayed for seed 0 of each
+workload and for seeds 1-7 of the refine rollouts.
 
 perfbench/run.py checks every operation of a workload against
 perfbench/references/<workload>.json.  This runs one pass of each workload
 through the same checker, so that an output drift fails the tests and not
-only a benchmark run.
+only a benchmark run.  The references are read, never written.
 """
 
 import importlib.util
@@ -24,17 +25,29 @@ def _load(monkeypatch, name, path):
     return module
 
 
-@pytest.mark.parametrize("name", ["train", "evaluate_dense", "refine_rollout"])
-def test_seed_zero_matches_the_references(monkeypatch, name):
+def _replay(monkeypatch, name, seed):
+    """Run one pass of a workload's seed through the benchmark's checker."""
     pace = _load(monkeypatch, "pace", PERFBENCH / "pace.py")
     workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
     run = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
     workload = workloads.WORKLOADS[name]
-    reference = run.load_reference(workload, 0)
+    reference = run.load_reference(workload, seed)
     assert reference is not None
-    inputs = workload.setup(0)
+    inputs = workload.setup(seed)
     checker = run.Checker(workload, inputs, reference)
     for index in range(workload.item_count(inputs)):
         run.run_item(workload, inputs, index, checker, pace.Pacer(enabled=False))
     assert checker.attempted > 0
     assert checker.failed == 0, checker.reasons
+
+
+@pytest.mark.parametrize("name", ["train", "evaluate_dense", "refine_rollout"])
+def test_seed_zero_matches_the_references(monkeypatch, name):
+    _replay(monkeypatch, name, 0)
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_refine_rollout_matches_the_references(monkeypatch, seed):
+    # the refine planner is the path the constraint and geometry kernels
+    # serve; seed 0 runs above
+    _replay(monkeypatch, "refine_rollout", seed)

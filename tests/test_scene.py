@@ -26,7 +26,6 @@ from vecplan.scene import (
     best_mode,
     best_mode_index,
     ego_vectors,
-    filter_map,
     generate_scenario,
     load_scenario,
     pack,
@@ -70,28 +69,35 @@ def make_scenario(agents=(), map_vectors=(), t_f=6):
     )
 
 
+def packed_map(map_vectors, threshold):
+    """The x of each map element `pack` keeps at `threshold`, as (boundaries,
+    dividers); each element of these tests is a vertical line at its own x."""
+    packed = pack(make_scenario(map_vectors=map_vectors),
+                  ConstraintParams(map_min_confidence=threshold))
+    return packed.boundaries.start[:, 0].tolist(), packed.dividers.start[:, 0].tolist()
+
+
 class TestFilters:
     def test_threshold_is_inclusive(self):
-        elems = [make_map_vector(confidence=c) for c in (0.9, 0.4, 0.5)]
-        kept = filter_map(elems, 0.5)
-        assert kept == [elems[0], elems[2]]
+        elems = [make_map_vector(confidence=c, x=i) for i, c in enumerate((0.9, 0.4, 0.5))]
+        assert packed_map(elems, 0.5) == ([], [0.0, 2.0])
 
     def test_zero_threshold_is_identity(self):
-        elems = [make_map_vector(confidence=c) for c in (0.0, 0.3)]
-        assert filter_map(elems, 0.0) == elems
+        elems = [make_map_vector(confidence=c, x=i) for i, c in enumerate((0.0, 0.3))]
+        assert packed_map(elems, 0.0) == ([], [0.0, 1.0])
 
     def test_all_below_threshold(self):
-        elems = [make_map_vector(confidence=0.2)]
-        assert filter_map(elems, 0.9) == []
+        assert packed_map([make_map_vector(confidence=0.2)], 0.9) == ([], [])
 
     def test_class_filter(self):
-        divider = make_map_vector(MapClass.LANE_DIVIDER)
-        boundary = make_map_vector(MapClass.ROAD_BOUNDARY)
-        assert filter_map([divider, boundary], 0.0, MapClass.ROAD_BOUNDARY) == [boundary]
+        divider = make_map_vector(MapClass.LANE_DIVIDER, x=0.0)
+        boundary = make_map_vector(MapClass.ROAD_BOUNDARY, x=1.0)
+        crossing = make_map_vector(MapClass.PEDESTRIAN_CROSSING, x=2.0)
+        assert packed_map([divider, boundary, crossing], 0.0) == ([1.0], [0.0])
 
     def test_agent_filter_mirrors_map_filter(self):
-        # pack keeps the agents at or above its threshold, in order, as
-        # filter_map keeps map elements
+        # pack keeps the agents at or above its threshold, in order, as it
+        # keeps map elements
         agents = [make_agent(confidence=c) for c in (0.9, 0.4, 0.5)]
         s = make_scenario(agents)
         for threshold, kept in ((0.5, [0, 2]), (0.0, [0, 1, 2]), (0.95, [])):
@@ -100,13 +106,13 @@ class TestFilters:
             assert np.array_equal(packed.agent_tracks, want)
 
     def test_filtering_is_idempotent(self):
-        elems = [make_map_vector(confidence=c) for c in np.linspace(0, 1, 11)]
-        once = filter_map(elems, 0.37)
-        assert filter_map(once, 0.37) == once
+        elems = [make_map_vector(confidence=c, x=i) for i, c in enumerate(np.linspace(0, 1, 11))]
+        _, once = packed_map(elems, 0.37)
+        assert packed_map([elems[int(x)] for x in once], 0.37) == ([], once)
 
     def test_bad_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            filter_map([], 1.5)
+        with pytest.raises(ValueError):
+            pack(make_scenario(), ConstraintParams(map_min_confidence=1.5))
 
 
 class TestBestMode:
@@ -132,6 +138,27 @@ class TestBestMode:
                 if sc > best:
                     best, best_i = sc, i
             assert best_mode_index(agent) == best_i
+
+
+class TestPlanTrajectory:
+    def test_waypoints_are_a_read_only_copy(self):
+        w = np.array([[0.0, 1.0], [0.0, 2.0]])
+        plan = PlanTrajectory(w)
+        with pytest.raises(ValueError):
+            plan.waypoints[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.waypoints = np.zeros((2, 2))
+        w[0, 0] = 5.0  # the caller's array stays the caller's
+        assert plan.waypoints.tolist() == [[0.0, 1.0], [0.0, 2.0]]
+        assert plan.waypoints.dtype == np.float64 and w.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, math.nan]], [[math.inf, 0.0]], [[0.0, -math.inf], [1.0, 1.0]],
+        np.zeros((0, 2)), np.zeros((3, 3)), np.zeros(2), np.zeros((2, 2, 2)),
+    ])
+    def test_bad_waypoints_rejected(self, bad):
+        with pytest.raises(ScenarioFormatError):
+            PlanTrajectory(bad)
 
 
 class TestEgoVectors:
