@@ -10,7 +10,7 @@ Each input has one form.  Query points and vectors are (K, 2) arrays; a
 plain 2-vector wherever one is taken.  A polyline is a `Polyline`, one
 checked, read-only (N, 2) array, and the polylines a search runs over are a
 `PolylineSet`.  A box is a `BoxFrame`.  A pose track is a `Poses` pair of
-arrays, (T, 2) positions and (T,) headings.
+arrays, (..., T, 2) positions and (..., T) headings.
 
 Each input is checked once.  A kernel checks the arrays a caller hands it;
 an array that is already known to be finite float64 of the right shape (a
@@ -27,7 +27,9 @@ segments and return arrays or a `Nearest`.  A `PolylineSet` holds, once per
 set, the per-segment constants of the projection (start and step columns,
 squared lengths, whether every segment is live), and a `Nearest` gathers
 the polyline, segment and endpoints of a hit only when they are read.
-`rect_corners` broadcasts over box arrays.
+Over a set with a scene axis (`PolylineSet.of_scenes`) the chain takes
+(B, K, 2) arrays, one row of queries per scene, and searches each row
+among its own scene's segments.  `rect_corners` broadcasts over box arrays.
 
 The separating-axis test (`oriented_rect_margin`, `oriented_rect_overlap`)
 takes two box frames: each box's center, cos/sin, axes, half dims,
@@ -121,9 +123,10 @@ class Checked(NamedTuple):
     xy: np.ndarray
 
 
-def checked(p, what: str = "query point", ndim: int = 2) -> np.ndarray:
-    """`p` as a finite float64 array of `ndim` axes, the last of length 2:
-    a `Checked` array as it is, any other array-like after a check.
+def checked(p, what: str = "query point", ndim: int | None = 2) -> np.ndarray:
+    """`p` as a finite float64 array of `ndim` axes (None: two or more), the
+    last of length 2: a `Checked` array as it is, any other array-like after
+    a check.
 
     Raises:
         GeometryError: on any other shape or a non-finite coordinate.
@@ -131,9 +134,9 @@ def checked(p, what: str = "query point", ndim: int = 2) -> np.ndarray:
     if type(p) is Checked:
         return p.xy
     xy = np.asarray(p, dtype=np.float64)
-    if xy.ndim != ndim or xy.shape[-1] != 2:
-        raise GeometryError(f"{what}s must have {ndim} axes, the last of length 2, "
-                            f"got shape {xy.shape}")
+    if (xy.ndim < 2 if ndim is None else xy.ndim != ndim) or xy.shape[-1] != 2:
+        raise GeometryError(f"{what}s must have {ndim or 'two or more'} axes, the last of "
+                            f"length 2, got shape {xy.shape}")
     if not _all(np.isfinite(xy)):
         raise GeometryError(f"non-finite {what}")
     return xy
@@ -147,43 +150,111 @@ class PolylineSet:
     A set of no polylines is empty, and searches over it find nothing.
 
     The set holds, once, the constants every projection onto it needs: the
-    contiguous start and step columns `sx`, `sy`, `dx`, `dy`, the squared
-    lengths `step_sq` and the flag `all_live` (no segment is degenerate).
-    The arrays are read-only and finite, and each polyline has a live
-    segment (a Polyline checks its points when it is made), so the chain
-    uses them without checking them again.
+    segment `start`s, `end`s and `step`s (S, 2), the contiguous start and
+    step columns `sx`, `sy`, `dx`, `dy`, the squared lengths `step_sq` and
+    the flag `all_live` (no segment is degenerate).  The arrays are
+    read-only and finite, and each polyline has a live segment (a Polyline
+    checks its points when it is made, `of_rows` and `of_scenes` check
+    their rows), so the chain uses them without checking them again.
+
+    A set made by `of_scenes` has a scene axis: it holds the polylines of B
+    scenes, each scene's padded with dead segments to the same count S, and
+    a search over it takes (B, K, 2) query arrays, K points a scene, and
+    finds each point's nearest segment among its own scene's.  Its arrays
+    have a (B, 1) in front of the segment axis, to broadcast over the
+    query axis; packed indices and the polyline numbers `poly` and `seg`
+    run over the whole set, scene after scene (N = B S).  `ndim` is the
+    number of axes of a query array: 2, or 3 with a scene axis.
     """
 
     __slots__ = ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
-                 "all_live", "poly", "seg", "count")
+                 "all_live", "poly", "seg", "count", "ndim")
 
     def __init__(self, pls: Sequence[Polyline]):
-        self._pack([pl.xy for pl in pls])
-
-    @classmethod
-    def of_rows(cls, xy: np.ndarray) -> "PolylineSet":
-        """The rows of an (M, P, 2) array that Polylines checked, as `Scenario.map_xy`."""
-        out = cls.__new__(cls)
-        out._pack(list(xy))
-        return out
-
-    def _pack(self, xy: list[np.ndarray]) -> None:
+        xy = [pl.xy for pl in pls]
         counts = [len(x) - 1 for x in xy]
         none = np.zeros((0, 2))
-        self.start = np.concatenate([none] + [x[:-1] for x in xy])  # (S, 2)
-        self.end = np.concatenate([none] + [x[1:] for x in xy])
-        d = self.end - self.start
+        self._pack(np.concatenate([none] + [x[:-1] for x in xy]),
+                   np.concatenate([none] + [x[1:] for x in xy]),
+                   np.repeat(np.arange(len(xy)), counts),
+                   np.concatenate([np.arange(c) for c in [0] + counts]), len(xy), ())
+
+    @classmethod
+    def of_rows(cls, xy) -> "PolylineSet":
+        """The polylines of the rows of an (M, P, 2) array, as
+        `Scenario.map_xy`, copied and checked once, here.
+
+        Raises:
+            GeometryError: on another shape, a non-finite point, or a row of
+                fewer than two points or with no non-degenerate segment.
+        """
+        xy = np.array(xy, dtype=np.float64)  # a copy, never the caller's array
+        if xy.ndim != 3 or xy.shape[-1] != 2:
+            raise GeometryError(f"polyline rows must have shape (M, P, 2), got {xy.shape}")
+        return cls._of_array(xy, np.ones(len(xy), dtype=bool))
+
+    @classmethod
+    def of_scenes(cls, xy, real) -> "PolylineSet":
+        """The polylines of B scenes in one set with a scene axis: the rows
+        of a (B, M, P, 2) array, scene b's in row b, copied and checked once,
+        here.  The (B, M) mask `real` marks the rows that are polylines, each
+        checked as in `of_rows`; every other row pads its scene to M rows and
+        must have no non-degenerate segment, so that no search finds it.
+        Points that pad a polyline to P hold its last point.  A scene with no
+        polyline finds only padding, at distance inf.
+
+        Raises:
+            GeometryError: on other shapes, a non-finite point, a polyline
+                as `of_rows` refuses, or a padding row with a live segment.
+        """
+        xy = np.array(xy, dtype=np.float64)  # a copy, never the caller's array
+        real = np.asarray(real, dtype=bool)
+        if xy.ndim != 4 or xy.shape[-1] != 2 or real.shape != xy.shape[:2]:
+            raise GeometryError(f"scene rows must have shape (B, M, P, 2) with a (B, M) "
+                                f"mask, got {xy.shape} and {real.shape}")
+        return cls._of_array(xy, real)
+
+    @classmethod
+    def _of_array(cls, xy: np.ndarray, real: np.ndarray) -> "PolylineSet":
+        """The set of the rows of an (M, P, 2) or, with a scene axis,
+        (B, M, P, 2) array whose (M,) or (B, M) mask `real` marks the rows
+        that must be polylines; the others are dead padding."""
+        if not _all(np.isfinite(xy)):
+            raise GeometryError("non-finite polyline point")
+        if xy.shape[-2] < 2 and np.count_nonzero(real):
+            raise GeometryError(f"polyline needs at least 2 points, got {xy.shape[-2]}")
+        segs = max(xy.shape[-2] - 1, 0)
+        out = cls.__new__(cls)
+        out._pack(xy[..., :-1, :].reshape(-1, 2), xy[..., 1:, :].reshape(-1, 2),
+                  np.repeat(np.arange(real.size), segs), np.arange(real.size * segs) % max(segs, 1),
+                  int(np.count_nonzero(real)), xy.shape[:-3])
+        # a row is live if any of its segments is, and must be live iff real
+        live = out.live.reshape(real.shape + (segs,)).any(axis=-1)
+        if not _all(live == real):
+            raise GeometryError("polyline has no non-degenerate segment"
+                                if np.count_nonzero(real & ~live)
+                                else "a padding row has a non-degenerate segment")
+        return out
+
+    def _pack(self, start, end, poly, seg, count: int, lead: tuple[int, ...]) -> None:
+        """Hold the packed (N, 2) segment `start`s and `end`s, the polyline
+        and in-polyline index of each, and the count of polylines; `lead` is
+        () or, with a scene axis, (B,)."""
+        d = end - start
         seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # a degenerate segment's squared length counts as 1, so its
         # projections are 0 / 1 = 0: searches skip it, never divide by it
-        self.step, self.step_sq = d, np.where(seg_sq == 0.0, 1.0, seg_sq)
-        self.sx, self.sy = np.ascontiguousarray(self.start.T)
-        self.dx, self.dy = np.ascontiguousarray(d.T)
-        self.live = (self.start != self.end).any(axis=1)
-        self.all_live = bool(self.live.all())
-        self.poly = np.repeat(np.arange(len(xy)), counts)  # owner of each segment
-        self.seg = np.concatenate([np.arange(c) for c in [0] + counts])  # index within it
-        self.count = len(xy)
+        step_sq = np.where(seg_sq == 0.0, 1.0, seg_sq)
+        live = (start != end).any(axis=1)
+        self.all_live = bool(live.all())
+        # (S,), or (B, 1, S) to broadcast against (B, K, ...) queries
+        shape = (lead[0], 1, len(start) // lead[0] if lead[0] else 0) if lead else (len(start),)
+        self.start, self.end, self.step = (a.reshape(shape + (2,)) for a in (start, end, d))
+        self.sx, self.sy = np.ascontiguousarray(start.T).reshape((2,) + shape)
+        self.dx, self.dy = np.ascontiguousarray(d.T).reshape((2,) + shape)
+        self.step_sq, self.live = step_sq.reshape(shape), live.reshape(shape)
+        self.poly, self.seg = poly, seg  # owner of each segment, index within it
+        self.count, self.ndim = count, 2 + len(lead)
         for a in (self.start, self.end, self.step, self.sx, self.sy, self.dx, self.dy,
                   self.step_sq, self.live, self.poly, self.seg):
             a.flags.writeable = False
@@ -193,7 +264,8 @@ class PolylineSet:
 
 
 class Nearest(NamedTuple):
-    """The nearest polyline segment of each of K query points.
+    """The nearest polyline segment of each of K query points ((B, K) over
+    a set with a scene axis, whose fields then have that shape in front).
 
     The search gives `dist`, `foot` and the packed segment `index` (and, for
     a range search, `found`); the polyline, segment and endpoints are
@@ -224,12 +296,12 @@ class Nearest(NamedTuple):
     @property
     def start(self) -> np.ndarray:
         """(K, 2) first endpoint of the nearest segment."""
-        return self.segments.start.take(self.index, axis=0)
+        return self.segments.start.reshape(-1, 2).take(self.index, axis=0)
 
     @property
     def end(self) -> np.ndarray:
         """(K, 2) second endpoint of the nearest segment."""
-        return self.segments.end.take(self.index, axis=0)
+        return self.segments.end.reshape(-1, 2).take(self.index, axis=0)
 
 
 def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
@@ -237,13 +309,15 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
 
     `p` is a (K, 2) array of query points; the result is the (K, S, 2) array
     of foot points on the set's S closed segments [a_s, b_s].  A degenerate
-    segment (a_s == b_s) gives a_s.
+    segment (a_s == b_s) gives a_s.  Over a set with a scene axis, `p` is
+    (B, K, 2) and the result (B, K, S, 2), each scene's points on its own
+    segments.
     """
-    q = checked(p)
+    q = checked(p, ndim=segments.ndim)
     # along-segment parameter, projected and clamped to [0, 1] in place
-    t = q[:, 0, None] - segments.sx
+    t = q[..., 0, None] - segments.sx
     t *= segments.dx
-    ty = q[:, 1, None] - segments.sy
+    ty = q[..., 1, None] - segments.sy
     ty *= segments.dy
     t += ty
     t /= segments.step_sq
@@ -261,21 +335,25 @@ def point_polyline_distance(p, pls: PolylineSet):
     `p` is a (K, 2) array of query points; returns the (K,) distances, the
     (K,) winning packed segment indices and the (K, 2) foot points on them.
     Degenerate segments are skipped; exact ties resolve to the lowest
-    segment index.
+    segment index.  Over a set with a scene axis, `p` is (B, K, 2) and the
+    results gain that axis in front; the indices run over the whole set.
 
     Raises:
         GeometryError: if the set is empty.
     """
-    q = checked(p)
+    q = checked(p, ndim=pls.ndim)
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
     foot = closest_point_on_segment(Checked(q), pls)
-    dist = np.hypot(q[:, 0, None] - foot[..., 0], q[:, 1, None] - foot[..., 1])
+    dist = np.hypot(q[..., 0, None] - foot[..., 0], q[..., 1, None] - foot[..., 1])
     if not pls.all_live:
         dist = np.where(pls.live, dist, np.inf)
-    seg = dist.argmin(axis=1)
-    rows = np.arange(len(q))
-    return dist[rows, seg], seg, foot[rows, seg]
+    seg = dist.argmin(axis=-1)
+    if q.ndim == 2:
+        rows = np.arange(len(q))
+        return dist[rows, seg], seg, foot[rows, seg]
+    scene, rows = np.arange(len(seg))[:, None], np.arange(seg.shape[1])
+    return dist[scene, rows, seg], seg + scene * dist.shape[-1], foot[scene, rows, seg]
 
 
 def angular_difference(v1, v2) -> np.ndarray:
@@ -304,10 +382,11 @@ def angular_difference(v1, v2) -> np.ndarray:
 
 def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     """Nearest polyline of a PolylineSet to each query point of a (K, 2)
-    array, or None when the set is empty.  Ties resolve to the lowest
-    polyline index, then to the lowest segment index.
+    array ((B, K, 2) over a set with a scene axis), or None when the set is
+    empty.  Ties resolve to the lowest polyline index, then to the lowest
+    segment index.
     """
-    q = checked(p)
+    q = checked(p, ndim=pls.ndim)
     if not pls:
         return None
     dist, k, foot = point_polyline_distance(Checked(q), pls)
@@ -333,23 +412,36 @@ class Poses(NamedTuple):
     heading: np.ndarray  # (..., T) headings, radians
 
 
-def pose_track(track, start, heading: float) -> Poses:
-    """Pose at each point of a (T, 2) track that leaves the 2-vector `start`:
-    the positions are the track itself.
+def pose_track(track, start, heading) -> Poses:
+    """Pose at each point of (..., T, 2) tracks, each leaving its start of
+    the (..., 2) `start`: the positions are the tracks themselves, and the
+    (..., T) headings follow them.
 
-    Each heading follows the step from the previous point (`start` for the
-    first), through `math.atan2` one step at a time; a zero-length step keeps
-    the previous heading, `heading` before any step.
+    Each heading follows the step from the previous point (the start for the
+    first), through `math.atan2` one step at a time; a zero-length step
+    keeps the previous heading, the track's (...) `heading` before any step.
+    `start` and `heading` broadcast over the tracks' leading axes.  One
+    scalar loop runs over the points of every track, which for the few
+    points of a track is cheaper than any array call.
     """
-    xy = checked(track, "track point")
+    xy = checked(track, "track point", ndim=None)
+    if xy.ndim == 2:
+        rows, starts, firsts = [xy.tolist()], [start], [heading]
+    else:
+        lead = xy.shape[:-2]
+        rows = xy.reshape((math.prod(lead),) + xy.shape[-2:]).tolist()
+        starts = np.broadcast_to(np.asarray(start, dtype=np.float64), lead + (2,))
+        starts = starts.reshape(-1, 2).tolist()
+        firsts = np.broadcast_to(np.asarray(heading, dtype=np.float64), lead).reshape(-1).tolist()
     headings = []
-    last_x, last_y = start
-    for x, y in xy.tolist():
-        if x != last_x or y != last_y:
-            heading = math.atan2(y - last_y, x - last_x)
-        headings.append(heading)
-        last_x, last_y = x, y
-    return Poses(xy, np.array(headings, dtype=np.float64))
+    for points, (last_x, last_y), heading in zip(rows, starts, firsts):
+        for x, y in points:
+            if x != last_x or y != last_y:
+                heading = math.atan2(y - last_y, x - last_x)
+            headings.append(heading)
+            last_x, last_y = x, y
+    headings = np.array(headings, dtype=np.float64)
+    return Poses(xy, headings if xy.ndim == 2 else headings.reshape(xy.shape[:-1]))
 
 
 def rect_corners(center, heading, dims) -> np.ndarray:

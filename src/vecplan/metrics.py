@@ -6,6 +6,18 @@ at horizon h if the ego footprint placed on any planned waypoint up to h
 overlaps any agent's ground-truth box at the same tick.  These are artifact
 protocol numbers for synthetic scenes, not comparable to published benchmark
 absolutes.
+
+The box and boundary metrics run over blocks of `BLOCK_SCENES` scenes, each
+block in a few array calls: one `pose_track` pass over the block's plans
+(`plan_pose_track`, shared by the collision and overstep checks) and one
+over all of its agents (`agent_pose_track`), one separating-axis call for
+every (agent, tick) pair (`collision_ticks`), and one nearest-boundary query
+over the block's labeled boundaries, padded per scene
+(`labeled_boundaries`, `pose_oversteps_boundary`).  Within a block each
+track is held at its last point to the block's longest horizon, and each
+scene's flags are read only to its own horizon ticks.  The block size
+bounds the memory of those arrays; any block size gives the same bits.
+A plan longer than its scene's future is refused.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ from .scene import DRIVABLE_SIDES, MAP_CLASSES, MapClass, PlanTrajectory, Scenar
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
 DEFAULT_EGO_DIMS = (4.0, 1.85)
+BLOCK_SCENES = 8  # scenes per block of the box and boundary metrics
+_ROAD_BOUNDARY = MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)
 
 
 @dataclass(frozen=True)
@@ -68,32 +82,66 @@ def _horizon_tick(h: float, dt: float, t_f: int) -> int:
     return tick
 
 
+def _horizon_ticks(scenarios, plans, horizons) -> np.ndarray:
+    """(B, H) 1-based tick of every horizon in each scene's plan, worked out
+    once for each (tick length, plan horizon) pair.
+
+    Raises:
+        ConfigError: on unequal counts of scenes and plans, a plan longer
+            than its scene's future, or a horizon `_horizon_tick` refuses.
+    """
+    if len(scenarios) != len(plans):
+        raise ConfigError(f"{len(scenarios)} scenarios vs {len(plans)} plans")
+    for s, p in zip(scenarios, plans):
+        if p.horizon > s.t_future:
+            raise ConfigError(f"a plan of {p.horizon} ticks for a scene of {s.t_future}")
+    keys = [(s.horizon_dt, p.horizon) for s, p in zip(scenarios, plans)]
+    ticks = {key: [_horizon_tick(h, *key) for h in horizons] for key in set(keys)}
+    return np.array([ticks[key] for key in keys], dtype=np.intp).reshape(len(keys), len(horizons))
+
+
 def displacement_error(
-    plan: PlanTrajectory,
-    expert: np.ndarray,
-    horizon_dt: float,
+    scenarios: Sequence[Scenario],
+    plans: Sequence[PlanTrajectory],
     horizons: Sequence[float] = DEFAULT_HORIZONS,
-) -> HorizonStats:
-    """L2 distance between planned and expert waypoints at each horizon."""
-    expert = np.asarray(expert, dtype=np.float64)
-    t_f = plan.horizon
-    values = []
-    for h in horizons:
-        tick = _horizon_tick(h, horizon_dt, t_f)
-        d = plan.waypoints[tick - 1] - expert[tick - 1]
-        values.append(float(math.hypot(d[0], d[1])))
-    return HorizonStats(tuple(horizons), tuple(values), float(np.mean(values)))
+) -> np.ndarray:
+    """(B, H) L2 distance between each plan's waypoint and its scene's expert
+    waypoint at each horizon, one `math.hypot` each."""
+    ticks = _horizon_ticks(scenarios, plans, horizons) - 1
+    shape = ticks.shape + (2,)
+    planned = np.array([p.waypoints[t] for p, t in zip(plans, ticks)]).reshape(shape)
+    expert = np.array([s.expert[t] for s, t in zip(scenarios, ticks)]).reshape(shape)
+    d = (planned - expert).reshape(-1, 2).tolist()
+    return np.array([math.hypot(x, y) for x, y in d]).reshape(ticks.shape)
 
 
-def plan_pose_track(plan: PlanTrajectory) -> Poses:
-    """Pose of the ego at each planned tick, leaving the origin heading +y."""
-    return pose_track(Checked(plan.waypoints), (0.0, 0.0), math.pi / 2)
+def _held(track: np.ndarray, n: int) -> np.ndarray:
+    """The first `n` points of (..., T, 2) tracks, each held at its last
+    point past its end: the array itself when T == n."""
+    t = track.shape[-2]
+    return track if t == n else track[..., np.minimum(np.arange(n), t - 1), :]
 
 
-def agent_pose_track(scenario: Scenario, agent_index: int) -> Poses:
-    """Pose of an agent along its ground-truth future."""
-    i = agent_index
-    return pose_track(scenario.agent_future[i], scenario.agent_xy[i], scenario.agent_heading[i])
+def plan_pose_track(plans: Sequence[PlanTrajectory]) -> Poses:
+    """Pose of the ego at each planned tick of each plan, leaving the origin
+    heading +y: (B, T, 2) positions and (B, T) headings over the longest
+    plan's T ticks, a shorter plan held at its last waypoint."""
+    n = max((p.horizon for p in plans), default=0)
+    xy = np.array([_held(p.waypoints, n) for p in plans]).reshape(len(plans), n, 2)
+    return pose_track(Checked(xy), (0.0, 0.0), math.pi / 2)
+
+
+def agent_pose_track(scenarios: Sequence[Scenario], ticks: int) -> Poses:
+    """Pose of every agent of `scenarios`, scene after scene, along its
+    ground-truth future: (A, ticks, 2) positions and (A, ticks) headings,
+    each future cut, or held at its last point, to `ticks` ticks."""
+    if not scenarios:
+        return Poses(np.empty((0, ticks, 2)), np.empty((0, ticks)))
+    return pose_track(
+        Checked(np.concatenate([_held(s.agent_future, ticks) for s in scenarios])),
+        np.concatenate([s.agent_xy for s in scenarios]),
+        np.concatenate([s.agent_heading for s in scenarios]),
+    )
 
 
 def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
@@ -104,28 +152,50 @@ def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
     poses = Poses(np.empty(shape + (2,)), np.empty(shape))
     poses.xy[:, 0] = scenario.agent_xy
     poses.heading[:, 0] = scenario.agent_heading
-    # one scalar heading track an agent (see pose_track)
-    for i in range(shape[0]):
-        poses.xy[i, 1:], poses.heading[i, 1:] = agent_pose_track(scenario, i)
+    poses.xy[:, 1:], poses.heading[:, 1:] = agent_pose_track([scenario], scenario.t_future)
     return poses, scenario.agent_size
 
 
 def collision_ticks(
-    scenario: Scenario,
-    plan: PlanTrajectory,
+    scenarios: Sequence[Scenario],
+    ego: Poses,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-) -> list[bool]:
-    """Per-tick flags: does the ego box on the plan hit any agent's gt box?"""
-    ego = plan_pose_track(plan)
-    ticks = slice(1, plan.horizon + 1)
-    agents, sizes = agent_boxes(scenario)
-    # one margin per (agent, tick) pair: the ego's box at each tick against
-    # every agent's box at the same tick
+) -> np.ndarray:
+    """(B, T) flags: does the ego box on each scene's plan hit any of its
+    agents' ground-truth boxes at the same tick?
+
+    `ego` is the scenes' `plan_pose_track`.  The agents of every scene are
+    taken in scene order, each with its own scene's ego box at each tick,
+    and one separating-axis call decides every (agent, tick) pair.  An agent
+    whose future ends before tick T holds its last pose, which pads a block
+    of scenes with futures of different lengths (the rates read each
+    scene's flags only to its own horizon ticks); a scene with no agents
+    has no hit.
+    """
+    if len(ego.xy) != len(scenarios):
+        raise ConfigError(f"{len(scenarios)} scenarios vs {len(ego.xy)} plans")
+    ticks = ego.heading.shape[1]
+    agents = agent_pose_track(scenarios, ticks)
+    owner = np.repeat(np.arange(len(scenarios)), [len(s.agent_xy) for s in scenarios])
+    sizes = np.concatenate([np.empty((0, 2))] + [s.agent_size for s in scenarios])
     margin = oriented_rect_margin(
-        box_frame(ego.xy, ego.heading, ego_dims),
-        box_frame(agents.xy[:, ticks], agents.heading[:, ticks], sizes[:, None]),
+        box_frame(ego.xy[owner], ego.heading[owner], ego_dims),
+        box_frame(agents.xy, agents.heading, sizes[:, None]),
     )
-    return (margin >= 0.0).any(axis=0).tolist()
+    flags = np.zeros((len(scenarios), ticks), dtype=bool)
+    agent, tick = np.nonzero(margin >= 0.0)
+    flags[owner[agent], tick] = True
+    return flags
+
+
+def _blocks(scenarios, plans, horizons):
+    """The scenes in blocks of `BLOCK_SCENES`, each with its plans'
+    `plan_pose_track` and the (B, H) 1-based tick of every horizon in each
+    scene's plan."""
+    ticks = _horizon_ticks(scenarios, plans, horizons)
+    for lo in range(0, len(scenarios), BLOCK_SCENES):
+        hi = lo + BLOCK_SCENES
+        yield scenarios[lo:hi], plan_pose_track(plans[lo:hi]), ticks[lo:hi]
 
 
 def collision_rate(
@@ -135,33 +205,49 @@ def collision_rate(
     horizons: Sequence[float] = DEFAULT_HORIZONS,
 ) -> HorizonStats:
     """Cumulative open-loop collision rate (percent) at each horizon."""
-    if len(scenarios) != len(plans):
-        raise ConfigError(f"{len(scenarios)} scenarios vs {len(plans)} plans")
-    flags = [collision_ticks(s, p, ego_dims) for s, p in zip(scenarios, plans)]
-    return _cumulative_rate(scenarios, plans, flags, horizons)
+    blocks = [
+        (collision_ticks(block, ego, ego_dims), ticks)
+        for block, ego, ticks in _blocks(scenarios, plans, horizons)
+    ]
+    return _cumulative_rate(blocks, horizons)
 
 
-def _cumulative_rate(scenarios, plans, flags, horizons) -> HorizonStats:
-    """Percent of scenarios whose per-tick flags hold by each horizon."""
-    if not scenarios:
+def _cumulative_rate(blocks, horizons) -> HorizonStats:
+    """Percent of scenes whose per-tick flags hold by each horizon, from
+    each block's (B, T) flags and (B, H) horizon ticks."""
+    hits = [
+        np.take_along_axis(np.logical_or.accumulate(flags, axis=1), ticks - 1, axis=1)
+        for flags, ticks in blocks
+    ]
+    n = sum(len(h) for h in hits)
+    if not n:
         return HorizonStats(tuple(horizons), tuple(0.0 for _ in horizons), 0.0)
-    counts = np.zeros(len(horizons))
-    for scenario, plan, hits in zip(scenarios, plans, flags):
-        for i, h in enumerate(horizons):
-            tick = _horizon_tick(h, scenario.horizon_dt, plan.horizon)
-            if any(hits[:tick]):
-                counts[i] += 1
-    rates = tuple(float(c) * 100.0 / len(scenarios) for c in counts)
+    counts = sum(np.count_nonzero(h, axis=0) for h in hits)
+    rates = tuple(float(c) * 100.0 / n for c in counts)
     return HorizonStats(tuple(horizons), rates, float(np.mean(rates)))
 
 
-def labeled_boundaries(scenario: Scenario) -> tuple[PolylineSet, np.ndarray]:
-    """The road boundaries that carry a drivable side, as a PolylineSet, and
-    for each one whether its drivable side is its left."""
-    is_boundary = scenario.map_kind == MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)
-    side = np.where(is_boundary, scenario.map_side, DRIVABLE_SIDES[None])
-    labeled = side != DRIVABLE_SIDES[None]
-    return PolylineSet.of_rows(scenario.map_xy[labeled]), side[labeled] == DRIVABLE_SIDES["left"]
+def labeled_boundaries(scenarios: Sequence[Scenario]) -> tuple[PolylineSet, np.ndarray]:
+    """The road boundaries of each scene that carry a drivable side, as one
+    PolylineSet with a scene axis (`PolylineSet.of_scenes`, scene b's
+    boundaries in row b), and for each of its rows, padding included,
+    whether its drivable side is its left."""
+    points = max((s.map_xy.shape[1] for s in scenarios), default=0)
+    maps = [s for s in scenarios if len(s.map_xy)]
+    xy = np.concatenate([np.zeros((0, points, 2))] + [_held(s.map_xy, points) for s in maps])
+    kind = np.concatenate([np.zeros(0, np.intp)] + [s.map_kind for s in maps])
+    side = np.concatenate([np.zeros(0, np.int8)] + [s.map_side for s in maps])
+    labeled = (kind == _ROAD_BOUNDARY) & (side != DRIVABLE_SIDES[None])
+    # each labeled row's scene and its place among that scene's rows
+    scene = np.repeat(np.arange(len(scenarios)), [len(s.map_xy) for s in scenarios])[labeled]
+    counts = np.bincount(scene, minlength=len(scenarios))
+    slot = np.arange(len(scene)) - (np.cumsum(counts) - counts)[scene]
+    rows = np.zeros((len(scenarios), counts.max(initial=0), points, 2))
+    rows[scene, slot] = xy[labeled]
+    real, left = np.zeros(rows.shape[:2], dtype=bool), np.zeros(rows.shape[:2], dtype=bool)
+    real[scene, slot] = True
+    left[scene, slot] = side[labeled] == DRIVABLE_SIDES["left"]
+    return PolylineSet.of_scenes(rows, real), left.reshape(-1)
 
 
 def pose_oversteps_boundary(
@@ -169,40 +255,47 @@ def pose_oversteps_boundary(
     xy,
     heading,
     ego_dims: tuple[float, float],
-) -> bool:
-    """Does any corner of the ego box at any pose, (..., 2) positions and
-    (...) headings, sit on the non-drivable side of its nearest boundary of
-    `labeled_boundaries`?
+) -> np.ndarray:
+    """Per pose, does any corner of the ego box sit on the non-drivable side
+    of its nearest boundary of `labeled_boundaries`?  Scene b's poses are row
+    b of the (B, ..., 2) positions `xy` and (B, ...) headings `heading`; the
+    result is the (B, ...) flags.
 
-    A corner exactly on the boundary line counts as on the drivable side.
+    A corner exactly on the boundary line counts as on the drivable side, and
+    a scene with no labeled boundary has no overstep.
     """
     labeled, drivable_left = boundaries
+    corners = rect_corners(xy, heading, ego_dims)
     if not labeled:
-        return False
-    corners = rect_corners(xy, heading, ego_dims).reshape(-1, 2)
-    hit = closest_polyline(corners, labeled)
+        return np.zeros(corners.shape[:-2], dtype=bool)
+    q = corners.reshape(len(corners), -1, 2)
+    hit = closest_polyline(q, labeled)
     a, b = hit.start, hit.end
-    cross = (b[:, 0] - a[:, 0]) * (corners[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        corners[:, 0] - a[:, 0]
+    cross = (b[..., 0] - a[..., 0]) * (q[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        q[..., 0] - a[..., 0]
     )
-    return bool(np.where(drivable_left[hit.poly], cross < 0.0, cross > 0.0).any())
+    wrong = np.where(drivable_left.take(hit.poly), cross < 0.0, cross > 0.0)
+    return wrong.reshape(corners.shape[:-1]).any(axis=-1)
 
 
 def boundary_overstep(
-    scenario: Scenario,
-    plan: PlanTrajectory,
+    scenarios: Sequence[Scenario],
+    ego: Poses,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    max_tick: Optional[int] = None,
-) -> bool:
-    """Does the planned ego footprint cross a boundary at any tick?
+    ticks: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """(B,) flags: does the planned ego footprint of each scene cross one of
+    its boundaries at any of its first `ticks[b]` ticks (all by default)?
 
-    Uses the generator-provided side labels; boundaries without a label are
-    skipped.
+    `ego` is the scenes' `plan_pose_track`.  Uses the generator-provided side
+    labels; boundaries without a label are skipped.
     """
-    ego = plan_pose_track(plan)
-    return pose_oversteps_boundary(
-        labeled_boundaries(scenario), ego.xy[:max_tick], ego.heading[:max_tick], ego_dims
-    )
+    if len(ego.xy) != len(scenarios):
+        raise ConfigError(f"{len(scenarios)} scenarios vs {len(ego.xy)} plans")
+    flags = pose_oversteps_boundary(labeled_boundaries(scenarios), ego.xy, ego.heading, ego_dims)
+    if ticks is not None:
+        flags &= np.arange(flags.shape[1]) < np.asarray(ticks)[:, None]
+    return flags.any(axis=1)
 
 
 def plan_metrics(
@@ -211,29 +304,23 @@ def plan_metrics(
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
 ) -> PlanMetrics:
-    """Aggregate the full open-loop metric set over a scenario/plan pairing."""
-    if len(scenarios) != len(plans):
-        raise ConfigError(f"{len(scenarios)} scenarios vs {len(plans)} plans")
-    per_horizon = []
-    for scenario, plan in zip(scenarios, plans):
-        per_horizon.append(
-            displacement_error(plan, scenario.expert, scenario.horizon_dt, horizons).values
-        )
-    if per_horizon:
-        l2_values = tuple(float(v) for v in np.mean(per_horizon, axis=0))
+    """Aggregate the full open-loop metric set over a scenario/plan pairing.
+
+    Each scene's boundary overstep is checked up to its own tick of the
+    longest horizon."""
+    errors = displacement_error(scenarios, plans, horizons)
+    collided, oversteps = [], 0
+    for block, ego, ticks in _blocks(scenarios, plans, horizons):
+        collided.append((collision_ticks(block, ego, ego_dims), ticks))
+        overstep = boundary_overstep(block, ego, ego_dims, ticks.max(axis=1))
+        oversteps += int(np.count_nonzero(overstep))
+    if scenarios:
+        l2_values = tuple(float(v) for v in np.mean(errors, axis=0))
     else:
         l2_values = tuple(0.0 for _ in horizons)
     l2 = HorizonStats(tuple(horizons), l2_values, float(np.mean(l2_values)) if l2_values else 0.0)
-    flags = [collision_ticks(s, p, ego_dims) for s, p in zip(scenarios, plans)]
-    collision = _cumulative_rate(scenarios, plans, flags, horizons)
-    if scenarios:
-        max_tick = _horizon_tick(max(horizons), scenarios[0].horizon_dt, plans[0].horizon)
-        oversteps = sum(
-            boundary_overstep(s, p, ego_dims, max_tick) for s, p in zip(scenarios, plans)
-        )
-        overstep_rate = oversteps * 100.0 / len(scenarios)
-    else:
-        overstep_rate = 0.0
+    collision = _cumulative_rate(collided, horizons)
+    overstep_rate = oversteps * 100.0 / len(scenarios) if scenarios else 0.0
     return PlanMetrics(l2=l2, collision=collision, boundary_overstep_rate=overstep_rate)
 
 

@@ -374,7 +374,7 @@ def run_closed_loop(
         )
     cparams = constraint_params if constraint_params is not None else ConstraintParams()
     state = SimState.initial(scenario, ego_dims)
-    boundaries = labeled_boundaries(scenario)
+    boundaries = labeled_boundaries([scenario])
     log = RolloutLog()
     for _ in range(ticks):
         plan = planner.plan(state.view)
@@ -385,9 +385,9 @@ def run_closed_loop(
             box_frame(state.ego_position, state.ego_heading, state.ego_dims),
             box_frame(state.agent_positions, state.agent_headings, state.agent_sizes),
         )
-        overstep = pose_oversteps_boundary(
-            boundaries, state.ego_position, state.ego_heading, state.ego_dims
-        )
+        overstep = bool(pose_oversteps_boundary(
+            boundaries, [state.ego_position], [state.ego_heading], state.ego_dims
+        )[0])
 
         log.records.append(
             TickRecord(

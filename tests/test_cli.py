@@ -399,7 +399,7 @@ class TestTrainSimulateAblate:
         direct = [
             sum(
                 any(
-                    metrics.collision_ticks(s, p, ego_dims)[
+                    metrics.collision_ticks([s], metrics.plan_pose_track([p]), ego_dims)[0][
                         : metrics._horizon_tick(3.0, s.horizon_dt, p.horizon)
                     ]
                 )

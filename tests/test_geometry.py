@@ -338,6 +338,102 @@ class TestPolylineSet:
         with pytest.raises(GeometryError, match="non-degenerate"):
             _set([P(0, 0), P(1, 0)], [P(1, 1), P(1, 1), P(1, 1)])
 
+    def test_rows_are_the_set_of_their_polylines(self):
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(-10, 10, size=(3, 5, 2))
+        rows[1, 2] = rows[1, 1]  # a degenerate segment inside a row
+        packed, listed = PolylineSet.of_rows(rows), PolylineSet([Polyline(r) for r in rows])
+        for name in ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
+                     "poly", "seg"):
+            assert getattr(packed, name).tobytes() == getattr(listed, name).tobytes(), name
+        assert (len(packed), packed.all_live) == (3, False)
+        assert len(PolylineSet.of_rows(np.zeros((0, 0, 2)))) == 0
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (np.array([[[0, 0], [np.nan, 1], [0, 2]]]), "non-finite"),
+            (np.array([[[0.0, 0.0], [0.0, 1.0]], [[2.0, 2.0], [2.0, 2.0]]]), "non-degenerate"),
+            (np.zeros((2, 1, 2)), "at least 2 points"),
+            (np.zeros((4, 2)), "shape"),
+            (np.zeros((2, 3, 3)), "shape"),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, match):
+        # the chain trusts a set's arrays, so a row is checked where it enters
+        with pytest.raises(GeometryError, match=match):
+            PolylineSet.of_rows(rows)
+
+
+def _scene_rows(rng, scenes: int, rows: int, points: int):
+    """(B, M, P, 2) random polylines, a random number of them real in each
+    scene, and the (B, M) mask of those; padding rows are all zeros."""
+    xy = rng.integers(-4, 5, size=(scenes, rows, points, 2)).astype(np.float64)
+    xy[:, :, 1] += 0.5  # every row has a live first segment
+    real = np.arange(rows) < rng.integers(0, rows + 1, size=(scenes, 1))
+    xy[~real] = 0.0
+    return xy, real
+
+
+class TestPolylineSetOfScenes:
+    """A set with a scene axis searches each scene's rows as a set of its own."""
+
+    def test_each_scene_searches_its_own_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            scenes, rows, points = (int(n) for n in rng.integers(1, 5, size=3) + (0, 0, 1))
+            xy, real = _scene_rows(rng, scenes, rows, points)
+            queries = rng.integers(-5, 6, size=(scenes, int(rng.integers(0, 7)), 2)) * 1.0
+            packed = PolylineSet.of_scenes(xy, real)
+            assert (len(packed), packed.ndim) == (int(real.sum()), 3)
+            if not packed:
+                assert closest_polyline(queries, packed) is None
+                continue
+            feet = closest_point_on_segment(queries, packed)
+            hit = closest_polyline(queries, packed)
+            assert hit.dist.shape == hit.poly.shape == queries.shape[:2]
+            for b in range(scenes):
+                if not real[b].any():
+                    # padding only: never a hit, however near
+                    assert np.isinf(hit.dist[b]).all()
+                    continue
+                alone = PolylineSet.of_rows(xy[b][real[b]])
+                one = closest_polyline(queries[b], alone)
+                # the scene's own segments come first in its row of the set
+                own = closest_point_on_segment(queries[b], alone)
+                assert feet[b, :, :own.shape[1]].tobytes() == own.tobytes()
+                for name in ("dist", "foot", "start", "end", "seg"):
+                    assert getattr(hit, name)[b].tobytes() == getattr(one, name).tobytes(), name
+                assert (hit.poly[b] - b * rows).tolist() == one.poly.tolist()
+
+    def test_padding_never_wins_a_tie(self):
+        # scene 0's only polyline and its padding row pass through the query
+        xy = np.zeros((2, 2, 2, 2))
+        xy[0, 0] = [[0.0, -1.0], [0.0, 1.0]]
+        xy[1, 0] = [[5.0, -1.0], [5.0, 1.0]]
+        real = np.array([[True, False], [True, False]])
+        hit = closest_polyline(np.zeros((2, 1, 2)), PolylineSet.of_scenes(xy, real))
+        assert hit.dist.tolist() == [[0.0], [5.0]]
+        assert hit.poly.tolist() == [[0], [2]] and hit.index.tolist() == [[0], [2]]
+
+    def test_bad_scene_rows_rejected(self):
+        xy, real = np.zeros((1, 2, 3, 2)), np.array([[True, False]])
+        xy[0, 0, 1] = 1.0
+        assert len(PolylineSet.of_scenes(xy, real)) == 1
+        live_padding = xy.copy()
+        live_padding[0, 1, 1] = 1.0
+        with pytest.raises(GeometryError, match="padding"):
+            PolylineSet.of_scenes(live_padding, real)
+        with pytest.raises(GeometryError, match="non-degenerate"):
+            PolylineSet.of_scenes(xy, np.array([[True, True]]))
+        with pytest.raises(GeometryError, match="shape"):
+            PolylineSet.of_scenes(xy, np.array([True, False]))
+        with pytest.raises(GeometryError, match="non-finite"):
+            PolylineSet.of_scenes(np.full((1, 1, 2, 2), np.inf), np.array([[True]]))
+        # a query array per scene, not a bare (K, 2) one
+        with pytest.raises(GeometryError, match="shape"):
+            closest_polyline(np.zeros((1, 2)), PolylineSet.of_scenes(xy, real))
+
 
 class TestArrayChain:
     """The batched nearest-polyline chain against a brute-force scalar loop."""
@@ -880,6 +976,38 @@ class TestPoseTrack:
     def test_non_finite_track_raises(self):
         with pytest.raises(GeometryError):
             pose_track(np.array([[0.0, math.nan]]), (0.0, 0.0), 0.0)
+        with pytest.raises(GeometryError):
+            pose_track(np.array([[[0.0, math.inf]]]), (0.0, 0.0), 0.0)
+        with pytest.raises(GeometryError, match="axes"):
+            pose_track(np.zeros(2), (0.0, 0.0), 0.0)
+
+    @given(
+        lead=st.lists(st.integers(0, 3), max_size=2),
+        ticks=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_many_tracks_bit_equal_to_one_track_at_a_time(self, lead, ticks, seed):
+        # small integer grids make zero-length steps, repeated points and
+        # steps back to the start common
+        rng = np.random.default_rng(seed)
+        lead = tuple(lead)
+        track = rng.integers(-2, 3, size=lead + (ticks, 2)).astype(np.float64) * 0.5
+        start = rng.integers(-2, 3, size=lead + (2,)).astype(np.float64) * 0.5
+        heading = rng.uniform(-math.pi, math.pi, size=lead)
+        poses = pose_track(track, start, heading)
+        assert poses.xy.shape == track.shape and poses.heading.shape == lead + (ticks,)
+        for i in np.ndindex(*lead):
+            want = _scalar_headings(track[i].tolist(), tuple(start[i]), float(heading[i]))
+            assert poses.heading[i].tolist() == want
+            # the same bits as the call for that one track
+            assert pose_track(track[i], start[i], heading[i]).heading.tobytes() == (
+                poses.heading[i].tobytes()
+            )
+
+    def test_start_and_heading_broadcast_over_the_tracks(self):
+        track = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+        poses = pose_track(track, (0.0, 0.0), 0.5)
+        assert poses.heading.tolist() == [[0.5, math.pi / 2], [0.0, 0.0]]
 
 
 class TestRectCornersBroadcast:

@@ -1,5 +1,6 @@
 """The benchmark's committed reference outputs, replayed for seed 0 of each
-workload and for seeds 1-7 of the refine rollouts.
+workload, for seeds 1-7 of the refine rollouts and for seeds 1-3 of the
+dense open-loop evaluation.
 
 perfbench/run.py checks every operation of a workload against
 perfbench/references/<workload>.json.  This runs one pass of each workload
@@ -51,3 +52,10 @@ def test_refine_rollout_matches_the_references(monkeypatch, seed):
     # the refine planner is the path the constraint and geometry kernels
     # serve; seed 0 runs above
     _replay(monkeypatch, "refine_rollout", seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_evaluate_dense_matches_the_references(monkeypatch, seed):
+    # the open-loop metrics over 128 dense scenes, their flags bit for bit;
+    # seed 0 runs above
+    _replay(monkeypatch, "evaluate_dense", seed)

@@ -62,26 +62,27 @@ def test_overlap_span_counts_truthy_sweeps(monkeypatch):
 
 def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
     # the benchmark expects this span on evaluate_dense (through plan_metrics)
-    # and on refine_rollout (through run_closed_loop)
+    # and on refine_rollout (through run_closed_loop): one call per block of
+    # scenes in the metrics, one per rollout
     tracer_mod = _load_tracer(monkeypatch)
     tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
     tracer.install()
     try:
         from vecplan import metrics, scene, simulator
 
-        scenario = scene.generate_scenario(3)
-        assert scenario.agents
-        plan = simulator.constant_velocity_plan(scenario)
+        scenarios = [scene.generate_scenario(seed) for seed in range(metrics.BLOCK_SCENES + 1)]
+        assert all(s.agents for s in scenarios[:2])
+        plans = [simulator.constant_velocity_plan(s) for s in scenarios]
         tracer.reset()
-        metrics.plan_metrics([scenario], [plan])
+        metrics.plan_metrics(scenarios, plans)
         from_metrics = tracer.calls("metrics.agent_pose_track")
         tracer.reset()
-        simulator.run_closed_loop(scenario, simulator.ConstantVelocityPlanner(), 2)
+        simulator.run_closed_loop(scenarios[0], simulator.ConstantVelocityPlanner(), 2)
         from_rollout = tracer.calls("metrics.agent_pose_track")
     finally:
         tracer.uninstall()
-    assert from_metrics == len(scenario.agents)
-    assert from_rollout == len(scenario.agents)
+    assert from_metrics == 2  # a full block and a block of one
+    assert from_rollout == 1
 
 
 def _tiny_train():
