@@ -638,6 +638,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the flags stand in for metrics.eval_count and simulator.ticks, whose
+        # bounds they keep
+        for flag in ("count", "ticks"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
         config = load_config(args.config, args.overrides, args.out, args.seed)
         outputs = OutputSet(Path(config.output_dir), check=args.check)
         _echo_config(outputs, config)

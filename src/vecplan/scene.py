@@ -14,20 +14,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import (
-    BoxFrame,
-    Point2,
-    Polyline,
-    PolylineSet,
-    oriented_rect_overlap,
-    swept_box_frame,
-)
+from .geometry import BoxFrame, Point2, PolylineSet, oriented_rect_overlap, swept_box_frame
 
 SCHEMA_VERSION = 1
 
@@ -42,81 +35,6 @@ class Command(enum.Enum):
     TURN_LEFT = "turn_left"
     TURN_RIGHT = "turn_right"
     GO_STRAIGHT = "go_straight"
-
-
-@dataclass(frozen=True)
-class MapVector:
-    """One polyline map element with a confidence score.
-
-    `drivable_side` is only meaningful for road boundaries: it names the side
-    of the polyline (relative to its point ordering) on which the drivable
-    area lies, and is filled in by the generator.
-    """
-
-    kind: MapClass
-    points: Polyline
-    confidence: float
-    drivable_side: Optional[str] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ScenarioFormatError(f"map confidence out of [0,1]: {self.confidence}")
-        if self.drivable_side not in (None, "left", "right"):
-            raise ScenarioFormatError(f"bad drivable_side: {self.drivable_side!r}")
-
-
-@dataclass(eq=False)
-class AgentPrediction:
-    """One agent: pose, box size, confidence, and multi-modal future.
-
-    `modes` holds absolute ego-frame positions of shape (N_k, T_f, 2); each
-    mode has its own score in [0, 1] and the scores need not sum to one.
-    """
-
-    position: Point2
-    heading: float
-    size: tuple[float, float]
-    confidence: float
-    modes: np.ndarray
-    mode_scores: np.ndarray
-
-    def __post_init__(self):
-        self.modes = np.asarray(self.modes, dtype=np.float64)
-        self.mode_scores = np.asarray(self.mode_scores, dtype=np.float64)
-        if self.modes.ndim != 3 or self.modes.shape[2] != 2:
-            raise ScenarioFormatError(f"modes must be (N_k, T_f, 2), got {self.modes.shape}")
-        if self.modes.shape[0] < 1:
-            raise ScenarioFormatError("agent needs at least one mode")
-        if self.mode_scores.shape != (self.modes.shape[0],):
-            raise ScenarioFormatError(
-                f"mode_scores shape {self.mode_scores.shape} does not match "
-                f"{self.modes.shape[0]} modes"
-            )
-        if not (np.isfinite(self.modes).all() and np.isfinite(self.mode_scores).all()):
-            raise ScenarioFormatError("non-finite values in agent prediction")
-        if not math.isfinite(self.heading):
-            raise ScenarioFormatError(f"non-finite agent heading: {self.heading}")
-        if (self.mode_scores < 0.0).any() or (self.mode_scores > 1.0).any():
-            raise ScenarioFormatError("mode scores must lie in [0,1]")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ScenarioFormatError(f"agent confidence out of [0,1]: {self.confidence}")
-        if not all(0.0 < v < math.inf for v in self.size):
-            raise ScenarioFormatError(f"agent size must be positive and finite, got {self.size}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AgentPrediction)
-            and self.position == other.position
-            and self.heading == other.heading
-            and tuple(self.size) == tuple(other.size)
-            and self.confidence == other.confidence
-            and np.array_equal(self.modes, other.modes)
-            and np.array_equal(self.mode_scores, other.mode_scores)
-        )
 
 
 @dataclass(frozen=True)
@@ -165,37 +83,77 @@ MAP_CLASSES = tuple(MapClass)  # the order of `Scenario.map_kind` indices
 DRIVABLE_SIDES = {None: 0, "left": 1, "right": -1}  # `Scenario.map_side` codes
 
 
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """Whether all of each row of `mask` holds, shape (N,)."""
+    return mask.all(axis=tuple(range(1, mask.ndim)))
+
+
+def _refuse(bad: np.ndarray, message: str, values=None) -> None:
+    """Raise a ScenarioFormatError for the first row flagged in the (N,) mask
+    `bad`: `message` formatted with the row's index `i` and value `v`."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        i = int(flagged[0])
+        raise ScenarioFormatError(message.format(i=i, v=None if values is None else values[i]))
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A full vectorized scene in the ego frame at the planning instant.
 
-    A scene is built from, saved and compared as agent and map records.
-    Construction checks them and stacks them once into the read-only arrays
-    that compute reads, (0, ...) arrays where a scene has no agents or map;
-    the scenario is frozen, so they never go stale.
+    A scene is its read-only arrays: (0, ...) arrays where it has no agents
+    or map.  Each agent has its own number of modes, at least one:
+    `agent_modes` holds every agent's modes, agent after agent, and
+    `agent_mode_count` says how many belong to each.  Construction copies
+    each array, checks it and makes it read-only, and derives `agent_track`,
+    each agent's best mode; the scenario is frozen, so they never go stale.
+    A refusal names the element by its path in a scenario file, e.g.
+    `agents[2].size`.
     """
 
-    map: list[MapVector]
-    agents: list[AgentPrediction]
-    agent_gt_futures: list[np.ndarray]
     ego: EgoState
-    expert: np.ndarray
+    expert: np.ndarray  # (T_f, 2)
     horizon_dt: float
     perception_range: tuple[float, float]
-    agent_xy: np.ndarray = field(init=False, repr=False)  # (A, 2)
-    agent_heading: np.ndarray = field(init=False, repr=False)  # (A,)
-    agent_size: np.ndarray = field(init=False, repr=False)  # (A, 2) length, width
-    agent_confidence: np.ndarray = field(init=False, repr=False)  # (A,)
+    agent_xy: np.ndarray  # (A, 2)
+    agent_heading: np.ndarray  # (A,)
+    agent_size: np.ndarray  # (A, 2) length, width
+    agent_confidence: np.ndarray  # (A,)
+    agent_future: np.ndarray  # (A, T_f, 2) ground truth
+    agent_modes: np.ndarray  # (K, T_f, 2)
+    agent_mode_scores: np.ndarray  # (K,), each in [0, 1]
+    agent_mode_count: np.ndarray  # (A,), each >= 1, summing to K
+    map_xy: np.ndarray  # (M, P, 2)
+    map_kind: np.ndarray  # (M,) index into MAP_CLASSES
+    map_confidence: np.ndarray  # (M,)
+    map_side: np.ndarray  # (M,) DRIVABLE_SIDES code
     agent_track: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) best modes
-    agent_future: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) ground truth
-    map_xy: np.ndarray = field(init=False, repr=False)  # (M, P, 2)
-    map_kind: np.ndarray = field(init=False, repr=False)  # (M,) index into MAP_CLASSES
-    map_confidence: np.ndarray = field(init=False, repr=False)  # (M,)
-    map_side: np.ndarray = field(init=False, repr=False)  # (M,) DRIVABLE_SIDES code
 
     def __post_init__(self):
-        # a read-only copy, so the check below holds for the scene's lifetime
-        object.__setattr__(self, "expert", np.array(self.expert, dtype=np.float64))
+        def keep(name, a):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+            return a
+
+        def take(name, shape):
+            """A float64 copy of field `name`, of `shape` (None: any length)."""
+            try:
+                a = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ScenarioFormatError(f"bad {name}: {e}") from e
+            if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+                raise ScenarioFormatError(f"{name} must have shape {shape}, got {a.shape}")
+            return keep(name, a)
+
+        def whole(name, n, low, high, dtype, message):
+            """Field `name` as (n,) whole numbers in [low, high], of `dtype`."""
+            a = take(name, (n,))
+            _refuse(~((a >= low) & (a <= high) & (a == np.floor(a))), message, a)
+            return keep(name, a.astype(dtype))
+
+        expert = take("expert", (None, 2))
+        if not np.isfinite(expert).all():
+            raise ScenarioFormatError("non-finite values in expert")
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
                 f"horizon_dt must be positive and finite, got {self.horizon_dt}"
@@ -204,89 +162,87 @@ class Scenario:
             raise ScenarioFormatError(
                 f"perception_range must be positive and finite, got {self.perception_range}"
             )
-        if self.expert.ndim != 2 or self.expert.shape[1] != 2:
-            raise ScenarioFormatError(f"expert must be (T_f, 2), got {self.expert.shape}")
-        if not np.isfinite(self.expert).all():
-            raise ScenarioFormatError("non-finite values in expert")
-        self.expert.flags.writeable = False
         for name in ("heading", "velocity", "acceleration", "steering_angle"):
             value = getattr(self.ego, name)
             if not math.isfinite(value):
                 raise ScenarioFormatError(f"non-finite ego {name}: {value}")
-        t_f = self.expert.shape[0]
-        if len(self.agent_gt_futures) != len(self.agents):
+        t_f = len(expert)
+
+        xy = take("agent_xy", (None, 2))
+        n_a = len(xy)
+        _refuse(~_rows(np.isfinite(xy)), "agents[{i}].position: non-finite agent position {v}", xy)
+        heading = take("agent_heading", (n_a,))
+        _refuse(~np.isfinite(heading), "agents[{i}].heading: non-finite agent heading {v}", heading)
+        size = take("agent_size", (n_a, 2))
+        _refuse(~_rows((size > 0.0) & (size < math.inf)),
+                "agents[{i}].size: agent size must be positive and finite, got {v}", size)
+        conf = take("agent_confidence", (n_a,))
+        _refuse(~((conf >= 0.0) & (conf <= 1.0)),
+                "agents[{i}].confidence: agent confidence out of [0,1]: {v}", conf)
+        future = take("agent_future", (n_a, t_f, 2))
+        _refuse(~_rows(np.isfinite(future)), "non-finite values in agent {i} ground-truth future")
+        modes = take("agent_modes", (None, t_f, 2))
+        scores = take("agent_mode_scores", (len(modes),))
+        count = whole("agent_mode_count", n_a, 1, len(modes), np.intp,
+                      f"agents[{{i}}].modes: mode count {{v}} is not a whole number of at "
+                      f"least one and at most the {len(modes)} modes")
+        if len(modes) != count.sum():
             raise ScenarioFormatError(
-                f"{len(self.agent_gt_futures)} ground-truth futures for "
-                f"{len(self.agents)} agents"
+                f"agent_mode_count adds up to {count.sum()} modes, agent_modes holds {len(modes)}"
             )
-        futures = [np.asarray(f, dtype=np.float64) for f in self.agent_gt_futures]
-        for i, (agent, fut) in enumerate(zip(self.agents, futures)):
-            if agent.modes.shape[1] != t_f:
-                raise ScenarioFormatError(
-                    f"agent {i} modes cover {agent.modes.shape[1]} steps, expected {t_f}"
-                )
-            if fut.shape != (t_f, 2):
-                raise ScenarioFormatError(
-                    f"agent {i} ground-truth future has shape {fut.shape}, expected ({t_f}, 2)"
-                )
-            if not np.isfinite(fut).all():
-                raise ScenarioFormatError(f"non-finite values in agent {i} ground-truth future")
-        counts = {len(mv.points.xy) for mv in self.map}
-        if len(counts) > 1:
-            raise ScenarioFormatError(f"map vectors have mixed point counts: {sorted(counts)}")
+        owner = np.repeat(np.arange(n_a), count)  # the agent of each mode
 
-        def stack(name, rows, shape, dtype=np.float64):
-            a = np.array(rows, dtype=dtype).reshape(shape)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        def agents_of(bad_modes):
+            return np.bincount(owner, weights=bad_modes, minlength=n_a) > 0
 
-        agents, n_a, n_m = self.agents, len(self.agents), len(self.map)
-        stack("agent_xy", [a.position for a in agents], (n_a, 2))
-        stack("agent_heading", [a.heading for a in agents], (n_a,))
-        stack("agent_size", [a.size for a in agents], (n_a, 2))
-        stack("agent_confidence", [a.confidence for a in agents], (n_a,))
-        stack("agent_track", [best_mode(a) for a in agents], (n_a, t_f, 2))
-        stack("agent_future", futures, (n_a, t_f, 2))
-        # the futures become rows of the read-only stack, so they cannot drift from it
-        object.__setattr__(self, "agent_gt_futures", list(self.agent_future))
-        stack("map_xy", [mv.points.xy for mv in self.map], (n_m, next(iter(counts), 0), 2))
-        stack("map_kind", [MAP_CLASSES.index(mv.kind) for mv in self.map], (n_m,), np.intp)
-        stack("map_confidence", [mv.confidence for mv in self.map], (n_m,))
-        stack("map_side", [DRIVABLE_SIDES[mv.drivable_side] for mv in self.map], (n_m,), np.int8)
+        _refuse(agents_of(~_rows(np.isfinite(modes))),
+                "agents[{i}].modes: non-finite values in agent prediction")
+        _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
+                "agents[{i}].mode_scores: mode scores must lie in [0,1]")
+        ends = np.cumsum(count)
+        best = [
+            start + best_mode_index(scores[start:end])
+            for start, end in zip((ends - count).tolist(), ends.tolist())
+        ]
+        keep("agent_track", modes[np.array(best, dtype=np.intp)])
+
+        map_xy = take("map_xy", (None, None, 2))
+        n_m, n_p = map_xy.shape[:2]
+        if n_m and n_p < 2:
+            raise ScenarioFormatError(f"map polylines need at least 2 points, got {n_p}")
+        _refuse(~_rows(np.isfinite(map_xy)), "map[{i}].points: non-finite polyline point")
+        _refuse(~(map_xy[:, 1:] != map_xy[:, :-1]).any(axis=(1, 2)),
+                "map[{i}].points: polyline has no non-degenerate segment")
+        whole("map_kind", n_m, 0, len(MAP_CLASSES) - 1, np.intp,
+              "map[{i}].kind: no map class has code {v}")
+        conf = take("map_confidence", (n_m,))
+        _refuse(~((conf >= 0.0) & (conf <= 1.0)),
+                "map[{i}].confidence: map confidence out of [0,1]: {v}", conf)
+        sides = DRIVABLE_SIDES.values()
+        whole("map_side", n_m, min(sides), max(sides), np.int8,
+              "map[{i}].drivable_side: no drivable side has code {v}")
 
     @property
     def t_future(self) -> int:
         return self.expert.shape[0]
 
-    @property
-    def n_map_points(self) -> Optional[int]:
-        return self.map_xy.shape[1] if len(self.map_xy) else None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scenario)
-            and self.map == other.map
-            and self.agents == other.agents
-            and np.array_equal(self.agent_future, other.agent_future)
             and self.ego == other.ego
-            and np.array_equal(self.expert, other.expert)
             and self.horizon_dt == other.horizon_dt
             and tuple(self.perception_range) == tuple(other.perception_range)
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAYS)
         )
 
 
-# ---------------------------------------------------------------------------
-# per-agent reductions
+# the arrays a scenario is built from, which equal scenarios share
+_ARRAYS = tuple(f.name for f in fields(Scenario) if f.init and f.type == "np.ndarray")
 
 
-def best_mode_index(agent: AgentPrediction) -> int:
-    """Index of the highest-scoring mode; lowest index on ties."""
-    return int(np.argmax(agent.mode_scores))
-
-
-def best_mode(agent: AgentPrediction) -> np.ndarray:
-    """The trajectory of the highest-scoring mode, shape (T_f, 2)."""
-    return agent.modes[best_mode_index(agent)]
+def best_mode_index(scores: np.ndarray) -> int:
+    """Index of the highest of one agent's mode scores; lowest index on ties."""
+    return int(np.argmax(scores))
 
 
 def ego_vectors(plan: PlanTrajectory) -> np.ndarray:
@@ -438,9 +394,8 @@ class _RoadFrame:
         """ds (centerline) per meter traveled along the offset-d lane."""
         return 1.0 / (1.0 - d * self.curvature)
 
-    def polyline(self, d: float, s_lo: float, s_hi: float, n: int) -> Polyline:
-        ss = np.linspace(s_lo, s_hi, n)
-        return Polyline([self.point(float(s), d) for s in ss])
+    def polyline(self, d: float, s_lo: float, s_hi: float, n: int) -> list[tuple[float, float]]:
+        return [self.point(float(s), d) for s in np.linspace(s_lo, s_hi, n)]
 
 
 def _fit_extent(road: _RoadFrame, offsets: Sequence[float], cfg: GeneratorConfig) -> float:
@@ -516,39 +471,24 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
 
     s_max = _fit_extent(road, [left_bd, right_bd], config)
 
-    map_vectors: list[MapVector] = []
+    # one row per map element: (points, kind, confidence, drivable side)
+    map_rows = []
     # boundaries first: polylines run along the travel direction, so the
     # drivable area is right of the left boundary and left of the right one
     for d, side in ((left_bd, "right"), (right_bd, "left")):
         conf = float(rng.uniform(*config.map_confidence_range))
-        map_vectors.append(
-            MapVector(
-                kind=MapClass.ROAD_BOUNDARY,
-                points=road.polyline(d, -s_max, s_max, config.n_points),
-                confidence=conf,
-                drivable_side=side,
-            )
-        )
+        points = road.polyline(d, -s_max, s_max, config.n_points)
+        map_rows.append((points, MapClass.ROAD_BOUNDARY, conf, side))
     for d in divider_offsets:
         conf = float(rng.uniform(*config.map_confidence_range))
-        map_vectors.append(
-            MapVector(
-                kind=MapClass.LANE_DIVIDER,
-                points=road.polyline(d, -s_max, s_max, config.n_points),
-                confidence=conf,
-            )
-        )
+        points = road.polyline(d, -s_max, s_max, config.n_points)
+        map_rows.append((points, MapClass.LANE_DIVIDER, conf, None))
     if rng.uniform() < config.crossing_probability:
         s_c = float(rng.uniform(0.3 * s_max, 0.8 * s_max))
         conf = float(rng.uniform(*config.map_confidence_range))
         ds = np.linspace(left_bd, right_bd, config.n_points)
-        map_vectors.append(
-            MapVector(
-                kind=MapClass.PEDESTRIAN_CROSSING,
-                points=Polyline([road.point(s_c, float(d)) for d in ds]),
-                confidence=conf,
-            )
-        )
+        points = [road.point(s_c, float(d)) for d in ds]
+        map_rows.append((points, MapClass.PEDESTRIAN_CROSSING, conf, None))
 
     # expert: follow the ego lane, or ease into the adjacent lane on a
     # turn command (+x is right, so a left turn targets a negative offset)
@@ -590,8 +530,9 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
         command=command,
     )
 
-    agents: list[AgentPrediction] = []
-    gt_futures: list[np.ndarray] = []
+    # one row per placed agent: (start, heading, size, confidence, future,
+    # modes, mode scores)
+    agent_rows = []
     n_agents = int(rng.integers(config.agent_count_range[0], config.agent_count_range[1] + 1))
     want_lead = rng.uniform() < config.lead_vehicle_probability
     n_slots = n_agents + int(want_lead)
@@ -645,30 +586,23 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
                 modes[m] = future + drift
                 scores[m] = float(rng.uniform(0.05, 0.95))
             conf = float(rng.uniform(*config.agent_confidence_range))
-            agents.append(
-                AgentPrediction(
-                    position=Point2(*start),
-                    heading=heading,
-                    size=size,
-                    confidence=conf,
-                    modes=modes,
-                    mode_scores=scores,
-                )
-            )
-            gt_futures.append(future)
+            agent_rows.append((start, heading, size, conf, future, modes, scores))
             frames.put(placed, box)
             placed += 1
             clear_of = frames.head(placed)
             break
 
+    starts, headings, sizes, confs, futures, modes, scores = list(zip(*agent_rows)) or [()] * 7
+    points, kinds, map_confs, sides = zip(*map_rows)
     return Scenario(
-        map=map_vectors,
-        agents=agents,
-        agent_gt_futures=gt_futures,
-        ego=ego,
-        expert=expert,
-        horizon_dt=dt,
-        perception_range=config.perception_range,
+        ego=ego, expert=expert, horizon_dt=dt, perception_range=config.perception_range,
+        agent_xy=np.reshape(starts, (-1, 2)), agent_heading=headings,
+        agent_size=np.reshape(sizes, (-1, 2)), agent_confidence=confs,
+        agent_future=np.reshape(futures, (-1, t_f, 2)),
+        agent_modes=np.reshape(modes, (-1, t_f, 2)), agent_mode_scores=np.reshape(scores, -1),
+        agent_mode_count=[config.mode_count] * len(agent_rows),
+        map_xy=points, map_kind=[MAP_CLASSES.index(k) for k in kinds],
+        map_confidence=map_confs, map_side=[DRIVABLE_SIDES[s] for s in sides],
     )
 
 
@@ -681,32 +615,29 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    ends = np.cumsum(s.agent_mode_count).tolist()
+    side_names = {code: name for name, code in DRIVABLE_SIDES.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "t_future": s.t_future,
         "horizon_dt": s.horizon_dt,
         "perception_range": list(s.perception_range),
         "map": [
-            {
-                "kind": mv.kind.value,
-                "confidence": mv.confidence,
-                "drivable_side": mv.drivable_side,
-                "points": mv.points.xy.tolist(),
-            }
-            for mv in s.map
+            {"kind": MAP_CLASSES[k].value, "confidence": c, "drivable_side": side_names[d],
+             "points": xy}
+            for k, c, d, xy in zip(s.map_kind.tolist(), s.map_confidence.tolist(),
+                                   s.map_side.tolist(), s.map_xy.tolist())
         ],
+        # each agent's modes are the rows from the previous agent's end to its own
         "agents": [
-            {
-                "position": list(a.position),
-                "heading": a.heading,
-                "size": list(a.size),
-                "confidence": a.confidence,
-                "mode_scores": a.mode_scores.tolist(),
-                "modes": a.modes.tolist(),
-            }
-            for a in s.agents
+            {"position": xy, "heading": h, "size": size, "confidence": c,
+             "mode_scores": s.agent_mode_scores[a:b].tolist(),
+             "modes": s.agent_modes[a:b].tolist()}
+            for xy, h, size, c, a, b in zip(s.agent_xy.tolist(), s.agent_heading.tolist(),
+                                            s.agent_size.tolist(), s.agent_confidence.tolist(),
+                                            [0] + ends, ends)
         ],
-        "agent_gt_futures": [f.tolist() for f in s.agent_gt_futures],
+        "agent_gt_futures": s.agent_future.tolist(),
         "ego": {
             "position": list(s.ego.position),
             "heading": s.ego.heading,
@@ -727,10 +658,14 @@ def _require(data, key: str, where: str):
     return data[key]
 
 
-def _field(data, key: str, where: str, decode):
-    """A required field passed through `decode`; a value of the wrong type or
-    form is a ScenarioFormatError that names the field's path."""
-    value = _require(data, key, where)
+def _field(data, key: str, where: str, decode, optional: bool = False):
+    """A field passed through `decode`, None where an optional one is left
+    out; a value of the wrong type or form is a ScenarioFormatError that
+    names the field's path."""
+    if optional and isinstance(data, dict):
+        value = data.get(key)
+    else:
+        value = _require(data, key, where)
     try:
         return decode(value)
     except (TypeError, ValueError, GeometryError) as e:
@@ -753,7 +688,44 @@ def _point(value) -> Point2:
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    return np.asarray(_list(value), dtype=np.float64)
+
+
+def _xy(form: str):
+    """A decoder of a float array of the shape `form`, e.g. "(P, 2)", whose
+    last axis holds (x, y)."""
+
+    def decode(value) -> np.ndarray:
+        a = _array(value)
+        if a.ndim != form.count(",") + 1 or a.shape[-1] != 2:
+            raise ValueError(f"expected {form}, got {a.shape}")
+        return a
+
+    return decode
+
+
+def _side(value) -> int:
+    if not (value is None or isinstance(value, str)) or value not in DRIVABLE_SIDES:
+        raise ValueError(f"{value!r} is not left, right or null")
+    return DRIVABLE_SIDES[value]
+
+
+# the fields of a map element and of an agent, in the order they are read
+_MAP_FIELDS = {"kind": MapClass, "points": _xy("(P, 2)"), "confidence": float}
+_AGENT_FIELDS = {
+    "position": _pair, "heading": float, "size": _pair, "confidence": float,
+    "modes": _xy("(N_k, T_f, 2)"), "mode_scores": _array,
+}
+
+
+def _columns(data, key: str, decoders: dict) -> dict:
+    """The objects of the list `data[key]`, each field decoded, as one list
+    per field."""
+    columns = {name: [] for name in decoders}
+    for i, element in enumerate(_field(data, key, "", _list)):
+        for name, decode in decoders.items():
+            columns[name].append(_field(element, name, f"{key}[{i}].", decode))
+    return columns
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -766,32 +738,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if isinstance(t_f, bool) or not isinstance(t_f, int):
         raise ScenarioFormatError(f"bad field t_future: expected an integer, got {t_f!r}")
 
-    map_vectors = []
-    for i, mv in enumerate(_field(data, "map", "", _list)):
-        where = f"map[{i}]."
-        map_vectors.append(
-            MapVector(
-                kind=_field(mv, "kind", where, MapClass),
-                points=_field(mv, "points", where, lambda v: Polyline(_list(v))),
-                confidence=_field(mv, "confidence", where, float),
-                drivable_side=mv.get("drivable_side"),
-            )
-        )
-
-    agents = []
-    for i, a in enumerate(_field(data, "agents", "", _list)):
-        where = f"agents[{i}]."
-        agents.append(
-            AgentPrediction(
-                position=_field(a, "position", where, _point),
-                heading=_field(a, "heading", where, float),
-                size=_field(a, "size", where, _pair),
-                confidence=_field(a, "confidence", where, float),
-                modes=_field(a, "modes", where, _array),
-                mode_scores=_field(a, "mode_scores", where, _array),
-            )
-        )
-
+    maps = _columns(data, "map", _MAP_FIELDS)
+    sides = [
+        _field(mv, "drivable_side", f"map[{i}].", _side, optional=True)
+        for i, mv in enumerate(data["map"])
+    ]
+    agents = _columns(data, "agents", _AGENT_FIELDS)
     ego_data = _require(data, "ego", "")
     ego = EgoState(
         position=_field(ego_data, "position", "ego.", _point),
@@ -801,23 +753,51 @@ def scenario_from_dict(data: dict) -> Scenario:
         steering_angle=_field(ego_data, "steering_angle", "ego.", float),
         command=_field(ego_data, "command", "ego.", Command),
     )
-
-    scenario = Scenario(
-        map=map_vectors,
-        agents=agents,
-        agent_gt_futures=_field(
-            data, "agent_gt_futures", "", lambda v: [_array(f) for f in _list(v)]
-        ),
-        ego=ego,
-        expert=_field(data, "expert", "", _array),
-        horizon_dt=_field(data, "horizon_dt", "", float),
-        perception_range=_field(data, "perception_range", "", _pair),
+    futures = _field(
+        data, "agent_gt_futures", "", lambda v: [_xy("(T_f, 2)")(f) for f in _list(v)]
     )
-    if scenario.t_future != t_f:
+    expert = _field(data, "expert", "", _xy("(T_f, 2)"))
+    if len(expert) != t_f:
         raise ScenarioFormatError(
-            f"header t_future {t_f} does not match expert length {scenario.t_future}"
+            f"header t_future {t_f} does not match expert length {len(expert)}"
         )
-    return scenario
+
+    # each element's shape, checked here, where a file can make them ragged
+    points = {len(xy) for xy in maps["points"]}
+    if len(points) > 1:
+        raise ScenarioFormatError(f"map vectors have mixed point counts: {sorted(points)}")
+    n_a = len(agents["modes"])
+    if len(futures) != n_a:
+        raise ScenarioFormatError(f"{len(futures)} ground-truth futures for {n_a} agents")
+    for i, (modes, scores, future) in enumerate(
+        zip(agents["modes"], agents["mode_scores"], futures)
+    ):
+        if modes.shape[1] != t_f:
+            raise ScenarioFormatError(
+                f"agent {i} modes cover {modes.shape[1]} steps, expected {t_f}"
+            )
+        if scores.shape != modes.shape[:1]:
+            raise ScenarioFormatError(
+                f"agents[{i}].mode_scores shape {scores.shape} does not match {len(modes)} modes"
+            )
+        if future.shape != (t_f, 2):
+            raise ScenarioFormatError(
+                f"agent {i} ground-truth future has shape {future.shape}, expected ({t_f}, 2)"
+            )
+
+    return Scenario(
+        ego=ego, expert=expert, horizon_dt=_field(data, "horizon_dt", "", float),
+        perception_range=_field(data, "perception_range", "", _pair),
+        agent_xy=np.reshape(agents["position"], (n_a, 2)), agent_heading=agents["heading"],
+        agent_size=np.reshape(agents["size"], (n_a, 2)), agent_confidence=agents["confidence"],
+        agent_future=np.reshape(futures, (n_a, t_f, 2)),
+        agent_modes=np.concatenate([np.empty((0, t_f, 2))] + agents["modes"]),
+        agent_mode_scores=np.concatenate([np.empty(0)] + agents["mode_scores"]),
+        agent_mode_count=[len(modes) for modes in agents["modes"]],
+        map_xy=np.reshape(maps["points"], (len(sides), next(iter(points), 0), 2)),
+        map_kind=[MAP_CLASSES.index(kind) for kind in maps["kind"]],
+        map_confidence=maps["confidence"], map_side=sides,
+    )
 
 
 def scenario_to_json(s: Scenario) -> str:

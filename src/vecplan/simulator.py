@@ -29,7 +29,7 @@ from .constraints import (
     total_planning_loss,
 )
 from .errors import SimulationError
-from .geometry import Point2, Polyline, Poses, box_frame, oriented_rect_overlap, pose_track
+from .geometry import Point2, Poses, box_frame, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_boxes, labeled_boundaries, pose_oversteps_boundary
 from .scene import EgoState, PlanTrajectory, Scenario, pack
@@ -122,44 +122,30 @@ def _build_view(
     Each track (agent modes and futures, the expert) keeps its ticks from
     `tick` on, held at its last point.  One `world_to_ego` call each moves
     the stacked tracks, the map and the agent positions: a stacked matmul
-    gives each row block the bits of a call of its own.
+    gives each row block the bits of a call of its own.  The arrays that do
+    not move with the ego (sizes, confidences, scores, map labels) pass
+    through unchanged.
     """
     t_f = scenario.t_future
     ticks = np.minimum(np.arange(tick, tick + t_f), t_f - 1)
-    tracks = [agent.modes for agent in scenario.agents]
-    tracks += [scenario.agent_future, scenario.expert[None]]
-    # per agent its modes, then the ground-truth futures and the expert
-    *modes, rest = np.split(
-        world_to_ego(np.concatenate(tracks)[:, ticks], position, heading),
-        np.cumsum([len(m) for m in tracks[:-2]]),
-    )
-    local_xy = world_to_ego(agent_poses.xy[:, tick, None], position, heading)[:, 0]
-    new_map = [
-        dataclasses.replace(mv, points=Polyline(xy))
-        for mv, xy in zip(scenario.map, world_to_ego(scenario.map_xy, position, heading))
-    ]
-    headings = agent_poses.heading[:, tick].tolist()
-    new_agents = [
-        dataclasses.replace(
-            agent,
-            position=Point2(*xy),
-            heading=_wrap_angle(h + math.pi / 2 - heading),
-            modes=agent_modes,
-            mode_scores=agent.mode_scores.copy(),
-        )
-        for agent, xy, h, agent_modes in zip(scenario.agents, local_xy.tolist(), headings, modes)
-    ]
-    ego = EgoState(
-        position=Point2(0.0, 0.0),
-        heading=math.pi / 2,
-        velocity=velocity,
-        acceleration=acceleration,
-        steering_angle=steering,
-        command=scenario.ego.command,
-    )
+    # the modes, then the ground-truth futures and the expert
+    k = len(scenario.agent_modes)
+    tracks = np.concatenate([scenario.agent_modes, scenario.agent_future, scenario.expert[None]])
+    tracks = world_to_ego(tracks[:, ticks], position, heading)
+    ego = EgoState(Point2(0.0, 0.0), math.pi / 2, velocity, acceleration, steering,
+                   scenario.ego.command)
     return dataclasses.replace(
-        scenario, map=new_map, agents=new_agents, agent_gt_futures=list(rest[:-1]),
-        ego=ego, expert=rest[-1],
+        scenario,
+        ego=ego,
+        expert=tracks[-1],
+        agent_xy=world_to_ego(agent_poses.xy[:, tick, None], position, heading)[:, 0],
+        # the scalar wrap, one `math.atan2` per agent: numpy's rounds differently
+        agent_heading=[
+            _wrap_angle(h + math.pi / 2 - heading) for h in agent_poses.heading[:, tick].tolist()
+        ],
+        agent_future=tracks[k:-1],
+        agent_modes=tracks[:k],
+        map_xy=world_to_ego(scenario.map_xy, position, heading),
     )
 
 

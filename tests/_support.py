@@ -22,12 +22,14 @@ from vecplan.geometry import (
     closest_polyline_within,
 )
 from vecplan.scene import (
-    AgentPrediction,
+    DRIVABLE_SIDES,
+    MAP_CLASSES,
+    Command,
+    EgoState,
     GeneratorConfig,
     MapClass,
-    MapVector,
     PlanTrajectory,
-    best_mode,
+    Scenario,
     ego_vectors,
     generate_scenario,
 )
@@ -89,31 +91,92 @@ def adamw_per_tensor_step(tensors, grads, m, v, step_count, lr, weight_decay,
         theta -= lr * (update + weight_decay * theta)
 
 
-def agent_tracks(agents) -> np.ndarray:
-    """The (A, T_f, 2) best-mode tracks of a non-empty list of agents, the
-    form `collision_loss` takes, stacked as `scene.pack` stacks them."""
-    return np.array([best_mode(a) for a in agents]).reshape(len(agents), -1, 2)
+# scenes built in tests: the ego at rest at the origin, heading +y
+EGO_AT_REST = EgoState(Point2(0.0, 0.0), math.pi / 2, 0.0, 0.0, 0.0, Command.GO_STRAIGHT)
 
 
-def polyline_set(map_vectors) -> PolylineSet:
-    """The polylines of map vectors, the form `boundary_loss` and
-    `direction_loss` take, packed as `scene.pack` packs them."""
-    return PolylineSet([mv.points for mv in map_vectors])
+def no_agents(t_f: int) -> dict:
+    """The agent arrays of a scene with no agents and `t_f` future steps."""
+    return one_mode_agents(np.zeros((0, 2)), np.zeros((0, t_f, 2)))
 
 
-def _track_agent(track: np.ndarray) -> AgentPrediction:
-    return AgentPrediction(
-        position=Point2(float(track[0, 0]), float(track[0, 1])),
-        heading=math.pi / 2,
-        size=(4.5, 1.9),
-        confidence=1.0,
-        modes=track[None, :, :].copy(),
-        mode_scores=np.array([1.0]),
+def one_mode_agents(xy, tracks, heading=math.pi / 2, size=(4.5, 1.9), confidence=1.0) -> dict:
+    """The agent arrays of agents at `xy` (A, 2), each with one mode, its
+    ground-truth future `tracks` (A, T_f, 2), and the same heading, size and
+    confidence."""
+    tracks = np.asarray(tracks, dtype=np.float64)
+    n = len(tracks)
+    return dict(
+        agent_xy=xy, agent_heading=np.full(n, heading), agent_size=np.tile(size, (n, 1)),
+        agent_confidence=np.full(n, confidence), agent_future=tracks, agent_modes=tracks,
+        agent_mode_scores=np.ones(n), agent_mode_count=np.ones(n, dtype=np.intp),
+    )
+
+
+def map_arrays(xy, kinds, confidence=1.0, sides=None) -> dict:
+    """The map arrays of polylines `xy` (M, P, 2) of the MapClass `kinds`,
+    with one confidence (or one each) and DRIVABLE_SIDES names (None:
+    unlabeled)."""
+    xy = np.reshape(xy, (len(kinds), -1, 2)) if kinds else np.zeros((0, 0, 2))
+    return dict(
+        map_xy=xy, map_kind=[MAP_CLASSES.index(k) for k in kinds],
+        map_confidence=np.broadcast_to(confidence, len(kinds)),
+        map_side=[DRIVABLE_SIDES[s] for s in sides or [None] * len(kinds)],
+    )
+
+
+def scene(expert, agents=None, map=None, ego=EGO_AT_REST, horizon_dt=0.5,
+          perception_range=(60.0, 30.0)) -> Scenario:
+    """A scenario with the given agent and map arrays, none where left out."""
+    expert = np.asarray(expert, dtype=np.float64)
+    return Scenario(
+        ego=ego, expert=expert, horizon_dt=horizon_dt, perception_range=perception_range,
+        **(no_agents(len(expert)) if agents is None else agents),
+        **(map_arrays([], []) if map is None else map),
+    )
+
+
+def mode_ranges(scenario) -> list[range]:
+    """The rows of `agent_modes` that hold each agent's modes."""
+    ends = np.cumsum(scenario.agent_mode_count).tolist()
+    return [range(start, end) for start, end in zip([0] + ends, ends)]
+
+
+def best_mode_rows(scenario) -> list[int]:
+    """The row of `agent_modes` that holds each agent's best mode, found by a
+    scan: the highest score, the lowest row on ties."""
+    scores = scenario.agent_mode_scores.tolist()
+    return [max(modes, key=lambda k: (scores[k], -k)) for modes in mode_ranges(scenario)]
+
+
+def take_agents(scenario, index):
+    """`scenario` with the agents that `index` picks, in its order."""
+    index = np.asarray(index, dtype=np.intp)
+    ranges = mode_ranges(scenario)
+    modes = np.array([k for i in index.tolist() for k in ranges[i]], dtype=np.intp)
+    return dataclasses.replace(
+        scenario,
+        agent_xy=scenario.agent_xy[index], agent_heading=scenario.agent_heading[index],
+        agent_size=scenario.agent_size[index],
+        agent_confidence=scenario.agent_confidence[index],
+        agent_future=scenario.agent_future[index], agent_modes=scenario.agent_modes[modes],
+        agent_mode_scores=scenario.agent_mode_scores[modes],
+        agent_mode_count=scenario.agent_mode_count[index],
+    )
+
+
+def take_map(scenario, index):
+    """`scenario` with the map elements that `index` picks, in its order."""
+    index = np.asarray(index, dtype=np.intp)
+    return dataclasses.replace(
+        scenario, map_xy=scenario.map_xy[index], map_kind=scenario.map_kind[index],
+        map_confidence=scenario.map_confidence[index], map_side=scenario.map_side[index],
     )
 
 
 def sample_collision_config(rng, params: ConstraintParams, t_f: int = 6):
-    """Random plan + agents, rejected until no activation boundary is near.
+    """Random plan + agent tracks (A, T_f, 2), rejected until no activation
+    boundary is near.
 
     Guards every discrete switch of the loss: the Euclidean candidate gate,
     the per-axis argmin assignment, the abs kink, and the hinge threshold.
@@ -143,7 +206,7 @@ def sample_collision_config(rng, params: ConstraintParams, t_f: int = 6):
             if not ok:
                 break
         if ok:
-            return PlanTrajectory(w), [_track_agent(tr) for tr in tracks]
+            return PlanTrajectory(w), tracks
     raise AssertionError("could not sample a non-degenerate collision config")
 
 
@@ -217,10 +280,7 @@ def _assignment_clear(p, polylines, min_distance: float) -> tuple[bool, float]:
 def sample_boundary_config(rng, params: ConstraintParams, t_f: int = 6):
     """Random plan + two boundary polylines with robust nearest assignments."""
     for _ in range(1000):
-        boundaries = [
-            MapVector(MapClass.ROAD_BOUNDARY, _wiggly_vertical(rng, -5.0), 1.0, "right"),
-            MapVector(MapClass.ROAD_BOUNDARY, _wiggly_vertical(rng, 5.0), 1.0, "left"),
-        ]
+        boundaries = [_wiggly_vertical(rng, -5.0), _wiggly_vertical(rng, 5.0)]
         # bias half the waypoints toward a boundary so hinges activate
         w = rng.uniform(-4.0, 4.0, size=(t_f, 2))
         w[:, 1] = rng.uniform(-10.0, 10.0, size=t_f)
@@ -228,10 +288,9 @@ def sample_boundary_config(rng, params: ConstraintParams, t_f: int = 6):
         w[near, 0] = rng.choice([-1.0, 1.0], size=int(near.sum())) * rng.uniform(
             4.0, 6.0, size=int(near.sum())
         )
-        polylines = [b.points for b in boundaries]
         ok = True
         for t in range(t_f):
-            clear, d = _assignment_clear(w[t], polylines, min_distance=0.05)
+            clear, d = _assignment_clear(w[t], boundaries, min_distance=0.05)
             if not clear or abs(d - params.boundary_clearance) < MARGIN:
                 ok = False
                 break
@@ -243,28 +302,24 @@ def sample_boundary_config(rng, params: ConstraintParams, t_f: int = 6):
 def sample_direction_config(rng, params: ConstraintParams, t_f: int = 6):
     """Random forward-moving plan + divider polylines with robust assignments."""
     for _ in range(1000):
-        dividers = [
-            MapVector(MapClass.LANE_DIVIDER, _wiggly_vertical(rng, -1.8), 1.0),
-            MapVector(MapClass.LANE_DIVIDER, _wiggly_vertical(rng, 1.8), 1.0),
-        ]
+        dividers = [_wiggly_vertical(rng, -1.8), _wiggly_vertical(rng, 1.8)]
         steps = rng.uniform(0.5, 2.5, size=(t_f, 2)) * np.array([0.3, 1.0])
         steps[:, 0] *= rng.choice([-1.0, 1.0], size=t_f)
         w = np.cumsum(steps, axis=0) + np.array([rng.uniform(-2.5, 2.5), -6.0])
-        polylines = [d.points for d in dividers]
         ok = True
         prev = np.zeros(2)
         for t in range(t_f):
             p = w[t]
-            ds = [min(d for d, _ in _segment_distances(p, [pl])) for pl in polylines]
+            ds = [min(d for d, _ in _segment_distances(p, [pl])) for pl in dividers]
             if any(abs(d - params.divider_search_range) < MARGIN for d in ds):
                 ok = False
                 break
             if min(ds) <= params.divider_search_range:
-                clear, _ = _assignment_clear(p, polylines, min_distance=MARGIN)
+                clear, _ = _assignment_clear(p, dividers, min_distance=MARGIN)
                 if not clear:
                     ok = False
                     break
-                winner = polylines[int(np.argmin(ds))]
+                winner = dividers[int(np.argmin(ds))]
                 seg_ds = _segment_distances(p, [winner])
                 seg_i = int(np.argmin([d for d, _ in seg_ds]))
                 u = np.diff(winner.xy, axis=0)[seg_i]
@@ -323,16 +378,24 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     "total", the reference that the packed losses must match bit for bit."""
     w = plan.waypoints
     t_f = w.shape[0]
-    agents = [a for a in scenario.agents if a.confidence >= params.agent_min_confidence]
-    kept = [mv for mv in scenario.map if mv.confidence >= params.map_min_confidence]
-    boundaries = [mv for mv in kept if mv.kind == MapClass.ROAD_BOUNDARY]
-    dividers = [mv for mv in kept if mv.kind == MapClass.LANE_DIVIDER]
+    agents = [
+        scenario.agent_modes[best]
+        for best, confidence in zip(best_mode_rows(scenario), scenario.agent_confidence)
+        if confidence >= params.agent_min_confidence
+    ]
+    kept = [
+        (MAP_CLASSES[kind], Polyline(xy))
+        for xy, kind, confidence in zip(scenario.map_xy, scenario.map_kind, scenario.map_confidence)
+        if confidence >= params.map_min_confidence
+    ]
+    boundaries = [pl for kind, pl in kept if kind == MapClass.ROAD_BOUNDARY]
+    dividers = [pl for kind, pl in kept if kind == MapClass.LANE_DIVIDER]
     terms = {}
 
     grad = np.zeros_like(w)
     total = 0.0
     if agents:
-        delta = np.stack([best_mode(a) for a in agents]) - w
+        delta = np.stack(agents) - w
         dist = np.hypot(delta[..., 0], delta[..., 1])
         candidate = dist <= params.agent_search_range
         if params.collision_mode == "single_nearest":
@@ -351,7 +414,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     grad = np.zeros_like(w)
     total = 0.0
     if boundaries:
-        hit = closest_polyline(w, PolylineSet([mv.points for mv in boundaries]))
+        hit = closest_polyline(w, PolylineSet(boundaries))
         active = hit.dist < params.boundary_clearance
         total = float((params.boundary_clearance - hit.dist[active]).sum())
         pull = active & (hit.dist > 0.0)
@@ -362,7 +425,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     total = 0.0
     if dividers:
         hit = closest_polyline_within(
-            w, PolylineSet([mv.points for mv in dividers]), params.divider_search_range
+            w, PolylineSet(dividers), params.divider_search_range
         )
         vectors = ego_vectors(plan)
         moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
@@ -397,9 +460,9 @@ def unpacked_planning_loss(plan, scenario, params, weights):
 
 def looped_scene_features(scenario):
     """The network's input rows built one agent and one map element at a
-    time from the scene's records, the way they were built before scenes
-    carried arrays: the reference that `interact.scene_features` must match
-    bit for bit.  Returns (agent rows, map rows, map centroids)."""
+    time, the way they were built before scenes were stacked: the reference
+    that `interact.scene_features` must match bit for bit.  Returns (agent
+    rows, map rows, map centroids)."""
     from vecplan.interact import (
         AGENT_FEATURE_DIM,
         MAP_FEATURE_DIM,
@@ -407,23 +470,23 @@ def looped_scene_features(scenario):
         SPEED_SCALE,
     )
 
-    agent_rows = np.zeros((len(scenario.agents), AGENT_FEATURE_DIM))
-    for i, agent in enumerate(scenario.agents):
-        step = best_mode(agent)[0] - agent.position
+    agent_rows = np.zeros((len(scenario.agent_xy), AGENT_FEATURE_DIM))
+    for i, best in enumerate(best_mode_rows(scenario)):
+        (x, y), heading = scenario.agent_xy[i].tolist(), float(scenario.agent_heading[i])
+        step = scenario.agent_modes[best, 0] - (x, y)
         speed = math.hypot(step[0], step[1]) / scenario.horizon_dt
         agent_rows[i] = (
-            agent.position.x * POSITION_SCALE,
-            agent.position.y * POSITION_SCALE,
-            math.cos(agent.heading),
-            math.sin(agent.heading),
+            x * POSITION_SCALE,
+            y * POSITION_SCALE,
+            math.cos(heading),
+            math.sin(heading),
             speed * SPEED_SCALE,
-            agent.confidence,
+            scenario.agent_confidence[i],
         )
     kinds = [MapClass.LANE_DIVIDER, MapClass.ROAD_BOUNDARY, MapClass.PEDESTRIAN_CROSSING]
-    map_rows = np.zeros((len(scenario.map), MAP_FEATURE_DIM))
-    centroids = np.zeros((len(scenario.map), 2))
-    for i, mv in enumerate(scenario.map):
-        xy = mv.points.xy
+    map_rows = np.zeros((len(scenario.map_xy), MAP_FEATURE_DIM))
+    centroids = np.zeros((len(scenario.map_xy), 2))
+    for i, xy in enumerate(scenario.map_xy):
         centroids[i] = xy.mean(axis=0)
         for a, b in zip(xy[:-1], xy[1:]):
             d = b - a
@@ -431,7 +494,7 @@ def looped_scene_features(scenario):
             if n > 0.0:
                 map_rows[i, 5:7] = d / n
                 break
-        map_rows[i, kinds.index(mv.kind)] = 1.0
+        map_rows[i, kinds.index(MAP_CLASSES[scenario.map_kind[i]])] = 1.0
         map_rows[i, 3:5] = centroids[i] * POSITION_SCALE
     return agent_rows, map_rows, centroids
 
@@ -449,36 +512,38 @@ SCENE_KINDS = {
 def scene_of_kind(kind: str, seed: int):
     """A generated scene of one of SCENE_KINDS; "map_free" drops the map."""
     s = generate_scenario(seed, SCENE_KINDS[kind])
-    return dataclasses.replace(s, map=[]) if kind == "map_free" else s
+    return take_map(s, []) if kind == "map_free" else s
 
 
 def with_mixed_modes(scenario, rng):
     """`scenario` with each agent keeping a random, shuffled subset of its
     modes (at least one), so agents differ in mode count and best mode."""
-    agents = []
-    for a in scenario.agents:
-        keep = rng.permutation(a.n_modes)[: int(rng.integers(1, a.n_modes + 1))]
-        agents.append(dataclasses.replace(a, modes=a.modes[keep], mode_scores=a.mode_scores[keep]))
-    return dataclasses.replace(scenario, agents=agents)
+    keep = []
+    for modes in mode_ranges(scenario):
+        n = len(modes)
+        keep.append(modes.start + rng.permutation(n)[: int(rng.integers(1, n + 1))])
+    rows = np.concatenate([np.zeros(0, dtype=np.intp)] + keep)
+    return dataclasses.replace(
+        scenario, agent_modes=scenario.agent_modes[rows],
+        agent_mode_scores=scenario.agent_mode_scores[rows],
+        agent_mode_count=[len(k) for k in keep],
+    )
 
 
 def with_repeated_map_points(scenario, rng):
     """`scenario` with the first few points of each map polyline made equal,
     so that its first non-degenerate segment is not always its first."""
-    map_vectors = []
-    for mv in scenario.map:
-        xy = mv.points.xy.copy()
-        xy[1 : int(rng.integers(1, 4))] = xy[0]
-        map_vectors.append(dataclasses.replace(mv, points=Polyline(xy)))
-    return dataclasses.replace(scenario, map=map_vectors)
+    xy = scenario.map_xy.copy()
+    for row in xy:
+        row[1 : int(rng.integers(1, 4))] = row[0]
+    return dataclasses.replace(scenario, map_xy=xy)
 
 
 def looped_view(scenario, agent_poses, tick, position, heading, velocity, acceleration, steering):
-    """`simulator._build_view` as it was written before scenes carried
-    arrays: one `world_to_ego` call per map element, agent position, mode,
+    """`simulator._build_view` as it was written before scenes were stacked:
+    one `world_to_ego` call per map element, agent position, mode,
     ground-truth future and the expert.  The reference the stacked calls
     must match bit for bit."""
-    from vecplan.scene import EgoState, Scenario
     from vecplan.simulator import _wrap_angle, world_to_ego
 
     def pad(track):
@@ -488,25 +553,26 @@ def looped_view(scenario, agent_poses, tick, position, heading, velocity, accele
         fill = scenario.t_future - remaining.shape[0]
         return np.vstack([remaining, np.tile(remaining[-1], (fill, 1))]) if fill else remaining
 
-    new_map = [
-        dataclasses.replace(mv, points=Polyline(world_to_ego(mv.points.xy, position, heading)))
-        for mv in scenario.map
+    n_a, t_f = len(scenario.agent_xy), scenario.t_future
+    agent_xy = np.zeros((n_a, 2))
+    for i in range(n_a):
+        agent_xy[i] = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
+    headings = [
+        _wrap_angle(float(h) + math.pi / 2 - heading) for h in agent_poses.heading[:, tick]
     ]
-    new_agents = []
-    for i, agent in enumerate(scenario.agents):
-        local = world_to_ego(agent_poses.xy[i, tick], position, heading)[0]
-        new_agents.append(dataclasses.replace(
-            agent,
-            position=Point2(*local),
-            heading=_wrap_angle(float(agent_poses.heading[i, tick]) + math.pi / 2 - heading),
-            modes=np.stack([world_to_ego(pad(m), position, heading) for m in agent.modes]),
-            mode_scores=agent.mode_scores.copy(),
-        ))
-    futures = [world_to_ego(pad(f), position, heading) for f in scenario.agent_gt_futures]
+    modes = np.zeros((len(scenario.agent_modes), t_f, 2))
+    for k, mode in enumerate(scenario.agent_modes):
+        modes[k] = world_to_ego(pad(mode), position, heading)
+    futures = np.zeros((n_a, t_f, 2))
+    for i, future in enumerate(scenario.agent_future):
+        futures[i] = world_to_ego(pad(future), position, heading)
+    map_xy = np.zeros(scenario.map_xy.shape)
+    for i, xy in enumerate(scenario.map_xy):
+        map_xy[i] = world_to_ego(xy, position, heading)
     ego = EgoState(Point2(0.0, 0.0), math.pi / 2, velocity, acceleration, steering,
                    scenario.ego.command)
-    return Scenario(
-        map=new_map, agents=new_agents, agent_gt_futures=futures, ego=ego,
-        expert=world_to_ego(pad(scenario.expert), position, heading),
-        horizon_dt=scenario.horizon_dt, perception_range=scenario.perception_range,
+    return dataclasses.replace(
+        scenario, ego=ego, expert=world_to_ego(pad(scenario.expert), position, heading),
+        agent_xy=agent_xy, agent_heading=headings, agent_future=futures, agent_modes=modes,
+        map_xy=map_xy,
     )

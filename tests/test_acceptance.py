@@ -4,22 +4,23 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavy criteria (the
 toggle ablation and the 60-epoch training run) take a few minutes combined.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 from _support import (
-    agent_tracks,
     fd_param_gradient,
     fd_plan_gradient,
     max_rel_err,
-    polyline_set,
     sample_boundary_config,
     sample_collision_config,
     sample_direction_config,
     sample_imitation_config,
     segment_distance,
+    take_agents,
+    take_map,
 )
 
 from vecplan import autodiff as ad
@@ -43,12 +44,8 @@ from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.learning import TrainConfig, minfde_select, train
 from vecplan.metrics import AblationArm, ablation_report, collision_rate
 from vecplan.scene import (
-    AgentPrediction,
     GeneratorConfig,
-    MapClass,
-    MapVector,
     PlanTrajectory,
-    Scenario,
     best_mode_index,
     generate_scenario,
 )
@@ -67,8 +64,7 @@ class TestCriterion1GradientFidelity:
         worst = 0.0
         rng = np.random.default_rng(1001)
         for _ in range(100):
-            plan, agents = sample_collision_config(rng, PAPER_PARAMS)
-            tracks = agent_tracks(agents)
+            plan, tracks = sample_collision_config(rng, PAPER_PARAMS)
             res = collision_loss(plan, tracks, PAPER_PARAMS)
             fd = fd_plan_gradient(
                 lambda w: collision_loss(PlanTrajectory(w), tracks, PAPER_PARAMS).value,
@@ -78,7 +74,7 @@ class TestCriterion1GradientFidelity:
         rng = np.random.default_rng(1002)
         for _ in range(100):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            polylines = polyline_set(boundaries)
+            polylines = PolylineSet(boundaries)
             res = boundary_loss(plan, polylines, PAPER_PARAMS)
             fd = fd_plan_gradient(
                 lambda w: boundary_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
@@ -88,7 +84,7 @@ class TestCriterion1GradientFidelity:
         rng = np.random.default_rng(1003)
         for _ in range(100):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            polylines = polyline_set(dividers)
+            polylines = PolylineSet(dividers)
             res = direction_loss(plan, polylines, PAPER_PARAMS)
             fd = fd_plan_gradient(
                 lambda w: direction_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
@@ -122,22 +118,15 @@ class TestCriterion2CollisionHandCases:
         """
 
         def agent(x, y):
-            track = np.array([[x, y]])
-            return AgentPrediction(
-                position=Point2(x, y),
-                heading=math.pi / 2,
-                size=(4.5, 1.9),
-                confidence=1.0,
-                modes=track[None],
-                mode_scores=np.array([1.0]),
-            )
+            # the (1, 1, 2) track of one agent at (x, y)
+            return np.array([[[x, y]]], dtype=np.float64)
 
         plan = PlanTrajectory(np.zeros((1, 2)))
         wide = ConstraintParams(agent_search_range=100.0)
 
-        case_a = collision_loss(plan, agent_tracks([agent(10.0, 10.0)]), PAPER_PARAMS).value
-        case_b = collision_loss(plan, agent_tracks([agent(1.0, 3.5)]), wide).value
-        case_c = collision_loss(plan, agent_tracks([agent(1.0, 2.0)]), PAPER_PARAMS).value
+        case_a = collision_loss(plan, agent(10.0, 10.0), PAPER_PARAMS).value
+        case_b = collision_loss(plan, agent(1.0, 3.5), wide).value
+        case_c = collision_loss(plan, agent(1.0, 2.0), PAPER_PARAMS).value
         assert abs(case_a - 0.0) <= 1e-12
         assert abs(case_b - 0.5) <= 1e-12
         assert abs(case_c - 1.5) <= 1e-12
@@ -146,23 +135,14 @@ class TestCriterion2CollisionHandCases:
 
 class TestCriterion3BoundaryDirectionHandCases:
     def test_boundary_and_direction_fixtures(self):
-        bd = MapVector(
-            MapClass.ROAD_BOUNDARY,
-            Polyline([Point2(5.0, -10.0), Point2(5.0, 10.0)]),
-            1.0,
-            "left",
-        )
+        bd = Polyline([Point2(5.0, -10.0), Point2(5.0, 10.0)])
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        bd_value = boundary_loss(plan, polyline_set([bd]), PAPER_PARAMS).value
+        bd_value = boundary_loss(plan, PolylineSet([bd]), PAPER_PARAMS).value
         assert abs(bd_value - 0.6) <= 1e-12
 
-        divider = MapVector(
-            MapClass.LANE_DIVIDER,
-            Polyline([Point2(0.0, -10.0), Point2(0.0, 10.0)]),
-            1.0,
-        )
+        divider = Polyline([Point2(0.0, -10.0), Point2(0.0, 10.0)])
         diag = PlanTrajectory(np.array([[1.0, 1.0]]))
-        dir_value = direction_loss(diag, polyline_set([divider]), PAPER_PARAMS).value
+        dir_value = direction_loss(diag, PolylineSet([divider]), PAPER_PARAMS).value
         assert abs(dir_value - math.pi / 4) <= 1e-12
         report(3, f"boundary 0.6 fixture -> {bd_value}; direction pi/4 fixture -> {dir_value:.12f}")
 
@@ -236,15 +216,11 @@ class TestCriterion5OracleEquivalence:
             n_k = int(rng.integers(1, 8))
             scores = np.round(rng.uniform(0, 1, n_k), 2)
             modes = rng.uniform(-5, 5, (n_k, 4, 2))
-            agent = AgentPrediction(
-                position=Point2(0, 0), heading=0.0, size=(4, 2),
-                confidence=1.0, modes=modes, mode_scores=scores,
-            )
             best_score, best_i = -1.0, 0
             for i, sc in enumerate(scores):
                 if sc > best_score:
                     best_score, best_i = float(sc), i
-            assert best_mode_index(agent) == best_i
+            assert best_mode_index(scores) == best_i
 
             gt = rng.uniform(-5, 5, (4, 2))
             best_fde, best_k = math.inf, 0
@@ -280,15 +256,15 @@ class TestCriterion5OracleEquivalence:
                 ego = poses_of(plan.waypoints, (0.0, 0.0), math.pi / 2)
                 hit = False
                 for t in range(ticks):
-                    for ai, agent in enumerate(s.agents):
+                    for ai in range(len(s.agent_xy)):
                         track = poses_of(
-                            s.agent_gt_futures[ai],
-                            (agent.position.x, agent.position.y),
-                            agent.heading,
+                            s.agent_future[ai],
+                            tuple(s.agent_xy[ai].tolist()),
+                            float(s.agent_heading[ai]),
                         )
                         if oriented_rect_overlap(
                             box_frame(ego[t][0], ego[t][1], (4.0, 1.85)),
-                            box_frame(track[t][0], track[t][1], agent.size),
+                            box_frame(track[t][0], track[t][1], tuple(s.agent_size[ai])),
                         ):
                             hit = True
                 if hit:
@@ -374,20 +350,11 @@ class TestCriterion7TrainingProgress:
         # agents longitudinally must change the plan
         s = generate_scenario(424242, GeneratorConfig(agent_count_range=(3, 5)))
         base = forward_plan(s, params).plan.waypoints
-        moved = Scenario(
-            map=s.map,
-            agents=[
-                AgentPrediction(
-                    Point2(a.position.x, a.position.y + 10.0), a.heading, a.size,
-                    a.confidence, a.modes + [0.0, 10.0], a.mode_scores,
-                )
-                for a in s.agents
-            ],
-            agent_gt_futures=[f + [0.0, 10.0] for f in s.agent_gt_futures],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
+        moved = dataclasses.replace(
+            s,
+            agent_xy=s.agent_xy + [0.0, 10.0],
+            agent_modes=s.agent_modes + [0.0, 10.0],
+            agent_future=s.agent_future + [0.0, 10.0],
         )
         shifted = forward_plan(moved, params).plan.waypoints
         assert np.linalg.norm(shifted - base) > 0.0
@@ -440,34 +407,19 @@ class TestCriterion9InvarianceSuite:
         shift = np.array([4.2, -7.7])
 
         # translation invariance of collision loss
-        plan, agents = sample_collision_config(rng, PAPER_PARAMS)
-        moved_agents = [
-            AgentPrediction(
-                Point2(a.position.x + shift[0], a.position.y + shift[1]),
-                a.heading, a.size, a.confidence, a.modes + shift, a.mode_scores,
-            )
-            for a in agents
-        ]
-        base = collision_loss(plan, agent_tracks(agents), PAPER_PARAMS).value
+        plan, tracks = sample_collision_config(rng, PAPER_PARAMS)
+        base = collision_loss(plan, tracks, PAPER_PARAMS).value
         moved = collision_loss(
-            PlanTrajectory(plan.waypoints + shift), agent_tracks(moved_agents), PAPER_PARAMS
+            PlanTrajectory(plan.waypoints + shift), tracks + shift, PAPER_PARAMS
         ).value
         assert abs(base - moved) <= 1e-12
 
         # translation invariance of boundary loss
         plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-        moved_bd = [
-            MapVector(
-                b.kind,
-                Polyline(b.points.xy + shift),
-                b.confidence,
-                b.drivable_side,
-            )
-            for b in boundaries
-        ]
-        base = boundary_loss(plan, polyline_set(boundaries), PAPER_PARAMS).value
+        moved_bd = [Polyline(b.xy + shift) for b in boundaries]
+        base = boundary_loss(plan, PolylineSet(boundaries), PAPER_PARAMS).value
         moved = boundary_loss(
-            PlanTrajectory(plan.waypoints + shift), polyline_set(moved_bd), PAPER_PARAMS
+            PlanTrajectory(plan.waypoints + shift), PolylineSet(moved_bd), PAPER_PARAMS
         ).value
         assert abs(base - moved) <= 1e-12
 
@@ -475,17 +427,10 @@ class TestCriterion9InvarianceSuite:
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
         phi = 1.1
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        rot_dividers = [
-            MapVector(
-                d.kind,
-                Polyline([rot @ p for p in d.points.xy]),
-                d.confidence,
-            )
-            for d in dividers
-        ]
-        base = direction_loss(plan, polyline_set(dividers), PAPER_PARAMS).value
+        rot_dividers = [Polyline([rot @ p for p in d.xy]) for d in dividers]
+        base = direction_loss(plan, PolylineSet(dividers), PAPER_PARAMS).value
         rotated = direction_loss(
-            PlanTrajectory(plan.waypoints @ rot.T), polyline_set(rot_dividers), PAPER_PARAMS
+            PlanTrajectory(plan.waypoints @ rot.T), PolylineSet(rot_dividers), PAPER_PARAMS
         ).value
         assert abs(base - rotated) <= 1e-9
 
@@ -493,17 +438,9 @@ class TestCriterion9InvarianceSuite:
         s = generate_scenario(99, GeneratorConfig(agent_count_range=(5, 5)))
         params = InteractionParams.initialize(InteractionConfig(), seed=3)
         base_plan = forward_plan(s, params).plan.waypoints
-        aperm = rng.permutation(len(s.agents))
-        mperm = rng.permutation(len(s.map))
-        permuted = Scenario(
-            map=[s.map[i] for i in mperm],
-            agents=[s.agents[i] for i in aperm],
-            agent_gt_futures=[s.agent_gt_futures[i] for i in aperm],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
-        )
+        aperm = rng.permutation(len(s.agent_xy))
+        mperm = rng.permutation(len(s.map_xy))
+        permuted = take_map(take_agents(s, aperm), mperm)
         perm_plan = forward_plan(permuted, params).plan.waypoints
         assert np.max(np.abs(perm_plan - base_plan)) <= 1e-10
 

@@ -141,6 +141,25 @@ class TestConfig:
         with pytest.raises(VecplanError, match="resolved config"):
             _json_artifact({"learning_rate": float("nan")}, "resolved config")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("generate", "--count"), ("evaluate", "--count"), ("ablate", "--count"),
+         ("simulate", "--ticks")],
+    )
+    def test_count_and_tick_flags_below_one_refused(self, tmp_path, capsys, command, flag, value):
+        # refused before any work: no training, no scenes, no file written
+        cfg = tiny_config(tmp_path)
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(0), scenario)
+        extra = ["--scenario", str(scenario)] if command == "simulate" else []
+        rc = run(command, "--config", str(cfg), flag, value, *extra)
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), lines
+        assert f"{flag} must be >= 1, got {value}" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("generate", "--config", str(tmp_path / "nope.json"))
         assert rc == 1

@@ -1,16 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from _support import (
-    agent_tracks,
     fd_plan_gradient,
     max_rel_err,
-    polyline_set,
     sample_boundary_config,
     sample_collision_config,
     sample_direction_config,
     sample_imitation_config,
+    take_map,
     unpacked_planning_loss,
 )
 
@@ -25,14 +25,10 @@ from vecplan.constraints import (
     total_planning_loss,
 )
 from vecplan.errors import GeometryError, ShapeError
-from vecplan.geometry import Point2, Polyline
+from vecplan.geometry import Point2, Polyline, PolylineSet
 from vecplan.scene import (
-    AgentPrediction,
     GeneratorConfig,
-    MapClass,
-    MapVector,
     PlanTrajectory,
-    Scenario,
     generate_scenario,
     pack,
 )
@@ -41,31 +37,22 @@ PAPER_PARAMS = ConstraintParams()  # thresholds 0.5/0.5, 3.0, 1.0, 2.0, 1.5, 3.0
 
 
 def agent_at(x, y, t_f=1):
-    track = np.tile([x, y], (t_f, 1)).astype(np.float64)
-    return AgentPrediction(
-        position=Point2(float(x), float(y)),
-        heading=math.pi / 2,
-        size=(4.5, 1.9),
-        confidence=1.0,
-        modes=track[None],
-        mode_scores=np.array([1.0]),
-    )
+    """The track of an agent that stays at (x, y) for `t_f` steps."""
+    return np.tile([x, y], (t_f, 1)).astype(np.float64)
 
 
 def boundary_line(x, lo=-10.0, hi=10.0):
-    return MapVector(
-        MapClass.ROAD_BOUNDARY, Polyline([Point2(x, lo), Point2(x, hi)]), 1.0, "left"
-    )
+    return Polyline([Point2(x, lo), Point2(x, hi)])
 
 
 def divider_line(x, lo=-10.0, hi=10.0):
-    return MapVector(MapClass.LANE_DIVIDER, Polyline([Point2(x, lo), Point2(x, hi)]), 1.0)
+    return Polyline([Point2(x, lo), Point2(x, hi)])
 
 
 class TestCollisionLoss:
     def test_no_agent_in_range(self):
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(20.0, 20.0)]), PAPER_PARAMS)
+        res = collision_loss(plan, np.array([agent_at(20.0, 20.0)]), PAPER_PARAMS)
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -74,13 +61,13 @@ class TestCollisionLoss:
         # hinge gives 1.5 - 1.0 = 0.5, longitudinal 3.5 >= 3.0 contributes 0
         params = ConstraintParams(agent_search_range=100.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(1.0, 3.5)]), params)
+        res = collision_loss(plan, np.array([agent_at(1.0, 3.5)]), params)
         assert res.value == pytest.approx(0.5, abs=1e-12)
 
     def test_search_radius_gates_candidates(self):
         # same agent at Euclidean distance 3.64 > 3.0: not a candidate
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(1.0, 3.5)]), PAPER_PARAMS)
+        res = collision_loss(plan, np.array([agent_at(1.0, 3.5)]), PAPER_PARAMS)
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -88,13 +75,13 @@ class TestCollisionLoss:
         # per-axis distances (1.0, 2.0), Euclidean 2.24 < 3.0:
         # 0.5 lateral + 1.0 longitudinal
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(1.0, 2.0)]), PAPER_PARAMS)
+        res = collision_loss(plan, np.array([agent_at(1.0, 2.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.5, abs=1e-12)
 
     def test_hinge_boundary_uses_zero_branch(self):
         params = ConstraintParams(agent_search_range=100.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(1.5, 3.0)]), params)
+        res = collision_loss(plan, np.array([agent_at(1.5, 3.0)]), params)
         assert res.value == 0.0
 
     def test_empty_agent_list(self):
@@ -104,14 +91,14 @@ class TestCollisionLoss:
 
     def test_mean_over_horizon(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = collision_loss(plan, agent_tracks([agent_at(1.0, 2.0, t_f=2)]), PAPER_PARAMS)
+        res = collision_loss(plan, np.array([agent_at(1.0, 2.0, t_f=2)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.5, abs=1e-12)  # same term both steps
 
     def test_per_axis_minima_can_come_from_different_agents(self):
         params = ConstraintParams(agent_search_range=10.0)
         plan = PlanTrajectory(np.zeros((1, 2)))
         agents = [agent_at(1.0, 2.9), agent_at(2.9, 2.0)]
-        res = collision_loss(plan, agent_tracks(agents), params)
+        res = collision_loss(plan, np.array(agents), params)
         # lateral min 1.0 from agent 0, longitudinal min 2.0 from agent 1
         assert res.value == pytest.approx(0.5 + 1.0, abs=1e-12)
 
@@ -121,14 +108,14 @@ class TestCollisionLoss:
         agents = [agent_at(1.0, 2.0), agent_at(0.5, 2.8)]
         # Euclidean nearest is agent 0 at sqrt(5)=2.24 (< 2.84), its per-axis
         # distances (1.0, 2.0) drive both hinges
-        res = collision_loss(plan, agent_tracks(agents), params)
+        res = collision_loss(plan, np.array(agents), params)
         assert res.value == pytest.approx(1.5, abs=1e-12)
 
     def test_monotone_in_active_agent_distance(self):
         plan = PlanTrajectory(np.zeros((1, 2)))
         prev = math.inf
         for dx in np.linspace(0.1, 3.5, 30):
-            value = collision_loss(plan, agent_tracks([agent_at(dx, 0.5)]), PAPER_PARAMS).value
+            value = collision_loss(plan, np.array([agent_at(dx, 0.5)]), PAPER_PARAMS).value
             assert value <= prev + 1e-12
             prev = value
 
@@ -136,29 +123,18 @@ class TestCollisionLoss:
         rng = np.random.default_rng(0)
         plan, agents = sample_collision_config(rng, PAPER_PARAMS)
         shift = np.array([3.7, -2.1])
-        moved_agents = []
-        for a in agents:
-            moved_agents.append(
-                AgentPrediction(
-                    position=Point2(a.position.x + shift[0], a.position.y + shift[1]),
-                    heading=a.heading,
-                    size=a.size,
-                    confidence=a.confidence,
-                    modes=a.modes + shift,
-                    mode_scores=a.mode_scores,
-                )
-            )
+        moved_agents = agents + shift
         moved_plan = PlanTrajectory(plan.waypoints + shift)
-        moved = collision_loss(moved_plan, agent_tracks(moved_agents), PAPER_PARAMS).value
+        moved = collision_loss(moved_plan, moved_agents, PAPER_PARAMS).value
         assert moved == pytest.approx(
-            collision_loss(plan, agent_tracks(agents), PAPER_PARAMS).value, abs=1e-12
+            collision_loss(plan, agents, PAPER_PARAMS).value, abs=1e-12
         )
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             plan, agents = sample_collision_config(rng, PAPER_PARAMS)
-            tracks = agent_tracks(agents)
+            tracks = agents
             res = collision_loss(plan, tracks, PAPER_PARAMS)
             fd = fd_plan_gradient(
                 lambda w: collision_loss(PlanTrajectory(w), tracks, PAPER_PARAMS).value,
@@ -171,7 +147,7 @@ class TestCollisionLoss:
         rng = np.random.default_rng(43)
         for _ in range(10):
             plan, agents = sample_collision_config(rng, params)
-            tracks = agent_tracks(agents)
+            tracks = agents
             res = collision_loss(plan, tracks, params)
             fd = fd_plan_gradient(
                 lambda w: collision_loss(PlanTrajectory(w), tracks, params).value,
@@ -183,41 +159,33 @@ class TestCollisionLoss:
 class TestBoundaryLoss:
     def test_all_waypoints_clear(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_hand_case(self):
         # waypoint 0.4 m from the boundary, clearance 1.0 -> penalty 0.6
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(0.6, abs=1e-12)
 
     def test_waypoint_on_boundary_gets_max_penalty(self):
         plan = PlanTrajectory(np.array([[5.0, 0.0]]))
-        res = boundary_loss(plan, polyline_set([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert not res.grad.any()  # zero subgradient exactly on the line
 
     def test_no_boundaries(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        assert boundary_loss(plan, polyline_set([]), PAPER_PARAMS).value == 0.0
+        assert boundary_loss(plan, PolylineSet([]), PAPER_PARAMS).value == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
         shift = np.array([-1.3, 4.2])
-        moved = [
-            MapVector(
-                b.kind,
-                Polyline(b.points.xy + shift),
-                b.confidence,
-                b.drivable_side,
-            )
-            for b in boundaries
-        ]
+        moved = [Polyline(b.xy + shift) for b in boundaries]
         moved_plan = PlanTrajectory(plan.waypoints + shift)
-        assert boundary_loss(moved_plan, polyline_set(moved), PAPER_PARAMS).value == pytest.approx(
-            boundary_loss(plan, polyline_set(boundaries), PAPER_PARAMS).value, abs=1e-12
+        assert boundary_loss(moved_plan, PolylineSet(moved), PAPER_PARAMS).value == pytest.approx(
+            boundary_loss(plan, PolylineSet(boundaries), PAPER_PARAMS).value, abs=1e-12
         )
 
     def test_gradient_matches_finite_differences(self):
@@ -225,7 +193,7 @@ class TestBoundaryLoss:
         active = 0
         for _ in range(25):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            polylines = polyline_set(boundaries)
+            polylines = PolylineSet(boundaries)
             res = boundary_loss(plan, polylines, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
@@ -241,46 +209,39 @@ class TestDirectionLoss:
     def test_parallel_to_divider(self):
         # plan runs straight up from the origin, divider is 0.5 m to the side
         plan = PlanTrajectory(np.array([[0.0, 1.0], [0.0, 2.0]]))
-        res = direction_loss(plan, polyline_set([divider_line(0.5)]), PAPER_PARAMS)
+        res = direction_loss(plan, PolylineSet([divider_line(0.5)]), PAPER_PARAMS)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_motion_hand_case(self):
         # divider along +y, single step (1, 1): angle pi/4
         plan = PlanTrajectory(np.array([[1.0, 1.0]]))
-        res = direction_loss(plan, polyline_set([divider_line(0.0)]), PAPER_PARAMS)
+        res = direction_loss(plan, PolylineSet([divider_line(0.0)]), PAPER_PARAMS)
         assert res.value == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_out_of_range_divider_contributes_nothing(self):
         plan = PlanTrajectory(np.array([[0.0, 1.0]]))
-        res = direction_loss(plan, polyline_set([divider_line(2.5)]), PAPER_PARAMS)
+        res = direction_loss(plan, PolylineSet([divider_line(2.5)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_zero_step_contributes_nothing(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = direction_loss(plan, polyline_set([divider_line(0.5)]), PAPER_PARAMS)
+        res = direction_loss(plan, PolylineSet([divider_line(0.5)]), PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_no_dividers(self):
         plan = PlanTrajectory(np.ones((2, 2)))
-        assert direction_loss(plan, polyline_set([]), PAPER_PARAMS).value == 0.0
+        assert direction_loss(plan, PolylineSet([]), PAPER_PARAMS).value == 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-        base = direction_loss(plan, polyline_set(dividers), PAPER_PARAMS).value
+        base = direction_loss(plan, PolylineSet(dividers), PAPER_PARAMS).value
         phi = 0.7
         c, s = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -s], [s, c]])
         rplan = PlanTrajectory(plan.waypoints @ rot.T)
-        rdividers = [
-            MapVector(
-                d.kind,
-                Polyline([rot @ p for p in d.points.xy]),
-                d.confidence,
-            )
-            for d in dividers
-        ]
-        assert direction_loss(rplan, polyline_set(rdividers), PAPER_PARAMS).value == pytest.approx(
+        rdividers = [Polyline([rot @ p for p in d.xy]) for d in dividers]
+        assert direction_loss(rplan, PolylineSet(rdividers), PAPER_PARAMS).value == pytest.approx(
             base, abs=1e-9
         )
 
@@ -289,7 +250,7 @@ class TestDirectionLoss:
         active = 0
         for _ in range(25):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            polylines = polyline_set(dividers)
+            polylines = PolylineSet(dividers)
             res = direction_loss(plan, polylines, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
@@ -370,7 +331,7 @@ class TestRawInputsAreChecked:
     def test_map_sets_only_hold_checked_polylines(self, loss, bad):
         # a PolylineSet is made of Polylines, each checked when it is made
         with pytest.raises(GeometryError):
-            loss(self.PLAN, polyline_set([MapVector(MapClass.LANE_DIVIDER, Polyline(bad), 1.0)]),
+            loss(self.PLAN, PolylineSet([Polyline(bad)]),
                  PAPER_PARAMS)
 
 
@@ -425,22 +386,10 @@ class TestTotalPlanningLoss:
 
     def test_respects_confidence_filters(self):
         s = generate_scenario(6)
-        low_conf = []
-        for a in s.agents:
-            low_conf.append(
-                AgentPrediction(a.position, a.heading, a.size, 0.1, a.modes, a.mode_scores)
-            )
-        s2_map = [MapVector(m.kind, m.points, 0.1, m.drivable_side) for m in s.map]
-        from vecplan.scene import Scenario
-
-        s2 = Scenario(
-            map=s2_map,
-            agents=low_conf,
-            agent_gt_futures=s.agent_gt_futures,
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
+        s2 = dataclasses.replace(
+            s,
+            agent_confidence=np.full(len(s.agent_xy), 0.1),
+            map_confidence=np.full(len(s.map_xy), 0.1),
         )
         plan = PlanTrajectory(s.expert + 0.8)
         res = total_planning_loss(plan, s2, PAPER_PARAMS, LossWeights())
@@ -480,12 +429,7 @@ class TestPackedScene:
     @staticmethod
     def _scene(kind, seed):
         s = generate_scenario(seed, TestPackedScene.CONFIGS[kind])
-        if kind == "map_free":
-            s = Scenario(
-                map=[], agents=s.agents, agent_gt_futures=s.agent_gt_futures, ego=s.ego,
-                expert=s.expert, horizon_dt=s.horizon_dt, perception_range=s.perception_range,
-            )
-        return s
+        return take_map(s, []) if kind == "map_free" else s
 
     def test_bit_equal_to_unpacked_reference(self):
         rng = np.random.default_rng(2024)
@@ -544,7 +488,7 @@ class TestPackedScene:
 
     def test_pack_is_read_only(self):
         packed = pack(generate_scenario(4), PAPER_PARAMS)
-        assert packed.agent_tracks.shape == (len(packed.scenario.agents), 6, 2)
+        assert packed.agent_tracks.shape == (len(packed.scenario.agent_xy), 6, 2)
         for a in (packed.agent_tracks, packed.boundaries.start, packed.dividers.end):
             with pytest.raises(ValueError):
                 a[...] = 0.0

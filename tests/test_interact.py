@@ -10,6 +10,8 @@ from _support import (
     looped_scene_features,
     max_rel_err,
     scene_of_kind,
+    take_agents,
+    take_map,
     with_mixed_modes,
     with_repeated_map_points,
 )
@@ -17,7 +19,6 @@ from _support import (
 from vecplan import autodiff as ad
 from vecplan.constraints import imitation_loss
 from vecplan.errors import CheckpointError, ConfigError, ShapeError
-from vecplan.geometry import Point2
 from vecplan.interact import (
     OUTPUT_SCALE,
     InteractionConfig,
@@ -29,7 +30,7 @@ from vecplan.interact import (
     scene_features,
 )
 from vecplan.learning import AdamW
-from vecplan.scene import AgentPrediction, GeneratorConfig, Scenario, generate_scenario
+from vecplan.scene import GeneratorConfig, generate_scenario
 
 SMALL = InteractionConfig(d_model=8, d_command=4)
 
@@ -57,7 +58,7 @@ class TestSceneFeatures:
         assert len(scenes) == 240
 
     def test_empty_scene_has_zero_rows(self):
-        s = dataclasses.replace(scenario_with(8, agent_count_range=(0, 0)), map=[])
+        s = take_map(scenario_with(8, agent_count_range=(0, 0)), [])
         agent_rows, map_rows, centroids = scene_features(s)
         assert agent_rows.shape == (0, 6) and map_rows.shape == (0, 7)
         assert centroids.shape == (0, 2)
@@ -80,29 +81,13 @@ class TestEncodeQueries:
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
         qf = encode_queries(s, p, tape)
         assert qf.agent_queries.shape == (3, SMALL.d_model)
-        assert qf.map_queries.shape == (len(s.map), SMALL.d_model)
+        assert qf.map_queries.shape == (len(s.map_xy), SMALL.d_model)
         assert qf.agent_positions.shape == (3, 2)
-        assert qf.map_positions.shape == (len(s.map), 2)
+        assert qf.map_positions.shape == (len(s.map_xy), 2)
 
     def test_identical_agents_get_identical_rows(self):
         s = scenario_with(3, agent_count_range=(1, 1))
-        clone = AgentPrediction(
-            s.agents[0].position,
-            s.agents[0].heading,
-            s.agents[0].size,
-            s.agents[0].confidence,
-            s.agents[0].modes.copy(),
-            s.agents[0].mode_scores.copy(),
-        )
-        s2 = Scenario(
-            map=s.map,
-            agents=[s.agents[0], clone],
-            agent_gt_futures=[s.agent_gt_futures[0], s.agent_gt_futures[0].copy()],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
-        )
+        s2 = take_agents(s, [0, 0])
         params = small_params()
         tape = ad.Tape()
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
@@ -112,15 +97,7 @@ class TestEncodeQueries:
     def test_permuting_agents_permutes_rows(self):
         s = scenario_with(5, agent_count_range=(4, 4))
         perm = [2, 0, 3, 1]
-        s2 = Scenario(
-            map=s.map,
-            agents=[s.agents[i] for i in perm],
-            agent_gt_futures=[s.agent_gt_futures[i] for i in perm],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
-        )
+        s2 = take_agents(s, perm)
         params = small_params()
         tape = ad.Tape()
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
@@ -256,15 +233,7 @@ class TestForwardPlan:
 
     def test_empty_scene_still_plans(self):
         s = scenario_with(8, agent_count_range=(0, 0))
-        empty = Scenario(
-            map=[],
-            agents=[],
-            agent_gt_futures=[],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
-        )
+        empty = take_map(take_agents(s, []), [])
         result = forward_plan(empty, small_params())
         assert result.plan.waypoints.shape == (SMALL.t_future, 2)
         assert np.all(np.isfinite(result.plan.waypoints))
@@ -287,11 +256,7 @@ class TestForwardPlan:
                 s.ego.position, s.ego.heading, s.ego.velocity,
                 s.ego.acceleration, s.ego.steering_angle, cmd,
             )
-            s2 = Scenario(
-                map=s.map, agents=s.agents, agent_gt_futures=s.agent_gt_futures,
-                ego=ego, expert=s.expert, horizon_dt=s.horizon_dt,
-                perception_range=s.perception_range,
-            )
+            s2 = dataclasses.replace(s, ego=ego)
             outs[cmd] = forward_plan(s2, params).plan.waypoints
         assert not np.array_equal(outs[Command.TURN_LEFT], outs[Command.TURN_RIGHT])
 
@@ -300,17 +265,9 @@ class TestForwardPlan:
         params = small_params()
         base = forward_plan(s, params).plan.waypoints
         rng = np.random.default_rng(0)
-        aperm = rng.permutation(len(s.agents))
-        mperm = rng.permutation(len(s.map))
-        s2 = Scenario(
-            map=[s.map[i] for i in mperm],
-            agents=[s.agents[i] for i in aperm],
-            agent_gt_futures=[s.agent_gt_futures[i] for i in aperm],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
-        )
+        aperm = rng.permutation(len(s.agent_xy))
+        mperm = rng.permutation(len(s.map_xy))
+        s2 = take_map(take_agents(s, aperm), mperm)
         permuted = forward_plan(s2, params).plan.waypoints
         np.testing.assert_allclose(permuted, base, atol=1e-10)
 
@@ -326,21 +283,11 @@ class TestForwardPlan:
         s = scenario_with(13, agent_count_range=(4, 4))
         params = small_params()
         base = forward_plan(s, params).plan.waypoints
-        moved_agents = [
-            AgentPrediction(
-                Point2(a.position.x, a.position.y + 10.0),
-                a.heading, a.size, a.confidence, a.modes + [0.0, 10.0], a.mode_scores,
-            )
-            for a in s.agents
-        ]
-        s2 = Scenario(
-            map=s.map,
-            agents=moved_agents,
-            agent_gt_futures=[f + [0.0, 10.0] for f in s.agent_gt_futures],
-            ego=s.ego,
-            expert=s.expert,
-            horizon_dt=s.horizon_dt,
-            perception_range=s.perception_range,
+        s2 = dataclasses.replace(
+            s,
+            agent_xy=s.agent_xy + [0.0, 10.0],
+            agent_modes=s.agent_modes + [0.0, 10.0],
+            agent_future=s.agent_future + [0.0, 10.0],
         )
         moved = forward_plan(s2, params).plan.waypoints
         assert np.linalg.norm(moved - base) > 0.0

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from _support import map_arrays, one_mode_agents, scene
 
 from vecplan import metrics
 from vecplan.errors import ConfigError
-from vecplan.geometry import Point2, Polyline, box_frame, oriented_rect_overlap, pose_track
+from vecplan.geometry import Point2, box_frame, oriented_rect_overlap, pose_track
 from vecplan.metrics import (
     DEFAULT_EGO_DIMS,
     DEFAULT_HORIZONS,
@@ -21,14 +22,11 @@ from vecplan.metrics import (
     plan_pose_track,
 )
 from vecplan.scene import (
-    AgentPrediction,
     Command,
     EgoState,
     MapClass,
-    MapVector,
     GeneratorConfig,
     PlanTrajectory,
-    Scenario,
     generate_scenario,
 )
 from vecplan.simulator import constant_velocity_plan
@@ -43,49 +41,23 @@ def P(x, y):
     return Point2(float(x), float(y))
 
 
+MOVING_EGO = EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT)
+
+
 def scenario_with_agent(track, size=(4.5, 1.9), t_f=6):
-    agent = AgentPrediction(
-        position=Point2(float(track[0][0]), float(track[0][1] - 2.0)),
-        heading=math.pi / 2,
-        size=size,
-        confidence=1.0,
-        modes=np.asarray(track, dtype=np.float64)[None],
-        mode_scores=np.array([1.0]),
-    )
-    return Scenario(
-        map=[],
-        agents=[agent],
-        agent_gt_futures=[np.asarray(track, dtype=np.float64)],
-        ego=EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT),
-        expert=straight_plan(t_f=t_f).waypoints,
-        horizon_dt=0.5,
-        perception_range=(60.0, 30.0),
-    )
+    track = np.asarray(track, dtype=np.float64)
+    start = [(track[0][0], track[0][1] - 2.0)]
+    return scene(straight_plan(t_f=t_f).waypoints, ego=MOVING_EGO,
+                 agents=one_mode_agents(start, track[None], size=size))
 
 
 def empty_scenario(t_f=6):
-    return Scenario(
-        map=[],
-        agents=[],
-        agent_gt_futures=[],
-        ego=EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT),
-        expert=straight_plan(t_f=t_f).waypoints,
-        horizon_dt=0.5,
-        perception_range=(60.0, 30.0),
-    )
+    return scene(straight_plan(t_f=t_f).waypoints, ego=MOVING_EGO)
 
 
 def scene_with_expert(expert, dt=0.5):
     """An empty scene whose expert drives `expert` in ticks of `dt`."""
-    return Scenario(
-        map=[],
-        agents=[],
-        agent_gt_futures=[],
-        ego=EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT),
-        expert=expert,
-        horizon_dt=dt,
-        perception_range=(60.0, 30.0),
-    )
+    return scene(expert, ego=MOVING_EGO, horizon_dt=dt)
 
 
 def l2(plan, expert, dt=0.5) -> list[float]:
@@ -214,15 +186,15 @@ class TestCollisionRate:
                 ego_poses = poses_of(plan.waypoints, (0.0, 0.0), math.pi / 2)
                 hit = False
                 for t in range(tick_limit):
-                    for ai, agent in enumerate(s.agents):
+                    for ai in range(len(s.agent_xy)):
                         track = poses_of(
-                            s.agent_gt_futures[ai],
-                            (agent.position.x, agent.position.y),
-                            agent.heading,
+                            s.agent_future[ai],
+                            tuple(s.agent_xy[ai].tolist()),
+                            float(s.agent_heading[ai]),
                         )
                         if oriented_rect_overlap(
                             box_frame(ego_poses[t][0], ego_poses[t][1], DEFAULT_EGO_DIMS),
-                            box_frame(track[t][0], track[t][1], agent.size),
+                            box_frame(track[t][0], track[t][1], tuple(s.agent_size[ai].tolist())),
                         ):
                             hit = True
                 if hit:
@@ -265,7 +237,7 @@ class TestPoseTracks:
     def test_agent_pose_track_runs_over_every_agent_of_every_scene(self):
         scenes = [generate_scenario(seed) for seed in (3, 4)]
         poses = agent_pose_track(scenes, 6)
-        assert poses.xy.shape == (sum(len(s.agents) for s in scenes), 6, 2)
+        assert poses.xy.shape == (sum(len(s.agent_xy) for s in scenes), 6, 2)
         # agents in scene order, each the pose track of its own future
         i = 0
         for s in scenes:
@@ -309,21 +281,9 @@ def overstep(scenario, plan) -> bool:
 
 class TestBoundaryOverstep:
     def _scenario_with_boundary(self, x, drivable_side):
-        bd = MapVector(
-            MapClass.ROAD_BOUNDARY,
-            Polyline([Point2(x, -20.0), Point2(x, 20.0)]),
-            1.0,
-            drivable_side,
-        )
-        return Scenario(
-            map=[bd],
-            agents=[],
-            agent_gt_futures=[],
-            ego=EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT),
-            expert=straight_plan().waypoints,
-            horizon_dt=0.5,
-            perception_range=(60.0, 30.0),
-        )
+        boundary = map_arrays([[(x, -20.0), (x, 20.0)]], [MapClass.ROAD_BOUNDARY],
+                              sides=[drivable_side])
+        return scene(straight_plan().waypoints, ego=MOVING_EGO, map=boundary)
 
     def test_inside_corridor_is_clean(self):
         # boundary 5 m right of a straight-up plan; polyline runs +y so the
@@ -458,12 +418,9 @@ class TestBlocks:
         assert boundary_overstep([bare, busy], ego).tolist() == [False, True]
         assert boundary_overstep([busy, bare], ego).tolist() == [True, False]
         # a boundary without a drivable-side label is skipped
-        unlabeled = Scenario(
-            map=[MapVector(MapClass.ROAD_BOUNDARY, Polyline([P(5.0, -20.0), P(5.0, 20.0)]),
-                           1.0, None)],
-            agents=[], agent_gt_futures=[],
-            ego=EgoState(Point2(0, 0), math.pi / 2, 4.0, 0.0, 0.0, Command.GO_STRAIGHT),
-            expert=straight_plan().waypoints, horizon_dt=0.5, perception_range=(60.0, 30.0),
+        unlabeled = scene(
+            straight_plan().waypoints, ego=MOVING_EGO,
+            map=map_arrays([[P(5.0, -20.0), P(5.0, 20.0)]], [MapClass.ROAD_BOUNDARY], sides=[None]),
         )
         assert boundary_overstep([unlabeled, busy], ego).tolist() == [False, True]
 

@@ -5,7 +5,9 @@ import pytest
 from _support import (
     SCENE_KINDS,
     looped_view,
-    polyline_set,
+    map_arrays,
+    one_mode_agents,
+    scene,
     scene_of_kind,
     with_mixed_modes,
 )
@@ -14,16 +16,13 @@ from vecplan.constraints import ConstraintParams, LossWeights, boundary_loss, to
 from vecplan.errors import SimulationError
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.metrics import plan_metrics
-from vecplan.geometry import Point2, Polyline
+from vecplan.geometry import Point2, Polyline, PolylineSet
 from vecplan.scene import (
-    AgentPrediction,
     Command,
     EgoState,
     MapClass,
-    MapVector,
     PlanTrajectory,
     GeneratorConfig,
-    Scenario,
     generate_scenario,
     pack,
     scenario_to_json,
@@ -47,17 +46,12 @@ from vecplan.simulator import (
 PARAMS = ConstraintParams()
 
 
-def empty_scenario(speed=4.0, t_f=6):
+def empty_scenario(speed=4.0, t_f=6, **arrays):
+    """A scene of the given agent and map arrays, none where left out, with
+    an expert that drives straight on at `speed`."""
     ys = np.arange(1, t_f + 1) * speed * 0.5
-    return Scenario(
-        map=[],
-        agents=[],
-        agent_gt_futures=[],
-        ego=EgoState(Point2(0, 0), math.pi / 2, speed, 0.0, 0.0, Command.GO_STRAIGHT),
-        expert=np.column_stack([np.zeros(t_f), ys]),
-        horizon_dt=0.5,
-        perception_range=(60.0, 30.0),
-    )
+    ego = EgoState(Point2(0, 0), math.pi / 2, speed, 0.0, 0.0, Command.GO_STRAIGHT)
+    return scene(np.column_stack([np.zeros(t_f), ys]), ego=ego, **arrays)
 
 
 class TestFrameTransforms:
@@ -101,7 +95,7 @@ class TestMixedModeCounts:
         # agents with 1 to 6 modes each, best modes anywhere in the list
         s = with_mixed_modes(generate_scenario(5, GeneratorConfig(agent_count_range=(6, 6))),
                              np.random.default_rng(1))
-        counts = [a.n_modes for a in s.agents]
+        counts = s.agent_mode_count.tolist()
         assert len(set(counts)) > 1
         packed = pack(s, PARAMS)
         assert np.array_equal(packed.agent_tracks, s.agent_track)
@@ -112,7 +106,7 @@ class TestMixedModeCounts:
         state = SimState.initial(s)
         for _ in range(2):
             state = step(state, plan)
-            assert [a.n_modes for a in state.view.agents] == counts
+            assert state.view.agent_mode_count.tolist() == counts
             plan = forward_plan(state.view, params).plan
         log = run_closed_loop(s, ModelPlanner(params), 2)
         assert [r.tick for r in log.records] == [1, 2]
@@ -134,20 +128,19 @@ class TestStep:
         new = step(state, plan)
         # agent world positions equal their gt tick-1 positions, and the
         # view re-expresses them with a hand-checkable transform
-        for i, fut in enumerate(s.agent_gt_futures):
+        for i, fut in enumerate(s.agent_future):
             assert new.agent_positions[i].tolist() == [float(fut[0][0]), float(fut[0][1])]
             expected_local = world_to_ego(
                 fut[0][None], new.ego_position, new.ego_heading
             )[0]
-            got = new.view.agents[i].position
-            np.testing.assert_allclose((got.x, got.y), expected_local, atol=1e-9)
+            np.testing.assert_allclose(new.view.agent_xy[i], expected_local, atol=1e-9)
 
     def test_agent_free_scene(self):
         state = SimState.initial(empty_scenario())
         assert state.agent_positions.shape == (0, 2)
         assert state.agent_headings.shape == (0,)
         new = step(state, constant_velocity_plan(state.view))
-        assert new.agent_positions.shape == (0, 2) and new.view.agents == []
+        assert new.agent_positions.shape == (0, 2) and new.view.agent_xy.shape == (0, 2)
 
     def test_horizon_exhausted(self):
         s = empty_scenario(t_f=2)
@@ -223,23 +216,14 @@ class TestRefineTrajectory:
         np.testing.assert_array_equal(out.waypoints, seed_plan.waypoints)
 
     def test_boundary_violation_is_reduced(self):
-        bd = MapVector(
-            MapClass.ROAD_BOUNDARY,
-            Polyline([Point2(1.5, -20.0), Point2(1.5, 20.0)]),
-            1.0,
-            "left",
-        )
-        s = empty_scenario()
-        s = Scenario(
-            map=[bd], agents=[], agent_gt_futures=[], ego=s.ego, expert=s.expert,
-            horizon_dt=s.horizon_dt, perception_range=s.perception_range,
-        )
+        bd = Polyline([Point2(1.5, -20.0), Point2(1.5, 20.0)])
+        s = empty_scenario(map=map_arrays([bd.xy], [MapClass.ROAD_BOUNDARY], sides=["left"]))
         # seed plan hugs the boundary: 0.5 m violation of the 1.0 m clearance
         seed_plan = PlanTrajectory(constant_velocity_plan(s).waypoints + [1.0, 0.0])
-        before = boundary_loss(seed_plan, polyline_set([bd]), PARAMS).value
+        before = boundary_loss(seed_plan, PolylineSet([bd]), PARAMS).value
         weights = LossWeights(collision=0, direction=0, imitation=0.05)
         out = refine_trajectory(seed_plan, s, PARAMS, weights, 80, 0.2)
-        after = boundary_loss(out, polyline_set([bd]), PARAMS).value
+        after = boundary_loss(out, PolylineSet([bd]), PARAMS).value
         assert before > 0
         assert after < before
 
@@ -355,19 +339,8 @@ class TestClosedLoop:
         # straight ignoring agents
         t_f = 6
         crossing = np.column_stack([np.linspace(4.0, -6.0, t_f), np.full(t_f, 6.0)])
-        agent = AgentPrediction(
-            position=Point2(6.0, 6.0),
-            heading=math.pi,
-            size=(4.5, 1.9),
-            confidence=1.0,
-            modes=crossing[None],
-            mode_scores=np.array([1.0]),
-        )
-        s = empty_scenario(speed=4.0)
-        s = Scenario(
-            map=[], agents=[agent], agent_gt_futures=[crossing], ego=s.ego,
-            expert=s.expert, horizon_dt=s.horizon_dt, perception_range=s.perception_range,
-        )
+        agent = one_mode_agents([(6.0, 6.0)], crossing[None], heading=math.pi)
+        s = empty_scenario(speed=4.0, agents=agent)
         log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=t_f)
         assert log.collision_count >= 1
 

@@ -71,7 +71,7 @@ def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
         from vecplan import metrics, scene, simulator
 
         scenarios = [scene.generate_scenario(seed) for seed in range(metrics.BLOCK_SCENES + 1)]
-        assert all(s.agents for s in scenarios[:2])
+        assert all(len(s.agent_xy) for s in scenarios[:2])
         plans = [simulator.constant_velocity_plan(s) for s in scenarios]
         tracer.reset()
         metrics.plan_metrics(scenarios, plans)
