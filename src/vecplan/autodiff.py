@@ -4,27 +4,36 @@ arrays.
 Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
 copied, finite-checked leaves (`Tape.leaf`); parameters enter all at once as
 read-only views with no copy or check (`Tape.params`), since their owner
-checks them.  Primitives compute their forward value eagerly and register a
-vector-Jacobian product; backward replays the records in strict reverse order
-exactly once, accumulating gradients into every node (so a node used twice
-receives the sum of both paths).  Two fused records stand in for chains of
-primitives, with the same numpy operations in the same order: `mlp`, the
-perceptron `relu(x @ w1 + b1) @ w2 + b2`, and `attention`, multi-head
-cross-attention with an output projection and a residual.  A record holds
-input indices and a closure over arrays and shapes, never a `Tensor`, so a
-tape holds no reference cycle and reference counting frees it as soon as
-nothing refers to it.  There is no broadcasting beyond the bias rows and no
-control-flow capture: record exactly what you execute.
+checks them.  A primitive checks its own operands, computes its value eagerly
+and enters it with its vector-Jacobian product in one call (`Tape._op`).
+Backward replays the records in strict reverse order exactly once, adding
+gradients in place into every node (so a node used twice receives the sum of
+both paths), and writes the parameters' gradients straight into one flat
+vector laid out like `InteractionParams.flat` (`Gradients.flat`).  Two fused
+records stand in for chains of primitives, with the same numpy operations in
+the same order: `mlp`, the perceptron `relu(x @ w1 + b1) @ w2 + b2`, and
+`attention`, multi-head cross-attention with an output projection and a
+residual.  A record holds input indices and a closure over arrays and shapes,
+never a `Tensor`, so a tape holds no reference cycle and reference counting
+frees it as soon as nothing refers to it.  There is no broadcasting beyond
+the bias rows and no control-flow capture: record exactly what you execute.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CheckpointError, ShapeError, read_text
+
+_CROSS_TAPE = "operands recorded on different tapes"
+# the reductions behind ndarray.sum and ndarray.max, without their Python wrappers
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -54,11 +63,14 @@ class Tensor:
 
 
 class Gradients:
-    """Gradient lookup for the nodes of one backward pass."""
+    """Gradient lookup for the nodes of one backward pass.  `flat` holds the
+    `Tape.params` leaves' gradients, tensor after tensor in entry order, zero
+    where no record reaches; a reached parameter's gradient is a view of it."""
 
-    def __init__(self, by_index: dict[int, np.ndarray], tape: "Tape"):
+    def __init__(self, by_index: dict[int, np.ndarray], tape: "Tape", flat: np.ndarray):
         self._by_index = by_index
         self._tape = tape
+        self.flat = flat
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         if t.tape is not self._tape:
@@ -82,17 +94,30 @@ class Tape:
         self._data: list[np.ndarray] = []
         # (output index, input indices, vjp(grad_out) -> per-input grads)
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
+        self._param_indices: list[int] = []  # the `params` leaves, in entry order
 
-    def _node(self, data: np.ndarray) -> Tensor:
-        data = np.ascontiguousarray(data, dtype=np.float64)
+    def _op(self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable) -> Tensor:
+        """Enter a primitive's fresh C-contiguous output and its record."""
         data.flags.writeable = False
-        idx = len(self._data)
+        index = len(self._data)
         self._data.append(data)
-        return Tensor(self, idx, data)
+        self._records.append((index, inputs, vjp))
+        return Tensor(self, index, data)
 
     def leaf(self, data) -> Tensor:
-        """Enter an input value onto the tape as a finite-checked copy."""
-        return self._node(_as_matrix(data).copy())
+        """Enter an input value onto the tape as a finite-checked, read-only
+        copy; a 1-D input becomes one row."""
+        arr = np.array(data, dtype=np.float64, order="C")
+        if arr.ndim == 1:
+            arr = arr[None, :]
+        if arr.ndim != 2:
+            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise ShapeError("non-finite values in tensor")
+        arr.flags.writeable = False
+        index = len(self._data)
+        self._data.append(arr)
+        return Tensor(self, index, arr)
 
     def params(self, views: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
         """Enter named parameters as leaves, in order, with no copy and no
@@ -100,10 +125,15 @@ class Tape:
         whose values it has checked."""
         start = len(self._data)
         self._data.extend(views.values())
-        return {name: Tensor(self, i, v) for i, (name, v) in enumerate(views.items(), start)}
-
-    def _record(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-        self._records.append((out.index, tuple(t.index for t in inputs), vjp))
+        self._param_indices.extend(range(start, len(self._data)))
+        out = {}
+        # the constructor's work without its frame, once per parameter
+        for index, (name, arr) in enumerate(views.items(), start):
+            t = out[name] = object.__new__(Tensor)
+            t.tape = self
+            t.index = index
+            t.data = arr
+            t.shape = arr.shape
         return out
 
     def backward_from(self, seeds: Iterable[tuple[Tensor, np.ndarray]]) -> Gradients:
@@ -113,7 +143,14 @@ class Tape:
         constraint gradients) into the recorded graph.  Multiple seeds are
         accumulated before the sweep.
         """
+        indices = self._param_indices
+        arrays = list(map(self._data.__getitem__, indices))
+        offsets = list(accumulate(map(attrgetter("size"), arrays), initial=0))
+        flat = np.zeros(offsets[-1])
+        # a parameter's index -> where its gradient lives in `flat`
+        slots = dict(zip(indices, zip(offsets, offsets[1:], map(attrgetter("shape"), arrays))))
         grads: dict[int, np.ndarray] = {}
+        pending = []
         for tensor, seed in seeds:
             if tensor.tape is not self:
                 raise ShapeError("seed tensor does not belong to this tape")
@@ -122,20 +159,28 @@ class Tape:
                 raise ShapeError(
                     f"seed shape {seed.shape} does not match node shape {tensor.data.shape}"
                 )
-            if tensor.index in grads:
-                grads[tensor.index] = grads[tensor.index] + seed
-            else:
-                grads[tensor.index] = seed.copy()
-        for out_idx, in_idxs, vjp in reversed(self._records):
-            g_out = grads.get(out_idx)
-            if g_out is None:
-                continue
-            for idx, g in zip(in_idxs, vjp(g_out)):
+            pending.append((tensor.index, np.ascontiguousarray(seed)))
+        # the seeds, then each reached record's input gradients, in reverse
+        # order; a node's first gradient is copied in (into `flat` for a
+        # parameter) and later ones are added in place, which has the bits of
+        # `have + g`
+        records = reversed(self._records)
+        while True:
+            for idx, g in pending:
                 if idx in grads:
-                    grads[idx] = grads[idx] + g
+                    grads[idx] += g
+                elif idx in slots:
+                    lo, hi, shape = slots[idx]
+                    grads[idx] = flat[lo:hi].reshape(shape)
+                    grads[idx][...] = g
                 else:
                     grads[idx] = np.array(g, dtype=np.float64)
-        return Gradients(grads, self)
+            for out_idx, in_idxs, vjp in records:
+                if out_idx in grads:
+                    pending = zip(in_idxs, vjp(grads[out_idx]))
+                    break
+            else:
+                return Gradients(grads, self, flat)
 
     def backward(self, loss: Tensor) -> Gradients:
         """Reverse sweep from a scalar loss node (seeded with 1)."""
@@ -144,48 +189,46 @@ class Tape:
         return self.backward_from([(loss, np.ones((1, 1)))])
 
 
-def _same_tape(*ts: Tensor) -> Tape:
-    tape = ts[0].tape
-    for t in ts[1:]:
-        if t.tape is not tape:
-            raise ShapeError("operands recorded on different tapes")
-    return tape
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ShapeError(_CROSS_TAPE)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     a_in, b_in = a.data, b.data
-    out = tape._node(a_in @ b_in)
 
     def vjp(g):
         return g @ b_in.T, a_in.T @ g
 
-    return tape._record(out, (a, b), vjp)
+    return tape._op(a_in @ b_in, (a.index, b.index), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ShapeError(_CROSS_TAPE)
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    out = tape._node(a.data + b.data)
-    return tape._record(out, (a, b), lambda g: (g, g))
+    return tape._op(a.data + b.data, (a.index, b.index), lambda g: (g, g))
 
 
 def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
     """Add a (1, cols) bias row to every row of x."""
-    tape = _same_tape(x, bias)
+    tape = x.tape
+    if bias.tape is not tape:
+        raise ShapeError(_CROSS_TAPE)
     if bias.shape != (1, x.shape[1]):
         raise ShapeError(f"add_bias_row: bias {bias.shape} for input {x.shape}")
-    out = tape._node(x.data + bias.data)
-    return tape._record(out, (x, bias), lambda g: (g, g.sum(axis=0, keepdims=True)))
+    return tape._op(
+        x.data + bias.data, (x.index, bias.index), lambda g: (g, _sum(g, axis=0, keepdims=True))
+    )
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
     in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
-    tape = _same_tape(x, w1, b1, w2, b2)
+    if len({x.tape, w1.tape, b1.tape, w2.tape, b2.tape}) != 1:
+        raise ShapeError(_CROSS_TAPE)
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"mlp: {x.shape} @ {w1.shape} @ {w2.shape}")
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
@@ -194,19 +237,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     pre = x_in @ w1_in + b1.data
     mask = pre > 0.0
     h = np.where(mask, pre, 0.0)
-    out = tape._node(h @ w2_in + b2.data)
 
     def vjp(g):
         g_h = (g @ w2_in.T) * mask
         return (
             g_h @ w1_in.T,
             x_in.T @ g_h,
-            g_h.sum(axis=0, keepdims=True),
+            _sum(g_h, axis=0, keepdims=True),
             h.T @ g,
-            g.sum(axis=0, keepdims=True),
+            _sum(g, axis=0, keepdims=True),
         )
 
-    return tape._record(out, (x, w1, b1, w2, b2), vjp)
+    return x.tape._op(
+        h @ w2_in + b2.data, (x.index, w1.index, b1.index, w2.index, b2.index), vjp
+    )
 
 
 def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
@@ -238,14 +282,16 @@ def attention(
     chain in the same order, on the same memory layouts, and delivers the
     input gradients in the order that chain does, so both give the same bits.
     """
-    tape = _same_tape(q, q_pos, k, k_pos, v, wq, wk, wv, wo)
+    tapes = {q.tape, q_pos.tape, k.tape, k_pos.tape, v.tape, wq.tape, wk.tape, wv.tape, wo.tape}
+    if len(tapes) != 1:
+        raise ShapeError(_CROSS_TAPE)
     d = q.shape[1]
     if (
         q_pos.shape != q.shape
         or k.shape[1] != d
         or k_pos.shape != k.shape
         or v.shape != k.shape
-        or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+        or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}
     ):
         raise ShapeError(
             f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}, k_pos {k_pos.shape}, "
@@ -264,20 +310,21 @@ def attention(
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
     heads = []
+    weights = []
     outs = []
     for h in range(n_heads):
         lo, hi = h * d_head, (h + 1) * d_head
         qs = np.ascontiguousarray(qh[:, lo:hi])
         k_t = np.ascontiguousarray(kh[:, lo:hi].T)
         logits = (qs @ k_t) * scale
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        y = e / e.sum(axis=1, keepdims=True)
+        e = np.exp(logits - _max(logits, axis=1, keepdims=True))
+        y = e / _sum(e, axis=1, keepdims=True)
         y.flags.writeable = False
         vs = np.ascontiguousarray(vh[:, lo:hi])
         heads.append((lo, hi, qs, k_t, y, vs))
+        weights.append(y)
         outs.append(y @ vs)
     att = outs[0] if n_heads == 1 else np.concatenate(outs, axis=1)
-    out = tape._node(q.data + att @ wo_in)
 
     def vjp(g):
         g_att = g @ wo_in.T
@@ -286,7 +333,7 @@ def attention(
             g_o = g_att if n_heads == 1 else np.array(g_att[:, lo:hi])
             g_y = g_o @ vs.T
             g_vh = _add_cols(g_vh, y.T @ g_o, v_in.shape, lo, hi)
-            g_logits = y * (g_y - (g_y * y).sum(axis=1, keepdims=True))
+            g_logits = y * (g_y - _sum(g_y * y, axis=1, keepdims=True))
             g_raw = g_logits * scale
             g_kh = _add_cols(g_kh, (qs.T @ g_raw).T, kk.shape, lo, hi)
             g_qh = _add_cols(g_qh, g_raw @ k_t.T, qq.shape, lo, hi)
@@ -308,26 +355,24 @@ def attention(
     # the inputs in the order the chain's records, replayed in reverse, reach
     # them: the residual before the query path, and the values before the
     # keys, which the decoder blocks pass as the same tensor
-    weights = [y for _, _, _, _, y, _ in heads]
-    return tape._record(out, (q, wo, v, wv, wk, k, k_pos, wq, q, q_pos), vjp), weights
+    inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, k_pos.index,
+              wq.index, q.index, q_pos.index)
+    return q.tape._op(q.data + att @ wo_in, inputs, vjp), weights
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = x.tape._node(x.data * c)
-    return x.tape._record(out, (x,), lambda g: (g * c,))
+    return x.tape._op(x.data * c, (x.index,), lambda g: (g * c,))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    out = x.tape._node(np.where(mask, x.data, 0.0))
-    return x.tape._record(out, (x,), lambda g: (g * mask,))
+    return x.tape._op(np.where(mask, x.data, 0.0), (x.index,), lambda g: (g * mask,))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = x.tape._node(y)
-    return x.tape._record(out, (x,), lambda g: (g * (1.0 - y * y),))
+    return x.tape._op(y, (x.index,), lambda g: (g * (1.0 - y * y),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -337,38 +382,35 @@ def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    out = x.tape._node(y)
 
     def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         return (y * (g - dot),)
 
-    return x.tape._record(out, (x,), vjp)
+    return x.tape._op(y, (x.index,), vjp)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_cols: need at least one part")
-    tape = _same_tape(*parts)
+    if len(set(map(attrgetter("tape"), parts))) != 1:
+        raise ShapeError(_CROSS_TAPE)
     rows = parts[0].shape[0]
     for p in parts:
         if p.shape[0] != rows:
             raise ShapeError(f"concat_cols: row mismatch {[p.shape for p in parts]}")
-    widths = [p.shape[1] for p in parts]
-    out = tape._node(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + widths)
-    n = len(parts)
+    offsets = list(accumulate([p.shape[1] for p in parts], initial=0))
 
     def vjp(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(n))
+        return [g[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
-    return tape._record(out, tuple(parts), vjp)
+    data = np.concatenate([p.data for p in parts], axis=1)
+    return parts[0].tape._op(data, tuple([p.index for p in parts]), vjp)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.shape[1]:
         raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
-    out = x.tape._node(x.data[:, start:stop])
     shape = x.shape
 
     def vjp(g):
@@ -376,27 +418,28 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return x.tape._record(out, (x,), vjp)
+    return x.tape._op(np.ascontiguousarray(x.data[:, start:stop]), (x.index,), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = x.tape._node(x.data.T)
-    return x.tape._record(out, (x,), lambda g: (g.T,))
+    return x.tape._op(np.ascontiguousarray(x.data.T), (x.index,), lambda g: (g.T,))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = x.tape._node(np.array([[x.data.sum()]]))
     shape = x.shape
-    return x.tape._record(out, (x,), lambda g: (np.full(shape, g[0, 0]),))
+    return x.tape._op(
+        np.array([[x.data.sum()]]), (x.index,), lambda g: (np.full(shape, g[0, 0]),)
+    )
 
 
 def mean_all(x: Tensor) -> Tensor:
     size = x.data.size
     if size == 0:
         raise ShapeError("mean_all of an empty tensor")
-    out = x.tape._node(np.array([[x.data.mean()]]))
     shape = x.shape
-    return x.tape._record(out, (x,), lambda g: (np.full(shape, g[0, 0] / size),))
+    return x.tape._op(
+        np.array([[x.data.mean()]]), (x.index,), lambda g: (np.full(shape, g[0, 0] / size),)
+    )
 
 
 def l1_to_target(x: Tensor, target) -> Tensor:
@@ -409,8 +452,11 @@ def l1_to_target(x: Tensor, target) -> Tensor:
         raise ShapeError(f"l1_to_target: target {target.shape} vs input {x.shape}")
     rows = x.shape[0]
     diff = x.data - target
-    out = x.tape._node(np.array([[np.abs(diff).sum() / rows]]))
-    return x.tape._record(out, (x,), lambda g: (g[0, 0] * np.sign(diff) / rows,))
+    return x.tape._op(
+        np.array([[np.abs(diff).sum() / rows]]),
+        (x.index,),
+        lambda g: (g[0, 0] * np.sign(diff) / rows,),
+    )
 
 
 # ---------------------------------------------------------------------------

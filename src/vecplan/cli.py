@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .autodiff import checkpoint_text
 from .constraints import ConstraintParams, LossWeights, total_planning_loss
 from .errors import (
@@ -647,7 +649,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config, args.overrides, args.out, args.seed)
         outputs = OutputSet(Path(config.output_dir), check=args.check)
         _echo_config(outputs, config)
-        args.fn(config, args, outputs)
+        # a value that overflows is refused by a check and reported as one
+        # error line, not also as numpy warnings
+        with np.errstate(all="ignore"):
+            args.fn(config, args, outputs)
         print(outputs.finish())
         return 0
     except Exception as e:  # noqa: BLE001 - mapped to exit categories below

@@ -14,6 +14,7 @@ full forward pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -63,19 +64,30 @@ class InteractionConfig:
             raise ConfigError("d_command must be >= 1")
 
 
+@functools.cache
+def _names(prefix: str, parts: tuple[str, ...] = ("w1", "b1", "w2", "b2")) -> tuple[str, ...]:
+    """The parameter names of one layer, a perceptron's by default; cached,
+    so a forward formats none."""
+    return tuple(f"{prefix}.{part}" for part in parts)
+
+
+_ATTENTION = ("wq", "wk", "wv", "wo")
+
+
 def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
     # biases share the layer's fan_in bound; zero biases would leave the
     # (0, 0) ego position exactly on the relu kink
+    w1, b1, w2, b2 = _names(prefix)
     return [
-        (f"{prefix}.w1", (d_in, d_hidden), d_in),
-        (f"{prefix}.b1", (1, d_hidden), d_in),
-        (f"{prefix}.w2", (d_hidden, d_out), d_hidden),
-        (f"{prefix}.b2", (1, d_out), d_hidden),
+        (w1, (d_in, d_hidden), d_in),
+        (b1, (1, d_hidden), d_in),
+        (w2, (d_hidden, d_out), d_hidden),
+        (b2, (1, d_out), d_hidden),
     ]
 
 
 def _block_shapes(d: int, prefix: str):
-    shapes = [(f"{prefix}.{n}", (d, d), d) for n in ("wq", "wk", "wv", "wo")]
+    shapes = [(name, (d, d), d) for name in _names(prefix, _ATTENTION)]
     shapes += _mlp_shapes(d, d, d, f"{prefix}.ffn")
     return shapes
 
@@ -200,20 +212,23 @@ class ForwardResult:
 
 
 def _mlp(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    w1, b1, w2, b2 = _names(prefix)
+    return ad.mlp(x, p[w1], p[b1], p[w2], p[b2])
 
 
 def _agent_features(scenario: Scenario) -> np.ndarray:
     step = scenario.agent_track[:, 0] - scenario.agent_xy
     # one math.hypot a row: np.hypot differs from it in the last bit on some steps
     speed = np.array([math.hypot(x, y) for x, y in step.tolist()]) / scenario.horizon_dt
-    return np.column_stack([
-        scenario.agent_xy * POSITION_SCALE,
-        np.cos(scenario.agent_heading),
-        np.sin(scenario.agent_heading),
-        speed * SPEED_SCALE,
-        scenario.agent_confidence,
-    ])
+    # each column is copied in from a contiguous result: numpy does not
+    # promise that cos and sin round alike into a strided `out`
+    rows = np.empty((len(step), AGENT_FEATURE_DIM))
+    rows[:, :2] = scenario.agent_xy * POSITION_SCALE
+    rows[:, 2] = np.cos(scenario.agent_heading)
+    rows[:, 3] = np.sin(scenario.agent_heading)
+    rows[:, 4] = speed * SPEED_SCALE
+    rows[:, 5] = scenario.agent_confidence
+    return rows
 
 
 def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +305,9 @@ def decoder_block(
     if k.shape[0] == 0:
         x, attn_weights = q, []
     else:
+        wq, wk, wv, wo = _names(prefix, _ATTENTION)
         x, attn_weights = ad.attention(
-            q, q_pos, k, k_pos, v,
-            *(p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo")),
-            n_heads,
+            q, q_pos, k, k_pos, v, p[wq], p[wk], p[wv], p[wo], n_heads
         )
     out = ad.add(x, _mlp(x, p, f"{prefix}.ffn"))
     return out, attn_weights
@@ -337,8 +351,9 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]
+    ego_row = tape.leaf(features.ego_position * POSITION_SCALE)
     if config.use_agent_interaction:
-        q_pos = _mlp(tape.leaf(features.ego_position * POSITION_SCALE), p, "pe1")
+        q_pos = _mlp(ego_row, p, "pe1")
         k_pos = (
             _mlp(tape.leaf(features.agent_positions * POSITION_SCALE), p, "pe1")
             if features.agent_positions.shape[0]
@@ -351,7 +366,7 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
         attention["agent"] = attn
     q_after_agents = ego_q
     if config.use_map_interaction:
-        q_pos = _mlp(tape.leaf(features.ego_position * POSITION_SCALE), p, "pe2")
+        q_pos = _mlp(ego_row, p, "pe2")
         k_pos = (
             _mlp(tape.leaf(features.map_positions * POSITION_SCALE), p, "pe2")
             if features.map_positions.shape[0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .constraints import ConstraintParams, LossWeights, total_planning_loss
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ScenarioFormatError, ShapeError, TrainingDivergedError
 from .interact import (
     ForwardResult,
     InteractionConfig,
@@ -338,6 +338,16 @@ def _scenario_seeds(seed: int, train_count: int, val_count: int):
     return train_seeds, val_seeds, shuffle_ss
 
 
+def _forward(scenario: Scenario, params: InteractionParams, epoch: int, seed: int) -> ForwardResult:
+    """`forward_plan`; a plan refused as non-finite from a finite scene means
+    the parameters overflow the network, a divergence."""
+    try:
+        return forward_plan(scenario, params)
+    except ScenarioFormatError as e:
+        message = f"non-finite plan at epoch {epoch}, scenario seed {seed}"
+        raise TrainingDivergedError(message) from e
+
+
 def train(
     config: TrainConfig,
     gen_config: GeneratorConfig,
@@ -349,8 +359,8 @@ def train(
 
     Deterministic for a given config: scenario seeds, parameter init, and the
     per-epoch shuffle all derive from `config.seed`.  Each training scene is
-    packed once for the whole run.  Aborts with
-    TrainingDivergedError if a loss goes non-finite.
+    packed once for the whole run.  Aborts with TrainingDivergedError if a
+    plan, a loss or a parameter goes non-finite.
     """
     if interact_config is None:
         interact_config = InteractionConfig(t_future=gen_config.t_future)
@@ -383,7 +393,7 @@ def train(
                 "direction": 0.0, "map": 0.0, "motion": 0.0}
         for idx in order:
             packed = train_set[idx]
-            result = forward_plan(packed.scenario, params)
+            result = _forward(packed.scenario, params, epoch, train_seeds[idx])
             plan_loss = total_planning_loss(result.plan, packed, cparams, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
@@ -400,10 +410,9 @@ def train(
             sums["total"] += step_total
             for key in ("imitation", "collision", "boundary", "direction"):
                 sums[key] += plan_loss.breakdown[key]
-            grads = result.tape.backward_from(seeds)
-            # result.params holds the leaves in the order of params.flat
-            flat_grad = np.concatenate([grads[p].reshape(-1) for p in result.params.values()])
-            optimizer.step(params.flat, flat_grad, lr)
+            # the tape entered params.leaves, so its flat gradient is laid out
+            # like params.flat
+            optimizer.step(params.flat, result.tape.backward_from(seeds).flat, lr)
             if not np.all(np.isfinite(params.flat)):
                 name = next(n for n, a in params.tensors.items() if not np.all(np.isfinite(a)))
                 raise TrainingDivergedError(
@@ -412,7 +421,7 @@ def train(
                 )
 
         n = len(train_set)
-        val_l2, val_cr = _validate(params, val_set, gen_config)
+        val_l2, val_cr = _validate(params, val_set, val_seeds, epoch, gen_config)
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
@@ -438,11 +447,12 @@ def train(
     return params, log
 
 
-def _validate(params: InteractionParams, val_set: list[Scenario], gen_config: GeneratorConfig):
+def _validate(params: InteractionParams, val_set: list[Scenario], val_seeds: list[int],
+              epoch: int, gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
     from .metrics import collision_rate, displacement_error
 
-    plans = [forward_plan(s, params).plan for s in val_set]
+    plans = [_forward(s, params, epoch, seed).plan for s, seed in zip(val_set, val_seeds)]
     # each scene's mean over the horizons, then their mean
     l2s = np.mean(displacement_error(val_set, plans), axis=1)
     cr = collision_rate(val_set, plans, ego_dims=gen_config.ego_dims).avg

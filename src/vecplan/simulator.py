@@ -28,7 +28,7 @@ from .constraints import (
     LossWeights,
     total_planning_loss,
 )
-from .errors import SimulationError
+from .errors import CheckpointError, ScenarioFormatError, SimulationError
 from .geometry import Point2, Poses, box_frame, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_boxes, labeled_boundaries, pose_oversteps_boundary
@@ -206,7 +206,11 @@ class ModelPlanner:
         self.params = params
 
     def plan(self, scenario: Scenario) -> PlanTrajectory:
-        return forward_plan(scenario, self.params).plan
+        try:
+            return forward_plan(scenario, self.params).plan
+        except ScenarioFormatError as e:
+            # the scene's inputs are finite: the parameters overflow the network
+            raise CheckpointError(f"the model's parameters give {e}") from e
 
 
 @dataclass

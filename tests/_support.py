@@ -91,6 +91,24 @@ def adamw_per_tensor_step(tensors, grads, m, v, step_count, lr, weight_decay,
         theta -= lr * (update + weight_decay * theta)
 
 
+def dict_backward_flat(tape, seeds, param_leaves) -> np.ndarray:
+    """The reference for `Gradients.flat`: a reverse sweep over the tape's
+    records that keeps every node's gradient in a dict (the first one
+    copied, later ones summed into a new array), then the concatenated
+    gradients of `param_leaves`, zeros for one no record reaches."""
+    grads = {}
+    contributions = [(t.index, np.asarray(s, dtype=np.float64)) for t, s in seeds]
+    for idx, g in contributions:
+        grads[idx] = grads[idx] + g if idx in grads else g.copy()
+    for out_idx, in_idxs, vjp in reversed(tape._records):
+        if out_idx in grads:
+            for idx, g in zip(in_idxs, vjp(grads[out_idx])):
+                grads[idx] = grads[idx] + g if idx in grads else np.array(g, dtype=np.float64)
+    return np.concatenate(
+        [grads.get(leaf.index, np.zeros(leaf.shape)).reshape(-1) for leaf in param_leaves]
+    )
+
+
 # scenes built in tests: the ego at rest at the origin, heading +y
 EGO_AT_REST = EgoState(Point2(0.0, 0.0), math.pi / 2, 0.0, 0.0, 0.0, Command.GO_STRAIGHT)
 

@@ -72,6 +72,29 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match="tape"):
             ad.add(a, b)
 
+    def test_leaf_refuses_non_finite_values_only(self):
+        tape = ad.Tape()
+        # finite values whose sum overflows are accepted
+        big = tape.leaf([[1e308, 1e308], [-1e308, 1e308]])
+        assert big.data[1, 1] == 1e308
+        for bad in ([[1.0, np.nan]], [[np.inf, 0.0]], [[np.inf, -np.inf]], [-np.inf, 1.0]):
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                tape.leaf(bad)
+        for bad in (5.0, np.zeros((1, 2, 2))):
+            with pytest.raises(ShapeError, match="2-D"):
+                tape.leaf(bad)
+
+    def test_leaf_is_a_read_only_c_contiguous_copy(self):
+        tape = ad.Tape()
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        row = np.arange(3.0)
+        for source, shape in ((fortran, (2, 3)), (row, (1, 3))):
+            leaf = tape.leaf(source)
+            assert leaf.shape == shape
+            assert leaf.data.flags.c_contiguous and not leaf.data.flags.writeable
+            assert not np.shares_memory(leaf.data, source)
+            np.testing.assert_array_equal(leaf.data, source.reshape(shape))
+
     def test_tensor_data_is_immutable(self):
         t = ad.Tape().leaf(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -279,6 +302,20 @@ class TestBackward:
         y = tape.leaf(np.ones((2, 2)))
         grads = tape.backward(ad.sum_all(x))
         np.testing.assert_array_equal(grads[y], np.zeros((2, 2)))
+
+    def test_first_gradient_keeps_its_sign_of_zero(self):
+        # -0.0 survives a copy but 0.0 + -0.0 is 0.0: a node's first
+        # gradient, a parameter's in the flat vector included, is copied in
+        view = np.ones((1, 2))
+        view.flags.writeable = False
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((1, 2)))
+        w, v = tape.params({"w": view, "v": view}).values()
+        outs = [ad.scalar_mul(x, -1.0), ad.scalar_mul(v, -1.0)]
+        grads = tape.backward_from([(out, np.zeros((1, 2))) for out in outs])
+        assert np.signbit(grads[x]).all() and np.signbit(grads[v]).all()
+        # w is unreached: plain zeros, laid out before v
+        assert grads.flat.tobytes() == np.array([0.0, 0.0, -0.0, -0.0]).tobytes()
 
     def test_deterministic_bit_identical(self):
         def run():

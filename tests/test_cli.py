@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -501,6 +502,50 @@ class TestReadBoundary:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:checkpoint-mismatch:"), err
         assert "non-finite values in tensor head.b3" in err[0]
+
+
+def _stderr_lines(*argv):
+    """Run the CLI in-process; the exit code and every line it would print
+    to stderr, warnings included."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+    return rc, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("learning_rate", ["1e6", "1e30"])
+    def test_diverging_training_is_one_divergence_line(self, tmp_path, learning_rate):
+        # finite parameters so large that the network overflows: the plan's
+        # refusal of non-finite waypoints is reported as a divergence
+        rc, lines = _stderr_lines(
+            "train", "--out", str(tmp_path / "out"),
+            "--set", "train.epochs=3", "--set", "train.train_scenarios=8",
+            "--set", "train.val_scenarios=1", "--set", f"train.learning_rate={learning_rate}",
+        )
+        assert rc == 1
+        assert len(lines) == 1, lines
+        assert re.fullmatch(
+            r"error:divergence: non-finite plan at epoch \d+, scenario seed \d+", lines[0]
+        ), lines
+        assert not (tmp_path / "out" / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("command", ["plan", "evaluate", "simulate"])
+    def test_checkpoint_that_overflows_is_one_checkpoint_line(self, tmp_path, command):
+        cfg, scenario, checkpoint = _model_files(tmp_path)
+        lines = checkpoint.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("head.b3 ")) + 1
+        lines[row] = " ".join(["1e308"] * len(lines[row].split()))
+        checkpoint.write_text("\n".join(lines) + "\n")
+        rc, err = _stderr_lines(
+            command, "--config", str(cfg), "--scenario", str(scenario),
+            "--planner", "model", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert err == ["error:checkpoint-mismatch: the model's parameters give "
+                       "non-finite plan waypoints"], err
 
 
 # JSON values put in place of a valid one: wrong types, non-finite and

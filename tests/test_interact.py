@@ -1,11 +1,14 @@
 import dataclasses
 import gc
+import os
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from _support import (
     SCENE_KINDS,
+    dict_backward_flat,
     fd_param_gradient,
     looped_scene_features,
     max_rel_err,
@@ -16,8 +19,9 @@ from _support import (
     with_repeated_map_points,
 )
 
+import vecplan
 from vecplan import autodiff as ad
-from vecplan.constraints import imitation_loss
+from vecplan.constraints import LossWeights, imitation_loss
 from vecplan.errors import CheckpointError, ConfigError, ShapeError
 from vecplan.interact import (
     OUTPUT_SCALE,
@@ -29,7 +33,7 @@ from vecplan.interact import (
     parameter_shapes,
     scene_features,
 )
-from vecplan.learning import AdamW
+from vecplan.learning import AdamW, _aux_losses, aux_head_shapes
 from vecplan.scene import GeneratorConfig, generate_scenario
 
 SMALL = InteractionConfig(d_model=8, d_command=4)
@@ -404,6 +408,16 @@ class TestFlatParams:
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
                 forward_plan(s, params)
 
+    def test_finite_parameters_whose_sum_overflows_are_accepted(self):
+        params = small_params()
+        params.extend([("extra.w", (1, 2), 1)], seed=0)
+        params.tensors["extra.w"][...] = 1e308  # the forward reads no extra tensor
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(params.flat.sum())
+        assert forward_plan(scenario_with(9), params).plan == forward_plan(
+            scenario_with(9), small_params()
+        ).plan
+
     def test_parameter_leaves_are_read_only_views(self):
         params = small_params()
         result = forward_plan(scenario_with(9), params)
@@ -463,6 +477,133 @@ class TestFlatParams:
         assert params.flat.size == before.size + 6
         np.testing.assert_array_equal(params.flat[: before.size], before)
         assert np.shares_memory(params.tensors["extra.w"], params.flat)
+
+
+def _slot(params, name):
+    """The slice of `params.flat` that holds the tensor `name`."""
+    offset = 0
+    for key, arr in params.tensors.items():
+        if key == name:
+            return slice(offset, offset + arr.size)
+        offset += arr.size
+    raise KeyError(name)
+
+
+class TestFlatGradient:
+    """`Gradients.flat` against the concatenated per-tensor gradients and
+    against a dict-based reverse sweep, bit for bit."""
+
+    def _check(self, result, seeds, params):
+        grads = result.tape.backward_from(seeds)
+        leaves = list(result.params.values())
+        by_tensor = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves])
+        assert grads.flat.shape == params.flat.shape
+        assert grads.flat.tobytes() == by_tensor.tobytes()
+        assert grads.flat.tobytes() == dict_backward_flat(result.tape, seeds, leaves).tobytes()
+        return grads.flat
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_scene_and_parameters_read_by_two_records(self, seed):
+        params = InteractionParams.initialize(InteractionConfig(), seed)
+        s = scenario_with(seed, agent_count_range=(8, 12))
+        result = forward_plan(s, params)
+        # each positional encoder is read by two records: the ego row's and
+        # the keys'
+        for name in ("pe1.w1", "pe2.b2"):
+            index = result.params[name].index
+            assert sum(index in inputs for _, inputs, _ in result.tape._records) == 2
+        probe = np.random.default_rng(seed).standard_normal((1, 12))
+        flat = self._check(result, [(result.plan_node, probe)], params)
+        for name in ("pe1.w1", "pe2.b2", "agent_block.wq", "map_block.wo"):
+            assert flat[_slot(params, name)].any(), name
+
+    @pytest.mark.parametrize(
+        "drop, unreached",
+        [
+            ("agents", ("agent_enc", "pe1", "agent_block.wq", "agent_block.wk",
+                        "agent_block.wv", "agent_block.wo")),
+            ("map", ("map_enc", "pe2", "map_block.wq", "map_block.wk",
+                     "map_block.wv", "map_block.wo")),
+        ],
+    )
+    def test_unreached_block_parameters_are_zero(self, drop, unreached):
+        params = InteractionParams.initialize(InteractionConfig(), 1)
+        s = scenario_with(5, agent_count_range=(3, 5))
+        s = take_agents(s, []) if drop == "agents" else take_map(s, [])
+        result = forward_plan(s, params)
+        flat = self._check(result, [(result.plan_node, np.ones((1, 12)))], params)
+        for name in params.tensors:
+            if name.startswith(unreached):
+                assert not flat[_slot(params, name)].any(), name
+        assert flat[_slot(params, "ego_query")].any()
+
+    def test_parameters_extended_with_the_auxiliary_heads(self):
+        config = InteractionConfig()
+        gen_config = GeneratorConfig()
+        params = InteractionParams.initialize(config, 2)
+        params.extend(aux_head_shapes(config, gen_config), seed=3)
+        s = generate_scenario(6, gen_config)
+        result = forward_plan(s, params)
+        _, _, aux_seeds = _aux_losses(result, s, LossWeights())
+        seeds = [(result.plan_node, np.ones((1, 12))), *aux_seeds]
+        flat = self._check(result, seeds, params)
+        for name in ("aux.map_pts.w", "aux.map_cls.b", "aux.motion.w", "aux.mode_cls.b"):
+            assert flat[_slot(params, name)].any(), name
+
+    def test_a_seeded_parameter_and_a_repeated_seed_accumulate(self):
+        params = small_params()
+        result = forward_plan(scenario_with(9), params)
+        b3 = result.params["head.b3"]
+        rng = np.random.default_rng(7)
+        seeds = [
+            (result.plan_node, rng.standard_normal((1, 12))),
+            (b3, rng.standard_normal(b3.shape)),
+            (result.plan_node, rng.standard_normal((1, 12))),
+        ]
+        self._check(result, seeds, params)
+
+
+def _package_calls(fn):
+    """fn() and the number of Python frames it enters in the vecplan
+    package (``call`` events; calls into numpy's Python wrappers and
+    C functions are not counted)."""
+    root = os.path.dirname(vecplan.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, count
+
+
+class TestCallBudget:
+    # bounds on the tape's bookkeeping per pass, on the first scene of the
+    # benchmark's dense evaluation (seed 0): 101 frames a forward and 29 a
+    # backward here, where per-op node, record and same-tape helpers made
+    # 329 and 33
+    FORWARD_FRAMES = 101
+    BACKWARD_FRAMES = 29
+
+    def test_forward_and_backward_stay_within_their_frame_budgets(self):
+        gen_config = GeneratorConfig(agent_count_range=(8, 12))
+        scene_seed = int(np.random.SeedSequence((0, 1)).generate_state(128)[0])
+        s = generate_scenario(scene_seed, gen_config)
+        params = InteractionParams.initialize(InteractionConfig(t_future=gen_config.t_future), 0)
+        forward_plan(s, params)  # warm: nothing below imports or compiles
+        result, forward_frames = _package_calls(lambda: forward_plan(s, params))
+        seeds = [(result.plan_node, np.ones((1, 12)))]
+        _, backward_frames = _package_calls(lambda: result.tape.backward_from(seeds))
+        assert len(result.tape._records) == 20
+        assert forward_frames <= self.FORWARD_FRAMES
+        assert backward_frames <= self.BACKWARD_FRAMES
 
 
 class TestParamsIO:

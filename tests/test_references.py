@@ -1,6 +1,6 @@
 """The benchmark's committed reference outputs, replayed for seed 0 of each
 workload, for seeds 1-7 of the refine rollouts and for seeds 1-3 of the
-dense open-loop evaluation.
+dense open-loop evaluation and of training.
 
 perfbench/run.py checks every operation of a workload against
 perfbench/references/<workload>.json.  This runs one pass of each workload
@@ -59,3 +59,10 @@ def test_evaluate_dense_matches_the_references(monkeypatch, seed):
     # the open-loop metrics over 128 dense scenes, their flags bit for bit;
     # seed 0 runs above
     _replay(monkeypatch, "evaluate_dense", seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_train_matches_the_references(monkeypatch, seed):
+    # every epoch's losses and validation metrics, through the tape's forward,
+    # backward and flat gradient and AdamW; seed 0 runs above
+    _replay(monkeypatch, "train", seed)
