@@ -98,7 +98,7 @@ class Tape:
 
     def _op(self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable) -> Tensor:
         """Enter a primitive's fresh C-contiguous output and its record."""
-        data.flags.writeable = False
+        data.setflags(write=False)
         index = len(self._data)
         self._data.append(data)
         self._records.append((index, inputs, vjp))
@@ -114,7 +114,7 @@ class Tape:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ShapeError("non-finite values in tensor")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         index = len(self._data)
         self._data.append(arr)
         return Tensor(self, index, arr)
@@ -227,7 +227,7 @@ def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
     in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
-    if len({x.tape, w1.tape, b1.tape, w2.tape, b2.tape}) != 1:
+    if not (x.tape is w1.tape is b1.tape is w2.tape is b2.tape):
         raise ShapeError(_CROSS_TAPE)
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"mlp: {x.shape} @ {w1.shape} @ {w2.shape}")
@@ -282,8 +282,10 @@ def attention(
     chain in the same order, on the same memory layouts, and delivers the
     input gradients in the order that chain does, so both give the same bits.
     """
-    tapes = {q.tape, q_pos.tape, k.tape, k_pos.tape, v.tape, wq.tape, wk.tape, wv.tape, wo.tape}
-    if len(tapes) != 1:
+    if not (
+        q.tape is q_pos.tape is k.tape is k_pos.tape is v.tape
+        is wq.tape is wk.tape is wv.tape is wo.tape
+    ):
         raise ShapeError(_CROSS_TAPE)
     d = q.shape[1]
     if (
@@ -319,7 +321,7 @@ def attention(
         logits = (qs @ k_t) * scale
         e = np.exp(logits - _max(logits, axis=1, keepdims=True))
         y = e / _sum(e, axis=1, keepdims=True)
-        y.flags.writeable = False
+        y.setflags(write=False)
         vs = np.ascontiguousarray(vh[:, lo:hi])
         heads.append((lo, hi, qs, k_t, y, vs))
         weights.append(y)

@@ -142,9 +142,8 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
     if tracks.shape[1:] != w.shape:
         raise ShapeError(f"tracks {tracks.shape} do not match plan {w.shape}")
     t_f = w.shape[0]
-    grad = np.zeros(w.shape)
     if not len(tracks):
-        return LossResult(0.0, grad)
+        return LossResult(0.0, np.zeros(w.shape))
 
     # (N_a, T_f, 2) best-mode positions minus waypoints
     delta = tracks - w
@@ -153,20 +152,18 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
     if params.collision_mode == "single_nearest":
         nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
         candidate &= np.arange(len(tracks))[:, None] == nearest
-    apart = np.abs(delta)  # per-axis distances
-    sign = np.sign(delta)
-    steps = np.arange(t_f)
-    total = 0.0
-    for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
-        gap = np.where(candidate, apart[..., axis], np.inf)
-        j = gap.argmin(axis=0)  # lowest agent index on ties
-        d = gap[j, steps]
-        active = d < margin
-        total += float(np.add.reduce(margin - d[active]))
-        # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis)
-        np.copyto(grad[:, axis], sign[j, steps, axis], where=active)
+    # per-axis distances to the candidates, both axes at once; the nearest
+    # candidate per step and axis is the lowest agent index on ties
+    gap = np.where(candidate[..., None], np.abs(delta), np.inf)
+    winner = (gap.argmin(axis=0), np.arange(t_f)[:, None], (0, 1))
+    short = np.array([params.lateral_safety, params.longitudinal_safety]) - gap[winner]
+    # each axis's hinge terms summed in step order (the bits of a sum over
+    # the active steps alone while T_f < 8), then the two axes
+    lateral, longitudinal = np.add.reduce(np.maximum(short, 0.0), axis=0).tolist()
+    # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis)
+    grad = np.where(short > 0.0, np.sign(delta[winner]), 0.0)
     grad /= t_f
-    return LossResult(total / t_f, grad)
+    return LossResult((lateral + longitudinal) / t_f, grad)
 
 
 def boundary_loss(

@@ -320,6 +320,7 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     ty = q[..., 1, None] - segments.sy
     ty *= segments.dy
     t += ty
+    del ty  # one (..., K, S) array fewer while the feet are made
     t /= segments.step_sq
     np.maximum(0.0, t, out=t)
     np.minimum(1.0, t, out=t)
@@ -345,9 +346,11 @@ def point_polyline_distance(p, pls: PolylineSet):
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
     foot = closest_point_on_segment(Checked(q), pls)
-    dist = np.hypot(q[..., 0, None] - foot[..., 0], q[..., 1, None] - foot[..., 1])
+    # both distance terms in one buffer: one (..., K, S) array fewer
+    dist = q[..., 0, None] - foot[..., 0]
+    np.hypot(dist, q[..., 1, None] - foot[..., 1], out=dist)
     if not pls.all_live:
-        dist = np.where(pls.live, dist, np.inf)
+        np.copyto(dist, np.inf, where=~pls.live)
     seg = dist.argmin(axis=-1)
     if q.ndim == 2:
         rows = np.arange(len(q))

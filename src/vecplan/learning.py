@@ -66,17 +66,6 @@ def motion_regression_loss(modes: np.ndarray, gt: np.ndarray) -> MotionRegressio
     return MotionRegression(float(np.abs(diff).sum() / t_f), grads, k)
 
 
-def map_regression_loss(pred: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean Manhattan distance over the points of one map vector."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ShapeError(f"pred points {pred.shape} vs gt {gt.shape}")
-    n = pred.shape[0]
-    diff = pred - gt
-    return float(np.abs(diff).sum() / n), np.sign(diff) / n
-
-
 def focal_loss(
     pred_prob: float, target: int, gamma: float = 2.0, alpha: float = 0.25
 ) -> tuple[float, float]:

@@ -332,14 +332,6 @@ ROLLOUT_COLUMNS = [
 class RolloutLog:
     records: list[TickRecord] = field(default_factory=list)
 
-    @property
-    def collision_count(self) -> int:
-        return sum(r.collision for r in self.records)
-
-    @property
-    def overstep_count(self) -> int:
-        return sum(r.boundary_overstep for r in self.records)
-
     def to_table(self) -> str:
         lines = [",".join(ROLLOUT_COLUMNS)]
         for r in self.records:

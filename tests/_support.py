@@ -109,6 +109,17 @@ def dict_backward_flat(tape, seeds, param_leaves) -> np.ndarray:
     )
 
 
+def map_regression_oracle(pred, gt) -> tuple[float, np.ndarray]:
+    """Mean Manhattan distance over the points of one map vector and its
+    subgradient with respect to `pred`, zero at exact equality: the
+    reference for the auxiliary map regression term."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    n = len(pred)
+    value = sum(abs(px - gx) + abs(py - gy) for (px, py), (gx, gy) in zip(pred, gt))
+    return float(value / n), np.sign(pred - gt) / n
+
+
 # scenes built in tests: the ego at rest at the origin, heading +y
 EGO_AT_REST = EgoState(Point2(0.0, 0.0), math.pi / 2, 0.0, 0.0, 0.0, Command.GO_STRAIGHT)
 
@@ -389,6 +400,31 @@ def sat_margin_oracle(center1, heading1, dims1, center2, heading2, dims2) -> flo
     return margin
 
 
+def looped_collision_loss(w, tracks, params) -> tuple[float, np.ndarray]:
+    """The collision hinge of (T_f, 2) waypoints against (A, T_f, 2) tracks,
+    one axis at a time, each axis's hinge summed over its active steps alone:
+    the reference value and gradient for `constraints.collision_loss`."""
+    t_f = len(w)
+    grad = np.zeros_like(w)
+    total = 0.0
+    if len(tracks):
+        delta = tracks - w
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        candidate = dist <= params.agent_search_range
+        if params.collision_mode == "single_nearest":
+            nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
+            candidate &= np.arange(len(tracks))[:, None] == nearest
+        steps = np.arange(t_f)
+        for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
+            gap = np.where(candidate, np.abs(delta[..., axis]), np.inf)
+            j = np.argmin(gap, axis=0)
+            d = gap[j, steps]
+            active = d < margin
+            total += float((margin - d[active]).sum())
+            grad[active, axis] = np.sign(delta[j, steps, axis][active])
+    return total / t_f, grad / t_f
+
+
 def unpacked_planning_loss(plan, scenario, params, weights):
     """The planning objective computed the way it was before scenes were
     packed: filter the scene, stack the best modes and list the polylines on
@@ -410,24 +446,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     dividers = [pl for kind, pl in kept if kind == MapClass.LANE_DIVIDER]
     terms = {}
 
-    grad = np.zeros_like(w)
-    total = 0.0
-    if agents:
-        delta = np.stack(agents) - w
-        dist = np.hypot(delta[..., 0], delta[..., 1])
-        candidate = dist <= params.agent_search_range
-        if params.collision_mode == "single_nearest":
-            nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
-            candidate &= np.arange(len(agents))[:, None] == nearest
-        steps = np.arange(t_f)
-        for axis, margin in enumerate((params.lateral_safety, params.longitudinal_safety)):
-            gap = np.where(candidate, np.abs(delta[..., axis]), np.inf)
-            j = np.argmin(gap, axis=0)
-            d = gap[j, steps]
-            active = d < margin
-            total += float((margin - d[active]).sum())
-            grad[active, axis] = np.sign(delta[j, steps, axis][active])
-    terms["collision"] = (total / t_f, grad / t_f)
+    terms["collision"] = looped_collision_loss(w, np.reshape(agents, (-1, t_f, 2)), params)
 
     grad = np.zeros_like(w)
     total = 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _support import (
     fd_plan_gradient,
+    looped_collision_loss,
     max_rel_err,
     sample_boundary_config,
     sample_collision_config,
@@ -110,6 +111,32 @@ class TestCollisionLoss:
         # distances (1.0, 2.0) drive both hinges
         res = collision_loss(plan, np.array(agents), params)
         assert res.value == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", COLLISION_MODES)
+    def test_matches_the_per_axis_loop(self, mode):
+        # both axes in one pass give the loop's bits while T_f < 8: a sum of
+        # at most 7 hinge terms adds in step order, with or without the
+        # inactive steps' zeros; from 8 terms on numpy groups the loop's sum
+        # pairwise.  Half-metre grids make ties in distance, in per-axis gap
+        # and at the margins.
+        params = ConstraintParams(collision_mode=mode)
+        rng = np.random.default_rng(11)
+        for t_f in range(1, 13):
+            for trial in range(30):
+                n_a = int(rng.integers(1, 6))
+                w = rng.uniform(-3.0, 3.0, (t_f, 2))
+                offsets = rng.uniform(-4.0, 4.0, (n_a, t_f, 2))
+                grid = trial % 2 == 0
+                if grid:
+                    w, offsets = np.round(w * 2.0) / 2.0, np.round(offsets * 2.0) / 2.0
+                tracks = w + offsets
+                res = collision_loss(PlanTrajectory(w), tracks, params)
+                value, grad = looped_collision_loss(w, tracks, params)
+                assert np.array_equal(res.grad, grad), (t_f, trial)
+                if grid or t_f < 8:
+                    assert res.value == value, (t_f, trial)
+                else:
+                    assert res.value == pytest.approx(value, rel=1e-12, abs=1e-15)
 
     def test_monotone_in_active_agent_distance(self):
         plan = PlanTrajectory(np.zeros((1, 2)))

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _support import adamw_per_tensor_step
+from _support import adamw_per_tensor_step, map_arrays, map_regression_oracle, scene
 
+from vecplan import autodiff as ad
+from vecplan.constraints import LossWeights
 from vecplan.errors import ConfigError, ShapeError, TrainingDivergedError
 from vecplan.interact import InteractionConfig, InteractionParams, parameter_shapes
 from vecplan.learning import (
@@ -11,14 +14,14 @@ from vecplan.learning import (
     EpochStats,
     TrainConfig,
     TrainLog,
+    _aux_losses,
     cosine_lr,
     focal_loss,
-    map_regression_loss,
     minfde_select,
     motion_regression_loss,
     train,
 )
-from vecplan.scene import GeneratorConfig
+from vecplan.scene import GeneratorConfig, MapClass
 
 TINY_GEN = GeneratorConfig(agent_count_range=(1, 3), mode_count=3)
 TINY_NET = InteractionConfig(d_model=8, d_command=4)
@@ -99,28 +102,75 @@ class TestMotionRegression:
             motion_regression_loss(modes, gt)
 
 
+def aux_map_regression(pred, gt) -> tuple[float, np.ndarray]:
+    """The auxiliary map regression term that `_aux_losses` records for a
+    scene whose map vectors are `gt` (V, P, 2), from an identity map head
+    whose queries are the predicted points `pred` (V, P', 2): its value and
+    its gradient with respect to `pred`."""
+    pred = np.asarray(pred, dtype=np.float64)
+    v, d = len(pred), pred[0].size
+    tape = ad.Tape()
+
+    def read_only(a):
+        a.setflags(write=False)
+        return a
+
+    params = tape.params({
+        "aux.map_pts.w": read_only(np.eye(d)),
+        "aux.map_pts.b": read_only(np.zeros((1, d))),
+        "aux.map_cls.w": read_only(np.zeros((d, 3))),
+        "aux.map_cls.b": read_only(np.zeros((1, 3))),
+    })
+    queries = tape.leaf(pred.reshape(v, d))
+    result = SimpleNamespace(params=params, features=SimpleNamespace(map_queries=queries))
+    kinds = [MapClass.LANE_DIVIDER] * len(gt)
+    _, _, seeds = _aux_losses(result, scene(np.zeros((6, 2)), map=map_arrays(gt, kinds)),
+                              LossWeights())
+    reg, _ = seeds[0]
+    grad = tape.backward_from([(reg, np.ones((1, 1)))])[queries]
+    return float(reg.data[0, 0]), grad.reshape(pred.shape)
+
+
 class TestMapRegression:
+    """The auxiliary heads' map term: the mean Manhattan distance per point
+    of each map vector, averaged over the vectors."""
+
     def test_exact_match(self):
-        pts = np.random.default_rng(0).uniform(-5, 5, (20, 2))
-        value, grad = map_regression_loss(pts, pts.copy())
+        pts = np.random.default_rng(0).uniform(-5, 5, (1, 20, 2))
+        value, grad = aux_map_regression(pts, pts.copy())
         assert value == 0.0
         assert not grad.any()
 
     def test_single_point_hand_case(self):
-        value, _ = map_regression_loss(np.array([[0.5, -0.5]]), np.zeros((1, 2)))
+        # every point off by (0.5, -0.5): 1.0 per point, as for a single one
+        gt = np.array([[[0.0, 0.0], [0.0, 1.0]]])
+        value, _ = aux_map_regression(gt + [0.5, -0.5], gt)
         assert value == pytest.approx(1.0, abs=1e-12)
+        assert map_regression_oracle(gt[0, :1] + [0.5, -0.5], gt[0, :1])[0] == 1.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
-        pred = rng.uniform(-5, 5, (20, 2))
-        gt = rng.uniform(-5, 5, (20, 2))
-        base, _ = map_regression_loss(pred, gt)
-        shifted, _ = map_regression_loss(pred + [3.0, -7.0], gt + [3.0, -7.0])
+        pred = rng.uniform(-5, 5, (1, 20, 2))
+        gt = rng.uniform(-5, 5, (1, 20, 2))
+        base, _ = aux_map_regression(pred, gt)
+        shifted, _ = aux_map_regression(pred + [3.0, -7.0], gt + [3.0, -7.0])
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            map_regression_loss(np.zeros((3, 2)), np.zeros((4, 2)))
+        gt = np.random.default_rng(2).uniform(-5, 5, (1, 4, 2))
+        with pytest.raises(ShapeError, match="l1_to_target"):
+            aux_map_regression(np.zeros((1, 3, 2)), gt)
+
+    def test_matches_the_oracle_over_several_vectors(self):
+        rng = np.random.default_rng(3)
+        pred = rng.uniform(-5, 5, (4, 20, 2))
+        gt = rng.uniform(-5, 5, (4, 20, 2))
+        pred[1] = gt[1]  # one exact match: zero value and zero subgradient
+        value, grad = aux_map_regression(pred, gt)
+        oracle = [map_regression_oracle(p, g) for p, g in zip(pred, gt)]
+        assert value == pytest.approx(np.mean([v for v, _ in oracle]), rel=1e-12)
+        np.testing.assert_allclose(grad, np.array([g for _, g in oracle]) / len(gt),
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestFocalLoss:

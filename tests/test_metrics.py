@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ class TestBlocks:
         oversteps = boundary_overstep(scenarios, ego)
         whole = plan_metrics(scenarios, plans)
         rate = collision_rate(scenarios, plans)
-        for size in (1, 3, 16, 64):
+        for size in (1, 3, 8, 16, 32, len(scenarios), 64):
             monkeypatch.setattr(metrics, "BLOCK_SCENES", size)
             assert plan_metrics(scenarios, plans) == whole
             assert collision_rate(scenarios, plans) == rate
@@ -382,6 +383,24 @@ class TestBlocks:
             assert collision_ticks([s], one).tolist() == flags[i : i + 1].tolist()
             assert boundary_overstep([s], one).tolist() == oversteps[i : i + 1].tolist()
         assert flags.any() and oversteps.any() and not oversteps.all()
+
+    def test_a_dense_block_boundary_query_stays_near_a_megabyte(self):
+        # a 32-scene block of 8-12 agent scenes makes (32, 24, 38) float64
+        # arrays of corners x segments, 233 KB each; the nearest-segment
+        # chain peaks at 1.01 MB holding four of them at once (1.18 MB when
+        # it held five), which keeps `BLOCK_SCENES` at 32 cheap
+        dense = GeneratorConfig(agent_count_range=(8, 12))
+        scenarios = [generate_scenario(seed, dense) for seed in range(metrics.BLOCK_SCENES)]
+        ego = plan_pose_track(_perturbed(scenarios))
+        boundaries = metrics.labeled_boundaries(scenarios)
+        tracemalloc.start()
+        try:
+            metrics.pose_oversteps_boundary(boundaries, ego.xy, ego.heading, DEFAULT_EGO_DIMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boundaries[0].sx.shape == (32, 1, 38)
+        assert peak <= 1.1e6
 
     def test_permuted_scenes_permute_the_flags(self):
         scenarios = [generate_scenario(seed) for seed in range(20)]

@@ -306,8 +306,8 @@ class TestClosedLoop:
         s = empty_scenario()
         log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=6)
         assert len(log.records) == 6
-        assert log.collision_count == 0
-        assert log.overstep_count == 0
+        assert not any(r.collision for r in log.records)
+        assert not any(r.boundary_overstep for r in log.records)
 
     def test_log_length_matches_ticks(self):
         s = generate_scenario(13)
@@ -342,7 +342,7 @@ class TestClosedLoop:
         agent = one_mode_agents([(6.0, 6.0)], crossing[None], heading=math.pi)
         s = empty_scenario(speed=4.0, agents=agent)
         log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=t_f)
-        assert log.collision_count >= 1
+        assert any(r.collision for r in log.records)
 
     def test_rollout_table_shape(self):
         s = generate_scenario(16)
