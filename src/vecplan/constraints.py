@@ -11,7 +11,11 @@ used and at L1/abs kinks the subgradient is zero).
 
 The losses read a scene packed into arrays once (`scene.pack`), however many
 times a planner or a training run evaluates them on it: the agents as their
-(A, T_f, 2) best-mode tracks and the map elements as a PolylineSet.
+(A, T_f, 2) best-mode tracks and the map elements as one PolylineSet whose
+two rows are the road boundaries and the lane dividers.  An evaluation of the
+constraints (`constraint_terms`, shared by `total_planning_loss` and the
+refine planner) searches that set once, and the boundary and direction
+losses each read their own row of that one `map_search`.
 
 Each input is checked once.  A plan's waypoints were checked when the frozen
 `PlanTrajectory` was made, so the losses hand them, and the arrays they
@@ -32,13 +36,16 @@ import numpy as np
 from .errors import ShapeError
 from .geometry import (
     Checked,
+    Nearest,
     PolylineSet,
     angular_difference,
     checked,
     closest_polyline_within,
-    point_polyline_distance,
 )
-from .scene import PackedScene, PlanTrajectory, Scenario, ego_vectors, pack
+from .scene import MAP_ROWS, MapClass, PackedScene, PlanTrajectory, Scenario, ego_vectors, pack
+
+_BOUNDARY_ROW = MAP_ROWS.index(MapClass.ROAD_BOUNDARY)
+_DIVIDER_ROW = MAP_ROWS.index(MapClass.LANE_DIVIDER)
 
 COLLISION_MODES = ("per_axis", "single_nearest")
 
@@ -166,23 +173,35 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
     return LossResult((lateral + longitudinal) / t_f, grad)
 
 
+def map_search(plan: PlanTrajectory, packed_map: PolylineSet,
+               params: ConstraintParams) -> Optional[Nearest]:
+    """Each waypoint's nearest road boundary and lane divider of a packed map
+    (`PackedScene.map`) in one search: a (2, T_f) `Nearest`, `found` within
+    `divider_search_range`, or None for an empty map.  A row with no element
+    finds only padding, at distance inf."""
+    return closest_polyline_within(Checked(plan.waypoints), packed_map,
+                                   params.divider_search_range)
+
+
 def boundary_loss(
-    plan: PlanTrajectory, boundaries: PolylineSet, params: ConstraintParams
+    plan: PlanTrajectory, near: Optional[Nearest], params: ConstraintParams
 ) -> LossResult:
     """Clearance hinge against the closest road-boundary polyline.
 
     Per timestep, if the waypoint is closer than `boundary_clearance` to the
     nearest boundary the hinge contributes (clearance - distance); mean over
     the horizon.  The gradient points along the foot-point direction of the
-    winning segment and is zero exactly on a boundary.
+    winning segment and is zero exactly on a boundary.  `near` is the
+    `map_search` of the plan; the loss reads its boundary row.
     """
     w = plan.waypoints
     t_f = w.shape[0]
     grad = np.zeros(w.shape)
-    if not boundaries:
+    if near is None:
         return LossResult(0.0, grad)
 
-    dist, _, foot = point_polyline_distance(Checked(w), boundaries)
+    # no boundary: every distance is inf, so no step is active
+    dist, foot = near.dist[_BOUNDARY_ROW], near.foot[_BOUNDARY_ROW]
     active = dist < params.boundary_clearance
     total = float(np.add.reduce(params.boundary_clearance - dist[active]))
     pull = active & (dist > 0.0)
@@ -192,7 +211,7 @@ def boundary_loss(
 
 
 def direction_loss(
-    plan: PlanTrajectory, dividers: PolylineSet, params: ConstraintParams
+    plan: PlanTrajectory, near: Optional[Nearest], params: ConstraintParams
 ) -> LossResult:
     """Angular misalignment between per-step motion and the nearest divider.
 
@@ -201,21 +220,22 @@ def direction_loss(
     along travel direction); the term is the unsigned angle between it and
     the step's motion vector (the first step leaves the ego origin), zero
     when no divider is in range or the step has zero length.  Mean over the
-    horizon.
+    horizon.  `near` is the `map_search` of the plan; the loss reads its
+    divider row.
     """
     w = plan.waypoints
     t_f = w.shape[0]
-    if not dividers:
+    if near is None:
         return LossResult(0.0, np.zeros(w.shape))
 
-    hit = closest_polyline_within(Checked(w), dividers, params.divider_search_range)
     vectors = ego_vectors(plan)
     moving = np.logical_or.reduce(vectors != 0.0, axis=1)
-    active = (hit.found & moving).nonzero()[0]
+    active = (near.found[_DIVIDER_ROW] & moving).nonzero()[0]
     if active.size == 0:
         return LossResult(0.0, np.zeros(w.shape))
     # the winning segment's step, end - start
-    lane_dir = dividers.step.take(hit.index.take(active), axis=0)
+    lane_dir = near.segments.step.reshape(-1, 2).take(
+        near.index[_DIVIDER_ROW].take(active), axis=0)
     v = vectors.take(active, axis=0)
     total = float(np.add.reduce(angular_difference(Checked(lane_dir), Checked(v))))
 
@@ -256,6 +276,27 @@ def imitation_loss(plan: PlanTrajectory, expert) -> LossResult:
     return LossResult(value, grad)
 
 
+def constraint_terms(
+    plan: PlanTrajectory, packed: PackedScene, params: ConstraintParams
+) -> tuple[LossResult, LossResult, LossResult]:
+    """The collision, boundary and direction terms of `plan` on a scene
+    packed under `params`, the map searched once for both map terms."""
+    near = map_search(plan, packed.map, params)
+    return (collision_loss(plan, Checked(packed.agent_tracks), params),
+            boundary_loss(plan, near, params), direction_loss(plan, near, params))
+
+
+def weighted_sum(terms) -> LossResult:
+    """The sum of weight x term over (weight, LossResult) pairs, values and
+    gradients each summed in the order given."""
+    (weight, first), *rest = terms
+    value, grad = weight * first.value, weight * first.grad
+    for weight, term in rest:
+        value = value + weight * term.value
+        grad += weight * term.grad
+    return LossResult(value, grad)
+
+
 def total_planning_loss(
     plan: PlanTrajectory,
     scene: Scenario | PackedScene,
@@ -275,29 +316,10 @@ def total_planning_loss(
     if packed.thresholds != (params.agent_min_confidence, params.map_min_confidence):
         raise ValueError(f"scene was packed under other confidence thresholds {packed.thresholds}")
 
-    col = collision_loss(plan, Checked(packed.agent_tracks), params)
-    bd = boundary_loss(plan, packed.boundaries, params)
-    dr = direction_loss(plan, packed.dividers, params)
+    col, bd, dr = constraint_terms(plan, packed, params)
     imi = imitation_loss(plan, Checked(packed.scenario.expert) if expert is None else expert)
-
-    value = (
-        weights.collision * col.value
-        + weights.boundary * bd.value
-        + weights.direction * dr.value
-        + weights.imitation * imi.value
-    )
-    # summed in place, in the order of the value
-    grad = weights.collision * col.grad
-    grad += weights.boundary * bd.grad
-    grad += weights.direction * dr.grad
-    grad += weights.imitation * imi.grad
-    return TotalLossResult(
-        value=value,
-        grad=grad,
-        breakdown={
-            "collision": col.value,
-            "boundary": bd.value,
-            "direction": dr.value,
-            "imitation": imi.value,
-        },
-    )
+    total = weighted_sum(((weights.collision, col), (weights.boundary, bd),
+                          (weights.direction, dr), (weights.imitation, imi)))
+    breakdown = {"collision": col.value, "boundary": bd.value, "direction": dr.value,
+                 "imitation": imi.value}
+    return TotalLossResult(total.value, total.grad, breakdown)

@@ -7,10 +7,10 @@ tie-breaks resolve to the lowest index, so results are deterministic.
 
 Each input has one form.  Query points and vectors are (K, 2) arrays; a
 `Point2`, the one checked position type, is a finite (x, y) tuple and so a
-plain 2-vector wherever one is taken.  A polyline is a `Polyline`, one
-checked, read-only (N, 2) array, and the polylines a search runs over are a
-`PolylineSet`.  A box is a `BoxFrame`.  A pose track is a `Poses` pair of
-arrays, (..., T, 2) positions and (..., T) headings.
+plain 2-vector wherever one is taken.  Polylines are the rows of an
+(M, P, 2) array, and the polylines a search runs over are a `PolylineSet`,
+which checks them once.  A box is a `BoxFrame`.  A pose track is a `Poses`
+pair of arrays, (..., T, 2) positions and (..., T) headings.
 
 Each input is checked once.  A kernel checks the arrays a caller hands it;
 an array that is already known to be finite float64 of the right shape (a
@@ -29,7 +29,10 @@ squared lengths, whether every segment is live), and a `Nearest` gathers
 the polyline, segment and endpoints of a hit only when they are read.
 Over a set with a scene axis (`PolylineSet.of_scenes`) the chain takes
 (B, K, 2) arrays, one row of queries per scene, and searches each row
-among its own scene's segments.  `rect_corners` broadcasts over box arrays.
+among its own scene's segments, or one (K, 2) array searched among each
+scene's: a packed map (`scene.pack`) holds its boundaries and its
+dividers as two such rows, so one search finds a plan's nearest of both.
+`rect_corners` broadcasts over box arrays.
 
 The separating-axis test (`oriented_rect_margin`, `oriented_rect_overlap`)
 takes two box frames: each box's center, cos/sin, axes, half dims,
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,42 +76,6 @@ def _all(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == a.size
 
 
-class Polyline:
-    """An ordered open polyline: `xy`, a read-only (N, 2) float64 array of at
-    least two finite points, copied from the array-like it is made from and
-    checked once, here.
-
-    Consecutive points may coincide, as long as some pair does not: every
-    polyline has a non-degenerate segment.  Zero-length segments are skipped
-    by distance queries, never divided by.
-
-    Raises:
-        GeometryError: on another shape, fewer than two points, a non-finite
-            coordinate or no non-degenerate segment.
-    """
-
-    __slots__ = ("xy",)
-
-    def __init__(self, points):
-        xy = np.array(points, dtype=np.float64)  # a copy, never the caller's array
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise GeometryError(f"polyline points must have shape (N, 2), got {xy.shape}")
-        if len(xy) < 2:
-            raise GeometryError(f"polyline needs at least 2 points, got {len(xy)}")
-        if not _all(np.isfinite(xy)):
-            raise GeometryError("non-finite polyline point")
-        if _all(xy[1:] == xy[:-1]):
-            raise GeometryError("polyline has no non-degenerate segment")
-        xy.flags.writeable = False
-        self.xy = xy
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polyline) and np.array_equal(self.xy, other.xy)
-
-    def __repr__(self) -> str:
-        return f"Polyline({len(self.xy)} points)"
-
-
 class Checked(NamedTuple):
     """An array known to be finite float64 of the shape its receiver takes,
     handed over so that it is not checked again.
@@ -117,16 +84,18 @@ class Checked(NamedTuple):
     array checked when its owner was made (`PlanTrajectory.waypoints`,
     `Scenario.expert`, `PackedScene.agent_tracks`), or one computed from
     checked arrays (step vectors, lane directions).  A caller's own array
-    goes in bare and is checked where it enters.
+    goes in bare and is checked where it enters.  A `Scenario` takes a
+    read-only `Checked` field, an array of a scenario it derives from, the
+    same way: as it is, after a shape check.
     """
 
     xy: np.ndarray
 
 
-def checked(p, what: str = "query point", ndim: int | None = 2) -> np.ndarray:
-    """`p` as a finite float64 array of `ndim` axes (None: two or more), the
-    last of length 2: a `Checked` array as it is, any other array-like after
-    a check.
+def checked(p, what: str = "query point", ndim: int | tuple[int, ...] | None = 2) -> np.ndarray:
+    """`p` as a finite float64 array of `ndim` axes (a tuple: any of those
+    counts; None: two or more), the last of length 2: a `Checked` array as
+    it is, any other array-like after a check.
 
     Raises:
         GeometryError: on any other shape or a non-finite coordinate.
@@ -134,9 +103,11 @@ def checked(p, what: str = "query point", ndim: int | None = 2) -> np.ndarray:
     if type(p) is Checked:
         return p.xy
     xy = np.asarray(p, dtype=np.float64)
-    if (xy.ndim < 2 if ndim is None else xy.ndim != ndim) or xy.shape[-1] != 2:
-        raise GeometryError(f"{what}s must have {ndim or 'two or more'} axes, the last of "
-                            f"length 2, got shape {xy.shape}")
+    ranks = (ndim,) if type(ndim) is int else ndim
+    if (xy.ndim < 2 if ranks is None else xy.ndim not in ranks) or xy.shape[-1] != 2:
+        counts = "two or more" if ranks is None else " or ".join(map(str, sorted(set(ranks))))
+        raise GeometryError(f"{what}s must have {counts} axes, the last of length 2, "
+                            f"got shape {xy.shape}")
     if not _all(np.isfinite(xy)):
         raise GeometryError(f"non-finite {what}")
     return xy
@@ -153,31 +124,23 @@ class PolylineSet:
     segment `start`s, `end`s and `step`s (S, 2), the contiguous start and
     step columns `sx`, `sy`, `dx`, `dy`, the squared lengths `step_sq` and
     the flag `all_live` (no segment is degenerate).  The arrays are
-    read-only and finite, and each polyline has a live segment (a Polyline
-    checks its points when it is made, `of_rows` and `of_scenes` check
-    their rows), so the chain uses them without checking them again.
+    read-only and finite, and each polyline has a live segment (`of_rows`
+    and `of_scenes`, the set's two makers, check their rows), so the chain
+    uses them without checking them again.
 
     A set made by `of_scenes` has a scene axis: it holds the polylines of B
-    scenes, each scene's padded with dead segments to the same count S, and
-    a search over it takes (B, K, 2) query arrays, K points a scene, and
-    finds each point's nearest segment among its own scene's.  Its arrays
+    scenes, each scene's padded with dead segments to the same count S.  A
+    search over it takes a (B, K, 2) query array, K points a scene, or one
+    (K, 2) array searched in every scene, and finds each point's nearest
+    segment among each scene's own, (B, K) results either way.  Its arrays
     have a (B, 1) in front of the segment axis, to broadcast over the
     query axis; packed indices and the polyline numbers `poly` and `seg`
     run over the whole set, scene after scene (N = B S).  `ndim` is the
-    number of axes of a query array: 2, or 3 with a scene axis.
+    largest number of axes of a query array: 2, or 3 with a scene axis.
     """
 
     __slots__ = ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
                  "all_live", "poly", "seg", "count", "ndim")
-
-    def __init__(self, pls: Sequence[Polyline]):
-        xy = [pl.xy for pl in pls]
-        counts = [len(x) - 1 for x in xy]
-        none = np.zeros((0, 2))
-        self._pack(np.concatenate([none] + [x[:-1] for x in xy]),
-                   np.concatenate([none] + [x[1:] for x in xy]),
-                   np.repeat(np.arange(len(xy)), counts),
-                   np.concatenate([np.arange(c) for c in [0] + counts]), len(xy), ())
 
     @classmethod
     def of_rows(cls, xy) -> "PolylineSet":
@@ -224,8 +187,7 @@ class PolylineSet:
         if xy.shape[-2] < 2 and np.count_nonzero(real):
             raise GeometryError(f"polyline needs at least 2 points, got {xy.shape[-2]}")
         segs = max(xy.shape[-2] - 1, 0)
-        out = cls.__new__(cls)
-        out._pack(xy[..., :-1, :].reshape(-1, 2), xy[..., 1:, :].reshape(-1, 2),
+        out = cls(xy[..., :-1, :].reshape(-1, 2), xy[..., 1:, :].reshape(-1, 2),
                   np.repeat(np.arange(real.size), segs), np.arange(real.size * segs) % max(segs, 1),
                   int(np.count_nonzero(real)), xy.shape[:-3])
         # a row is live if any of its segments is, and must be live iff real
@@ -236,10 +198,11 @@ class PolylineSet:
                                 else "a padding row has a non-degenerate segment")
         return out
 
-    def _pack(self, start, end, poly, seg, count: int, lead: tuple[int, ...]) -> None:
+    def __init__(self, start, end, poly, seg, count: int, lead: tuple[int, ...]):
         """Hold the packed (N, 2) segment `start`s and `end`s, the polyline
         and in-polyline index of each, and the count of polylines; `lead` is
-        () or, with a scene axis, (B,)."""
+        () or, with a scene axis, (B,).  Made by `of_rows` and `of_scenes`,
+        which check the arrays first."""
         d = end - start
         seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # a degenerate segment's squared length counts as 1, so its
@@ -310,10 +273,10 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     `p` is a (K, 2) array of query points; the result is the (K, S, 2) array
     of foot points on the set's S closed segments [a_s, b_s].  A degenerate
     segment (a_s == b_s) gives a_s.  Over a set with a scene axis, `p` is
-    (B, K, 2) and the result (B, K, S, 2), each scene's points on its own
-    segments.
+    (B, K, 2) or (K, 2) and the result (B, K, S, 2), each scene's points on
+    its own segments.
     """
-    q = checked(p, ndim=segments.ndim)
+    q = checked(p, ndim=(2, segments.ndim))
     # along-segment parameter, projected and clamped to [0, 1] in place
     t = q[..., 0, None] - segments.sx
     t *= segments.dx
@@ -336,13 +299,14 @@ def point_polyline_distance(p, pls: PolylineSet):
     `p` is a (K, 2) array of query points; returns the (K,) distances, the
     (K,) winning packed segment indices and the (K, 2) foot points on them.
     Degenerate segments are skipped; exact ties resolve to the lowest
-    segment index.  Over a set with a scene axis, `p` is (B, K, 2) and the
-    results gain that axis in front; the indices run over the whole set.
+    segment index.  Over a set with a scene axis, `p` is (B, K, 2) or
+    (K, 2) and the results gain the scene axis in front; the indices run
+    over the whole set.
 
     Raises:
         GeometryError: if the set is empty.
     """
-    q = checked(p, ndim=pls.ndim)
+    q = checked(p, ndim=(2, pls.ndim))
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
     foot = closest_point_on_segment(Checked(q), pls)
@@ -352,11 +316,12 @@ def point_polyline_distance(p, pls: PolylineSet):
     if not pls.all_live:
         np.copyto(dist, np.inf, where=~pls.live)
     seg = dist.argmin(axis=-1)
-    if q.ndim == 2:
-        rows = np.arange(len(q))
-        return dist[rows, seg], seg, foot[rows, seg]
-    scene, rows = np.arange(len(seg))[:, None], np.arange(seg.shape[1])
-    return dist[scene, rows, seg], seg + scene * dist.shape[-1], foot[scene, rows, seg]
+    s = dist.shape[-1]
+    # each winner's place in the flattened (..., K, S) arrays
+    flat = np.arange(0, seg.size * s, s).reshape(seg.shape)
+    flat += seg
+    index = seg if dist.ndim == 2 else seg + np.arange(0, len(seg) * s, s)[:, None]
+    return dist.reshape(-1).take(flat), index, foot.reshape(-1, 2).take(flat, axis=0)
 
 
 def angular_difference(v1, v2) -> np.ndarray:
@@ -385,11 +350,11 @@ def angular_difference(v1, v2) -> np.ndarray:
 
 def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     """Nearest polyline of a PolylineSet to each query point of a (K, 2)
-    array ((B, K, 2) over a set with a scene axis), or None when the set is
-    empty.  Ties resolve to the lowest polyline index, then to the lowest
-    segment index.
+    array (over a set with a scene axis, a (B, K, 2) array or a (K, 2) one
+    searched in every scene), or None when the set is empty.  Ties resolve
+    to the lowest polyline index, then to the lowest segment index.
     """
-    q = checked(p, ndim=pls.ndim)
+    q = checked(p, ndim=(2, pls.ndim))
     if not pls:
         return None
     dist, k, foot = point_polyline_distance(Checked(q), pls)

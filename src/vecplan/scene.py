@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import BoxFrame, Point2, PolylineSet, oriented_rect_overlap, swept_box_frame
+from .geometry import BoxFrame, Checked, Point2, PolylineSet, oriented_rect_overlap, swept_box_frame
 
 SCHEMA_VERSION = 1
 
@@ -108,7 +108,10 @@ class Scenario:
     each array, checks it and makes it read-only, and derives `agent_track`,
     each agent's best mode; the scenario is frozen, so they never go stale.
     A refusal names the element by its path in a scenario file, e.g.
-    `agents[2].size`.
+    `agents[2].size`.  An array of another scenario that a derived scene
+    (a closed-loop view) passes through unchanged comes as a read-only
+    `geometry.Checked`: it was checked when its scenario was made, so it is
+    kept as it is, after a check of its shape alone.
     """
 
     ego: EgoState
@@ -135,24 +138,35 @@ class Scenario:
             object.__setattr__(self, name, a)
             return a
 
-        def take(name, shape):
-            """A float64 copy of field `name`, of `shape` (None: any length)."""
-            try:
-                a = np.array(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ScenarioFormatError(f"bad {name}: {e}") from e
+        passed = set()  # the fields given as read-only `Checked` arrays
+
+        def take(name, shape, bad=None, message=""):
+            """Field `name` as a float64 copy of `shape` (None: any length),
+            its first row that `bad` flags refused with `message`; the array
+            of a read-only `Checked` as it is, after the shape check."""
+            a = getattr(self, name)
+            if type(a) is Checked and not a.xy.flags.writeable:
+                a = a.xy
+                passed.add(name)
+            else:
+                try:
+                    a = np.array(a.xy if type(a) is Checked else a, dtype=np.float64)
+                except (TypeError, ValueError) as e:
+                    raise ScenarioFormatError(f"bad {name}: {e}") from e
             if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
                 raise ScenarioFormatError(f"{name} must have shape {shape}, got {a.shape}")
+            if bad is not None and name not in passed:
+                _refuse(bad(a), message, a)
             return keep(name, a)
 
         def whole(name, n, low, high, dtype, message):
             """Field `name` as (n,) whole numbers in [low, high], of `dtype`."""
-            a = take(name, (n,))
-            _refuse(~((a >= low) & (a <= high) & (a == np.floor(a))), message, a)
-            return keep(name, a.astype(dtype))
+            a = take(name, (n,), lambda a: ~((a >= low) & (a <= high) & (a == np.floor(a))),
+                     message)
+            return a if name in passed else keep(name, a.astype(dtype))
 
         expert = take("expert", (None, 2))
-        if not np.isfinite(expert).all():
+        if "expert" not in passed and not np.isfinite(expert).all():
             raise ScenarioFormatError("non-finite values in expert")
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
@@ -168,19 +182,16 @@ class Scenario:
                 raise ScenarioFormatError(f"non-finite ego {name}: {value}")
         t_f = len(expert)
 
-        xy = take("agent_xy", (None, 2))
-        n_a = len(xy)
-        _refuse(~_rows(np.isfinite(xy)), "agents[{i}].position: non-finite agent position {v}", xy)
-        heading = take("agent_heading", (n_a,))
-        _refuse(~np.isfinite(heading), "agents[{i}].heading: non-finite agent heading {v}", heading)
-        size = take("agent_size", (n_a, 2))
-        _refuse(~_rows((size > 0.0) & (size < math.inf)),
-                "agents[{i}].size: agent size must be positive and finite, got {v}", size)
-        conf = take("agent_confidence", (n_a,))
-        _refuse(~((conf >= 0.0) & (conf <= 1.0)),
-                "agents[{i}].confidence: agent confidence out of [0,1]: {v}", conf)
-        future = take("agent_future", (n_a, t_f, 2))
-        _refuse(~_rows(np.isfinite(future)), "non-finite values in agent {i} ground-truth future")
+        n_a = len(take("agent_xy", (None, 2), lambda a: ~_rows(np.isfinite(a)),
+                       "agents[{i}].position: non-finite agent position {v}"))
+        take("agent_heading", (n_a,), lambda a: ~np.isfinite(a),
+             "agents[{i}].heading: non-finite agent heading {v}")
+        take("agent_size", (n_a, 2), lambda a: ~_rows((a > 0.0) & (a < math.inf)),
+             "agents[{i}].size: agent size must be positive and finite, got {v}")
+        take("agent_confidence", (n_a,), lambda a: ~((a >= 0.0) & (a <= 1.0)),
+             "agents[{i}].confidence: agent confidence out of [0,1]: {v}")
+        take("agent_future", (n_a, t_f, 2), lambda a: ~_rows(np.isfinite(a)),
+             "non-finite values in agent {i} ground-truth future")
         modes = take("agent_modes", (None, t_f, 2))
         scores = take("agent_mode_scores", (len(modes),))
         count = whole("agent_mode_count", n_a, 1, len(modes), np.intp,
@@ -195,10 +206,12 @@ class Scenario:
         def agents_of(bad_modes):
             return np.bincount(owner, weights=bad_modes, minlength=n_a) > 0
 
-        _refuse(agents_of(~_rows(np.isfinite(modes))),
-                "agents[{i}].modes: non-finite values in agent prediction")
-        _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
-                "agents[{i}].mode_scores: mode scores must lie in [0,1]")
+        if "agent_modes" not in passed:
+            _refuse(agents_of(~_rows(np.isfinite(modes))),
+                    "agents[{i}].modes: non-finite values in agent prediction")
+        if "agent_mode_scores" not in passed:
+            _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
+                    "agents[{i}].mode_scores: mode scores must lie in [0,1]")
         ends = np.cumsum(count)
         best = [
             start + best_mode_index(scores[start:end])
@@ -210,14 +223,14 @@ class Scenario:
         n_m, n_p = map_xy.shape[:2]
         if n_m and n_p < 2:
             raise ScenarioFormatError(f"map polylines need at least 2 points, got {n_p}")
-        _refuse(~_rows(np.isfinite(map_xy)), "map[{i}].points: non-finite polyline point")
-        _refuse(~(map_xy[:, 1:] != map_xy[:, :-1]).any(axis=(1, 2)),
-                "map[{i}].points: polyline has no non-degenerate segment")
+        if "map_xy" not in passed:
+            _refuse(~_rows(np.isfinite(map_xy)), "map[{i}].points: non-finite polyline point")
+            _refuse(~(map_xy[:, 1:] != map_xy[:, :-1]).any(axis=(1, 2)),
+                    "map[{i}].points: polyline has no non-degenerate segment")
         whole("map_kind", n_m, 0, len(MAP_CLASSES) - 1, np.intp,
               "map[{i}].kind: no map class has code {v}")
-        conf = take("map_confidence", (n_m,))
-        _refuse(~((conf >= 0.0) & (conf <= 1.0)),
-                "map[{i}].confidence: map confidence out of [0,1]: {v}", conf)
+        take("map_confidence", (n_m,), lambda a: ~((a >= 0.0) & (a <= 1.0)),
+             "map[{i}].confidence: map confidence out of [0,1]: {v}")
         sides = DRIVABLE_SIDES.values()
         whole("map_side", n_m, min(sides), max(sides), np.int8,
               "map[{i}].drivable_side: no drivable side has code {v}")
@@ -257,33 +270,41 @@ def ego_vectors(plan: PlanTrajectory) -> np.ndarray:
     return out
 
 
+# the map classes of the rows of `PackedScene.map`, in row order
+MAP_ROWS = (MapClass.ROAD_BOUNDARY, MapClass.LANE_DIVIDER)
+
+
 @dataclass(frozen=True, eq=False)
 class PackedScene:
     """A scenario in the arrays that its losses compute on, built once by
-    `pack`: the best-mode tracks of the agents and one PolylineSet each of
-    the road boundaries and lane dividers that pass the confidence
-    thresholds.
+    `pack`: the best-mode tracks of the agents, and the road boundaries and
+    lane dividers in one PolylineSet with a scene axis of two rows, so that
+    one search finds each point's nearest of both.
     """
 
     scenario: Scenario
     thresholds: tuple[float, float]  # (agent, map) minimum confidence
     agent_tracks: np.ndarray  # (A, T_f, 2), read-only
-    boundaries: PolylineSet
-    dividers: PolylineSet
+    map: PolylineSet  # row i holds the kept elements of class MAP_ROWS[i]
 
 
 def pack(scenario: Scenario, params) -> PackedScene:
     """`scenario` packed under the confidence thresholds of `params`, a
-    `constraints.ConstraintParams`; both thresholds are inclusive."""
+    `constraints.ConstraintParams`; both thresholds are inclusive.
+
+    Row i of the map set holds the kept elements of class `MAP_ROWS[i]` in
+    scene order, then dead all-zero rows up to the longer row's count.
+    """
     thresholds = (params.agent_min_confidence, params.map_min_confidence)
     tracks = scenario.agent_track[scenario.agent_confidence >= thresholds[0]]
     tracks.flags.writeable = False
     kept = scenario.map_confidence >= thresholds[1]
-    boundaries, dividers = (
-        PolylineSet.of_rows(scenario.map_xy[kept & (scenario.map_kind == MAP_CLASSES.index(c))])
-        for c in (MapClass.ROAD_BOUNDARY, MapClass.LANE_DIVIDER)
-    )
-    return PackedScene(scenario, thresholds, tracks, boundaries, dividers)
+    rows = [scenario.map_xy[kept & (scenario.map_kind == MAP_CLASSES.index(c))] for c in MAP_ROWS]
+    counts = np.array([len(row) for row in rows])
+    xy = np.zeros((len(rows), counts.max()) + scenario.map_xy.shape[1:])
+    real = np.arange(xy.shape[1]) < counts[:, None]
+    xy[real] = np.concatenate(rows)
+    return PackedScene(scenario, thresholds, tracks, PolylineSet.of_scenes(xy, real))
 
 
 # ---------------------------------------------------------------------------

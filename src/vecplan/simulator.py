@@ -26,10 +26,12 @@ from .constraints import (
     ConstraintParams,
     LossResult,
     LossWeights,
+    constraint_terms,
     total_planning_loss,
+    weighted_sum,
 )
 from .errors import CheckpointError, ScenarioFormatError, SimulationError
-from .geometry import Point2, Poses, box_frame, oriented_rect_overlap, pose_track
+from .geometry import Checked, Point2, Poses, box_frame, oriented_rect_overlap, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_boxes, labeled_boundaries, pose_oversteps_boundary
 from .scene import EgoState, PlanTrajectory, Scenario, pack
@@ -124,7 +126,7 @@ def _build_view(
     the stacked tracks, the map and the agent positions: a stacked matmul
     gives each row block the bits of a call of its own.  The arrays that do
     not move with the ego (sizes, confidences, scores, map labels) pass
-    through unchanged.
+    through unchanged, as `Checked`, so the view does not check them again.
     """
     t_f = scenario.t_future
     ticks = np.minimum(np.arange(tick, tick + t_f), t_f - 1)
@@ -146,7 +148,13 @@ def _build_view(
         agent_future=tracks[k:-1],
         agent_modes=tracks[:k],
         map_xy=world_to_ego(scenario.map_xy, position, heading),
+        **{name: Checked(getattr(scenario, name)) for name in _FIXED},
     )
+
+
+# the arrays of a scenario that a view passes through unchanged
+_FIXED = ("agent_size", "agent_confidence", "agent_mode_scores", "agent_mode_count",
+          "map_kind", "map_confidence", "map_side")
 
 
 def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
@@ -269,12 +277,13 @@ def refine_trajectory(
 ) -> PlanTrajectory:
     """Projected gradient descent on the planning constraints.
 
-    The imitation weight is applied to the smoothness prior instead of the
-    expert term.  Waypoints are clamped to the perception range after every
-    step, and the best iterate seen (by objective value) is returned, so the
-    result never scores worse than the seed.  The objective runs once per
-    iterate, on the scene packed once for the whole descent: the evaluation
-    that scores an iterate also gives the gradient of the next step.
+    The objective is collision + boundary + direction + the imitation
+    weight times the smoothness prior, which stands in for the expert term.
+    Waypoints are clamped to the perception range after every step, and the
+    best iterate seen (by objective value) is returned, so the result never
+    scores worse than the seed.  The objective runs once per iterate, on the
+    scene packed once for the whole descent: the evaluation that scores an
+    iterate also gives the gradient of the next step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -283,14 +292,19 @@ def refine_trajectory(
     # (lateral, longitudinal) half extents of the perception range
     high = np.array((scenario.perception_range[1] / 2.0, scenario.perception_range[0] / 2.0))
     low = -high
-    no_imitation = dataclasses.replace(weights, imitation=0.0)
     packed = pack(scenario, params)
 
+    # The expert term has no place here, not even at weight 0: 0 x its
+    # gradient is a signed zero, and adding it could only flip the sign of a
+    # zero gradient entry.  Such a sign moves an iterate only where a
+    # waypoint is -0.0, and the descent never makes one: x - x is +0.0 and
+    # the clamps are non-zero, so a -0.0 can only come from the seed plan,
+    # and a constant-velocity seed has one only at an ego velocity of -0.0.
     def objective(plan: PlanTrajectory) -> tuple[float, np.ndarray]:
-        res = total_planning_loss(plan, packed, params, no_imitation)
-        smooth = smoothness_loss(plan)
-        return (res.value + weights.imitation * smooth.value,
-                res.grad + weights.imitation * smooth.grad)
+        col, bd, dr = constraint_terms(plan, packed, params)
+        res = weighted_sum(((weights.collision, col), (weights.boundary, bd),
+                            (weights.direction, dr), (weights.imitation, smoothness_loss(plan))))
+        return res.value, res.grad
 
     # a plan's waypoints are a read-only copy, so an iterate is kept as its plan
     best = plan = seed_plan

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from vecplan.constraints import ConstraintParams
+from vecplan.constraints import ConstraintParams, boundary_loss, direction_loss, map_search
 from vecplan.geometry import (
     Point2,
-    Polyline,
     PolylineSet,
     angular_difference,
     closest_polyline,
@@ -24,6 +23,7 @@ from vecplan.geometry import (
 from vecplan.scene import (
     DRIVABLE_SIDES,
     MAP_CLASSES,
+    MAP_ROWS,
     Command,
     EgoState,
     GeneratorConfig,
@@ -33,6 +33,7 @@ from vecplan.scene import (
     ego_vectors,
     generate_scenario,
 )
+from vecplan.simulator import smoothness_loss
 
 MARGIN = 1e-3
 FD_STEP = 1e-5
@@ -253,6 +254,46 @@ def segment_distance(p, a, b) -> tuple[float, tuple[float, float]]:
     return math.hypot(px - foot[0], py - foot[1]), foot
 
 
+def _padded(polylines, n: int) -> list[np.ndarray]:
+    """(N_i, 2) point arrays padded to n points by repeating the last one,
+    which adds only degenerate segments: searches skip them."""
+    xy = [np.asarray(pl, dtype=np.float64) for pl in polylines]
+    return [np.concatenate([pl, np.repeat(pl[-1:], n - len(pl), axis=0)]) for pl in xy]
+
+
+def polyline_set(polylines) -> PolylineSet:
+    """The PolylineSet of polylines given as (N_i, 2) point arrays, in
+    order: each padded to the longest, then `PolylineSet.of_rows`."""
+    n = max((len(pl) for pl in polylines), default=0)
+    rows = _padded(polylines, n)
+    return PolylineSet.of_rows(rows if rows else np.zeros((0, n, 2)))
+
+
+def map_set(boundaries=(), dividers=()) -> PolylineSet:
+    """A packed map, as `PackedScene.map` holds it, of polylines given as
+    (N_i, 2) point arrays: one row for each class of `MAP_ROWS`, each
+    polyline padded to the longest and each row with all-zero rows."""
+    by_class = {MapClass.ROAD_BOUNDARY: list(boundaries), MapClass.LANE_DIVIDER: list(dividers)}
+    n = max((len(pl) for pls in by_class.values() for pl in pls), default=2)
+    m = max(len(pls) for pls in by_class.values())
+    rows, real = np.zeros((len(MAP_ROWS), m, n, 2)), np.zeros((len(MAP_ROWS), m), dtype=bool)
+    for i, kind in enumerate(MAP_ROWS):
+        pls = _padded(by_class[kind], n)
+        rows[i, :len(pls)] = np.reshape(pls, (-1, n, 2))
+        real[i, :len(pls)] = True
+    return PolylineSet.of_scenes(rows, real)
+
+
+def boundary_term(plan, boundaries, params):
+    """`boundary_loss` of `plan` against the given boundary polylines."""
+    return boundary_loss(plan, map_search(plan, map_set(boundaries=boundaries), params), params)
+
+
+def direction_term(plan, dividers, params):
+    """`direction_loss` of `plan` against the given divider polylines."""
+    return direction_loss(plan, map_search(plan, map_set(dividers=dividers), params), params)
+
+
 def nearest_segment_oracle(p, polylines):
     """Brute-force nearest segment to the point p = (x, y), in Python floats.
 
@@ -263,7 +304,7 @@ def nearest_segment_oracle(p, polylines):
     """
     best = None
     for i, pl in enumerate(polylines):
-        pts = pl.xy.tolist()
+        pts = np.asarray(pl).tolist()
         for s in range(len(pts) - 1):
             if pts[s] == pts[s + 1]:
                 continue
@@ -273,17 +314,17 @@ def nearest_segment_oracle(p, polylines):
     return best
 
 
-def _wiggly_vertical(rng, x0: float, n_pts: int = 6) -> Polyline:
+def _wiggly_vertical(rng, x0: float, n_pts: int = 6) -> np.ndarray:
     ys = np.linspace(-12.0, 12.0, n_pts)
     xs = x0 + rng.uniform(-0.4, 0.4, size=n_pts)
-    return Polyline(np.column_stack([xs, ys]))
+    return np.column_stack([xs, ys])
 
 
 def _segment_distances(p, polylines) -> list[tuple[float, tuple[float, float]]]:
     """(distance, foot) for every non-degenerate segment of every polyline."""
     out = []
     for pl in polylines:
-        pts = pl.xy.tolist()
+        pts = np.asarray(pl).tolist()
         for i in range(len(pts) - 1):
             if pts[i] != pts[i + 1]:
                 out.append(segment_distance(p, pts[i], pts[i + 1]))
@@ -351,7 +392,7 @@ def sample_direction_config(rng, params: ConstraintParams, t_f: int = 6):
                 winner = dividers[int(np.argmin(ds))]
                 seg_ds = _segment_distances(p, [winner])
                 seg_i = int(np.argmin([d for d, _ in seg_ds]))
-                u = np.diff(winner.xy, axis=0)[seg_i]
+                u = np.diff(winner, axis=0)[seg_i]
                 v = w[t] - prev
                 vn = math.hypot(v[0], v[1])
                 if vn < 0.4:
@@ -438,7 +479,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
         if confidence >= params.agent_min_confidence
     ]
     kept = [
-        (MAP_CLASSES[kind], Polyline(xy))
+        (MAP_CLASSES[kind], xy)
         for xy, kind, confidence in zip(scenario.map_xy, scenario.map_kind, scenario.map_confidence)
         if confidence >= params.map_min_confidence
     ]
@@ -451,7 +492,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     grad = np.zeros_like(w)
     total = 0.0
     if boundaries:
-        hit = closest_polyline(w, PolylineSet(boundaries))
+        hit = closest_polyline(w, PolylineSet.of_rows(boundaries))
         active = hit.dist < params.boundary_clearance
         total = float((params.boundary_clearance - hit.dist[active]).sum())
         pull = active & (hit.dist > 0.0)
@@ -462,7 +503,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     total = 0.0
     if dividers:
         hit = closest_polyline_within(
-            w, PolylineSet(dividers), params.divider_search_range
+            w, PolylineSet.of_rows(dividers), params.divider_search_range
         )
         vectors = ego_vectors(plan)
         moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
@@ -493,6 +534,30 @@ def unpacked_planning_loss(plan, scenario, params, weights):
         for i in (0, 1)
     )
     return terms
+
+
+def unpacked_refine(seed_plan, scenario, params, weights, steps=60, step_size=0.2):
+    """`simulator.refine_trajectory` as it was written before its objective
+    lost the expert term: projected gradient descent on
+    `unpacked_planning_loss` with the imitation weight 0, plus the imitation
+    weight times the smoothness prior.  The reference the refine planner
+    must match bit for bit."""
+    high = np.array((scenario.perception_range[1] / 2.0, scenario.perception_range[0] / 2.0))
+    no_imitation = dataclasses.replace(weights, imitation=0.0)
+
+    def objective(plan):
+        value, grad = unpacked_planning_loss(plan, scenario, params, no_imitation)["total"]
+        smooth = smoothness_loss(plan)
+        return value + weights.imitation * smooth.value, grad + weights.imitation * smooth.grad
+
+    best = plan = seed_plan
+    best_value, grad = objective(plan)
+    for _ in range(steps):
+        plan = PlanTrajectory(np.clip(plan.waypoints - step_size * grad, -high, high))
+        value, grad = objective(plan)
+        if value < best_value:
+            best_value, best = value, plan
+    return best
 
 
 def looped_scene_features(scenario):

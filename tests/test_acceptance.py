@@ -11,9 +11,12 @@ import time
 import numpy as np
 import pytest
 from _support import (
+    boundary_term,
+    direction_term,
     fd_param_gradient,
     fd_plan_gradient,
     max_rel_err,
+    polyline_set,
     sample_boundary_config,
     sample_collision_config,
     sample_direction_config,
@@ -27,15 +30,11 @@ from vecplan import autodiff as ad
 from vecplan.cli import main as cli_main
 from vecplan.constraints import (
     ConstraintParams,
-    boundary_loss,
     collision_loss,
-    direction_loss,
     imitation_loss,
 )
 from vecplan.geometry import (
     Point2,
-    Polyline,
-    PolylineSet,
     angular_difference,
     box_frame,
     oriented_rect_overlap,
@@ -74,20 +73,18 @@ class TestCriterion1GradientFidelity:
         rng = np.random.default_rng(1002)
         for _ in range(100):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            polylines = PolylineSet(boundaries)
-            res = boundary_loss(plan, polylines, PAPER_PARAMS)
+            res = boundary_term(plan, boundaries, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: boundary_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
+                lambda w: boundary_term(PlanTrajectory(w), boundaries, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             worst = max(worst, max_rel_err(res.grad, fd))
         rng = np.random.default_rng(1003)
         for _ in range(100):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            polylines = PolylineSet(dividers)
-            res = direction_loss(plan, polylines, PAPER_PARAMS)
+            res = direction_term(plan, dividers, PAPER_PARAMS)
             fd = fd_plan_gradient(
-                lambda w: direction_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
+                lambda w: direction_term(PlanTrajectory(w), dividers, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             worst = max(worst, max_rel_err(res.grad, fd))
@@ -135,14 +132,14 @@ class TestCriterion2CollisionHandCases:
 
 class TestCriterion3BoundaryDirectionHandCases:
     def test_boundary_and_direction_fixtures(self):
-        bd = Polyline([Point2(5.0, -10.0), Point2(5.0, 10.0)])
+        bd = [Point2(5.0, -10.0), Point2(5.0, 10.0)]
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        bd_value = boundary_loss(plan, PolylineSet([bd]), PAPER_PARAMS).value
+        bd_value = boundary_term(plan, [bd], PAPER_PARAMS).value
         assert abs(bd_value - 0.6) <= 1e-12
 
-        divider = Polyline([Point2(0.0, -10.0), Point2(0.0, 10.0)])
+        divider = [Point2(0.0, -10.0), Point2(0.0, 10.0)]
         diag = PlanTrajectory(np.array([[1.0, 1.0]]))
-        dir_value = direction_loss(diag, PolylineSet([divider]), PAPER_PARAMS).value
+        dir_value = direction_term(diag, [divider], PAPER_PARAMS).value
         assert abs(dir_value - math.pi / 4) <= 1e-12
         report(3, f"boundary 0.6 fixture -> {bd_value}; direction pi/4 fixture -> {dir_value:.12f}")
 
@@ -189,12 +186,12 @@ class TestCriterion5OracleEquivalence:
                 pts = rng.uniform(-20, 20, size=(int(rng.integers(2, 21)), 2))
                 if pts.shape[0] == 2 and np.allclose(pts[0], pts[1]):
                     pts[1] += 1.0
-                pls.append(Polyline(pts))
+                pls.append(pts)
             p = rng.uniform(-25, 25, size=2)
             within = float(rng.uniform(0.5, 30.0))
             best = None
             for i, pl in enumerate(pls):
-                pts = pl.xy.tolist()
+                pts = pl.tolist()
                 for s in range(len(pts) - 1):
                     if pts[s] == pts[s + 1]:
                         continue
@@ -202,7 +199,7 @@ class TestCriterion5OracleEquivalence:
                     if best is None or d < best[1]:
                         best = (i, d)
             expected = best if best is not None and best[1] <= within else None
-            got = closest_polyline_within(p[None], PolylineSet(pls), within)
+            got = closest_polyline_within(p[None], polyline_set(pls), within)
             if expected is None:
                 assert (got.poly[0], got.seg[0]) == (-1, -1)
             else:
@@ -416,10 +413,10 @@ class TestCriterion9InvarianceSuite:
 
         # translation invariance of boundary loss
         plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-        moved_bd = [Polyline(b.xy + shift) for b in boundaries]
-        base = boundary_loss(plan, PolylineSet(boundaries), PAPER_PARAMS).value
-        moved = boundary_loss(
-            PlanTrajectory(plan.waypoints + shift), PolylineSet(moved_bd), PAPER_PARAMS
+        moved_bd = [b + shift for b in boundaries]
+        base = boundary_term(plan, boundaries, PAPER_PARAMS).value
+        moved = boundary_term(
+            PlanTrajectory(plan.waypoints + shift), moved_bd, PAPER_PARAMS
         ).value
         assert abs(base - moved) <= 1e-12
 
@@ -427,10 +424,10 @@ class TestCriterion9InvarianceSuite:
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
         phi = 1.1
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        rot_dividers = [Polyline([rot @ p for p in d.xy]) for d in dividers]
-        base = direction_loss(plan, PolylineSet(dividers), PAPER_PARAMS).value
-        rotated = direction_loss(
-            PlanTrajectory(plan.waypoints @ rot.T), PolylineSet(rot_dividers), PAPER_PARAMS
+        rot_dividers = [np.array([rot @ p for p in d]) for d in dividers]
+        base = direction_term(plan, dividers, PAPER_PARAMS).value
+        rotated = direction_term(
+            PlanTrajectory(plan.waypoints @ rot.T), rot_dividers, PAPER_PARAMS
         ).value
         assert abs(base - rotated) <= 1e-9
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from _support import (
+    boundary_term,
+    direction_term,
     fd_plan_gradient,
     looped_collision_loss,
     max_rel_err,
@@ -23,10 +25,11 @@ from vecplan.constraints import (
     collision_loss,
     direction_loss,
     imitation_loss,
+    map_search,
     total_planning_loss,
 )
 from vecplan.errors import GeometryError, ShapeError
-from vecplan.geometry import Point2, Polyline, PolylineSet
+from vecplan.geometry import Point2, PolylineSet
 from vecplan.scene import (
     GeneratorConfig,
     PlanTrajectory,
@@ -43,11 +46,11 @@ def agent_at(x, y, t_f=1):
 
 
 def boundary_line(x, lo=-10.0, hi=10.0):
-    return Polyline([Point2(x, lo), Point2(x, hi)])
+    return np.array([Point2(x, lo), Point2(x, hi)])
 
 
 def divider_line(x, lo=-10.0, hi=10.0):
-    return Polyline([Point2(x, lo), Point2(x, hi)])
+    return np.array([Point2(x, lo), Point2(x, hi)])
 
 
 class TestCollisionLoss:
@@ -186,33 +189,33 @@ class TestCollisionLoss:
 class TestBoundaryLoss:
     def test_all_waypoints_clear(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_term(plan, [boundary_line(5.0)], PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_hand_case(self):
         # waypoint 0.4 m from the boundary, clearance 1.0 -> penalty 0.6
         plan = PlanTrajectory(np.array([[4.6, 0.0]]))
-        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_term(plan, [boundary_line(5.0)], PAPER_PARAMS)
         assert res.value == pytest.approx(0.6, abs=1e-12)
 
     def test_waypoint_on_boundary_gets_max_penalty(self):
         plan = PlanTrajectory(np.array([[5.0, 0.0]]))
-        res = boundary_loss(plan, PolylineSet([boundary_line(5.0)]), PAPER_PARAMS)
+        res = boundary_term(plan, [boundary_line(5.0)], PAPER_PARAMS)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert not res.grad.any()  # zero subgradient exactly on the line
 
     def test_no_boundaries(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        assert boundary_loss(plan, PolylineSet([]), PAPER_PARAMS).value == 0.0
+        assert boundary_term(plan, [], PAPER_PARAMS).value == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
         shift = np.array([-1.3, 4.2])
-        moved = [Polyline(b.xy + shift) for b in boundaries]
+        moved = [b + shift for b in boundaries]
         moved_plan = PlanTrajectory(plan.waypoints + shift)
-        assert boundary_loss(moved_plan, PolylineSet(moved), PAPER_PARAMS).value == pytest.approx(
-            boundary_loss(plan, PolylineSet(boundaries), PAPER_PARAMS).value, abs=1e-12
+        assert boundary_term(moved_plan, moved, PAPER_PARAMS).value == pytest.approx(
+            boundary_term(plan, boundaries, PAPER_PARAMS).value, abs=1e-12
         )
 
     def test_gradient_matches_finite_differences(self):
@@ -220,12 +223,11 @@ class TestBoundaryLoss:
         active = 0
         for _ in range(25):
             plan, boundaries = sample_boundary_config(rng, PAPER_PARAMS)
-            polylines = PolylineSet(boundaries)
-            res = boundary_loss(plan, polylines, PAPER_PARAMS)
+            res = boundary_term(plan, boundaries, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
             fd = fd_plan_gradient(
-                lambda w: boundary_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
+                lambda w: boundary_term(PlanTrajectory(w), boundaries, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6
@@ -236,39 +238,39 @@ class TestDirectionLoss:
     def test_parallel_to_divider(self):
         # plan runs straight up from the origin, divider is 0.5 m to the side
         plan = PlanTrajectory(np.array([[0.0, 1.0], [0.0, 2.0]]))
-        res = direction_loss(plan, PolylineSet([divider_line(0.5)]), PAPER_PARAMS)
+        res = direction_term(plan, [divider_line(0.5)], PAPER_PARAMS)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_motion_hand_case(self):
         # divider along +y, single step (1, 1): angle pi/4
         plan = PlanTrajectory(np.array([[1.0, 1.0]]))
-        res = direction_loss(plan, PolylineSet([divider_line(0.0)]), PAPER_PARAMS)
+        res = direction_term(plan, [divider_line(0.0)], PAPER_PARAMS)
         assert res.value == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_out_of_range_divider_contributes_nothing(self):
         plan = PlanTrajectory(np.array([[0.0, 1.0]]))
-        res = direction_loss(plan, PolylineSet([divider_line(2.5)]), PAPER_PARAMS)
+        res = direction_term(plan, [divider_line(2.5)], PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_zero_step_contributes_nothing(self):
         plan = PlanTrajectory(np.zeros((2, 2)))
-        res = direction_loss(plan, PolylineSet([divider_line(0.5)]), PAPER_PARAMS)
+        res = direction_term(plan, [divider_line(0.5)], PAPER_PARAMS)
         assert res.value == 0.0
 
     def test_no_dividers(self):
         plan = PlanTrajectory(np.ones((2, 2)))
-        assert direction_loss(plan, PolylineSet([]), PAPER_PARAMS).value == 0.0
+        assert direction_term(plan, [], PAPER_PARAMS).value == 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-        base = direction_loss(plan, PolylineSet(dividers), PAPER_PARAMS).value
+        base = direction_term(plan, dividers, PAPER_PARAMS).value
         phi = 0.7
         c, s = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -s], [s, c]])
         rplan = PlanTrajectory(plan.waypoints @ rot.T)
-        rdividers = [Polyline([rot @ p for p in d.xy]) for d in dividers]
-        assert direction_loss(rplan, PolylineSet(rdividers), PAPER_PARAMS).value == pytest.approx(
+        rdividers = [np.array([rot @ p for p in d]) for d in dividers]
+        assert direction_term(rplan, rdividers, PAPER_PARAMS).value == pytest.approx(
             base, abs=1e-9
         )
 
@@ -277,12 +279,11 @@ class TestDirectionLoss:
         active = 0
         for _ in range(25):
             plan, dividers = sample_direction_config(rng, PAPER_PARAMS)
-            polylines = PolylineSet(dividers)
-            res = direction_loss(plan, polylines, PAPER_PARAMS)
+            res = direction_term(plan, dividers, PAPER_PARAMS)
             if res.value > 0:
                 active += 1
             fd = fd_plan_gradient(
-                lambda w: direction_loss(PlanTrajectory(w), polylines, PAPER_PARAMS).value,
+                lambda w: direction_term(PlanTrajectory(w), dividers, PAPER_PARAMS).value,
                 plan.waypoints,
             )
             assert max_rel_err(res.grad, fd) < 1e-6
@@ -356,9 +357,12 @@ class TestRawInputsAreChecked:
         [[0.0, math.nan], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0, 1.0]],
     ])
     def test_map_sets_only_hold_checked_polylines(self, loss, bad):
-        # a PolylineSet is made of Polylines, each checked when it is made
+        # the map a loss reads is a PolylineSet, whose rows are checked
+        # when it is made
         with pytest.raises(GeometryError):
-            loss(self.PLAN, PolylineSet([Polyline(bad)]),
+            loss(self.PLAN,
+                 map_search(self.PLAN, PolylineSet.of_scenes([[bad], [bad]], [[True], [True]]),
+                            PAPER_PARAMS),
                  PAPER_PARAMS)
 
 
@@ -430,10 +434,11 @@ def _packed_terms(plan, scenario, params, weights):
     reference `unpacked_planning_loss` returns them."""
     packed = pack(scenario, params)
     total = total_planning_loss(plan, packed, params, weights)
+    near = map_search(plan, packed.map, params)
     terms = {
         "collision": collision_loss(plan, packed.agent_tracks, params),
-        "boundary": boundary_loss(plan, packed.boundaries, params),
-        "direction": direction_loss(plan, packed.dividers, params),
+        "boundary": boundary_loss(plan, near, params),
+        "direction": direction_loss(plan, near, params),
         "imitation": imitation_loss(plan, packed.scenario.expert),
         "total": total,
     }
@@ -499,9 +504,10 @@ class TestPackedScene:
             assert len(packed.agent_tracks) == 0
             empty.append(collision_loss(plan, packed.agent_tracks, params))
         if kind != "agent_free":
-            assert len(packed.boundaries) == 0 and len(packed.dividers) == 0
-            empty.append(boundary_loss(plan, packed.boundaries, params))
-            empty.append(direction_loss(plan, packed.dividers, params))
+            assert len(packed.map) == 0
+            near = map_search(plan, packed.map, params)
+            empty.append(boundary_loss(plan, near, params))
+            empty.append(direction_loss(plan, near, params))
         for res in empty:
             assert res.value == 0.0
             assert np.array_equal(res.grad, np.zeros_like(plan.waypoints))
@@ -516,7 +522,7 @@ class TestPackedScene:
     def test_pack_is_read_only(self):
         packed = pack(generate_scenario(4), PAPER_PARAMS)
         assert packed.agent_tracks.shape == (len(packed.scenario.agent_xy), 6, 2)
-        for a in (packed.agent_tracks, packed.boundaries.start, packed.dividers.end):
+        for a in (packed.agent_tracks, packed.map.start, packed.map.end):
             with pytest.raises(ValueError):
                 a[...] = 0.0
         with pytest.raises(AttributeError):

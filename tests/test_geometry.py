@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _support import nearest_segment_oracle, sat_margin_oracle
+from _support import nearest_segment_oracle, polyline_set, sat_margin_oracle
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
     BoxFrame,
     Checked,
     Point2,
-    Polyline,
     PolylineSet,
     angular_difference,
     box_frame,
@@ -36,7 +35,7 @@ def P(x, y):
 
 def _set(*pls) -> PolylineSet:
     """The PolylineSet of polylines given as point lists."""
-    return PolylineSet([Polyline(pts) for pts in pls])
+    return polyline_set(pls)
 
 
 class TestPoint2:
@@ -55,22 +54,26 @@ class TestPoint2:
 
 
 class TestPolyline:
+    """A polyline is a row of points of a PolylineSet, checked when the set
+    is made."""
+
     def test_needs_two_points(self):
         with pytest.raises(GeometryError):
-            Polyline([P(0, 0)])
+            PolylineSet.of_rows([[P(0, 0)]])
 
     def test_two_point_degenerate_rejected(self):
         with pytest.raises(GeometryError):
-            Polyline([P(1, 1), P(1, 1)])
+            PolylineSet.of_rows([[P(1, 1), P(1, 1)]])
 
     def test_longer_polyline_may_repeat_points(self):
-        pl = Polyline([P(0, 0), P(0, 0), P(1, 0)])
-        assert pl.xy.shape == (3, 2)
+        pls = PolylineSet.of_rows([[P(0, 0), P(0, 0), P(1, 0)]])
+        assert (len(pls), pls.live.tolist()) == (1, [False, True])
 
     def test_xy_matches_points(self):
-        pl = Polyline([P(0, 1), (2, 3)])
-        assert pl.xy.dtype == np.float64
-        np.testing.assert_array_equal(pl.xy, [[0, 1], [2, 3]])
+        pls = PolylineSet.of_rows([[P(0, 1), (2, 3)]])
+        assert pls.start.dtype == np.float64
+        np.testing.assert_array_equal(pls.start, [[0, 1]])
+        np.testing.assert_array_equal(pls.end, [[2, 3]])
 
     @pytest.mark.parametrize(
         "points",
@@ -88,16 +91,16 @@ class TestPolyline:
     )
     def test_malformed_points_rejected(self, points):
         with pytest.raises(GeometryError):
-            Polyline(points)
+            PolylineSet.of_rows([points])
 
     def test_xy_is_a_read_only_copy(self):
-        points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        pl = Polyline(points)
+        points = np.array([[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]])
+        pls = PolylineSet.of_rows(points)
         with pytest.raises(ValueError):
-            pl.xy[0, 0] = 9.0
-        points[0, 0] = 9.0
-        assert not np.shares_memory(pl.xy, points)
-        assert pl.xy.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+            pls.start[0, 0] = 9.0
+        points[0, 0, 0] = 9.0
+        assert not np.shares_memory(pls.start, points)
+        assert pls.start.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def _feet(p, *points):
@@ -169,7 +172,7 @@ class TestPointPolylineDistance:
         with pytest.raises(GeometryError):
             point_polyline_distance([P(0, 0)], _set([P(5, 5), P(5, 5), P(5, 5)]))
         with pytest.raises(GeometryError):
-            point_polyline_distance([P(0, 0)], PolylineSet([]))
+            point_polyline_distance([P(0, 0)], _set())
 
 
 class TestAngularDifference:
@@ -224,11 +227,11 @@ class TestClosestPolylineWithin:
         hit = closest_polyline_within([P(0, 0)], pls, 2.0)
         assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([-1], [3.0], [-1])
         assert hit.foot.tolist() == [[3.0, 0.0]]
-        assert closest_polyline_within([P(0, 0)], PolylineSet([]), 2.0) is None
+        assert closest_polyline_within([P(0, 0)], _set(), 2.0) is None
         # without a range the same polyline is the nearest; none of none is
         hit = closest_polyline([P(0, 0)], pls)
         assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([0], [3.0], [0])
-        assert closest_polyline([P(0, 0)], PolylineSet([])) is None
+        assert closest_polyline([P(0, 0)], _set()) is None
 
     def test_picks_nearest_of_two(self):
         pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
@@ -262,17 +265,17 @@ class TestClosestPolylineWithin:
                 pts = rng.uniform(-20, 20, size=(n_pts, 2))
                 if n_pts == 2 and np.allclose(pts[0], pts[1]):
                     pts[1] += 1.0
-                pls.append(Polyline(pts))
+                pls.append(pts)
             p = rng.uniform(-25, 25, size=2)
             rng_range = float(rng.uniform(0.5, 30.0))
 
             # exhaustive oracle over every segment of every polyline
             best, best_d, best_seg, _ = nearest_segment_oracle(p, pls)
-            nearest = closest_polyline(p[None], PolylineSet(pls))
+            nearest = closest_polyline(p[None], polyline_set(pls))
             assert (nearest.poly[0], nearest.seg[0]) == (best, best_seg)
             assert nearest.dist[0] == pytest.approx(best_d, abs=1e-12)
 
-            got = closest_polyline_within(p[None], PolylineSet(pls), rng_range)
+            got = closest_polyline_within(p[None], polyline_set(pls), rng_range)
             if best_d > rng_range:
                 assert (got.poly[0], got.seg[0]) == (-1, -1)
             else:
@@ -288,13 +291,13 @@ def _random_polylines(rng, n_pl):
         if len(pts) > 2 and rng.random() < 0.5:
             k = int(rng.integers(0, len(pts)))
             pts = np.insert(pts, k, pts[k], axis=0)
-        pls.append(Polyline(pts))
+        pls.append(pts)
     return pls
 
 
 class TestPolylineSet:
     def test_empty_set_finds_nothing(self):
-        empty = PolylineSet([])
+        empty = _set()
         assert len(empty) == 0 and not empty
         for queries in (np.array([[0.0, 0.0], [1.0, 2.0]]), [P(0, 0)], np.empty((0, 2))):
             assert closest_polyline(queries, empty) is None
@@ -304,13 +307,13 @@ class TestPolylineSet:
 
     def test_search_matches_the_list_it_packs(self):
         rng = np.random.default_rng(3)
-        pls = [Polyline(rng.uniform(-10, 10, size=(int(n), 2))) for n in (2, 5, 9)]
-        packed = PolylineSet(pls)
+        pls = [rng.uniform(-10, 10, size=(int(n), 2)) for n in (2, 5, 9)]
+        packed = polyline_set(pls)
         assert len(packed) == 3
         queries = rng.uniform(-12, 12, size=(16, 2))
         # the packed search is the search of each polyline alone, the first
         # of the nearest ones winning
-        alone = [point_polyline_distance(queries, PolylineSet([pl])) for pl in pls]
+        alone = [point_polyline_distance(queries, _set(pl)) for pl in pls]
         dist = np.array([d for d, _, _ in alone])
         poly = np.argmin(dist, axis=0)
         rows = np.arange(len(queries))
@@ -321,12 +324,15 @@ class TestPolylineSet:
         assert hit.foot.tolist() == [alone[k][2][j].tolist() for j, k in enumerate(poly)]
         within = closest_polyline_within(queries, packed, 3.0)
         assert within.poly.tolist() == np.where(hit.dist <= 3.0, hit.poly, -1).tolist()
-        assert np.array_equal(
-            closest_point_on_segment(queries, packed),
-            np.concatenate([closest_point_on_segment(queries, PolylineSet([pl])) for pl in pls],
-                           axis=1),
-        )
-        assert np.array_equal(packed.seg, np.concatenate([np.arange(len(p.xy) - 1) for p in pls]))
+        # each polyline's row: its own segments, then the degenerate ones
+        # that pad it to the longest
+        rows = closest_point_on_segment(queries, packed).reshape(len(queries), 3, 8, 2)
+        for k, pl in enumerate(pls):
+            own = closest_point_on_segment(queries, _set(pl))
+            assert np.array_equal(rows[:, k, :len(pl) - 1], own)
+            assert (rows[:, k, len(pl) - 1:] == pl[-1]).all()
+        assert np.array_equal(packed.poly, np.repeat(np.arange(3), 8))
+        assert np.array_equal(packed.seg, np.tile(np.arange(8), 3))
 
     def test_arrays_are_read_only(self):
         packed = _set([P(0, 0), P(1, 0), P(1, 1)])
@@ -342,10 +348,21 @@ class TestPolylineSet:
         rng = np.random.default_rng(4)
         rows = rng.uniform(-10, 10, size=(3, 5, 2))
         rows[1, 2] = rows[1, 1]  # a degenerate segment inside a row
-        packed, listed = PolylineSet.of_rows(rows), PolylineSet([Polyline(r) for r in rows])
-        for name in ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
-                     "poly", "seg"):
-            assert getattr(packed, name).tobytes() == getattr(listed, name).tobytes(), name
+        packed = PolylineSet.of_rows(rows)
+        # each row's segments in order, row after row
+        start, end = rows[:, :-1].reshape(-1, 2), rows[:, 1:].reshape(-1, 2)
+        step = end - start
+        seg_sq = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]
+        want = {
+            "start": start, "end": end, "step": step, "sx": start[:, 0], "sy": start[:, 1],
+            "dx": step[:, 0], "dy": step[:, 1], "step_sq": np.where(seg_sq == 0.0, 1.0, seg_sq),
+            "live": (start != end).any(axis=1), "poly": np.repeat(np.arange(3), 4),
+            "seg": np.tile(np.arange(4), 3),
+        }
+        for name, value in want.items():
+            got = getattr(packed, name)
+            assert got.tobytes() == np.ascontiguousarray(value, dtype=got.dtype).tobytes(), name
+        assert packed.live.tolist().count(False) == 1
         assert (len(packed), packed.all_live) == (3, False)
         assert len(PolylineSet.of_rows(np.zeros((0, 0, 2)))) == 0
 
@@ -406,6 +423,31 @@ class TestPolylineSetOfScenes:
                     assert getattr(hit, name)[b].tobytes() == getattr(one, name).tobytes(), name
                 assert (hit.poly[b] - b * rows).tolist() == one.poly.tolist()
 
+    def test_one_query_array_searches_every_scene(self):
+        # a (K, 2) array is the same query in every scene: each field equals
+        # that of the (B, K, 2) array that repeats it
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            scenes, rows, points = (int(n) for n in rng.integers(1, 5, size=3) + (0, 0, 1))
+            xy, real = _scene_rows(rng, scenes, rows, points)
+            packed = PolylineSet.of_scenes(xy, real)
+            queries = rng.uniform(-5, 5, size=(int(rng.integers(0, 7)), 2))
+            each = np.broadcast_to(queries, (scenes,) + queries.shape)
+            assert closest_point_on_segment(queries, packed).tobytes() == \
+                closest_point_on_segment(each, packed).tobytes()
+            if not packed:
+                assert closest_polyline_within(queries, packed, 1.0) is None
+                continue
+            one = closest_polyline_within(queries, packed, 1.0)
+            want = closest_polyline_within(each, packed, 1.0)
+            for name in ("index", "dist", "foot", "found", "poly", "seg", "start", "end"):
+                got = getattr(one, name)
+                assert got.shape == getattr(want, name).shape, name
+                assert got.tobytes() == getattr(want, name).tobytes(), name
+            for got, want in zip(point_polyline_distance(queries, packed),
+                                 point_polyline_distance(each, packed)):
+                assert got.tobytes() == want.tobytes()
+
     def test_padding_never_wins_a_tie(self):
         # scene 0's only polyline and its padding row pass through the query
         xy = np.zeros((2, 2, 2, 2))
@@ -430,9 +472,10 @@ class TestPolylineSetOfScenes:
             PolylineSet.of_scenes(xy, np.array([True, False]))
         with pytest.raises(GeometryError, match="non-finite"):
             PolylineSet.of_scenes(np.full((1, 1, 2, 2), np.inf), np.array([[True]]))
-        # a query array per scene, not a bare (K, 2) one
-        with pytest.raises(GeometryError, match="shape"):
-            closest_polyline(np.zeros((1, 2)), PolylineSet.of_scenes(xy, real))
+        # a query array per scene, or one (K, 2) array for every scene
+        for bad in (np.zeros(2), np.zeros((1, 1, 1, 2)), np.zeros((1, 3))):
+            with pytest.raises(GeometryError, match="shape"):
+                closest_polyline(bad, PolylineSet.of_scenes(xy, real))
 
 
 class TestArrayChain:
@@ -440,9 +483,9 @@ class TestArrayChain:
 
     def check_against_oracle(self, queries, pls, within=None):
         if within is None:
-            hit = closest_polyline(queries, PolylineSet(pls))
+            hit = closest_polyline(queries, polyline_set(pls))
         else:
-            hit = closest_polyline_within(queries, PolylineSet(pls), within)
+            hit = closest_polyline_within(queries, polyline_set(pls), within)
         assert hit.poly.shape == hit.dist.shape == hit.seg.shape == (len(queries),)
         assert hit.foot.shape == hit.start.shape == hit.end.shape == (len(queries), 2)
         for k, q in enumerate(queries):
@@ -453,7 +496,7 @@ class TestArrayChain:
                 continue
             assert (hit.poly[k], hit.seg[k]) == (poly, seg)
             assert tuple(hit.foot[k]) == foot
-            xy = pls[poly].xy
+            xy = pls[poly]
             np.testing.assert_array_equal(hit.start[k], xy[seg])
             np.testing.assert_array_equal(hit.end[k], xy[seg + 1])
 
@@ -465,40 +508,40 @@ class TestArrayChain:
             self.check_against_oracle(queries, pls)
             self.check_against_oracle(queries, pls, within=float(rng.uniform(0.5, 15.0)))
             for pl in pls:
-                dist, seg, foot = point_polyline_distance(queries, PolylineSet([pl]))
+                dist, seg, foot = point_polyline_distance(queries, _set(pl))
                 for j, q in enumerate(queries):
                     _, d, s, f = nearest_segment_oracle(q, [pl])
                     assert (seg[j], tuple(foot[j])) == (s, f)
                     assert dist[j] == pytest.approx(d, rel=1e-12, abs=1e-12)
 
     def test_query_on_shared_vertex_ties_to_first_segment(self):
-        pls = [Polyline([P(-1, 0), P(0, 0), P(0, 2)])]
+        pls = [np.array([P(-1, 0), P(0, 0), P(0, 2)])]
         queries = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-        hit = closest_polyline(queries, PolylineSet(pls))
+        hit = closest_polyline(queries, polyline_set(pls))
         np.testing.assert_array_equal(hit.dist, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(hit.seg, [0, 0, 1])
         self.check_against_oracle(queries, pls)
 
     def test_exact_tie_between_polylines_goes_to_lowest(self):
         pls = [
-            Polyline([P(3, -5), P(3, 5)]),
-            Polyline([P(1, -5), P(1, 5)]),
-            Polyline([P(-1, -5), P(-1, 5)]),
+            np.array([P(3, -5), P(3, 5)]),
+            np.array([P(1, -5), P(1, 5)]),
+            np.array([P(-1, -5), P(-1, 5)]),
         ]
         queries = np.array([[0.0, 0.0], [0.0, 4.0], [2.0, 1.0]])
-        hit = closest_polyline(queries, PolylineSet(pls))
+        hit = closest_polyline(queries, polyline_set(pls))
         np.testing.assert_array_equal(hit.poly, [1, 1, 0])
         np.testing.assert_array_equal(hit.dist, [1.0, 1.0, 1.0])
         self.check_against_oracle(queries, pls)
 
     def test_degenerate_segments_are_skipped(self):
-        pls = [Polyline([P(5, 5), P(5, 5), P(5, 6), P(5, 6), P(6, 6)])]
+        pls = [np.array([P(5, 5), P(5, 5), P(5, 6), P(5, 6), P(6, 6)])]
         queries = np.array([[5.0, 4.0], [5.0, 7.0], [7.0, 6.0]])
-        hit = closest_polyline(queries, PolylineSet(pls))
+        hit = closest_polyline(queries, polyline_set(pls))
         np.testing.assert_array_equal(hit.seg, [1, 1, 3])
         self.check_against_oracle(queries, pls)
         with pytest.raises(GeometryError):
-            PolylineSet(pls + [Polyline([P(0, 0), P(0, 0), P(0, 0)])])
+            polyline_set(pls + [np.array([P(0, 0), P(0, 0), P(0, 0)])])
 
     def test_zero_and_one_queries(self):
         pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
@@ -508,7 +551,7 @@ class TestArrayChain:
         assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (0,)
         one = closest_polyline(np.array([[0.0, 0.0]]), pls)
         assert (one.poly.tolist(), one.dist.tolist(), one.seg.tolist()) == ([1], [0.5], [0])
-        assert closest_polyline(np.empty((0, 2)), PolylineSet([])) is None
+        assert closest_polyline(np.empty((0, 2)), _set()) is None
         # a lone 2-vector is not a (K, 2) array of queries
         for lone in (P(0, 0), (0.0, 0.0), np.zeros(2)):
             with pytest.raises(GeometryError, match="shape"):

@@ -20,7 +20,7 @@ from _support import (
 from vecplan import geometry, scene as scene_module
 from vecplan.constraints import ConstraintParams
 from vecplan.errors import ConfigError, ScenarioFormatError
-from vecplan.geometry import Point2, Polyline, PolylineSet, point_polyline_distance
+from vecplan.geometry import Checked, Point2, PolylineSet, point_polyline_distance
 from vecplan.scene import (
     DRIVABLE_SIDES,
     MAP_CLASSES,
@@ -50,9 +50,11 @@ def lines(confidences, kinds=None):
 
 def packed_map(map, threshold):
     """The x of each map element `pack` keeps at `threshold`, as (boundaries,
-    dividers); each element of these tests is a vertical line at its own x."""
+    dividers), the two rows of its map set; each element of these tests is a
+    vertical line at its own x, and each row's padding is dead."""
     packed = pack(scene(np.zeros((6, 2)), map=map), ConstraintParams(map_min_confidence=threshold))
-    return packed.boundaries.start[:, 0].tolist(), packed.dividers.start[:, 0].tolist()
+    start, live = packed.map.start[:, 0], packed.map.live[:, 0]
+    return start[0][live[0]][:, 0].tolist(), start[1][live[1]][:, 0].tolist()
 
 
 def ranked_agents(confidences, scores=(0.2, 0.7, 0.1), t_f=6):
@@ -222,7 +224,7 @@ class TestGenerator:
             assert len(boundaries) == 2
             for dv in dividers:
                 for bd in boundaries:
-                    d, _, _ = point_polyline_distance(dv, PolylineSet([Polyline(bd)]))
+                    d, _, _ = point_polyline_distance(dv, PolylineSet.of_rows([bd]))
                     assert (d > 0.1).all()
 
     def test_expert_never_crosses_a_boundary(self):
@@ -230,7 +232,7 @@ class TestGenerator:
             s = generate_scenario(seed)
             boundaries = s.map_xy[s.map_kind == MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)]
             for bd in boundaries:
-                d, _, _ = point_polyline_distance(s.expert, PolylineSet([Polyline(bd)]))
+                d, _, _ = point_polyline_distance(s.expert, PolylineSet.of_rows([bd]))
                 assert (d > 0.05).all()
 
     def test_structure(self):
@@ -556,6 +558,23 @@ class TestSceneArrays:
         moved = dataclasses.replace(s, agent_xy=xy, agent_modes=modes)
         xy[...], modes[...] = 0.0, 0.0
         assert moved == s and xy.flags.writeable and modes.flags.writeable
+
+    def test_read_only_checked_arrays_pass_through(self):
+        # a checked scene's read-only array handed over as Checked is kept
+        # as it is, after a shape check; any other array is copied and checked
+        s = generate_scenario(4, GeneratorConfig(agent_count_range=(2, 2)))
+        passed = dataclasses.replace(s, agent_size=Checked(s.agent_size),
+                                     map_kind=Checked(s.map_kind))
+        assert passed.agent_size is s.agent_size and passed.map_kind is s.map_kind
+        assert passed == s
+        with pytest.raises(ScenarioFormatError, match="shape"):
+            dataclasses.replace(s, agent_size=Checked(s.agent_size[..., None]))
+        nan = s.agent_size.copy()
+        nan[1, 0] = math.nan
+        with pytest.raises(ScenarioFormatError, match=r"agents\[1\]\.size"):
+            dataclasses.replace(s, agent_size=Checked(nan))  # writeable: checked
+        copied = dataclasses.replace(s, agent_size=Checked(s.agent_size.copy()))
+        assert copied == s and copied.agent_size is not s.agent_size
 
     def test_replace_builds_new_arrays(self):
         s = generate_scenario(4, GeneratorConfig(agent_count_range=(3, 3)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from _support import (
     SCENE_KINDS,
+    boundary_term,
     looped_view,
     map_arrays,
     one_mode_agents,
@@ -12,11 +13,11 @@ from _support import (
     with_mixed_modes,
 )
 
-from vecplan.constraints import ConstraintParams, LossWeights, boundary_loss, total_planning_loss
+from vecplan.constraints import ConstraintParams, LossWeights, total_planning_loss
 from vecplan.errors import SimulationError
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.metrics import plan_metrics
-from vecplan.geometry import Point2, Polyline, PolylineSet
+from vecplan.geometry import Point2
 from vecplan.scene import (
     Command,
     EgoState,
@@ -88,6 +89,15 @@ class TestView:
                 heading = float(rng.uniform(-math.pi, math.pi))
                 args = (s, state.agent_poses, tick, position, heading, 4.0, 0.5, 0.1)
                 assert scenario_to_json(_build_view(*args)) == scenario_to_json(looped_view(*args))
+
+    def test_fixed_arrays_pass_through(self):
+        # the arrays that do not move with the ego are the scenario's own
+        s = scene_of_kind("dense", 3)
+        state = step(SimState.initial(s), constant_velocity_plan(s))
+        for name in ("agent_size", "agent_confidence", "agent_mode_scores",
+                     "agent_mode_count", "map_kind", "map_confidence", "map_side"):
+            assert getattr(state.view, name) is getattr(s, name), name
+        assert not np.shares_memory(state.view.map_xy, s.map_xy)
 
 
 class TestMixedModeCounts:
@@ -216,14 +226,14 @@ class TestRefineTrajectory:
         np.testing.assert_array_equal(out.waypoints, seed_plan.waypoints)
 
     def test_boundary_violation_is_reduced(self):
-        bd = Polyline([Point2(1.5, -20.0), Point2(1.5, 20.0)])
-        s = empty_scenario(map=map_arrays([bd.xy], [MapClass.ROAD_BOUNDARY], sides=["left"]))
+        bd = np.array([Point2(1.5, -20.0), Point2(1.5, 20.0)])
+        s = empty_scenario(map=map_arrays([bd], [MapClass.ROAD_BOUNDARY], sides=["left"]))
         # seed plan hugs the boundary: 0.5 m violation of the 1.0 m clearance
         seed_plan = PlanTrajectory(constant_velocity_plan(s).waypoints + [1.0, 0.0])
-        before = boundary_loss(seed_plan, PolylineSet([bd]), PARAMS).value
+        before = boundary_term(seed_plan, [bd], PARAMS).value
         weights = LossWeights(collision=0, direction=0, imitation=0.05)
         out = refine_trajectory(seed_plan, s, PARAMS, weights, 80, 0.2)
-        after = boundary_loss(out, PolylineSet([bd]), PARAMS).value
+        after = boundary_term(out, [bd], PARAMS).value
         assert before > 0
         assert after < before
 
@@ -280,15 +290,21 @@ class TestRefineTrajectory:
             if value < best_value:
                 best_value, best = value, current.copy()
 
-        calls = []
+        from vecplan import constraints
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return total_planning_loss(*args, **kwargs)
+        calls = {"total_planning_loss": 0, "constraint_terms": 0, "map_search": 0}
+        for module, name in ((simulator, "total_planning_loss"),
+                             (simulator, "constraint_terms"), (constraints, "map_search")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "total_planning_loss", counted)
+            monkeypatch.setattr(module, name, counted)
         out = refine_trajectory(seed_plan, s, PARAMS, weights, steps, step_size)
-        assert len(calls) == steps + 1
+        # one evaluation of its own terms per iterate, one map search each,
+        # and no training objective
+        assert calls == {"total_planning_loss": 0, "constraint_terms": steps + 1,
+                         "map_search": steps + 1}
         np.testing.assert_array_equal(out.waypoints, best)
         assert not np.array_equal(best, seed_plan.waypoints)
 

@@ -34,7 +34,7 @@ def test_tracer_installs_and_uninstalls_on_vecplan(monkeypatch):
         from vecplan import geometry
 
         assert all(hasattr(vars(s.owner)[s.attr], "__perfbench_original__") for s in spans)
-        pls = geometry.PolylineSet([geometry.Polyline([(1.0, -1.0), (1.0, 1.0)])])
+        pls = geometry.PolylineSet.of_rows([[(1.0, -1.0), (1.0, 1.0)]])
         geometry.closest_polyline_within([geometry.Point2(0.0, 0.0)], pls, 2.0)
         assert tracer.calls("geometry.closest_polyline_within") == 1
         assert tracer.calls("geometry.point_polyline_distance") == 1
@@ -132,3 +132,48 @@ def test_tiny_workloads_fire_every_expected_span(monkeypatch):
     for name in tiny:
         missing = set(run_mod.expected_spans(name)) - fired[name]
         assert not missing, f"{name}: {sorted(missing)}"
+
+
+def test_refine_replan_searches_the_map_once_per_evaluation(monkeypatch):
+    # a refine replan evaluates its own terms once per iterate, each with one
+    # map search for boundaries and dividers alike, and never the training
+    # objective; the closed-loop tick's loss log and a training epoch still
+    # fire every span the benchmark expects of refine_rollout and train
+    tracer_mod = _load_tracer(monkeypatch)
+    run_mod = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    from vecplan import scene, simulator
+
+    planner = simulator.RefinePlanner()
+    tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
+
+    def fired():
+        return {span for span, stats in tracer.snapshot().items() if stats[0]}
+
+    tracer.install()
+    try:
+        scenario = scene.generate_scenario(0)
+        made = fired()
+        tracer.reset()
+        planner.plan(scenario)
+        replan = {span: stats[0] for span, stats in tracer.snapshot().items() if stats[0]}
+        simulator.run_closed_loop(scenario, planner, 1)
+        rollout = made | fired()
+        tracer.reset()
+        _tiny_train()
+        train = fired()
+    finally:
+        tracer.uninstall()
+    evaluations = planner.steps + 1
+    for span in ("constraints.collision_loss", "constraints.boundary_loss",
+                 "constraints.direction_loss", "simulator.smoothness_loss",
+                 "geometry.closest_polyline_within", "geometry.point_polyline_distance",
+                 "geometry.closest_point_on_segment"):
+        assert replan[span] == evaluations, span
+    assert "constraints.total_planning_loss" not in replan
+    assert "constraints.imitation_loss" not in replan
+    assert replan["simulator.refine_trajectory"] == 1
+    assert 0 < replan["geometry.angular_difference"] <= evaluations
+    missing = set(run_mod.expected_spans("refine_rollout")) - rollout
+    assert not missing, sorted(missing)
+    missing = set(run_mod.expected_spans("train")) - train
+    assert not missing, sorted(missing)
