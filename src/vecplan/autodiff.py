@@ -2,21 +2,27 @@
 arrays.
 
 Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
-copied, finite-checked leaves (`Tape.leaf`); parameters enter all at once as
+copied, finite-checked leaves (`Tape.leaf`), or as constants
+(`Tape.constant`), leaves that receive no gradient: `mlp` and `matmul` skip
+the product that would give them one.  Parameters enter all at once as
 read-only views with no copy or check (`Tape.params`), since their owner
 checks them.  A primitive checks its own operands, computes its value eagerly
 and enters it with its vector-Jacobian product in one call (`Tape._op`).
-Backward replays the records in strict reverse order exactly once, adding
-gradients in place into every node (so a node used twice receives the sum of
-both paths), and writes the parameters' gradients straight into one flat
-vector laid out like `InteractionParams.flat` (`Gradients.flat`).  Two fused
-records stand in for chains of primitives, with the same numpy operations in
-the same order: `mlp`, the perceptron `relu(x @ w1 + b1) @ w2 + b2`, and
-`attention`, multi-head cross-attention with an output projection and a
-residual.  A record holds input indices and a closure over arrays and shapes,
-never a `Tensor`, so a tape holds no reference cycle and reference counting
-frees it as soon as nothing refers to it.  There is no broadcasting beyond
-the bias rows and no control-flow capture: record exactly what you execute.
+Backward replays the records in strict reverse order exactly once.  It holds
+a node's first gradient by reference, copied only if not C-contiguous, and
+adds a later one as `have + g`, never in place, since one array may be the
+gradient of several nodes (`add` gives its own to both inputs); the
+parameters' gradients end up in one flat vector laid out like
+`InteractionParams.flat` (`Gradients.flat`).  Four fused records run the
+numpy operations of a chain of primitives in its order, so with its bits in
+value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
+`attention` (multi-head cross-attention, output projection and residual),
+`decoder_block` (attention, then a perceptron with a residual) and `mlp_head`
+(concatenation, three layers and a scale).  A record holds input indices and
+a closure over arrays and shapes, never a `Tensor`, so a tape holds no
+reference cycle and reference counting frees it as soon as nothing refers to
+it.  No broadcasting beyond the bias rows and no control-flow capture:
+record exactly what you execute.
 """
 
 from __future__ import annotations
@@ -65,7 +71,9 @@ class Tensor:
 class Gradients:
     """Gradient lookup for the nodes of one backward pass.  `flat` holds the
     `Tape.params` leaves' gradients, tensor after tensor in entry order, zero
-    where no record reaches; a reached parameter's gradient is a view of it."""
+    where no record reaches; a parameter's gradient is a view of it.  A lookup
+    is read-only, since one array may hold the gradient of several nodes; a
+    constant's, or an unreached node's, is zeros."""
 
     def __init__(self, by_index: dict[int, np.ndarray], tape: "Tape", flat: np.ndarray):
         self._by_index = by_index
@@ -73,11 +81,18 @@ class Gradients:
         self.flat = flat
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.tape is not self._tape:
+        tape = self._tape
+        if t.tape is not tape:
             raise ShapeError("gradient lookup for a tensor from another tape")
-        g = self._by_index.get(t.index)
-        if g is None:
-            return np.zeros_like(t.data)
+        if t.index in tape._param_indices:
+            k = tape._param_indices.index(t.index)
+            lo = sum(tape._data[i].size for i in tape._param_indices[:k])
+            g = self.flat[lo : lo + t.data.size].reshape(t.shape)
+        elif t.index in tape._constants or t.index not in self._by_index:
+            g = np.zeros(t.shape)
+        else:
+            g = self._by_index[t.index].view()
+        g.flags.writeable = False
         return g
 
 
@@ -95,6 +110,7 @@ class Tape:
         # (output index, input indices, vjp(grad_out) -> per-input grads)
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
         self._param_indices: list[int] = []  # the `params` leaves, in entry order
+        self._constants: set[int] = set()  # the `constant` leaves
 
     def _op(self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable) -> Tensor:
         """Enter a primitive's fresh C-contiguous output and its record."""
@@ -118,6 +134,13 @@ class Tape:
         index = len(self._data)
         self._data.append(arr)
         return Tensor(self, index, arr)
+
+    def constant(self, data) -> Tensor:
+        """Enter an input value as `leaf` does, as one that receives no
+        gradient: `mlp` and `matmul` skip its product; a lookup reads zeros."""
+        t = self.leaf(data)
+        self._constants.add(t.index)
+        return t
 
     def params(self, views: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
         """Enter named parameters as leaves, in order, with no copy and no
@@ -143,12 +166,10 @@ class Tape:
         constraint gradients) into the recorded graph.  Multiple seeds are
         accumulated before the sweep.
         """
-        indices = self._param_indices
-        arrays = list(map(self._data.__getitem__, indices))
-        offsets = list(accumulate(map(attrgetter("size"), arrays), initial=0))
-        flat = np.zeros(offsets[-1])
-        # a parameter's index -> where its gradient lives in `flat`
-        slots = dict(zip(indices, zip(offsets, offsets[1:], map(attrgetter("shape"), arrays))))
+        # made before the sweep's arrays, or it tends to top the heap, which a
+        # free hands back to the system: each backward paid page faults for it
+        sizes = map(attrgetter("size"), map(self._data.__getitem__, self._param_indices))
+        flat = np.empty(sum(sizes))
         grads: dict[int, np.ndarray] = {}
         pending = []
         for tensor, seed in seeds:
@@ -159,28 +180,30 @@ class Tape:
                 raise ShapeError(
                     f"seed shape {seed.shape} does not match node shape {tensor.data.shape}"
                 )
-            pending.append((tensor.index, np.ascontiguousarray(seed)))
-        # the seeds, then each reached record's input gradients, in reverse
-        # order; a node's first gradient is copied in (into `flat` for a
-        # parameter) and later ones are added in place, which has the bits of
-        # `have + g`
+            pending.append((tensor.index, np.array(seed, order="C")))  # the caller's: a copy
+        # the seeds, then each reached record's input gradients (None for a
+        # constant), in reverse order
         records = reversed(self._records)
         while True:
             for idx, g in pending:
-                if idx in grads:
-                    grads[idx] += g
-                elif idx in slots:
-                    lo, hi, shape = slots[idx]
-                    grads[idx] = flat[lo:hi].reshape(shape)
-                    grads[idx][...] = g
+                if g is None:
+                    continue
+                have = grads.get(idx)
+                if have is not None:
+                    grads[idx] = have + g
                 else:
-                    grads[idx] = np.array(g, dtype=np.float64)
+                    grads[idx] = g if g.flags.c_contiguous else np.ascontiguousarray(g)
             for out_idx, in_idxs, vjp in records:
                 if out_idx in grads:
                     pending = zip(in_idxs, vjp(grads[out_idx]))
                     break
             else:
-                return Gradients(grads, self, flat)
+                break
+        parts = [grads[i] if i in grads else np.zeros(self._data[i].size)
+                 for i in self._param_indices]
+        if parts:
+            np.concatenate(parts, axis=None, out=flat)
+        return Gradients(grads, self, flat)
 
     def backward(self, loss: Tensor) -> Gradients:
         """Reverse sweep from a scalar loss node (seeded with 1)."""
@@ -196,9 +219,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     a_in, b_in = a.data, b.data
+    a_grad = a.index not in tape._constants
+    b_grad = b.index not in tape._constants
 
     def vjp(g):
-        return g @ b_in.T, a_in.T @ g
+        return g @ b_in.T if a_grad else None, a_in.T @ g if b_grad else None
 
     return tape._op(a_in @ b_in, (a.index, b.index), vjp)
 
@@ -224,77 +249,53 @@ def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
     )
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
-    in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
-    if not (x.tape is w1.tape is b1.tape is w2.tape is b2.tape):
-        raise ShapeError(_CROSS_TAPE)
-    if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
-        raise ShapeError(f"mlp: {x.shape} @ {w1.shape} @ {w2.shape}")
+def _mlp(x_in: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, x_grad: bool):
+    """`mlp`'s shape checks, then its value and its vjp, which gives x None
+    unless `x_grad`."""
+    if x_in.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"mlp: {x_in.shape} @ {w1.shape} @ {w2.shape}")
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} for {w1.shape}, {w2.shape}")
-    x_in, w1_in, w2_in = x.data, w1.data, w2.data
+    w1_in, w2_in = w1.data, w2.data
     pre = x_in @ w1_in + b1.data
     mask = pre > 0.0
     h = np.where(mask, pre, 0.0)
 
     def vjp(g):
         g_h = (g @ w2_in.T) * mask
-        return (
-            g_h @ w1_in.T,
-            x_in.T @ g_h,
-            _sum(g_h, axis=0, keepdims=True),
-            h.T @ g,
-            _sum(g, axis=0, keepdims=True),
-        )
+        return (g_h @ w1_in.T if x_grad else None, x_in.T @ g_h,
+                _sum(g_h, axis=0, keepdims=True), h.T @ g, _sum(g, axis=0, keepdims=True))
 
-    return x.tape._op(
-        h @ w2_in + b2.data, (x.index, w1.index, b1.index, w2.index, b2.index), vjp
-    )
+    return h @ w2_in + b2.data, vjp
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
+    in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
+    tape = x.tape
+    if not (tape is w1.tape is b1.tape is w2.tape is b2.tape):
+        raise ShapeError(_CROSS_TAPE)
+    out, vjp = _mlp(x.data, w1, b1, w2, b2, x.index not in tape._constants)
+    return tape._op(out, (x.index, w1.index, b1.index, w2.index, b2.index), vjp)
 
 
 def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
     # what a tape sums for a node read by column slices, slice by slice
+    if total is None and hi - lo == shape[1]:
+        return np.ascontiguousarray(g)  # every column: the bits of a copy into zeros
     full = np.zeros(shape)
     full[:, lo:hi] = g
     return full if total is None else total + full
 
 
-def attention(
-    q: Tensor,
-    q_pos: Tensor,
-    k: Tensor,
-    k_pos: Tensor,
-    v: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    n_heads: int,
-) -> tuple[Tensor, list[np.ndarray]]:
-    """Multi-head cross-attention with output projection and residual, as one
-    record: q + concat_h(softmax((q + q_pos) wq_h ((k + k_pos) wk_h)^T
-    / sqrt(d_head)) (v wv)_h) wo, with the heads taking equal column slices.
-
-    Returns the output and each head's (q rows, k rows) attention weights,
-    read-only.  It runs the numpy operations of the `add`, `matmul`,
-    `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows` and `concat_cols`
-    chain in the same order, on the same memory layouts, and delivers the
-    input gradients in the order that chain does, so both give the same bits.
-    """
-    if not (
-        q.tape is q_pos.tape is k.tape is k_pos.tape is v.tape
-        is wq.tape is wk.tape is wv.tape is wo.tape
-    ):
+def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
+    """`attention`'s checks, then its value, weights, input indices and vjp."""
+    if not (q.tape is q_pos.tape is k.tape is k_pos.tape is v.tape
+            is wq.tape is wk.tape is wv.tape is wo.tape):
         raise ShapeError(_CROSS_TAPE)
     d = q.shape[1]
-    if (
-        q_pos.shape != q.shape
-        or k.shape[1] != d
-        or k_pos.shape != k.shape
-        or v.shape != k.shape
-        or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}
-    ):
+    if (q_pos.shape != q.shape or k.shape[1] != d or k_pos.shape != k.shape
+            or v.shape != k.shape or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}):
         raise ShapeError(
             f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}, k_pos {k_pos.shape}, "
             f"v {v.shape}, weights {[w.shape for w in (wq, wk, wv, wo)]}"
@@ -303,17 +304,15 @@ def attention(
         raise ShapeError("attention: needs at least one key row")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
-    v_in, wq_in, wk_in, wv_in, wo_in = v.data, wq.data, wk.data, wv.data, wo.data
-    qq = q.data + q_pos.data
+    q_in, v_in, wq_in, wk_in, wv_in, wo_in = q.data, v.data, wq.data, wk.data, wv.data, wo.data
+    qq = q_in + q_pos.data
     kk = k.data + k_pos.data
     qh = qq @ wq_in
     kh = kk @ wk_in
     vh = v_in @ wv_in
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
-    heads = []
-    weights = []
-    outs = []
+    heads, weights, outs = [], [], []
     for h in range(n_heads):
         lo, hi = h * d_head, (h + 1) * d_head
         qs = np.ascontiguousarray(qh[:, lo:hi])
@@ -341,25 +340,90 @@ def attention(
             g_qh = _add_cols(g_qh, g_raw @ k_t.T, qq.shape, lo, hi)
         g_kk = g_kh @ wk_in.T
         g_qq = g_qh @ wq_in.T
-        return (
-            g,
-            att.T @ g,
-            g_vh @ wv_in.T,
-            v_in.T @ g_vh,
-            kk.T @ g_kh,
-            g_kk,
-            g_kk,
-            qq.T @ g_qh,
-            g_qq,
-            g_qq,
-        )
+        return (g, att.T @ g, g_vh @ wv_in.T, v_in.T @ g_vh, kk.T @ g_kh, g_kk, g_kk,
+                qq.T @ g_qh, g_qq, g_qq)
 
     # the inputs in the order the chain's records, replayed in reverse, reach
     # them: the residual before the query path, and the values before the
     # keys, which the decoder blocks pass as the same tensor
     inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, k_pos.index,
               wq.index, q.index, q_pos.index)
-    return q.tape._op(q.data + att @ wo_in, inputs, vjp), weights
+    return q_in + att @ wo_in, weights, inputs, vjp
+
+
+def attention(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
+              wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head cross-attention with output projection and residual, as one
+    record: q + concat_h(softmax((q + q_pos) wq_h ((k + k_pos) wk_h)^T
+    / sqrt(d_head)) (v wv)_h) wo, with the heads taking equal column slices.
+
+    Returns the output and each head's (q rows, k rows) attention weights,
+    read-only.  It runs the numpy operations of the `add`, `matmul`,
+    `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows` and `concat_cols`
+    chain in the same order, on the same memory layouts, and delivers the
+    input gradients in the order that chain does, so both give the same bits.
+    """
+    out, weights, inputs, vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+    return q.tape._op(out, inputs, vjp), weights
+
+
+def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
+                  wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                  b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
+    """A transformer-decoder block as one record: x + mlp(x, w1, b1, w2, b2)
+    with x = attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads), or
+    x = q where k has no rows (k, k_pos and v are then not read, and there
+    are no weights): the bits of the `attention`, `mlp` and `add` chain, in
+    value and in every input gradient."""
+    tape = q.tape
+    if not (tape is w1.tape is b1.tape is w2.tape is b2.tape):
+        raise ShapeError(_CROSS_TAPE)
+    if w2.shape[1] != q.shape[1]:
+        raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
+    if k.shape[0]:
+        x_in, weights, inputs, att_vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+    else:
+        # the residual's gradient, then the feed-forward's, as through `add`
+        x_in, weights, inputs = q.data, [], (q.index, q.index)
+    m, ffn_vjp = _mlp(x_in, w1, b1, w2, b2, True)
+
+    def vjp(g):
+        g_x, *g_ffn = ffn_vjp(g)
+        return (*att_vjp(g + g_x), *g_ffn) if weights else (g, g_x, *g_ffn)
+
+    return tape._op(x_in + m, inputs + (w1.index, b1.index, w2.index, b2.index), vjp), weights
+
+
+def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+             w3: Tensor, b3: Tensor, scale: float) -> Tensor:
+    """scale * mlp(relu(concat_cols(parts) @ w1 + b1), w2, b2, w3, b3) as one
+    record: the bits of the `concat_cols`, `matmul`, `add_bias_row`, `relu`,
+    `mlp` and `scalar_mul` chain, in value and in every input gradient."""
+    tape = w1.tape
+    if {p.tape for p in parts} != {tape} or not (tape is b1.tape is w2.tape is b2.tape
+                                                 is w3.tape is b3.tape):
+        raise ShapeError(_CROSS_TAPE)
+    offsets = list(accumulate([p.shape[1] for p in parts], initial=0))
+    if (len({p.shape[0] for p in parts}) != 1 or offsets[-1] != w1.shape[0]
+            or b1.shape != (1, w1.shape[1])):
+        raise ShapeError(f"mlp_head: parts {[p.shape for p in parts]} @ {w1.shape} + {b1.shape}")
+    c = float(scale)
+    w1_in = w1.data
+    feat = np.concatenate([p.data for p in parts], axis=1)
+    pre = feat @ w1_in + b1.data
+    mask = pre > 0.0
+    out, mlp_vjp = _mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
+
+    def vjp(g):
+        g_h1, *g_mlp = mlp_vjp(g * c)
+        g_pre = g_h1 * mask
+        g_feat = g_pre @ w1_in.T
+        return (*g_mlp, _sum(g_pre, axis=0, keepdims=True), feat.T @ g_pre,
+                *[g_feat[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])])
+
+    # in the order the chain's records, replayed in reverse, reach them
+    inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index, *[p.index for p in parts])
+    return tape._op(out * c, inputs, vjp)
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
@@ -414,13 +478,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.shape[1]:
         raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
     shape = x.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    return x.tape._op(np.ascontiguousarray(x.data[:, start:stop]), (x.index,), vjp)
+    return x.tape._op(np.ascontiguousarray(x.data[:, start:stop]), (x.index,),
+                      lambda g: (_add_cols(None, g, shape, start, stop),))
 
 
 def transpose(x: Tensor) -> Tensor:

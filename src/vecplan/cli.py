@@ -172,43 +172,19 @@ class MetricsSection:
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    epochs: int = 60
-    learning_rate: float = 2e-4
-    weight_decay: float = 0.01
-    scheduler: str = "cosine"
-    train_scenarios: int = 512
-    val_scenarios: int = 64
-    enable_aux_heads: bool = False
-    shuffle: bool = True
-
-    def __post_init__(self):
-        # TrainConfig less seed and weights: building one checks the ranges
-        # when the config is read, whichever command runs
-        try:
-            TrainConfig(**dataclasses.asdict(self))
-        except ConfigError as e:
-            raise ConfigError(f"train.{e}") from e
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     output_dir: str = "runs/default"
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     interact: InteractionConfig = field(default_factory=InteractionConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)  # its seed and weights unread
     constraints: ConstraintParams = field(default_factory=ConstraintParams)
     weights: LossWeights = field(default_factory=LossWeights)
     simulator: SimulatorSection = field(default_factory=SimulatorSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            seed=self.seed,
-            weights=self.weights,
-            **dataclasses.asdict(self.train),
-        )
+        return dataclasses.replace(self.train, seed=self.seed, weights=self.weights)
 
 
 def _build_section(cls, data: dict, path: str):
@@ -216,7 +192,8 @@ def _build_section(cls, data: dict, path: str):
         raise ConfigError(f"{path or 'config'} must be an object")
     # every module declares its fields under postponed evaluation, so each
     # type is its annotation string
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)
+                   if f.name not in _ROOT_FIELDS.get(cls, ())}
     kwargs = {}
     for key, value in data.items():
         if key not in annotations:
@@ -244,12 +221,19 @@ def _build_section(cls, data: dict, path: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid {path.rstrip('.') or 'config'}: {e}") from e
+    except ConfigError as e:
+        if cls is TrainConfig:  # its messages do not name the section
+            raise ConfigError(f"{path}{e}") from e
+        raise
 
+
+# the fields of a section's class that the run config sets at its root
+_ROOT_FIELDS = {TrainConfig: ("seed", "weights")}
 
 _SECTIONS = {
     "generator": GeneratorConfig,
     "interact": InteractionConfig,
-    "train": TrainSection,
+    "train": TrainConfig,
     "constraints": ConstraintParams,
     "weights": LossWeights,
     "simulator": SimulatorSection,
@@ -277,6 +261,8 @@ def config_to_dict(config: RunConfig) -> dict:
     out = {"seed": config.seed, "output_dir": config.output_dir}
     for key in _SECTIONS:
         section = dataclasses.asdict(getattr(config, key))
+        for name in _ROOT_FIELDS.get(_SECTIONS[key], ()):
+            del section[name]
         if key == "metrics":
             section["ablation_arms"] = [dict(items) for items in section["ablation_arms"]]
         out[key] = section

@@ -198,7 +198,6 @@ class QueryFeatures:
     map_queries: Tensor  # (N_m, d_model)
     agent_positions: np.ndarray  # (N_a, 2)
     map_positions: np.ndarray  # (N_m, 2)
-    ego_position: np.ndarray  # (1, 2)
 
 
 @dataclass
@@ -262,76 +261,32 @@ def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> Quer
     Empty lists yield zero-row matrices that downstream blocks skip over.
     """
     agent_rows, map_rows, centroids = scene_features(scenario)
-    agent_q = (
-        _mlp(tape.leaf(agent_rows), p, "agent_enc")
-        if len(agent_rows)
-        else tape.leaf(np.zeros((0, p["agent_enc.w2"].shape[1])))
-    )
-    map_q = (
-        _mlp(tape.leaf(map_rows), p, "map_enc")
-        if len(map_rows)
-        else tape.leaf(np.zeros((0, p["map_enc.w2"].shape[1])))
-    )
-    return QueryFeatures(
-        agent_queries=agent_q,
-        map_queries=map_q,
-        agent_positions=agent_rows[:, :2] / POSITION_SCALE,
-        map_positions=centroids,
-        ego_position=np.zeros((1, 2)),
-    )
+    agent_q, map_q = [
+        _mlp(tape.constant(rows), p, encoder)
+        if len(rows)
+        else tape.constant(np.zeros((0, p[_names(encoder)[2]].shape[1])))
+        for rows, encoder in ((agent_rows, "agent_enc"), (map_rows, "map_enc"))
+    ]
+    return QueryFeatures(agent_q, map_q, agent_rows[:, :2] / POSITION_SCALE, centroids)
 
 
-def decoder_block(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    q_pos: Tensor,
-    k_pos: Tensor,
-    p: dict[str, Tensor],
-    prefix: str,
-    n_heads: int,
-) -> tuple[Tensor, list[np.ndarray]]:
+def decoder_block(q: Tensor, k: Tensor, v: Tensor, q_pos: Tensor, k_pos: Tensor,
+                  p: dict[str, Tensor], prefix: str,
+                  n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
     """One cross-attention decoder block.
 
     Scaled dot-product attention of (q + q_pos) over (k + k_pos) with values
     v, output projection and residual, then a feed-forward sublayer with
-    residual.  With zero-row keys the attention sublayer is skipped and only
-    the feed-forward (with residual) applies.  Returns the output and the
-    per-head attention weight matrices.
+    residual, as one record (`autodiff.decoder_block`).  With zero-row keys
+    the attention sublayer is skipped and only the feed-forward (with
+    residual) applies.  Returns the output and the per-head attention weight
+    matrices.
     """
     d = q.shape[1]
     if k.shape[1] != d or v.shape[1] != d:
         raise ConfigError(f"decoder_block width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    if k.shape[0] == 0:
-        x, attn_weights = q, []
-    else:
-        wq, wk, wv, wo = _names(prefix, _ATTENTION)
-        x, attn_weights = ad.attention(
-            q, q_pos, k, k_pos, v, p[wq], p[wk], p[wv], p[wo], n_heads
-        )
-    out = ad.add(x, _mlp(x, p, f"{prefix}.ffn"))
-    return out, attn_weights
-
-
-def _status_row(scenario: Scenario) -> np.ndarray:
-    ego = scenario.ego
-    return np.array(
-        [[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE, ego.steering_angle * STEER_SCALE]]
-    )
-
-
-def plan_head(
-    q_agent: Tensor,
-    q_map: Tensor,
-    status_embed: Tensor,
-    cmd_embed: Tensor,
-    p: dict[str, Tensor],
-) -> Tensor:
-    """Decode the concatenated planning feature into 2*T_f coordinates."""
-    feat = ad.concat_cols([q_agent, q_map, status_embed, cmd_embed])
-    h1 = ad.relu(ad.add_bias_row(ad.matmul(feat, p["head.l1.w1"]), p["head.l1.b1"]))
-    out = ad.mlp(h1, p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"])
-    return ad.scalar_mul(out, OUTPUT_SCALE)
+    names = _names(prefix, _ATTENTION) + _names(f"{prefix}.ffn")
+    return ad.decoder_block(q, q_pos, k, k_pos, v, *map(p.__getitem__, names), n_heads)
 
 
 def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult:
@@ -351,49 +306,41 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]
-    ego_row = tape.leaf(features.ego_position * POSITION_SCALE)
-    if config.use_agent_interaction:
-        q_pos = _mlp(ego_row, p, "pe1")
-        k_pos = (
-            _mlp(tape.leaf(features.agent_positions * POSITION_SCALE), p, "pe1")
-            if features.agent_positions.shape[0]
-            else tape.leaf(np.zeros((0, config.d_model)))
-        )
-        ego_q, attn = decoder_block(
-            ego_q, features.agent_queries, features.agent_queries, q_pos, k_pos,
-            p, "agent_block", config.n_heads,
-        )
-        attention["agent"] = attn
-    q_after_agents = ego_q
-    if config.use_map_interaction:
-        q_pos = _mlp(ego_row, p, "pe2")
-        k_pos = (
-            _mlp(tape.leaf(features.map_positions * POSITION_SCALE), p, "pe2")
-            if features.map_positions.shape[0]
-            else tape.leaf(np.zeros((0, config.d_model)))
-        )
-        ego_q, attn = decoder_block(
-            ego_q, features.map_queries, features.map_queries, q_pos, k_pos,
-            p, "map_block", config.n_heads,
-        )
-        attention["map"] = attn
-    q_after_map = ego_q
-
-    status_embed = _mlp(tape.leaf(_status_row(scenario)), p, "status_enc")
-    one_hot = np.zeros((1, 3))
-    one_hot[0, COMMAND_INDEX[scenario.ego.command]] = 1.0
-    cmd_embed = ad.matmul(tape.leaf(one_hot), p["cmd_embed"])
-
-    plan_node = plan_head(q_after_agents, q_after_map, status_embed, cmd_embed, p)
-    waypoints = plan_node.data.reshape(config.t_future, 2)
-    return ForwardResult(
-        plan=PlanTrajectory(waypoints),
-        tape=tape,
-        plan_node=plan_node,
-        params=p,
-        features=features,
-        attention=attention,
+    ego_row = tape.constant(np.zeros((1, 2)))  # the ego's position, the origin
+    stages = (
+        ("agent", config.use_agent_interaction, features.agent_queries,
+         features.agent_positions, "pe1"),
+        ("map", config.use_map_interaction, features.map_queries, features.map_positions, "pe2"),
     )
+    q_after = []  # the ego query after each stage
+    for name, used, keys, positions, pe in stages:
+        if used:
+            q_pos = _mlp(ego_row, p, pe)
+            k_pos = (
+                _mlp(tape.constant(positions * POSITION_SCALE), p, pe)
+                if len(positions)
+                else tape.constant(np.zeros((0, config.d_model)))
+            )
+            ego_q, attention[name] = decoder_block(
+                ego_q, keys, keys, q_pos, k_pos, p, f"{name}_block", config.n_heads
+            )
+        q_after.append(ego_q)
+
+    ego = scenario.ego
+    status = [[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE,
+               ego.steering_angle * STEER_SCALE]]
+    status_embed = _mlp(tape.constant(status), p, "status_enc")
+    one_hot = np.zeros((1, 3))
+    one_hot[0, COMMAND_INDEX[ego.command]] = 1.0
+    cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])
+
+    # the head decodes the concatenated planning feature into 2*T_f coordinates
+    plan_node = ad.mlp_head(
+        [*q_after, status_embed, cmd_embed], p["head.l1.w1"], p["head.l1.b1"],
+        p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"], OUTPUT_SCALE,
+    )
+    plan = PlanTrajectory(plan_node.data.reshape(config.t_future, 2))
+    return ForwardResult(plan, tape, plan_node, p, features, attention)
 
 
 def plan_gradient_seed(grad_waypoints: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -105,13 +105,16 @@ class Scenario:
     or map.  Each agent has its own number of modes, at least one:
     `agent_modes` holds every agent's modes, agent after agent, and
     `agent_mode_count` says how many belong to each.  Construction copies
-    each array, checks it and makes it read-only, and derives `agent_track`,
-    each agent's best mode; the scenario is frozen, so they never go stale.
+    each array, checks it and makes it read-only, and derives `agent_best`,
+    the row in `agent_modes` of each agent's best mode, and `agent_track`,
+    those rows; the scenario is frozen, so they never go stale.
     A refusal names the element by its path in a scenario file, e.g.
     `agents[2].size`.  An array of another scenario that a derived scene
     (a closed-loop view) passes through unchanged comes as a read-only
     `geometry.Checked`: it was checked when its scenario was made, so it is
-    kept as it is, after a check of its shape alone.
+    kept as it is, after a check of its shape alone; a view whose scores and
+    mode counts are its source's passes the source's `agent_best` on as
+    `source_best`, so that it is not found again.
     """
 
     ego: EgoState
@@ -130,9 +133,11 @@ class Scenario:
     map_kind: np.ndarray  # (M,) index into MAP_CLASSES
     map_confidence: np.ndarray  # (M,)
     map_side: np.ndarray  # (M,) DRIVABLE_SIDES code
+    agent_best: np.ndarray = field(init=False, repr=False)  # (A,) rows of agent_modes
     agent_track: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) best modes
+    source_best: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, source_best):
         def keep(name, a):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -212,12 +217,13 @@ class Scenario:
         if "agent_mode_scores" not in passed:
             _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
                     "agents[{i}].mode_scores: mode scores must lie in [0,1]")
-        ends = np.cumsum(count)
-        best = [
-            start + best_mode_index(scores[start:end])
-            for start, end in zip((ends - count).tolist(), ends.tolist())
-        ]
-        keep("agent_track", modes[np.array(best, dtype=np.intp)])
+        if source_best is None:
+            ends = np.cumsum(count)
+            source_best = np.array([start + best_mode_index(scores[start:end]) for start, end
+                                    in zip((ends - count).tolist(), ends.tolist())], dtype=np.intp)
+        elif not {"agent_mode_scores", "agent_mode_count"} <= passed:
+            raise ScenarioFormatError("source_best comes with its source's mode scores and counts")
+        keep("agent_track", modes[keep("agent_best", source_best)])
 
         map_xy = take("map_xy", (None, None, 2))
         n_m, n_p = map_xy.shape[:2]

@@ -126,7 +126,8 @@ def _build_view(
     the stacked tracks, the map and the agent positions: a stacked matmul
     gives each row block the bits of a call of its own.  The arrays that do
     not move with the ego (sizes, confidences, scores, map labels) pass
-    through unchanged, as `Checked`, so the view does not check them again.
+    through unchanged, as `Checked`, so the view does not check them again,
+    and so do the agents' best modes.
     """
     t_f = scenario.t_future
     ticks = np.minimum(np.arange(tick, tick + t_f), t_f - 1)
@@ -149,6 +150,7 @@ def _build_view(
         agent_modes=tracks[:k],
         map_xy=world_to_ego(scenario.map_xy, position, heading),
         **{name: Checked(getattr(scenario, name)) for name in _FIXED},
+        source_best=scenario.agent_best,
     )
 
 

@@ -95,8 +95,9 @@ def adamw_per_tensor_step(tensors, grads, m, v, step_count, lr, weight_decay,
 def dict_backward_flat(tape, seeds, param_leaves) -> np.ndarray:
     """The reference for `Gradients.flat`: a reverse sweep over the tape's
     records that keeps every node's gradient in a dict (the first one
-    copied, later ones summed into a new array), then the concatenated
-    gradients of `param_leaves`, zeros for one no record reaches."""
+    copied, later ones summed into a new array) and skips the None that a
+    record gives a constant, then the concatenated gradients of
+    `param_leaves`, zeros for one no record reaches."""
     grads = {}
     contributions = [(t.index, np.asarray(s, dtype=np.float64)) for t, s in seeds]
     for idx, g in contributions:
@@ -104,6 +105,9 @@ def dict_backward_flat(tape, seeds, param_leaves) -> np.ndarray:
     for out_idx, in_idxs, vjp in reversed(tape._records):
         if out_idx in grads:
             for idx, g in zip(in_idxs, vjp(grads[out_idx])):
+                if g is None:
+                    assert idx in tape._constants
+                    continue
                 grads[idx] = grads[idx] + g if idx in grads else np.array(g, dtype=np.float64)
     return np.concatenate(
         [grads.get(leaf.index, np.zeros(leaf.shape)).reshape(-1) for leaf in param_leaves]

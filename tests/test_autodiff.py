@@ -275,6 +275,195 @@ class TestFusedAttention:
             ad.attention(leaves[0], leaves[0], leaves[2], leaves[2], leaves[0], *leaves[5:], 1)
 
 
+def _block_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
+    """The public-op chain that `ad.decoder_block` stands in for."""
+    if k.shape[0]:
+        x, weights = ad.attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+    else:
+        x, weights = q, []
+    return ad.add(x, ad.mlp(x, w1, b1, w2, b2)), weights
+
+
+class TestFusedBlock:
+    def test_bit_equal_to_the_public_op_chain(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            n_heads = int(rng.choice([1, 2, 4]))
+            d = n_heads * int(rng.integers(1, 5))
+            rows, n_keys = int(rng.integers(1, 4)), int(rng.integers(0, 9))
+            arrays = _attention_arrays(rng, rows, n_keys, d, spread=2.0)
+            arrays += [rng.standard_normal(shape) for shape in ((d, d), (1, d), (d, d), (1, d))]
+            if trial % 3 == 0:
+                arrays[10][0, 0] = -1e3  # a feed-forward unit dead for every row
+            shared = trial % 2 == 0
+            probes = [rng.standard_normal(shape) for shape in ((rows, d), (rows, d), (n_keys, d))]
+            results = []
+            for build in (ad.decoder_block, _block_by_parts):
+                tape = ad.Tape()
+                leaves = [tape.leaf(a) for a in arrays]
+                if shared:
+                    leaves[4] = leaves[2]
+                out, weights = build(*leaves, n_heads)
+                # q and k start with a gradient, as if read again downstream,
+                # so the order in which their paths add up shows in the bits
+                grads = tape.backward_from(zip((out, leaves[0], leaves[2]), probes))
+                results.append((len(tape._records), out.data, weights,
+                                [grads[leaf] for leaf in leaves]))
+            (n_fused, fused, fused_w, fused_g), (n_parts, parts, parts_w, parts_g) = results
+            assert (n_fused, n_parts) == (1, 2 + (n_keys > 0)), f"trial {trial}"
+            assert fused.tobytes() == parts.tobytes(), f"trial {trial}"
+            assert [w.tobytes() for w in fused_w] == [w.tobytes() for w in parts_w]
+            assert len(fused_w) == (n_heads if n_keys else 0)
+            for i, (a, b) in enumerate(zip(fused_g, parts_g)):
+                assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
+
+    def test_rejects_a_feed_forward_of_another_width(self):
+        rng = np.random.default_rng(5)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
+        ffn = [tape.leaf(np.zeros(shape)) for shape in ((4, 4), (1, 4), (4, 3), (1, 3))]
+        with pytest.raises(ShapeError, match="decoder_block"):
+            ad.decoder_block(*leaves, *ffn, 1)
+        ffn = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 4), (1, 4))]
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.decoder_block(*leaves, *ffn, 1)
+
+
+def _head_by_parts(parts, w1, b1, w2, b2, w3, b3, scale):
+    """The public-op chain that `ad.mlp_head` stands in for, op for op."""
+    h1 = ad.relu(ad.add_bias_row(ad.matmul(ad.concat_cols(parts), w1), b1))
+    return ad.scalar_mul(ad.mlp(h1, w2, b2, w3, b3), scale)
+
+
+class TestFusedHead:
+    def test_bit_equal_to_the_public_op_chain(self):
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            rows = int(rng.integers(1, 4))
+            widths = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(1, 5)))]
+            d1, d2, d_out = (int(v) for v in rng.integers(1, 9, size=3))
+            parts = [rng.standard_normal((rows, w)) for w in widths]
+            layers = [rng.standard_normal(shape) for shape in (
+                (sum(widths), d1), (1, d1), (d1, d2), (1, d2), (d2, d_out), (1, d_out))]
+            if trial % 3 == 0:
+                layers[1][0, 0] = -1e3  # a first-layer unit dead for every row
+            probes = [rng.standard_normal((rows, d_out)), rng.standard_normal((rows, widths[0]))]
+            results = []
+            for build in (ad.mlp_head, _head_by_parts):
+                tape = ad.Tape()
+                part_leaves = [tape.leaf(a) for a in parts]
+                if trial % 2 == 0 and len(parts) > 1 and widths[-1] == widths[0]:
+                    part_leaves[-1] = part_leaves[0]  # one tensor read twice
+                layer_leaves = [tape.leaf(a) for a in layers]
+                out = build(part_leaves, *layer_leaves, 10.0)
+                # the first part starts with a gradient of its own
+                grads = tape.backward_from(zip((out, part_leaves[0]), probes))
+                leaves = part_leaves + layer_leaves
+                results.append((len(tape._records), out.data, [grads[t] for t in leaves]))
+            (n_fused, fused, fused_g), (n_parts, by_parts, parts_g) = results
+            assert (n_fused, n_parts) == (1, 6)
+            assert fused.tobytes() == by_parts.tobytes(), f"trial {trial}"
+            for i, (a, b) in enumerate(zip(fused_g, parts_g)):
+                assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
+
+    def test_rejects_bad_shapes(self):
+        tape = ad.Tape()
+        parts = [tape.leaf(np.zeros((1, 2))), tape.leaf(np.zeros((1, 3)))]
+        layers = [tape.leaf(np.zeros(shape)) for shape in
+                  ((5, 4), (1, 4), (4, 4), (1, 4), (4, 2), (1, 2))]
+        with pytest.raises(ShapeError, match="mlp_head"):
+            ad.mlp_head(parts[:1], *layers, 10.0)
+        with pytest.raises(ShapeError, match="mlp_head"):
+            ad.mlp_head([parts[0], tape.leaf(np.zeros((2, 3)))], *layers, 10.0)
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.mlp_head(parts, *layers[:4], tape.leaf(np.zeros((3, 2))), layers[5], 10.0)
+        with pytest.raises(ShapeError, match="tape"):
+            ad.mlp_head([ad.Tape().leaf(np.zeros((1, 5)))], *layers, 10.0)
+
+
+class TestConstants:
+    def test_a_constant_is_a_checked_copy_that_receives_no_gradient(self):
+        rng = np.random.default_rng(9)
+        x_arr, w_arr = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        mlp_arrays = [rng.standard_normal(shape) for shape in ((4, 5), (1, 5), (5, 2), (1, 2))]
+        probe = rng.standard_normal((3, 2))
+        results = []
+        for enter in ("leaf", "constant"):
+            tape = ad.Tape()
+            x = getattr(tape, enter)(x_arr)
+            w = tape.leaf(w_arr)
+            layers = [tape.leaf(a) for a in mlp_arrays]
+            outs = [ad.matmul(x, w), ad.mlp(x, *layers)]
+            grads = tape.backward_from([(out, probe) for out in outs])
+            results.append((x, grads, [grads[t] for t in [w, *layers]]))
+        (leaf, leaf_grads, leaf_g), (const, const_grads, const_g) = results
+        assert leaf_grads[leaf].any()
+        assert const_grads[const].tobytes() == np.zeros((3, 4)).tobytes()
+        assert const.data.tobytes() == leaf.data.tobytes()
+        assert not np.shares_memory(const.data, x_arr) and not const.data.flags.writeable
+        # the other inputs' gradients do not change by a bit
+        for a, b in zip(leaf_g, const_g):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ShapeError, match="non-finite"):
+            ad.Tape().constant([[np.nan]])
+
+    def test_matmul_and_mlp_skip_the_product_for_a_constant(self):
+        tape = ad.Tape()
+        x = tape.constant(np.ones((2, 3)))
+        w = tape.constant(np.ones((3, 3)))
+        layers = [tape.leaf(np.ones(shape)) for shape in ((3, 2), (1, 2), (2, 1), (1, 1))]
+        outs = [ad.matmul(x, w), ad.mlp(x, *layers)]
+        (_, _, matmul_vjp), (_, _, mlp_vjp) = tape._records
+        assert matmul_vjp(np.ones(outs[0].shape)) == (None, None)
+        g = mlp_vjp(np.ones(outs[1].shape))
+        assert g[0] is None and all(part is not None for part in g[1:])
+
+
+class TestGradientsLookup:
+    @staticmethod
+    def _graph():
+        """A tape whose records deliver shared arrays (`add`), transposed
+        views (`transpose`) and column slices (`concat_cols`)."""
+        rng = np.random.default_rng(3)
+        view = rng.standard_normal((3, 2))
+        view.flags.writeable = False
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((2, 3)))
+        c = tape.constant(rng.standard_normal((2, 3)))
+        w = tape.params({"w": view})["w"]
+        y = ad.add(x, c)
+        t = ad.transpose(ad.matmul(y, w))
+        z = ad.concat_cols([ad.transpose(t), x, y])
+        tensors = [x, c, w, y, t, z]
+        return tape, tensors, tape.backward_from([(z, rng.standard_normal(z.shape))])
+
+    def test_a_lookup_is_read_only(self):
+        _, tensors, grads = self._graph()
+        for tensor in tensors:
+            g = grads[tensor]
+            with pytest.raises(ValueError):
+                g[0, 0] = 1.0
+        # a write into the flat vector is not one into a lookup
+        assert grads.flat.flags.writeable
+
+    def test_a_parameter_reads_a_view_of_flat_and_a_constant_zeros(self):
+        _, (x, c, w, y, _, _), grads = self._graph()
+        assert np.shares_memory(grads[w], grads.flat)
+        assert grads[w].tobytes() == grads.flat.tobytes()
+        assert grads[c].tobytes() == np.zeros(c.shape).tobytes()
+        # the add's one gradient array reached x and c, and y's is x's part
+        assert grads[x].any() and grads[y].any()
+
+    def test_every_stored_gradient_is_c_contiguous(self):
+        tape, tensors, grads = self._graph()
+        assert all(g.flags.c_contiguous for g in grads._by_index.values())
+        assert all(grads[t].flags.c_contiguous for t in tensors)
+        # the vjps delivered views that are not: a transpose's and slices
+        delivered = [g for out, _, vjp in tape._records if out in grads._by_index
+                     for g in vjp(grads._by_index[out]) if g is not None]
+        assert not all(g.flags.c_contiguous for g in delivered)
+
+
 class TestBackward:
     def test_sum_of_leaf_gives_ones(self):
         tape = ad.Tape()
@@ -304,8 +493,9 @@ class TestBackward:
         np.testing.assert_array_equal(grads[y], np.zeros((2, 2)))
 
     def test_first_gradient_keeps_its_sign_of_zero(self):
-        # -0.0 survives a copy but 0.0 + -0.0 is 0.0: a node's first
-        # gradient, a parameter's in the flat vector included, is copied in
+        # -0.0 survives as it is but 0.0 + -0.0 is 0.0: a node's first
+        # gradient, a parameter's in the flat vector included, is held as
+        # it is, not added to zeros
         view = np.ones((1, 2))
         view.flags.writeable = False
         tape = ad.Tape()

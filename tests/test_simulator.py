@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from _support import (
 )
 
 from vecplan.constraints import ConstraintParams, LossWeights, total_planning_loss
-from vecplan.errors import SimulationError
+from vecplan.errors import ScenarioFormatError, SimulationError
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.metrics import plan_metrics
 from vecplan.geometry import Point2
@@ -98,6 +99,35 @@ class TestView:
                      "agent_mode_count", "map_kind", "map_confidence", "map_side"):
             assert getattr(state.view, name) is getattr(s, name), name
         assert not np.shares_memory(state.view.map_xy, s.map_xy)
+
+    def test_best_modes_pass_through(self, monkeypatch):
+        # a view takes its source's best rows and finds none of its own;
+        # they are the rows a scene built afresh from its arrays finds
+        from vecplan import scene as scene_module
+
+        s = with_mixed_modes(scene_of_kind("dense", 5), np.random.default_rng(3))
+        assert len(set(s.agent_best - np.cumsum(s.agent_mode_count))) > 1
+        state = SimState.initial(s)
+
+        def unexpected(scores):
+            raise AssertionError("a view looked for its best modes")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scene_module, "best_mode_index", unexpected)
+            views = [state.view]
+            for _ in range(s.t_future):
+                state = step(state, constant_velocity_plan(state.view))
+                views.append(state.view)
+        for view in views[1:]:
+            assert view.agent_best is s.agent_best
+            fresh = dataclasses.replace(view, agent_mode_count=list(view.agent_mode_count))
+            assert fresh.agent_best.tobytes() == view.agent_best.tobytes()
+            assert fresh.agent_track.tobytes() == view.agent_track.tobytes()
+
+    def test_best_modes_pass_only_with_their_scores_and_counts(self):
+        s = scene_of_kind("dense", 6)
+        with pytest.raises(ScenarioFormatError, match="source_best"):
+            dataclasses.replace(s, source_best=s.agent_best)
 
 
 class TestMixedModeCounts:
