@@ -2,27 +2,27 @@
 arrays.
 
 Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
-copied, finite-checked leaves (`Tape.leaf`), or as constants
-(`Tape.constant`), leaves that receive no gradient: `mlp` and `matmul` skip
-the product that would give them one.  Parameters enter all at once as
-read-only views with no copy or check (`Tape.params`), since their owner
-checks them.  A primitive checks its own operands, computes its value eagerly
-and enters it with its vector-Jacobian product in one call (`Tape._op`).
-Backward replays the records in strict reverse order exactly once.  It holds
-a node's first gradient by reference, copied only if not C-contiguous, and
-adds a later one as `have + g`, never in place, since one array may be the
-gradient of several nodes (`add` gives its own to both inputs); the
-parameters' gradients end up in one flat vector laid out like
-`InteractionParams.flat` (`Gradients.flat`).  Four fused records run the
+copied leaves (`Tape.leaf`), checked as every input tensor is (`_as_matrix`),
+or as constants (`Tape.constant`), leaves that receive no gradient: `mlp` and
+`matmul` skip the product that would give them one.  Parameters enter all at
+once as read-only views with no copy or check (`Tape.params`), since their
+owner checks them.  A primitive checks its own operands, computes its value
+eagerly and enters it with its vector-Jacobian product in one call
+(`Tape._op`).  Backward replays the records in strict reverse order exactly
+once.  It holds a node's first gradient by reference, copied only if not
+C-contiguous, and adds a later one as `have + g`, never in place, since one
+array may be the gradient of several nodes (`add` gives its own to both
+inputs); the parameters' gradients end up in one flat vector laid out like
+`InteractionParams.flat` (`Gradients.flat`).  Three fused records run the
 numpy operations of a chain of primitives in its order, so with its bits in
 value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
-`attention` (multi-head cross-attention, output projection and residual),
-`decoder_block` (attention, then a perceptron with a residual) and `mlp_head`
-(concatenation, three layers and a scale).  A record holds input indices and
-a closure over arrays and shapes, never a `Tensor`, so a tape holds no
-reference cycle and reference counting frees it as soon as nothing refers to
-it.  No broadcasting beyond the bias rows and no control-flow capture:
-record exactly what you execute.
+`decoder_block` (multi-head cross-attention with output projection and
+residual, then a perceptron with a residual) and `mlp_head` (concatenation,
+three layers and a scale).  A record holds input indices and a closure over
+arrays and shapes, never a `Tensor`, so a tape holds no reference cycle and
+reference counting frees it as soon as nothing refers to it.  No broadcasting
+beyond the bias rows and no control-flow capture: record exactly what you
+execute.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ _max = np.maximum.reduce
 
 
 def _as_matrix(data) -> np.ndarray:
+    """`data` as a finite 2-D float64 array, a 1-D input as one row."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -122,14 +123,8 @@ class Tape:
 
     def leaf(self, data) -> Tensor:
         """Enter an input value onto the tape as a finite-checked, read-only
-        copy; a 1-D input becomes one row."""
-        arr = np.array(data, dtype=np.float64, order="C")
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            raise ShapeError("non-finite values in tensor")
+        C-order copy; a 1-D input becomes one row."""
+        arr = np.array(_as_matrix(data), order="C")
         arr.setflags(write=False)
         index = len(self._data)
         self._data.append(arr)
@@ -289,7 +284,17 @@ def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
 
 
 def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
-    """`attention`'s checks, then its value, weights, input indices and vjp."""
+    """Multi-head cross-attention with output projection and residual, for
+    keys of at least one row: q + concat_h(softmax((q + q_pos) wq_h
+    ((k + k_pos) wk_h)^T / sqrt(d_head)) (v wv)_h) wo, with the heads taking
+    equal column slices.
+
+    Checks the operands, then returns the value, each head's read-only
+    (q rows, k rows) weights, the input indices and the vjp.  It runs the
+    numpy operations of the `add`, `matmul`, `slice_cols`, `transpose`,
+    `scalar_mul`, `softmax_rows` and `concat_cols` chain in the same order,
+    on the same memory layouts, and delivers the input gradients in the
+    order that chain does, so both give the same bits."""
     if not (q.tape is q_pos.tape is k.tape is k_pos.tape is v.tape
             is wq.tape is wk.tape is wv.tape is wo.tape):
         raise ShapeError(_CROSS_TAPE)
@@ -300,8 +305,6 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
             f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}, k_pos {k_pos.shape}, "
             f"v {v.shape}, weights {[w.shape for w in (wq, wk, wv, wo)]}"
         )
-    if k.shape[0] == 0:
-        raise ShapeError("attention: needs at least one key row")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
     q_in, v_in, wq_in, wk_in, wv_in, wo_in = q.data, v.data, wq.data, wk.data, wv.data, wo.data
@@ -351,30 +354,15 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     return q_in + att @ wo_in, weights, inputs, vjp
 
 
-def attention(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
-              wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
-    """Multi-head cross-attention with output projection and residual, as one
-    record: q + concat_h(softmax((q + q_pos) wq_h ((k + k_pos) wk_h)^T
-    / sqrt(d_head)) (v wv)_h) wo, with the heads taking equal column slices.
-
-    Returns the output and each head's (q rows, k rows) attention weights,
-    read-only.  It runs the numpy operations of the `add`, `matmul`,
-    `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows` and `concat_cols`
-    chain in the same order, on the same memory layouts, and delivers the
-    input gradients in the order that chain does, so both give the same bits.
-    """
-    out, weights, inputs, vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
-    return q.tape._op(out, inputs, vjp), weights
-
-
 def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
                   wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                   b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
     """A transformer-decoder block as one record: x + mlp(x, w1, b1, w2, b2)
-    with x = attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads), or
+    with x the multi-head cross-attention of q over k (`_attention`), or
     x = q where k has no rows (k, k_pos and v are then not read, and there
-    are no weights): the bits of the `attention`, `mlp` and `add` chain, in
-    value and in every input gradient."""
+    are no weights): the bits of the attention chain, `mlp` and `add`, in
+    value and in every input gradient.  Returns the output and each head's
+    attention weights."""
     tape = q.tape
     if not (tape is w1.tape is b1.tape is w2.tape is b2.tape):
         raise ShapeError(_CROSS_TAPE)

@@ -302,7 +302,6 @@ def total_planning_loss(
     scene: Scenario | PackedScene,
     params: ConstraintParams,
     weights: LossWeights,
-    expert: Optional[np.ndarray] = None,
 ) -> TotalLossResult:
     """Weighted planning objective: collision + boundary + direction + imitation.
 
@@ -317,7 +316,7 @@ def total_planning_loss(
         raise ValueError(f"scene was packed under other confidence thresholds {packed.thresholds}")
 
     col, bd, dr = constraint_terms(plan, packed, params)
-    imi = imitation_loss(plan, Checked(packed.scenario.expert) if expert is None else expert)
+    imi = imitation_loss(plan, Checked(packed.scenario.expert))
     total = weighted_sum(((weights.collision, col), (weights.boundary, bd),
                           (weights.direction, dr), (weights.imitation, imi)))
     breakdown = {"collision": col.value, "boundary": bd.value, "direction": dr.value,

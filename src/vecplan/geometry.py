@@ -8,9 +8,10 @@ tie-breaks resolve to the lowest index, so results are deterministic.
 Each input has one form.  Query points and vectors are (K, 2) arrays; a
 `Point2`, the one checked position type, is a finite (x, y) tuple and so a
 plain 2-vector wherever one is taken.  Polylines are the rows of an
-(M, P, 2) array, and the polylines a search runs over are a `PolylineSet`,
-which checks them once.  A box is a `BoxFrame`.  A pose track is a `Poses`
-pair of arrays, (..., T, 2) positions and (..., T) headings.
+(M, P, 2) array, and the polylines a search runs over are a `PolylineSet`
+of B scenes' rows, which checks them once.  A box is a `BoxFrame`.  A pose
+track is a `Poses` pair of arrays, (..., T, 2) positions and (..., T)
+headings.
 
 Each input is checked once.  A kernel checks the arrays a caller hands it;
 an array that is already known to be finite float64 of the right shape (a
@@ -22,16 +23,16 @@ it enters and nowhere below.
 
 The nearest-polyline chain (`closest_point_on_segment`,
 `point_polyline_distance`, `closest_polyline`, `closest_polyline_within`)
-and `angular_difference` take (K, 2) arrays, broadcast over query points x
-segments and return arrays or a `Nearest`.  A `PolylineSet` holds, once per
-set, the per-segment constants of the projection (start and step columns,
-squared lengths, whether every segment is live), and a `Nearest` gathers
-the polyline, segment and endpoints of a hit only when they are read.
-Over a set with a scene axis (`PolylineSet.of_scenes`) the chain takes
-(B, K, 2) arrays, one row of queries per scene, and searches each row
-among its own scene's segments, or one (K, 2) array searched among each
-scene's: a packed map (`scene.pack`) holds its boundaries and its
-dividers as two such rows, so one search finds a plan's nearest of both.
+and `angular_difference` broadcast over query points x segments and
+return arrays or a `Nearest`.  A `PolylineSet` holds, once per set, the
+per-segment constants of the projection (start and step columns, squared
+lengths, whether every segment is live), and a `Nearest` gathers the
+polyline and endpoints of a hit only when they are read.  The chain takes
+(B, K, 2) arrays, one row of queries per scene of the set, and searches
+each row among its own scene's segments, or one (K, 2) array searched
+among each scene's: a packed map (`scene.pack`) holds its boundaries and
+its dividers as two such rows, so one search finds a plan's nearest of
+both, and the open-loop metrics hold a block's boundaries one scene a row.
 `rect_corners` broadcasts over box arrays.
 
 The separating-axis test (`oriented_rect_margin`, `oriented_rect_overlap`)
@@ -114,82 +115,59 @@ def checked(p, what: str = "query point", ndim: int | tuple[int, ...] | None = 2
 
 
 class PolylineSet:
-    """Polylines packed into one array of segments, for nearest searches.
+    """The polylines of B scenes packed into one array of segments, for
+    nearest searches.
 
-    Segments are numbered polyline by polyline, so among tied segments the
+    Each scene's polylines are the rows of an (M, P, 2) array, padded with
+    dead segments to the same count S.  Segments are numbered scene after
+    scene and polyline by polyline (N = B S), so among tied segments the
     lowest packed index is the lowest polyline and then its lowest segment.
     A set of no polylines is empty, and searches over it find nothing.
 
-    The set holds, once, the constants every projection onto it needs: the
-    segment `start`s, `end`s and `step`s (S, 2), the contiguous start and
-    step columns `sx`, `sy`, `dx`, `dy`, the squared lengths `step_sq` and
-    the flag `all_live` (no segment is degenerate).  The arrays are
-    read-only and finite, and each polyline has a live segment (`of_rows`
-    and `of_scenes`, the set's two makers, check their rows), so the chain
-    uses them without checking them again.
-
-    A set made by `of_scenes` has a scene axis: it holds the polylines of B
-    scenes, each scene's padded with dead segments to the same count S.  A
-    search over it takes a (B, K, 2) query array, K points a scene, or one
-    (K, 2) array searched in every scene, and finds each point's nearest
-    segment among each scene's own, (B, K) results either way.  Its arrays
-    have a (B, 1) in front of the segment axis, to broadcast over the
-    query axis; packed indices and the polyline numbers `poly` and `seg`
-    run over the whole set, scene after scene (N = B S).  `ndim` is the
-    largest number of axes of a query array: 2, or 3 with a scene axis.
+    A search takes a (B, K, 2) query array, K points a scene, or one (K, 2)
+    array searched in every scene, and finds each point's nearest segment
+    among its scene's own, (B, K) results either way.  The set holds, once,
+    the constants every projection onto it needs: the segment `start`s,
+    `end`s and `step`s (B, 1, S, 2), the contiguous start and step columns
+    `sx`, `sy`, `dx`, `dy`, the squared lengths `step_sq` (B, 1, S, to
+    broadcast over the query axis), the flag `all_live` (no segment is
+    degenerate) and the (N,) polyline number `poly` of each segment.  The
+    arrays are read-only and finite, and each polyline has a live segment
+    (`of_scenes` checks its rows), so the chain uses them without checking
+    them again.
     """
 
     __slots__ = ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
-                 "all_live", "poly", "seg", "count", "ndim")
-
-    @classmethod
-    def of_rows(cls, xy) -> "PolylineSet":
-        """The polylines of the rows of an (M, P, 2) array, as
-        `Scenario.map_xy`, copied and checked once, here.
-
-        Raises:
-            GeometryError: on another shape, a non-finite point, or a row of
-                fewer than two points or with no non-degenerate segment.
-        """
-        xy = np.array(xy, dtype=np.float64)  # a copy, never the caller's array
-        if xy.ndim != 3 or xy.shape[-1] != 2:
-            raise GeometryError(f"polyline rows must have shape (M, P, 2), got {xy.shape}")
-        return cls._of_array(xy, np.ones(len(xy), dtype=bool))
+                 "all_live", "poly", "count")
 
     @classmethod
     def of_scenes(cls, xy, real) -> "PolylineSet":
-        """The polylines of B scenes in one set with a scene axis: the rows
-        of a (B, M, P, 2) array, scene b's in row b, copied and checked once,
-        here.  The (B, M) mask `real` marks the rows that are polylines, each
-        checked as in `of_rows`; every other row pads its scene to M rows and
-        must have no non-degenerate segment, so that no search finds it.
-        Points that pad a polyline to P hold its last point.  A scene with no
-        polyline finds only padding, at distance inf.
+        """The polylines of B scenes in one set: the rows of a (B, M, P, 2)
+        array, scene b's in row b, copied and checked once, here.  The (B, M)
+        mask `real` marks the rows that are polylines, each of at least two
+        points with a non-degenerate segment; every other row pads its scene
+        to M rows and must have no non-degenerate segment, so that no search
+        finds it.  Points that pad a polyline to P hold its last point.  A
+        scene with no polyline finds only padding, at distance inf.
 
         Raises:
             GeometryError: on other shapes, a non-finite point, a polyline
-                as `of_rows` refuses, or a padding row with a live segment.
+                of fewer than two points or with no non-degenerate segment,
+                or a padding row with a live segment.
         """
         xy = np.array(xy, dtype=np.float64)  # a copy, never the caller's array
         real = np.asarray(real, dtype=bool)
         if xy.ndim != 4 or xy.shape[-1] != 2 or real.shape != xy.shape[:2]:
             raise GeometryError(f"scene rows must have shape (B, M, P, 2) with a (B, M) "
                                 f"mask, got {xy.shape} and {real.shape}")
-        return cls._of_array(xy, real)
-
-    @classmethod
-    def _of_array(cls, xy: np.ndarray, real: np.ndarray) -> "PolylineSet":
-        """The set of the rows of an (M, P, 2) or, with a scene axis,
-        (B, M, P, 2) array whose (M,) or (B, M) mask `real` marks the rows
-        that must be polylines; the others are dead padding."""
         if not _all(np.isfinite(xy)):
             raise GeometryError("non-finite polyline point")
         if xy.shape[-2] < 2 and np.count_nonzero(real):
             raise GeometryError(f"polyline needs at least 2 points, got {xy.shape[-2]}")
         segs = max(xy.shape[-2] - 1, 0)
         out = cls(xy[..., :-1, :].reshape(-1, 2), xy[..., 1:, :].reshape(-1, 2),
-                  np.repeat(np.arange(real.size), segs), np.arange(real.size * segs) % max(segs, 1),
-                  int(np.count_nonzero(real)), xy.shape[:-3])
+                  np.repeat(np.arange(real.size), segs), int(np.count_nonzero(real)),
+                  (len(xy), 1, real.shape[1] * segs))
         # a row is live if any of its segments is, and must be live iff real
         live = out.live.reshape(real.shape + (segs,)).any(axis=-1)
         if not _all(live == real):
@@ -198,11 +176,11 @@ class PolylineSet:
                                 else "a padding row has a non-degenerate segment")
         return out
 
-    def __init__(self, start, end, poly, seg, count: int, lead: tuple[int, ...]):
+    def __init__(self, start, end, poly, count: int, shape: tuple[int, int, int]):
         """Hold the packed (N, 2) segment `start`s and `end`s, the polyline
-        and in-polyline index of each, and the count of polylines; `lead` is
-        () or, with a scene axis, (B,).  Made by `of_rows` and `of_scenes`,
-        which check the arrays first."""
+        of each and the count of polylines, the per-segment arrays in the
+        (B, 1, S) `shape`.  Made by `of_scenes`, which checks the arrays
+        first."""
         d = end - start
         seg_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # a degenerate segment's squared length counts as 1, so its
@@ -210,16 +188,13 @@ class PolylineSet:
         step_sq = np.where(seg_sq == 0.0, 1.0, seg_sq)
         live = (start != end).any(axis=1)
         self.all_live = bool(live.all())
-        # (S,), or (B, 1, S) to broadcast against (B, K, ...) queries
-        shape = (lead[0], 1, len(start) // lead[0] if lead[0] else 0) if lead else (len(start),)
         self.start, self.end, self.step = (a.reshape(shape + (2,)) for a in (start, end, d))
         self.sx, self.sy = np.ascontiguousarray(start.T).reshape((2,) + shape)
         self.dx, self.dy = np.ascontiguousarray(d.T).reshape((2,) + shape)
         self.step_sq, self.live = step_sq.reshape(shape), live.reshape(shape)
-        self.poly, self.seg = poly, seg  # owner of each segment, index within it
-        self.count, self.ndim = count, 2 + len(lead)
+        self.poly, self.count = poly, count
         for a in (self.start, self.end, self.step, self.sx, self.sy, self.dx, self.dy,
-                  self.step_sq, self.live, self.poly, self.seg):
+                  self.step_sq, self.live, self.poly):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -227,56 +202,47 @@ class PolylineSet:
 
 
 class Nearest(NamedTuple):
-    """The nearest polyline segment of each of K query points ((B, K) over
-    a set with a scene axis, whose fields then have that shape in front).
+    """The nearest polyline segment of each of K query points in each of B
+    scenes.
 
     The search gives `dist`, `foot` and the packed segment `index` (and, for
-    a range search, `found`); the polyline, segment and endpoints are
-    gathered from the set when they are read, so a caller pays only for the
-    fields it uses.
+    a range search, `found`); the polyline and endpoints are gathered from
+    the set when they are read, so a caller pays only for the fields it
+    uses.
     """
 
     segments: PolylineSet  # the set searched
-    index: np.ndarray  # (K,) packed index of the nearest segment
-    dist: np.ndarray  # (K,) distance to it, meters
-    foot: np.ndarray  # (K, 2) closest point on it
-    found: np.ndarray | None = None  # (K,) in range of a range search; None: all
-
-    def _hit(self, ids: np.ndarray) -> np.ndarray:
-        ids = ids.take(self.index)
-        return ids if self.found is None else np.where(self.found, ids, -1)
+    index: np.ndarray  # (B, K) packed index of the nearest segment
+    dist: np.ndarray  # (B, K) distance to it, meters
+    foot: np.ndarray  # (B, K, 2) closest point on it
+    found: np.ndarray | None = None  # (B, K) in range of a range search; None: all
 
     @property
     def poly(self) -> np.ndarray:
-        """(K,) polyline index, -1 where none lies in range."""
-        return self._hit(self.segments.poly)
-
-    @property
-    def seg(self) -> np.ndarray:
-        """(K,) segment index within that polyline, -1 with `poly`."""
-        return self._hit(self.segments.seg)
+        """(B, K) polyline index, -1 where none lies in range."""
+        ids = self.segments.poly.take(self.index)
+        return ids if self.found is None else np.where(self.found, ids, -1)
 
     @property
     def start(self) -> np.ndarray:
-        """(K, 2) first endpoint of the nearest segment."""
+        """(B, K, 2) first endpoint of the nearest segment."""
         return self.segments.start.reshape(-1, 2).take(self.index, axis=0)
 
     @property
     def end(self) -> np.ndarray:
-        """(K, 2) second endpoint of the nearest segment."""
+        """(B, K, 2) second endpoint of the nearest segment."""
         return self.segments.end.reshape(-1, 2).take(self.index, axis=0)
 
 
 def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     """Closest point to each query point on each segment of a PolylineSet.
 
-    `p` is a (K, 2) array of query points; the result is the (K, S, 2) array
-    of foot points on the set's S closed segments [a_s, b_s].  A degenerate
-    segment (a_s == b_s) gives a_s.  Over a set with a scene axis, `p` is
-    (B, K, 2) or (K, 2) and the result (B, K, S, 2), each scene's points on
-    its own segments.
+    `p` is a (B, K, 2) array of query points, or a (K, 2) one for every
+    scene; the result is the (B, K, S, 2) array of each scene's foot points
+    on its S closed segments [a_s, b_s].  A degenerate segment (a_s == b_s)
+    gives a_s.
     """
-    q = checked(p, ndim=(2, segments.ndim))
+    q = checked(p, ndim=(2, 3))
     # along-segment parameter, projected and clamped to [0, 1] in place
     t = q[..., 0, None] - segments.sx
     t *= segments.dx
@@ -296,31 +262,30 @@ def point_polyline_distance(p, pls: PolylineSet):
     """Distance from each query point to the nearest segment of a
     PolylineSet, searched as one polyline with packed segment indices.
 
-    `p` is a (K, 2) array of query points; returns the (K,) distances, the
-    (K,) winning packed segment indices and the (K, 2) foot points on them.
-    Degenerate segments are skipped; exact ties resolve to the lowest
-    segment index.  Over a set with a scene axis, `p` is (B, K, 2) or
-    (K, 2) and the results gain the scene axis in front; the indices run
-    over the whole set.
+    `p` is a (B, K, 2) array of query points, or a (K, 2) one for every
+    scene; returns the (B, K) distances, the (B, K) winning packed segment
+    indices, which run over the whole set, and the (B, K, 2) foot points on
+    them.  Degenerate segments are skipped; exact ties resolve to the
+    lowest segment index.
 
     Raises:
         GeometryError: if the set is empty.
     """
-    q = checked(p, ndim=(2, pls.ndim))
+    q = checked(p, ndim=(2, 3))
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
     foot = closest_point_on_segment(Checked(q), pls)
-    # both distance terms in one buffer: one (..., K, S) array fewer
+    # both distance terms in one buffer: one (B, K, S) array fewer
     dist = q[..., 0, None] - foot[..., 0]
     np.hypot(dist, q[..., 1, None] - foot[..., 1], out=dist)
     if not pls.all_live:
         np.copyto(dist, np.inf, where=~pls.live)
     seg = dist.argmin(axis=-1)
     s = dist.shape[-1]
-    # each winner's place in the flattened (..., K, S) arrays
+    # each winner's place in the flattened (B, K, S) arrays
     flat = np.arange(0, seg.size * s, s).reshape(seg.shape)
     flat += seg
-    index = seg if dist.ndim == 2 else seg + np.arange(0, len(seg) * s, s)[:, None]
+    index = seg + np.arange(0, len(seg) * s, s)[:, None]
     return dist.reshape(-1).take(flat), index, foot.reshape(-1, 2).take(flat, axis=0)
 
 
@@ -349,12 +314,12 @@ def angular_difference(v1, v2) -> np.ndarray:
 
 
 def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
-    """Nearest polyline of a PolylineSet to each query point of a (K, 2)
-    array (over a set with a scene axis, a (B, K, 2) array or a (K, 2) one
-    searched in every scene), or None when the set is empty.  Ties resolve
-    to the lowest polyline index, then to the lowest segment index.
+    """Nearest polyline of a PolylineSet to each query point of a (B, K, 2)
+    array, or of a (K, 2) one searched in every scene, or None when the set
+    is empty.  Ties resolve to the lowest polyline index, then to the lowest
+    segment index.
     """
-    q = checked(p, ndim=(2, pls.ndim))
+    q = checked(p, ndim=(2, 3))
     if not pls:
         return None
     dist, k, foot = point_polyline_distance(Checked(q), pls)
@@ -362,8 +327,8 @@ def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
 
 
 def closest_polyline_within(p, pls: PolylineSet, within: float) -> Nearest | None:
-    """`closest_polyline`, with polyline and segment index -1 for a query
-    whose nearest lies beyond `within` meters (`found` False); its distance,
+    """`closest_polyline`, with polyline index -1 for a query whose nearest
+    lies beyond `within` meters (`found` False); its distance, segment index,
     foot and endpoints still describe the nearest segment.  Raises
     GeometryError unless `within` is positive and finite.
     """

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -64,20 +65,24 @@ class InteractionConfig:
             raise ConfigError("d_command must be >= 1")
 
 
-@functools.cache
-def _names(prefix: str, parts: tuple[str, ...] = ("w1", "b1", "w2", "b2")) -> tuple[str, ...]:
-    """The parameter names of one layer, a perceptron's by default; cached,
-    so a forward formats none."""
-    return tuple(f"{prefix}.{part}" for part in parts)
-
-
+_PERCEPTRON = ("w1", "b1", "w2", "b2")
 _ATTENTION = ("wq", "wk", "wv", "wo")
+# a decoder block's parameters, in the order `ad.decoder_block` takes them
+_BLOCK = _ATTENTION + tuple(f"ffn.{part}" for part in _PERCEPTRON)
+
+
+@functools.cache
+def _layer(prefix: str, parts: tuple[str, ...] = _PERCEPTRON) -> itemgetter:
+    """A getter of one layer's parameters from a tape's leaves, a
+    perceptron's by default, in the order its record takes them; cached, so
+    a forward formats no name."""
+    return itemgetter(*(f"{prefix}.{part}" for part in parts))
 
 
 def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
     # biases share the layer's fan_in bound; zero biases would leave the
     # (0, 0) ego position exactly on the relu kink
-    w1, b1, w2, b2 = _names(prefix)
+    w1, b1, w2, b2 = (f"{prefix}.{part}" for part in _PERCEPTRON)
     return [
         (w1, (d_in, d_hidden), d_in),
         (b1, (1, d_hidden), d_in),
@@ -87,7 +92,7 @@ def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
 
 
 def _block_shapes(d: int, prefix: str):
-    shapes = [(name, (d, d), d) for name in _names(prefix, _ATTENTION)]
+    shapes = [(f"{prefix}.{part}", (d, d), d) for part in _ATTENTION]
     shapes += _mlp_shapes(d, d, d, f"{prefix}.ffn")
     return shapes
 
@@ -155,9 +160,6 @@ class InteractionParams:
         params.extend(parameter_shapes(config), seed)
         return params
 
-    def copy(self) -> "InteractionParams":
-        return InteractionParams(self.config, self.tensors)
-
     def extend(self, extra_shapes, seed: int) -> None:
         """Draw the named tensors (e.g. auxiliary heads) with the init rule,
         skipping names already present."""
@@ -210,11 +212,6 @@ class ForwardResult:
     attention: dict[str, list[np.ndarray]] = field(default_factory=dict)
 
 
-def _mlp(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    w1, b1, w2, b2 = _names(prefix)
-    return ad.mlp(x, p[w1], p[b1], p[w2], p[b2])
-
-
 def _agent_features(scenario: Scenario) -> np.ndarray:
     step = scenario.agent_track[:, 0] - scenario.agent_xy
     # one math.hypot a row: np.hypot differs from it in the last bit on some steps
@@ -262,31 +259,12 @@ def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> Quer
     """
     agent_rows, map_rows, centroids = scene_features(scenario)
     agent_q, map_q = [
-        _mlp(tape.constant(rows), p, encoder)
+        ad.mlp(tape.constant(rows), *_layer(encoder)(p))
         if len(rows)
-        else tape.constant(np.zeros((0, p[_names(encoder)[2]].shape[1])))
+        else tape.constant(np.zeros((0, _layer(encoder)(p)[2].shape[1])))
         for rows, encoder in ((agent_rows, "agent_enc"), (map_rows, "map_enc"))
     ]
     return QueryFeatures(agent_q, map_q, agent_rows[:, :2] / POSITION_SCALE, centroids)
-
-
-def decoder_block(q: Tensor, k: Tensor, v: Tensor, q_pos: Tensor, k_pos: Tensor,
-                  p: dict[str, Tensor], prefix: str,
-                  n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
-    """One cross-attention decoder block.
-
-    Scaled dot-product attention of (q + q_pos) over (k + k_pos) with values
-    v, output projection and residual, then a feed-forward sublayer with
-    residual, as one record (`autodiff.decoder_block`).  With zero-row keys
-    the attention sublayer is skipped and only the feed-forward (with
-    residual) applies.  Returns the output and the per-head attention weight
-    matrices.
-    """
-    d = q.shape[1]
-    if k.shape[1] != d or v.shape[1] != d:
-        raise ConfigError(f"decoder_block width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    names = _names(prefix, _ATTENTION) + _names(f"{prefix}.ffn")
-    return ad.decoder_block(q, q_pos, k, k_pos, v, *map(p.__getitem__, names), n_heads)
 
 
 def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult:
@@ -315,21 +293,24 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     q_after = []  # the ego query after each stage
     for name, used, keys, positions, pe in stages:
         if used:
-            q_pos = _mlp(ego_row, p, pe)
+            pe = _layer(pe)(p)
+            q_pos = ad.mlp(ego_row, *pe)
             k_pos = (
-                _mlp(tape.constant(positions * POSITION_SCALE), p, pe)
+                ad.mlp(tape.constant(positions * POSITION_SCALE), *pe)
                 if len(positions)
                 else tape.constant(np.zeros((0, config.d_model)))
             )
-            ego_q, attention[name] = decoder_block(
-                ego_q, keys, keys, q_pos, k_pos, p, f"{name}_block", config.n_heads
+            # the ego query attends over the keys, which are also the values
+            ego_q, attention[name] = ad.decoder_block(
+                ego_q, q_pos, keys, k_pos, keys, *_layer(f"{name}_block", _BLOCK)(p),
+                config.n_heads,
             )
         q_after.append(ego_q)
 
     ego = scenario.ego
     status = [[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE,
                ego.steering_angle * STEER_SCALE]]
-    status_embed = _mlp(tape.constant(status), p, "status_enc")
+    status_embed = ad.mlp(tape.constant(status), *_layer("status_enc")(p))
     one_hot = np.zeros((1, 3))
     one_hot[0, COMMAND_INDEX[ego.command]] = 1.0
     cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])

@@ -107,11 +107,13 @@ def _focal_array(probs: np.ndarray, targets: np.ndarray, gamma: float, alpha: fl
 
 class AdamW:
     """Adaptive moments with decoupled weight decay over one flat parameter
-    vector (or any array: every operation is elementwise)."""
+    vector (or any array: every operation is elementwise), with the usual
+    moment decays 0.9 and 0.999 and eps 1e-8."""
 
-    def __init__(self, size: int, weight_decay: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, weight_decay: float):
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -210,17 +212,16 @@ class TrainLog:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def regression_epochs(self, window: int = 5, warmup: int = 10) -> list[int]:
-        """Epochs whose `window`-epoch moving-average training loss rose.
+    def regression_epochs(self) -> list[int]:
+        """Epochs whose 5-epoch moving-average training loss rose.
 
-        Used to flag runs that stop making progress after warmup.
+        Used to flag runs that stop making progress after a 10-epoch warmup.
         """
+        window = 5
         totals = [e.loss_total for e in self.epochs]
         flagged = []
         prev = None
-        for i in range(warmup, len(totals)):
-            if i + 1 < window:
-                continue
+        for i in range(10, len(totals)):
             avg = sum(totals[i + 1 - window : i + 1]) / window
             if prev is not None and avg > prev + 1e-9:
                 flagged.append(self.epochs[i].epoch)

@@ -1,7 +1,8 @@
 """Open-loop planning metrics and the constraint/interaction ablation sweep.
 
-Displacement error compares planned and expert waypoints at fixed horizons;
-the collision rate is cumulative and box-aware: a sample counts as colliding
+Displacement error compares planned and expert waypoints at the fixed
+horizons `DEFAULT_HORIZONS` (1, 2 and 3 s), which every metric reports; the
+collision rate is cumulative and box-aware: a sample counts as colliding
 at horizon h if the ego footprint placed on any planned waypoint up to h
 overlaps any agent's ground-truth box at the same tick.  These are artifact
 protocol numbers for synthetic scenes, not comparable to published benchmark
@@ -12,17 +13,17 @@ block in a few array calls: one `pose_track` pass over the block's plans
 (`plan_pose_track`, shared by the collision and overstep checks) and one
 over all of its agents (`agent_pose_track`), one separating-axis call for
 every (agent, tick) pair (`collision_ticks`), and one nearest-boundary query
-over the block's labeled boundaries, padded per scene
-(`labeled_boundaries`, `pose_oversteps_boundary`).  Within a block each
-track is held at its last point to the block's longest horizon, and each
-scene's flags are read only to its own horizon ticks.  The block size
-bounds the memory of those arrays; any block size gives the same bits.
+over the block's labeled boundaries, a `PolylineSet` of one scene a row,
+padded per scene (`labeled_boundaries`, `pose_oversteps_boundary`).  Within
+a block each track is held at its last point to the block's longest horizon,
+and each scene's flags are read only to its own horizon ticks.  The block
+size bounds the memory of those arrays; any block size gives the same bits.
 Larger blocks take fewer calls a scene, and 32 keeps the memory near a
 megabyte: 32 scenes of 8-12 agents make (32, 24, 38) corner-by-segment
 arrays, of which the nearest-segment chain holds four at once, so the
-boundary query peaks at about 1.0 MB under tracemalloc (0.3 MB for 8
-scenes, 3.8 MB for 128).  Blocks of 32 rather than 8 took a 128-scene
-`plan_metrics` from about 10.5 to 7.9 ms.
+boundary query peaks at about 1.0 MB under tracemalloc (0.3 MB for 8 scenes,
+3.8 MB for 128).  Blocks of 32 rather than 8 took a 128-scene `plan_metrics`
+from about 10.5 to 7.9 ms.
 A plan longer than its scene's future is refused.
 """
 
@@ -50,6 +51,7 @@ from .scene import DRIVABLE_SIDES, MAP_CLASSES, MapClass, PlanTrajectory, Scenar
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
 DEFAULT_EGO_DIMS = (4.0, 1.85)
 BLOCK_SCENES = 32  # scenes per block of the box and boundary metrics
+EVAL_SEED_OFFSET = 900_000  # the first seed of the ablation's evaluation scenarios
 _ROAD_BOUNDARY = MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)
 
 
@@ -88,9 +90,9 @@ def _horizon_tick(h: float, dt: float, t_f: int) -> int:
     return tick
 
 
-def _horizon_ticks(scenarios, plans, horizons) -> np.ndarray:
-    """(B, H) 1-based tick of every horizon in each scene's plan, worked out
-    once for each (tick length, plan horizon) pair.
+def _horizon_ticks(scenarios, plans) -> np.ndarray:
+    """(B, H) 1-based tick of each of the H `DEFAULT_HORIZONS` in each
+    scene's plan, worked out once for each (tick length, plan horizon) pair.
 
     Raises:
         ConfigError: on unequal counts of scenes and plans, a plan longer
@@ -102,18 +104,16 @@ def _horizon_ticks(scenarios, plans, horizons) -> np.ndarray:
         if p.horizon > s.t_future:
             raise ConfigError(f"a plan of {p.horizon} ticks for a scene of {s.t_future}")
     keys = [(s.horizon_dt, p.horizon) for s, p in zip(scenarios, plans)]
-    ticks = {key: [_horizon_tick(h, *key) for h in horizons] for key in set(keys)}
-    return np.array([ticks[key] for key in keys], dtype=np.intp).reshape(len(keys), len(horizons))
+    ticks = {key: [_horizon_tick(h, *key) for h in DEFAULT_HORIZONS] for key in set(keys)}
+    shape = (len(keys), len(DEFAULT_HORIZONS))
+    return np.array([ticks[key] for key in keys], dtype=np.intp).reshape(shape)
 
 
-def displacement_error(
-    scenarios: Sequence[Scenario],
-    plans: Sequence[PlanTrajectory],
-    horizons: Sequence[float] = DEFAULT_HORIZONS,
-) -> np.ndarray:
+def displacement_error(scenarios: Sequence[Scenario],
+                       plans: Sequence[PlanTrajectory]) -> np.ndarray:
     """(B, H) L2 distance between each plan's waypoint and its scene's expert
-    waypoint at each horizon, one `math.hypot` each."""
-    ticks = _horizon_ticks(scenarios, plans, horizons) - 1
+    waypoint at each of the H `DEFAULT_HORIZONS`, one `math.hypot` each."""
+    ticks = _horizon_ticks(scenarios, plans) - 1
     shape = ticks.shape + (2,)
     planned = np.array([p.waypoints[t] for p, t in zip(plans, ticks)]).reshape(shape)
     expert = np.array([s.expert[t] for s, t in zip(scenarios, ticks)]).reshape(shape)
@@ -194,11 +194,11 @@ def collision_ticks(
     return flags
 
 
-def _blocks(scenarios, plans, horizons):
+def _blocks(scenarios, plans):
     """The scenes in blocks of `BLOCK_SCENES`, each with its plans'
     `plan_pose_track` and the (B, H) 1-based tick of every horizon in each
     scene's plan."""
-    ticks = _horizon_ticks(scenarios, plans, horizons)
+    ticks = _horizon_ticks(scenarios, plans)
     for lo in range(0, len(scenarios), BLOCK_SCENES):
         hi = lo + BLOCK_SCENES
         yield scenarios[lo:hi], plan_pose_track(plans[lo:hi]), ticks[lo:hi]
@@ -208,17 +208,16 @@ def collision_rate(
     scenarios: Sequence[Scenario],
     plans: Sequence[PlanTrajectory],
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    horizons: Sequence[float] = DEFAULT_HORIZONS,
 ) -> HorizonStats:
-    """Cumulative open-loop collision rate (percent) at each horizon."""
+    """Cumulative open-loop collision rate (percent) at each default horizon."""
     blocks = [
         (collision_ticks(block, ego, ego_dims), ticks)
-        for block, ego, ticks in _blocks(scenarios, plans, horizons)
+        for block, ego, ticks in _blocks(scenarios, plans)
     ]
-    return _cumulative_rate(blocks, horizons)
+    return _cumulative_rate(blocks)
 
 
-def _cumulative_rate(blocks, horizons) -> HorizonStats:
+def _cumulative_rate(blocks) -> HorizonStats:
     """Percent of scenes whose per-tick flags hold by each horizon, from
     each block's (B, T) flags and (B, H) horizon ticks."""
     hits = [
@@ -227,10 +226,10 @@ def _cumulative_rate(blocks, horizons) -> HorizonStats:
     ]
     n = sum(len(h) for h in hits)
     if not n:
-        return HorizonStats(tuple(horizons), tuple(0.0 for _ in horizons), 0.0)
+        return HorizonStats(DEFAULT_HORIZONS, tuple(0.0 for _ in DEFAULT_HORIZONS), 0.0)
     counts = sum(np.count_nonzero(h, axis=0) for h in hits)
     rates = tuple(float(c) * 100.0 / n for c in counts)
-    return HorizonStats(tuple(horizons), rates, float(np.mean(rates)))
+    return HorizonStats(DEFAULT_HORIZONS, rates, float(np.mean(rates)))
 
 
 def labeled_boundaries(scenarios: Sequence[Scenario]) -> tuple[PolylineSet, np.ndarray]:
@@ -308,24 +307,24 @@ def plan_metrics(
     scenarios: Sequence[Scenario],
     plans: Sequence[PlanTrajectory],
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    horizons: Sequence[float] = DEFAULT_HORIZONS,
 ) -> PlanMetrics:
-    """Aggregate the full open-loop metric set over a scenario/plan pairing.
+    """Aggregate the full open-loop metric set over a scenario/plan pairing,
+    at the `DEFAULT_HORIZONS`.
 
     Each scene's boundary overstep is checked up to its own tick of the
     longest horizon."""
-    errors = displacement_error(scenarios, plans, horizons)
+    errors = displacement_error(scenarios, plans)
     collided, oversteps = [], 0
-    for block, ego, ticks in _blocks(scenarios, plans, horizons):
+    for block, ego, ticks in _blocks(scenarios, plans):
         collided.append((collision_ticks(block, ego, ego_dims), ticks))
         overstep = boundary_overstep(block, ego, ego_dims, ticks.max(axis=1))
         oversteps += int(np.count_nonzero(overstep))
     if scenarios:
         l2_values = tuple(float(v) for v in np.mean(errors, axis=0))
     else:
-        l2_values = tuple(0.0 for _ in horizons)
-    l2 = HorizonStats(tuple(horizons), l2_values, float(np.mean(l2_values)) if l2_values else 0.0)
-    collision = _cumulative_rate(collided, horizons)
+        l2_values = tuple(0.0 for _ in DEFAULT_HORIZONS)
+    l2 = HorizonStats(DEFAULT_HORIZONS, l2_values, float(np.mean(l2_values)))
+    collision = _cumulative_rate(collided)
     overstep_rate = oversteps * 100.0 / len(scenarios) if scenarios else 0.0
     return PlanMetrics(l2=l2, collision=collision, boundary_overstep_rate=overstep_rate)
 
@@ -405,12 +404,12 @@ def ablation_report(
     interact_config=None,
     constraint_params=None,
     eval_count: int = 200,
-    eval_seed_offset: int = 900_000,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
     progress=None,
 ) -> AblationReport:
     """Train one model per arm (identical except toggles) and evaluate all
-    arms open-loop on the same seeded scenario set."""
+    arms open-loop on the same seeded scenario set, the scenarios of seeds
+    `EVAL_SEED_OFFSET` onwards."""
     from dataclasses import replace as dc_replace
 
     from .interact import InteractionConfig, forward_plan
@@ -421,7 +420,7 @@ def ablation_report(
         interact_config = InteractionConfig(t_future=gen_config.t_future)
 
     eval_set = [
-        generate_scenario(eval_seed_offset + i, gen_config) for i in range(eval_count)
+        generate_scenario(EVAL_SEED_OFFSET + i, gen_config) for i in range(eval_count)
     ]
     rows = []
     for arm in arms:

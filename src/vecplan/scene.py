@@ -373,6 +373,14 @@ class GeneratorConfig:
             raise ConfigError("lead_vehicle_probability must lie in [0, 1]")
         if not 0.0 <= self.lead_gap_slack[0] <= self.lead_gap_slack[1]:
             raise ConfigError(f"bad lead_gap_slack {self.lead_gap_slack}")
+        for name in ("agent_confidence_range", "map_confidence_range"):
+            if not 0.0 <= getattr(self, name)[0] <= getattr(self, name)[1] <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("mode_noise_std", "min_agent_clearance"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.ego_dims[0] > 0 and self.ego_dims[1] > 0):
+            raise ConfigError(f"ego_dims must be positive, got {self.ego_dims}")
         if self.mode_count < 1:
             raise ConfigError("mode_count must be >= 1")
         if self.n_points < 2:

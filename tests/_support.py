@@ -14,6 +14,7 @@ import numpy as np
 
 from vecplan.constraints import ConstraintParams, boundary_loss, direction_loss, map_search
 from vecplan.geometry import (
+    Nearest,
     Point2,
     PolylineSet,
     angular_difference,
@@ -266,11 +267,28 @@ def _padded(polylines, n: int) -> list[np.ndarray]:
 
 
 def polyline_set(polylines) -> PolylineSet:
-    """The PolylineSet of polylines given as (N_i, 2) point arrays, in
-    order: each padded to the longest, then `PolylineSet.of_rows`."""
+    """The one-scene PolylineSet of polylines given as (N_i, 2) point
+    arrays, in order: each padded to the longest, then
+    `PolylineSet.of_scenes`.  A search over it gives (1, K) results, which
+    `scene0` reads."""
     n = max((len(pl) for pl in polylines), default=0)
-    rows = _padded(polylines, n)
-    return PolylineSet.of_rows(rows if rows else np.zeros((0, n, 2)))
+    rows = np.reshape(_padded(polylines, n), (1, len(polylines), n, 2))
+    return PolylineSet.of_scenes(rows, np.ones(rows.shape[:2], dtype=bool))
+
+
+def scene0(hit: Nearest | None) -> Nearest | None:
+    """The (K,) results of scene 0 of a search over a one-scene set, such
+    as a `polyline_set`, as a `Nearest` (None stays None)."""
+    if hit is None:
+        return None
+    found = None if hit.found is None else hit.found[0]
+    return hit._replace(index=hit.index[0], dist=hit.dist[0], foot=hit.foot[0], found=found)
+
+
+def packed_index(polylines, poly: int, seg: int) -> int:
+    """The packed index in `polyline_set(polylines)` of segment `seg` of
+    polyline `poly`: each polyline holds as many segments as the longest."""
+    return poly * (max(len(pl) for pl in polylines) - 1) + seg
 
 
 def map_set(boundaries=(), dividers=()) -> PolylineSet:
@@ -496,7 +514,7 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     grad = np.zeros_like(w)
     total = 0.0
     if boundaries:
-        hit = closest_polyline(w, PolylineSet.of_rows(boundaries))
+        hit = scene0(closest_polyline(w, polyline_set(boundaries)))
         active = hit.dist < params.boundary_clearance
         total = float((params.boundary_clearance - hit.dist[active]).sum())
         pull = active & (hit.dist > 0.0)
@@ -506,9 +524,8 @@ def unpacked_planning_loss(plan, scenario, params, weights):
     grad = np.zeros_like(w)
     total = 0.0
     if dividers:
-        hit = closest_polyline_within(
-            w, PolylineSet.of_rows(dividers), params.divider_search_range
-        )
+        hit = scene0(closest_polyline_within(w, polyline_set(dividers),
+                                             params.divider_search_range))
         vectors = ego_vectors(plan)
         moving = (vectors[:, 0] != 0.0) | (vectors[:, 1] != 0.0)
         active = np.flatnonzero((hit.poly >= 0) & moving)

@@ -21,6 +21,7 @@ from _support import (
     sample_collision_config,
     sample_direction_config,
     sample_imitation_config,
+    scene0,
     segment_distance,
     take_agents,
     take_map,
@@ -199,9 +200,9 @@ class TestCriterion5OracleEquivalence:
                     if best is None or d < best[1]:
                         best = (i, d)
             expected = best if best is not None and best[1] <= within else None
-            got = closest_polyline_within(p[None], polyline_set(pls), within)
+            got = scene0(closest_polyline_within(p[None], polyline_set(pls), within))
             if expected is None:
-                assert (got.poly[0], got.seg[0]) == (-1, -1)
+                assert (got.poly[0], got.found[0]) == (-1, False)
             else:
                 assert got.poly[0] == expected[0] and abs(got.dist[0] - expected[1]) <= 1e-12
             checked += 1

@@ -186,7 +186,8 @@ class TestFusedMlp:
 
 
 def _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads):
-    """The public-op chain that `ad.attention` stands in for, op for op."""
+    """The public-op chain of the attention in `ad.decoder_block`, op for op:
+    multi-head cross-attention with output projection and residual."""
     qh = ad.matmul(ad.add(q, q_pos), wq)
     kh = ad.matmul(ad.add(k, k_pos), wk)
     vh = ad.matmul(v, wv)
@@ -206,37 +207,70 @@ def _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads):
     return ad.add(q, ad.matmul(attended, wo)), weights
 
 
+def _attention_records(n_heads: int) -> int:
+    """How many records `_attention_by_parts` makes."""
+    return 5 + 8 * n_heads + (n_heads > 1) + 2
+
+
+def _block_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
+    """The public-op chain that `ad.decoder_block` stands in for."""
+    if k.shape[0]:
+        x, weights = _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+    else:
+        x, weights = q, []
+    return ad.add(x, ad.mlp(x, w1, b1, w2, b2)), weights
+
+
 def _attention_arrays(rng, rows, n_keys, d, spread=1.0):
     """q, q_pos, k, k_pos, v and the four (d, d) weights."""
     shapes = [(rows, d), (rows, d), (n_keys, d), (n_keys, d), (n_keys, d)] + [(d, d)] * 4
     return [rng.uniform(-spread, spread, size=shape) for shape in shapes]
 
 
+def _block_arrays(rng, rows, n_keys, d, spread=1.0):
+    """`_attention_arrays`, then the feed-forward's w1, b1, w2 and b2."""
+    arrays = _attention_arrays(rng, rows, n_keys, d, spread)
+    return arrays + [rng.uniform(-spread, spread, size=shape)
+                     for shape in ((d, d), (1, d), (d, d), (1, d))]
+
+
+def _fused_and_parts(arrays, n_heads, probes, shared):
+    """For `ad.decoder_block` and `_block_by_parts` on leaves of `arrays`
+    (the values the keys' leaf where `shared`): the records made, the output,
+    the weights and every leaf's gradient.  q and k start with a gradient,
+    as if read again downstream, so the order in which their paths add up
+    shows in the bits."""
+    results = []
+    for build in (ad.decoder_block, _block_by_parts):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        if shared:
+            leaves[4] = leaves[2]
+        out, weights = build(*leaves, n_heads)
+        grads = tape.backward_from(zip((out, leaves[0], leaves[2]), probes))
+        results.append((len(tape._records), out.data, weights,
+                        [grads[leaf] for leaf in leaves]))
+    return results
+
+
 class TestFusedAttention:
+    """The attention of `ad.decoder_block`, keys of at least one row."""
+
     def test_bit_equal_to_the_public_op_chain(self):
         rng = np.random.default_rng(31)
         for trial in range(60):
             n_heads = int(rng.choice([1, 2, 4]))
             d = n_heads * int(rng.integers(1, 5))
             rows, n_keys = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-            arrays = _attention_arrays(rng, rows, n_keys, d, spread=2.0)
-            # values are the keys, as in the decoder blocks, in every other trial
-            shared = trial % 2 == 0
+            arrays = _block_arrays(rng, rows, n_keys, d, spread=2.0)
             probes = [rng.standard_normal(shape) for shape in ((rows, d), (rows, d), (n_keys, d))]
-            results = []
-            for build in (ad.attention, _attention_by_parts):
-                tape = ad.Tape()
-                leaves = [tape.leaf(a) for a in arrays]
-                if shared:
-                    leaves[4] = leaves[2]
-                out, weights = build(*leaves, n_heads)
-                # q and k start with a gradient, as if read again downstream,
-                # so the order in which their paths add up shows in the bits
-                grads = tape.backward_from(zip((out, leaves[0], leaves[2]), probes))
-                results.append((out.data, weights, [grads[leaf] for leaf in leaves]))
-            (fused, fused_w, fused_g), (parts, parts_w, parts_g) = results
+            # values are the keys, as in the network, in every other trial
+            (n_fused, fused, fused_w, fused_g), (n_parts, parts, parts_w, parts_g) = (
+                _fused_and_parts(arrays, n_heads, probes, shared=trial % 2 == 0))
+            assert (n_fused, n_parts) == (1, 2 + _attention_records(n_heads)), f"trial {trial}"
             assert fused.tobytes() == parts.tobytes(), f"trial {trial}"
             assert [w.tobytes() for w in fused_w] == [w.tobytes() for w in parts_w]
+            assert len(fused_w) == n_heads
             assert all(not w.flags.writeable for w in fused_w)
             for i, (a, b) in enumerate(zip(fused_g, parts_g)):
                 assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
@@ -246,42 +280,34 @@ class TestFusedAttention:
     def test_matches_finite_differences(self, n_heads, n_keys):
         rng = np.random.default_rng(17 + 10 * n_heads + n_keys)
         for trial in range(3):
-            arrays = _attention_arrays(rng, 2, n_keys, 4)
+            arrays = _block_arrays(rng, 2, n_keys, 4)
             probe = rng.uniform(-1, 1, size=(2, 4))
 
             def value():
                 tape = ad.Tape()
-                out, _ = ad.attention(*(tape.leaf(a) for a in arrays), n_heads)
+                out, _ = ad.decoder_block(*(tape.leaf(a) for a in arrays), n_heads)
                 return float((out.data * probe).sum())
 
             tape = ad.Tape()
             leaves = [tape.leaf(a) for a in arrays]
-            out, _ = ad.attention(*leaves, n_heads)
+            out, _ = ad.decoder_block(*leaves, n_heads)
             grads = tape.backward_from([(out, probe)])
             for i, arr in enumerate(arrays):
                 err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
                 assert err < 1e-6, f"trial {trial} input {i}: rel err {err}"
 
-    def test_rejects_zero_keys_and_bad_shapes(self):
+    def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
-        empty = tape.leaf(np.zeros((0, 4)))
-        with pytest.raises(ShapeError, match="key row"):
-            ad.attention(leaves[0], leaves[1], empty, empty, empty, *leaves[5:], 1)
+        leaves = [tape.leaf(a) for a in _block_arrays(rng, 1, 3, 4)]
+        ffn = leaves[9:]
         with pytest.raises(ShapeError, match="heads"):
-            ad.attention(*leaves, 3)
+            ad.decoder_block(*leaves, 3)
         with pytest.raises(ShapeError, match="attention"):
-            ad.attention(leaves[0], leaves[0], leaves[2], leaves[2], leaves[0], *leaves[5:], 1)
-
-
-def _block_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
-    """The public-op chain that `ad.decoder_block` stands in for."""
-    if k.shape[0]:
-        x, weights = ad.attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
-    else:
-        x, weights = q, []
-    return ad.add(x, ad.mlp(x, w1, b1, w2, b2)), weights
+            ad.decoder_block(leaves[0], leaves[0], leaves[2], leaves[2], leaves[0], *leaves[5:], 1)
+        narrow = tape.leaf(np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match="attention"):
+            ad.decoder_block(*leaves[:2], narrow, narrow, narrow, *leaves[5:9], *ffn, 1)
 
 
 class TestFusedBlock:
@@ -295,22 +321,12 @@ class TestFusedBlock:
             arrays += [rng.standard_normal(shape) for shape in ((d, d), (1, d), (d, d), (1, d))]
             if trial % 3 == 0:
                 arrays[10][0, 0] = -1e3  # a feed-forward unit dead for every row
-            shared = trial % 2 == 0
             probes = [rng.standard_normal(shape) for shape in ((rows, d), (rows, d), (n_keys, d))]
-            results = []
-            for build in (ad.decoder_block, _block_by_parts):
-                tape = ad.Tape()
-                leaves = [tape.leaf(a) for a in arrays]
-                if shared:
-                    leaves[4] = leaves[2]
-                out, weights = build(*leaves, n_heads)
-                # q and k start with a gradient, as if read again downstream,
-                # so the order in which their paths add up shows in the bits
-                grads = tape.backward_from(zip((out, leaves[0], leaves[2]), probes))
-                results.append((len(tape._records), out.data, weights,
-                                [grads[leaf] for leaf in leaves]))
-            (n_fused, fused, fused_w, fused_g), (n_parts, parts, parts_w, parts_g) = results
-            assert (n_fused, n_parts) == (1, 2 + (n_keys > 0)), f"trial {trial}"
+            # values are the keys, as in the network, in every other trial
+            (n_fused, fused, fused_w, fused_g), (n_parts, parts, parts_w, parts_g) = (
+                _fused_and_parts(arrays, n_heads, probes, shared=trial % 2 == 0))
+            attention = _attention_records(n_heads) if n_keys else 0
+            assert (n_fused, n_parts) == (1, 2 + attention), f"trial {trial}"
             assert fused.tobytes() == parts.tobytes(), f"trial {trial}"
             assert [w.tobytes() for w in fused_w] == [w.tobytes() for w in parts_w]
             assert len(fused_w) == (n_heads if n_keys else 0)
@@ -610,8 +626,8 @@ class TestTapeLifecycle:
                 outs.append(build(tape, [tape.leaf(a) for a in arrays]))
             mlp_shapes = ((2, 3), (3, 4), (1, 4), (4, 2), (1, 2))
             outs.append(ad.mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
-            attention_leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
-            outs.append(ad.attention(*attention_leaves, 2)[0])
+            block_leaves = [tape.leaf(a) for a in _block_arrays(rng, 1, 3, 4)]
+            outs.append(ad.decoder_block(*block_leaves, 2)[0])
             view = np.ones((2, 2))
             view.flags.writeable = False
             outs.append(tape.params({"w": view})["w"])

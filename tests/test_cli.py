@@ -3,7 +3,9 @@ import io
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from vecplan.cli import (
     OUTPUT_ROOT_ENV,
     _json_artifact,
+    build_parser,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -22,8 +25,42 @@ from vecplan.interact import InteractionParams
 from vecplan.scene import generate_scenario, save_scenario
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block of the README section under `## heading`."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    """The README's examples parse as the code reads them, so a removed or
+    renamed key, subcommand or flag shows here."""
+
+    def test_configuration_example_parses(self):
+        data = json.loads(_readme_block("Configuration", "json"))
+        resolved = json.loads(json.dumps(config_to_dict(config_from_dict(data))))
+        # every value the example sets is the value a run resolves
+        for section, values in data.items():
+            got = resolved[section]
+            assert ({k: got[k] for k in values} if isinstance(values, dict) else got) == values
+
+    def test_command_line_block_parses(self):
+        block = _readme_block("Command line", "sh").replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert [argv[1] for argv in commands] == [
+            "generate", "train", "plan", "simulate", "evaluate", "ablate"]
+        parser = build_parser()
+        for argv in commands:
+            assert argv[0] == "vecplan"
+            assert parser.parse_args(argv[1:]).command == argv[1]
 
 
 def tiny_config(tmp_path, **extra):
@@ -100,6 +137,11 @@ class TestConfig:
             ("generator.agent_count_range=[1.5,3]", "agent_count_range must be an integer"),
             ("generator.perception_range=[60,NaN]", "generator.perception_range must be finite"),
             ("generator.ego_dims=[4]", "generator.ego_dims must be a pair"),
+            # refused by the generator's config, not later by the run or numpy
+            ("generator.mode_noise_std=-1", "mode_noise_std must be >= 0"),
+            ("generator.min_agent_clearance=-5", "min_agent_clearance must be >= 0"),
+            ("generator.agent_confidence_range=[0.5,1.5]", "agent_confidence_range must lie in"),
+            ("generator.ego_dims=[0,1]", "ego_dims must be positive"),
             ("train.enable_aux_heads=no", "train.enable_aux_heads must be a bool, got 'no'"),
             ("train.shuffle=1", "train.shuffle must be a bool"),
             ("train.scheduler=5", "train.scheduler must be a str"),

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _support import nearest_segment_oracle, polyline_set, sat_margin_oracle
+from _support import (
+    nearest_segment_oracle,
+    packed_index,
+    polyline_set,
+    sat_margin_oracle,
+    scene0,
+)
 from vecplan.errors import GeometryError
 from vecplan.geometry import (
     BoxFrame,
@@ -34,8 +40,14 @@ def P(x, y):
 
 
 def _set(*pls) -> PolylineSet:
-    """The PolylineSet of polylines given as point lists."""
+    """The one-scene PolylineSet of polylines given as point lists."""
     return polyline_set(pls)
+
+
+def _rows(xy) -> PolylineSet:
+    """The one-scene PolylineSet of every row of an (M, P, 2) array."""
+    xy = np.asarray(xy, dtype=np.float64)
+    return PolylineSet.of_scenes(xy[None], np.ones((1,) + xy.shape[:1], dtype=bool))
 
 
 class TestPoint2:
@@ -59,21 +71,21 @@ class TestPolyline:
 
     def test_needs_two_points(self):
         with pytest.raises(GeometryError):
-            PolylineSet.of_rows([[P(0, 0)]])
+            _rows([[P(0, 0)]])
 
     def test_two_point_degenerate_rejected(self):
         with pytest.raises(GeometryError):
-            PolylineSet.of_rows([[P(1, 1), P(1, 1)]])
+            _rows([[P(1, 1), P(1, 1)]])
 
     def test_longer_polyline_may_repeat_points(self):
-        pls = PolylineSet.of_rows([[P(0, 0), P(0, 0), P(1, 0)]])
-        assert (len(pls), pls.live.tolist()) == (1, [False, True])
+        pls = _rows([[P(0, 0), P(0, 0), P(1, 0)]])
+        assert (len(pls), pls.live.tolist()) == (1, [[[False, True]]])
 
     def test_xy_matches_points(self):
-        pls = PolylineSet.of_rows([[P(0, 1), (2, 3)]])
+        pls = _rows([[P(0, 1), (2, 3)]])
         assert pls.start.dtype == np.float64
-        np.testing.assert_array_equal(pls.start, [[0, 1]])
-        np.testing.assert_array_equal(pls.end, [[2, 3]])
+        assert pls.start.tolist() == [[[[0, 1]]]]
+        assert pls.end.tolist() == [[[[2, 3]]]]
 
     @pytest.mark.parametrize(
         "points",
@@ -91,16 +103,16 @@ class TestPolyline:
     )
     def test_malformed_points_rejected(self, points):
         with pytest.raises(GeometryError):
-            PolylineSet.of_rows([points])
+            PolylineSet.of_scenes([[points]], [[True]])
 
     def test_xy_is_a_read_only_copy(self):
-        points = np.array([[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]])
-        pls = PolylineSet.of_rows(points)
+        points = np.array([[[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]]])
+        pls = PolylineSet.of_scenes(points, [[True]])
         with pytest.raises(ValueError):
-            pls.start[0, 0] = 9.0
-        points[0, 0, 0] = 9.0
+            pls.start[0, 0, 0, 0] = 9.0
+        points[0, 0, 0, 0] = 9.0
         assert not np.shares_memory(pls.start, points)
-        assert pls.start.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert pls.start.tolist() == [[[[0.0, 1.0], [2.0, 3.0]]]]
 
 
 def _feet(p, *points):
@@ -108,7 +120,7 @@ def _feet(p, *points):
     through `points`, from one query point p: a one-row query to
     `closest_point_on_segment`."""
     q = np.array([p], dtype=np.float64)
-    foot = closest_point_on_segment(q, _set(points))[0]
+    foot = closest_point_on_segment(q, _set(points))[0, 0]
     return foot, np.hypot(q[0, 0] - foot[:, 0], q[0, 1] - foot[:, 1])
 
 
@@ -148,25 +160,25 @@ class TestPointSegmentDistance:
 class TestPointPolylineDistance:
     def test_single_segment(self):
         d, i, foot = point_polyline_distance([P(0, 0)], _set([P(1, -1), P(1, 1)]))
-        assert d.tolist() == pytest.approx([1.0])
-        assert i.tolist() == [0]
-        assert foot.tolist() == [[1.0, 0.0]]
+        assert d.tolist() == [[1.0]]
+        assert i.tolist() == [[0]]
+        assert foot.tolist() == [[[1.0, 0.0]]]
 
     def test_two_segment_hand_check(self):
         # segment 0 at distance 3, segment 1 at distance 1
         d, i, _ = point_polyline_distance([P(0, 3)], _set([P(-1, 0), P(0, 0), P(0, 2)]))
-        assert d.tolist() == pytest.approx([1.0])
-        assert i.tolist() == [1]
+        assert d.tolist() == [[1.0]]
+        assert i.tolist() == [[1]]
 
     def test_point_on_shared_vertex_ties_to_first_incident_segment(self):
         d, i, _ = point_polyline_distance([P(0, 0)], _set([P(-1, 0), P(0, 0), P(0, 2)]))
-        assert d.tolist() == [0.0]
-        assert i.tolist() == [0]
+        assert d.tolist() == [[0.0]]
+        assert i.tolist() == [[0]]
 
     def test_degenerate_segments_skipped(self):
         d, i, _ = point_polyline_distance([P(5, 7)], _set([P(5, 5), P(5, 5), P(5, 6)]))
-        assert d.tolist() == pytest.approx([1.0])
-        assert i.tolist() == [1]
+        assert d.tolist() == [[1.0]]
+        assert i.tolist() == [[1]]
 
     def test_all_degenerate_is_an_error(self):
         with pytest.raises(GeometryError):
@@ -218,33 +230,34 @@ class TestAngularDifference:
 class TestClosestPolylineWithin:
     def test_single_divider_in_range(self):
         hit = closest_polyline_within([P(0, 0)], _set([P(1, -5), P(1, 5)]), 2.0)
-        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([0], [1.0], [0])
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.index.tolist()) == ([[0]], [[1.0]], [[0]])
 
     def test_outside_range_returns_none(self):
         pls = _set([P(3, -5), P(3, 5)])
-        # beyond the range a query gets no polyline, but its distance and
-        # foot still describe the nearest segment
+        # beyond the range a query gets no polyline, but its distance, segment
+        # and foot still describe the nearest segment
         hit = closest_polyline_within([P(0, 0)], pls, 2.0)
-        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([-1], [3.0], [-1])
-        assert hit.foot.tolist() == [[3.0, 0.0]]
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.found.tolist()) == (
+            [[-1]], [[3.0]], [[False]])
+        assert (hit.index.tolist(), hit.foot.tolist()) == ([[0]], [[[3.0, 0.0]]])
         assert closest_polyline_within([P(0, 0)], _set(), 2.0) is None
         # without a range the same polyline is the nearest; none of none is
         hit = closest_polyline([P(0, 0)], pls)
-        assert (hit.poly.tolist(), hit.dist.tolist(), hit.seg.tolist()) == ([0], [3.0], [0])
+        assert (hit.poly.tolist(), hit.dist.tolist(), hit.index.tolist()) == ([[0]], [[3.0]], [[0]])
         assert closest_polyline([P(0, 0)], _set()) is None
 
     def test_picks_nearest_of_two(self):
         pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
         hit = closest_polyline_within([P(0, 0)], pls, 2.0)
-        assert hit.poly.tolist() == [1]
-        assert hit.dist.tolist() == pytest.approx([0.5])
+        assert hit.poly.tolist() == [[1]]
+        assert hit.dist.tolist() == [[0.5]]
 
     def test_tie_breaks_to_lowest_index(self):
         pls = [[P(1, -5), P(1, 5)], [P(-1, -5), P(-1, 5)]]
-        assert closest_polyline_within([P(0, 0)], _set(*pls), 2.0).poly.tolist() == [0]
-        assert closest_polyline([P(0, 0)], _set(*pls)).poly.tolist() == [0]
+        assert closest_polyline_within([P(0, 0)], _set(*pls), 2.0).poly.tolist() == [[0]]
+        assert closest_polyline([P(0, 0)], _set(*pls)).poly.tolist() == [[0]]
         # a farther polyline before the tied pair does not shift the winner
-        assert closest_polyline([P(0, 0)], _set([P(3, -5), P(3, 5)], *pls)).poly.tolist() == [1]
+        assert closest_polyline([P(0, 0)], _set([P(3, -5), P(3, 5)], *pls)).poly.tolist() == [[1]]
 
     def test_nonpositive_range_rejected(self):
         with pytest.raises(GeometryError):
@@ -271,13 +284,14 @@ class TestClosestPolylineWithin:
 
             # exhaustive oracle over every segment of every polyline
             best, best_d, best_seg, _ = nearest_segment_oracle(p, pls)
-            nearest = closest_polyline(p[None], polyline_set(pls))
-            assert (nearest.poly[0], nearest.seg[0]) == (best, best_seg)
+            nearest = scene0(closest_polyline(p[None], polyline_set(pls)))
+            assert (nearest.poly[0], nearest.index[0]) == (best, packed_index(pls, best, best_seg))
             assert nearest.dist[0] == pytest.approx(best_d, abs=1e-12)
 
-            got = closest_polyline_within(p[None], polyline_set(pls), rng_range)
+            got = scene0(closest_polyline_within(p[None], polyline_set(pls), rng_range))
+            assert got.index[0] == packed_index(pls, best, best_seg)
             if best_d > rng_range:
-                assert (got.poly[0], got.seg[0]) == (-1, -1)
+                assert (got.poly[0], got.found[0]) == (-1, False)
             else:
                 assert got.poly[0] == best
                 assert got.dist[0] == pytest.approx(best_d, abs=1e-12)
@@ -314,29 +328,29 @@ class TestPolylineSet:
         # the packed search is the search of each polyline alone, the first
         # of the nearest ones winning
         alone = [point_polyline_distance(queries, _set(pl)) for pl in pls]
-        dist = np.array([d for d, _, _ in alone])
+        dist = np.array([d[0] for d, _, _ in alone])
         poly = np.argmin(dist, axis=0)
         rows = np.arange(len(queries))
-        hit = closest_polyline(queries, packed)
+        hit = scene0(closest_polyline(queries, packed))
         assert hit.poly.tolist() == poly.tolist()
         assert hit.dist.tolist() == dist[poly, rows].tolist()
-        assert hit.seg.tolist() == [alone[k][1][j] for j, k in enumerate(poly)]
-        assert hit.foot.tolist() == [alone[k][2][j].tolist() for j, k in enumerate(poly)]
-        within = closest_polyline_within(queries, packed, 3.0)
+        # each polyline's segments are 8 to the set, the longest one's count
+        assert hit.index.tolist() == [8 * k + alone[k][1][0, j] for j, k in enumerate(poly)]
+        assert hit.foot.tolist() == [alone[k][2][0, j].tolist() for j, k in enumerate(poly)]
+        within = scene0(closest_polyline_within(queries, packed, 3.0))
         assert within.poly.tolist() == np.where(hit.dist <= 3.0, hit.poly, -1).tolist()
         # each polyline's row: its own segments, then the degenerate ones
         # that pad it to the longest
         rows = closest_point_on_segment(queries, packed).reshape(len(queries), 3, 8, 2)
         for k, pl in enumerate(pls):
-            own = closest_point_on_segment(queries, _set(pl))
+            own = closest_point_on_segment(queries, _set(pl))[0]
             assert np.array_equal(rows[:, k, :len(pl) - 1], own)
             assert (rows[:, k, len(pl) - 1:] == pl[-1]).all()
         assert np.array_equal(packed.poly, np.repeat(np.arange(3), 8))
-        assert np.array_equal(packed.seg, np.tile(np.arange(8), 3))
 
     def test_arrays_are_read_only(self):
         packed = _set([P(0, 0), P(1, 0), P(1, 1)])
-        for name in ("start", "end", "step", "step_sq", "live", "poly", "seg"):
+        for name in ("start", "end", "step", "step_sq", "live", "poly"):
             with pytest.raises(ValueError):
                 getattr(packed, name)[...] = 0
 
@@ -348,7 +362,7 @@ class TestPolylineSet:
         rng = np.random.default_rng(4)
         rows = rng.uniform(-10, 10, size=(3, 5, 2))
         rows[1, 2] = rows[1, 1]  # a degenerate segment inside a row
-        packed = PolylineSet.of_rows(rows)
+        packed = _rows(rows)
         # each row's segments in order, row after row
         start, end = rows[:, :-1].reshape(-1, 2), rows[:, 1:].reshape(-1, 2)
         step = end - start
@@ -357,14 +371,14 @@ class TestPolylineSet:
             "start": start, "end": end, "step": step, "sx": start[:, 0], "sy": start[:, 1],
             "dx": step[:, 0], "dy": step[:, 1], "step_sq": np.where(seg_sq == 0.0, 1.0, seg_sq),
             "live": (start != end).any(axis=1), "poly": np.repeat(np.arange(3), 4),
-            "seg": np.tile(np.arange(4), 3),
         }
         for name, value in want.items():
             got = getattr(packed, name)
             assert got.tobytes() == np.ascontiguousarray(value, dtype=got.dtype).tobytes(), name
-        assert packed.live.tolist().count(False) == 1
+        assert packed.live.reshape(-1).tolist().count(False) == 1
         assert (len(packed), packed.all_live) == (3, False)
-        assert len(PolylineSet.of_rows(np.zeros((0, 0, 2)))) == 0
+        assert packed.step_sq.shape == packed.live.shape == (1, 1, 12)
+        assert len(_rows(np.zeros((0, 0, 2)))) == 0
 
     @pytest.mark.parametrize(
         "rows, match",
@@ -379,7 +393,7 @@ class TestPolylineSet:
     def test_bad_rows_rejected(self, rows, match):
         # the chain trusts a set's arrays, so a row is checked where it enters
         with pytest.raises(GeometryError, match=match):
-            PolylineSet.of_rows(rows)
+            _rows(rows)
 
 
 def _scene_rows(rng, scenes: int, rows: int, points: int):
@@ -402,7 +416,7 @@ class TestPolylineSetOfScenes:
             xy, real = _scene_rows(rng, scenes, rows, points)
             queries = rng.integers(-5, 6, size=(scenes, int(rng.integers(0, 7)), 2)) * 1.0
             packed = PolylineSet.of_scenes(xy, real)
-            assert (len(packed), packed.ndim) == (int(real.sum()), 3)
+            assert len(packed) == int(real.sum())
             if not packed:
                 assert closest_polyline(queries, packed) is None
                 continue
@@ -414,14 +428,15 @@ class TestPolylineSetOfScenes:
                     # padding only: never a hit, however near
                     assert np.isinf(hit.dist[b]).all()
                     continue
-                alone = PolylineSet.of_rows(xy[b][real[b]])
-                one = closest_polyline(queries[b], alone)
+                alone = _rows(xy[b][real[b]])
+                one = scene0(closest_polyline(queries[b], alone))
                 # the scene's own segments come first in its row of the set
-                own = closest_point_on_segment(queries[b], alone)
+                own = closest_point_on_segment(queries[b], alone)[0]
                 assert feet[b, :, :own.shape[1]].tobytes() == own.tobytes()
-                for name in ("dist", "foot", "start", "end", "seg"):
+                for name in ("dist", "foot", "start", "end"):
                     assert getattr(hit, name)[b].tobytes() == getattr(one, name).tobytes(), name
                 assert (hit.poly[b] - b * rows).tolist() == one.poly.tolist()
+                assert (hit.index[b] - b * rows * (points - 1)).tolist() == one.index.tolist()
 
     def test_one_query_array_searches_every_scene(self):
         # a (K, 2) array is the same query in every scene: each field equals
@@ -440,7 +455,7 @@ class TestPolylineSetOfScenes:
                 continue
             one = closest_polyline_within(queries, packed, 1.0)
             want = closest_polyline_within(each, packed, 1.0)
-            for name in ("index", "dist", "foot", "found", "poly", "seg", "start", "end"):
+            for name in ("index", "dist", "foot", "found", "poly", "start", "end"):
                 got = getattr(one, name)
                 assert got.shape == getattr(want, name).shape, name
                 assert got.tobytes() == getattr(want, name).tobytes(), name
@@ -483,18 +498,19 @@ class TestArrayChain:
 
     def check_against_oracle(self, queries, pls, within=None):
         if within is None:
-            hit = closest_polyline(queries, polyline_set(pls))
+            hit = scene0(closest_polyline(queries, polyline_set(pls)))
         else:
-            hit = closest_polyline_within(queries, polyline_set(pls), within)
-        assert hit.poly.shape == hit.dist.shape == hit.seg.shape == (len(queries),)
+            hit = scene0(closest_polyline_within(queries, polyline_set(pls), within))
+        assert hit.poly.shape == hit.dist.shape == hit.index.shape == (len(queries),)
         assert hit.foot.shape == hit.start.shape == hit.end.shape == (len(queries), 2)
         for k, q in enumerate(queries):
             poly, d, seg, foot = nearest_segment_oracle(q, pls)
             assert hit.dist[k] == pytest.approx(d, rel=1e-12, abs=1e-12)
+            assert hit.index[k] == packed_index(pls, poly, seg)
             if within is not None and d > within:
-                assert (hit.poly[k], hit.seg[k]) == (-1, -1)
+                assert (hit.poly[k], hit.found[k]) == (-1, False)
                 continue
-            assert (hit.poly[k], hit.seg[k]) == (poly, seg)
+            assert hit.poly[k] == poly
             assert tuple(hit.foot[k]) == foot
             xy = pls[poly]
             np.testing.assert_array_equal(hit.start[k], xy[seg])
@@ -508,7 +524,7 @@ class TestArrayChain:
             self.check_against_oracle(queries, pls)
             self.check_against_oracle(queries, pls, within=float(rng.uniform(0.5, 15.0)))
             for pl in pls:
-                dist, seg, foot = point_polyline_distance(queries, _set(pl))
+                dist, seg, foot = (a[0] for a in point_polyline_distance(queries, _set(pl)))
                 for j, q in enumerate(queries):
                     _, d, s, f = nearest_segment_oracle(q, [pl])
                     assert (seg[j], tuple(foot[j])) == (s, f)
@@ -518,8 +534,8 @@ class TestArrayChain:
         pls = [np.array([P(-1, 0), P(0, 0), P(0, 2)])]
         queries = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
         hit = closest_polyline(queries, polyline_set(pls))
-        np.testing.assert_array_equal(hit.dist, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(hit.seg, [0, 0, 1])
+        assert hit.dist.tolist() == [[0.0, 0.0, 0.0]]
+        assert hit.index.tolist() == [[0, 0, 1]]
         self.check_against_oracle(queries, pls)
 
     def test_exact_tie_between_polylines_goes_to_lowest(self):
@@ -530,15 +546,15 @@ class TestArrayChain:
         ]
         queries = np.array([[0.0, 0.0], [0.0, 4.0], [2.0, 1.0]])
         hit = closest_polyline(queries, polyline_set(pls))
-        np.testing.assert_array_equal(hit.poly, [1, 1, 0])
-        np.testing.assert_array_equal(hit.dist, [1.0, 1.0, 1.0])
+        assert hit.poly.tolist() == [[1, 1, 0]]
+        assert hit.dist.tolist() == [[1.0, 1.0, 1.0]]
         self.check_against_oracle(queries, pls)
 
     def test_degenerate_segments_are_skipped(self):
         pls = [np.array([P(5, 5), P(5, 5), P(5, 6), P(5, 6), P(6, 6)])]
         queries = np.array([[5.0, 4.0], [5.0, 7.0], [7.0, 6.0]])
         hit = closest_polyline(queries, polyline_set(pls))
-        np.testing.assert_array_equal(hit.seg, [1, 1, 3])
+        assert hit.index.tolist() == [[1, 1, 3]]
         self.check_against_oracle(queries, pls)
         with pytest.raises(GeometryError):
             polyline_set(pls + [np.array([P(0, 0), P(0, 0), P(0, 0)])])
@@ -546,11 +562,12 @@ class TestArrayChain:
     def test_zero_and_one_queries(self):
         pls = _set([P(1, -5), P(1, 5)], [P(-0.5, -5), P(-0.5, 5)])
         empty = closest_polyline(np.empty((0, 2)), pls)
-        shapes = [getattr(empty, f).shape for f in ("poly", "dist", "seg", "foot", "start", "end")]
-        assert shapes == [(0,), (0,), (0,), (0, 2), (0, 2), (0, 2)]
-        assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (0,)
+        fields = ("poly", "dist", "index", "foot", "start", "end")
+        shapes = [getattr(empty, f).shape for f in fields]
+        assert shapes == [(1, 0), (1, 0), (1, 0), (1, 0, 2), (1, 0, 2), (1, 0, 2)]
+        assert closest_polyline_within(np.empty((0, 2)), pls, 1.0).poly.shape == (1, 0)
         one = closest_polyline(np.array([[0.0, 0.0]]), pls)
-        assert (one.poly.tolist(), one.dist.tolist(), one.seg.tolist()) == ([1], [0.5], [0])
+        assert (one.poly.tolist(), one.dist.tolist(), one.index.tolist()) == ([[1]], [[0.5]], [[1]])
         assert closest_polyline(np.empty((0, 2)), _set()) is None
         # a lone 2-vector is not a (K, 2) array of queries
         for lone in (P(0, 0), (0.0, 0.0), np.zeros(2)):
@@ -577,7 +594,7 @@ class TestArrayChain:
         np.array([[math.inf, 0.0]]),
         np.zeros((2, 3)),
         np.zeros(2),
-        np.zeros((1, 2, 2)),
+        np.zeros((1, 1, 2, 2)),
     ])
     @pytest.mark.parametrize("call", [
         lambda q, pls: closest_point_on_segment(q, pls),

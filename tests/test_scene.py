@@ -224,7 +224,7 @@ class TestGenerator:
             assert len(boundaries) == 2
             for dv in dividers:
                 for bd in boundaries:
-                    d, _, _ = point_polyline_distance(dv, PolylineSet.of_rows([bd]))
+                    d, _, _ = point_polyline_distance(dv, PolylineSet.of_scenes([[bd]], [[True]]))
                     assert (d > 0.1).all()
 
     def test_expert_never_crosses_a_boundary(self):
@@ -232,7 +232,7 @@ class TestGenerator:
             s = generate_scenario(seed)
             boundaries = s.map_xy[s.map_kind == MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)]
             for bd in boundaries:
-                d, _, _ = point_polyline_distance(s.expert, PolylineSet.of_rows([bd]))
+                d, _, _ = point_polyline_distance(s.expert, PolylineSet.of_scenes([[bd]], [[True]]))
                 assert (d > 0.05).all()
 
     def test_structure(self):

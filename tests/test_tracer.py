@@ -34,7 +34,7 @@ def test_tracer_installs_and_uninstalls_on_vecplan(monkeypatch):
         from vecplan import geometry
 
         assert all(hasattr(vars(s.owner)[s.attr], "__perfbench_original__") for s in spans)
-        pls = geometry.PolylineSet.of_rows([[(1.0, -1.0), (1.0, 1.0)]])
+        pls = geometry.PolylineSet.of_scenes([[[(1.0, -1.0), (1.0, 1.0)]]], [[True]])
         geometry.closest_polyline_within([geometry.Point2(0.0, 0.0)], pls, 2.0)
         assert tracer.calls("geometry.closest_polyline_within") == 1
         assert tracer.calls("geometry.point_polyline_distance") == 1
