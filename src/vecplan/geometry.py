@@ -28,11 +28,12 @@ return arrays or a `Nearest`.  A `PolylineSet` holds, once per set, the
 per-segment constants of the projection (start and step columns, squared
 lengths, whether every segment is live), and a `Nearest` gathers the
 polyline and endpoints of a hit only when they are read.  The chain takes
-(B, K, 2) arrays, one row of queries per scene of the set, and searches
-each row among its own scene's segments, or one (K, 2) array searched
-among each scene's: a packed map (`scene.pack`) holds its boundaries and
-its dividers as two such rows, so one search finds a plan's nearest of
-both, and the open-loop metrics hold a block's boundaries one scene a row.
+(B, K, 2) arrays, one row of queries per scene of the set and no other
+count, and searches each row among its own scene's segments, or one (K, 2)
+array searched among each scene's: a packed map (`scene.pack`) holds its
+boundaries and its dividers as two such rows, so one search finds a plan's
+nearest of both, and the open-loop metrics hold a block's boundaries one
+scene a row.
 `rect_corners` broadcasts over box arrays.
 
 The separating-axis test (`oriented_rect_margin`, `oriented_rect_overlap`)
@@ -234,6 +235,18 @@ class Nearest(NamedTuple):
         return self.segments.end.reshape(-1, 2).take(self.index, axis=0)
 
 
+def _query(p, pls: PolylineSet) -> np.ndarray:
+    """`checked` query points of a search of `pls`, where they enter the
+    chain: (K, 2), or (B, K, 2) for the set's B scenes (a GeometryError
+    otherwise); a `Checked` array as it is."""
+    if type(p) is Checked:
+        return p.xy
+    q = checked(p, ndim=(2, 3))
+    if q.ndim == 3 and len(q) != len(pls.start):
+        raise GeometryError(f"queries of {len(q)} scenes for a set of {len(pls.start)}")
+    return q
+
+
 def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     """Closest point to each query point on each segment of a PolylineSet.
 
@@ -242,7 +255,7 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     on its S closed segments [a_s, b_s].  A degenerate segment (a_s == b_s)
     gives a_s.
     """
-    q = checked(p, ndim=(2, 3))
+    q = _query(p, segments)
     # along-segment parameter, projected and clamped to [0, 1] in place
     t = q[..., 0, None] - segments.sx
     t *= segments.dx
@@ -271,7 +284,7 @@ def point_polyline_distance(p, pls: PolylineSet):
     Raises:
         GeometryError: if the set is empty.
     """
-    q = checked(p, ndim=(2, 3))
+    q = _query(p, pls)
     if not pls:
         raise GeometryError("no polyline to measure the distance to")
     foot = closest_point_on_segment(Checked(q), pls)
@@ -319,7 +332,7 @@ def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     is empty.  Ties resolve to the lowest polyline index, then to the lowest
     segment index.
     """
-    q = checked(p, ndim=(2, 3))
+    q = _query(p, pls)
     if not pls:
         return None
     dist, k, foot = point_polyline_distance(Checked(q), pls)

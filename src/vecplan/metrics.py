@@ -4,9 +4,12 @@ Displacement error compares planned and expert waypoints at the fixed
 horizons `DEFAULT_HORIZONS` (1, 2 and 3 s), which every metric reports; the
 collision rate is cumulative and box-aware: a sample counts as colliding
 at horizon h if the ego footprint placed on any planned waypoint up to h
-overlaps any agent's ground-truth box at the same tick.  These are artifact
-protocol numbers for synthetic scenes, not comparable to published benchmark
-absolutes.
+overlaps any agent's ground-truth box at the same tick; the boundary
+overstep rate is the same rate at the longest horizon for a footprint that
+crosses a labeled road boundary.  Both read the (B, T) per-tick flags of
+`collision_ticks` and `boundary_overstep`, which also score the simulator's
+executed ego track.  These are artifact protocol numbers for synthetic
+scenes, not comparable to published benchmark absolutes.
 
 The box and boundary metrics run over blocks of `BLOCK_SCENES` scenes, each
 block in a few array calls: one `pose_track` pass over the block's plans
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,18 +151,6 @@ def agent_pose_track(scenarios: Sequence[Scenario], ticks: int) -> Poses:
         np.concatenate([s.agent_xy for s in scenarios]),
         np.concatenate([s.agent_heading for s in scenarios]),
     )
-
-
-def agent_boxes(scenario: Scenario) -> tuple[Poses, np.ndarray]:
-    """Every agent's box at ticks 0..T: (A, T + 1, 2) positions and
-    (A, T + 1) headings, row 0 its current pose and then its ground-truth
-    future, and the (A, 2) box sizes."""
-    shape = (len(scenario.agent_xy), scenario.t_future + 1)
-    poses = Poses(np.empty(shape + (2,)), np.empty(shape))
-    poses.xy[:, 0] = scenario.agent_xy
-    poses.heading[:, 0] = scenario.agent_heading
-    poses.xy[:, 1:], poses.heading[:, 1:] = agent_pose_track([scenario], scenario.t_future)
-    return poses, scenario.agent_size
 
 
 def collision_ticks(
@@ -287,20 +278,16 @@ def boundary_overstep(
     scenarios: Sequence[Scenario],
     ego: Poses,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    ticks: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """(B,) flags: does the planned ego footprint of each scene cross one of
-    its boundaries at any of its first `ticks[b]` ticks (all by default)?
+    """(B, T) flags: does the ego box on each scene's plan cross one of its
+    boundaries at each tick?
 
     `ego` is the scenes' `plan_pose_track`.  Uses the generator-provided side
     labels; boundaries without a label are skipped.
     """
     if len(ego.xy) != len(scenarios):
         raise ConfigError(f"{len(scenarios)} scenarios vs {len(ego.xy)} plans")
-    flags = pose_oversteps_boundary(labeled_boundaries(scenarios), ego.xy, ego.heading, ego_dims)
-    if ticks is not None:
-        flags &= np.arange(flags.shape[1]) < np.asarray(ticks)[:, None]
-    return flags.any(axis=1)
+    return pose_oversteps_boundary(labeled_boundaries(scenarios), ego.xy, ego.heading, ego_dims)
 
 
 def plan_metrics(
@@ -311,21 +298,20 @@ def plan_metrics(
     """Aggregate the full open-loop metric set over a scenario/plan pairing,
     at the `DEFAULT_HORIZONS`.
 
-    Each scene's boundary overstep is checked up to its own tick of the
-    longest horizon."""
+    The boundary overstep rate is the cumulative rate at the longest
+    horizon: each scene's overstep is checked up to its own 3 s tick."""
     errors = displacement_error(scenarios, plans)
-    collided, oversteps = [], 0
+    collided, overstepped = [], []
     for block, ego, ticks in _blocks(scenarios, plans):
         collided.append((collision_ticks(block, ego, ego_dims), ticks))
-        overstep = boundary_overstep(block, ego, ego_dims, ticks.max(axis=1))
-        oversteps += int(np.count_nonzero(overstep))
+        overstepped.append((boundary_overstep(block, ego, ego_dims), ticks))
     if scenarios:
         l2_values = tuple(float(v) for v in np.mean(errors, axis=0))
     else:
         l2_values = tuple(0.0 for _ in DEFAULT_HORIZONS)
     l2 = HorizonStats(DEFAULT_HORIZONS, l2_values, float(np.mean(l2_values)))
     collision = _cumulative_rate(collided)
-    overstep_rate = oversteps * 100.0 / len(scenarios) if scenarios else 0.0
+    overstep_rate = _cumulative_rate(overstepped).values[-1]
     return PlanMetrics(l2=l2, collision=collision, boundary_overstep_rate=overstep_rate)
 
 

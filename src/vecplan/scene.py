@@ -369,13 +369,14 @@ class GeneratorConfig:
                 raise ConfigError(f"bad {name} ({lo}, {hi})")
         if not 0.0 <= self.speed_jitter < 1.0:
             raise ConfigError("speed_jitter must lie in [0, 1)")
-        if not 0.0 <= self.lead_vehicle_probability <= 1.0:
-            raise ConfigError("lead_vehicle_probability must lie in [0, 1]")
-        if not 0.0 <= self.lead_gap_slack[0] <= self.lead_gap_slack[1]:
-            raise ConfigError(f"bad lead_gap_slack {self.lead_gap_slack}")
-        for name in ("agent_confidence_range", "map_confidence_range"):
-            if not 0.0 <= getattr(self, name)[0] <= getattr(self, name)[1] <= 1.0:
+        for name in ("lane_change_probability", "crossing_probability",
+                     "lead_vehicle_probability", "agent_confidence_range", "map_confidence_range"):
+            value = np.asarray(getattr(self, name))
+            if not (0.0 <= value.min() and value.max() <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("speed_range", "agent_speed_range", "lead_gap_slack"):
+            if getattr(self, name)[0] < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         for name in ("mode_noise_std", "min_agent_clearance"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -4,8 +4,8 @@ The planner replans every tick while scripted agents follow their
 ground-truth futures.  Execution is teleport-to-first-waypoint (the planner
 outputs waypoints, not controls), after which the whole scene is re-expressed
 in the new ego frame for the next replan.  The frame of the initial scenario
-acts as the world frame; per-tick collision and boundary-overstep flags are
-evaluated there.
+acts as the world frame, where `run_closed_loop` scores the executed ego
+track with the open-loop metric kernels.
 
 Also provides a learning-free baseline planner: projected gradient descent of
 the constraint objective over the waypoints, with the imitation term replaced
@@ -31,9 +31,9 @@ from .constraints import (
     weighted_sum,
 )
 from .errors import CheckpointError, ScenarioFormatError, SimulationError
-from .geometry import Checked, Point2, Poses, box_frame, oriented_rect_overlap, pose_track
+from .geometry import Checked, Point2, Poses, pose_track
 from .interact import InteractionParams, forward_plan
-from .metrics import DEFAULT_EGO_DIMS, agent_boxes, labeled_boundaries, pose_oversteps_boundary
+from .metrics import DEFAULT_EGO_DIMS, agent_pose_track, boundary_overstep, collision_ticks
 from .scene import EgoState, PlanTrajectory, Scenario, pack
 
 
@@ -72,13 +72,11 @@ class SimState:
     ego_heading: float
     ego_velocity: float
     ego_acceleration: float
-    ego_dims: tuple[float, float]
     view: Scenario  # current ego-frame scenario for the planner
     # each agent's world-frame pose at ticks 0..T, (A, T + 1, 2) positions and
-    # (A, T + 1) headings, and its (A, 2) box size; the scripts never change
-    # during a rollout, so these are built once
+    # (A, T + 1) headings, row 0 its current pose and then its ground-truth
+    # future; the scripts never change during a rollout, so this is built once
     agent_poses: Poses
-    agent_sizes: np.ndarray
 
     @property
     def remaining_horizon(self) -> int:
@@ -93,8 +91,10 @@ class SimState:
         return self.agent_poses.heading[:, self.tick]
 
     @classmethod
-    def initial(cls, scenario: Scenario, ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS):
-        agent_poses, agent_sizes = agent_boxes(scenario)
+    def initial(cls, scenario: Scenario):
+        future = agent_pose_track([scenario], scenario.t_future)
+        poses = Poses(np.concatenate([scenario.agent_xy[:, None], future.xy], axis=1),
+                      np.concatenate([scenario.agent_heading[:, None], future.heading], axis=1))
         return cls(
             scenario=scenario,
             tick=0,
@@ -102,10 +102,8 @@ class SimState:
             ego_heading=scenario.ego.heading,
             ego_velocity=scenario.ego.velocity,
             ego_acceleration=scenario.ego.acceleration,
-            ego_dims=ego_dims,
             view=scenario,
-            agent_poses=agent_poses,
-            agent_sizes=agent_sizes,
+            agent_poses=poses,
         )
 
 
@@ -179,7 +177,7 @@ def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
         scenario, state.agent_poses, new_tick,
         new_pos, new_heading, new_velocity, new_accel, yaw_rate,
     )
-    # the scenario, the ego box and the agents' pose arrays carry over
+    # the scenario and the agents' pose arrays carry over
     return dataclasses.replace(
         state, tick=new_tick, ego_position=new_pos, ego_heading=new_heading,
         ego_velocity=new_velocity, ego_acceleration=new_accel, view=view,
@@ -365,39 +363,36 @@ def run_closed_loop(
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
     constraint_params: Optional[ConstraintParams] = None,
 ) -> RolloutLog:
-    """Replan-execute loop over `ticks` steps of the scripted scene."""
+    """Replan-execute loop over `ticks` steps of the scripted scene.  The
+    executed ego track, a one-scene pose track in the world frame, is then
+    scored by one `collision_ticks` and one `boundary_overstep` call."""
     if ticks > scenario.t_future:
         raise SimulationError(
             f"requested {ticks} ticks but the scenario scripts only {scenario.t_future}"
         )
     cparams = constraint_params if constraint_params is not None else ConstraintParams()
-    state = SimState.initial(scenario, ego_dims)
-    boundaries = labeled_boundaries([scenario])
-    log = RolloutLog()
+    state = SimState.initial(scenario)
+    ticked = []
     for _ in range(ticks):
         plan = planner.plan(state.view)
         losses = total_planning_loss(plan, state.view, cparams, LossWeights()).breakdown
         state = step(state, plan)
-
-        collision = oriented_rect_overlap(
-            box_frame(state.ego_position, state.ego_heading, state.ego_dims),
-            box_frame(state.agent_positions, state.agent_headings, state.agent_sizes),
+        ticked.append((state, plan, losses))
+    executed = Poses(np.array([s.ego_position for s, _, _ in ticked]).reshape(1, ticks, 2),
+                     np.array([s.ego_heading for s, _, _ in ticked]).reshape(1, ticks))
+    collisions = collision_ticks([scenario], executed, ego_dims)[0].tolist()
+    oversteps = boundary_overstep([scenario], executed, ego_dims)[0].tolist()
+    return RolloutLog([
+        TickRecord(
+            tick=state.tick,
+            plan=plan.waypoints.copy(),
+            ego_position=state.ego_position,
+            ego_heading=state.ego_heading,
+            agent_positions=state.agent_positions.copy(),
+            agent_headings=state.agent_headings.copy(),
+            collision=collision,
+            boundary_overstep=overstep,
+            losses=losses,
         )
-        overstep = bool(pose_oversteps_boundary(
-            boundaries, [state.ego_position], [state.ego_heading], state.ego_dims
-        )[0])
-
-        log.records.append(
-            TickRecord(
-                tick=state.tick,
-                plan=plan.waypoints.copy(),
-                ego_position=state.ego_position,
-                ego_heading=state.ego_heading,
-                agent_positions=state.agent_positions.copy(),
-                agent_headings=state.agent_headings.copy(),
-                collision=collision,
-                boundary_overstep=overstep,
-                losses=losses,
-            )
-        )
-    return log
+        for (state, plan, losses), collision, overstep in zip(ticked, collisions, oversteps)
+    ])

@@ -18,8 +18,10 @@ from vecplan.geometry import (
     Point2,
     PolylineSet,
     angular_difference,
+    box_frame,
     closest_polyline,
     closest_polyline_within,
+    oriented_rect_overlap,
 )
 from vecplan.scene import (
     DRIVABLE_SIDES,
@@ -699,3 +701,25 @@ def looped_view(scenario, agent_poses, tick, position, heading, velocity, accele
         agent_xy=agent_xy, agent_heading=headings, agent_future=futures, agent_modes=modes,
         map_xy=map_xy,
     )
+
+
+def looped_tick_flags(scenario, log, ego_dims=(4.0, 1.85)) -> list[tuple[bool, bool]]:
+    """The (collision, boundary overstep) flags of each record of a
+    closed-loop log, scored tick by tick as `simulator.run_closed_loop` once
+    scored them: the ego box at the record's world pose against every
+    agent's box at the record's positions and headings by
+    `oriented_rect_overlap`, and the ego box against the scene's labeled
+    boundaries by `metrics.pose_oversteps_boundary`, one pose a call."""
+    from vecplan.metrics import labeled_boundaries, pose_oversteps_boundary
+
+    boundaries = labeled_boundaries([scenario])
+    flags = []
+    for r in log.records:
+        collision = oriented_rect_overlap(
+            box_frame(r.ego_position, r.ego_heading, ego_dims),
+            box_frame(r.agent_positions, r.agent_headings, scenario.agent_size),
+        )
+        overstep = pose_oversteps_boundary(boundaries, [r.ego_position], [r.ego_heading],
+                                           ego_dims)
+        flags.append((collision, bool(overstep[0])))
+    return flags

@@ -142,6 +142,10 @@ class TestConfig:
             ("generator.min_agent_clearance=-5", "min_agent_clearance must be >= 0"),
             ("generator.agent_confidence_range=[0.5,1.5]", "agent_confidence_range must lie in"),
             ("generator.ego_dims=[0,1]", "ego_dims must be positive"),
+            ("generator.lane_change_probability=2", "lane_change_probability must lie in [0, 1]"),
+            ("generator.crossing_probability=-1", "crossing_probability must lie in [0, 1]"),
+            ("generator.speed_range=[-5,-1]", "speed_range must not be negative"),
+            ("generator.agent_speed_range=[-3,-1]", "agent_speed_range must not be negative"),
             ("train.enable_aux_heads=no", "train.enable_aux_heads must be a bool, got 'no'"),
             ("train.shuffle=1", "train.shuffle must be a bool"),
             ("train.scheduler=5", "train.scheduler must be a str"),

@@ -492,6 +492,23 @@ class TestPolylineSetOfScenes:
             with pytest.raises(GeometryError, match="shape"):
                 closest_polyline(bad, PolylineSet.of_scenes(xy, real))
 
+    @pytest.mark.parametrize("scenes", [1, 3])
+    @pytest.mark.parametrize("call", [
+        lambda q, pls: closest_point_on_segment(q, pls),
+        lambda q, pls: point_polyline_distance(q, pls),
+        lambda q, pls: closest_polyline(q, pls),
+        lambda q, pls: closest_polyline_within(q, pls, 2.0),
+    ])
+    def test_query_of_another_scene_count_rejected(self, scenes, call):
+        # a (B', K, 2) query must have one row per scene of the set: a
+        # GeometryError where it enters, not numpy's IndexError or ValueError
+        xy = np.zeros((scenes, 1, 2, 2))
+        xy[:, 0, 1] = 1.0
+        packed = PolylineSet.of_scenes(xy, np.ones((scenes, 1), dtype=bool))
+        with pytest.raises(GeometryError, match=f"queries of 2 scenes for a set of {scenes}"):
+            call(np.zeros((2, 1, 2)), packed)
+        assert call(np.zeros((scenes, 1, 2)), packed) is not None
+
 
 class TestArrayChain:
     """The batched nearest-polyline chain against a brute-force scalar loop."""

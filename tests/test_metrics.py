@@ -13,7 +13,6 @@ from vecplan.metrics import (
     DEFAULT_HORIZONS,
     HorizonStats,
     PlanMetrics,
-    agent_boxes,
     agent_pose_track,
     boundary_overstep,
     collision_rate,
@@ -30,7 +29,7 @@ from vecplan.scene import (
     PlanTrajectory,
     generate_scenario,
 )
-from vecplan.simulator import constant_velocity_plan
+from vecplan.simulator import SimState, constant_velocity_plan
 
 
 def straight_plan(speed=4.0, t_f=6, dt=0.5):
@@ -255,29 +254,28 @@ class TestPoseTracks:
 
 
     def test_agent_boxes_prepend_the_current_pose(self):
+        # a rollout's agent poses: the current pose, then the ground truth
         track = np.array([[0.0, 2.0], [0.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0], [2.0, 4.0]])
         s = scenario_with_agent(track)
-        poses, sizes = agent_boxes(s)
+        poses = SimState.initial(s).agent_poses
         assert poses.xy.shape == (1, 7, 2) and poses.heading.shape == (1, 7)
         assert poses.xy[0, 0].tolist() == [0.0, 0.0]
         assert poses.heading[0, 0] == math.pi / 2
         gt = agent_pose_track([s], 6)
         assert poses.xy[0, 1:].tolist() == gt.xy[0].tolist()
         assert poses.heading[0, 1:].tolist() == gt.heading[0].tolist()
-        assert sizes.tolist() == [[4.5, 1.9]]
 
     def test_agent_free_scene(self):
-        poses, sizes = agent_boxes(empty_scenario())
+        poses = SimState.initial(empty_scenario()).agent_poses
         assert poses.xy.shape == (0, 7, 2) and poses.heading.shape == (0, 7)
-        assert sizes.shape == (0, 2)
         flags = collision_ticks([empty_scenario()], plan_pose_track([straight_plan()]))
         assert flags.tolist() == [[False] * 6]
 
 
 def overstep(scenario, plan) -> bool:
     flags = boundary_overstep([scenario], plan_pose_track([plan]))
-    assert flags.shape == (1,)
-    return bool(flags[0])
+    assert flags.shape == (1, plan.horizon)
+    return bool(flags.any())
 
 
 class TestBoundaryOverstep:
@@ -346,6 +344,9 @@ class TestBlocks:
 
     def test_each_scene_oversteps_to_its_own_horizon(self):
         (a, plan_a), (b, plan_b) = _mixed_horizon_pair()
+        # per-tick flags: B crosses from its drift on, A never
+        flags = boundary_overstep([a, b], plan_pose_track([plan_a, plan_b]))
+        assert flags.tolist() == [[False] * 12, [False] * 6 + [True] * 6]
         assert plan_metrics([b], [plan_b]).boundary_overstep_rate == 100.0
         assert plan_metrics([a], [plan_a]).boundary_overstep_rate == 0.0
         # B's 3 s tick is 12; the first scene's (6) once cut B's check short
@@ -382,7 +383,7 @@ class TestBlocks:
             one = plan_pose_track([p])
             assert collision_ticks([s], one).tolist() == flags[i : i + 1].tolist()
             assert boundary_overstep([s], one).tolist() == oversteps[i : i + 1].tolist()
-        assert flags.any() and oversteps.any() and not oversteps.all()
+        assert flags.any() and oversteps.any() and not oversteps.any(axis=1).all()
 
     def test_a_dense_block_boundary_query_stays_near_a_megabyte(self):
         # a 32-scene block of 8-12 agent scenes makes (32, 24, 38) float64
@@ -427,21 +428,21 @@ class TestBlocks:
         )
         none = plan_pose_track([])
         assert collision_ticks([], none).shape == (0, 0)
-        assert boundary_overstep([], none).shape == (0,)
+        assert boundary_overstep([], none).shape == (0, 0)
         # no agents and no map: nothing to hit, nothing to cross, alone or
         # next to a scene that has both
         bare, busy = empty_scenario(), generate_scenario(5)
         wild = PlanTrajectory(straight_plan().waypoints + np.array([30.0, 0.0]))
         ego = plan_pose_track([wild, wild])
         assert collision_ticks([bare, bare], ego).tolist() == [[False] * 6] * 2
-        assert boundary_overstep([bare, busy], ego).tolist() == [False, True]
-        assert boundary_overstep([busy, bare], ego).tolist() == [True, False]
+        assert boundary_overstep([bare, busy], ego).any(axis=1).tolist() == [False, True]
+        assert boundary_overstep([busy, bare], ego).any(axis=1).tolist() == [True, False]
         # a boundary without a drivable-side label is skipped
         unlabeled = scene(
             straight_plan().waypoints, ego=MOVING_EGO,
             map=map_arrays([[P(5.0, -20.0), P(5.0, 20.0)]], [MapClass.ROAD_BOUNDARY], sides=[None]),
         )
-        assert boundary_overstep([unlabeled, busy], ego).tolist() == [False, True]
+        assert boundary_overstep([unlabeled, busy], ego).any(axis=1).tolist() == [False, True]
 
     def test_plan_count_must_match(self):
         scenarios = [generate_scenario(seed) for seed in range(2)]

@@ -6,6 +6,7 @@ import pytest
 from _support import (
     SCENE_KINDS,
     boundary_term,
+    looped_tick_flags,
     looped_view,
     map_arrays,
     one_mode_agents,
@@ -389,6 +390,34 @@ class TestClosedLoop:
         s = empty_scenario(speed=4.0, agents=agent)
         log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=t_f)
         assert any(r.collision for r in log.records)
+
+    def test_flags_are_the_per_tick_scoring(self):
+        # one collision_ticks and one boundary_overstep call over the executed
+        # track flag each tick as scoring that tick's poses alone did, on
+        # closed loops that collide and overstep
+        dense = GeneratorConfig(agent_count_range=(8, 12))
+        runs = [(generate_scenario(1450481485), RefinePlanner(), None),
+                (generate_scenario(2, dense), RefinePlanner(), None)]
+        runs += [(generate_scenario(seed, dense), planner, ticks)
+                 for seed in (2, 5, 10, 11) for ticks in (None, 3)
+                 for planner in (ConstantVelocityPlanner(), ExpertPlanner())]
+        collided, overstepped = set(), set()
+        for s, planner, ticks in runs:
+            log = run_closed_loop(s, planner, s.t_future if ticks is None else ticks)
+            flags = [(r.collision, r.boundary_overstep) for r in log.records]
+            assert all(type(f) is bool for pair in flags for f in pair)
+            assert flags == looped_tick_flags(s, log)
+            if any(c for c, _ in flags):
+                collided.add(type(planner))
+            if any(o for _, o in flags):
+                overstepped.add(type(planner))
+        assert {RefinePlanner, ConstantVelocityPlanner} <= collided & overstepped
+
+    def test_zero_ticks_give_an_empty_log(self):
+        for s in (generate_scenario(5), empty_scenario()):
+            log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=0)
+            assert log.records == []
+            assert len(log.to_table().splitlines()) == 1  # the header alone
 
     def test_rollout_table_shape(self):
         s = generate_scenario(16)
