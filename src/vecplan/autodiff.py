@@ -3,26 +3,30 @@ arrays.
 
 Every value is a (rows, cols) matrix recorded on a Tape.  Inputs enter as
 copied leaves (`Tape.leaf`), checked as every input tensor is (`_as_matrix`),
-or as constants (`Tape.constant`), leaves that receive no gradient: `mlp` and
-`matmul` skip the product that would give them one.  Parameters enter all at
-once as read-only views with no copy or check (`Tape.params`), since their
-owner checks them.  A primitive checks its own operands, computes its value
-eagerly and enters it with its vector-Jacobian product in one call
-(`Tape._op`).  Backward replays the records in strict reverse order exactly
-once.  It holds a node's first gradient by reference, copied only if not
-C-contiguous, and adds a later one as `have + g`, never in place, since one
-array may be the gradient of several nodes (`add` gives its own to both
-inputs); the parameters' gradients end up in one flat vector laid out like
-`InteractionParams.flat` (`Gradients.flat`).  Three fused records run the
-numpy operations of a chain of primitives in its order, so with its bits in
-value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
+or as constants, leaves that receive no gradient (`mlp` and `matmul` skip the
+product that would give them one): an array that its caller has just made,
+such as a forward's input rows, entered with no copy and checked for
+finiteness once (`Tape.constant`).  Parameters are a `Leaves`
+set of read-only views that their owner checks, each with one `Tensor` made
+with the set: a tape opened on the set (`Tape(leaves)`) holds them as its
+first nodes, so opening a tape makes no node, and a record goes on the tape
+of its operands that are not parameters.  A primitive checks its own
+operands, computes its value eagerly and enters it with its vector-Jacobian
+product in one call (`Tape._op`).  Backward replays the records in strict
+reverse order exactly once.  It holds a node's first gradient by reference,
+copied only if not C-contiguous, and adds a later one as `have + g`, never in
+place, since one array may be the gradient of several nodes (`add` gives its
+own to both inputs); the parameters' gradients end up in one flat vector laid
+out like `InteractionParams.flat` (`Gradients.flat`).  Three fused records
+run the numpy operations of a chain of primitives in its order, so with its
+bits in value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
 `decoder_block` (multi-head cross-attention with output projection and
 residual, then a perceptron with a residual) and `mlp_head` (concatenation,
 three layers and a scale).  A record holds input indices and a closure over
-arrays and shapes, never a `Tensor`, so a tape holds no reference cycle and
-reference counting frees it as soon as nothing refers to it.  No broadcasting
-beyond the bias rows and no control-flow capture: record exactly what you
-execute.
+arrays and shapes, never a `Tensor`, and a tape refers to no tensor of its
+own, so a tape holds no reference cycle and reference counting frees it as
+soon as nothing refers to it.  No broadcasting beyond the bias rows and no
+control-flow capture: record exactly what you execute.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +42,7 @@ import numpy as np
 from .errors import CheckpointError, ShapeError, read_text
 
 _CROSS_TAPE = "operands recorded on different tapes"
+_NO_TAPE = "a record over parameters alone has no tape"
 # the reductions behind ndarray.sum and ndarray.max, without their Python wrappers
 _sum = np.add.reduce
 _max = np.maximum.reduce
@@ -55,11 +61,12 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class Tensor:
-    """An immutable node on a tape: a (rows, cols) float64 value."""
+    """An immutable node: a (rows, cols) float64 value on a tape, or a
+    parameter of a `Leaves` set (`tape` is then the set's `_Home`)."""
 
     __slots__ = ("tape", "index", "data", "shape")
 
-    def __init__(self, tape: "Tape", index: int, data: np.ndarray):
+    def __init__(self, tape: "Tape | _Home", index: int, data: np.ndarray):
         self.tape = tape
         self.index = index
         self.data = data
@@ -69,9 +76,51 @@ class Tensor:
         return f"Tensor(#{self.index}, shape={self.data.shape})"
 
 
+class _Home:
+    """The `tape` of a `Leaves` set's tensors: it records nothing and refers
+    to no tensor, so the set holds no reference cycle."""
+
+    __slots__ = ("offsets",)
+
+    def __init__(self, offsets: list[int]):
+        self.offsets = offsets  # the slice of a flat gradient that holds each parameter's
+
+    def _op(self, data, inputs, vjp):
+        """What a record over one parameter finds in place of a tape."""
+        raise ShapeError(_NO_TAPE)
+
+
+class Leaves:
+    """Named parameters that every tape opened on them (`Tape(leaves)`) holds
+    as its first nodes, in order: read-only, C-contiguous 2-D float64 views,
+    entered with no copy and no check, since their owner checks them.  Each
+    has one `Tensor`, made here and read by every such tape, so opening a
+    tape makes no node.  A record goes on the tape of its other operands: one
+    over parameters alone has none."""
+
+    def __init__(self, views: Mapping[str, np.ndarray]):
+        home = self._home = _Home(list(accumulate([a.size for a in views.values()], initial=0)))
+        self.tensors: Mapping[str, Tensor] = MappingProxyType(
+            {name: Tensor(home, index, arr) for index, (name, arr) in enumerate(views.items())}
+        )
+
+
+_NO_LEAVES = Leaves({})
+
+
+def _tape_of(*operands: Tensor) -> "Tape":
+    """The tape a record over `operands` goes on: the one its operands other
+    than parameters were recorded on, opened on the leaves of the rest."""
+    tapes = set(map(attrgetter("tape"), operands))
+    for tape in tapes:
+        if tape.__class__ is Tape and tapes <= {tape, tape._params}:
+            return tape
+    raise ShapeError(_CROSS_TAPE if Tape in set(map(type, tapes)) else _NO_TAPE)
+
+
 class Gradients:
     """Gradient lookup for the nodes of one backward pass.  `flat` holds the
-    `Tape.params` leaves' gradients, tensor after tensor in entry order, zero
+    tape's parameters' gradients, tensor after tensor in `Leaves` order, zero
     where no record reaches; a parameter's gradient is a view of it.  A lookup
     is read-only, since one array may hold the gradient of several nodes; a
     constant's, or an unreached node's, is zeros."""
@@ -83,12 +132,11 @@ class Gradients:
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         tape = self._tape
-        if t.tape is not tape:
+        if t.tape is tape._params:
+            lo, hi = tape._params.offsets[t.index : t.index + 2]
+            g = self.flat[lo:hi].reshape(t.shape)
+        elif t.tape is not tape:
             raise ShapeError("gradient lookup for a tensor from another tape")
-        if t.index in tape._param_indices:
-            k = tape._param_indices.index(t.index)
-            lo = sum(tape._data[i].size for i in tape._param_indices[:k])
-            g = self.flat[lo : lo + t.data.size].reshape(t.shape)
         elif t.index in tape._constants or t.index not in self._by_index:
             g = np.zeros(t.shape)
         else:
@@ -101,23 +149,23 @@ class Tape:
     """Recording of one forward pass.
 
     Single-writer: record and run backward from one thread; separate tapes
-    are independent.  Parameter leaves (`params`) are views of the caller's
+    are independent.  The parameters (`Leaves`) are views of their owner's
     arrays, and the recorded vector-Jacobian products read them, so run
     `backward_from` before updating the parameters in place.
     """
 
-    def __init__(self):
-        self._data: list[np.ndarray] = []
+    def __init__(self, leaves: Leaves = _NO_LEAVES):
+        self._params = leaves._home  # what the parameters' tensors name as their tape
+        self._nodes = len(leaves.tensors)  # the parameters hold the first indices
         # (output index, input indices, vjp(grad_out) -> per-input grads)
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
-        self._param_indices: list[int] = []  # the `params` leaves, in entry order
-        self._constants: set[int] = set()  # the `constant` leaves
+        self._constants: set[int] = set()  # the constant leaves
 
     def _op(self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable) -> Tensor:
         """Enter a primitive's fresh C-contiguous output and its record."""
         data.setflags(write=False)
-        index = len(self._data)
-        self._data.append(data)
+        index = self._nodes
+        self._nodes = index + 1
         self._records.append((index, inputs, vjp))
         return Tensor(self, index, data)
 
@@ -126,33 +174,25 @@ class Tape:
         C-order copy; a 1-D input becomes one row."""
         arr = np.array(_as_matrix(data), order="C")
         arr.setflags(write=False)
-        index = len(self._data)
-        self._data.append(arr)
+        index = self._nodes
+        self._nodes = index + 1
         return Tensor(self, index, arr)
 
-    def constant(self, data) -> Tensor:
-        """Enter an input value as `leaf` does, as one that receives no
-        gradient: `mlp` and `matmul` skip its product; a lookup reads zeros."""
-        t = self.leaf(data)
-        self._constants.add(t.index)
-        return t
-
-    def params(self, views: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
-        """Enter named parameters as leaves, in order, with no copy and no
-        check: the caller passes read-only, C-contiguous 2-D float64 views
-        whose values it has checked."""
-        start = len(self._data)
-        self._data.extend(views.values())
-        self._param_indices.extend(range(start, len(self._data)))
-        out = {}
-        # the constructor's work without its frame, once per parameter
-        for index, (name, arr) in enumerate(views.items(), start):
-            t = out[name] = object.__new__(Tensor)
-            t.tape = self
-            t.index = index
-            t.data = arr
-            t.shape = arr.shape
-        return out
+    def constant(self, arr: np.ndarray) -> Tensor:
+        """Enter, with no copy, an input value that receives no gradient
+        (`mlp` and `matmul` skip its product; a lookup reads zeros): a
+        C-contiguous 2-D float64 array that the caller has just made and
+        never writes again, which the tape makes read-only.  Refused as
+        `leaf` refuses a value that is not 2-D or not finite."""
+        if arr.ndim != 2:
+            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise ShapeError("non-finite values in tensor")
+        arr.setflags(write=False)
+        index = self._nodes
+        self._nodes = index + 1
+        self._constants.add(index)
+        return Tensor(self, index, arr)
 
     def backward_from(self, seeds: Iterable[tuple[Tensor, np.ndarray]]) -> Gradients:
         """Reverse sweep from explicitly seeded output gradients.
@@ -163,12 +203,12 @@ class Tape:
         """
         # made before the sweep's arrays, or it tends to top the heap, which a
         # free hands back to the system: each backward paid page faults for it
-        sizes = map(attrgetter("size"), map(self._data.__getitem__, self._param_indices))
-        flat = np.empty(sum(sizes))
+        offsets = self._params.offsets
+        flat = np.empty(offsets[-1])
         grads: dict[int, np.ndarray] = {}
         pending = []
         for tensor, seed in seeds:
-            if tensor.tape is not self:
+            if tensor.tape is not self and tensor.tape is not self._params:
                 raise ShapeError("seed tensor does not belong to this tape")
             seed = np.asarray(seed, dtype=np.float64)
             if seed.shape != tensor.data.shape:
@@ -194,8 +234,8 @@ class Tape:
                     break
             else:
                 break
-        parts = [grads[i] if i in grads else np.zeros(self._data[i].size)
-                 for i in self._param_indices]
+        parts = [grads[i] if i in grads else np.zeros(hi - lo)
+                 for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))]
         if parts:
             np.concatenate(parts, axis=None, out=flat)
         return Gradients(grads, self, flat)
@@ -209,8 +249,8 @@ class Tape:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = a.tape
-    if b.tape is not tape:
-        raise ShapeError(_CROSS_TAPE)
+    if tape.__class__ is not Tape or b.tape is not tape and b.tape is not tape._params:
+        tape = _tape_of(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     a_in, b_in = a.data, b.data
@@ -225,8 +265,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     tape = a.tape
-    if b.tape is not tape:
-        raise ShapeError(_CROSS_TAPE)
+    if tape.__class__ is not Tape or b.tape is not tape and b.tape is not tape._params:
+        tape = _tape_of(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
     return tape._op(a.data + b.data, (a.index, b.index), lambda g: (g, g))
@@ -235,8 +275,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
     """Add a (1, cols) bias row to every row of x."""
     tape = x.tape
-    if bias.tape is not tape:
-        raise ShapeError(_CROSS_TAPE)
+    if tape.__class__ is not Tape or bias.tape is not tape and bias.tape is not tape._params:
+        tape = _tape_of(x, bias)
     if bias.shape != (1, x.shape[1]):
         raise ShapeError(f"add_bias_row: bias {bias.shape} for input {x.shape}")
     return tape._op(
@@ -252,7 +292,8 @@ def _mlp(x_in: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, x_gra
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} for {w1.shape}, {w2.shape}")
     w1_in, w2_in = w1.data, w2.data
-    pre = x_in @ w1_in + b1.data
+    pre = x_in @ w1_in
+    pre += b1.data
     mask = pre > 0.0
     h = np.where(mask, pre, 0.0)
 
@@ -261,15 +302,20 @@ def _mlp(x_in: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, x_gra
         return (g_h @ w1_in.T if x_grad else None, x_in.T @ g_h,
                 _sum(g_h, axis=0, keepdims=True), h.T @ g, _sum(g, axis=0, keepdims=True))
 
-    return h @ w2_in + b2.data, vjp
+    out = h @ w2_in
+    out += b2.data
+    return out, vjp
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
     in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
     tape = x.tape
-    if not (tape is w1.tape is b1.tape is w2.tape is b2.tape):
-        raise ShapeError(_CROSS_TAPE)
+    # a fast check of the forward's layout, weights from the tape's leaves;
+    # `_tape_of` resolves any other
+    if tape.__class__ is not Tape or not (tape._params is w1.tape is b1.tape is w2.tape
+                                          is b2.tape):
+        tape = _tape_of(x, w1, b1, w2, b2)
     out, vjp = _mlp(x.data, w1, b1, w2, b2, x.index not in tape._constants)
     return tape._op(out, (x.index, w1.index, b1.index, w2.index, b2.index), vjp)
 
@@ -289,15 +335,12 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     ((k + k_pos) wk_h)^T / sqrt(d_head)) (v wv)_h) wo, with the heads taking
     equal column slices.
 
-    Checks the operands, then returns the value, each head's read-only
+    Checks the operands' shapes, then returns the value, each head's read-only
     (q rows, k rows) weights, the input indices and the vjp.  It runs the
     numpy operations of the `add`, `matmul`, `slice_cols`, `transpose`,
     `scalar_mul`, `softmax_rows` and `concat_cols` chain in the same order,
     on the same memory layouts, and delivers the input gradients in the
     order that chain does, so both give the same bits."""
-    if not (q.tape is q_pos.tape is k.tape is k_pos.tape is v.tape
-            is wq.tape is wk.tape is wv.tape is wo.tape):
-        raise ShapeError(_CROSS_TAPE)
     d = q.shape[1]
     if (q_pos.shape != q.shape or k.shape[1] != d or k_pos.shape != k.shape
             or v.shape != k.shape or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}):
@@ -320,9 +363,11 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
         lo, hi = h * d_head, (h + 1) * d_head
         qs = np.ascontiguousarray(qh[:, lo:hi])
         k_t = np.ascontiguousarray(kh[:, lo:hi].T)
-        logits = (qs @ k_t) * scale
-        e = np.exp(logits - _max(logits, axis=1, keepdims=True))
-        y = e / _sum(e, axis=1, keepdims=True)
+        logits = qs @ k_t
+        logits *= scale
+        logits -= _max(logits, axis=1, keepdims=True)
+        y = np.exp(logits)
+        y /= _sum(y, axis=1, keepdims=True)
         y.setflags(write=False)
         vs = np.ascontiguousarray(vh[:, lo:hi])
         heads.append((lo, hi, qs, k_t, y, vs))
@@ -351,7 +396,9 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     # keys, which the decoder blocks pass as the same tensor
     inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, k_pos.index,
               wq.index, q.index, q_pos.index)
-    return q_in + att @ wo_in, weights, inputs, vjp
+    out = att @ wo_in
+    out += q_in  # the bits of q_in + att @ wo_in: a sum commutes
+    return out, weights, inputs, vjp
 
 
 def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
@@ -363,9 +410,12 @@ def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor,
     are no weights): the bits of the attention chain, `mlp` and `add`, in
     value and in every input gradient.  Returns the output and each head's
     attention weights."""
-    tape = q.tape
-    if not (tape is w1.tape is b1.tape is w2.tape is b2.tape):
-        raise ShapeError(_CROSS_TAPE)
+    tape = q_pos.tape
+    if (tape.__class__ is not Tape or not (tape is k.tape is k_pos.tape is v.tape)
+            or q.tape is not tape and q.tape is not tape._params
+            or not (tape._params is wq.tape is wk.tape is wv.tape is wo.tape is w1.tape
+                    is b1.tape is w2.tape is b2.tape)):
+        tape = _tape_of(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2)
     if w2.shape[1] != q.shape[1]:
         raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
     if k.shape[0]:
@@ -379,7 +429,8 @@ def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor,
         g_x, *g_ffn = ffn_vjp(g)
         return (*att_vjp(g + g_x), *g_ffn) if weights else (g, g_x, *g_ffn)
 
-    return tape._op(x_in + m, inputs + (w1.index, b1.index, w2.index, b2.index), vjp), weights
+    m += x_in  # the bits of x_in + m
+    return tape._op(m, inputs + (w1.index, b1.index, w2.index, b2.index), vjp), weights
 
 
 def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -387,10 +438,7 @@ def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Te
     """scale * mlp(relu(concat_cols(parts) @ w1 + b1), w2, b2, w3, b3) as one
     record: the bits of the `concat_cols`, `matmul`, `add_bias_row`, `relu`,
     `mlp` and `scalar_mul` chain, in value and in every input gradient."""
-    tape = w1.tape
-    if {p.tape for p in parts} != {tape} or not (tape is b1.tape is w2.tape is b2.tape
-                                                 is w3.tape is b3.tape):
-        raise ShapeError(_CROSS_TAPE)
+    tape = _tape_of(*parts, w1, b1, w2, b2, w3, b3)
     offsets = list(accumulate([p.shape[1] for p in parts], initial=0))
     if (len({p.shape[0] for p in parts}) != 1 or offsets[-1] != w1.shape[0]
             or b1.shape != (1, w1.shape[1])):
@@ -398,7 +446,8 @@ def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Te
     c = float(scale)
     w1_in = w1.data
     feat = np.concatenate([p.data for p in parts], axis=1)
-    pre = feat @ w1_in + b1.data
+    pre = feat @ w1_in
+    pre += b1.data
     mask = pre > 0.0
     out, mlp_vjp = _mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
 
@@ -411,7 +460,8 @@ def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Te
 
     # in the order the chain's records, replayed in reverse, reach them
     inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index, *[p.index for p in parts])
-    return tape._op(out * c, inputs, vjp)
+    out *= c
+    return tape._op(out, inputs, vjp)
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
@@ -447,8 +497,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_cols: need at least one part")
-    if len(set(map(attrgetter("tape"), parts))) != 1:
-        raise ShapeError(_CROSS_TAPE)
+    tape = _tape_of(*parts)
     rows = parts[0].shape[0]
     for p in parts:
         if p.shape[0] != rows:
@@ -459,7 +508,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         return [g[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
     data = np.concatenate([p.data for p in parts], axis=1)
-    return parts[0].tape._op(data, tuple([p.index for p in parts]), vjp)
+    return tape._op(data, tuple([p.index for p in parts]), vjp)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -219,7 +219,8 @@ def direction_loss(
     the waypoint supplies a direction (its winning segment, point order runs
     along travel direction); the term is the unsigned angle between it and
     the step's motion vector (the first step leaves the ego origin), zero
-    when no divider is in range or the step has zero length.  Mean over the
+    when no divider is in range or the step's squared length is zero (a
+    step of under about 1e-154 m underflows to that).  Mean over the
     horizon.  `near` is the `map_search` of the plan; the loss reads its
     divider row.
     """
@@ -229,14 +230,17 @@ def direction_loss(
         return LossResult(0.0, np.zeros(w.shape))
 
     vectors = ego_vectors(plan)
-    moving = np.logical_or.reduce(vectors != 0.0, axis=1)
-    active = (near.found[_DIVIDER_ROW] & moving).nonzero()[0]
+    vx, vy = vectors[:, 0], vectors[:, 1]
+    # the gradient divides by it, so a step moves only where it is not 0
+    norm_sq = vx * vx + vy * vy
+    active = (near.found[_DIVIDER_ROW] & (norm_sq > 0.0)).nonzero()[0]
     if active.size == 0:
         return LossResult(0.0, np.zeros(w.shape))
     # the winning segment's step, end - start
     lane_dir = near.segments.step.reshape(-1, 2).take(
         near.index[_DIVIDER_ROW].take(active), axis=0)
     v = vectors.take(active, axis=0)
+    norm_sq = norm_sq.take(active)
     total = float(np.add.reduce(angular_difference(Checked(lane_dir), Checked(v))))
 
     # d angle / d v for the unsigned angle: sign comes from the 2-D cross
@@ -244,7 +248,6 @@ def direction_loss(
     # exactly parallel/antiparallel configurations
     vx, vy = v[:, 0], v[:, 1]
     cross = lane_dir[:, 0] * vy - lane_dir[:, 1] * vx
-    norm_sq = vx * vx + vy * vy
     # sign * (-vy, vx) / |v|^2, rounded in that order
     turn = np.sign(cross)
     g_v = np.zeros(w.shape)

@@ -543,10 +543,29 @@ def _frame(xy: np.ndarray, h: np.ndarray, d: np.ndarray) -> BoxFrame:
     # and half width * |s s + c c| (width axis): the other term, |-s c + c s|,
     # is exactly 0
     own = _lead(half, max(d.ndim - 1, h.ndim)) * (c * c + s * s)
+    return BoxFrame(x, y, c, s, *_circles(x, y, half), sc[1:], sc[:2], half, own)
+
+
+def _circles(x: np.ndarray, y: np.ndarray, half: np.ndarray):
+    """The inscribed radii less the slack and the circumscribed radii plus
+    it of boxes centered at `x`, `y` with (2, ...) half dims `half`."""
     r_out = np.hypot(half[0], half[1])
     slack = _SLACK * (np.hypot(x, y) + r_out)
-    inner, outer = np.minimum(half[0], half[1]) - slack, r_out + slack
-    return BoxFrame(x, y, c, s, inner, outer, sc[1:], sc[:2], half, own)
+    return np.minimum(half[0], half[1]) - slack, r_out + slack
+
+
+def circle_bounds(center, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The circle bounds of oriented rectangles with (..., 2) centers and
+    (..., 2) dims, which broadcast, whatever their headings: the `inner` and
+    `outer` radii of their `BoxFrame`s.  Two boxes whose centers are closer,
+    by `np.hypot` of the center gap, than the sum of their inner radii
+    overlap, and two further apart than the sum of their outer radii do not.
+
+    Raises:
+        GeometryError: as `box_frame` does.
+    """
+    xy, _, d = _box_arrays(center, 0.0, dims)
+    return _circles(xy[..., 0], xy[..., 1], 0.5 * d.transpose((d.ndim - 1, *range(d.ndim - 1))))
 
 
 def _sat_margin(f1: BoxFrame, f2: BoxFrame, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

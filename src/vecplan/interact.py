@@ -9,7 +9,10 @@ standing in for a full perception stack; this is the central simplification
 of the artifact and keeps the network small enough for exact gradient checks.
 
 All math runs on the autodiff tape so training can backpropagate through the
-full forward pass.
+full forward pass, and inference runs the same forward.  A forward opens its
+tape on the parameters' `autodiff.Leaves`, built once with them, so it makes
+no node for a parameter; the input rows it builds from the scene enter the
+tape as they are (`Tape.constant`), each checked for finiteness once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import CheckpointError, ConfigError, ShapeError
-from .scene import Command, PlanTrajectory, Scenario
+from .scene import MAP_CLASSES, Command, PlanTrajectory, Scenario
 
 # fixed input normalization so activations stay O(1) at scene scale
 POSITION_SCALE = 1.0 / 30.0
@@ -128,9 +131,10 @@ class InteractionParams:
     `tensors` is a read-only mapping from each name to a reshaped view of
     `flat`: writing into a view (`tensors[name][...] = 0.0`) writes the
     parameter, while assigning a new array to a name raises, since it would
-    leave `flat` stale.  `leaves` holds read-only views of the same memory,
-    built once, which `forward_plan` enters on each tape.  `extend` rebuilds
-    all three, so views taken before it no longer alias the parameters.
+    leave `flat` stale.  `leaves` holds read-only views of the same memory
+    as an `autodiff.Leaves` set, built once, on which `forward_plan` opens
+    each tape.  `extend` rebuilds all three, so views taken before it no
+    longer alias the parameters.
     """
 
     def __init__(self, config: InteractionConfig, tensors: Mapping[str, np.ndarray]):
@@ -151,7 +155,7 @@ class InteractionParams:
             leaves[name].flags.writeable = False
             offset += arr.size
         self.tensors = MappingProxyType(views)
-        self.leaves = MappingProxyType(leaves)
+        self.leaves = ad.Leaves(leaves)
 
     @classmethod
     def initialize(cls, config: InteractionConfig, seed: int) -> "InteractionParams":
@@ -207,40 +211,50 @@ class ForwardResult:
     plan: PlanTrajectory
     tape: Tape
     plan_node: Tensor  # (1, 2*T_f), row-major (x1, y1, x2, y2, ...)
-    params: dict[str, Tensor]  # tape leaves by parameter name
+    params: Mapping[str, Tensor]  # the parameters' `Leaves` tensors by name
     features: QueryFeatures
     attention: dict[str, list[np.ndarray]] = field(default_factory=dict)
 
 
+_ONE_HOT = np.eye(len(MAP_CLASSES))  # a map row's class columns, by `map_kind`
+_sum = np.add.reduce  # ndarray.sum's reduction, without its Python wrapper
+
+
+def _hypot_rows(xy: np.ndarray) -> list[float]:
+    # one math.hypot a row: np.hypot differs from it in the last bit on some rows
+    return list(map(math.hypot, *xy.T.tolist()))
+
+
 def _agent_features(scenario: Scenario) -> np.ndarray:
-    step = scenario.agent_track[:, 0] - scenario.agent_xy
-    # one math.hypot a row: np.hypot differs from it in the last bit on some steps
-    speed = np.array([math.hypot(x, y) for x, y in step.tolist()]) / scenario.horizon_dt
+    xy = scenario.agent_xy
+    speed = np.array(_hypot_rows(scenario.agent_track[:, 0] - xy)) / scenario.horizon_dt
+    heading = scenario.agent_heading
     # each column is copied in from a contiguous result: numpy does not
     # promise that cos and sin round alike into a strided `out`
-    rows = np.empty((len(step), AGENT_FEATURE_DIM))
-    rows[:, :2] = scenario.agent_xy * POSITION_SCALE
-    rows[:, 2] = np.cos(scenario.agent_heading)
-    rows[:, 3] = np.sin(scenario.agent_heading)
-    rows[:, 4] = speed * SPEED_SCALE
-    rows[:, 5] = scenario.agent_confidence
+    rows = np.empty((len(xy), AGENT_FEATURE_DIM))
+    rows[:, :2] = xy * POSITION_SCALE
+    rows[:, 2:].T[...] = (np.cos(heading), np.sin(heading), speed * SPEED_SCALE,
+                          scenario.agent_confidence)
     return rows
 
 
 def _map_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     xy = scenario.map_xy
-    rows = np.zeros((len(xy), MAP_FEATURE_DIM))
     if not len(xy):
-        return rows, np.zeros((0, 2))
-    centroids = xy.sum(axis=1) / xy.shape[1]  # the bits of xy.mean(axis=1), without its overhead
-    # every polyline has a non-degenerate segment: the first gives the direction
-    steps = xy[:, 1:] - xy[:, :-1]
-    live = (steps[..., 0] != 0.0) | (steps[..., 1] != 0.0)
-    first = steps[np.arange(len(xy)), live.argmax(axis=1)]
-    norms = np.array([math.hypot(x, y) for x, y in first.tolist()])
-    rows[np.arange(len(xy)), scenario.map_kind] = 1.0
-    rows[:, 3:5] = centroids * POSITION_SCALE
-    rows[:, 5:7] = first / norms[:, None]
+        return np.zeros((0, MAP_FEATURE_DIM)), np.zeros((0, 2))
+    centroids = _sum(xy, axis=1) / xy.shape[1]  # the bits of xy.mean(axis=1)
+    # the direction of each polyline's first non-degenerate segment, which
+    # every polyline has; the first segment, unless one of them is degenerate
+    first = xy[:, 1] - xy[:, 0]
+    norms = _hypot_rows(first)
+    if 0.0 in norms:
+        steps = xy[:, 1:] - xy[:, :-1]
+        first = steps[np.arange(len(xy)), (steps != 0.0).any(axis=2).argmax(axis=1)]
+        norms = _hypot_rows(first)
+    rows = np.concatenate(
+        (_ONE_HOT[scenario.map_kind], centroids * POSITION_SCALE, first / np.array(norms)[:, None]),
+        axis=1,
+    )
     return rows, centroids
 
 
@@ -277,8 +291,8 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
         )
     if np.count_nonzero(np.isfinite(params.flat)) != params.flat.size:
         raise ShapeError("non-finite values in tensor")
-    tape = Tape()
-    p = tape.params(params.leaves)
+    tape = Tape(params.leaves)
+    p = params.leaves.tensors
 
     features = encode_queries(scenario, p, tape)
     attention: dict[str, list[np.ndarray]] = {}
@@ -308,8 +322,8 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
         q_after.append(ego_q)
 
     ego = scenario.ego
-    status = [[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE,
-               ego.steering_angle * STEER_SCALE]]
+    status = np.array([[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE,
+                        ego.steering_angle * STEER_SCALE]])
     status_embed = ad.mlp(tape.constant(status), *_layer("status_enc")(p))
     one_hot = np.zeros((1, 3))
     one_hot[0, COMMAND_INDEX[ego.command]] = 1.0

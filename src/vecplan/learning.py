@@ -400,7 +400,7 @@ def train(
             sums["total"] += step_total
             for key in ("imitation", "collision", "boundary", "direction"):
                 sums[key] += plan_loss.breakdown[key]
-            # the tape entered params.leaves, so its flat gradient is laid out
+            # the tape was opened on params.leaves, so its flat gradient is laid out
             # like params.flat
             optimizer.step(params.flat, result.tape.backward_from(seeds).flat, lr)
             if not np.all(np.isfinite(params.flat)):

@@ -14,8 +14,9 @@ scenes, not comparable to published benchmark absolutes.
 The box and boundary metrics run over blocks of `BLOCK_SCENES` scenes, each
 block in a few array calls: one `pose_track` pass over the block's plans
 (`plan_pose_track`, shared by the collision and overstep checks) and one
-over all of its agents (`agent_pose_track`), one separating-axis call for
-every (agent, tick) pair (`collision_ticks`), and one nearest-boundary query
+over the agents with a tick near the ego (`agent_pose_track`), circle bounds
+for every (agent, tick) pair and one separating-axis call for the pairs of
+those agents (`collision_ticks`), and one nearest-boundary query
 over the block's labeled boundaries, a `PolylineSet` of one scene a row,
 padded per scene (`labeled_boundaries`, `pose_oversteps_boundary`).  Within
 a block each track is held at its last point to the block's longest horizon,
@@ -44,6 +45,7 @@ from .geometry import (
     Poses,
     PolylineSet,
     box_frame,
+    circle_bounds,
     closest_polyline,
     oriented_rect_margin,
     pose_track,
@@ -88,7 +90,7 @@ def _horizon_tick(h: float, dt: float, t_f: int) -> int:
         raise ConfigError(f"horizon {h} s is not a whole number of {dt} s ticks")
     if tick < 1 or tick > t_f:
         raise ConfigError(
-            f"horizon {h} s needs tick {tick}, but the plan covers 1..{t_f}"
+            f"horizon {h} s needs tick {tick:.6g}, but the plan covers 1..{t_f}"
         )
     return tick
 
@@ -140,17 +142,25 @@ def plan_pose_track(plans: Sequence[PlanTrajectory]) -> Poses:
     return pose_track(Checked(xy), (0.0, 0.0), math.pi / 2)
 
 
-def agent_pose_track(scenarios: Sequence[Scenario], ticks: int) -> Poses:
+def _agent_futures(scenarios: Sequence[Scenario], ticks: int) -> np.ndarray:
+    """The (A, ticks, 2) ground-truth futures of every agent of `scenarios`,
+    scene after scene, each cut, or held at its last point, to `ticks`."""
+    return np.concatenate([np.empty((0, ticks, 2))]
+                          + [_held(s.agent_future, ticks) for s in scenarios])
+
+
+def agent_pose_track(scenarios: Sequence[Scenario], ticks: int, rows=None) -> Poses:
     """Pose of every agent of `scenarios`, scene after scene, along its
     ground-truth future: (A, ticks, 2) positions and (A, ticks) headings,
-    each future cut, or held at its last point, to `ticks` ticks."""
-    if not scenarios:
-        return Poses(np.empty((0, ticks, 2)), np.empty((0, ticks)))
-    return pose_track(
-        Checked(np.concatenate([_held(s.agent_future, ticks) for s in scenarios])),
-        np.concatenate([s.agent_xy for s in scenarios]),
-        np.concatenate([s.agent_heading for s in scenarios]),
-    )
+    each future cut, or held at its last point, to `ticks` ticks.  Given
+    `rows`, indices into those agents, only the agents they pick, in their
+    order."""
+    xy = _agent_futures(scenarios, ticks)
+    start = np.concatenate([np.empty((0, 2))] + [s.agent_xy for s in scenarios])
+    heading = np.concatenate([np.empty(0)] + [s.agent_heading for s in scenarios])
+    if rows is not None:
+        xy, start, heading = xy[rows], start[rows], heading[rows]
+    return pose_track(Checked(xy), start, heading)
 
 
 def collision_ticks(
@@ -162,26 +172,33 @@ def collision_ticks(
     agents' ground-truth boxes at the same tick?
 
     `ego` is the scenes' `plan_pose_track`.  The agents of every scene are
-    taken in scene order, each with its own scene's ego box at each tick,
-    and one separating-axis call decides every (agent, tick) pair.  An agent
-    whose future ends before tick T holds its last pose, which pads a block
-    of scenes with futures of different lengths (the rates read each
-    scene's flags only to its own horizon ticks); a scene with no agents
-    has no hit.
+    taken in scene order, each with its own scene's ego box at each tick.
+    The circle bounds (`circle_bounds`) decide every (agent, tick) pair
+    whose centers are too far apart to overlap, before any agent heading is
+    computed; the agents with a pair left are tracked (`agent_pose_track`)
+    and one separating-axis call decides all of their pairs.  An agent whose
+    future ends before tick T holds its last pose, which pads a block of
+    scenes with futures of different lengths (the rates read each scene's
+    flags only to its own horizon ticks); a scene with no agents has no hit.
     """
     if len(ego.xy) != len(scenarios):
         raise ConfigError(f"{len(scenarios)} scenarios vs {len(ego.xy)} plans")
     ticks = ego.heading.shape[1]
-    agents = agent_pose_track(scenarios, ticks)
     owner = np.repeat(np.arange(len(scenarios)), [len(s.agent_xy) for s in scenarios])
     sizes = np.concatenate([np.empty((0, 2))] + [s.agent_size for s in scenarios])
+    ego_xy, agent_xy = ego.xy[owner], _agent_futures(scenarios, ticks)
+    gap = agent_xy - ego_xy
+    near = (np.hypot(gap[..., 0], gap[..., 1])
+            <= circle_bounds(ego_xy, ego_dims)[1] + circle_bounds(agent_xy, sizes[:, None])[1])
+    rows = np.flatnonzero(np.count_nonzero(near, axis=1))
+    agents = agent_pose_track(scenarios, ticks, rows)
     margin = oriented_rect_margin(
-        box_frame(ego.xy[owner], ego.heading[owner], ego_dims),
-        box_frame(agents.xy, agents.heading, sizes[:, None]),
+        box_frame(ego_xy[rows], ego.heading[owner[rows]], ego_dims),
+        box_frame(agents.xy, agents.heading, sizes[rows, None]),
     )
     flags = np.zeros((len(scenarios), ticks), dtype=bool)
     agent, tick = np.nonzero(margin >= 0.0)
-    flags[owner[agent], tick] = True
+    flags[owner[rows[agent]], tick] = True
     return flags
 
 

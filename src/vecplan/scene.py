@@ -489,7 +489,11 @@ def _expert_track(
 
 
 def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
-    """Procedurally build one scenario; bit-identical for a given seed."""
+    """Procedurally build one scenario; bit-identical for a given seed.
+
+    Raises:
+        ConfigError: if the settings make a scene that `Scenario` refuses.
+    """
     rng = np.random.default_rng(seed)
     t_f = config.t_future
     dt = config.horizon_dt
@@ -630,16 +634,20 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
 
     starts, headings, sizes, confs, futures, modes, scores = list(zip(*agent_rows)) or [()] * 7
     points, kinds, map_confs, sides = zip(*map_rows)
-    return Scenario(
-        ego=ego, expert=expert, horizon_dt=dt, perception_range=config.perception_range,
-        agent_xy=np.reshape(starts, (-1, 2)), agent_heading=headings,
-        agent_size=np.reshape(sizes, (-1, 2)), agent_confidence=confs,
-        agent_future=np.reshape(futures, (-1, t_f, 2)),
-        agent_modes=np.reshape(modes, (-1, t_f, 2)), agent_mode_scores=np.reshape(scores, -1),
-        agent_mode_count=[config.mode_count] * len(agent_rows),
-        map_xy=points, map_kind=[MAP_CLASSES.index(k) for k in kinds],
-        map_confidence=map_confs, map_side=[DRIVABLE_SIDES[s] for s in sides],
-    )
+    try:
+        return Scenario(
+            ego=ego, expert=expert, horizon_dt=dt, perception_range=config.perception_range,
+            agent_xy=np.reshape(starts, (-1, 2)), agent_heading=headings,
+            agent_size=np.reshape(sizes, (-1, 2)), agent_confidence=confs,
+            agent_future=np.reshape(futures, (-1, t_f, 2)),
+            agent_modes=np.reshape(modes, (-1, t_f, 2)), agent_mode_scores=np.reshape(scores, -1),
+            agent_mode_count=[config.mode_count] * len(agent_rows),
+            map_xy=points, map_kind=[MAP_CLASSES.index(k) for k in kinds],
+            map_confidence=map_confs, map_side=[DRIVABLE_SIDES[s] for s in sides],
+        )
+    except ScenarioFormatError as e:
+        # no file was read: the settings made a scene that a file may not hold
+        raise ConfigError(f"generator settings make an invalid scene (seed {seed}): {e}") from e
 
 
 # ---------------------------------------------------------------------------

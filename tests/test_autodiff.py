@@ -107,9 +107,10 @@ class TestParamLeaves:
         w = flat[4:10].reshape(2, 3)
         view = w.view()
         view.flags.writeable = False
-        tape = ad.Tape()
+        leaves = ad.Leaves({"w": view})
+        tape = ad.Tape(leaves)
         x = tape.leaf(np.ones((1, 2)))
-        leaf = tape.params({"w": view})["w"]
+        leaf = leaves.tensors["w"]
         assert leaf.data is view
         assert np.shares_memory(leaf.data, flat)
         with pytest.raises(ValueError):
@@ -117,10 +118,64 @@ class TestParamLeaves:
         assert w.flags.writeable
         w[0, 0] = -1.0
         assert leaf.data[0, 0] == -1.0
-        # the parameters are numbered after the nodes already on the tape
+        # the parameters hold the first indices of every tape opened on them
+        assert (leaf.index, x.index) == (0, 1)
         grads = tape.backward(ad.sum_all(ad.matmul(x, leaf)))
         np.testing.assert_array_equal(grads[leaf], np.ones((2, 3)))
         np.testing.assert_array_equal(grads[x], [[w[0].sum(), w[1].sum()]])
+
+    def test_every_tape_opened_on_leaves_reads_the_same_parameter_tensors(self):
+        view = np.ones((2, 2))
+        view.flags.writeable = False
+        leaves = ad.Leaves({"w": view, "v": view})
+        w, v = leaves.tensors.values()
+        firsts = []
+        for _ in range(2):
+            tape = ad.Tape(leaves)
+            x = tape.leaf(np.eye(2))
+            y = ad.matmul(x, w)
+            firsts.append(x.index)
+            grads = tape.backward_from([(y, np.ones((2, 2)))])
+            assert grads[w].tolist() == [[1.0, 1.0], [1.0, 1.0]] and not grads[v].any()
+        assert firsts == [2, 2] and leaves.tensors["w"] is w
+
+    def test_parameters_alone_or_of_other_leaves_are_refused(self):
+        view = np.ones((2, 2))
+        view.flags.writeable = False
+        leaves, other = ad.Leaves({"w": view}), ad.Leaves({"w": view})
+        w = leaves.tensors["w"]
+        tape = ad.Tape(leaves)
+        x = tape.leaf(np.ones((2, 2)))
+        for record in (lambda: ad.matmul(w, w), lambda: ad.scalar_mul(w, 2.0)):
+            with pytest.raises(ShapeError, match="parameters alone"):
+                record()
+        foreign = other.tensors["w"]
+        for record in (lambda: ad.matmul(x, foreign), lambda: ad.add(foreign, x),
+                       lambda: ad.matmul(ad.Tape().leaf(np.ones((2, 2))), w)):
+            with pytest.raises(ShapeError, match="different tapes"):
+                record()
+        with pytest.raises(ShapeError, match="another tape"):
+            tape.backward_from([(x, np.ones((2, 2)))])[foreign]
+        with pytest.raises(ShapeError, match="does not belong"):
+            tape.backward_from([(foreign, np.ones((2, 2)))])
+        # a parameter may come first: the record goes on its other operand's tape
+        assert ad.matmul(w, x).tape is tape
+
+    def test_a_dropped_set_and_its_tapes_are_freed_without_the_cycle_collector(self):
+        view = np.ones((2, 2))
+        view.flags.writeable = False
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            leaves = ad.Leaves({"w": view})
+            tape = ad.Tape(leaves)
+            ad.matmul(tape.leaf(np.ones((2, 2))), leaves.tensors["w"])
+            refs = weakref.ref(leaves), weakref.ref(tape)
+            del leaves, tape
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_param_needs_a_2d_float64_array(self):
         config = InteractionConfig()
@@ -128,8 +183,8 @@ class TestParamLeaves:
             with pytest.raises(ShapeError, match="2-D"):
                 InteractionParams(config, {"w": bad})
         params = InteractionParams(config, {"w": np.zeros((2, 2), dtype=np.float32)})
-        assert params.leaves["w"].dtype == np.float64
-        assert params.leaves["w"].flags.c_contiguous
+        assert params.leaves.tensors["w"].data.dtype == np.float64
+        assert params.leaves.tensors["w"].data.flags.c_contiguous
 
 
 def _mlp_by_parts(x, w1, b1, w2, b2):
@@ -398,7 +453,7 @@ class TestFusedHead:
 
 
 class TestConstants:
-    def test_a_constant_is_a_checked_copy_that_receives_no_gradient(self):
+    def test_a_constant_is_the_checked_array_itself_and_receives_no_gradient(self):
         rng = np.random.default_rng(9)
         x_arr, w_arr = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
         mlp_arrays = [rng.standard_normal(shape) for shape in ((4, 5), (1, 5), (5, 2), (1, 2))]
@@ -416,12 +471,18 @@ class TestConstants:
         assert leaf_grads[leaf].any()
         assert const_grads[const].tobytes() == np.zeros((3, 4)).tobytes()
         assert const.data.tobytes() == leaf.data.tobytes()
-        assert not np.shares_memory(const.data, x_arr) and not const.data.flags.writeable
+        # no copy: the tape makes the array itself read-only
+        assert const.data is x_arr and not x_arr.flags.writeable
         # the other inputs' gradients do not change by a bit
         for a, b in zip(leaf_g, const_g):
             assert a.tobytes() == b.tobytes()
-        with pytest.raises(ShapeError, match="non-finite"):
-            ad.Tape().constant([[np.nan]])
+        # finite values whose sum overflows are accepted, as by `leaf`
+        assert ad.Tape().constant(np.array([[1e308, 1e308]])).data[0, 1] == 1e308
+        for bad in ([[1.0, np.nan]], [[np.inf, 0.0]], [[-np.inf, 1.0]]):
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                ad.Tape().constant(np.array(bad))
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.Tape().constant(np.zeros(3))
 
     def test_matmul_and_mlp_skip_the_product_for_a_constant(self):
         tape = ad.Tape()
@@ -443,10 +504,11 @@ class TestGradientsLookup:
         rng = np.random.default_rng(3)
         view = rng.standard_normal((3, 2))
         view.flags.writeable = False
-        tape = ad.Tape()
+        leaves = ad.Leaves({"w": view})
+        tape = ad.Tape(leaves)
         x = tape.leaf(rng.standard_normal((2, 3)))
         c = tape.constant(rng.standard_normal((2, 3)))
-        w = tape.params({"w": view})["w"]
+        w = leaves.tensors["w"]
         y = ad.add(x, c)
         t = ad.transpose(ad.matmul(y, w))
         z = ad.concat_cols([ad.transpose(t), x, y])
@@ -514,10 +576,12 @@ class TestBackward:
         # it is, not added to zeros
         view = np.ones((1, 2))
         view.flags.writeable = False
-        tape = ad.Tape()
+        leaves = ad.Leaves({"w": view, "v": view})
+        tape = ad.Tape(leaves)
         x = tape.leaf(np.ones((1, 2)))
-        w, v = tape.params({"w": view, "v": view}).values()
-        outs = [ad.scalar_mul(x, -1.0), ad.scalar_mul(v, -1.0)]
+        w, v = leaves.tensors.values()
+        # the add hands its one gradient array to v as it is
+        outs = [ad.scalar_mul(x, -1.0), ad.scalar_mul(ad.add(v, tape.constant(view)), -1.0)]
         grads = tape.backward_from([(out, np.zeros((1, 2))) for out in outs])
         assert np.signbit(grads[x]).all() and np.signbit(grads[v]).all()
         # w is unreached: plain zeros, laid out before v
@@ -620,7 +684,10 @@ class TestTapeLifecycle:
         rng = np.random.default_rng(8)
 
         def dropped_tape():
-            tape = ad.Tape()
+            view = np.ones((2, 2))
+            view.flags.writeable = False
+            leaves = ad.Leaves({"w": view})
+            tape = ad.Tape(leaves)
             outs = []
             for _, build, arrays in _primitive_cases(rng):
                 outs.append(build(tape, [tape.leaf(a) for a in arrays]))
@@ -628,9 +695,7 @@ class TestTapeLifecycle:
             outs.append(ad.mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
             block_leaves = [tape.leaf(a) for a in _block_arrays(rng, 1, 3, 4)]
             outs.append(ad.decoder_block(*block_leaves, 2)[0])
-            view = np.ones((2, 2))
-            view.flags.writeable = False
-            outs.append(tape.params({"w": view})["w"])
+            outs.append(leaves.tensors["w"])
             grads = tape.backward_from([(out, np.ones(out.shape)) for out in outs])
             assert grads[outs[0]].shape == outs[0].shape
             return weakref.ref(tape)

@@ -302,6 +302,33 @@ class TestPlanAndEvaluate:
         assert "not a whole number of 0.7 s ticks" in lines[0]
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize("planner", ["refine", "model"])
+    def test_a_tick_too_short_for_the_horizons_is_one_readable_config_line(
+        self, tmp_path, planner
+    ):
+        # the refine planner's steps are then about 1e-300 m, whose squared
+        # lengths underflow: its plans stay finite
+        cfg, _, checkpoint = _model_files(tmp_path)
+        rc, lines = _stderr_lines(
+            "evaluate", "--config", str(cfg), "--count", "5", "--planner", planner,
+            "--checkpoint", str(checkpoint), "--set", "generator.horizon_dt=1e-300",
+        )
+        assert rc == 1
+        assert lines == ["error:config-parse: horizon 1.0 s needs tick 1e+300, "
+                         "but the plan covers 1..6"], lines
+
+    def test_generator_settings_that_make_an_invalid_scene_are_one_config_line(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        rc, lines = _stderr_lines(
+            "evaluate", "--config", str(cfg), "--count", "5", "--planner", "refine",
+            "--set", "generator.lane_width=1e-300",
+        )
+        assert rc == 1
+        assert len(lines) == 1, lines
+        assert re.fullmatch(r"error:config-parse: generator settings make an invalid scene "
+                            r"\(seed \d+\): map\[\d+\]\.points: polyline has no "
+                            r"non-degenerate segment", lines[0]), lines
+
     def test_model_planner_requires_checkpoint(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         rc = run("evaluate", "--config", str(cfg), "--planner", "model", "--count", "2")
@@ -489,13 +516,14 @@ def _model_files(tmp_path):
     return cfg, scenario, checkpoint
 
 
-def _plan_with_model(cfg, scenario, checkpoint, out):
-    """Run `plan` in-process; the exit code and the stderr lines."""
+def _plan_with_model(cfg, scenario, checkpoint, out, command="plan", planner="model"):
+    """Run `plan`, or `command` with `planner`, in-process; the exit code
+    and the stderr lines."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main([
-            "plan", "--config", str(cfg), "--scenario", str(scenario),
-            "--planner", "model", "--checkpoint", str(checkpoint), "--out", str(out),
+            command, "--config", str(cfg), "--scenario", str(scenario),
+            "--planner", planner, "--checkpoint", str(checkpoint), "--out", str(out),
         ])
     return rc, err.getvalue().splitlines()
 
@@ -647,18 +675,25 @@ _MUTATIONS = st.one_of(
 _CATEGORIES = (("config-parse", "checkpoint-mismatch"), ("schema",), ("checkpoint-mismatch",))
 
 
-@settings(max_examples=600)
-@given(target=st.sampled_from([0, 1, 2]), mutation=_MUTATIONS)
+# the commands the mutated files go through: the refine planner reads no
+# checkpoint
+_FUZZED_RUNS = (("plan", "model"), ("simulate", "model"), ("simulate", "refine"),
+                ("evaluate", "model"))
+
+
+@settings(max_examples=1050)
+@given(target=st.sampled_from([0, 1, 2]), mutation=_MUTATIONS, run=st.sampled_from(_FUZZED_RUNS))
 def test_mutated_inputs_exit_cleanly_with_at_most_one_error_line(
-    pristine_files, target, mutation
+    pristine_files, target, mutation, run
 ):
-    # a mutated config, scenario or checkpoint either still plans or is
-    # refused with exactly one error line in its category, never a traceback
+    # a mutated config, scenario or checkpoint either still plans, simulates
+    # or evaluates, or is refused with exactly one error line in its
+    # category, never a traceback
     files = list(pristine_files)
     mutated = files[target].with_name("mutated" + files[target].suffix)
     mutated.write_bytes(_mutate(files[target].read_bytes(), target != 2, mutation))
     files[target] = mutated
-    rc, lines = _plan_with_model(*files, files[0].parent / "out")
+    rc, lines = _plan_with_model(*files, files[0].parent / "out", *run)
     assert rc in (0, 1)
     if rc == 1:
         assert len(lines) == 1, lines

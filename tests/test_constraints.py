@@ -261,6 +261,19 @@ class TestDirectionLoss:
         plan = PlanTrajectory(np.ones((2, 2)))
         assert direction_term(plan, [], PAPER_PARAMS).value == 0.0
 
+    def test_steps_whose_squared_length_underflows_contribute_nothing(self):
+        # 1e-200 m steps: |v|^2 underflows to 0, by which the gradient divides
+        tiny = np.array([[1e-200, 1e-200], [2e-200, 3e-200]])
+        assert (tiny[:, 0] * tiny[:, 0] + tiny[:, 1] * tiny[:, 1] == 0.0).all()
+        res = direction_term(PlanTrajectory(tiny), [divider_line(0.5)], PAPER_PARAMS)
+        assert res.value == 0.0
+        assert np.isfinite(res.grad).all() and not res.grad.any()
+        # a step that moves keeps its term beside them
+        mixed = PlanTrajectory(np.array([[1e-200, 1e-200], [1.0, 1.0]]))
+        res = direction_term(mixed, [divider_line(0.0)], PAPER_PARAMS)
+        assert res.value == pytest.approx(math.pi / 8, abs=1e-12)
+        assert np.isfinite(res.grad).all() and res.grad.any()
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         plan, dividers = sample_direction_config(rng, PAPER_PARAMS)

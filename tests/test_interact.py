@@ -11,7 +11,10 @@ from _support import (
     dict_backward_flat,
     fd_param_gradient,
     looped_scene_features,
+    map_arrays,
     max_rel_err,
+    one_mode_agents,
+    scene,
     scene_of_kind,
     take_agents,
     take_map,
@@ -33,7 +36,7 @@ from vecplan.interact import (
     scene_features,
 )
 from vecplan.learning import AdamW, _aux_losses, aux_head_shapes
-from vecplan.scene import GeneratorConfig, generate_scenario
+from vecplan.scene import GeneratorConfig, MapClass, generate_scenario
 
 SMALL = InteractionConfig(d_model=8, d_command=4)
 
@@ -410,6 +413,21 @@ class TestFlatParams:
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
                 forward_plan(s, params)
 
+    def test_finite_scene_whose_network_input_overflows_is_refused(self):
+        # an agent whose first step overflows its speed, and a map polyline
+        # whose centroid sum overflows: finite scenes, non-finite input rows
+        params = small_params()
+        fast = scene(np.zeros((6, 2)), agents=one_mode_agents(
+            [[-1.7e308, 0.0]], np.tile([1.7e308, 0.0], (1, 6, 1))))
+        far = scene(np.zeros((6, 2)), map=map_arrays(
+            [np.array([[1.7e308, 0.0], [1.7e308, 1.0]])], [MapClass.LANE_DIVIDER]))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(scene_features(fast)[0]).all()
+            assert not np.isfinite(scene_features(far)[1]).all()
+            for s in (fast, far):
+                with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                    forward_plan(s, params)
+
     def test_finite_parameters_whose_sum_overflows_are_accepted(self):
         params = small_params()
         params.extend([("extra.w", (1, 2), 1)], seed=0)
@@ -432,6 +450,20 @@ class TestFlatParams:
         # the parameters themselves stay writable
         params.tensors["head.b3"][0, 0] = 1.0
         assert result.params["head.b3"].data[0, 0] == 1.0
+
+    def test_forwards_read_one_set_of_parameter_tensors(self):
+        params = small_params()
+        first, second = (forward_plan(scenario_with(9), params) for _ in range(2))
+        assert first.tape is not second.tape
+        assert all(first.params[name] is leaf for name, leaf in second.params.items())
+        # a parameter's gradient reads the same on either tape
+        seed = [(first.plan_node, np.ones((1, 12)))]
+        grads = first.tape.backward_from(seed)
+        again = second.tape.backward_from([(second.plan_node, np.ones((1, 12)))])
+        assert grads.flat.tobytes() == again.flat.tobytes()
+        params.extend([("extra.w", (1, 1), 1)], seed=0)
+        extended = forward_plan(scenario_with(9), params)
+        assert extended.params["head.b3"] is not first.params["head.b3"]
 
     def test_next_forward_sees_updated_parameters(self):
         s = scenario_with(9)
@@ -588,11 +620,11 @@ def _package_calls(fn):
 
 class TestCallBudget:
     # bounds on the tape's bookkeeping per pass, on the first scene of the
-    # benchmark's dense evaluation (seed 0): 90 frames a forward and 26 a
-    # backward here, where wrappers around the decoder blocks made 92, 20
-    # records 101 and 29, and per-op node, record and same-tape helpers 329
-    # and 33
-    FORWARD_FRAMES = 90
+    # benchmark's dense evaluation (seed 0): 75 frames a forward and 26 a
+    # backward here, where a node per parameter and copied constants made
+    # 90, wrappers around the decoder blocks 92, 20 records 101 and 29, and
+    # per-op node, record and same-tape helpers 329 and 33
+    FORWARD_FRAMES = 75
     BACKWARD_FRAMES = 26
 
     def test_forward_and_backward_stay_within_their_frame_budgets(self):

@@ -109,18 +109,19 @@ def aux_map_regression(pred, gt) -> tuple[float, np.ndarray]:
     its gradient with respect to `pred`."""
     pred = np.asarray(pred, dtype=np.float64)
     v, d = len(pred), pred[0].size
-    tape = ad.Tape()
 
     def read_only(a):
         a.setflags(write=False)
         return a
 
-    params = tape.params({
+    leaves = ad.Leaves({
         "aux.map_pts.w": read_only(np.eye(d)),
         "aux.map_pts.b": read_only(np.zeros((1, d))),
         "aux.map_cls.w": read_only(np.zeros((d, 3))),
         "aux.map_cls.b": read_only(np.zeros((1, 3))),
     })
+    tape = ad.Tape(leaves)
+    params = leaves.tensors
     queries = tape.leaf(pred.reshape(v, d))
     result = SimpleNamespace(params=params, features=SimpleNamespace(map_queries=queries))
     kinds = [MapClass.LANE_DIVIDER] * len(gt)
