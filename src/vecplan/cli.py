@@ -248,6 +248,8 @@ def config_from_dict(data: dict) -> RunConfig:
     for key, value in data.items():
         if key == "seed":
             kwargs["seed"] = _require_int(value, "seed")
+            if value < 0:
+                raise ConfigError(f"seed must be >= 0, got {value}")
         elif key == "output_dir":
             kwargs["output_dir"] = str(value)
         elif key in _SECTIONS:

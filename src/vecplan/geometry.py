@@ -46,6 +46,8 @@ circumscribed radii do not.  Each bound is widened by a slack of 1e-12 times
 the box's center distance from the origin plus its circumscribed radius, far
 above the few ulps by which the SAT and the center distance can round, so a
 bound decides a call only where the SAT would give the same answer.
+`swept_box_frame_if_clear` tries the inscribed bound on a swept box's
+centers alone, before it builds the box's frame.
 """
 
 from __future__ import annotations
@@ -528,8 +530,24 @@ def swept_box_frame(track, start, heading: float, dims) -> BoxFrame:
     return _frame(poses.xy, poses.heading, np.array((length, width), dtype=np.float64))
 
 
-def _frame(xy: np.ndarray, h: np.ndarray, d: np.ndarray) -> BoxFrame:
-    """`box_frame` of checked float64 arrays."""
+def swept_box_frame_if_clear(xy: np.ndarray, heading: float, dims: np.ndarray,
+                             placed: BoxFrame) -> BoxFrame | None:
+    """`swept_box_frame` of (2,) `dims` over the checked (T + 1, 2) centers
+    `xy`, start first, or None where it overlaps a box of `placed`.  The
+    inner circle bound, on the centers alone, refuses what it can before any
+    heading or frame is built; a box it leaves is framed from the same radii
+    and decided by `oriented_rect_overlap`."""
+    x, y = xy[:, 0], xy[:, 1]
+    circles = _circles(x, y, 0.5 * dims)
+    if np.count_nonzero(np.hypot(placed.x - x, placed.y - y) < circles[0] + placed.inner):
+        return None
+    box = _frame(xy, pose_track(Checked(xy), xy[0].tolist(), heading).heading, dims, circles)
+    return None if oriented_rect_overlap(box, placed) else box
+
+
+def _frame(xy: np.ndarray, h: np.ndarray, d: np.ndarray, circles=None) -> BoxFrame:
+    """`box_frame` of checked float64 arrays; `circles`, where given, are
+    their `_circles`."""
     if h.shape != xy.shape[:-1]:
         # the centers span every box, so the circle bounds see every pair
         xy = np.broadcast_to(xy, np.broadcast_shapes(xy.shape[:-1], h.shape) + (2,))
@@ -543,7 +561,8 @@ def _frame(xy: np.ndarray, h: np.ndarray, d: np.ndarray) -> BoxFrame:
     # and half width * |s s + c c| (width axis): the other term, |-s c + c s|,
     # is exactly 0
     own = _lead(half, max(d.ndim - 1, h.ndim)) * (c * c + s * s)
-    return BoxFrame(x, y, c, s, *_circles(x, y, half), sc[1:], sc[:2], half, own)
+    inner, outer = _circles(x, y, half) if circles is None else circles
+    return BoxFrame(x, y, c, s, inner, outer, sc[1:], sc[:2], half, own)
 
 
 def _circles(x: np.ndarray, y: np.ndarray, half: np.ndarray):

@@ -181,6 +181,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.scheduler not in ("cosine", "constant"):
             raise ConfigError(f"scheduler must be 'cosine' or 'constant', got {self.scheduler!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

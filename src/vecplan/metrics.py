@@ -149,13 +149,15 @@ def _agent_futures(scenarios: Sequence[Scenario], ticks: int) -> np.ndarray:
                           + [_held(s.agent_future, ticks) for s in scenarios])
 
 
-def agent_pose_track(scenarios: Sequence[Scenario], ticks: int, rows=None) -> Poses:
+def agent_pose_track(scenarios: Sequence[Scenario], ticks: int, rows=None,
+                     futures=None) -> Poses:
     """Pose of every agent of `scenarios`, scene after scene, along its
     ground-truth future: (A, ticks, 2) positions and (A, ticks) headings,
     each future cut, or held at its last point, to `ticks` ticks.  Given
     `rows`, indices into those agents, only the agents they pick, in their
-    order."""
-    xy = _agent_futures(scenarios, ticks)
+    order; given `futures`, the `_agent_futures` of the scenes, which the
+    caller holds already, the positions are picked from it."""
+    xy = _agent_futures(scenarios, ticks) if futures is None else futures
     start = np.concatenate([np.empty((0, 2))] + [s.agent_xy for s in scenarios])
     heading = np.concatenate([np.empty(0)] + [s.agent_heading for s in scenarios])
     if rows is not None:
@@ -191,7 +193,7 @@ def collision_ticks(
     near = (np.hypot(gap[..., 0], gap[..., 1])
             <= circle_bounds(ego_xy, ego_dims)[1] + circle_bounds(agent_xy, sizes[:, None])[1])
     rows = np.flatnonzero(np.count_nonzero(near, axis=1))
-    agents = agent_pose_track(scenarios, ticks, rows)
+    agents = agent_pose_track(scenarios, ticks, rows, agent_xy)
     margin = oriented_rect_margin(
         box_frame(ego_xy[rows], ego.heading[owner[rows]], ego_dims),
         box_frame(agents.xy, agents.heading, sizes[rows, None]),

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import BoxFrame, Checked, Point2, PolylineSet, oriented_rect_overlap, swept_box_frame
+from .geometry import (BoxFrame, Checked, Point2, PolylineSet, swept_box_frame,
+                       swept_box_frame_if_clear)
 
 SCHEMA_VERSION = 1
 
@@ -91,9 +92,9 @@ def _rows(mask: np.ndarray) -> np.ndarray:
 def _refuse(bad: np.ndarray, message: str, values=None) -> None:
     """Raise a ScenarioFormatError for the first row flagged in the (N,) mask
     `bad`: `message` formatted with the row's index `i` and value `v`."""
-    flagged = np.flatnonzero(bad)
-    if flagged.size:
-        i = int(flagged[0])
+    # count_nonzero first: flatnonzero costs more, and almost no mask flags a row
+    if np.count_nonzero(bad):
+        i = int(np.flatnonzero(bad)[0])
         raise ScenarioFormatError(message.format(i=i, v=None if values is None else values[i]))
 
 
@@ -431,26 +432,29 @@ class _RoadFrame:
         return 1.0 / (1.0 - d * self.curvature)
 
     def polyline(self, d: float, s_lo: float, s_hi: float, n: int) -> list[tuple[float, float]]:
-        return [self.point(float(s), d) for s in np.linspace(s_lo, s_hi, n)]
+        return [self.point(s, d) for s in np.linspace(s_lo, s_hi, n).tolist()]
 
 
-def _fit_extent(road: _RoadFrame, offsets: Sequence[float], cfg: GeneratorConfig) -> float:
-    """Largest arc-length half-extent whose sampled points stay in the box."""
+def _fit_extent(road: _RoadFrame, offsets: Sequence[float], cfg: GeneratorConfig):
+    """Largest arc-length half-extent whose sampled points stay in the box,
+    and the `polyline` of each offset over it."""
     long_half = cfg.perception_range[0] / 2.0
     lat_half = cfg.perception_range[1] / 2.0
     s_max = long_half
     for _ in range(200):
-        ok = True
+        lines = []
         for d in offsets:
-            for s in np.linspace(-s_max, s_max, cfg.n_points):
-                x, y = road.point(float(s), d)
+            points = []
+            for s in np.linspace(-s_max, s_max, cfg.n_points).tolist():
+                x, y = road.point(s, d)
                 if abs(x) > lat_half or abs(y) > long_half:
-                    ok = False
                     break
-            if not ok:
+                points.append((x, y))
+            if len(points) < cfg.n_points:
                 break
-        if ok:
-            return s_max
+            lines.append(points)
+        else:
+            return s_max, lines
         s_max *= 0.95
     raise ConfigError("road geometry cannot fit the perception range")
 
@@ -458,10 +462,11 @@ def _fit_extent(road: _RoadFrame, offsets: Sequence[float], cfg: GeneratorConfig
 def _lane_follow_track(
     road: _RoadFrame, s0: float, d: float, speed: float, dt: float, steps: int
 ) -> np.ndarray:
-    """Ground-truth future of a lane-following mover, shape (steps, 2)."""
+    """Start and ground-truth future of a lane-following mover, shape
+    (steps + 1, 2): the start, then one point a step."""
     step = speed * dt * road.arc_rate(d)
     s = s0
-    out = []
+    out = [road.point(s, d)]
     for _ in range(steps):
         s += step
         out.append(road.point(s, d))
@@ -488,19 +493,31 @@ def _expert_track(
     return out
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` for a finite `hi - lo`, bit for bit, from the
+    same one double of the stream: numpy draws it as `lo + (hi - lo) * d`
+    of one `rng.random()` double `d` on the floats of `lo` and `hi`, and so
+    does this, without the cost of `uniform`'s argument handling."""
+    lo = float(lo)
+    return lo + (float(hi) - lo) * rng.random()
+
+
 def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Procedurally build one scenario; bit-identical for a given seed.
 
     Raises:
-        ConfigError: if the settings make a scene that `Scenario` refuses.
+        ConfigError: on a negative seed, or if the settings make a scene
+            that `Scenario` refuses.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t_f = config.t_future
     dt = config.horizon_dt
     n_lanes = config.lane_count
     w = config.lane_width
 
-    curvature = float(rng.uniform(*config.curvature_range))
+    curvature = _uniform(rng, *config.curvature_range)
     road = _RoadFrame(curvature)
     ego_lane = int(rng.integers(0, n_lanes))
 
@@ -509,25 +526,24 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     right_bd = lane_offsets[-1] + w / 2.0
     divider_offsets = [lane_offsets[i] + w / 2.0 for i in range(n_lanes - 1)]
 
-    s_max = _fit_extent(road, [left_bd, right_bd], config)
+    s_max, boundaries = _fit_extent(road, [left_bd, right_bd], config)
 
     # one row per map element: (points, kind, confidence, drivable side)
     map_rows = []
     # boundaries first: polylines run along the travel direction, so the
     # drivable area is right of the left boundary and left of the right one
-    for d, side in ((left_bd, "right"), (right_bd, "left")):
-        conf = float(rng.uniform(*config.map_confidence_range))
-        points = road.polyline(d, -s_max, s_max, config.n_points)
+    for points, side in zip(boundaries, ("right", "left")):
+        conf = _uniform(rng, *config.map_confidence_range)
         map_rows.append((points, MapClass.ROAD_BOUNDARY, conf, side))
     for d in divider_offsets:
-        conf = float(rng.uniform(*config.map_confidence_range))
+        conf = _uniform(rng, *config.map_confidence_range)
         points = road.polyline(d, -s_max, s_max, config.n_points)
         map_rows.append((points, MapClass.LANE_DIVIDER, conf, None))
-    if rng.uniform() < config.crossing_probability:
-        s_c = float(rng.uniform(0.3 * s_max, 0.8 * s_max))
-        conf = float(rng.uniform(*config.map_confidence_range))
-        ds = np.linspace(left_bd, right_bd, config.n_points)
-        points = [road.point(s_c, float(d)) for d in ds]
+    if rng.random() < config.crossing_probability:
+        s_c = _uniform(rng, 0.3 * s_max, 0.8 * s_max)
+        conf = _uniform(rng, *config.map_confidence_range)
+        ds = np.linspace(left_bd, right_bd, config.n_points).tolist()
+        points = [road.point(s_c, d) for d in ds]
         map_rows.append((points, MapClass.PEDESTRIAN_CROSSING, conf, None))
 
     # expert: follow the ego lane, or ease into the adjacent lane on a
@@ -535,9 +551,9 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     can_left = ego_lane > 0
     can_right = ego_lane < n_lanes - 1
     command = Command.GO_STRAIGHT
-    if (can_left or can_right) and rng.uniform() < config.lane_change_probability:
+    if (can_left or can_right) and rng.random() < config.lane_change_probability:
         if can_left and can_right:
-            command = Command.TURN_LEFT if rng.uniform() < 0.5 else Command.TURN_RIGHT
+            command = Command.TURN_LEFT if rng.random() < 0.5 else Command.TURN_RIGHT
         elif can_left:
             command = Command.TURN_LEFT
         else:
@@ -546,9 +562,9 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
         {Command.TURN_LEFT: -1.0, Command.GO_STRAIGHT: 0.0, Command.TURN_RIGHT: 1.0}[command]
     ]
 
-    ego_speed = float(rng.uniform(*config.speed_range))
+    ego_speed = _uniform(rng, *config.speed_range)
     # the executed speed may deviate from what the ego status reports
-    executed_speed = ego_speed * (1.0 + float(rng.uniform(-1.0, 1.0)) * config.speed_jitter)
+    executed_speed = ego_speed * (1.0 + _uniform(rng, -1.0, 1.0) * config.speed_jitter)
     long_half = config.perception_range[0] / 2.0
     lat_half = config.perception_range[1] / 2.0
     expert = _expert_track(road, executed_speed, d_target, dt, t_f)
@@ -574,7 +590,7 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     # modes, mode scores)
     agent_rows = []
     n_agents = int(rng.integers(config.agent_count_range[0], config.agent_count_range[1] + 1))
-    want_lead = rng.uniform() < config.lead_vehicle_probability
+    want_lead = rng.random() < config.lead_vehicle_probability
     n_slots = n_agents + int(want_lead)
 
     # frames of the boxes swept over ticks 0..t_f that a new agent must
@@ -589,44 +605,45 @@ def generate_scenario(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     for k in range(n_slots):
         is_lead = want_lead and k == 0
         for _attempt in range(30):
-            size = (float(rng.uniform(4.2, 4.9)), float(rng.uniform(1.7, 2.0)))
+            size = np.array((_uniform(rng, 4.2, 4.9), _uniform(rng, 1.7, 2.0)))
             if is_lead:
                 # slower vehicle ahead in the ego lane; the initial gap covers
                 # the closure over the horizon plus a sampled safety margin
-                lane = ego_lane
-                d = float(rng.uniform(-0.2, 0.2))
-                speed = executed_speed * float(rng.uniform(0.55, 0.9))
+                d = _uniform(rng, -0.2, 0.2)
+                speed = executed_speed * _uniform(rng, 0.55, 0.9)
                 closure = (executed_speed - speed) * t_f * dt
                 s0 = (
-                    (config.ego_dims[0] + size[0]) / 2.0
+                    (config.ego_dims[0] + float(size[0])) / 2.0
                     + config.min_agent_clearance
                     + closure
-                    + float(rng.uniform(*config.lead_gap_slack))
+                    + _uniform(rng, *config.lead_gap_slack)
                 )
             else:
-                lane = int(rng.integers(0, n_lanes))
-                d = lane_offsets[lane] + float(rng.uniform(-0.3, 0.3))
-                s0 = float(rng.uniform(-0.5, 0.9)) * s_max
-                speed = float(rng.uniform(*config.agent_speed_range))
+                d = lane_offsets[int(rng.integers(0, n_lanes))] + _uniform(rng, -0.3, 0.3)
+                s0 = _uniform(rng, -0.5, 0.9) * s_max
+                speed = _uniform(rng, *config.agent_speed_range)
 
-            start = road.point(s0, d)
+            # the box's centers: its start, then its ground-truth future
+            track = _lane_follow_track(road, s0, d, speed, dt, t_f)
             heading = road.heading(s0)
-            future = _lane_follow_track(road, s0, d, speed, dt, t_f)
-            box = swept_box_frame(future, start, heading, size)
-            if oriented_rect_overlap(box, clear_of):
+            box = swept_box_frame_if_clear(track, heading, size, clear_of)
+            if box is None:
                 continue
 
+            future = track[1:]
             n_k = config.mode_count
             modes = np.empty((n_k, t_f, 2), dtype=np.float64)
             scores = np.empty(n_k, dtype=np.float64)
             modes[0] = future
             scores[0] = 1.0
+            # each later mode drifts from the future by a walk of normal steps,
+            # all summed in one call: a cumsum adds along its axis in order
             for m in range(1, n_k):
-                drift = rng.normal(0.0, config.mode_noise_std, size=(t_f, 2)).cumsum(axis=0)
-                modes[m] = future + drift
-                scores[m] = float(rng.uniform(0.05, 0.95))
-            conf = float(rng.uniform(*config.agent_confidence_range))
-            agent_rows.append((start, heading, size, conf, future, modes, scores))
+                modes[m] = rng.normal(0.0, config.mode_noise_std, size=(t_f, 2))
+                scores[m] = _uniform(rng, 0.05, 0.95)
+            np.add(future, modes[1:].cumsum(axis=1), out=modes[1:])
+            conf = _uniform(rng, *config.agent_confidence_range)
+            agent_rows.append((track[0], heading, size, conf, future, modes, scores))
             frames.put(placed, box)
             placed += 1
             clear_of = frames.head(placed)

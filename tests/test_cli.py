@@ -207,6 +207,23 @@ class TestConfig:
         assert f"{flag} must be >= 1, got {value}" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "override", "file"])
+    @pytest.mark.parametrize(
+        "command", ["generate", "plan", "train", "simulate", "evaluate", "ablate"]
+    )
+    def test_negative_seed_is_one_config_line(self, tmp_path, command, source):
+        # numpy's seeding refuses a negative seed with a traceback; the run
+        # config refuses it first, however it is given
+        cfg = tiny_config(tmp_path, **({"seed": -3} if source == "file" else {}))
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(0), scenario)
+        extra = ["--scenario", str(scenario)] if command in ("plan", "simulate") else []
+        seed = {"flag": ["--seed", "-3"], "override": ["--set", "seed=-3"], "file": []}[source]
+        rc, lines = _stderr_lines(command, "--config", str(cfg), *seed, *extra)
+        assert rc == 1
+        assert lines == ["error:config-parse: seed must be >= 0, got -3"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("generate", "--config", str(tmp_path / "nope.json"))
         assert rc == 1

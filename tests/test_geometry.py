@@ -30,6 +30,7 @@ from vecplan.geometry import (
     pose_track,
     rect_corners,
     swept_box_frame,
+    swept_box_frame_if_clear,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -995,6 +996,39 @@ class TestCircleBoundPrefilter:
     def test_swept_frame_rejects_bad_input(self, track, start, heading, dims):
         with pytest.raises(GeometryError):
             swept_box_frame(track, start, heading, dims)
+
+    @given(
+        center=st.tuples(finite, finite),
+        placed_heading=st.floats(-7.0, 7.0),
+        placed_dims=st.tuples(st.floats(0.5, 6.0), st.floats(0.05, 3.0)),
+        heading=st.floats(-7.0, 7.0),
+        dims=st.tuples(st.floats(0.5, 6.0), st.floats(0.05, 3.0)),
+        direction=st.floats(-math.pi, math.pi),
+        ulps=st.integers(-4, 4),
+        steps=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), max_size=6),
+    )
+    def test_clear_swept_frame_near_the_inner_radius_sum(
+        self, center, placed_heading, placed_dims, heading, dims, direction, ulps, steps
+    ):
+        # the candidate starts the sum of the two inner radii from a placed
+        # box's center, within a few ulps, so the inner bound decides some of
+        # these and leaves the rest: either way the answer is the SAT's, and
+        # a box it leaves has the frame `swept_box_frame` builds
+        ticks = len(steps) + 1
+        placed = box_frame(np.tile(center, (ticks, 1)), placed_heading, placed_dims)
+        half = 0.5 * min(dims)
+        gap = placed.inner[0] + half
+        start = np.array(center) + gap * np.array([math.cos(direction), math.sin(direction)])
+        # the candidate's slack grows with its distance from the origin
+        gap = placed.inner[0] + half - 1e-12 * (math.hypot(*start) + math.hypot(*dims) / 2.0)
+        for _ in range(abs(ulps)):
+            gap = np.nextafter(gap, math.copysign(math.inf, ulps))
+        start = np.array(center) + gap * np.array([math.cos(direction), math.sin(direction)])
+        track = np.concatenate(([start], start + np.cumsum(np.reshape(steps, (-1, 2)), axis=0)))
+        frame = swept_box_frame(track[1:], start.tolist(), heading, dims)
+        box = swept_box_frame_if_clear(track, heading, np.array(dims), placed)
+        assert (box is None) == bool((oriented_rect_margin(frame, placed) >= 0.0).any())
+        assert box is None or all(np.array_equal(a, b) for a, b in zip(box, frame))
 
 
 def _scalar_headings(track, start, heading):

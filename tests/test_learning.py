@@ -297,6 +297,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="val_scenarios must be >= 1"):
             tiny_train_config(val_scenarios=0)
 
+    def test_negative_seed_is_a_config_error_that_names_it(self):
+        # numpy's seeding would refuse it with a ValueError, once training starts
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            tiny_train_config(seed=-1)
+
     def test_aux_heads_train_and_log(self):
         config = tiny_train_config(enable_aux_heads=True, epochs=2)
         params, log = train(config, TINY_GEN, TINY_NET)

@@ -20,7 +20,13 @@ from _support import (
 from vecplan import geometry, scene as scene_module
 from vecplan.constraints import ConstraintParams
 from vecplan.errors import ConfigError, ScenarioFormatError
-from vecplan.geometry import Checked, Point2, PolylineSet, point_polyline_distance
+from vecplan.geometry import (
+    Checked,
+    Point2,
+    PolylineSet,
+    oriented_rect_margin,
+    point_polyline_distance,
+)
 from vecplan.scene import (
     DRIVABLE_SIDES,
     MAP_CLASSES,
@@ -284,12 +290,20 @@ class TestGenerator:
         assert h.hexdigest() == digest
 
     def test_each_box_framed_once(self, monkeypatch):
-        # one overlap call per placement attempt (21 here, 12 of them
-        # rejected), against the frames of the boxes placed so far, each
-        # built once when its box was placed: one frame per attempt plus the
-        # expert's row
-        counts = {"calls": 0, "hits": 0, "frames": 0}
-        overlap, frame = scene_module.oriented_rect_overlap, geometry._frame
+        # 21 placement attempts here, 12 of them rejected.  The inner circle
+        # bound of the swept centers rejects 6 before any frame is built; the
+        # 15 it leaves are each framed once and make one overlap call (6
+        # hits) against the frames of the boxes placed so far, each built
+        # once when its box was placed: 16 frames with the expert's row
+        counts = {"attempts": 0, "rejected": 0, "calls": 0, "hits": 0, "frames": 0}
+        place = scene_module.swept_box_frame_if_clear
+        overlap, frame = geometry.oriented_rect_overlap, geometry._frame
+
+        def counting_place(*args):
+            box = place(*args)
+            counts["attempts"] += 1
+            counts["rejected"] += box is None
+            return box
 
         def counting_overlap(*boxes):
             hit = overlap(*boxes)
@@ -301,10 +315,76 @@ class TestGenerator:
             counts["frames"] += 1
             return frame(*arrays)
 
-        monkeypatch.setattr(scene_module, "oriented_rect_overlap", counting_overlap)
+        monkeypatch.setattr(scene_module, "swept_box_frame_if_clear", counting_place)
+        monkeypatch.setattr(geometry, "oriented_rect_overlap", counting_overlap)
         monkeypatch.setattr(geometry, "_frame", counting_frame)
         generate_scenario(3, GeneratorConfig(agent_count_range=(8, 12)))
-        assert counts == {"calls": 21, "hits": 12, "frames": 22}
+        assert counts == {"attempts": 21, "rejected": 12, "calls": 15, "hits": 6, "frames": 16}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"agent_count_range": (8, 12)},
+         {"agent_count_range": (12, 20), "lead_vehicle_probability": 0.5}],
+        ids=["dense", "crowded-lead"],
+    )
+    def test_circle_first_placement_is_the_separating_axis_test(self, monkeypatch, overrides):
+        # a candidate the inner circle bound rejects overlaps a placed box by
+        # the SAT; any other gets the frame `swept_box_frame` builds and the
+        # answer of the SAT
+        place, overlap = scene_module.swept_box_frame_if_clear, geometry.oriented_rect_overlap
+        counts = {"inner": 0, "overlap": 0}
+
+        def counting_overlap(*boxes):
+            counts["overlap"] += 1
+            return overlap(*boxes)
+
+        def checked_place(track, heading, dims, placed):
+            before = counts["overlap"]
+            box = place(track, heading, dims, placed)
+            counts["inner"] += counts["overlap"] == before
+            frame = geometry.swept_box_frame(track[1:], track[0].tolist(), heading, dims)
+            assert (box is None) == bool((oriented_rect_margin(frame, placed) >= 0.0).any())
+            assert box is None or all(np.array_equal(a, b) for a, b in zip(box, frame))
+            return box
+
+        monkeypatch.setattr(geometry, "oriented_rect_overlap", counting_overlap)
+        monkeypatch.setattr(scene_module, "swept_box_frame_if_clear", checked_place)
+        config = GeneratorConfig(**overrides)
+        for seed in range(64):
+            generate_scenario(seed, config)
+        assert counts["inner"] > 0 and counts["overlap"] > 0
+
+    def test_negative_seed_is_a_config_error_that_names_it(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -5$"):
+            generate_scenario(-5)
+
+    @pytest.mark.parametrize(
+        "lo, hi, field",
+        # the generator's default config ranges and its hard-coded ones
+        [(*getattr(GeneratorConfig(), name), None) for name in (
+            "curvature_range", "speed_range", "agent_speed_range", "lead_gap_slack",
+            "agent_confidence_range", "map_confidence_range")]
+        + [(lo, hi, None) for lo, hi in (
+            (-1.0, 1.0), (4.2, 4.9), (1.7, 2.0), (-0.2, 0.2), (0.55, 0.9), (-0.3, 0.3),
+            (-0.5, 0.9), (0.05, 0.95), (0.0, 1.0))]
+        + [(0.3 * s, 0.8 * s, None) for s in (30.0, 30.0 * 0.95, 30.0 * 0.95 ** 7, 1e-300)]
+        # empty ranges and the extremes a config field accepts, floats and
+        # ints; 2**53 + 1 and 2**53 + 3 are 4 apart as floats, 2 as ints
+        + [(0.5, 0.5, "speed_range"), (0.0, 0.0, "speed_range"),
+           (-0.0, -0.0, "curvature_range"), (0.0, 1.7976931348623157e308, "speed_range"),
+           (1e308, 1.7976931348623157e308, "agent_speed_range"),
+           (5e-324, 1e-323, "lead_gap_slack"), (-1e300, 1e300, "curvature_range"),
+           (3, 9, "speed_range"), (2 ** 53 + 1, 2 ** 53 + 3, "agent_speed_range")],
+    )
+    def test_uniform_draw_is_numpys_bit_for_bit(self, lo, hi, field):
+        if field is not None:
+            # a road narrow enough for any finite curvature
+            GeneratorConfig(lane_width=1e-300, lane_count=1, **{field: (lo, hi)})
+        want, got = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(200):
+            assert scene_module._uniform(got, lo, hi).hex() == want.uniform(lo, hi).hex()
+            # one double drawn on each side, so the streams stay in step
+            assert got.random() == want.random()
 
     def test_unfit_config_rejected(self):
         with pytest.raises(ConfigError):
