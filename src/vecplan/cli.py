@@ -41,6 +41,7 @@ from .learning import TrainConfig, train
 from .metrics import (
     AblationArm,
     ablation_report,
+    check_horizons,
     plan_metrics,
 )
 from .scene import (
@@ -109,7 +110,12 @@ def _check_typed(value, annotation: str, name: str) -> None:
     elif annotation == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            raise ConfigError(f"{name} must be finite, got an int of {len(str(value))} "
+                              f"digits") from None
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
     elif annotation in _PAIR_ANNOTATIONS:
         if not (isinstance(value, tuple) and len(value) == 2):
@@ -280,7 +286,7 @@ def _parse_override(raw: str) -> tuple[list[str], object]:
         raise ConfigError(f"bad override key {key!r}")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an int of more digits than Python parses
         value = text
     return parts, value
 
@@ -300,6 +306,8 @@ def load_config(
             data = json.loads(read_text(path, ConfigError))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{config_path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        except ValueError as e:  # an int of more digits than Python parses
+            raise ConfigError(f"{config_path}: {e}") from e
     for raw in overrides:
         parts, value = _parse_override(raw)
         node = data
@@ -525,7 +533,13 @@ def _metrics_report_csv(metrics) -> str:
 def cmd_evaluate(config: RunConfig, args, outputs: OutputSet) -> None:
     planner = _build_planner(config, args.planner, args.checkpoint)
     if args.scenario:
-        scenarios = [load_scenario(p) for p in _resolve_scenario_paths(args.scenario)]
+        paths = _resolve_scenario_paths(args.scenario)
+        scenarios = [load_scenario(p) for p in paths]
+        for path, s in zip(paths, scenarios):
+            try:
+                check_horizons(s.horizon_dt, s.t_future)
+            except ConfigError as e:  # the horizons are fixed: the file's ticks miss one
+                raise ScenarioFormatError(f"{path}: {e}") from e
     else:
         count = args.count if args.count is not None else config.metrics.eval_count
         scenarios = [generate_scenario(config.seed + i, config.generator) for i in range(count)]

@@ -48,6 +48,7 @@ _BOUNDARY_ROW = MAP_ROWS.index(MapClass.ROAD_BOUNDARY)
 _DIVIDER_ROW = MAP_ROWS.index(MapClass.LANE_DIVIDER)
 
 COLLISION_MODES = ("per_axis", "single_nearest")
+_PERPENDICULAR = np.array((-1.0, 1.0))  # (y, x) x this is the left perpendicular (-y, x)
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,26 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
     if params.collision_mode == "single_nearest":
         nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
         candidate &= np.arange(len(tracks))[:, None] == nearest
-    # per-axis distances to the candidates, both axes at once; the nearest
-    # candidate per step and axis is the lowest agent index on ties
-    gap = np.where(candidate[..., None], np.abs(delta), np.inf)
-    winner = (gap.argmin(axis=0), np.arange(t_f)[:, None], (0, 1))
-    short = np.array([params.lateral_safety, params.longitudinal_safety]) - gap[winner]
+    # per-axis distances to the candidates, both axes at once, and each
+    # step and axis's nearest: inf where there is none
+    candidate = candidate[..., None]
+    gap = np.abs(delta)
+    short = np.subtract((params.lateral_safety, params.longitudinal_safety),
+                        np.minimum.reduce(gap, axis=0, where=candidate, initial=np.inf))
+    active = short > 0.0
+    if not np.count_nonzero(active):  # the common case: no hinge is active
+        return LossResult(0.0, np.zeros(w.shape))
     # each axis's hinge terms summed in step order (the bits of a sum over
     # the active steps alone while T_f < 8), then the two axes
     lateral, longitudinal = np.add.reduce(np.maximum(short, 0.0), axis=0).tolist()
-    # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis)
-    grad = np.where(short > 0.0, np.sign(delta[winner]), 0.0)
+    # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis) of
+    # the nearest candidate, the lowest agent index on ties, taken at its
+    # place agent * 2 T_f + column in the flattened (N_a, T_f, 2) arrays
+    np.copyto(gap, np.inf, where=~candidate)
+    winner = gap.argmin(axis=0)
+    winner *= 2 * t_f
+    winner += np.arange(2 * t_f).reshape(t_f, 2)
+    grad = np.where(active, np.sign(delta.take(winner)), 0.0)
     grad /= t_f
     return LossResult((lateral + longitudinal) / t_f, grad)
 
@@ -201,11 +212,13 @@ def boundary_loss(
         return LossResult(0.0, grad)
 
     # no boundary: every distance is inf, so no step is active
-    dist, foot = near.dist[_BOUNDARY_ROW], near.foot[_BOUNDARY_ROW]
+    dist = near.dist[_BOUNDARY_ROW]
     active = dist < params.boundary_clearance
+    if not np.count_nonzero(active):  # the common case: no step is near one
+        return LossResult(0.0, grad)
     total = float(np.add.reduce(params.boundary_clearance - dist[active]))
     pull = active & (dist > 0.0)
-    np.divide(-(w - foot), dist[:, None], out=grad, where=pull[:, None])
+    np.divide(-(w - near.foot[_BOUNDARY_ROW]), dist[:, None], out=grad, where=pull[:, None])
     grad /= t_f
     return LossResult(total / t_f, grad)
 
@@ -230,9 +243,9 @@ def direction_loss(
         return LossResult(0.0, np.zeros(w.shape))
 
     vectors = ego_vectors(plan)
-    vx, vy = vectors[:, 0], vectors[:, 1]
     # the gradient divides by it, so a step moves only where it is not 0
-    norm_sq = vx * vx + vy * vy
+    norm_sq = vectors * vectors
+    norm_sq = norm_sq[:, 0] + norm_sq[:, 1]
     active = (near.found[_DIVIDER_ROW] & (norm_sq > 0.0)).nonzero()[0]
     if active.size == 0:
         return LossResult(0.0, np.zeros(w.shape))
@@ -240,22 +253,24 @@ def direction_loss(
     lane_dir = near.segments.step.reshape(-1, 2).take(
         near.index[_DIVIDER_ROW].take(active), axis=0)
     v = vectors.take(active, axis=0)
-    norm_sq = norm_sq.take(active)
     total = float(np.add.reduce(angular_difference(Checked(lane_dir), Checked(v))))
 
     # d angle / d v for the unsigned angle: sign comes from the 2-D cross
     # product, magnitude from the perpendicular of v; zero subgradient at
     # exactly parallel/antiparallel configurations
-    vx, vy = v[:, 0], v[:, 1]
-    cross = lane_dir[:, 0] * vy - lane_dir[:, 1] * vx
-    # sign * (-vy, vx) / |v|^2, rounded in that order
-    turn = np.sign(cross)
-    g_v = np.zeros(w.shape)
-    g_v[active, 0] = turn * -vy / norm_sq
-    g_v[active, 1] = turn * vx / norm_sq
+    swapped = v[:, ::-1]
+    cross = lane_dir * swapped
+    turn = np.sign(cross[:, 0] - cross[:, 1])
+    # sign * (-vy, vx) / |v|^2, rounded in that order, for the active steps
+    # of a plan padded with a zero step
+    g_v = swapped * _PERPENDICULAR
+    g_v *= turn[:, None]
+    g_v /= norm_sq.take(active)[:, None]
+    padded = np.zeros((t_f + 1, 2))
+    padded[active] = g_v
     # v_t = w_t - w_{t-1}: each step's gradient enters w_t and leaves w_{t-1}
-    grad = g_v + 0.0
-    grad[:-1] -= g_v[1:]
+    grad = padded[:-1] + 0.0
+    grad -= padded[1:]
     grad /= t_f
     return LossResult(total / t_f, grad)
 

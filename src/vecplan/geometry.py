@@ -131,17 +131,18 @@ class PolylineSet:
     array searched in every scene, and finds each point's nearest segment
     among its scene's own, (B, K) results either way.  The set holds, once,
     the constants every projection onto it needs: the segment `start`s,
-    `end`s and `step`s (B, 1, S, 2), the contiguous start and step columns
-    `sx`, `sy`, `dx`, `dy`, the squared lengths `step_sq` (B, 1, S, to
-    broadcast over the query axis), the flag `all_live` (no segment is
-    degenerate) and the (N,) polyline number `poly` of each segment.  The
-    arrays are read-only and finite, and each polyline has a live segment
-    (`of_scenes` checks its rows), so the chain uses them without checking
-    them again.
+    `end`s and `step`s (B, 1, S, 2), the start and step columns `sxy` and
+    `dxy` (2, B, 1, S: x in row 0, y in row 1), the squared lengths
+    `step_sq` (B, 1, S, to broadcast over the query axis), the masks `live`
+    and `dead` with the flag `all_live` (no segment is degenerate), each
+    scene's first packed segment `offset` (B, 1) and the (N,) polyline
+    number `poly` of each segment.  The arrays are read-only and finite,
+    and each polyline has a live segment (`of_scenes` checks its rows), so
+    the chain uses them without checking them again.
     """
 
-    __slots__ = ("start", "end", "step", "sx", "sy", "dx", "dy", "step_sq", "live",
-                 "all_live", "poly", "count")
+    __slots__ = ("start", "end", "step", "sxy", "dxy", "step_sq", "live", "dead",
+                 "all_live", "offset", "poly", "count")
 
     @classmethod
     def of_scenes(cls, xy, real) -> "PolylineSet":
@@ -192,12 +193,14 @@ class PolylineSet:
         live = (start != end).any(axis=1)
         self.all_live = bool(live.all())
         self.start, self.end, self.step = (a.reshape(shape + (2,)) for a in (start, end, d))
-        self.sx, self.sy = np.ascontiguousarray(start.T).reshape((2,) + shape)
-        self.dx, self.dy = np.ascontiguousarray(d.T).reshape((2,) + shape)
+        self.sxy = np.ascontiguousarray(start.T).reshape((2,) + shape)
+        self.dxy = np.ascontiguousarray(d.T).reshape((2,) + shape)
         self.step_sq, self.live = step_sq.reshape(shape), live.reshape(shape)
+        self.dead = ~self.live
+        self.offset = np.arange(shape[0]).reshape(-1, 1) * shape[2]
         self.poly, self.count = poly, count
-        for a in (self.start, self.end, self.step, self.sx, self.sy, self.dx, self.dy,
-                  self.step_sq, self.live, self.poly):
+        for a in (self.start, self.end, self.step, self.sxy, self.dxy, self.step_sq, self.live,
+                  self.dead, self.offset, self.poly):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -249,28 +252,34 @@ def _query(p, pls: PolylineSet) -> np.ndarray:
     return q
 
 
+def _columns(q: np.ndarray) -> np.ndarray:
+    """(K, 2) or (B, K, 2) queries as their (2, 1, K, 1) or (2, B, K, 1) x
+    and y columns, which broadcast against a set's (2, B, 1, S) ones."""
+    return (q.T[:, None] if q.ndim == 2 else q.transpose(2, 0, 1))[..., None]
+
+
 def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     """Closest point to each query point on each segment of a PolylineSet.
 
     `p` is a (B, K, 2) array of query points, or a (K, 2) one for every
     scene; the result is the (B, K, S, 2) array of each scene's foot points
     on its S closed segments [a_s, b_s].  A degenerate segment (a_s == b_s)
-    gives a_s.
+    gives a_s.  The feet are held axis by axis: the result is a view of a
+    (2, B, K, S) array, which `transpose(3, 0, 1, 2)` gives back.
     """
     q = _query(p, segments)
-    # along-segment parameter, projected and clamped to [0, 1] in place
-    t = q[..., 0, None] - segments.sx
-    t *= segments.dx
-    ty = q[..., 1, None] - segments.sy
-    ty *= segments.dy
-    t += ty
-    del ty  # one (..., K, S) array fewer while the feet are made
+    # along-segment parameter, both axes' terms at once, then summed,
+    # projected and clamped to [0, 1] in place
+    terms = _columns(q) - segments.sxy
+    terms *= segments.dxy
+    t = terms[0] + terms[1]
     t /= segments.step_sq
     np.maximum(0.0, t, out=t)
     np.minimum(1.0, t, out=t)
-    foot = t[..., None] * segments.step
-    foot += segments.start
-    return foot
+    # the feet, both axes, in the terms' buffer
+    feet = np.multiply(t, segments.dxy, out=terms)
+    feet += segments.sxy
+    return feet.transpose(1, 2, 3, 0)
 
 
 def point_polyline_distance(p, pls: PolylineSet):
@@ -287,21 +296,23 @@ def point_polyline_distance(p, pls: PolylineSet):
         GeometryError: if the set is empty.
     """
     q = _query(p, pls)
-    if not pls:
+    if not pls.count:
         raise GeometryError("no polyline to measure the distance to")
-    foot = closest_point_on_segment(Checked(q), pls)
-    # both distance terms in one buffer: one (B, K, S) array fewer
-    dist = q[..., 0, None] - foot[..., 0]
-    np.hypot(dist, q[..., 1, None] - foot[..., 1], out=dist)
+    feet = closest_point_on_segment(Checked(q), pls).transpose(3, 0, 1, 2)
+    # both distance terms in one (2, B, K, S) array, the distances in its
+    # first row
+    dist = _columns(q) - feet
+    dist = np.hypot(dist[0], dist[1], out=dist[0])
     if not pls.all_live:
-        np.copyto(dist, np.inf, where=~pls.live)
+        np.copyto(dist, np.inf, where=pls.dead)
     seg = dist.argmin(axis=-1)
-    s = dist.shape[-1]
     # each winner's place in the flattened (B, K, S) arrays
+    s = dist.shape[-1]
     flat = np.arange(0, seg.size * s, s).reshape(seg.shape)
     flat += seg
-    index = seg + np.arange(0, len(seg) * s, s)[:, None]
-    return dist.reshape(-1).take(flat), index, foot.reshape(-1, 2).take(flat, axis=0)
+    seg += pls.offset
+    return (dist.reshape(-1).take(flat), seg,
+            feet.reshape(2, -1).take(flat, axis=1).transpose(1, 2, 0))
 
 
 def angular_difference(v1, v2) -> np.ndarray:
@@ -335,10 +346,10 @@ def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     segment index.
     """
     q = _query(p, pls)
-    if not pls:
+    if not pls.count:
         return None
-    dist, k, foot = point_polyline_distance(Checked(q), pls)
-    return Nearest(pls, k, dist, foot)
+    dist, index, foot = point_polyline_distance(Checked(q), pls)
+    return Nearest(pls, index, dist, foot)
 
 
 def closest_polyline_within(p, pls: PolylineSet, within: float) -> Nearest | None:
@@ -350,7 +361,7 @@ def closest_polyline_within(p, pls: PolylineSet, within: float) -> Nearest | Non
     if not (within > 0.0 and math.isfinite(within)):
         raise GeometryError(f"search range must be positive and finite, got {within}")
     hit = closest_polyline(p, pls)
-    return hit if hit is None else hit._replace(found=hit.dist <= within)
+    return hit if hit is None else Nearest(*hit[:4], hit.dist <= within)
 
 
 class Poses(NamedTuple):

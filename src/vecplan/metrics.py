@@ -95,6 +95,13 @@ def _horizon_tick(h: float, dt: float, t_f: int) -> int:
     return tick
 
 
+def check_horizons(horizon_dt: float, t_f: int) -> None:
+    """Refuse, as `_horizon_tick` does, a scene of `t_f` ticks of
+    `horizon_dt` s that misses a metric horizon."""
+    for h in DEFAULT_HORIZONS:
+        _horizon_tick(h, horizon_dt, t_f)
+
+
 def _horizon_ticks(scenarios, plans) -> np.ndarray:
     """(B, H) 1-based tick of each of the H `DEFAULT_HORIZONS` in each
     scene's plan, worked out once for each (tick length, plan horizon) pair.

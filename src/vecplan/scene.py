@@ -404,6 +404,16 @@ class GeneratorConfig:
         kmax = max(abs(self.curvature_range[0]), abs(self.curvature_range[1]))
         if kmax * half_road >= 0.8:
             raise ConfigError("curvature too strong for the road width")
+        # every arc length a mover reaches is below 16 x its top speed x the
+        # horizon: the executed speed is below twice the drawn one, a mover
+        # on a road this curved has an arc rate below 1 / (1 - 0.8) = 5 (an
+        # agent's 0.3 m lateral jitter keeps it on a road of lanes at least
+        # 0.6 m wide), and a lead starts at most one horizon of closure ahead
+        horizon = self.t_future * self.horizon_dt
+        for name in ("speed_range", "agent_speed_range"):
+            if not math.isfinite(float(getattr(self, name)[1]) * horizon * 16.0):
+                raise ConfigError(f"{name} {getattr(self, name)} overflows the arc length "
+                                  f"over the {horizon} s horizon")
 
 
 class _RoadFrame:
@@ -729,7 +739,7 @@ def _field(data, key: str, where: str, decode, optional: bool = False):
         value = _require(data, key, where)
     try:
         return decode(value)
-    except (TypeError, ValueError, GeometryError) as e:
+    except (TypeError, ValueError, OverflowError, GeometryError) as e:
         raise ScenarioFormatError(f"bad field {where}{key}: {e}") from e
 
 
@@ -876,6 +886,8 @@ def load_scenario(path) -> Scenario:
         data = json.loads(read_text(path, ScenarioFormatError))
     except json.JSONDecodeError as e:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # an int of more digits than Python parses
+        raise ScenarioFormatError(f"{path}: {e}") from e
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     try:

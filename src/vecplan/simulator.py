@@ -249,21 +249,23 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
     """
     w = plan.waypoints
     t_f = w.shape[0]
-    grad = np.zeros(w.shape)
     if t_f < 2:
-        return LossResult(0.0, grad)
-    q = np.empty((t_f + 1, 2))
-    q[0] = 0.0
+        return LossResult(0.0, np.zeros(w.shape))
+    q = np.zeros((t_f + 1, 2))
     q[1:] = w
-    second = q[2:] - 2.0 * q[1:-1] + q[:-2]
-    n = second.shape[0]
+    second = q[2:] - 2.0 * q[1:-1]
+    second += q[:-2]
+    n = t_f - 1
     value = float(np.add.reduce(second * second, axis=None) / n)
-    coeff = 2.0 * second / n
     # second difference k is w[k+1] - 2 w[k] + w[k-1], with w[-1] the fixed
-    # origin; each waypoint sums its +1/-2/+1 shares in order of k
-    grad[1:] += coeff
-    grad[:-1] -= 2.0 * coeff
-    grad[:-2] += coeff[1:]
+    # origin; each waypoint sums its +1/-2/+1 shares in order of k, from
+    # the coefficients 2 second / n padded with zeros, one before, two after
+    coeff = np.zeros((t_f + 2, 2))
+    np.multiply(2.0, second, out=coeff[1:-2])
+    coeff /= n
+    grad = coeff[:-2] + 0.0
+    grad -= 2.0 * coeff[1:-1]
+    grad += coeff[2:]
     return LossResult(value, grad)
 
 
@@ -294,28 +296,26 @@ def refine_trajectory(
     low = -high
     packed = pack(scenario, params)
 
+    # A plan's waypoints are a read-only copy, so an iterate is kept as its
+    # plan.
+    #
     # The expert term has no place here, not even at weight 0: 0 x its
     # gradient is a signed zero, and adding it could only flip the sign of a
     # zero gradient entry.  Such a sign moves an iterate only where a
     # waypoint is -0.0, and the descent never makes one: x - x is +0.0 and
     # the clamps are non-zero, so a -0.0 can only come from the seed plan,
     # and a constant-velocity seed has one only at an ego velocity of -0.0.
-    def objective(plan: PlanTrajectory) -> tuple[float, np.ndarray]:
+    plan = seed_plan
+    for step in range(steps + 1):
+        if step:
+            current = plan.waypoints - step_size * res.grad
+            np.minimum(np.maximum(current, low, out=current), high, out=current)
+            plan = PlanTrajectory(current)
         col, bd, dr = constraint_terms(plan, packed, params)
         res = weighted_sum(((weights.collision, col), (weights.boundary, bd),
                             (weights.direction, dr), (weights.imitation, smoothness_loss(plan))))
-        return res.value, res.grad
-
-    # a plan's waypoints are a read-only copy, so an iterate is kept as its plan
-    best = plan = seed_plan
-    best_value, grad = objective(plan)
-    for _ in range(steps):
-        current = plan.waypoints - step_size * grad
-        np.minimum(np.maximum(current, low, out=current), high, out=current)
-        plan = PlanTrajectory(current)
-        value, grad = objective(plan)
-        if value < best_value:
-            best_value, best = value, plan
+        if not step or res.value < best_value:
+            best_value, best = res.value, plan
     return best
 
 

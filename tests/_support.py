@@ -9,9 +9,12 @@ differences of the loss value are a valid oracle for the analytic gradient.
 
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 
+import vecplan
 from vecplan.constraints import ConstraintParams, boundary_loss, direction_loss, map_search
 from vecplan.geometry import (
     Nearest,
@@ -40,6 +43,27 @@ from vecplan.simulator import smoothness_loss
 
 MARGIN = 1e-3
 FD_STEP = 1e-5
+
+
+def package_calls(fn):
+    """fn() and the number of Python frames it enters in the vecplan
+    package (``call`` events; calls into numpy's Python wrappers and
+    C functions are not counted)."""
+    root = os.path.dirname(vecplan.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, count
 
 
 def fd_plan_gradient(loss_value_fn, waypoints: np.ndarray, step: float = FD_STEP) -> np.ndarray:

@@ -22,7 +22,7 @@ from vecplan.cli import (
 )
 from vecplan.errors import VecplanError
 from vecplan.interact import InteractionParams
-from vecplan.scene import generate_scenario, save_scenario
+from vecplan.scene import generate_scenario, load_scenario, save_scenario
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -623,6 +623,78 @@ class TestOverflow:
         ), lines
         assert not (tmp_path / "out" / "checkpoint.txt").exists()
 
+    @pytest.mark.parametrize("field", ["speed_range", "agent_speed_range", "lane_width"])
+    def test_an_int_too_large_for_a_float_is_one_config_line(self, tmp_path, field):
+        huge = "1" + "0" * 400
+        value = huge if field == "lane_width" else f"[0,{huge}]"
+        rc, lines = _stderr_lines("generate", "--count", "3", "--out", str(tmp_path / "out"),
+                                  "--set", f"generator.{field}={value}")
+        assert rc == 1
+        assert lines == [f"error:config-parse: generator.{field} must be finite, "
+                         "got an int of 401 digits"], lines
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["override", "config", "scenario"])
+    def test_an_int_of_too_many_digits_to_parse_is_one_line(self, tmp_path, source):
+        # Python refuses to parse an int of over 4300 digits, as a ValueError
+        # that is not a JSON decoding error
+        huge = "1" + "0" * 5000
+        cfg, scenario, _ = _model_files(tmp_path)
+        if source == "config":
+            cfg.write_text(cfg.read_text().replace('"seed": 7', f'"seed": {huge}', 1))
+        if source == "scenario":
+            text = scenario.read_text()
+            scenario.write_text(re.sub(r'"velocity": [^,]+', f'"velocity": {huge}', text, 1))
+        override = ["--set", f"generator.speed_range=[0,{huge}]"] if source == "override" else []
+        rc, lines = _stderr_lines("plan", "--config", str(cfg), "--scenario", str(scenario),
+                                  "--planner", "refine", "--out", str(tmp_path / "out"), *override)
+        assert rc == 1
+        assert len(lines) == 1, lines
+        category = "schema" if source == "scenario" else "config-parse"
+        assert lines[0].startswith(f"error:{category}: "), lines
+
+    @pytest.mark.parametrize("field", ["velocity", "horizon_dt"])
+    def test_a_scenario_int_too_large_for_a_float_is_one_schema_line(self, tmp_path, field):
+        cfg, scenario, _ = _model_files(tmp_path)
+        text = scenario.read_text()
+        scenario.write_text(re.sub(rf'"{field}": [^,]+', f'"{field}": {10 ** 400}', text, 1))
+        rc, lines = _stderr_lines("plan", "--config", str(cfg), "--scenario", str(scenario),
+                                  "--planner", "refine", "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:schema: "), lines
+        assert "int too large to convert to float" in lines[0]
+
+    def test_scenario_files_whose_ticks_miss_a_horizon_are_one_schema_line(self, tmp_path):
+        # the metric horizons are fixed, so evaluating a file of 1.5 s ticks
+        # is the file's fault, as a generated scene's is the config's
+        cfg, scenario, _ = _model_files(tmp_path)
+        text = scenario.read_text()
+        scenario.write_text(re.sub(r'"horizon_dt": [^,]+', '"horizon_dt": 1.5', text, 1))
+        rc, lines = _stderr_lines("evaluate", "--config", str(cfg), "--scenario", str(scenario),
+                                  "--planner", "refine", "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert lines == [f"error:schema: {scenario}: horizon 1.0 s is not a whole number of "
+                         "1.5 s ticks"], lines
+
+    @pytest.mark.parametrize("top", ["1e308", "1e300", "1e200"])
+    @pytest.mark.parametrize("field", ["speed_range", "agent_speed_range"])
+    def test_a_speed_range_is_a_valid_scene_or_one_config_line(self, tmp_path, field, top):
+        # the generator's arc length over the horizon overflowed to inf at
+        # 1e308, and `_RoadFrame.point` took the cosine of it
+        out = tmp_path / "out"
+        rc, lines = _stderr_lines("generate", "--count", "3", "--out", str(out),
+                                  "--set", f"generator.{field}=[0,{top}]")
+        if rc == 1:
+            assert lines == [f"error:config-parse: {field} (0, {float(top)!r}) overflows the "
+                             "arc length over the 3.0 s horizon"], lines
+            assert top == "1e308"
+        else:
+            assert rc == 0 and lines == []
+            scenes = sorted((out / "scenarios").iterdir())
+            assert len(scenes) == 3
+            for path in scenes:
+                load_scenario(path)
+
     @pytest.mark.parametrize("command", ["plan", "evaluate", "simulate"])
     def test_checkpoint_that_overflows_is_one_checkpoint_line(self, tmp_path, command):
         cfg, scenario, checkpoint = _model_files(tmp_path)
@@ -640,8 +712,9 @@ class TestOverflow:
 
 
 # JSON values put in place of a valid one: wrong types, non-finite and
-# negative numbers
-_BAD_JSON_VALUES = ["x", [], {}, None, True, 1.5, math.nan, math.inf, -math.inf, -1, -0.5, -1e3]
+# negative numbers, and an int too large for a float
+_BAD_JSON_VALUES = ["x", [], {}, None, True, 1.5, math.nan, math.inf, -math.inf, -1, -0.5, -1e3,
+                    10 ** 400]
 _BAD_CHECKPOINT_TOKENS = ["nan", "inf", "-inf", "-1", "1.5", "x", ""]
 
 
@@ -685,7 +758,7 @@ def pristine_files(tmp_path_factory):
 _MUTATIONS = st.one_of(
     st.tuples(st.just("flip"), st.integers(min_value=0, max_value=1 << 20), st.integers(0, 7)),
     st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=1 << 20), st.just(0)),
-    st.tuples(st.just("replace"), st.integers(min_value=0, max_value=1 << 20), st.integers(0, 11)),
+    st.tuples(st.just("replace"), st.integers(min_value=0, max_value=1 << 20), st.integers(0, 12)),
 )
 # the error categories each mutated file may be refused with: a config whose
 # network section changed no longer fits the checkpoint

@@ -351,7 +351,8 @@ class TestPolylineSet:
 
     def test_arrays_are_read_only(self):
         packed = _set([P(0, 0), P(1, 0), P(1, 1)])
-        for name in ("start", "end", "step", "step_sq", "live", "poly"):
+        for name in ("start", "end", "step", "sxy", "dxy", "step_sq", "live", "dead", "offset",
+                     "poly"):
             with pytest.raises(ValueError):
                 getattr(packed, name)[...] = 0
 
@@ -369,9 +370,9 @@ class TestPolylineSet:
         step = end - start
         seg_sq = step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]
         want = {
-            "start": start, "end": end, "step": step, "sx": start[:, 0], "sy": start[:, 1],
-            "dx": step[:, 0], "dy": step[:, 1], "step_sq": np.where(seg_sq == 0.0, 1.0, seg_sq),
-            "live": (start != end).any(axis=1), "poly": np.repeat(np.arange(3), 4),
+            "start": start, "end": end, "step": step, "sxy": start.T, "dxy": step.T,
+            "step_sq": np.where(seg_sq == 0.0, 1.0, seg_sq), "live": (start != end).any(axis=1),
+            "dead": (start == end).all(axis=1), "offset": [[0]], "poly": np.repeat(np.arange(3), 4),
         }
         for name, value in want.items():
             got = getattr(packed, name)

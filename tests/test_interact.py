@@ -1,7 +1,5 @@
 import dataclasses
 import gc
-import os
-import sys
 import weakref
 
 import numpy as np
@@ -14,6 +12,7 @@ from _support import (
     map_arrays,
     max_rel_err,
     one_mode_agents,
+    package_calls,
     scene,
     scene_of_kind,
     take_agents,
@@ -22,7 +21,6 @@ from _support import (
     with_repeated_map_points,
 )
 
-import vecplan
 from vecplan import autodiff as ad
 from vecplan.constraints import LossWeights, imitation_loss
 from vecplan.errors import CheckpointError, ConfigError, ShapeError
@@ -597,27 +595,6 @@ class TestFlatGradient:
         self._check(result, seeds, params)
 
 
-def _package_calls(fn):
-    """fn() and the number of Python frames it enters in the vecplan
-    package (``call`` events; calls into numpy's Python wrappers and
-    C functions are not counted)."""
-    root = os.path.dirname(vecplan.__file__) + os.sep
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        out = fn()
-    finally:
-        sys.setprofile(previous)
-    return out, count
-
-
 class TestCallBudget:
     # bounds on the tape's bookkeeping per pass, on the first scene of the
     # benchmark's dense evaluation (seed 0): 75 frames a forward and 26 a
@@ -633,9 +610,9 @@ class TestCallBudget:
         s = generate_scenario(scene_seed, gen_config)
         params = InteractionParams.initialize(InteractionConfig(t_future=gen_config.t_future), 0)
         forward_plan(s, params)  # warm: nothing below imports or compiles
-        result, forward_frames = _package_calls(lambda: forward_plan(s, params))
+        result, forward_frames = package_calls(lambda: forward_plan(s, params))
         seeds = [(result.plan_node, np.ones((1, 12)))]
-        _, backward_frames = _package_calls(lambda: result.tape.backward_from(seeds))
+        _, backward_frames = package_calls(lambda: result.tape.backward_from(seeds))
         assert len(result.tape._records) == 11
         assert forward_frames <= self.FORWARD_FRAMES
         assert backward_frames <= self.BACKWARD_FRAMES

@@ -400,7 +400,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert boundaries[0].sx.shape == (32, 1, 38)
+        assert boundaries[0].sxy.shape == (2, 32, 1, 38)
         assert peak <= 1.1e6
 
     def test_permuted_scenes_permute_the_flags(self):

@@ -8,9 +8,12 @@ change, on the `refine_rollout` ticks of the benchmark's seeds 0-3 (the two
 scenes `perfbench/workloads.py` derives from each seed, rolled out for their
 whole horizon with the 60-step refine planner), and the edge scenes are
 checked against the reference that packs nothing and searches each map
-class on its own (`_support.unpacked_planning_loss`).
+class on its own (`_support.unpacked_planning_loss`).  So are descents at
+horizons of 8 and 10 steps, in the single-nearest collision mode and with
+a partly active boundary, every term of every evaluation included.
 """
 
+import dataclasses
 import functools
 import hashlib
 
@@ -193,3 +196,86 @@ def test_descent_never_makes_a_negative_zero(seed, monkeypatch):
     stacked = np.stack(iterates)
     assert not (np.signbit(stacked) & (stacked == 0.0)).any()
     assert (stacked == 0.0).any()  # the seed plans' lateral zeros are +0.0
+
+
+def _evaluations(scenario, params, weights, monkeypatch):
+    """Each iterate of a refine descent of `scenario` and its collision,
+    boundary and direction terms, as the descent computed them."""
+    seen = []
+    terms = simulator.constraint_terms
+
+    def spy(plan, packed, params_):
+        out = terms(plan, packed, params_)
+        seen.append((plan, *out))
+        return out
+
+    monkeypatch.setattr(simulator, "constraint_terms", spy)
+    simulator.RefinePlanner(params=params, weights=weights).plan(scenario)
+    monkeypatch.undo()
+    return seen
+
+
+def _check_against_the_reference(scenario, params, weights, monkeypatch) -> list[dict]:
+    """Check every term of every evaluation of a refine descent, and its
+    plan, bit for bit against the reference that packs nothing
+    (`_support.unpacked_planning_loss` and `unpacked_refine`); returns the
+    reference's terms."""
+    no_imitation = dataclasses.replace(weights, imitation=0.0)
+    references = []
+    for plan, *got in _evaluations(scenario, params, weights, monkeypatch):
+        want = unpacked_planning_loss(plan, scenario, params, no_imitation)
+        for name, term in zip(("collision", "boundary", "direction"), got):
+            assert term.value == want[name][0], name
+            assert term.grad.tobytes() == want[name][1].tobytes(), name
+        references.append(want)
+    seed_plan = simulator.constant_velocity_plan(scenario)
+    got = simulator.refine_trajectory(seed_plan, scenario, params, weights, 60, 0.2)
+    want = unpacked_refine(seed_plan, scenario, params, weights, 60, 0.2)
+    assert got.waypoints.tobytes() == want.waypoints.tobytes()
+    return references
+
+
+def _active_steps(references, name) -> list[int]:
+    """The count of steps with a non-zero gradient of a term, evaluation by
+    evaluation."""
+    return [int(np.count_nonzero(ref[name][1].any(axis=1))) for ref in references]
+
+
+@pytest.mark.parametrize("seed", [5, 10])
+@pytest.mark.parametrize("t_future", [8, 10])
+def test_refine_matches_the_reference_at_long_horizons(t_future, seed, monkeypatch):
+    # from 8 steps on, numpy's pairwise sum groups a zero-padded row of the
+    # horizon differently from the active steps alone; in these descents
+    # some steps are near the boundary, or in the dividers' range, and
+    # others are not
+    scenario = generate_scenario(seed, GeneratorConfig(t_future=t_future))
+    partly = set()
+    for weights in WEIGHTS:
+        refs = _check_against_the_reference(scenario, ConstraintParams(), weights, monkeypatch)
+        partly |= {name for name in ("boundary", "direction")
+                   if any(0 < n < t_future for n in _active_steps(refs, name))}
+    assert partly == {"boundary", "direction"}
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_single_nearest_refine_matches_the_reference(seed, monkeypatch):
+    # dense traffic and a search radius that takes in several agents, so
+    # that the nearest agent and the per-axis nearest ones differ
+    scenario = generate_scenario(seed, GeneratorConfig(agent_count_range=(8, 12)))
+    params = ConstraintParams(agent_search_range=6.0, collision_mode="single_nearest")
+    refs = _check_against_the_reference(scenario, params, LossWeights(), monkeypatch)
+    assert any(_active_steps(refs, "collision"))
+    seed_plan = simulator.constant_velocity_plan(scenario)
+    per_axis = dataclasses.replace(params, collision_mode="per_axis")
+    assert (simulator.refine_trajectory(seed_plan, scenario, params, LossWeights(), 60, 0.2)
+            != simulator.refine_trajectory(seed_plan, scenario, per_axis, LossWeights(), 60, 0.2))
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_refine_with_a_partly_active_boundary_matches_the_reference(seed, monkeypatch):
+    # the boundary loss returns before its gathers when no step is within
+    # clearance; here evaluations have steps on either side of it
+    scenario = generate_scenario(seed)
+    for weights in WEIGHTS:
+        refs = _check_against_the_reference(scenario, ConstraintParams(), weights, monkeypatch)
+        assert any(0 < n < scenario.t_future for n in _active_steps(refs, "boundary"))

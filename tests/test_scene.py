@@ -378,13 +378,31 @@ class TestGenerator:
     )
     def test_uniform_draw_is_numpys_bit_for_bit(self, lo, hi, field):
         if field is not None:
-            # a road narrow enough for any finite curvature
-            GeneratorConfig(lane_width=1e-300, lane_count=1, **{field: (lo, hi)})
+            # a road narrow enough for any finite curvature, and a horizon
+            # short enough for any finite speed
+            GeneratorConfig(lane_width=1e-300, lane_count=1, horizon_dt=1e-300, **{field: (lo, hi)})
         want, got = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(200):
             assert scene_module._uniform(got, lo, hi).hex() == want.uniform(lo, hi).hex()
             # one double drawn on each side, so the streams stay in step
             assert got.random() == want.random()
+
+    @pytest.mark.parametrize("field", ["speed_range", "agent_speed_range"])
+    def test_speed_whose_arc_overflows_is_refused(self, field):
+        # 16 x the top speed x the 3 s horizon is the bound on a mover's arc
+        top = float(np.nextafter(np.finfo(float).max / 48.0, 0.0))
+        with pytest.raises(ConfigError, match=rf"^{field} \(0\.0, 1e\+308\) overflows the "
+                                              r"arc length over the 3\.0 s horizon$"):
+            GeneratorConfig(**{field: (0.0, 1e308)})
+        with pytest.raises(ConfigError, match="overflows the arc length"):
+            GeneratorConfig(**{field: (0.0, top * 1.5)})
+        # the top speed accepted makes scenes on a road about as curved as
+        # its width allows, whose outer lanes' arc rates are about 4
+        curved = GeneratorConfig(lane_count=8, perception_range=(60.0, 60.0),
+                                 curvature_range=(0.0304, 0.0304), speed_jitter=0.99,
+                                 lead_vehicle_probability=0.5, **{field: (top, top)})
+        for seed in range(16):
+            generate_scenario(seed, curved)
 
     def test_unfit_config_rejected(self):
         with pytest.raises(ConfigError):

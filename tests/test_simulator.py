@@ -10,6 +10,7 @@ from _support import (
     looped_view,
     map_arrays,
     one_mode_agents,
+    package_calls,
     scene,
     scene_of_kind,
     with_mixed_modes,
@@ -250,6 +251,20 @@ class TestSmoothness:
 
 
 class TestRefineTrajectory:
+    # a bound on the Python frames of one 60-step replan (61 evaluations) on
+    # the first scene of the benchmark's refine rollouts (seed 0): 1,479
+    # here, where a per-descent objective closure and a search chain that
+    # sized its set through `__len__` made 1,540
+    REPLAN_FRAMES = 1479
+
+    def test_a_replan_stays_within_its_frame_budget(self):
+        s = generate_scenario(int(np.random.SeedSequence((0, 2)).generate_state(2)[0]))
+        planner = RefinePlanner(steps=60)
+        want = planner.plan(s)  # warm: nothing below imports or compiles
+        got, frames = package_calls(lambda: planner.plan(s))
+        assert got == want
+        assert frames <= self.REPLAN_FRAMES
+
     def test_zero_steps_returns_seed(self):
         s = generate_scenario(10)
         seed_plan = constant_velocity_plan(s)
