@@ -18,14 +18,19 @@ copied only if not C-contiguous, and adds a later one as `have + g`, never in
 place, since one array may be the gradient of several nodes (`add` gives its
 own to both inputs); the parameters' gradients end up in one flat vector laid
 out like `InteractionParams.flat` (`Gradients.flat`).  Three fused records
-run the numpy operations of a chain of primitives in its order, so with its
+run the numpy operations of a chain of records in its order, so with its
 bits in value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
-`decoder_block` (multi-head cross-attention with output projection and
-residual, then a perceptron with a residual) and `mlp_head` (concatenation,
-three layers and a scale).  A record holds input indices and a closure over
-arrays and shapes, never a `Tensor`, and a tape refers to no tensor of its
-own, so a tape holds no reference cycle and reference counting frees it as
-soon as nothing refers to it.  No broadcasting beyond the bias rows and no
+`decoder_block` (an interaction stage: the positional `mlp` of its raw
+query and key position rows, multi-head cross-attention with output
+projection and residual, then a perceptron with a residual) and `mlp_head`
+(the `mlp` of its raw status rows, concatenation, three layers and a
+scale).  Their raw rows are kept as constants are and, but for a stage's
+query rows, checked as they are; a fused vjp runs the vjps of the records
+it replaces, in the order a sweep reaches them, on the operands the sweep
+would hand them.  A record holds input indices and a closure over arrays
+and shapes, never a `Tensor`, and a tape refers to no tensor of its own, so
+a tape holds no reference cycle and reference counting frees it as soon as
+nothing refers to it.  No broadcasting beyond the bias rows and no
 control-flow capture: record exactly what you execute.
 """
 
@@ -184,11 +189,7 @@ class Tape:
         C-contiguous 2-D float64 array that the caller has just made and
         never writes again, which the tape makes read-only.  Refused as
         `leaf` refuses a value that is not 2-D or not finite."""
-        if arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            raise ShapeError("non-finite values in tensor")
-        arr.setflags(write=False)
+        _frozen(arr)
         index = self._nodes
         self._nodes = index + 1
         self._constants.add(index)
@@ -320,6 +321,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return tape._op(out, (x.index, w1.index, b1.index, w2.index, b2.index), vjp)
 
 
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """`rows`, an array its caller has just made and never writes again,
+    made read-only once checked 2-D and finite, as every input tensor is."""
+    if rows.ndim != 2:
+        raise ShapeError(f"tensors are 2-D, got shape {rows.shape}")
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
+        raise ShapeError("non-finite values in tensor")
+    rows.setflags(write=False)
+    return rows
+
+
 def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
     # what a tape sums for a node read by column slices, slice by slice
     if total is None and hi - lo == shape[1]:
@@ -329,18 +341,31 @@ def _add_cols(total, g, shape, lo: int, hi: int) -> np.ndarray:
     return full if total is None else total + full
 
 
+def _softmax_scaled(logits: np.ndarray, scale: float) -> np.ndarray:
+    """softmax_rows(logits * scale), read-only, computed in place."""
+    logits *= scale
+    logits -= _max(logits, axis=1, keepdims=True)
+    y = np.exp(logits)
+    y /= _sum(y, axis=1, keepdims=True)
+    y.setflags(write=False)
+    return y
+
+
 def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     """Multi-head cross-attention with output projection and residual, for
     keys of at least one row: q + concat_h(softmax((q + q_pos) wq_h
     ((k + k_pos) wk_h)^T / sqrt(d_head)) (v wv)_h) wo, with the heads taking
-    equal column slices.
+    equal column slices; q_pos and k_pos are arrays, the rest tensors.
 
     Checks the operands' shapes, then returns the value, each head's read-only
-    (q rows, k rows) weights, the input indices and the vjp.  It runs the
-    numpy operations of the `add`, `matmul`, `slice_cols`, `transpose`,
-    `scalar_mul`, `softmax_rows` and `concat_cols` chain in the same order,
-    on the same memory layouts, and delivers the input gradients in the
-    order that chain does, so both give the same bits."""
+    (q rows, k rows) weights and the vjp, which gives the gradients of (q, wo,
+    v, wv, wk, k, k_pos, wq, q, q_pos): the order in which the chain's
+    records, replayed in reverse, reach them, the residual before the query
+    path and the values before the keys.  It runs the numpy operations of the
+    `add`, `matmul`, `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows`
+    and `concat_cols` chain in the same order, on the same memory layouts,
+    so both give the same bits; one head spans every column, so it needs no
+    slice, no copy of a C-contiguous slice and no concatenation."""
     d = q.shape[1]
     if (q_pos.shape != q.shape or k.shape[1] != d or k_pos.shape != k.shape
             or v.shape != k.shape or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}):
@@ -351,115 +376,154 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
     q_in, v_in, wq_in, wk_in, wv_in, wo_in = q.data, v.data, wq.data, wk.data, wv.data, wo.data
-    qq = q_in + q_pos.data
-    kk = k.data + k_pos.data
+    qq = q_in + q_pos
+    kk = k.data + k_pos
     qh = qq @ wq_in
     kh = kk @ wk_in
     vh = v_in @ wv_in
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
-    heads, weights, outs = [], [], []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qs = np.ascontiguousarray(qh[:, lo:hi])
-        k_t = np.ascontiguousarray(kh[:, lo:hi].T)
-        logits = qs @ k_t
-        logits *= scale
-        logits -= _max(logits, axis=1, keepdims=True)
-        y = np.exp(logits)
-        y /= _sum(y, axis=1, keepdims=True)
-        y.setflags(write=False)
-        vs = np.ascontiguousarray(vh[:, lo:hi])
-        heads.append((lo, hi, qs, k_t, y, vs))
-        weights.append(y)
-        outs.append(y @ vs)
-    att = outs[0] if n_heads == 1 else np.concatenate(outs, axis=1)
+    if n_heads == 1:
+        k_t = np.ascontiguousarray(kh.T)
+        y = _softmax_scaled(qh @ k_t, scale)
+        weights = [y]
+        att = y @ vh
+    else:
+        spans = [(h * d_head, (h + 1) * d_head) for h in range(n_heads)]
+        heads = [(np.ascontiguousarray(qh[:, lo:hi]), np.ascontiguousarray(kh[:, lo:hi].T),
+                  np.ascontiguousarray(vh[:, lo:hi])) for lo, hi in spans]
+        weights = [_softmax_scaled(qs @ k_t, scale) for qs, k_t, _ in heads]
+        att = np.concatenate([y @ vs for y, (_, _, vs) in zip(weights, heads)], axis=1)
+
+    def head_vjp(g_o, y, qs, k_t, vs):
+        # one head's (values, keys, queries) column gradients
+        g_y = g_o @ vs.T
+        g_logits = y * (g_y - _sum(g_y * y, axis=1, keepdims=True))
+        g_raw = g_logits * scale
+        return y.T @ g_o, (qs.T @ g_raw).T, g_raw @ k_t.T
 
     def vjp(g):
         g_att = g @ wo_in.T
-        g_qh = g_kh = g_vh = None
-        for lo, hi, qs, k_t, y, vs in reversed(heads):
-            g_o = g_att if n_heads == 1 else np.array(g_att[:, lo:hi])
-            g_y = g_o @ vs.T
-            g_vh = _add_cols(g_vh, y.T @ g_o, v_in.shape, lo, hi)
-            g_logits = y * (g_y - _sum(g_y * y, axis=1, keepdims=True))
-            g_raw = g_logits * scale
-            g_kh = _add_cols(g_kh, (qs.T @ g_raw).T, kk.shape, lo, hi)
-            g_qh = _add_cols(g_qh, g_raw @ k_t.T, qq.shape, lo, hi)
+        if n_heads == 1:
+            g_vh, g_kh, g_qh = head_vjp(g_att, y, qh, k_t, vh)
+            g_kh = np.ascontiguousarray(g_kh)
+        else:
+            g_qh = g_kh = g_vh = None
+            for (lo, hi), y_h, head in zip(reversed(spans), reversed(weights), reversed(heads)):
+                g_v, g_k, g_q = head_vjp(np.array(g_att[:, lo:hi]), y_h, *head)
+                g_vh = _add_cols(g_vh, g_v, v_in.shape, lo, hi)
+                g_kh = _add_cols(g_kh, g_k, kk.shape, lo, hi)
+                g_qh = _add_cols(g_qh, g_q, qq.shape, lo, hi)
         g_kk = g_kh @ wk_in.T
         g_qq = g_qh @ wq_in.T
         return (g, att.T @ g, g_vh @ wv_in.T, v_in.T @ g_vh, kk.T @ g_kh, g_kk, g_kk,
                 qq.T @ g_qh, g_qq, g_qq)
 
-    # the inputs in the order the chain's records, replayed in reverse, reach
-    # them: the residual before the query path, and the values before the
-    # keys, which the decoder blocks pass as the same tensor
-    inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, k_pos.index,
-              wq.index, q.index, q_pos.index)
     out = att @ wo_in
     out += q_in  # the bits of q_in + att @ wo_in: a sum commutes
-    return out, weights, inputs, vjp
+    return out, weights, vjp
 
 
-def decoder_block(q: Tensor, q_pos: Tensor, k: Tensor, k_pos: Tensor, v: Tensor, wq: Tensor,
+def decoder_block(q: Tensor, q_rows: np.ndarray, k: Tensor, k_rows: np.ndarray, v: Tensor,
+                  pe_w1: Tensor, pe_b1: Tensor, pe_w2: Tensor, pe_b2: Tensor, wq: Tensor,
                   wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                   b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
-    """A transformer-decoder block as one record: x + mlp(x, w1, b1, w2, b2)
-    with x the multi-head cross-attention of q over k (`_attention`), or
-    x = q where k has no rows (k, k_pos and v are then not read, and there
-    are no weights): the bits of the attention chain, `mlp` and `add`, in
-    value and in every input gradient.  Returns the output and each head's
-    attention weights."""
-    tape = q_pos.tape
-    if (tape.__class__ is not Tape or not (tape is k.tape is k_pos.tape is v.tape)
+    """A transformer-decoder stage as one record: x + mlp(x, w1, b1, w2, b2)
+    with x the multi-head cross-attention of q over k (`_attention`) with
+    the positional encodings q_pos = mlp(q_rows, pe) and k_pos = mlp(k_rows,
+    pe) of the raw position rows, or x = q where k has no rows (v and pe are
+    then not read, and there are no weights).  The key rows, which come from
+    the scene, are checked and kept as `Tape.constant` enters an array; the
+    query rows are the caller's own (the ego's origin in the network), kept
+    read-only but not scanned for non-finite values.  The bits of the two
+    positional `mlp` records over constants, the attention chain, `mlp` and
+    `add`, in value and in every input gradient.  Returns the output and
+    each head's attention weights."""
+    tape = k.tape
+    if (tape.__class__ is not Tape or v.tape is not tape
             or q.tape is not tape and q.tape is not tape._params
-            or not (tape._params is wq.tape is wk.tape is wv.tape is wo.tape is w1.tape
-                    is b1.tape is w2.tape is b2.tape)):
-        tape = _tape_of(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2)
+            or not (tape._params is pe_w1.tape is pe_b1.tape is pe_w2.tape is pe_b2.tape
+                    is wq.tape is wk.tape is wv.tape is wo.tape is w1.tape is b1.tape
+                    is w2.tape is b2.tape)):
+        tape = _tape_of(q, k, v, pe_w1, pe_b1, pe_w2, pe_b2, wq, wk, wv, wo, w1, b1, w2, b2)
     if w2.shape[1] != q.shape[1]:
         raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
+    pe = (pe_w1, pe_b1, pe_w2, pe_b2)
+    if q_rows.ndim != 2:
+        raise ShapeError(f"tensors are 2-D, got shape {q_rows.shape}")
+    q_rows.setflags(write=False)
+    _frozen(k_rows)
     if k.shape[0]:
-        x_in, weights, inputs, att_vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+        q_pos, q_pos_vjp = _mlp(q_rows, *pe, False)
+        k_pos, k_pos_vjp = _mlp(k_rows, *pe, False)
+        x_in, weights, att_vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+        # the attention's inputs but the encodings, the feed-forward's, then
+        # the encoder's twice: the keys' record, then the ego row's, the order
+        # in which the sweep reaches them
+        pe_in = (pe_w1.index, pe_b1.index, pe_w2.index, pe_b2.index)
+        inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, wq.index, q.index,
+                  w1.index, b1.index, w2.index, b2.index) + pe_in + pe_in
     else:
         # the residual's gradient, then the feed-forward's, as through `add`
-        x_in, weights, inputs = q.data, [], (q.index, q.index)
+        x_in, weights = q.data, []
+        inputs = (q.index, q.index, w1.index, b1.index, w2.index, b2.index)
     m, ffn_vjp = _mlp(x_in, w1, b1, w2, b2, True)
 
     def vjp(g):
         g_x, *g_ffn = ffn_vjp(g)
-        return (*att_vjp(g + g_x), *g_ffn) if weights else (g, g_x, *g_ffn)
+        if not weights:
+            return (g, g_x, *g_ffn)
+        g_q, g_wo, g_v, g_wv, g_wk, g_k, g_kk, g_wq, g_qq_q, g_qq = att_vjp(g + g_x)
+        # an encoding's gradient is a fresh product, which the sweep would
+        # hold as it is
+        return (g_q, g_wo, g_v, g_wv, g_wk, g_k, g_wq, g_qq_q, *g_ffn, *k_pos_vjp(g_kk)[1:],
+                *q_pos_vjp(g_qq)[1:])
 
     m += x_in  # the bits of x_in + m
-    return tape._op(m, inputs + (w1.index, b1.index, w2.index, b2.index), vjp), weights
+    return tape._op(m, inputs, vjp), weights
 
 
-def mlp_head(parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-             w3: Tensor, b3: Tensor, scale: float) -> Tensor:
-    """scale * mlp(relu(concat_cols(parts) @ w1 + b1), w2, b2, w3, b3) as one
-    record: the bits of the `concat_cols`, `matmul`, `add_bias_row`, `relu`,
-    `mlp` and `scalar_mul` chain, in value and in every input gradient."""
-    tape = _tape_of(*parts, w1, b1, w2, b2, w3, b3)
+def mlp_head(queries: Sequence[Tensor], status: np.ndarray, enc_w1: Tensor, enc_b1: Tensor,
+             enc_w2: Tensor, enc_b2: Tensor, command: Tensor, w1: Tensor, b1: Tensor,
+             w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor, scale: float) -> Tensor:
+    """scale * mlp(relu(concat_cols([*queries, mlp(status, enc), command]) @
+    w1 + b1), w2, b2, w3, b3) as one record, the raw `status` rows checked
+    and kept as `Tape.constant` enters them: the bits of the status `mlp`
+    record over a constant and the `concat_cols`, `matmul`, `add_bias_row`,
+    `relu`, `mlp` and `scalar_mul` chain, in value and in every input
+    gradient."""
+    tape = _tape_of(*queries, command, enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w3, b3)
+    embed, enc_vjp = _mlp(_frozen(status), enc_w1, enc_b1, enc_w2, enc_b2, False)
+    parts = [t.data for t in queries] + [embed, command.data]
     offsets = list(accumulate([p.shape[1] for p in parts], initial=0))
     if (len({p.shape[0] for p in parts}) != 1 or offsets[-1] != w1.shape[0]
             or b1.shape != (1, w1.shape[1])):
         raise ShapeError(f"mlp_head: parts {[p.shape for p in parts]} @ {w1.shape} + {b1.shape}")
     c = float(scale)
     w1_in = w1.data
-    feat = np.concatenate([p.data for p in parts], axis=1)
+    feat = np.concatenate(parts, axis=1)
     pre = feat @ w1_in
     pre += b1.data
     mask = pre > 0.0
     out, mlp_vjp = _mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
+    status_at = len(queries)
 
     def vjp(g):
         g_h1, *g_mlp = mlp_vjp(g * c)
         g_pre = g_h1 * mask
         g_feat = g_pre @ w1_in.T
-        return (*g_mlp, _sum(g_pre, axis=0, keepdims=True), feat.T @ g_pre,
-                *[g_feat[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])])
+        g_parts = [g_feat[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        g_embed = g_parts.pop(status_at)
+        # the array the sweep would hold for the status encoder's output
+        g_embed = g_embed if g_embed.flags.c_contiguous else np.ascontiguousarray(g_embed)
+        return (*g_mlp, _sum(g_pre, axis=0, keepdims=True), feat.T @ g_pre, *g_parts,
+                *enc_vjp(g_embed)[1:])
 
-    # in the order the chain's records, replayed in reverse, reach them
-    inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index, *[p.index for p in parts])
+    # in the order the chain's records, replayed in reverse, reach them: the
+    # status encoder's record last
+    inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index,
+              *[t.index for t in queries], command.index, enc_w1.index, enc_b1.index,
+              enc_w2.index, enc_b2.index)
     out *= c
     return tape._op(out, inputs, vjp)
 

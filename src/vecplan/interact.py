@@ -11,8 +11,12 @@ of the artifact and keeps the network small enough for exact gradient checks.
 All math runs on the autodiff tape so training can backpropagate through the
 full forward pass, and inference runs the same forward.  A forward opens its
 tape on the parameters' `autodiff.Leaves`, built once with them, so it makes
-no node for a parameter; the input rows it builds from the scene enter the
-tape as they are (`Tape.constant`), each checked for finiteness once.
+no node for a parameter, and makes six records: the agent and map encoders,
+one per interaction stage (`ad.decoder_block`, which encodes the stage's
+position rows itself), the command embedding and the head (`ad.mlp_head`,
+which encodes the status row itself).  The input rows it builds from the
+scene enter as they are, the agent and map rows and the command row as
+constants (`Tape.constant`), each checked for finiteness once.
 """
 
 from __future__ import annotations
@@ -264,14 +268,16 @@ def scene_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _agent_features(scenario), *_map_features(scenario)
 
 
-def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> QueryFeatures:
+def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape,
+                   rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> QueryFeatures:
     """Embed agents and map elements into query rows.
 
     Agents embed (position, heading, speed from the best mode, confidence);
     map elements embed (class one-hot, centroid, first-segment direction).
     Empty lists yield zero-row matrices that downstream blocks skip over.
+    `rows` are the scene's `scene_features`, where the caller holds them.
     """
-    agent_rows, map_rows, centroids = scene_features(scenario)
+    agent_rows, map_rows, centroids = scene_features(scenario) if rows is None else rows
     agent_q, map_q = [
         ad.mlp(tape.constant(rows), *_layer(encoder)(p))
         if len(rows)
@@ -281,8 +287,11 @@ def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape) -> Quer
     return QueryFeatures(agent_q, map_q, agent_rows[:, :2] / POSITION_SCALE, centroids)
 
 
-def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult:
-    """Run the full interaction pipeline and return the plan plus its tape."""
+def forward_plan(scenario: Scenario, params: InteractionParams,
+                 rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardResult:
+    """Run the full interaction pipeline and return the plan plus its tape.
+    `rows` are the scene's `scene_features`, where the caller holds them
+    already: training builds each training scene's once for the run."""
     config = params.config
     if scenario.t_future != config.t_future:
         raise ConfigError(
@@ -294,11 +303,11 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     tape = Tape(params.leaves)
     p = params.leaves.tensors
 
-    features = encode_queries(scenario, p, tape)
+    features = encode_queries(scenario, p, tape, rows)
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]
-    ego_row = tape.constant(np.zeros((1, 2)))  # the ego's position, the origin
+    ego_row = np.zeros((1, 2))  # the ego's position, the origin
     stages = (
         ("agent", config.use_agent_interaction, features.agent_queries,
          features.agent_positions, "pe1"),
@@ -307,31 +316,24 @@ def forward_plan(scenario: Scenario, params: InteractionParams) -> ForwardResult
     q_after = []  # the ego query after each stage
     for name, used, keys, positions, pe in stages:
         if used:
-            pe = _layer(pe)(p)
-            q_pos = ad.mlp(ego_row, *pe)
-            k_pos = (
-                ad.mlp(tape.constant(positions * POSITION_SCALE), *pe)
-                if len(positions)
-                else tape.constant(np.zeros((0, config.d_model)))
-            )
-            # the ego query attends over the keys, which are also the values
+            # the ego query attends over the keys, which are also the values,
+            # each position encoded by the stage's perceptron
             ego_q, attention[name] = ad.decoder_block(
-                ego_q, q_pos, keys, k_pos, keys, *_layer(f"{name}_block", _BLOCK)(p),
-                config.n_heads,
+                ego_q, ego_row, keys, positions * POSITION_SCALE, keys, *_layer(pe)(p),
+                *_layer(f"{name}_block", _BLOCK)(p), config.n_heads,
             )
         q_after.append(ego_q)
 
     ego = scenario.ego
     status = np.array([[ego.velocity * SPEED_SCALE, ego.acceleration * ACCEL_SCALE,
                         ego.steering_angle * STEER_SCALE]])
-    status_embed = ad.mlp(tape.constant(status), *_layer("status_enc")(p))
     one_hot = np.zeros((1, 3))
     one_hot[0, COMMAND_INDEX[ego.command]] = 1.0
     cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])
 
     # the head decodes the concatenated planning feature into 2*T_f coordinates
     plan_node = ad.mlp_head(
-        [*q_after, status_embed, cmd_embed], p["head.l1.w1"], p["head.l1.b1"],
+        q_after, status, *_layer("status_enc")(p), cmd_embed, p["head.l1.w1"], p["head.l1.b1"],
         p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"], OUTPUT_SCALE,
     )
     plan = PlanTrajectory(plan_node.data.reshape(config.t_future, 2))

@@ -28,6 +28,7 @@ from .interact import (
     InteractionParams,
     forward_plan,
     plan_gradient_seed,
+    scene_features,
 )
 from .scene import GeneratorConfig, Scenario, generate_scenario, pack
 
@@ -330,11 +331,12 @@ def _scenario_seeds(seed: int, train_count: int, val_count: int):
     return train_seeds, val_seeds, shuffle_ss
 
 
-def _forward(scenario: Scenario, params: InteractionParams, epoch: int, seed: int) -> ForwardResult:
+def _forward(scenario: Scenario, params: InteractionParams, epoch: int, seed: int,
+             rows=None) -> ForwardResult:
     """`forward_plan`; a plan refused as non-finite from a finite scene means
     the parameters overflow the network, a divergence."""
     try:
-        return forward_plan(scenario, params)
+        return forward_plan(scenario, params, rows)
     except ScenarioFormatError as e:
         message = f"non-finite plan at epoch {epoch}, scenario seed {seed}"
         raise TrainingDivergedError(message) from e
@@ -351,8 +353,9 @@ def train(
 
     Deterministic for a given config: scenario seeds, parameter init, and the
     per-epoch shuffle all derive from `config.seed`.  Each training scene is
-    packed once for the whole run.  Aborts with TrainingDivergedError if a
-    plan, a loss or a parameter goes non-finite.
+    packed, and each scene's network input rows built, once for the whole
+    run.  Aborts with TrainingDivergedError if a plan, a loss or a parameter
+    goes non-finite.
     """
     if interact_config is None:
         interact_config = InteractionConfig(t_future=gen_config.t_future)
@@ -365,7 +368,9 @@ def train(
         config.seed, config.train_scenarios, config.val_scenarios
     )
     train_set = [pack(generate_scenario(s, gen_config), cparams) for s in train_seeds]
+    train_rows = [scene_features(packed.scenario) for packed in train_set]
     val_set = [generate_scenario(s, gen_config) for s in val_seeds]
+    val_rows = [scene_features(s) for s in val_set]
 
     params = InteractionParams.initialize(interact_config, seed=config.seed)
     if config.enable_aux_heads:
@@ -385,7 +390,7 @@ def train(
                 "direction": 0.0, "map": 0.0, "motion": 0.0}
         for idx in order:
             packed = train_set[idx]
-            result = _forward(packed.scenario, params, epoch, train_seeds[idx])
+            result = _forward(packed.scenario, params, epoch, train_seeds[idx], train_rows[idx])
             plan_loss = total_planning_loss(result.plan, packed, cparams, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
@@ -413,7 +418,7 @@ def train(
                 )
 
         n = len(train_set)
-        val_l2, val_cr = _validate(params, val_set, val_seeds, epoch, gen_config)
+        val_l2, val_cr = _validate(params, val_set, val_rows, val_seeds, epoch, gen_config)
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
@@ -439,12 +444,13 @@ def train(
     return params, log
 
 
-def _validate(params: InteractionParams, val_set: list[Scenario], val_seeds: list[int],
-              epoch: int, gen_config: GeneratorConfig):
+def _validate(params: InteractionParams, val_set: list[Scenario], val_rows: list,
+              val_seeds: list[int], epoch: int, gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
     from .metrics import collision_rate, displacement_error
 
-    plans = [_forward(s, params, epoch, seed).plan for s, seed in zip(val_set, val_seeds)]
+    plans = [_forward(s, params, epoch, seed, rows).plan
+             for s, rows, seed in zip(val_set, val_rows, val_seeds)]
     # each scene's mean over the horizons, then their mean
     l2s = np.mean(displacement_error(val_set, plans), axis=1)
     cr = collision_rate(val_set, plans, ego_dims=gen_config.ego_dims).avg

@@ -176,6 +176,7 @@ def collision_ticks(
     scenarios: Sequence[Scenario],
     ego: Poses,
     ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
+    agents: Poses | None = None,
 ) -> np.ndarray:
     """(B, T) flags: does the ego box on each scene's plan hit any of its
     agents' ground-truth boxes at the same tick?
@@ -185,22 +186,28 @@ def collision_ticks(
     The circle bounds (`circle_bounds`) decide every (agent, tick) pair
     whose centers are too far apart to overlap, before any agent heading is
     computed; the agents with a pair left are tracked (`agent_pose_track`)
-    and one separating-axis call decides all of their pairs.  An agent whose
-    future ends before tick T holds its last pose, which pads a block of
-    scenes with futures of different lengths (the rates read each scene's
-    flags only to its own horizon ticks); a scene with no agents has no hit.
+    and one separating-axis call decides all of their pairs.  `agents` is
+    that track of every agent to tick T, where the caller holds it already.
+    An agent whose future ends before tick T holds its last pose, which
+    pads a block of scenes with futures of different lengths (the rates
+    read each scene's flags only to its own horizon ticks); a scene with no
+    agents has no hit.
     """
     if len(ego.xy) != len(scenarios):
         raise ConfigError(f"{len(scenarios)} scenarios vs {len(ego.xy)} plans")
     ticks = ego.heading.shape[1]
     owner = np.repeat(np.arange(len(scenarios)), [len(s.agent_xy) for s in scenarios])
     sizes = np.concatenate([np.empty((0, 2))] + [s.agent_size for s in scenarios])
-    ego_xy, agent_xy = ego.xy[owner], _agent_futures(scenarios, ticks)
+    ego_xy = ego.xy[owner]
+    agent_xy = _agent_futures(scenarios, ticks) if agents is None else agents.xy
     gap = agent_xy - ego_xy
     near = (np.hypot(gap[..., 0], gap[..., 1])
             <= circle_bounds(ego_xy, ego_dims)[1] + circle_bounds(agent_xy, sizes[:, None])[1])
     rows = np.flatnonzero(np.count_nonzero(near, axis=1))
-    agents = agent_pose_track(scenarios, ticks, rows, agent_xy)
+    if agents is None:
+        agents = agent_pose_track(scenarios, ticks, rows, agent_xy)
+    else:
+        agents = Poses(agent_xy[rows], agents.heading[rows])
     margin = oriented_rect_margin(
         box_frame(ego_xy[rows], ego.heading[owner[rows]], ego_dims),
         box_frame(agents.xy, agents.heading, sizes[rows, None]),

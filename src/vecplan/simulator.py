@@ -365,7 +365,8 @@ def run_closed_loop(
 ) -> RolloutLog:
     """Replan-execute loop over `ticks` steps of the scripted scene.  The
     executed ego track, a one-scene pose track in the world frame, is then
-    scored by one `collision_ticks` and one `boundary_overstep` call."""
+    scored by one `collision_ticks` call, against the agents' poses the
+    rollout tracked once, and one `boundary_overstep` call."""
     if ticks > scenario.t_future:
         raise SimulationError(
             f"requested {ticks} ticks but the scenario scripts only {scenario.t_future}"
@@ -380,7 +381,9 @@ def run_closed_loop(
         ticked.append((state, plan, losses))
     executed = Poses(np.array([s.ego_position for s, _, _ in ticked]).reshape(1, ticks, 2),
                      np.array([s.ego_heading for s, _, _ in ticked]).reshape(1, ticks))
-    collisions = collision_ticks([scenario], executed, ego_dims)[0].tolist()
+    # the agents at ticks 1..ticks, laid out as `agent_pose_track` lays them
+    agents = Poses(*(np.ascontiguousarray(a[:, 1 : ticks + 1]) for a in state.agent_poses))
+    collisions = collision_ticks([scenario], executed, ego_dims, agents)[0].tolist()
     oversteps = boundary_overstep([scenario], executed, ego_dims)[0].tolist()
     return RolloutLog([
         TickRecord(

@@ -8,6 +8,7 @@ differences of the loss value are a valid oracle for the analytic gradient.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -15,7 +16,9 @@ import sys
 import numpy as np
 
 import vecplan
+from vecplan import autodiff as ad
 from vecplan.constraints import ConstraintParams, boundary_loss, direction_loss, map_search
+from vecplan.errors import ShapeError
 from vecplan.geometry import (
     Nearest,
     Point2,
@@ -646,6 +649,164 @@ def looped_scene_features(scenario):
         map_rows[i, kinds.index(MAP_CLASSES[scenario.map_kind[i]])] = 1.0
         map_rows[i, 3:5] = centroids[i] * POSITION_SCALE
     return agent_rows, map_rows, centroids
+
+
+def _unfolded_attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
+    """The attention of `unfolded_decoder_block`, its encodings tensors of
+    their own: the value, each head's weights, the input indices in the
+    order the chain's records, replayed in reverse, reach them, and the
+    vjp."""
+    d = q.shape[1]
+    if (q_pos.shape != q.shape or k.shape[1] != d or k_pos.shape != k.shape
+            or v.shape != k.shape or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}):
+        raise ShapeError(f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
+    q_in, v_in, wq_in, wk_in, wv_in, wo_in = q.data, v.data, wq.data, wk.data, wv.data, wo.data
+    qq = q_in + q_pos.data
+    kk = k.data + k_pos.data
+    qh = qq @ wq_in
+    kh = kk @ wk_in
+    vh = v_in @ wv_in
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    heads, weights, outs = [], [], []
+    for h in range(n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        qs = np.ascontiguousarray(qh[:, lo:hi])
+        k_t = np.ascontiguousarray(kh[:, lo:hi].T)
+        logits = qs @ k_t
+        logits *= scale
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+        y = np.exp(logits)
+        y /= np.add.reduce(y, axis=1, keepdims=True)
+        y.setflags(write=False)
+        vs = np.ascontiguousarray(vh[:, lo:hi])
+        heads.append((lo, hi, qs, k_t, y, vs))
+        weights.append(y)
+        outs.append(y @ vs)
+    att = outs[0] if n_heads == 1 else np.concatenate(outs, axis=1)
+
+    def vjp(g):
+        g_att = g @ wo_in.T
+        g_qh = g_kh = g_vh = None
+        for lo, hi, qs, k_t, y, vs in reversed(heads):
+            g_o = g_att if n_heads == 1 else np.array(g_att[:, lo:hi])
+            g_y = g_o @ vs.T
+            g_vh = ad._add_cols(g_vh, y.T @ g_o, v_in.shape, lo, hi)
+            g_logits = y * (g_y - np.add.reduce(g_y * y, axis=1, keepdims=True))
+            g_raw = g_logits * scale
+            g_kh = ad._add_cols(g_kh, (qs.T @ g_raw).T, kk.shape, lo, hi)
+            g_qh = ad._add_cols(g_qh, g_raw @ k_t.T, qq.shape, lo, hi)
+        g_kk = g_kh @ wk_in.T
+        g_qq = g_qh @ wq_in.T
+        return (g, att.T @ g, g_vh @ wv_in.T, v_in.T @ g_vh, kk.T @ g_kh, g_kk, g_kk,
+                qq.T @ g_qh, g_qq, g_qq)
+
+    inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, k_pos.index,
+              wq.index, q.index, q_pos.index)
+    out = att @ wo_in
+    out += q_in
+    return out, weights, inputs, vjp
+
+
+def unfolded_decoder_block(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
+    """The decoder block as one record over encodings that are tensors of
+    their own (the positional `mlp` records' outputs): the reference that
+    `autodiff.decoder_block`, which encodes the position rows itself, must
+    match bit for bit after those two records.  Returns the output and each
+    head's weights; zero key rows take the feed-forward alone."""
+    tape = ad._tape_of(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2)
+    if w2.shape[1] != q.shape[1]:
+        raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
+    if k.shape[0]:
+        x_in, weights, inputs, att_vjp = _unfolded_attention(
+            q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
+    else:
+        x_in, weights, inputs = q.data, [], (q.index, q.index)
+    m, ffn_vjp = ad._mlp(x_in, w1, b1, w2, b2, True)
+
+    def vjp(g):
+        g_x, *g_ffn = ffn_vjp(g)
+        return (*att_vjp(g + g_x), *g_ffn) if weights else (g, g_x, *g_ffn)
+
+    m += x_in
+    return tape._op(m, inputs + (w1.index, b1.index, w2.index, b2.index), vjp), weights
+
+
+def unfolded_mlp_head(parts, w1, b1, w2, b2, w3, b3, scale):
+    """The plan head as one record over its concatenated parts, the status
+    embedding a tensor of its own (the status `mlp` record's output): the
+    reference that `autodiff.mlp_head`, which encodes the status rows
+    itself, must match bit for bit after that record."""
+    tape = ad._tape_of(*parts, w1, b1, w2, b2, w3, b3)
+    offsets = list(itertools.accumulate([p.shape[1] for p in parts], initial=0))
+    if (len({p.shape[0] for p in parts}) != 1 or offsets[-1] != w1.shape[0]
+            or b1.shape != (1, w1.shape[1])):
+        raise ShapeError(f"mlp_head: parts {[p.shape for p in parts]} @ {w1.shape}")
+    c = float(scale)
+    w1_in = w1.data
+    feat = np.concatenate([p.data for p in parts], axis=1)
+    pre = feat @ w1_in
+    pre += b1.data
+    mask = pre > 0.0
+    out, mlp_vjp = ad._mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
+
+    def vjp(g):
+        g_h1, *g_mlp = mlp_vjp(g * c)
+        g_pre = g_h1 * mask
+        g_feat = g_pre @ w1_in.T
+        return (*g_mlp, np.add.reduce(g_pre, axis=0, keepdims=True), feat.T @ g_pre,
+                *[g_feat[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])])
+
+    inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index, *[p.index for p in parts])
+    out *= c
+    return tape._op(out, inputs, vjp)
+
+
+def unfolded_forward_plan(scenario, params):
+    """`interact.forward_plan` with its positional and status encoders as
+    `mlp` records of their own, over constants, and the unfolded block and
+    head: the reference of its plan and of every gradient."""
+    from vecplan import interact
+    from vecplan.interact import POSITION_SCALE, ForwardResult, encode_queries
+
+    config = params.config
+    tape = ad.Tape(params.leaves)
+    p = params.leaves.tensors
+    layer = interact._layer
+    features = encode_queries(scenario, p, tape)
+    attention = {}
+    ego_q = p["ego_query"]
+    ego_row = tape.constant(np.zeros((1, 2)))
+    stages = (
+        ("agent", config.use_agent_interaction, features.agent_queries,
+         features.agent_positions, "pe1"),
+        ("map", config.use_map_interaction, features.map_queries, features.map_positions, "pe2"),
+    )
+    q_after = []
+    for name, used, keys, positions, pe in stages:
+        if used:
+            pe = layer(pe)(p)
+            q_pos = ad.mlp(ego_row, *pe)
+            k_pos = (ad.mlp(tape.constant(positions * POSITION_SCALE), *pe) if len(positions)
+                     else tape.constant(np.zeros((0, config.d_model))))
+            ego_q, attention[name] = unfolded_decoder_block(
+                ego_q, q_pos, keys, k_pos, keys, *layer(f"{name}_block", interact._BLOCK)(p),
+                config.n_heads)
+        q_after.append(ego_q)
+    ego = scenario.ego
+    status = np.array([[ego.velocity * interact.SPEED_SCALE, ego.acceleration * interact.ACCEL_SCALE,
+                        ego.steering_angle * interact.STEER_SCALE]])
+    status_embed = ad.mlp(tape.constant(status), *layer("status_enc")(p))
+    one_hot = np.zeros((1, 3))
+    one_hot[0, interact.COMMAND_INDEX[ego.command]] = 1.0
+    cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])
+    plan_node = unfolded_mlp_head(
+        [*q_after, status_embed, cmd_embed], p["head.l1.w1"], p["head.l1.b1"],
+        p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"], interact.OUTPUT_SCALE)
+    plan = PlanTrajectory(plan_node.data.reshape(config.t_future, 2))
+    return ForwardResult(plan, tape, plan_node, p, features, attention)
 
 
 # confidences spread over [0, 1) so that thresholds keep part of a scene

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from _support import fd_param_gradient, max_rel_err
+from _support import fd_param_gradient, max_rel_err, unfolded_decoder_block, unfolded_mlp_head
 
 from vecplan import autodiff as ad
 from vecplan.errors import CheckpointError, ShapeError
@@ -241,8 +241,8 @@ class TestFusedMlp:
 
 
 def _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads):
-    """The public-op chain of the attention in `ad.decoder_block`, op for op:
-    multi-head cross-attention with output projection and residual."""
+    """The public-op chain of the attention in `unfolded_decoder_block`, op
+    for op: multi-head cross-attention with output projection and residual."""
     qh = ad.matmul(ad.add(q, q_pos), wq)
     kh = ad.matmul(ad.add(k, k_pos), wk)
     vh = ad.matmul(v, wv)
@@ -268,7 +268,7 @@ def _attention_records(n_heads: int) -> int:
 
 
 def _block_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
-    """The public-op chain that `ad.decoder_block` stands in for."""
+    """The public-op chain that `unfolded_decoder_block` stands in for."""
     if k.shape[0]:
         x, weights = _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
     else:
@@ -290,13 +290,13 @@ def _block_arrays(rng, rows, n_keys, d, spread=1.0):
 
 
 def _fused_and_parts(arrays, n_heads, probes, shared):
-    """For `ad.decoder_block` and `_block_by_parts` on leaves of `arrays`
-    (the values the keys' leaf where `shared`): the records made, the output,
-    the weights and every leaf's gradient.  q and k start with a gradient,
-    as if read again downstream, so the order in which their paths add up
-    shows in the bits."""
+    """For `unfolded_decoder_block` and `_block_by_parts` on leaves of
+    `arrays` (the values the keys' leaf where `shared`): the records made,
+    the output, the weights and every leaf's gradient.  q and k start with a
+    gradient, as if read again downstream, so the order in which their paths
+    add up shows in the bits."""
     results = []
-    for build in (ad.decoder_block, _block_by_parts):
+    for build in (unfolded_decoder_block, _block_by_parts):
         tape = ad.Tape()
         leaves = [tape.leaf(a) for a in arrays]
         if shared:
@@ -308,8 +308,33 @@ def _fused_and_parts(arrays, n_heads, probes, shared):
     return results
 
 
+def _stage_arrays(rng, rows, n_keys, d, spread=1.0):
+    """q, its (rows, 2) position rows, k, its position rows, v, a positional
+    encoder (2 -> 3 -> d), the four (d, d) attention weights and the
+    feed-forward's w1, b1, w2 and b2."""
+    shapes = [(rows, d), (rows, 2), (n_keys, d), (n_keys, 2), (n_keys, d),
+              (2, 3), (1, 3), (3, d), (1, d)] + [(d, d)] * 4 + [(d, d), (1, d), (d, d), (1, d)]
+    return [rng.uniform(-spread, spread, size=shape) for shape in shapes]
+
+
+def _stage(tape, tensors, q_rows, k_rows, n_heads, folded):
+    """One stage over `tensors` (q, k, v, the encoder's four, the block's
+    eight): `ad.decoder_block`, or, where not `folded`, the two positional
+    `mlp` records over constants, the ego rows' first, then the oracle."""
+    q, k, v, *weights = tensors
+    pe, block = weights[:4], weights[4:]
+    if folded:
+        return ad.decoder_block(q, q_rows.copy(), k, k_rows.copy(), v, *pe, *block, n_heads)
+    q_pos = ad.mlp(tape.constant(q_rows.copy()), *pe)
+    k_pos = (ad.mlp(tape.constant(k_rows.copy()), *pe) if len(k_rows)
+             else tape.constant(np.zeros(k.shape)))
+    return unfolded_decoder_block(q, q_pos, k, k_pos, v, *block, n_heads)
+
+
 class TestFusedAttention:
-    """The attention of `ad.decoder_block`, keys of at least one row."""
+    """The attention of `unfolded_decoder_block` against its public-op
+    chain, keys of at least one row, and of `ad.decoder_block` against
+    finite differences."""
 
     def test_bit_equal_to_the_public_op_chain(self):
         rng = np.random.default_rng(31)
@@ -335,17 +360,19 @@ class TestFusedAttention:
     def test_matches_finite_differences(self, n_heads, n_keys):
         rng = np.random.default_rng(17 + 10 * n_heads + n_keys)
         for trial in range(3):
-            arrays = _block_arrays(rng, 2, n_keys, 4)
+            q, q_rows, k, k_rows, *rest = _stage_arrays(rng, 2, n_keys, 4)
+            arrays = [q, k, *rest]
             probe = rng.uniform(-1, 1, size=(2, 4))
 
             def value():
                 tape = ad.Tape()
-                out, _ = ad.decoder_block(*(tape.leaf(a) for a in arrays), n_heads)
+                out, _ = _stage(tape, [tape.leaf(a) for a in arrays], q_rows, k_rows, n_heads,
+                                folded=True)
                 return float((out.data * probe).sum())
 
             tape = ad.Tape()
             leaves = [tape.leaf(a) for a in arrays]
-            out, _ = ad.decoder_block(*leaves, n_heads)
+            out, _ = _stage(tape, leaves, q_rows, k_rows, n_heads, folded=True)
             grads = tape.backward_from([(out, probe)])
             for i, arr in enumerate(arrays):
                 err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
@@ -354,15 +381,31 @@ class TestFusedAttention:
     def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        leaves = [tape.leaf(a) for a in _block_arrays(rng, 1, 3, 4)]
-        ffn = leaves[9:]
+        q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
+        q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
+        pe, attention, ffn = weights[:4], weights[4:8], weights[8:]
         with pytest.raises(ShapeError, match="heads"):
-            ad.decoder_block(*leaves, 3)
+            ad.decoder_block(q, q_rows, k, k_rows, v, *weights, 3)
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(leaves[0], leaves[0], leaves[2], leaves[2], leaves[0], *leaves[5:], 1)
+            ad.decoder_block(q, q_rows, k, k_rows[:2], v, *weights, 1)
+        with pytest.raises(ShapeError, match="attention"):
+            ad.decoder_block(q, q_rows, k, k_rows, q, *weights, 1)
         narrow = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(*leaves[:2], narrow, narrow, narrow, *leaves[5:9], *ffn, 1)
+            ad.decoder_block(q, q_rows, narrow, k_rows, narrow, *weights, 1)
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.decoder_block(q, q_rows, k, np.zeros((3, 3)), v, *weights, 1)
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.decoder_block(q, q_rows, k, k_rows, v, *pe[:3], pe[1], *attention, *ffn, 1)
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.decoder_block(q, np.zeros(2), k, k_rows, v, *weights, 1)
+        with pytest.raises(ShapeError, match="2-D"):
+            ad.decoder_block(q, q_rows, k, k_rows[None], v, *weights, 1)
+        for bad in (np.nan, np.inf):
+            rows = k_rows.copy()
+            rows[1, 0] = bad
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                ad.decoder_block(q, q_rows, k, rows, v, *weights, 1)
 
 
 class TestFusedBlock:
@@ -391,17 +434,66 @@ class TestFusedBlock:
     def test_rejects_a_feed_forward_of_another_width(self):
         rng = np.random.default_rng(5)
         tape = ad.Tape()
-        leaves = [tape.leaf(a) for a in _attention_arrays(rng, 1, 3, 4)]
+        q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
+        q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((4, 4), (1, 4), (4, 3), (1, 3))]
         with pytest.raises(ShapeError, match="decoder_block"):
-            ad.decoder_block(*leaves, *ffn, 1)
+            ad.decoder_block(q, q_rows, k, k_rows, v, *weights[:8], *ffn, 1)
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 4), (1, 4))]
         with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(*leaves, *ffn, 1)
+            ad.decoder_block(q, q_rows, k, k_rows, v, *weights[:8], *ffn, 1)
+
+
+class TestFoldedStage:
+    """`ad.decoder_block` against its two positional `mlp` records and the
+    unfolded block, bit for bit, in value and in every input gradient."""
+
+    def test_bit_equal_to_the_positional_records_and_the_unfolded_block(self):
+        rng = np.random.default_rng(47)
+        for trial in range(80):
+            n_heads = (1, 2)[trial % 2] if trial < 40 else int(rng.choice([1, 2, 4]))
+            d = n_heads * int(rng.integers(1, 5))
+            # zero keys, the skip branch, in every fifth trial
+            rows, n_keys = int(rng.integers(1, 4)), 0 if trial % 5 == 0 else int(rng.integers(1, 9))
+            q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, rows, n_keys, d, spread=2.0)
+            if trial % 3 == 0:
+                weights[1][0, 0] = -1e3  # an encoder unit dead for every row
+            probes = [rng.standard_normal(shape) for shape in ((rows, d), (rows, d), (n_keys, d))]
+            results = []
+            for folded in (True, False):
+                tape = ad.Tape()
+                leaves = [tape.leaf(a) for a in (q, k, v, *weights)]
+                if trial % 2 == 0:
+                    leaves[2] = leaves[1]  # the values are the keys, as in the network
+                out, attention = _stage(tape, leaves, q_rows, k_rows, n_heads, folded)
+                # q and k start with a gradient, as if read again downstream
+                grads = tape.backward_from(zip((out, leaves[0], leaves[1]), probes))
+                results.append((len(tape._records), out.data, attention,
+                                [grads[t] for t in leaves]))
+            (n_folded, out, attention, grads), (n_unfolded, want, want_attention, want_grads) = (
+                results)
+            assert (n_folded, n_unfolded) == (1, 3 if n_keys else 2), f"trial {trial}"
+            assert out.tobytes() == want.tobytes(), f"trial {trial}"
+            assert [w.tobytes() for w in attention] == [w.tobytes() for w in want_attention]
+            assert len(attention) == (n_heads if n_keys else 0)
+            for i, (a, b) in enumerate(zip(grads, want_grads)):
+                assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
+
+    def test_position_rows_are_kept_read_only_and_only_the_keys_scanned(self):
+        rng = np.random.default_rng(2)
+        q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
+        tape = ad.Tape()
+        ad.decoder_block(tape.leaf(q), q_rows, tape.leaf(k), k_rows, tape.leaf(v),
+                         *[tape.leaf(w) for w in weights], 1)
+        assert not q_rows.flags.writeable and not k_rows.flags.writeable
+        # the query rows are the caller's own: not scanned, as the key rows are
+        out, _ = ad.decoder_block(tape.leaf(q), np.full((1, 2), np.nan), tape.leaf(k),
+                                  k_rows, tape.leaf(v), *[tape.leaf(w) for w in weights], 1)
+        assert out.shape == (1, 4)
 
 
 def _head_by_parts(parts, w1, b1, w2, b2, w3, b3, scale):
-    """The public-op chain that `ad.mlp_head` stands in for, op for op."""
+    """The public-op chain that `unfolded_mlp_head` stands in for, op for op."""
     h1 = ad.relu(ad.add_bias_row(ad.matmul(ad.concat_cols(parts), w1), b1))
     return ad.scalar_mul(ad.mlp(h1, w2, b2, w3, b3), scale)
 
@@ -420,7 +512,7 @@ class TestFusedHead:
                 layers[1][0, 0] = -1e3  # a first-layer unit dead for every row
             probes = [rng.standard_normal((rows, d_out)), rng.standard_normal((rows, widths[0]))]
             results = []
-            for build in (ad.mlp_head, _head_by_parts):
+            for build in (unfolded_mlp_head, _head_by_parts):
                 tape = ad.Tape()
                 part_leaves = [tape.leaf(a) for a in parts]
                 if trial % 2 == 0 and len(parts) > 1 and widths[-1] == widths[0]:
@@ -439,17 +531,74 @@ class TestFusedHead:
 
     def test_rejects_bad_shapes(self):
         tape = ad.Tape()
-        parts = [tape.leaf(np.zeros((1, 2))), tape.leaf(np.zeros((1, 3)))]
+        query, command = tape.leaf(np.zeros((1, 2))), tape.leaf(np.zeros((1, 1)))
+        status = np.zeros((1, 3))
+        enc = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 2), (1, 2))]
         layers = [tape.leaf(np.zeros(shape)) for shape in
                   ((5, 4), (1, 4), (4, 4), (1, 4), (4, 2), (1, 2))]
         with pytest.raises(ShapeError, match="mlp_head"):
-            ad.mlp_head(parts[:1], *layers, 10.0)
+            ad.mlp_head([], status, *enc, command, *layers, 10.0)
         with pytest.raises(ShapeError, match="mlp_head"):
-            ad.mlp_head([parts[0], tape.leaf(np.zeros((2, 3)))], *layers, 10.0)
+            ad.mlp_head([tape.leaf(np.zeros((2, 2)))], status, *enc, command, *layers, 10.0)
+        with pytest.raises(ShapeError, match="mlp_head"):
+            ad.mlp_head([query], np.zeros((2, 3)), *enc, command, *layers, 10.0)
         with pytest.raises(ShapeError, match="mlp"):
-            ad.mlp_head(parts, *layers[:4], tape.leaf(np.zeros((3, 2))), layers[5], 10.0)
+            ad.mlp_head([query], np.zeros((1, 2)), *enc, command, *layers, 10.0)
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.mlp_head([query], status, *enc, command, *layers[:4],
+                        tape.leaf(np.zeros((3, 2))), layers[5], 10.0)
         with pytest.raises(ShapeError, match="tape"):
-            ad.mlp_head([ad.Tape().leaf(np.zeros((1, 5)))], *layers, 10.0)
+            ad.mlp_head([ad.Tape().leaf(np.zeros((1, 2)))], status, *enc, command, *layers, 10.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                ad.mlp_head([query], np.array([[0.0, bad, 0.0]]), *enc, command, *layers, 10.0)
+
+
+class TestFoldedHead:
+    def test_bit_equal_to_the_status_record_and_the_unfolded_head(self):
+        rng = np.random.default_rng(53)
+        for trial in range(60):
+            # one row, as in the network, where the status part of the
+            # feature's gradient is a C-contiguous view, and more, where the
+            # sweep copies it
+            rows = 1 if trial % 2 else int(rng.integers(2, 4))
+            widths = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(0, 4)))]
+            d_enc, d_cmd, d1, d2, d_out = (int(v) for v in rng.integers(1, 9, size=5))
+            queries = [rng.standard_normal((rows, w)) for w in widths]
+            status = rng.standard_normal((rows, 3))
+            enc = [rng.standard_normal(shape)
+                   for shape in ((3, 5), (1, 5), (5, d_enc), (1, d_enc))]
+            command = rng.standard_normal((rows, d_cmd))
+            layers = [rng.standard_normal(shape) for shape in (
+                (sum(widths) + d_enc + d_cmd, d1), (1, d1), (d1, d2), (1, d2), (d2, d_out),
+                (1, d_out))]
+            if trial % 3 == 0:
+                enc[1][0, 0] = -1e3  # an encoder unit dead for every row
+            probes = [rng.standard_normal((rows, d_out)), rng.standard_normal((rows, d_cmd))]
+            results = []
+            for folded in (True, False):
+                tape = ad.Tape()
+                query_leaves = [tape.leaf(a) for a in queries]
+                if len(widths) > 1 and widths[1] == widths[0]:
+                    query_leaves[1] = query_leaves[0]  # one tensor read twice
+                enc_leaves = [tape.leaf(a) for a in enc]
+                cmd = tape.leaf(command)
+                layer_leaves = [tape.leaf(a) for a in layers]
+                if folded:
+                    out = ad.mlp_head(query_leaves, status.copy(), *enc_leaves, cmd,
+                                      *layer_leaves, 10.0)
+                else:
+                    embed = ad.mlp(tape.constant(status.copy()), *enc_leaves)
+                    out = unfolded_mlp_head([*query_leaves, embed, cmd], *layer_leaves, 10.0)
+                # the command starts with a gradient of its own
+                grads = tape.backward_from(zip((out, cmd), probes))
+                leaves = query_leaves + enc_leaves + [cmd] + layer_leaves
+                results.append((len(tape._records), out.data, [grads[t] for t in leaves]))
+            (n_folded, out, grads), (n_unfolded, want, want_grads) = results
+            assert (n_folded, n_unfolded) == (1, 2)
+            assert out.tobytes() == want.tobytes(), f"trial {trial}"
+            for i, (a, b) in enumerate(zip(grads, want_grads)):
+                assert a.tobytes() == b.tobytes(), f"trial {trial} input {i}"
 
 
 class TestConstants:
@@ -693,8 +842,9 @@ class TestTapeLifecycle:
                 outs.append(build(tape, [tape.leaf(a) for a in arrays]))
             mlp_shapes = ((2, 3), (3, 4), (1, 4), (4, 2), (1, 2))
             outs.append(ad.mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
-            block_leaves = [tape.leaf(a) for a in _block_arrays(rng, 1, 3, 4)]
-            outs.append(ad.decoder_block(*block_leaves, 2)[0])
+            q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
+            stage = [tape.leaf(a) for a in (q, k, v, *weights)]
+            outs.append(_stage(tape, stage, q_rows, k_rows, 2, folded=True)[0])
             outs.append(leaves.tensors["w"])
             grads = tape.backward_from([(out, np.ones(out.shape)) for out in outs])
             assert grads[outs[0]].shape == outs[0].shape

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from _support import (
+    EGO_AT_REST,
     SCENE_KINDS,
     dict_backward_flat,
     fd_param_gradient,
@@ -17,6 +18,7 @@ from _support import (
     scene_of_kind,
     take_agents,
     take_map,
+    unfolded_forward_plan,
     with_mixed_modes,
     with_repeated_map_points,
 )
@@ -110,10 +112,11 @@ class TestEncodeQueries:
         np.testing.assert_array_equal(q2, q1[perm])
 
 
-def _block_params(p, prefix="agent_block"):
-    """The attention and feed-forward weights of a decoder block, in the
-    order `ad.decoder_block` takes them."""
-    names = [f"{prefix}.{n}" for n in ("wq", "wk", "wv", "wo")]
+def _stage_params(p, prefix="agent_block", pe="pe1"):
+    """The positional encoder's weights, then the attention and feed-forward
+    weights of a decoder block, in the order `ad.decoder_block` takes them."""
+    names = [f"{pe}.{n}" for n in ("w1", "b1", "w2", "b2")]
+    names += [f"{prefix}.{n}" for n in ("wq", "wk", "wv", "wo")]
     names += [f"{prefix}.ffn.{n}" for n in ("w1", "b1", "w2", "b2")]
     return [p[n] for n in names]
 
@@ -129,8 +132,8 @@ class TestDecoderBlock:
         rng = np.random.default_rng(0)
         q = tape.leaf(rng.uniform(-1, 1, (1, 8)))
         k = tape.leaf(rng.uniform(-1, 1, (1, 8)))
-        zeros = tape.leaf(np.zeros((1, 8)))
-        _, attn = ad.decoder_block(q, zeros, k, zeros, k, *_block_params(p), 1)
+        _, attn = ad.decoder_block(q, np.zeros((1, 2)), k, np.zeros((1, 2)), k,
+                                   *_stage_params(p), 1)
         assert attn[0].shape == (1, 1)
         assert attn[0][0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -141,9 +144,9 @@ class TestDecoderBlock:
         rng = np.random.default_rng(1)
         q = tape.leaf(rng.uniform(-1, 1, (1, 8)))
         k = tape.leaf(rng.uniform(-1, 1, (5, 8)))
-        pos = tape.leaf(rng.uniform(-1, 1, (5, 8)))
-        qpos = tape.leaf(rng.uniform(-1, 1, (1, 8)))
-        _, attn = ad.decoder_block(q, qpos, k, pos, k, *_block_params(p), 1)
+        pos = rng.uniform(-1, 1, (5, 2))
+        qpos = rng.uniform(-1, 1, (1, 2))
+        _, attn = ad.decoder_block(q, qpos, k, pos, k, *_stage_params(p), 1)
         np.testing.assert_allclose(attn[0].sum(axis=1), np.ones(1), atol=1e-12)
         assert np.all(attn[0] >= 0)
 
@@ -151,7 +154,7 @@ class TestDecoderBlock:
         params = small_params()
         rng = np.random.default_rng(2)
         k_arr = rng.uniform(-1, 1, (6, 8))
-        pos_arr = rng.uniform(-1, 1, (6, 8))
+        pos_arr = rng.uniform(-1, 1, (6, 2))
         q_arr = rng.uniform(-1, 1, (1, 8))
         perm = rng.permutation(6)
 
@@ -160,8 +163,7 @@ class TestDecoderBlock:
             p = self._leaves(tape, params)
             k = tape.leaf(k_in)
             out, _ = ad.decoder_block(
-                tape.leaf(q_arr), tape.leaf(np.zeros((1, 8))), k, tape.leaf(pos_in), k,
-                *_block_params(p), 1,
+                tape.leaf(q_arr), np.zeros((1, 2)), k, pos_in.copy(), k, *_stage_params(p), 1,
             )
             return out.data
 
@@ -175,7 +177,8 @@ class TestDecoderBlock:
         p = self._leaves(tape, params)
         q = tape.leaf(np.ones((1, 8)))
         empty = tape.leaf(np.zeros((0, 8)))
-        out, attn = ad.decoder_block(q, q, empty, empty, empty, *_block_params(p), 1)
+        out, attn = ad.decoder_block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty,
+                                     *_stage_params(p), 1)
         assert attn == []
         assert out.shape == (1, 8)
 
@@ -191,7 +194,8 @@ class TestDecoderBlock:
             empty = tape.leaf(np.zeros((0, 8)))
             before = len(tape._records)
             if skip:
-                out, attn = ad.decoder_block(q, q, empty, empty, empty, *_block_params(p), 1)
+                out, attn = ad.decoder_block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty,
+                                             *_stage_params(p), 1)
             else:
                 # what the skip branch is: only the feed-forward sublayer
                 ffn = [p[f"agent_block.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")]
@@ -211,7 +215,7 @@ class TestDecoderBlock:
         q = tape.leaf(np.ones((1, 8)))
         k = tape.leaf(np.ones((2, 4)))
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q, k, k, k, *_block_params(p), 1)
+            ad.decoder_block(q, np.zeros((1, 2)), k, np.ones((2, 2)), k, *_stage_params(p), 1)
 
 
 class TestForwardPlan:
@@ -318,13 +322,15 @@ class TestForwardPlan:
         with pytest.raises(ConfigError, match="t_future"):
             forward_plan(s, bad)
 
-    def test_default_forward_records_eleven_ops(self):
-        # the agent and map encoders, two positional encoders and one fused
-        # block per stage, the status encoder, the command embedding and the
-        # fused head
+    def test_default_forward_records_six_ops(self):
+        # the agent and map encoders, one record per stage (its positional
+        # encodings and its block), the command embedding and the head with
+        # its status encoder; the agent and map rows and the command are the
+        # constants
         params = InteractionParams.initialize(InteractionConfig(), 0)
         result = forward_plan(scenario_with(3), params)
-        assert len(result.tape._records) == 11
+        assert len(result.tape._records) == 6
+        assert len(result.tape._constants) == 3
 
     def test_a_dropped_forward_frees_its_tape_without_the_cycle_collector(self):
         s = scenario_with(6, agent_count_range=(4, 4))
@@ -425,6 +431,19 @@ class TestFlatParams:
             for s in (fast, far):
                 with pytest.raises(ShapeError, match="non-finite values in tensor"):
                     forward_plan(s, params)
+
+    def test_finite_ego_whose_status_row_overflows_is_refused(self):
+        # a steering angle that the status row's scale overflows: the head
+        # checks the row it encodes, as a constant's was checked
+        from vecplan.scene import EgoState
+
+        params = small_params()
+        rest = EGO_AT_REST
+        for steering in (1e308, -1e308):
+            ego = EgoState(rest.position, rest.heading, rest.velocity, rest.acceleration,
+                           steering, rest.command)
+            with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                forward_plan(scene(np.zeros((6, 2)), ego=ego), params)
 
     def test_finite_parameters_whose_sum_overflows_are_accepted(self):
         params = small_params()
@@ -539,11 +558,13 @@ class TestFlatGradient:
         params = InteractionParams.initialize(InteractionConfig(), seed)
         s = scenario_with(seed, agent_count_range=(8, 12))
         result = forward_plan(s, params)
-        # each positional encoder is read by two records: the ego row's and
-        # the keys'
+        # each positional encoder is read twice by its stage's record, whose
+        # vjp gives it the keys' gradient and then the ego row's, as the two
+        # records it folds did
         for name in ("pe1.w1", "pe2.b2"):
             index = result.params[name].index
-            assert sum(index in inputs for _, inputs, _ in result.tape._records) == 2
+            assert [inputs.count(index) for _, inputs, _ in result.tape._records
+                    if index in inputs] == [2]
         probe = np.random.default_rng(seed).standard_normal((1, 12))
         flat = self._check(result, [(result.plan_node, probe)], params)
         for name in ("pe1.w1", "pe2.b2", "agent_block.wq", "map_block.wo"):
@@ -595,14 +616,72 @@ class TestFlatGradient:
         self._check(result, seeds, params)
 
 
+class TestFoldedForward:
+    """`forward_plan`, one record per stage and the status encoder inside the
+    head, against the forward with those encoders as records of their own
+    and the unfolded block and head: the same plan, attention weights and
+    gradients, bit for bit."""
+
+    CONFIGS = {
+        "default": InteractionConfig(),
+        "two_heads": InteractionConfig(n_heads=2),
+        "no_agents": InteractionConfig(use_agent_interaction=False),
+        "no_map": InteractionConfig(use_map_interaction=False),
+        "neither": InteractionConfig(use_agent_interaction=False, use_map_interaction=False),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("aux", [False, True])
+    def test_bit_equal_to_the_unfolded_forward(self, config, aux):
+        config = self.CONFIGS[config]
+        gen_config = GeneratorConfig()
+        rng = np.random.default_rng(61)
+        for kind in ("dense", "default", "agent_free", "map_free"):
+            for seed in range(3):
+                s = scene_of_kind(kind, 13 * seed + 2)
+                params = InteractionParams.initialize(config, seed)
+                if aux:
+                    params.extend(aux_head_shapes(config, gen_config), seed=seed + 1)
+                probe = rng.standard_normal((1, 2 * config.t_future))
+                results = []
+                for forward in (forward_plan, unfolded_forward_plan):
+                    result = forward(s, params)
+                    seeds = [(result.plan_node, probe)]
+                    if aux:
+                        # the auxiliary seeds reach the encoder outputs first
+                        seeds += _aux_losses(result, s, LossWeights())[2]
+                    grads = result.tape.backward_from(seeds)
+                    encoded = [grads[result.features.agent_queries],
+                               grads[result.features.map_queries]]
+                    results.append((result, grads.flat, encoded))
+                (got, flat, encoded), (want, want_flat, want_encoded) = results
+                where = f"{kind} scene {seed}"
+                assert got.plan_node.data.tobytes() == want.plan_node.data.tobytes(), where
+                assert got.attention.keys() == want.attention.keys(), where
+                for name, weights in got.attention.items():
+                    assert [w.tobytes() for w in weights] == [
+                        w.tobytes() for w in want.attention[name]], where
+                assert flat.tobytes() == want_flat.tobytes(), where
+                assert [g.tobytes() for g in encoded] == [g.tobytes() for g in want_encoded]
+                assert flat.any(), where
+
+    def test_a_dense_forward_makes_six_records_where_the_unfolded_makes_eleven(self):
+        s = scene_of_kind("dense", 3)
+        params = InteractionParams.initialize(InteractionConfig(), 0)
+        got, want = forward_plan(s, params), unfolded_forward_plan(s, params)
+        assert (len(got.tape._records), len(want.tape._records)) == (6, 11)
+        assert (len(got.tape._constants), len(want.tape._constants)) == (3, 7)
+
+
 class TestCallBudget:
     # bounds on the tape's bookkeeping per pass, on the first scene of the
-    # benchmark's dense evaluation (seed 0): 75 frames a forward and 26 a
-    # backward here, where a node per parameter and copied constants made
+    # benchmark's dense evaluation (seed 0): 60 frames a forward and 22 a
+    # backward here, where 11 records (positional and status encoders of
+    # their own) made 75 and 26, a node per parameter and copied constants
     # 90, wrappers around the decoder blocks 92, 20 records 101 and 29, and
     # per-op node, record and same-tape helpers 329 and 33
-    FORWARD_FRAMES = 75
-    BACKWARD_FRAMES = 26
+    FORWARD_FRAMES = 60
+    BACKWARD_FRAMES = 22
 
     def test_forward_and_backward_stay_within_their_frame_budgets(self):
         gen_config = GeneratorConfig(agent_count_range=(8, 12))
@@ -613,7 +692,7 @@ class TestCallBudget:
         result, forward_frames = package_calls(lambda: forward_plan(s, params))
         seeds = [(result.plan_node, np.ones((1, 12)))]
         _, backward_frames = package_calls(lambda: result.tape.backward_from(seeds))
-        assert len(result.tape._records) == 11
+        assert len(result.tape._records) == 6
         assert forward_frames <= self.FORWARD_FRAMES
         assert backward_frames <= self.BACKWARD_FRAMES
 

@@ -428,6 +428,25 @@ class TestClosedLoop:
                 overstepped.add(type(planner))
         assert {RefinePlanner, ConstantVelocityPlanner} <= collided & overstepped
 
+    def test_the_rollout_tracks_its_agents_once(self, monkeypatch):
+        # the final collision_ticks call reads the poses SimState.initial
+        # tracked; test_flags_are_the_per_tick_scoring checks its flags
+        from vecplan import metrics, simulator
+
+        track, calls = metrics.agent_pose_track, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return track(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "agent_pose_track", counted)
+        monkeypatch.setattr(simulator, "agent_pose_track", counted)
+        s = generate_scenario(2, GeneratorConfig(agent_count_range=(8, 12)))
+        for ticks in (s.t_future, 3):
+            calls.clear()
+            log = run_closed_loop(s, ConstantVelocityPlanner(), ticks)
+            assert len(log.records) == ticks and len(calls) == 1
+
     def test_zero_ticks_give_an_empty_log(self):
         for s in (generate_scenario(5), empty_scenario()):
             log = run_closed_loop(s, ConstantVelocityPlanner(), ticks=0)

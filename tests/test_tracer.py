@@ -63,8 +63,8 @@ def test_overlap_span_counts_truthy_sweeps(monkeypatch):
 def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
     # the benchmark expects this span on evaluate_dense (through plan_metrics)
     # and on refine_rollout (through run_closed_loop): one call per block of
-    # scenes in the metrics; two per rollout, one for the views' agent poses
-    # and one in `collision_ticks` as it scores the executed track
+    # scenes in the metrics; one per rollout, for the views' agent poses,
+    # which `collision_ticks` then reads to score the executed track
     tracer_mod = _load_tracer(monkeypatch)
     tracer = tracer_mod.Tracer(tracer_mod.vecplan_spans())
     tracer.install()
@@ -83,7 +83,7 @@ def test_agent_pose_track_span_fires_in_metrics_and_rollouts(monkeypatch):
     finally:
         tracer.uninstall()
     assert from_metrics == 2  # a full block and a block of one
-    assert from_rollout == 2
+    assert from_rollout == 1
 
 
 def _tiny_train():
