@@ -50,6 +50,7 @@ from .scene import (
     Scenario,
     generate_scenario,
     load_scenario,
+    pack,
     scenario_to_json,
 )
 from .simulator import (
@@ -420,7 +421,7 @@ def cmd_generate(config: RunConfig, args, outputs: OutputSet) -> None:
 
 
 def _plan_report(scenario: Scenario, plan, config: RunConfig) -> str:
-    loss = total_planning_loss(plan, scenario, config.constraints, config.weights)
+    loss = total_planning_loss(plan, pack(scenario, config.constraints), config.weights)
     return _json_artifact(
         {
             "schema_version": 1,

@@ -9,13 +9,15 @@ plan waypoints, treating the discrete nearest-element assignments as fixed
 (the losses are piecewise smooth; at hinge boundaries the inactive branch is
 used and at L1/abs kinks the subgradient is zero).
 
-The losses read a scene packed into arrays once (`scene.pack`), however many
-times a planner or a training run evaluates them on it: the agents as their
-(A, T_f, 2) best-mode tracks and the map elements as one PolylineSet whose
-two rows are the road boundaries and the lane dividers.  An evaluation of the
-constraints (`constraint_terms`, shared by `total_planning_loss` and the
-refine planner) searches that set once, and the boundary and direction
-losses each read their own row of that one `map_search`.
+The objective takes one input, a scene packed into arrays once
+(`scene.pack`) however many times a planner or a training run evaluates it:
+the agents as their (A, T_f, 2) best-mode tracks, the map elements as one
+PolylineSet whose two rows are the road boundaries and the lane dividers,
+and the `ConstraintParams` it was packed under, which the losses read.  An
+evaluation of the constraints (`constraint_terms`, shared by
+`total_planning_loss` and the refine planner) searches that set once, and
+the boundary and direction losses each read their own row of that one
+`map_search`.
 
 Each input is checked once.  A plan's waypoints were checked when the frozen
 `PlanTrajectory` was made, so the losses hand them, and the arrays they
@@ -42,7 +44,7 @@ from .geometry import (
     checked,
     closest_polyline_within,
 )
-from .scene import MAP_ROWS, MapClass, PackedScene, PlanTrajectory, Scenario, ego_vectors, pack
+from .scene import MAP_ROWS, MapClass, PackedScene, PlanTrajectory, ego_vectors
 
 _BOUNDARY_ROW = MAP_ROWS.index(MapClass.ROAD_BOUNDARY)
 _DIVIDER_ROW = MAP_ROWS.index(MapClass.LANE_DIVIDER)
@@ -295,13 +297,13 @@ def imitation_loss(plan: PlanTrajectory, expert) -> LossResult:
 
 
 def constraint_terms(
-    plan: PlanTrajectory, packed: PackedScene, params: ConstraintParams
+    plan: PlanTrajectory, packed: PackedScene
 ) -> tuple[LossResult, LossResult, LossResult]:
-    """The collision, boundary and direction terms of `plan` on a scene
-    packed under `params`, the map searched once for both map terms."""
-    near = map_search(plan, packed.map, params)
-    return (collision_loss(plan, Checked(packed.agent_tracks), params),
-            boundary_loss(plan, near, params), direction_loss(plan, near, params))
+    """The collision, boundary and direction terms of `plan` on a packed
+    scene under its parameters, the map searched once for both map terms."""
+    near = map_search(plan, packed.map, packed.params)
+    return (collision_loss(plan, Checked(packed.agent_tracks), packed.params),
+            boundary_loss(plan, near, packed.params), direction_loss(plan, near, packed.params))
 
 
 def weighted_sum(terms) -> LossResult:
@@ -316,24 +318,17 @@ def weighted_sum(terms) -> LossResult:
 
 
 def total_planning_loss(
-    plan: PlanTrajectory,
-    scene: Scenario | PackedScene,
-    params: ConstraintParams,
-    weights: LossWeights,
+    plan: PlanTrajectory, packed: PackedScene, weights: LossWeights
 ) -> TotalLossResult:
     """Weighted planning objective: collision + boundary + direction + imitation.
 
-    Evaluates the four plan-dependent terms on the scene packed under the
-    confidence thresholds of `params` (a Scenario is packed here) and returns
-    the weighted total with its gradient plus the unweighted per-term
-    breakdown.  (The scene-learning terms enter the training objective
-    elsewhere; they do not depend on the plan.)
+    Evaluates the four plan-dependent terms on a packed scene under the
+    parameters it was packed with, and returns the weighted total with its
+    gradient plus the unweighted per-term breakdown.  (The scene-learning
+    terms enter the training objective elsewhere; they do not depend on the
+    plan.)
     """
-    packed = scene if isinstance(scene, PackedScene) else pack(scene, params)
-    if packed.thresholds != (params.agent_min_confidence, params.map_min_confidence):
-        raise ValueError(f"scene was packed under other confidence thresholds {packed.thresholds}")
-
-    col, bd, dr = constraint_terms(plan, packed, params)
+    col, bd, dr = constraint_terms(plan, packed)
     imi = imitation_loss(plan, Checked(packed.scenario.expert))
     total = weighted_sum(((weights.collision, col), (weights.boundary, bd),
                           (weights.direction, dr), (weights.imitation, imi)))

@@ -88,9 +88,7 @@ class Checked(NamedTuple):
     array checked when its owner was made (`PlanTrajectory.waypoints`,
     `Scenario.expert`, `PackedScene.agent_tracks`), or one computed from
     checked arrays (step vectors, lane directions).  A caller's own array
-    goes in bare and is checked where it enters.  A `Scenario` takes a
-    read-only `Checked` field, an array of a scenario it derives from, the
-    same way: as it is, after a shape check.
+    goes in bare and is checked where it enters.
     """
 
     xy: np.ndarray

@@ -175,14 +175,17 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        # each comparison is written so that NaN fails it
         for name in ("epochs", "train_scenarios", "val_scenarios"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.weight_decay):
+            raise ConfigError(f"weight_decay must be finite, got {self.weight_decay}")
         if self.scheduler not in ("cosine", "constant"):
             raise ConfigError(f"scheduler must be 'cosine' or 'constant', got {self.scheduler!r}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -254,7 +257,7 @@ def aux_head_shapes(config: InteractionConfig, gen_config: GeneratorConfig):
 def _sigmoid_on_tape(x):
     # sigmoid(z) = 0.5 * (tanh(z / 2) + 1), built from tape primitives
     half = ad.scalar_mul(ad.tanh(ad.scalar_mul(x, 0.5)), 0.5)
-    ones = x.tape.leaf(np.full(x.shape, 0.5))
+    ones = x.tape.constant(np.full(x.shape, 0.5))
     return ad.add(half, ones)
 
 
@@ -391,7 +394,7 @@ def train(
         for idx in order:
             packed = train_set[idx]
             result = _forward(packed.scenario, params, epoch, train_seeds[idx], train_rows[idx])
-            plan_loss = total_planning_loss(result.plan, packed, cparams, weights)
+            plan_loss = total_planning_loss(result.plan, packed, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
             if config.enable_aux_heads:

@@ -14,14 +14,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import InitVar, dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import (BoxFrame, Checked, Point2, PolylineSet, swept_box_frame,
-                       swept_box_frame_if_clear)
+from .geometry import BoxFrame, Point2, PolylineSet, swept_box_frame, swept_box_frame_if_clear
+
+if TYPE_CHECKING:
+    from .constraints import ConstraintParams
 
 SCHEMA_VERSION = 1
 
@@ -110,12 +112,8 @@ class Scenario:
     the row in `agent_modes` of each agent's best mode, and `agent_track`,
     those rows; the scenario is frozen, so they never go stale.
     A refusal names the element by its path in a scenario file, e.g.
-    `agents[2].size`.  An array of another scenario that a derived scene
-    (a closed-loop view) passes through unchanged comes as a read-only
-    `geometry.Checked`: it was checked when its scenario was made, so it is
-    kept as it is, after a check of its shape alone; a view whose scores and
-    mode counts are its source's passes the source's `agent_best` on as
-    `source_best`, so that it is not found again.
+    `agents[2].size`.  Every scene, a closed-loop view too, is built this
+    one way.
     """
 
     ego: EgoState
@@ -136,32 +134,23 @@ class Scenario:
     map_side: np.ndarray  # (M,) DRIVABLE_SIDES code
     agent_best: np.ndarray = field(init=False, repr=False)  # (A,) rows of agent_modes
     agent_track: np.ndarray = field(init=False, repr=False)  # (A, T_f, 2) best modes
-    source_best: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, source_best):
+    def __post_init__(self):
         def keep(name, a):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
             return a
 
-        passed = set()  # the fields given as read-only `Checked` arrays
-
         def take(name, shape, bad=None, message=""):
             """Field `name` as a float64 copy of `shape` (None: any length),
-            its first row that `bad` flags refused with `message`; the array
-            of a read-only `Checked` as it is, after the shape check."""
-            a = getattr(self, name)
-            if type(a) is Checked and not a.xy.flags.writeable:
-                a = a.xy
-                passed.add(name)
-            else:
-                try:
-                    a = np.array(a.xy if type(a) is Checked else a, dtype=np.float64)
-                except (TypeError, ValueError) as e:
-                    raise ScenarioFormatError(f"bad {name}: {e}") from e
+            its first row that `bad` flags refused with `message`."""
+            try:
+                a = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ScenarioFormatError(f"bad {name}: {e}") from e
             if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
                 raise ScenarioFormatError(f"{name} must have shape {shape}, got {a.shape}")
-            if bad is not None and name not in passed:
+            if bad is not None:
                 _refuse(bad(a), message, a)
             return keep(name, a)
 
@@ -169,11 +158,10 @@ class Scenario:
             """Field `name` as (n,) whole numbers in [low, high], of `dtype`."""
             a = take(name, (n,), lambda a: ~((a >= low) & (a <= high) & (a == np.floor(a))),
                      message)
-            return a if name in passed else keep(name, a.astype(dtype))
+            return keep(name, a.astype(dtype))
 
-        expert = take("expert", (None, 2))
-        if "expert" not in passed and not np.isfinite(expert).all():
-            raise ScenarioFormatError("non-finite values in expert")
+        expert = take("expert", (None, 2), lambda a: ~_rows(np.isfinite(a)),
+                      "non-finite values in expert")
         if not (self.horizon_dt > 0.0 and math.isfinite(self.horizon_dt)):
             raise ScenarioFormatError(
                 f"horizon_dt must be positive and finite, got {self.horizon_dt}"
@@ -212,28 +200,22 @@ class Scenario:
         def agents_of(bad_modes):
             return np.bincount(owner, weights=bad_modes, minlength=n_a) > 0
 
-        if "agent_modes" not in passed:
-            _refuse(agents_of(~_rows(np.isfinite(modes))),
-                    "agents[{i}].modes: non-finite values in agent prediction")
-        if "agent_mode_scores" not in passed:
-            _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
-                    "agents[{i}].mode_scores: mode scores must lie in [0,1]")
-        if source_best is None:
-            ends = np.cumsum(count)
-            source_best = np.array([start + best_mode_index(scores[start:end]) for start, end
-                                    in zip((ends - count).tolist(), ends.tolist())], dtype=np.intp)
-        elif not {"agent_mode_scores", "agent_mode_count"} <= passed:
-            raise ScenarioFormatError("source_best comes with its source's mode scores and counts")
-        keep("agent_track", modes[keep("agent_best", source_best)])
+        _refuse(agents_of(~_rows(np.isfinite(modes))),
+                "agents[{i}].modes: non-finite values in agent prediction")
+        _refuse(agents_of(~((scores >= 0.0) & (scores <= 1.0))),
+                "agents[{i}].mode_scores: mode scores must lie in [0,1]")
+        ends = np.cumsum(count)
+        best = np.array([start + best_mode_index(scores[start:end]) for start, end
+                         in zip((ends - count).tolist(), ends.tolist())], dtype=np.intp)
+        keep("agent_track", modes[keep("agent_best", best)])
 
         map_xy = take("map_xy", (None, None, 2))
         n_m, n_p = map_xy.shape[:2]
         if n_m and n_p < 2:
             raise ScenarioFormatError(f"map polylines need at least 2 points, got {n_p}")
-        if "map_xy" not in passed:
-            _refuse(~_rows(np.isfinite(map_xy)), "map[{i}].points: non-finite polyline point")
-            _refuse(~(map_xy[:, 1:] != map_xy[:, :-1]).any(axis=(1, 2)),
-                    "map[{i}].points: polyline has no non-degenerate segment")
+        _refuse(~_rows(np.isfinite(map_xy)), "map[{i}].points: non-finite polyline point")
+        _refuse(~(map_xy[:, 1:] != map_xy[:, :-1]).any(axis=(1, 2)),
+                "map[{i}].points: polyline has no non-degenerate segment")
         whole("map_kind", n_m, 0, len(MAP_CLASSES) - 1, np.intp,
               "map[{i}].kind: no map class has code {v}")
         take("map_confidence", (n_m,), lambda a: ~((a >= 0.0) & (a <= 1.0)),
@@ -286,32 +268,32 @@ class PackedScene:
     """A scenario in the arrays that its losses compute on, built once by
     `pack`: the best-mode tracks of the agents, and the road boundaries and
     lane dividers in one PolylineSet with a scene axis of two rows, so that
-    one search finds each point's nearest of both.
+    one search finds each point's nearest of both.  It carries the
+    constraint parameters it was packed under, which the losses read.
     """
 
     scenario: Scenario
-    thresholds: tuple[float, float]  # (agent, map) minimum confidence
+    params: ConstraintParams
     agent_tracks: np.ndarray  # (A, T_f, 2), read-only
     map: PolylineSet  # row i holds the kept elements of class MAP_ROWS[i]
 
 
-def pack(scenario: Scenario, params) -> PackedScene:
-    """`scenario` packed under the confidence thresholds of `params`, a
-    `constraints.ConstraintParams`; both thresholds are inclusive.
+def pack(scenario: Scenario, params: ConstraintParams) -> PackedScene:
+    """`scenario` packed under the confidence thresholds of `params`; both
+    thresholds are inclusive.
 
     Row i of the map set holds the kept elements of class `MAP_ROWS[i]` in
     scene order, then dead all-zero rows up to the longer row's count.
     """
-    thresholds = (params.agent_min_confidence, params.map_min_confidence)
-    tracks = scenario.agent_track[scenario.agent_confidence >= thresholds[0]]
+    tracks = scenario.agent_track[scenario.agent_confidence >= params.agent_min_confidence]
     tracks.flags.writeable = False
-    kept = scenario.map_confidence >= thresholds[1]
+    kept = scenario.map_confidence >= params.map_min_confidence
     rows = [scenario.map_xy[kept & (scenario.map_kind == MAP_CLASSES.index(c))] for c in MAP_ROWS]
     counts = np.array([len(row) for row in rows])
     xy = np.zeros((len(rows), counts.max()) + scenario.map_xy.shape[1:])
     real = np.arange(xy.shape[1]) < counts[:, None]
     xy[real] = np.concatenate(rows)
-    return PackedScene(scenario, thresholds, tracks, PolylineSet.of_scenes(xy, real))
+    return PackedScene(scenario, params, tracks, PolylineSet.of_scenes(xy, real))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +339,12 @@ class GeneratorConfig:
     perception_range: tuple[float, float] = (60.0, 30.0)
 
     def __post_init__(self):
-        if self.lane_count < 1:
+        # each comparison is written so that NaN fails it
+        if not self.lane_count >= 1:
             raise ConfigError(f"lane_count must be >= 1, got {self.lane_count}")
-        if self.lane_width <= 0:
+        if not self.lane_width > 0:
             raise ConfigError("lane_width must be positive")
-        if self.agent_count_range[0] < 0 or self.agent_count_range[0] > self.agent_count_range[1]:
+        if not 0 <= self.agent_count_range[0] <= self.agent_count_range[1]:
             raise ConfigError(f"bad agent_count_range {self.agent_count_range}")
         for name in ("curvature_range", "speed_range", "agent_speed_range",
                      "agent_confidence_range", "map_confidence_range", "lead_gap_slack"):
@@ -376,23 +359,23 @@ class GeneratorConfig:
             if not (0.0 <= value.min() and value.max() <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for name in ("speed_range", "agent_speed_range", "lead_gap_slack"):
-            if getattr(self, name)[0] < 0:
+            if not getattr(self, name)[0] >= 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         for name in ("mode_noise_std", "min_agent_clearance"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (self.ego_dims[0] > 0 and self.ego_dims[1] > 0):
             raise ConfigError(f"ego_dims must be positive, got {self.ego_dims}")
-        if self.mode_count < 1:
+        if not self.mode_count >= 1:
             raise ConfigError("mode_count must be >= 1")
-        if self.n_points < 2:
+        if not self.n_points >= 2:
             raise ConfigError("n_points must be >= 2")
-        if self.t_future < 1:
+        if not self.t_future >= 1:
             raise ConfigError("t_future must be >= 1")
-        if self.horizon_dt <= 0:
+        if not self.horizon_dt > 0:
             raise ConfigError("horizon_dt must be positive")
         long_extent, lat_extent = self.perception_range
-        if long_extent <= 0 or lat_extent <= 0:
+        if not (long_extent > 0 and lat_extent > 0):
             raise ConfigError(f"bad perception_range {self.perception_range}")
         # the widest possible road (ego in an outermost lane) must fit laterally
         half_road = (self.lane_count - 0.5) * self.lane_width

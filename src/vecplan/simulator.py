@@ -31,10 +31,10 @@ from .constraints import (
     weighted_sum,
 )
 from .errors import CheckpointError, ScenarioFormatError, SimulationError
-from .geometry import Checked, Point2, Poses, pose_track
+from .geometry import Point2, Poses, pose_track
 from .interact import InteractionParams, forward_plan
 from .metrics import DEFAULT_EGO_DIMS, agent_pose_track, boundary_overstep, collision_ticks
-from .scene import EgoState, PlanTrajectory, Scenario, pack
+from .scene import EgoState, PackedScene, PlanTrajectory, Scenario, pack
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -122,10 +122,8 @@ def _build_view(
     Each track (agent modes and futures, the expert) keeps its ticks from
     `tick` on, held at its last point.  One `world_to_ego` call each moves
     the stacked tracks, the map and the agent positions: a stacked matmul
-    gives each row block the bits of a call of its own.  The arrays that do
-    not move with the ego (sizes, confidences, scores, map labels) pass
-    through unchanged, as `Checked`, so the view does not check them again,
-    and so do the agents' best modes.
+    gives each row block the bits of a call of its own.  The view is built
+    like any scene, from the moved arrays and the rest of the scenario's.
     """
     t_f = scenario.t_future
     ticks = np.minimum(np.arange(tick, tick + t_f), t_f - 1)
@@ -147,14 +145,7 @@ def _build_view(
         agent_future=tracks[k:-1],
         agent_modes=tracks[:k],
         map_xy=world_to_ego(scenario.map_xy, position, heading),
-        **{name: Checked(getattr(scenario, name)) for name in _FIXED},
-        source_best=scenario.agent_best,
     )
-
-
-# the arrays of a scenario that a view passes through unchanged
-_FIXED = ("agent_size", "agent_confidence", "agent_mode_scores", "agent_mode_count",
-          "map_kind", "map_confidence", "map_side")
 
 
 def step(state: SimState, executed_plan: PlanTrajectory) -> SimState:
@@ -234,8 +225,7 @@ class RefinePlanner:
     def plan(self, scenario: Scenario) -> PlanTrajectory:
         return refine_trajectory(
             constant_velocity_plan(scenario),
-            scenario,
-            self.params,
+            pack(scenario, self.params),
             self.weights,
             self.steps,
             self.step_size,
@@ -271,8 +261,7 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
 
 def refine_trajectory(
     seed_plan: PlanTrajectory,
-    scenario: Scenario,
-    params: ConstraintParams,
+    packed: PackedScene,
     weights: LossWeights,
     steps: int,
     step_size: float,
@@ -280,21 +269,22 @@ def refine_trajectory(
     """Projected gradient descent on the planning constraints.
 
     The objective is collision + boundary + direction + the imitation
-    weight times the smoothness prior, which stands in for the expert term.
-    Waypoints are clamped to the perception range after every step, and the
-    best iterate seen (by objective value) is returned, so the result never
-    scores worse than the seed.  The objective runs once per iterate, on the
-    scene packed once for the whole descent: the evaluation that scores an
-    iterate also gives the gradient of the next step.
+    weight times the smoothness prior, which stands in for the expert term,
+    on the packed scene under the parameters it was packed with.  Waypoints
+    are clamped to the perception range after every step, and the best
+    iterate seen (by objective value) is returned, so the result never
+    scores worse than the seed.  The objective runs once per iterate: the
+    evaluation that scores an iterate also gives the gradient of the next
+    step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if step_size <= 0.0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     # (lateral, longitudinal) half extents of the perception range
-    high = np.array((scenario.perception_range[1] / 2.0, scenario.perception_range[0] / 2.0))
+    long_extent, lat_extent = packed.scenario.perception_range
+    high = np.array((lat_extent / 2.0, long_extent / 2.0))
     low = -high
-    packed = pack(scenario, params)
 
     # A plan's waypoints are a read-only copy, so an iterate is kept as its
     # plan.
@@ -311,7 +301,7 @@ def refine_trajectory(
             current = plan.waypoints - step_size * res.grad
             np.minimum(np.maximum(current, low, out=current), high, out=current)
             plan = PlanTrajectory(current)
-        col, bd, dr = constraint_terms(plan, packed, params)
+        col, bd, dr = constraint_terms(plan, packed)
         res = weighted_sum(((weights.collision, col), (weights.boundary, bd),
                             (weights.direction, dr), (weights.imitation, smoothness_loss(plan))))
         if not step or res.value < best_value:
@@ -376,7 +366,7 @@ def run_closed_loop(
     ticked = []
     for _ in range(ticks):
         plan = planner.plan(state.view)
-        losses = total_planning_loss(plan, state.view, cparams, LossWeights()).breakdown
+        losses = total_planning_loss(plan, pack(state.view, cparams), LossWeights()).breakdown
         state = step(state, plan)
         ticked.append((state, plan, losses))
     executed = Poses(np.array([s.ego_position for s, _, _ in ticked]).reshape(1, ticks, 2),

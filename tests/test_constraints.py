@@ -384,7 +384,7 @@ class TestTotalPlanningLoss:
         s = generate_scenario(0)
         plan = PlanTrajectory(s.expert + 0.5)
         weights = LossWeights(collision=0, boundary=0, direction=0, imitation=0)
-        res = total_planning_loss(plan, s, PAPER_PARAMS, weights)
+        res = total_planning_loss(plan, pack(s, PAPER_PARAMS), weights)
         assert res.value == 0.0
         assert not res.grad.any()
 
@@ -392,7 +392,7 @@ class TestTotalPlanningLoss:
         s = generate_scenario(1)
         plan = PlanTrajectory(s.expert + np.array([0.7, -0.4]))
         weights = LossWeights(collision=0, boundary=0, direction=0, imitation=2.5)
-        res = total_planning_loss(plan, s, PAPER_PARAMS, weights)
+        res = total_planning_loss(plan, pack(s, PAPER_PARAMS), weights)
         standalone = imitation_loss(plan, s.expert)
         assert res.value == pytest.approx(2.5 * standalone.value, abs=1e-12)
         np.testing.assert_allclose(res.grad, 2.5 * standalone.grad, atol=1e-12)
@@ -408,7 +408,7 @@ class TestTotalPlanningLoss:
                 direction=rng.uniform(0, 3),
                 imitation=rng.uniform(0, 3),
             )
-            res = total_planning_loss(plan, s, PAPER_PARAMS, weights)
+            res = total_planning_loss(plan, pack(s, PAPER_PARAMS), weights)
             hand = (
                 weights.collision * res.breakdown["collision"]
                 + weights.boundary * res.breakdown["boundary"]
@@ -420,10 +420,8 @@ class TestTotalPlanningLoss:
     def test_linear_in_weights(self):
         s = generate_scenario(5)
         plan = PlanTrajectory(s.expert + 1.0)
-        base = total_planning_loss(plan, s, PAPER_PARAMS, LossWeights())
-        doubled = total_planning_loss(
-            plan, s, PAPER_PARAMS, LossWeights(collision=2.0)
-        )
+        base = total_planning_loss(plan, pack(s, PAPER_PARAMS), LossWeights())
+        doubled = total_planning_loss(plan, pack(s, PAPER_PARAMS), LossWeights(collision=2.0))
         assert doubled.value - base.value == pytest.approx(
             base.breakdown["collision"], abs=1e-12
         )
@@ -436,7 +434,7 @@ class TestTotalPlanningLoss:
             map_confidence=np.full(len(s.map_xy), 0.1),
         )
         plan = PlanTrajectory(s.expert + 0.8)
-        res = total_planning_loss(plan, s2, PAPER_PARAMS, LossWeights())
+        res = total_planning_loss(plan, pack(s2, PAPER_PARAMS), LossWeights())
         assert res.breakdown["collision"] == 0.0
         assert res.breakdown["boundary"] == 0.0
         assert res.breakdown["direction"] == 0.0
@@ -446,7 +444,7 @@ def _packed_terms(plan, scenario, params, weights):
     """{term: (value, grad)} of the losses on the packed scene, as the
     reference `unpacked_planning_loss` returns them."""
     packed = pack(scenario, params)
-    total = total_planning_loss(plan, packed, params, weights)
+    total = total_planning_loss(plan, packed, weights)
     near = map_search(plan, packed.map, params)
     terms = {
         "collision": collision_loss(plan, packed.agent_tracks, params),
@@ -496,10 +494,6 @@ class TestPackedScene:
                     plan = PlanTrajectory(s.expert + rng.normal(0.0, 1.5, s.expert.shape))
                     want = unpacked_planning_loss(plan, s, params, weights)
                     got = _packed_terms(plan, s, params, weights)
-                    # a plain scenario is packed on entry, by the same code
-                    plain = total_planning_loss(plan, s, params, weights)
-                    got["plain"] = (plain.value, plain.grad)
-                    want["plain"] = want["total"]
                     for name, (value, grad) in want.items():
                         assert got[name][0] == value, (kind, seed, params, name)
                         assert np.array_equal(got[name][1], grad), (kind, seed, params, name)
@@ -524,7 +518,7 @@ class TestPackedScene:
         for res in empty:
             assert res.value == 0.0
             assert np.array_equal(res.grad, np.zeros_like(plan.waypoints))
-        res = total_planning_loss(plan, packed, params, LossWeights())
+        res = total_planning_loss(plan, packed, LossWeights())
         zero = {
             "agent_free": ["collision"],
             "map_free": ["boundary", "direction"],
@@ -541,13 +535,26 @@ class TestPackedScene:
         with pytest.raises(AttributeError):
             packed.agent_tracks = np.zeros((0, 6, 2))
 
-    def test_thresholds_must_match(self):
-        s = generate_scenario(8)
-        packed = pack(s, PAPER_PARAMS)
-        plan = PlanTrajectory(s.expert)
-        with pytest.raises(ValueError, match="confidence thresholds"):
-            other = ConstraintParams(map_min_confidence=0.2)
-            total_planning_loss(plan, packed, other, LossWeights())
+    def test_the_objective_reads_the_params_of_its_pack(self):
+        # a pack under other margins gives the objective and the refine plan
+        # of those margins, as the reference computes them
+        from vecplan.simulator import constant_velocity_plan, refine_trajectory
+
+        s = generate_scenario(8, GeneratorConfig(agent_count_range=(8, 12)))
+        wide = ConstraintParams(agent_search_range=6.0, boundary_clearance=3.0,
+                                divider_search_range=4.0, lateral_safety=3.0)
+        packs = [pack(s, PAPER_PARAMS), pack(s, wide)]
+        assert packs[1].params is wide
+        plan = PlanTrajectory(s.expert + 0.5)
+        totals = [total_planning_loss(plan, p, LossWeights()) for p in packs]
+        for packed, total in zip(packs, totals):
+            want = unpacked_planning_loss(plan, s, packed.params, LossWeights())["total"]
+            assert total.value == want[0] and np.array_equal(total.grad, want[1])
+        assert totals[0].value != totals[1].value
+        seed_plan = constant_velocity_plan(s)
+        plans = [refine_trajectory(seed_plan, p, LossWeights(), 60, 0.2) for p in packs]
+        assert plans[0] != plans[1]
+
 
 
 class TestConstraintParams:

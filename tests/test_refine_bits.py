@@ -29,7 +29,8 @@ from _support import (
 
 from vecplan import simulator
 from vecplan.constraints import ConstraintParams, LossWeights, total_planning_loss
-from vecplan.scene import MAP_CLASSES, GeneratorConfig, MapClass, PlanTrajectory, generate_scenario
+from vecplan.scene import (MAP_CLASSES, GeneratorConfig, MapClass, PlanTrajectory,
+                           generate_scenario, pack)
 
 SEEDS = range(4)
 WEIGHTS = (LossWeights(), LossWeights(collision=0.7, boundary=1.3, direction=0.4, imitation=2.1))
@@ -102,7 +103,7 @@ def digests(seed: int) -> tuple[str, str, str]:
     for view, replan in zip(views, plans):
         for plan in (simulator.constant_velocity_plan(view), replan):
             for weights in WEIGHTS:
-                res = total_planning_loss(plan, view, params, weights)
+                res = total_planning_loss(plan, pack(view, params), weights)
                 objective.update(np.float64(res.value).tobytes() + res.grad.tobytes())
                 for name, value in res.breakdown.items():
                     objective.update(name.encode() + np.float64(value).tobytes())
@@ -148,21 +149,19 @@ def test_edge_scenes_match_the_unpacked_reference(kind):
     for weights in WEIGHTS:
         for offset in (0.0, 0.6, 1.5):
             plan = PlanTrajectory(s.expert + rng.normal(0.0, offset, s.expert.shape))
-            got = total_planning_loss(plan, s, params, weights)
+            got = total_planning_loss(plan, pack(s, params), weights)
             want = unpacked_planning_loss(plan, s, params, weights)
             assert got.value == want["total"][0]
             assert got.grad.tobytes() == want["total"][1].tobytes()
             for name, value in got.breakdown.items():
                 assert value == want[name][0], name
         seed_plan = simulator.constant_velocity_plan(s)
-        got = simulator.refine_trajectory(seed_plan, s, params, weights, 60, 0.2)
+        got = simulator.refine_trajectory(seed_plan, pack(s, params), weights, 60, 0.2)
         want = unpacked_refine(seed_plan, s, params, weights, 60, 0.2)
         assert got.waypoints.tobytes() == want.waypoints.tobytes()
 
 
 def test_edge_scenes_have_the_map_rows_they_test():
-    from vecplan.scene import pack
-
     rows = {kind: pack(s, ConstraintParams(map_min_confidence=0.0)).map
             for kind, s in edge_scenes().items()}
     assert len(rows["map_free"]) == 0 and len(rows["agent_free"]) > 0
@@ -204,8 +203,8 @@ def _evaluations(scenario, params, weights, monkeypatch):
     seen = []
     terms = simulator.constraint_terms
 
-    def spy(plan, packed, params_):
-        out = terms(plan, packed, params_)
+    def spy(plan, packed):
+        out = terms(plan, packed)
         seen.append((plan, *out))
         return out
 
@@ -229,7 +228,7 @@ def _check_against_the_reference(scenario, params, weights, monkeypatch) -> list
             assert term.grad.tobytes() == want[name][1].tobytes(), name
         references.append(want)
     seed_plan = simulator.constant_velocity_plan(scenario)
-    got = simulator.refine_trajectory(seed_plan, scenario, params, weights, 60, 0.2)
+    got = simulator.refine_trajectory(seed_plan, pack(scenario, params), weights, 60, 0.2)
     want = unpacked_refine(seed_plan, scenario, params, weights, 60, 0.2)
     assert got.waypoints.tobytes() == want.waypoints.tobytes()
     return references
@@ -267,8 +266,9 @@ def test_single_nearest_refine_matches_the_reference(seed, monkeypatch):
     assert any(_active_steps(refs, "collision"))
     seed_plan = simulator.constant_velocity_plan(scenario)
     per_axis = dataclasses.replace(params, collision_mode="per_axis")
-    assert (simulator.refine_trajectory(seed_plan, scenario, params, LossWeights(), 60, 0.2)
-            != simulator.refine_trajectory(seed_plan, scenario, per_axis, LossWeights(), 60, 0.2))
+    assert (simulator.refine_trajectory(seed_plan, pack(scenario, params), LossWeights(), 60, 0.2)
+            != simulator.refine_trajectory(seed_plan, pack(scenario, per_axis), LossWeights(),
+                                           60, 0.2))
 
 
 @pytest.mark.parametrize("seed", [10, 11])

@@ -20,6 +20,7 @@ from _support import (
 from vecplan import geometry, scene as scene_module
 from vecplan.constraints import ConstraintParams
 from vecplan.errors import ConfigError, ScenarioFormatError
+from vecplan.learning import TrainConfig
 from vecplan.geometry import (
     Checked,
     Point2,
@@ -416,6 +417,20 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             GeneratorConfig(horizon_dt=0.0)
 
+    @pytest.mark.parametrize("config, field, value", [
+        (GeneratorConfig, "lane_width", math.nan),
+        (GeneratorConfig, "perception_range", (math.nan, 30.0)),
+        (GeneratorConfig, "perception_range", (60.0, math.nan)),
+        (GeneratorConfig, "mode_noise_std", math.nan),
+        (GeneratorConfig, "min_agent_clearance", math.nan),
+        (GeneratorConfig, "horizon_dt", math.nan),
+        (TrainConfig, "learning_rate", math.nan),
+        (TrainConfig, "weight_decay", math.nan),
+    ])
+    def test_nan_is_a_config_error_that_names_the_field(self, config, field, value):
+        with pytest.raises(ConfigError, match=rf"^(bad )?{field} "):
+            config(**{field: value})
+
 
 class TestScenarioIO:
     def test_round_trip_identity(self, tmp_path):
@@ -657,22 +672,18 @@ class TestSceneArrays:
         xy[...], modes[...] = 0.0, 0.0
         assert moved == s and xy.flags.writeable and modes.flags.writeable
 
-    def test_read_only_checked_arrays_pass_through(self):
-        # a checked scene's read-only array handed over as Checked is kept
-        # as it is, after a shape check; any other array is copied and checked
+    def test_read_only_arrays_are_copied_and_checked(self):
+        # a scene copies and checks every array, another scene's read-only
+        # one too, and takes no `Checked` wrapper as an array
         s = generate_scenario(4, GeneratorConfig(agent_count_range=(2, 2)))
-        passed = dataclasses.replace(s, agent_size=Checked(s.agent_size),
-                                     map_kind=Checked(s.map_kind))
-        assert passed.agent_size is s.agent_size and passed.map_kind is s.map_kind
-        assert passed == s
-        with pytest.raises(ScenarioFormatError, match="shape"):
-            dataclasses.replace(s, agent_size=Checked(s.agent_size[..., None]))
-        nan = s.agent_size.copy()
-        nan[1, 0] = math.nan
+        same = dataclasses.replace(s, agent_size=s.agent_size, map_kind=s.map_kind)
+        assert same == s and not np.shares_memory(same.agent_size, s.agent_size)
+        negative = s.agent_size * [[1.0, 1.0], [1.0, -1.0]]
+        negative.flags.writeable = False
         with pytest.raises(ScenarioFormatError, match=r"agents\[1\]\.size"):
-            dataclasses.replace(s, agent_size=Checked(nan))  # writeable: checked
-        copied = dataclasses.replace(s, agent_size=Checked(s.agent_size.copy()))
-        assert copied == s and copied.agent_size is not s.agent_size
+            dataclasses.replace(s, agent_size=negative)
+        with pytest.raises(ScenarioFormatError, match="shape"):
+            dataclasses.replace(s, agent_size=Checked(s.agent_size))
 
     def test_replace_builds_new_arrays(self):
         s = generate_scenario(4, GeneratorConfig(agent_count_range=(3, 3)))

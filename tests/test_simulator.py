@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from vecplan.scene import (
     MapClass,
     PlanTrajectory,
     GeneratorConfig,
+    Scenario,
     generate_scenario,
     pack,
     scenario_to_json,
@@ -93,43 +95,22 @@ class TestView:
                 args = (s, state.agent_poses, tick, position, heading, 4.0, 0.5, 0.1)
                 assert scenario_to_json(_build_view(*args)) == scenario_to_json(looped_view(*args))
 
-    def test_fixed_arrays_pass_through(self):
-        # the arrays that do not move with the ego are the scenario's own
-        s = scene_of_kind("dense", 3)
-        state = step(SimState.initial(s), constant_velocity_plan(s))
-        for name in ("agent_size", "agent_confidence", "agent_mode_scores",
-                     "agent_mode_count", "map_kind", "map_confidence", "map_side"):
-            assert getattr(state.view, name) is getattr(s, name), name
-        assert not np.shares_memory(state.view.map_xy, s.map_xy)
-
-    def test_best_modes_pass_through(self, monkeypatch):
-        # a view takes its source's best rows and finds none of its own;
-        # they are the rows a scene built afresh from its arrays finds
-        from vecplan import scene as scene_module
-
+    def test_a_view_is_built_like_any_scene(self):
+        # a view copies and checks its arrays and finds its best modes as
+        # any scene does: its source's rows, and a rebuilt scene's bytes
         s = with_mixed_modes(scene_of_kind("dense", 5), np.random.default_rng(3))
         assert len(set(s.agent_best - np.cumsum(s.agent_mode_count))) > 1
         state = SimState.initial(s)
-
-        def unexpected(scores):
-            raise AssertionError("a view looked for its best modes")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(scene_module, "best_mode_index", unexpected)
-            views = [state.view]
-            for _ in range(s.t_future):
-                state = step(state, constant_velocity_plan(state.view))
-                views.append(state.view)
-        for view in views[1:]:
-            assert view.agent_best is s.agent_best
-            fresh = dataclasses.replace(view, agent_mode_count=list(view.agent_mode_count))
-            assert fresh.agent_best.tobytes() == view.agent_best.tobytes()
-            assert fresh.agent_track.tobytes() == view.agent_track.tobytes()
-
-    def test_best_modes_pass_only_with_their_scores_and_counts(self):
-        s = scene_of_kind("dense", 6)
-        with pytest.raises(ScenarioFormatError, match="source_best"):
-            dataclasses.replace(s, source_best=s.agent_best)
+        for _ in range(s.t_future):
+            state = step(state, constant_velocity_plan(state.view))
+            view = state.view
+            assert not np.shares_memory(view.agent_size, s.agent_size)
+            assert view.agent_best.tobytes() == s.agent_best.tobytes()
+            arrays = {f.name: getattr(view, f.name) for f in dataclasses.fields(Scenario) if f.init}
+            rebuilt = Scenario(**{name: a.tolist() if isinstance(a, np.ndarray) else a
+                                  for name, a in arrays.items()})
+            assert scenario_to_json(rebuilt) == scenario_to_json(view)
+            assert rebuilt.agent_track.tobytes() == view.agent_track.tobytes()
 
 
 class TestMixedModeCounts:
@@ -268,7 +249,7 @@ class TestRefineTrajectory:
     def test_zero_steps_returns_seed(self):
         s = generate_scenario(10)
         seed_plan = constant_velocity_plan(s)
-        out = refine_trajectory(seed_plan, s, PARAMS, LossWeights(), 0, 0.1)
+        out = refine_trajectory(seed_plan, pack(s, PARAMS), LossWeights(), 0, 0.1)
         np.testing.assert_array_equal(out.waypoints, seed_plan.waypoints)
 
     def test_boundary_violation_is_reduced(self):
@@ -278,7 +259,7 @@ class TestRefineTrajectory:
         seed_plan = PlanTrajectory(constant_velocity_plan(s).waypoints + [1.0, 0.0])
         before = boundary_term(seed_plan, [bd], PARAMS).value
         weights = LossWeights(collision=0, direction=0, imitation=0.05)
-        out = refine_trajectory(seed_plan, s, PARAMS, weights, 80, 0.2)
+        out = refine_trajectory(seed_plan, pack(s, PARAMS), weights, 80, 0.2)
         after = boundary_term(out, [bd], PARAMS).value
         assert before > 0
         assert after < before
@@ -286,25 +267,24 @@ class TestRefineTrajectory:
     def test_never_worse_than_seed(self):
         weights = LossWeights(imitation=0.1)
         for seed in range(10):
-            s = generate_scenario(seed)
-            seed_plan = constant_velocity_plan(s)
+            packed = pack(generate_scenario(seed), PARAMS)
+            seed_plan = constant_velocity_plan(packed.scenario)
 
             def objective(plan):
                 from vecplan.simulator import smoothness_loss as sm
 
                 res = total_planning_loss(
-                    plan, s, PARAMS,
-                    LossWeights(collision=1, boundary=1, direction=1, imitation=0),
+                    plan, packed, LossWeights(collision=1, boundary=1, direction=1, imitation=0)
                 )
                 return res.value + 0.1 * sm(plan).value
 
-            out = refine_trajectory(seed_plan, s, PARAMS, weights, 30, 0.2)
+            out = refine_trajectory(seed_plan, packed, weights, 30, 0.2)
             assert objective(out) <= objective(seed_plan) + 1e-12
 
     def test_waypoints_stay_in_perception_range(self):
         s = generate_scenario(11)
         wild = PlanTrajectory(np.full((6, 2), 100.0))
-        out = refine_trajectory(wild, s, PARAMS, LossWeights(), 3, 5.0)
+        out = refine_trajectory(wild, pack(s, PARAMS), LossWeights(), 3, 5.0)
         assert np.all(np.abs(out.waypoints[:, 0]) <= 15.0)
         assert np.all(np.abs(out.waypoints[:, 1]) <= 30.0)
 
@@ -312,6 +292,7 @@ class TestRefineTrajectory:
         from vecplan import simulator
 
         s = generate_scenario(3)
+        packed = pack(s, PARAMS)
         weights = LossWeights(imitation=0.5)
         no_imitation = LossWeights(imitation=0.0)
         steps, step_size = 25, 0.2
@@ -319,7 +300,7 @@ class TestRefineTrajectory:
 
         def objective(w):
             plan = PlanTrajectory(w)
-            res = total_planning_loss(plan, s, PARAMS, no_imitation)
+            res = total_planning_loss(plan, packed, no_imitation)
             smooth = smoothness_loss(plan)
             return res.value + 0.5 * smooth.value, res.grad + 0.5 * smooth.grad
 
@@ -346,7 +327,7 @@ class TestRefineTrajectory:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        out = refine_trajectory(seed_plan, s, PARAMS, weights, steps, step_size)
+        out = refine_trajectory(seed_plan, packed, weights, steps, step_size)
         # one evaluation of its own terms per iterate, one map search each,
         # and no training objective
         assert calls == {"total_planning_loss": 0, "constraint_terms": steps + 1,
@@ -358,9 +339,19 @@ class TestRefineTrajectory:
         s = generate_scenario(12)
         plan = constant_velocity_plan(s)
         with pytest.raises(ValueError):
-            refine_trajectory(plan, s, PARAMS, LossWeights(), -1, 0.1)
+            refine_trajectory(plan, pack(s, PARAMS), LossWeights(), -1, 0.1)
         with pytest.raises(ValueError):
-            refine_trajectory(plan, s, PARAMS, LossWeights(), 5, 0.0)
+            refine_trajectory(plan, pack(s, PARAMS), LossWeights(), 5, 0.0)
+
+    @pytest.mark.parametrize("step_size", [math.nan, math.inf])
+    def test_refuses_a_non_finite_step_size(self, step_size):
+        # a bad parameter, refused before any numpy warning and not as a
+        # non-finite plan
+        s = generate_scenario(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step_size"):
+                RefinePlanner(step_size=step_size).plan(s)
 
 
 class TestClosedLoop:
