@@ -556,7 +556,6 @@ class TestPackedScene:
         assert plans[0] != plans[1]
 
 
-
 class TestConstraintParams:
     def test_rejects_non_positive_distances(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from _support import (
 )
 
 from vecplan.constraints import ConstraintParams, LossWeights, total_planning_loss
-from vecplan.errors import ScenarioFormatError, SimulationError
+from vecplan.errors import SimulationError
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
 from vecplan.metrics import plan_metrics
 from vecplan.geometry import Point2
