@@ -37,13 +37,8 @@ from .errors import (
     read_text,
 )
 from .interact import InteractionConfig, InteractionParams
-from .learning import TrainConfig, train
-from .metrics import (
-    AblationArm,
-    ablation_report,
-    check_horizons,
-    plan_metrics,
-)
+from .learning import AblationArm, TrainConfig, ablation_report, train
+from .metrics import check_horizons, plan_metrics
 from .scene import (
     MAP_CLASSES,
     GeneratorConfig,
@@ -128,8 +123,6 @@ def _check_typed(value, annotation: str, name: str) -> None:
 @dataclass(frozen=True)
 class SimulatorSection:
     ticks: int = 6
-    ego_length: float = 4.0
-    ego_width: float = 1.85
     planner: str = "refine"
     refine_steps: int = 60
     refine_step_size: float = 0.2
@@ -139,16 +132,10 @@ class SimulatorSection:
             raise ConfigError("simulator.ticks must be >= 1")
         if self.planner not in PLANNER_CHOICES:
             raise ConfigError(f"simulator.planner must be one of {PLANNER_CHOICES}")
-        if not (self.ego_length > 0 and self.ego_width > 0):
-            raise ConfigError("ego box dims must be positive")
         if self.refine_steps < 0:
             raise ConfigError("simulator.refine_steps must be >= 0")
         if not (self.refine_step_size > 0 and math.isfinite(self.refine_step_size)):
             raise ConfigError("simulator.refine_step_size must be positive and finite")
-
-    @property
-    def ego_dims(self) -> tuple[float, float]:
-        return (self.ego_length, self.ego_width)
 
 
 DEFAULT_ABLATION_ARMS = [
@@ -180,18 +167,25 @@ class MetricsSection:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run.  The fields of `_ROOT_FIELDS` are filled at
+    construction from the keys that own them, so `train` runs with the
+    run's seed and weights and `interact` with the generator's horizon."""
+
     seed: int = 0
     output_dir: str = "runs/default"
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     interact: InteractionConfig = field(default_factory=InteractionConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)  # its seed and weights unread
+    train: TrainConfig = field(default_factory=TrainConfig)
     constraints: ConstraintParams = field(default_factory=ConstraintParams)
     weights: LossWeights = field(default_factory=LossWeights)
     simulator: SimulatorSection = field(default_factory=SimulatorSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
-    def train_config(self) -> TrainConfig:
-        return dataclasses.replace(self.train, seed=self.seed, weights=self.weights)
+    def __post_init__(self):
+        train = dataclasses.replace(self.train, seed=self.seed, weights=self.weights)
+        interact = dataclasses.replace(self.interact, t_future=self.generator.t_future)
+        object.__setattr__(self, "train", train)
+        object.__setattr__(self, "interact", interact)
 
 
 def _build_section(cls, data: dict, path: str):
@@ -234,8 +228,8 @@ def _build_section(cls, data: dict, path: str):
         raise
 
 
-# the fields of a section's class that the run config sets at its root
-_ROOT_FIELDS = {TrainConfig: ("seed", "weights")}
+# the fields of a section's class that the run config fills from other keys
+_ROOT_FIELDS = {TrainConfig: ("seed", "weights"), InteractionConfig: ("t_future",)}
 
 _SECTIONS = {
     "generator": GeneratorConfig,
@@ -443,7 +437,7 @@ def cmd_plan(config: RunConfig, args, outputs: OutputSet) -> None:
 
 def cmd_train(config: RunConfig, args, outputs: OutputSet) -> None:
     params, log = train(
-        config.train_config(),
+        config.train,
         config.generator,
         config.interact,
         config.constraints,
@@ -493,12 +487,11 @@ def _trace_table(scenario: Scenario, log) -> str:
 
 def cmd_simulate(config: RunConfig, args, outputs: OutputSet) -> None:
     planner = _build_planner(config, args.planner, args.checkpoint)
-    ticks = args.ticks if args.ticks is not None else config.simulator.ticks
     for path in _resolve_scenario_paths(args.scenario):
         scenario = load_scenario(path)
         log = run_closed_loop(
-            scenario, planner, ticks,
-            ego_dims=config.simulator.ego_dims,
+            scenario, planner, config.simulator.ticks,
+            ego_dims=config.generator.ego_dims,
             constraint_params=config.constraints,
         )
         outputs.add(f"rollouts/{path.stem}.rollout.csv", log.to_table())
@@ -542,10 +535,10 @@ def cmd_evaluate(config: RunConfig, args, outputs: OutputSet) -> None:
             except ConfigError as e:  # the horizons are fixed: the file's ticks miss one
                 raise ScenarioFormatError(f"{path}: {e}") from e
     else:
-        count = args.count if args.count is not None else config.metrics.eval_count
-        scenarios = [generate_scenario(config.seed + i, config.generator) for i in range(count)]
+        scenarios = [generate_scenario(config.seed + i, config.generator)
+                     for i in range(config.metrics.eval_count)]
     plans = [planner.plan(s) for s in scenarios]
-    metrics = plan_metrics(scenarios, plans, ego_dims=config.simulator.ego_dims)
+    metrics = plan_metrics(scenarios, plans, ego_dims=config.generator.ego_dims)
     outputs.add("report.csv", _metrics_report_csv(metrics))
     outputs.add("report.txt", _metrics_report_text(metrics, len(scenarios)))
 
@@ -553,12 +546,11 @@ def cmd_evaluate(config: RunConfig, args, outputs: OutputSet) -> None:
 def cmd_ablate(config: RunConfig, args, outputs: OutputSet) -> None:
     report = ablation_report(
         config.metrics.arms(),
-        config.train_config(),
+        config.train,
         config.generator,
         interact_config=config.interact,
         constraint_params=config.constraints,
-        eval_count=args.count if args.count is not None else config.metrics.eval_count,
-        ego_dims=config.simulator.ego_dims,
+        eval_count=config.metrics.eval_count,
         progress=lambda row: print(
             f"arm {row.arm.name:<18} L2 avg {row.metrics.l2.avg:7.3f}  "
             f"CR avg {row.metrics.collision.avg:6.2f}%  "
@@ -598,6 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="recompute outputs and verify byte-identity instead of writing",
         )
+        p.set_defaults(config_flags={})  # flag name -> the config key it sets
 
     p = sub.add_parser("generate", help="emit seeded scenario files")
     common(p)
@@ -621,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planner", choices=PLANNER_CHOICES)
     p.add_argument("--checkpoint")
     p.add_argument("--ticks", type=int)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, config_flags={"ticks": "simulator.ticks"})
 
     p = sub.add_parser("evaluate", help="open-loop metric report")
     common(p)
@@ -629,12 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="generate this many scenarios instead of files")
     p.add_argument("--planner", choices=PLANNER_CHOICES)
     p.add_argument("--checkpoint")
-    p.set_defaults(fn=cmd_evaluate)
+    p.set_defaults(fn=cmd_evaluate, config_flags={"count": "metrics.eval_count"})
 
     p = sub.add_parser("ablate", help="toggle-sweep report")
     common(p)
     p.add_argument("--count", type=int, help="evaluation scenarios per arm")
-    p.set_defaults(fn=cmd_ablate)
+    p.set_defaults(fn=cmd_ablate, config_flags={"count": "metrics.eval_count"})
 
     return parser
 
@@ -643,13 +636,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # the flags stand in for metrics.eval_count and simulator.ticks, whose
-        # bounds they keep
+        # --count and --ticks keep the bound of the keys they set (generate's
+        # --count is a file count, and sets none); they win over --set
+        overrides = list(args.overrides)
         for flag in ("count", "ticks"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag} must be >= 1, got {value}")
-        config = load_config(args.config, args.overrides, args.out, args.seed)
+            if value is not None and flag in args.config_flags:
+                overrides.append(f"{args.config_flags[flag]}={value}")
+        config = load_config(args.config, overrides, args.out, args.seed)
         outputs = OutputSet(Path(config.output_dir), check=args.check)
         _echo_config(outputs, config)
         # a value that overflows is refused by a check and reported as one

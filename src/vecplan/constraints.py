@@ -71,7 +71,7 @@ class ConstraintParams:
     divider_search_range: float = 2.0
     lateral_safety: float = 1.5
     longitudinal_safety: float = 3.0
-    # divergence knob (see module docs): "per_axis" takes independent
+    # comparison knob (see README's design notes): "per_axis" takes independent
     # per-direction minima over the in-radius candidates, "single_nearest"
     # reduces to the Euclidean-nearest candidate alone
     collision_mode: str = "per_axis"

@@ -8,14 +8,18 @@ heads re-predict map points and agent futures from their queries, adding the
 scene-learning regression/classification terms (winner-take-all by minimum
 final displacement error, Manhattan map regression, focal classification);
 they are off by default since the scene inputs are already ground truth.
+
+The ablation sweep trains one model per arm of interaction and constraint
+toggles and scores every arm on the same evaluation scenes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +34,17 @@ from .interact import (
     plan_gradient_seed,
     scene_features,
 )
+from .metrics import (
+    DEFAULT_HORIZONS,
+    PlanMetrics,
+    collision_rate,
+    displacement_error,
+    plan_metrics,
+)
 from .scene import GeneratorConfig, Scenario, generate_scenario, pack
 
 PROB_CLAMP = 1e-7
+EVAL_SEED_OFFSET = 900_000  # the first seed of the ablation's evaluation scenarios
 
 
 def minfde_select(modes: np.ndarray, gt: np.ndarray) -> int:
@@ -166,13 +178,11 @@ class TrainConfig:
     epochs: int = 60
     learning_rate: float = 2e-4
     weight_decay: float = 0.01
-    scheduler: str = "cosine"
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     train_scenarios: int = 512
     val_scenarios: int = 64
     enable_aux_heads: bool = False
-    shuffle: bool = True
 
     def __post_init__(self):
         # each comparison is written so that NaN fails it
@@ -183,8 +193,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not math.isfinite(self.weight_decay):
             raise ConfigError(f"weight_decay must be finite, got {self.weight_decay}")
-        if self.scheduler not in ("cosine", "constant"):
-            raise ConfigError(f"scheduler must be 'cosine' or 'constant', got {self.scheduler!r}")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -334,15 +342,15 @@ def _scenario_seeds(seed: int, train_count: int, val_count: int):
     return train_seeds, val_seeds, shuffle_ss
 
 
-def _forward(scenario: Scenario, params: InteractionParams, epoch: int, seed: int,
+def _forward(scenario: Scenario, params: InteractionParams, where: str, seed: int,
              rows=None) -> ForwardResult:
     """`forward_plan`; a plan refused as non-finite from a finite scene means
-    the parameters overflow the network, a divergence."""
+    the parameters overflow the network, a divergence, reported as a
+    "non-finite plan {where} seed {seed}"."""
     try:
         return forward_plan(scenario, params, rows)
     except ScenarioFormatError as e:
-        message = f"non-finite plan at epoch {epoch}, scenario seed {seed}"
-        raise TrainingDivergedError(message) from e
+        raise TrainingDivergedError(f"non-finite plan {where} seed {seed}") from e
 
 
 def train(
@@ -383,17 +391,14 @@ def train(
 
     log = TrainLog()
     for epoch in range(config.epochs):
-        lr = (
-            cosine_lr(config.learning_rate, epoch, config.epochs)
-            if config.scheduler == "cosine"
-            else config.learning_rate
-        )
-        order = shuffle_rng.permutation(len(train_set)) if config.shuffle else np.arange(len(train_set))
+        lr = cosine_lr(config.learning_rate, epoch, config.epochs)
+        order = shuffle_rng.permutation(len(train_set))
+        where = f"at epoch {epoch}, scenario"
         sums = {"total": 0.0, "imitation": 0.0, "collision": 0.0, "boundary": 0.0,
                 "direction": 0.0, "map": 0.0, "motion": 0.0}
         for idx in order:
             packed = train_set[idx]
-            result = _forward(packed.scenario, params, epoch, train_seeds[idx], train_rows[idx])
+            result = _forward(packed.scenario, params, where, train_seeds[idx], train_rows[idx])
             plan_loss = total_planning_loss(result.plan, packed, weights)
             seeds = [(result.plan_node, plan_gradient_seed(plan_loss.grad))]
             step_total = plan_loss.value
@@ -421,7 +426,7 @@ def train(
                 )
 
         n = len(train_set)
-        val_l2, val_cr = _validate(params, val_set, val_rows, val_seeds, epoch, gen_config)
+        val_l2, val_cr = _validate(params, val_set, val_rows, val_seeds, where, gen_config)
         stats = EpochStats(
             epoch=epoch,
             lr=lr,
@@ -448,13 +453,125 @@ def train(
 
 
 def _validate(params: InteractionParams, val_set: list[Scenario], val_rows: list,
-              val_seeds: list[int], epoch: int, gen_config: GeneratorConfig):
+              val_seeds: list[int], where: str, gen_config: GeneratorConfig):
     """Open-loop validation: average L2 over horizons and collision rate."""
-    from .metrics import collision_rate, displacement_error
-
-    plans = [_forward(s, params, epoch, seed, rows).plan
+    plans = [_forward(s, params, where, seed, rows).plan
              for s, rows, seed in zip(val_set, val_rows, val_seeds)]
     # each scene's mean over the horizons, then their mean
     l2s = np.mean(displacement_error(val_set, plans), axis=1)
     cr = collision_rate(val_set, plans, ego_dims=gen_config.ego_dims).avg
     return float(np.mean(l2s)), cr
+
+
+# ---------------------------------------------------------------------------
+# ablation sweep
+
+
+@dataclass(frozen=True)
+class AblationArm:
+    """One row of the ablation: interaction and constraint toggles."""
+
+    name: str
+    agent_interaction: bool = True
+    map_interaction: bool = True
+    collision_constraint: bool = True
+    boundary_constraint: bool = True
+    direction_constraint: bool = True
+
+
+@dataclass
+class AblationRow:
+    arm: AblationArm
+    metrics: PlanMetrics
+    collision_count_3s: int
+
+
+@dataclass
+class AblationReport:
+    rows: list[AblationRow]
+    eval_count: int
+
+    CSV_COLUMNS = [
+        "arm", "agent_inter", "map_inter", "col_const", "bd_const", "dir_const",
+        "l2_1s", "l2_2s", "l2_3s", "l2_avg",
+        "cr_1s", "cr_2s", "cr_3s", "cr_avg",
+    ]
+
+    def to_csv(self) -> str:
+        lines = [",".join(self.CSV_COLUMNS)]
+        for row in self.rows:
+            arm, m = row.arm, row.metrics
+            toggles = (arm.agent_interaction, arm.map_interaction, arm.collision_constraint,
+                       arm.boundary_constraint, arm.direction_constraint)
+            values = [*m.l2.values, m.l2.avg, *m.collision.values, m.collision.avg]
+            lines.append(",".join([arm.name, *(str(int(t)) for t in toggles), *map(repr, values)]))
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        header = (
+            f"{'arm':<18}{'AgI':>4}{'MapI':>5}{'Col':>4}{'Bd':>4}{'Dir':>4}"
+            f"{'L2@1s':>8}{'L2@2s':>8}{'L2@3s':>8}{'L2avg':>8}"
+            f"{'CR@1s':>8}{'CR@2s':>8}{'CR@3s':>8}{'CRavg':>8}"
+        )
+        mark = lambda b: "x" if b else "-"
+        lines = [header, "-" * len(header)]
+        for row in self.rows:
+            arm = row.arm
+            m = row.metrics
+            lines.append(
+                f"{arm.name:<18}{mark(arm.agent_interaction):>4}{mark(arm.map_interaction):>5}"
+                f"{mark(arm.collision_constraint):>4}{mark(arm.boundary_constraint):>4}"
+                f"{mark(arm.direction_constraint):>4}"
+                + "".join(f"{v:8.3f}" for v in m.l2.values)
+                + f"{m.l2.avg:8.3f}"
+                + "".join(f"{v:8.2f}" for v in m.collision.values)
+                + f"{m.collision.avg:8.2f}"
+            )
+        lines.append(f"(open-loop over {self.eval_count} synthetic scenarios; artifact protocol)")
+        return "\n".join(lines) + "\n"
+
+
+def ablation_report(
+    arms: Sequence[AblationArm],
+    train_config: TrainConfig,
+    gen_config: GeneratorConfig,
+    interact_config: Optional[InteractionConfig] = None,
+    constraint_params: Optional[ConstraintParams] = None,
+    eval_count: int = 200,
+    progress: Optional[Callable[[AblationRow], None]] = None,
+) -> AblationReport:
+    """Train one model per arm (identical except toggles) and evaluate all
+    arms open-loop on the same seeded scenario set, the scenarios of seeds
+    `EVAL_SEED_OFFSET` onwards, with the generator's ego box.  Trained
+    parameters that overflow the network on an evaluation scene are a
+    divergence of that arm."""
+    if interact_config is None:
+        interact_config = InteractionConfig(t_future=gen_config.t_future)
+
+    eval_seeds = range(EVAL_SEED_OFFSET, EVAL_SEED_OFFSET + eval_count)
+    eval_set = [generate_scenario(seed, gen_config) for seed in eval_seeds]
+    rows = []
+    for arm in arms:
+        arm_interact = dataclasses.replace(
+            interact_config,
+            use_agent_interaction=arm.agent_interaction,
+            use_map_interaction=arm.map_interaction,
+        )
+        arm_weights = dataclasses.replace(
+            train_config.weights,
+            collision=train_config.weights.collision if arm.collision_constraint else 0.0,
+            boundary=train_config.weights.boundary if arm.boundary_constraint else 0.0,
+            direction=train_config.weights.direction if arm.direction_constraint else 0.0,
+        )
+        arm_train = dataclasses.replace(train_config, weights=arm_weights)
+        params, _log = train(arm_train, gen_config, arm_interact, constraint_params)
+        where = f"of arm {arm.name!r} on evaluation scenario"
+        plans = [_forward(s, params, where, seed).plan for s, seed in zip(eval_set, eval_seeds)]
+        metrics = plan_metrics(eval_set, plans, gen_config.ego_dims)
+        # the 3 s rate is count * 100 / eval_count; round back to the count
+        rate_3s = metrics.collision.values[DEFAULT_HORIZONS.index(3.0)]
+        count_3s = round(rate_3s * eval_count / 100.0)
+        rows.append(AblationRow(arm=arm, metrics=metrics, collision_count_3s=count_3s))
+        if progress is not None:
+            progress(rows[-1])
+    return AblationReport(rows=rows, eval_count=eval_count)

@@ -1,4 +1,4 @@
-"""Open-loop planning metrics and the constraint/interaction ablation sweep.
+"""Open-loop planning metrics.
 
 Displacement error compares planned and expert waypoints at the fixed
 horizons `DEFAULT_HORIZONS` (1, 2 and 3 s), which every metric reports; the
@@ -51,12 +51,17 @@ from .geometry import (
     pose_track,
     rect_corners,
 )
-from .scene import DRIVABLE_SIDES, MAP_CLASSES, MapClass, PlanTrajectory, Scenario
+from .scene import (
+    DEFAULT_EGO_DIMS,
+    DRIVABLE_SIDES,
+    MAP_CLASSES,
+    MapClass,
+    PlanTrajectory,
+    Scenario,
+)
 
 DEFAULT_HORIZONS = (1.0, 2.0, 3.0)
-DEFAULT_EGO_DIMS = (4.0, 1.85)
 BLOCK_SCENES = 32  # scenes per block of the box and boundary metrics
-EVAL_SEED_OFFSET = 900_000  # the first seed of the ablation's evaluation scenarios
 _ROAD_BOUNDARY = MAP_CLASSES.index(MapClass.ROAD_BOUNDARY)
 
 
@@ -346,122 +351,3 @@ def plan_metrics(
     collision = _cumulative_rate(collided)
     overstep_rate = _cumulative_rate(overstepped).values[-1]
     return PlanMetrics(l2=l2, collision=collision, boundary_overstep_rate=overstep_rate)
-
-
-# ---------------------------------------------------------------------------
-# ablation sweep
-
-
-@dataclass(frozen=True)
-class AblationArm:
-    """One row of the ablation: interaction and constraint toggles."""
-
-    name: str
-    agent_interaction: bool = True
-    map_interaction: bool = True
-    collision_constraint: bool = True
-    boundary_constraint: bool = True
-    direction_constraint: bool = True
-
-
-@dataclass
-class AblationRow:
-    arm: AblationArm
-    metrics: PlanMetrics
-    collision_count_3s: int
-
-
-@dataclass
-class AblationReport:
-    rows: list[AblationRow]
-    eval_count: int
-
-    CSV_COLUMNS = [
-        "arm", "agent_inter", "map_inter", "col_const", "bd_const", "dir_const",
-        "l2_1s", "l2_2s", "l2_3s", "l2_avg",
-        "cr_1s", "cr_2s", "cr_3s", "cr_avg",
-    ]
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for row in self.rows:
-            arm, m = row.arm, row.metrics
-            toggles = (arm.agent_interaction, arm.map_interaction, arm.collision_constraint,
-                       arm.boundary_constraint, arm.direction_constraint)
-            values = [*m.l2.values, m.l2.avg, *m.collision.values, m.collision.avg]
-            lines.append(",".join([arm.name, *(str(int(t)) for t in toggles), *map(repr, values)]))
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        header = (
-            f"{'arm':<18}{'AgI':>4}{'MapI':>5}{'Col':>4}{'Bd':>4}{'Dir':>4}"
-            f"{'L2@1s':>8}{'L2@2s':>8}{'L2@3s':>8}{'L2avg':>8}"
-            f"{'CR@1s':>8}{'CR@2s':>8}{'CR@3s':>8}{'CRavg':>8}"
-        )
-        mark = lambda b: "x" if b else "-"
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            arm = row.arm
-            m = row.metrics
-            lines.append(
-                f"{arm.name:<18}{mark(arm.agent_interaction):>4}{mark(arm.map_interaction):>5}"
-                f"{mark(arm.collision_constraint):>4}{mark(arm.boundary_constraint):>4}"
-                f"{mark(arm.direction_constraint):>4}"
-                + "".join(f"{v:8.3f}" for v in m.l2.values)
-                + f"{m.l2.avg:8.3f}"
-                + "".join(f"{v:8.2f}" for v in m.collision.values)
-                + f"{m.collision.avg:8.2f}"
-            )
-        lines.append(f"(open-loop over {self.eval_count} synthetic scenarios; artifact protocol)")
-        return "\n".join(lines) + "\n"
-
-
-def ablation_report(
-    arms: Sequence[AblationArm],
-    train_config,
-    gen_config,
-    interact_config=None,
-    constraint_params=None,
-    eval_count: int = 200,
-    ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS,
-    progress=None,
-) -> AblationReport:
-    """Train one model per arm (identical except toggles) and evaluate all
-    arms open-loop on the same seeded scenario set, the scenarios of seeds
-    `EVAL_SEED_OFFSET` onwards."""
-    from dataclasses import replace as dc_replace
-
-    from .interact import InteractionConfig, forward_plan
-    from .learning import train
-    from .scene import generate_scenario
-
-    if interact_config is None:
-        interact_config = InteractionConfig(t_future=gen_config.t_future)
-
-    eval_set = [
-        generate_scenario(EVAL_SEED_OFFSET + i, gen_config) for i in range(eval_count)
-    ]
-    rows = []
-    for arm in arms:
-        arm_interact = dc_replace(
-            interact_config,
-            use_agent_interaction=arm.agent_interaction,
-            use_map_interaction=arm.map_interaction,
-        )
-        arm_weights = dc_replace(
-            train_config.weights,
-            collision=train_config.weights.collision if arm.collision_constraint else 0.0,
-            boundary=train_config.weights.boundary if arm.boundary_constraint else 0.0,
-            direction=train_config.weights.direction if arm.direction_constraint else 0.0,
-        )
-        arm_train = dc_replace(train_config, weights=arm_weights)
-        params, _log = train(arm_train, gen_config, arm_interact, constraint_params)
-        plans = [forward_plan(s, params).plan for s in eval_set]
-        metrics = plan_metrics(eval_set, plans, ego_dims)
-        # the 3 s rate is count * 100 / eval_count; round back to the count
-        rate_3s = metrics.collision.values[DEFAULT_HORIZONS.index(3.0)]
-        count_3s = round(rate_3s * eval_count / 100.0)
-        rows.append(AblationRow(arm=arm, metrics=metrics, collision_count_3s=count_3s))
-        if progress is not None:
-            progress(rows[-1])
-    return AblationReport(rows=rows, eval_count=eval_count)

@@ -84,6 +84,7 @@ class PlanTrajectory:
 
 MAP_CLASSES = tuple(MapClass)  # the order of `Scenario.map_kind` indices
 DRIVABLE_SIDES = {None: 0, "left": 1, "right": -1}  # `Scenario.map_side` codes
+DEFAULT_EGO_DIMS = (4.0, 1.85)  # the ego box, length by width, in meters
 
 
 def _rows(mask: np.ndarray) -> np.ndarray:
@@ -332,7 +333,7 @@ class GeneratorConfig:
     agent_confidence_range: tuple[float, float] = (1.0, 1.0)
     map_confidence_range: tuple[float, float] = (1.0, 1.0)
     min_agent_clearance: float = 0.4
-    ego_dims: tuple[float, float] = (4.0, 1.85)
+    ego_dims: tuple[float, float] = DEFAULT_EGO_DIMS
     n_points: int = 20
     t_future: int = 6
     horizon_dt: float = 0.5

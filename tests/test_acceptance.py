@@ -41,8 +41,8 @@ from vecplan.geometry import (
     oriented_rect_overlap,
 )
 from vecplan.interact import InteractionConfig, InteractionParams, forward_plan
-from vecplan.learning import TrainConfig, minfde_select, train
-from vecplan.metrics import AblationArm, ablation_report, collision_rate
+from vecplan.learning import AblationArm, TrainConfig, ablation_report, minfde_select, train
+from vecplan.metrics import collision_rate
 from vecplan.scene import (
     GeneratorConfig,
     PlanTrajectory,

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -147,9 +148,13 @@ class TestConfig:
             ("generator.speed_range=[-5,-1]", "speed_range must not be negative"),
             ("generator.agent_speed_range=[-3,-1]", "agent_speed_range must not be negative"),
             ("train.enable_aux_heads=no", "train.enable_aux_heads must be a bool, got 'no'"),
-            ("train.shuffle=1", "train.shuffle must be a bool"),
-            ("train.scheduler=5", "train.scheduler must be a str"),
             ("train.batch_size=1", "unknown config key: train.batch_size"),
+            # keys removed so that each run setting has one key
+            ("train.shuffle=1", "unknown config key: train.shuffle"),
+            ("train.scheduler=5", "unknown config key: train.scheduler"),
+            ("simulator.ego_length=9.0", "unknown config key: simulator.ego_length"),
+            ("simulator.ego_width=1.85", "unknown config key: simulator.ego_width"),
+            ("interact.t_future=6", "unknown config key: interact.t_future"),
             ("simulator.planner=null", "simulator.planner must be a str"),
             ('metrics.ablation_arms=[{"name": 5}]', "metrics.ablation_arms[0].name must be a str"),
             (
@@ -174,6 +179,28 @@ class TestConfig:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:config-parse:"), err
         assert names in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulator", "ego_length", 4.0), ("simulator", "ego_width", 1.85),
+        ("interact", "t_future", 6), ("train", "scheduler", "cosine"), ("train", "shuffle", True),
+    ])
+    def test_a_removed_key_in_a_file_is_one_unknown_key_line(self, tmp_path, section, key, value):
+        data = json.loads(tiny_config(tmp_path).read_text())
+        data[section][key] = value
+        cfg = tmp_path / "removed.json"
+        cfg.write_text(json.dumps(data))
+        rc, lines = _stderr_lines("evaluate", "--config", str(cfg), "--planner", "expert")
+        assert rc == 1
+        assert lines == [f"error:config-parse: unknown config key: {section}.{key}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_the_run_config_fills_train_and_interact(self):
+        cfg = config_from_dict({"seed": 5, "weights": {"collision": 2.0},
+                                "generator": {"t_future": 8}})
+        assert cfg.train.seed == 5 and cfg.train.weights.collision == 2.0
+        assert cfg.interact.t_future == 8
+        assert "t_future" not in config_to_dict(cfg)["interact"]
 
     def test_non_finite_value_never_reaches_a_json_artifact(self, tmp_path, capsys):
         # generate never trains, so only config parsing stops the NaN
@@ -415,6 +442,17 @@ class TestPlanAndEvaluate:
         assert f"map[{data['map'].index(boundary)}].points" in lines[0]
 
 
+def _quick_run_args(tmp_path, command):
+    """The arguments besides the config that make `simulate`, `evaluate`
+    or `ablate` quick: a scenario file to simulate and a planner that needs
+    neither training nor a descent."""
+    scenario = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(0), scenario)
+    planner = ["--planner", "constant_velocity"]
+    return {"simulate": ["--scenario", str(scenario), *planner], "evaluate": planner,
+            "ablate": []}[command]
+
+
 class TestTrainSimulateAblate:
     def test_train_then_plan_with_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -467,7 +505,7 @@ class TestTrainSimulateAblate:
         )
 
     def test_ablate_two_arms(self, tmp_path, capsys, monkeypatch):
-        from vecplan import metrics
+        from vecplan import learning, metrics
 
         evaluated = []
         original = metrics.plan_metrics
@@ -476,7 +514,7 @@ class TestTrainSimulateAblate:
             evaluated.append((scenarios, plans, ego_dims))
             return original(scenarios, plans, ego_dims, *rest)
 
-        monkeypatch.setattr(metrics, "plan_metrics", recording_plan_metrics)
+        monkeypatch.setattr(learning, "plan_metrics", recording_plan_metrics)
         cfg = tiny_config(
             tmp_path,
             metrics={
@@ -519,6 +557,78 @@ class TestTrainSimulateAblate:
         ]
         assert len(direct) == 2
         assert printed == direct
+
+    def test_ablate_parameters_that_overflow_on_evaluation_are_one_divergence_line(
+            self, tmp_path, monkeypatch):
+        # finite trained parameters so large that the network overflows on an
+        # evaluation scene: no file was read, so this is not a schema error
+        from vecplan import learning
+
+        original = learning.train
+
+        def overflowing_train(*args, **kwargs):
+            params, log = original(*args, **kwargs)
+            params.flat *= 1e200
+            return params, log
+
+        monkeypatch.setattr(learning, "train", overflowing_train)
+        cfg = tiny_config(tmp_path)
+        rc, lines = _stderr_lines("ablate", "--config", str(cfg), "--count", "2")
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:divergence: "), lines
+        assert lines == ["error:divergence: non-finite plan of arm 'full' on evaluation "
+                         f"scenario seed {learning.EVAL_SEED_OFFSET}"], lines
+        assert not (tmp_path / "out").exists()
+
+    def test_one_horizon_key_drives_train_and_the_model(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        horizon = ["--set", "generator.t_future=8"]
+        assert run("train", "--config", str(cfg), *horizon) == 0
+        checkpoint = str(tmp_path / "out" / "checkpoint.txt")
+        evaluate = ["evaluate", "--config", str(cfg), "--planner", "model",
+                    "--checkpoint", checkpoint, "--out", str(tmp_path / "eval")]
+        assert run(*evaluate, *horizon) == 0
+        # the network was trained for 8 ticks, so the default 6 do not fit it
+        rc, lines = _stderr_lines(*evaluate)
+        assert rc == 1 and lines[0].startswith("error:checkpoint-mismatch:"), lines
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "ablate"])
+    def test_the_metrics_score_the_generator_ego_box(self, tmp_path, monkeypatch, command):
+        from vecplan import cli, learning, simulator
+
+        spied = {"simulate": [(simulator, "collision_ticks"), (simulator, "boundary_overstep")],
+                 "evaluate": [(cli, "plan_metrics")], "ablate": [(learning, "plan_metrics")]}
+        seen = []
+        for module, name in spied[command]:
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs)
+                seen.append(bound.arguments["ego_dims"])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        cfg = tiny_config(tmp_path, metrics={"eval_count": 2, "ablation_arms": [{"name": "full"}]})
+        extra = _quick_run_args(tmp_path, command)
+        rc = run(command, "--config", str(cfg), "--set", "generator.ego_dims=[5.0,2.0]", *extra)
+        assert rc == 0
+        assert seen and all(tuple(dims) == (5.0, 2.0) for dims in seen), seen
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("evaluate", "--count", ("metrics", "eval_count")),
+        ("ablate", "--count", ("metrics", "eval_count")),
+        ("simulate", "--ticks", ("simulator", "ticks")),
+    ])
+    def test_count_and_tick_flags_are_recorded_in_the_resolved_config(
+            self, tmp_path, command, flag, key):
+        cfg = tiny_config(tmp_path, metrics={"eval_count": 4, "ablation_arms": [{"name": "full"}]})
+        extra = _quick_run_args(tmp_path, command)
+        assert run(command, "--config", str(cfg), flag, "3", *extra) == 0
+        resolved = tmp_path / "out" / "config.resolved.json"
+        section, name = key
+        assert json.loads(resolved.read_text())[section][name] == 3
+        # the resolved config alone reproduces the run
+        assert run(command, "--config", str(resolved), "--check", *extra) == 0
 
 
 def _model_files(tmp_path):

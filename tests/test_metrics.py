@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +452,27 @@ class TestBlocks:
             collision_ticks(scenarios, plan_pose_track(_perturbed(scenarios[:1])))
         with pytest.raises(ConfigError):
             boundary_overstep(scenarios, plan_pose_track(_perturbed(scenarios[:1])))
+
+
+class TestLayering:
+    # the modules the metrics must not import: the layers that use them, and
+    # the network, which only the layers above reach
+    ABOVE = {"learning", "interact", "simulator", "cli"}
+
+    def test_metrics_import_no_layer_above_them(self):
+        """No import in `metrics.py`, at module level or inside a function,
+        names one of `ABOVE`, so no import cycle or deferred import comes
+        back."""
+        tree = ast.parse(Path(metrics.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                imported.append(base)
+                # `from . import learning` names the module in its aliases
+                imported += [f"{base}.{alias.name}" for alias in node.names]
+        assert imported
+        above = [name for name in imported if set(name.split(".")) & self.ABOVE]
+        assert above == []
