@@ -20,14 +20,14 @@ own to both inputs); the parameters' gradients end up in one flat vector laid
 out like `InteractionParams.flat` (`Gradients.flat`).  Three fused records
 run the numpy operations of a chain of records in its order, so with its
 bits in value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
-`decoder_block` (an interaction stage: the positional `mlp` of its raw
-query and key position rows, multi-head cross-attention with output
-projection and residual, then a perceptron with a residual) and `mlp_head`
-(the `mlp` of its raw status rows, concatenation, three layers and a
-scale).  Their raw rows are kept as constants are and, but for a stage's
-query rows, checked as they are; a fused vjp runs the vjps of the records
-it replaces, in the order a sweep reaches them, on the operands the sweep
-would hand them.  A record holds input indices and a closure over arrays
+`decoder_block` (an interaction stage: the positional `mlp` of its raw key
+position rows, with its query rows' encoding handed in, multi-head
+cross-attention with output projection and residual, then a perceptron with
+a residual) and `mlp_head` (the `mlp` of its raw status rows,
+concatenation, three layers and a scale).  Their raw rows are kept as
+constants are and checked as they are; a fused vjp runs the vjps of the
+records it replaces, in the order a sweep reaches them, on the operands the
+sweep would hand them.  A record holds input indices and a closure over arrays
 and shapes, never a `Tensor`, and a tape refers to no tensor of its own, so
 a tape holds no reference cycle and reference counting frees it as soon as
 nothing refers to it.  No broadcasting beyond the bias rows and no
@@ -424,21 +424,24 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     return out, weights, vjp
 
 
-def decoder_block(q: Tensor, q_rows: np.ndarray, k: Tensor, k_rows: np.ndarray, v: Tensor,
-                  pe_w1: Tensor, pe_b1: Tensor, pe_w2: Tensor, pe_b2: Tensor, wq: Tensor,
-                  wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                  b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
+def decoder_block(q: Tensor, q_enc: tuple[np.ndarray, Callable], k: Tensor, k_rows: np.ndarray,
+                  v: Tensor, pe_w1: Tensor, pe_b1: Tensor, pe_w2: Tensor, pe_b2: Tensor,
+                  wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor,
+                  w2: Tensor, b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
     """A transformer-decoder stage as one record: x + mlp(x, w1, b1, w2, b2)
     with x the multi-head cross-attention of q over k (`_attention`) with
-    the positional encodings q_pos = mlp(q_rows, pe) and k_pos = mlp(k_rows,
-    pe) of the raw position rows, or x = q where k has no rows (v and pe are
-    then not read, and there are no weights).  The key rows, which come from
-    the scene, are checked and kept as `Tape.constant` enters an array; the
-    query rows are the caller's own (the ego's origin in the network), kept
-    read-only but not scanned for non-finite values.  The bits of the two
-    positional `mlp` records over constants, the attention chain, `mlp` and
-    `add`, in value and in every input gradient.  Returns the output and
-    each head's attention weights."""
+    the positional encodings q_pos and k_pos = mlp(k_rows, pe) of the raw
+    key position rows, or x = q where k has no rows (v, pe and q_enc are
+    then not read, and there are no weights).  `q_enc` is the query rows'
+    encoding `_mlp(q_rows, pe_w1, pe_b1, pe_w2, pe_b2, False)`, its value
+    and its vjp, over rows its caller never writes: it depends on the
+    parameters alone, so a caller may make it once and hand it to every
+    record over the same parameter values, and the record's vjp runs its
+    vjp.  The key rows, which come from the scene, are checked and kept as
+    `Tape.constant` enters an array.  The bits of the two positional `mlp`
+    records over constants, the attention chain, `mlp` and `add`, in value
+    and in every input gradient.  Returns the output and each head's
+    attention weights."""
     tape = k.tape
     if (tape.__class__ is not Tape or v.tape is not tape
             or q.tape is not tape and q.tape is not tape._params
@@ -449,12 +452,9 @@ def decoder_block(q: Tensor, q_rows: np.ndarray, k: Tensor, k_rows: np.ndarray, 
     if w2.shape[1] != q.shape[1]:
         raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
     pe = (pe_w1, pe_b1, pe_w2, pe_b2)
-    if q_rows.ndim != 2:
-        raise ShapeError(f"tensors are 2-D, got shape {q_rows.shape}")
-    q_rows.setflags(write=False)
     _frozen(k_rows)
     if k.shape[0]:
-        q_pos, q_pos_vjp = _mlp(q_rows, *pe, False)
+        q_pos, q_pos_vjp = q_enc
         k_pos, k_pos_vjp = _mlp(k_rows, *pe, False)
         x_in, weights, att_vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
         # the attention's inputs but the encodings, the feed-forward's, then

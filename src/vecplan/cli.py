@@ -639,6 +639,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # --count and --ticks keep the bound of the keys they set (generate's
         # --count is a file count, and sets none); they win over --set
         overrides = list(args.overrides)
+        if getattr(args, "scenario", None) and getattr(args, "count", None) is not None:
+            # evaluate's --count sizes the generated set that files replace
+            raise ConfigError("--count generates the scenes and cannot be given with "
+                              "--scenario files")
         for flag in ("count", "ticks"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:

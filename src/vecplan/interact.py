@@ -12,21 +12,29 @@ All math runs on the autodiff tape so training can backpropagate through the
 full forward pass, and inference runs the same forward.  A forward opens its
 tape on the parameters' `autodiff.Leaves`, built once with them, so it makes
 no node for a parameter, and makes six records: the agent and map encoders,
-one per interaction stage (`ad.decoder_block`, which encodes the stage's
-position rows itself), the command embedding and the head (`ad.mlp_head`,
-which encodes the status row itself).  The input rows it builds from the
-scene enter as they are, the agent and map rows and the command row as
-constants (`Tape.constant`), each checked for finiteness once.
+one per interaction stage (`ad.decoder_block`, which encodes the stage's key
+positions itself), the command embedding and the head (`ad.mlp_head`, which
+encodes the status row itself).  The input rows it builds from the scene
+enter as they are, the agent and map rows and the command row as constants
+(`Tape.constant`), each checked for finiteness once.
+
+Parameters are written only inside `InteractionParams.writing()`, and each
+write starts a new parameter version.  What a forward needs of the
+parameters alone, that they are finite and each stage's encoding of the
+ego's origin row with its vjp, the first forward of a version derives and
+the later ones reuse; a forward inside an open write scope derives it
+afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -86,6 +94,14 @@ def _layer(prefix: str, parts: tuple[str, ...] = _PERCEPTRON) -> itemgetter:
     return itemgetter(*(f"{prefix}.{part}" for part in parts))
 
 
+# each interaction stage's positional encoder
+_POSITION_ENCODER = {"agent": "pe1", "map": "pe2"}
+# the ego's position, the origin: the query row of every stage, read-only
+# since every encoding's vjp reads it
+_EGO_ROW = np.zeros((1, 2))
+_EGO_ROW.setflags(write=False)
+
+
 def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
     # biases share the layer's fan_in bound; zero biases would leave the
     # (0, 0) ego position exactly on the relu kink
@@ -131,35 +147,91 @@ class InteractionParams:
     contiguous float64 vector.
 
     `flat` holds every parameter, tensor after tensor in the order of
-    `tensors`.
-    `tensors` is a read-only mapping from each name to a reshaped view of
-    `flat`: writing into a view (`tensors[name][...] = 0.0`) writes the
-    parameter, while assigning a new array to a name raises, since it would
-    leave `flat` stale.  `leaves` holds read-only views of the same memory
-    as an `autodiff.Leaves` set, built once, on which `forward_plan` opens
-    each tape.  `extend` rebuilds all three, so views taken before it no
-    longer alias the parameters.
+    `tensors`, a read-only mapping from each name to a reshaped view of
+    `flat`; assigning a new array to a name raises, since it would leave
+    `flat` stale.  Both are read-only but inside a `writing()` scope, where
+    they are writable views of the same memory: a write goes there, and its
+    scope's exit starts a new parameter version, as `extend` does.  `leaves`
+    holds the read-only views as an `autodiff.Leaves` set, built once, on
+    which `forward_plan` opens each tape; it sees every write.  The first
+    forward of a version derives the data that depends on the parameters
+    alone (`_derive`), and the later ones reuse it.  `extend` rebuilds the
+    vector, so views taken before it no longer alias the parameters.
     """
 
     def __init__(self, config: InteractionConfig, tensors: Mapping[str, np.ndarray]):
         self.config = config
+        self._open = False
         self._pack(tensors)
 
     def _pack(self, tensors: Mapping[str, np.ndarray]) -> None:
         arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
-        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()] or [np.zeros(0)])
+        buffer = np.concatenate([a.reshape(-1) for a in arrays.values()] or [np.zeros(0)])
         views = {}
-        leaves = {}
+        read_only = {}
         offset = 0
         for name, arr in arrays.items():
             if arr.ndim != 2:
                 raise ShapeError(f"parameter {name} must be 2-D, got shape {arr.shape}")
-            views[name] = self.flat[offset : offset + arr.size].reshape(arr.shape)
-            leaves[name] = views[name].view()
-            leaves[name].flags.writeable = False
+            views[name] = buffer[offset : offset + arr.size].reshape(arr.shape)
+            read_only[name] = views[name].view()
+            read_only[name].flags.writeable = False
             offset += arr.size
-        self.tensors = MappingProxyType(views)
-        self.leaves = ad.Leaves(leaves)
+        flat = buffer.view()
+        flat.flags.writeable = False
+        self._writable = (buffer, MappingProxyType(views))
+        self._read_only = (flat, MappingProxyType(read_only))
+        self.flat, self.tensors = self._read_only
+        self.leaves = ad.Leaves(read_only)
+        self._new_version()
+
+    def _new_version(self) -> None:
+        self._finite = False  # whether these values are known to be finite
+        self._derived = None  # `_derive`'s, once a forward outside a scope made it
+
+    @contextlib.contextmanager
+    def writing(self):
+        """The scope in which `flat` and `tensors` are writable.  Its exit
+        starts a new parameter version and, unless its body raised, checks
+        every parameter finite: a ShapeError names the first tensor that is
+        not.  The next forward then scans no parameter.  A view taken inside
+        must not be kept past the exit: it stays writable, and a write
+        through it would start no version."""
+        if self._open:
+            raise RuntimeError("parameters are already open for writing")
+        self._open = True
+        self._new_version()
+        self.flat, self.tensors = self._writable
+        try:
+            yield
+        finally:
+            self.flat, self.tensors = self._read_only
+            self._open = False
+            self._new_version()
+        flat = self.flat
+        if np.count_nonzero(np.isfinite(flat)) != flat.size:
+            name = next(n for n, a in self.tensors.items() if not np.isfinite(a).all())
+            raise ShapeError(f"non-finite parameter {name}")
+        self._finite = True
+
+    def _derive(self) -> dict[str, tuple[np.ndarray, Callable]]:
+        """What a forward needs of the parameters alone: a check that they
+        are finite, unless the write that started this version made it, then
+        each stage's positional encoding of the ego's origin row with its
+        vjp, as `ad.decoder_block` takes it.  Kept for the later forwards of
+        this version, unless a write scope is open."""
+        flat = self.flat
+        if not self._finite and np.count_nonzero(np.isfinite(flat)) != flat.size:
+            raise ShapeError("non-finite values in tensor")
+        p = self.leaves.tensors
+        derived = {}
+        for stage, pe in _POSITION_ENCODER.items():
+            value, vjp = ad._mlp(_EGO_ROW, *_layer(pe)(p), False)
+            value.setflags(write=False)
+            derived[stage] = (value, vjp)
+        if not self._open:
+            self._finite, self._derived = True, derived
+        return derived
 
     @classmethod
     def initialize(cls, config: InteractionConfig, seed: int) -> "InteractionParams":
@@ -278,12 +350,12 @@ def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape,
     `rows` are the scene's `scene_features`, where the caller holds them.
     """
     agent_rows, map_rows, centroids = scene_features(scenario) if rows is None else rows
-    agent_q, map_q = [
-        ad.mlp(tape.constant(rows), *_layer(encoder)(p))
-        if len(rows)
-        else tape.constant(np.zeros((0, _layer(encoder)(p)[2].shape[1])))
-        for rows, encoder in ((agent_rows, "agent_enc"), (map_rows, "map_enc"))
-    ]
+    queries = []  # a loop, where a comprehension would cost a forward a call
+    for rows, encoder in ((agent_rows, "agent_enc"), (map_rows, "map_enc")):
+        w1, b1, w2, b2 = _layer(encoder)(p)
+        queries.append(ad.mlp(tape.constant(rows), w1, b1, w2, b2) if len(rows)
+                       else tape.constant(np.zeros((0, w2.shape[1]))))
+    agent_q, map_q = queries
     return QueryFeatures(agent_q, map_q, agent_rows[:, :2] / POSITION_SCALE, centroids)
 
 
@@ -291,15 +363,18 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
                  rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardResult:
     """Run the full interaction pipeline and return the plan plus its tape.
     `rows` are the scene's `scene_features`, where the caller holds them
-    already: training builds each training scene's once for the run."""
+    already: training builds each training scene's once for the run.  The
+    parameters' own data (`InteractionParams._derive`) comes from the first
+    forward of their version."""
     config = params.config
     if scenario.t_future != config.t_future:
         raise ConfigError(
             f"scenario horizon {scenario.t_future} does not match model t_future "
             f"{config.t_future}"
         )
-    if np.count_nonzero(np.isfinite(params.flat)) != params.flat.size:
-        raise ShapeError("non-finite values in tensor")
+    derived = params._derived
+    if derived is None:
+        derived = params._derive()
     tape = Tape(params.leaves)
     p = params.leaves.tensors
 
@@ -307,19 +382,19 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
     attention: dict[str, list[np.ndarray]] = {}
 
     ego_q = p["ego_query"]
-    ego_row = np.zeros((1, 2))  # the ego's position, the origin
     stages = (
-        ("agent", config.use_agent_interaction, features.agent_queries,
-         features.agent_positions, "pe1"),
-        ("map", config.use_map_interaction, features.map_queries, features.map_positions, "pe2"),
+        ("agent", config.use_agent_interaction, features.agent_queries, features.agent_positions),
+        ("map", config.use_map_interaction, features.map_queries, features.map_positions),
     )
     q_after = []  # the ego query after each stage
-    for name, used, keys, positions, pe in stages:
+    for name, used, keys, positions in stages:
         if used:
             # the ego query attends over the keys, which are also the values,
-            # each position encoded by the stage's perceptron
+            # each position encoded by the stage's perceptron, the ego's once
+            # a parameter version
             ego_q, attention[name] = ad.decoder_block(
-                ego_q, ego_row, keys, positions * POSITION_SCALE, keys, *_layer(pe)(p),
+                ego_q, derived[name], keys, positions * POSITION_SCALE, keys,
+                *_layer(_POSITION_ENCODER[name])(p),
                 *_layer(f"{name}_block", _BLOCK)(p), config.n_heads,
             )
         q_after.append(ego_q)

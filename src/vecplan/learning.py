@@ -365,8 +365,9 @@ def train(
     Deterministic for a given config: scenario seeds, parameter init, and the
     per-epoch shuffle all derive from `config.seed`.  Each training scene is
     packed, and each scene's network input rows built, once for the whole
-    run.  Aborts with TrainingDivergedError if a plan, a loss or a parameter
-    goes non-finite.
+    run.  Each AdamW step writes the parameters in one `writing()` scope,
+    whose check is the step's one finiteness scan.  Aborts with
+    TrainingDivergedError if a plan, a loss or a parameter goes non-finite.
     """
     if interact_config is None:
         interact_config = InteractionConfig(t_future=gen_config.t_future)
@@ -417,13 +418,14 @@ def train(
                 sums[key] += plan_loss.breakdown[key]
             # the tape was opened on params.leaves, so its flat gradient is laid out
             # like params.flat
-            optimizer.step(params.flat, result.tape.backward_from(seeds).flat, lr)
-            if not np.all(np.isfinite(params.flat)):
-                name = next(n for n, a in params.tensors.items() if not np.all(np.isfinite(a)))
+            grad = result.tape.backward_from(seeds).flat
+            try:
+                with params.writing():
+                    optimizer.step(params.flat, grad, lr)
+            except ShapeError as e:  # "non-finite parameter {name}", from the scope's check
                 raise TrainingDivergedError(
-                    f"non-finite parameter {name} after epoch {epoch}, "
-                    f"scenario seed {train_seeds[idx]}"
-                )
+                    f"{e} after epoch {epoch}, scenario seed {train_seeds[idx]}"
+                ) from e
 
         n = len(train_set)
         val_l2, val_cr = _validate(params, val_set, val_rows, val_seeds, where, gen_config)

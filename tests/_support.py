@@ -710,6 +710,13 @@ def _unfolded_attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     return out, weights, inputs, vjp
 
 
+def query_encoding(q_rows, w1, b1, w2, b2):
+    """The `q_enc` that `ad.decoder_block` takes for the query position rows
+    `q_rows`, made read-only: their positional encoding and its vjp."""
+    q_rows.setflags(write=False)
+    return ad._mlp(q_rows, w1, b1, w2, b2, False)
+
+
 def unfolded_decoder_block(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
     """The decoder block as one record over encodings that are tensors of
     their own (the positional `mlp` records' outputs): the reference that

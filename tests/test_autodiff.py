@@ -4,7 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
-from _support import fd_param_gradient, max_rel_err, unfolded_decoder_block, unfolded_mlp_head
+from _support import (
+    fd_param_gradient,
+    max_rel_err,
+    query_encoding,
+    unfolded_decoder_block,
+    unfolded_mlp_head,
+)
 
 from vecplan import autodiff as ad
 from vecplan.errors import CheckpointError, ShapeError
@@ -319,12 +325,14 @@ def _stage_arrays(rng, rows, n_keys, d, spread=1.0):
 
 def _stage(tape, tensors, q_rows, k_rows, n_heads, folded):
     """One stage over `tensors` (q, k, v, the encoder's four, the block's
-    eight): `ad.decoder_block`, or, where not `folded`, the two positional
-    `mlp` records over constants, the ego rows' first, then the oracle."""
+    eight): `ad.decoder_block` over the query rows' encoding, or, where not
+    `folded`, the two positional `mlp` records over constants, the ego rows'
+    first, then the oracle."""
     q, k, v, *weights = tensors
     pe, block = weights[:4], weights[4:]
     if folded:
-        return ad.decoder_block(q, q_rows.copy(), k, k_rows.copy(), v, *pe, *block, n_heads)
+        return ad.decoder_block(q, query_encoding(q_rows.copy(), *pe), k, k_rows.copy(), v, *pe,
+                                *block, n_heads)
     q_pos = ad.mlp(tape.constant(q_rows.copy()), *pe)
     k_pos = (ad.mlp(tape.constant(k_rows.copy()), *pe) if len(k_rows)
              else tape.constant(np.zeros(k.shape)))
@@ -384,28 +392,30 @@ class TestFusedAttention:
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
         pe, attention, ffn = weights[:4], weights[4:8], weights[8:]
+        q_enc = query_encoding(q_rows, *pe)
         with pytest.raises(ShapeError, match="heads"):
-            ad.decoder_block(q, q_rows, k, k_rows, v, *weights, 3)
+            ad.decoder_block(q, q_enc, k, k_rows, v, *weights, 3)
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_rows, k, k_rows[:2], v, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows[:2], v, *weights, 1)
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_rows, k, k_rows, q, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows, q, *weights, 1)
         narrow = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_rows, narrow, k_rows, narrow, *weights, 1)
+            ad.decoder_block(q, q_enc, narrow, k_rows, narrow, *weights, 1)
         with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_rows, k, np.zeros((3, 3)), v, *weights, 1)
+            ad.decoder_block(q, q_enc, k, np.zeros((3, 3)), v, *weights, 1)
         with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_rows, k, k_rows, v, *pe[:3], pe[1], *attention, *ffn, 1)
+            ad.decoder_block(q, q_enc, k, k_rows, v, *pe[:3], pe[1], *attention, *ffn, 1)
+        # an encoding of two query rows for one query
+        with pytest.raises(ShapeError, match="attention"):
+            ad.decoder_block(q, query_encoding(np.zeros((2, 2)), *pe), k, k_rows, v, *weights, 1)
         with pytest.raises(ShapeError, match="2-D"):
-            ad.decoder_block(q, np.zeros(2), k, k_rows, v, *weights, 1)
-        with pytest.raises(ShapeError, match="2-D"):
-            ad.decoder_block(q, q_rows, k, k_rows[None], v, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows[None], v, *weights, 1)
         for bad in (np.nan, np.inf):
             rows = k_rows.copy()
             rows[1, 0] = bad
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
-                ad.decoder_block(q, q_rows, k, rows, v, *weights, 1)
+                ad.decoder_block(q, q_enc, k, rows, v, *weights, 1)
 
 
 class TestFusedBlock:
@@ -436,12 +446,13 @@ class TestFusedBlock:
         tape = ad.Tape()
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
+        q_enc = query_encoding(q_rows, *weights[:4])
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((4, 4), (1, 4), (4, 3), (1, 3))]
         with pytest.raises(ShapeError, match="decoder_block"):
-            ad.decoder_block(q, q_rows, k, k_rows, v, *weights[:8], *ffn, 1)
+            ad.decoder_block(q, q_enc, k, k_rows, v, *weights[:8], *ffn, 1)
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 4), (1, 4))]
         with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_rows, k, k_rows, v, *weights[:8], *ffn, 1)
+            ad.decoder_block(q, q_enc, k, k_rows, v, *weights[:8], *ffn, 1)
 
 
 class TestFoldedStage:
@@ -483,12 +494,15 @@ class TestFoldedStage:
         rng = np.random.default_rng(2)
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         tape = ad.Tape()
-        ad.decoder_block(tape.leaf(q), q_rows, tape.leaf(k), k_rows, tape.leaf(v),
-                         *[tape.leaf(w) for w in weights], 1)
+        weights = [tape.leaf(w) for w in weights]
+        q_enc = query_encoding(q_rows, *weights[:4])
+        ad.decoder_block(tape.leaf(q), q_enc, tape.leaf(k), k_rows, tape.leaf(v), *weights, 1)
         assert not q_rows.flags.writeable and not k_rows.flags.writeable
-        # the query rows are the caller's own: not scanned, as the key rows are
-        out, _ = ad.decoder_block(tape.leaf(q), np.full((1, 2), np.nan), tape.leaf(k),
-                                  k_rows, tape.leaf(v), *[tape.leaf(w) for w in weights], 1)
+        # the query rows' encoding is the caller's own: not scanned, as the
+        # key rows are
+        nan_enc = query_encoding(np.full((1, 2), np.nan), *weights[:4])
+        out, _ = ad.decoder_block(tape.leaf(q), nan_enc, tape.leaf(k), k_rows, tape.leaf(v),
+                                  *weights, 1)
         assert out.shape == (1, 4)
 
 

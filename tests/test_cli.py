@@ -234,6 +234,20 @@ class TestConfig:
         assert f"{flag} must be >= 1, got {value}" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    def test_evaluate_refuses_a_count_with_scenario_files(self, tmp_path):
+        # the files are the scenes, so a count would be recorded but not run
+        cfg = tiny_config(tmp_path)
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(0), scenario)
+        rc, lines = _stderr_lines("evaluate", "--config", str(cfg), "--scenario", str(scenario),
+                                  "--count", "50", "--planner", "expert")
+        assert rc == 1
+        assert lines == ["error:config-parse: --count generates the scenes and cannot be "
+                         "given with --scenario files"], lines
+        assert not (tmp_path / "out").exists()
+        assert run("evaluate", "--config", str(cfg), "--scenario", str(scenario),
+                   "--planner", "expert") == 0
+
     @pytest.mark.parametrize("source", ["flag", "override", "file"])
     @pytest.mark.parametrize(
         "command", ["generate", "plan", "train", "simulate", "evaluate", "ablate"]
@@ -568,7 +582,8 @@ class TestTrainSimulateAblate:
 
         def overflowing_train(*args, **kwargs):
             params, log = original(*args, **kwargs)
-            params.flat *= 1e200
+            with params.writing():
+                params.flat *= 1e200
             return params, log
 
         monkeypatch.setattr(learning, "train", overflowing_train)

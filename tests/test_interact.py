@@ -14,6 +14,7 @@ from _support import (
     max_rel_err,
     one_mode_agents,
     package_calls,
+    query_encoding,
     scene,
     scene_of_kind,
     take_agents,
@@ -121,6 +122,13 @@ def _stage_params(p, prefix="agent_block", pe="pe1"):
     return [p[n] for n in names]
 
 
+def _block(q, q_rows, k, k_rows, v, p):
+    """`ad.decoder_block` over the agent stage's parameters `p`, the query
+    rows encoded by its positional encoder."""
+    weights = _stage_params(p)
+    return ad.decoder_block(q, query_encoding(q_rows, *weights[:4]), k, k_rows, v, *weights, 1)
+
+
 class TestDecoderBlock:
     def _leaves(self, tape, params):
         return {n: tape.leaf(a) for n, a in params.tensors.items()}
@@ -132,8 +140,7 @@ class TestDecoderBlock:
         rng = np.random.default_rng(0)
         q = tape.leaf(rng.uniform(-1, 1, (1, 8)))
         k = tape.leaf(rng.uniform(-1, 1, (1, 8)))
-        _, attn = ad.decoder_block(q, np.zeros((1, 2)), k, np.zeros((1, 2)), k,
-                                   *_stage_params(p), 1)
+        _, attn = _block(q, np.zeros((1, 2)), k, np.zeros((1, 2)), k, p)
         assert attn[0].shape == (1, 1)
         assert attn[0][0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -146,7 +153,7 @@ class TestDecoderBlock:
         k = tape.leaf(rng.uniform(-1, 1, (5, 8)))
         pos = rng.uniform(-1, 1, (5, 2))
         qpos = rng.uniform(-1, 1, (1, 2))
-        _, attn = ad.decoder_block(q, qpos, k, pos, k, *_stage_params(p), 1)
+        _, attn = _block(q, qpos, k, pos, k, p)
         np.testing.assert_allclose(attn[0].sum(axis=1), np.ones(1), atol=1e-12)
         assert np.all(attn[0] >= 0)
 
@@ -162,9 +169,7 @@ class TestDecoderBlock:
             tape = ad.Tape()
             p = self._leaves(tape, params)
             k = tape.leaf(k_in)
-            out, _ = ad.decoder_block(
-                tape.leaf(q_arr), np.zeros((1, 2)), k, pos_in.copy(), k, *_stage_params(p), 1,
-            )
+            out, _ = _block(tape.leaf(q_arr), np.zeros((1, 2)), k, pos_in.copy(), k, p)
             return out.data
 
         np.testing.assert_allclose(
@@ -177,8 +182,7 @@ class TestDecoderBlock:
         p = self._leaves(tape, params)
         q = tape.leaf(np.ones((1, 8)))
         empty = tape.leaf(np.zeros((0, 8)))
-        out, attn = ad.decoder_block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty,
-                                     *_stage_params(p), 1)
+        out, attn = _block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty, p)
         assert attn == []
         assert out.shape == (1, 8)
 
@@ -194,8 +198,7 @@ class TestDecoderBlock:
             empty = tape.leaf(np.zeros((0, 8)))
             before = len(tape._records)
             if skip:
-                out, attn = ad.decoder_block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty,
-                                             *_stage_params(p), 1)
+                out, attn = _block(q, np.zeros((1, 2)), empty, np.zeros((0, 2)), empty, p)
             else:
                 # what the skip branch is: only the feed-forward sublayer
                 ffn = [p[f"agent_block.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")]
@@ -215,7 +218,7 @@ class TestDecoderBlock:
         q = tape.leaf(np.ones((1, 8)))
         k = tape.leaf(np.ones((2, 4)))
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, np.zeros((1, 2)), k, np.ones((2, 2)), k, *_stage_params(p), 1)
+            _block(q, np.zeros((1, 2)), k, np.ones((2, 2)), k, p)
 
 
 class TestForwardPlan:
@@ -251,8 +254,9 @@ class TestForwardPlan:
 
     def test_zeroed_head_gives_zero_trajectory(self):
         params = small_params()
-        for name in ("head.l1.w1", "head.l1.b1", "head.w2", "head.b2", "head.w3", "head.b3"):
-            params.tensors[name][...] = 0.0
+        with params.writing():
+            for name in ("head.l1.w1", "head.l1.b1", "head.w2", "head.b2", "head.w3", "head.b3"):
+                params.tensors[name][...] = 0.0
         result = forward_plan(scenario_with(9), params)
         np.testing.assert_array_equal(result.plan.waypoints, np.zeros((SMALL.t_future, 2)))
 
@@ -373,10 +377,11 @@ class TestGradientsThroughNetwork:
         grads = result.tape.backward_from([(result.plan_node, analytic_seed)])
 
         worst = 0.0
-        for name in params.tensors:
-            fd = fd_param_gradient(loss_value, params.tensors[name])
-            err = max_rel_err(grads[result.params[name]], fd)
-            worst = max(worst, err)
+        with params.writing():  # each forward inside sees each write
+            for name in params.tensors:
+                fd = fd_param_gradient(loss_value, params.tensors[name])
+                err = max_rel_err(grads[result.params[name]], fd)
+                worst = max(worst, err)
         assert worst < 1e-4
 
     def test_on_tape_imitation_matches_constraints_value(self):
@@ -413,9 +418,17 @@ class TestFlatParams:
         s = scenario_with(9)
         for value in (np.nan, np.inf):
             params = small_params()
-            params.tensors["map_block.ffn.b2"][0, 1] = value
+            forward_plan(s, params)  # the finite version's data, derived
+            with pytest.raises(ShapeError, match="^non-finite parameter map_block.ffn.b2$"):
+                with params.writing():
+                    params.tensors["map_block.ffn.b2"][0, 1] = value
+            for _ in range(2):
+                with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                    forward_plan(s, params)
+            # parameters built with the value, no write scope involved
+            built = InteractionParams(params.config, params.tensors)
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
-                forward_plan(s, params)
+                forward_plan(s, built)
 
     def test_finite_scene_whose_network_input_overflows_is_refused(self):
         # an agent whose first step overflows its speed, and a map polyline
@@ -448,7 +461,8 @@ class TestFlatParams:
     def test_finite_parameters_whose_sum_overflows_are_accepted(self):
         params = small_params()
         params.extend([("extra.w", (1, 2), 1)], seed=0)
-        params.tensors["extra.w"][...] = 1e308  # the forward reads no extra tensor
+        with params.writing():  # and so is the scope's check
+            params.tensors["extra.w"][...] = 1e308  # the forward reads no extra tensor
         with np.errstate(over="ignore"):
             assert not np.isfinite(params.flat.sum())
         assert forward_plan(scenario_with(9), params).plan == forward_plan(
@@ -464,8 +478,11 @@ class TestFlatParams:
             assert not leaf.data.flags.writeable
             with pytest.raises(ValueError):
                 leaf.data[0, 0] = 1.0
-        # the parameters themselves stay writable
-        params.tensors["head.b3"][0, 0] = 1.0
+        # the parameters are written inside a scope, and the leaves see it
+        with pytest.raises(ValueError):
+            params.tensors["head.b3"][0, 0] = 1.0
+        with params.writing():
+            params.tensors["head.b3"][0, 0] = 1.0
         assert result.params["head.b3"].data[0, 0] == 1.0
 
     def test_forwards_read_one_set_of_parameter_tensors(self):
@@ -489,9 +506,11 @@ class TestFlatParams:
         grads = first.tape.backward_from([(first.plan_node, np.ones((1, 12)))])
         optimizer = AdamW(params.flat.size, weight_decay=0.01)
         flat_grad = np.concatenate([grads[leaf].reshape(-1) for leaf in first.params.values()])
-        optimizer.step(params.flat, flat_grad, 1e-2)
+        with params.writing():
+            optimizer.step(params.flat, flat_grad, 1e-2)
         after_step = forward_plan(s, params)
-        params.tensors["head.b3"][0, :] += 1.0
+        with params.writing():
+            params.tensors["head.b3"][0, :] += 1.0
         after_write = forward_plan(s, params)
         for result in (after_step, after_write):
             for name, leaf in result.params.items():
@@ -513,7 +532,8 @@ class TestFlatParams:
         for name, leaf in result.params.items():
             assert np.shares_memory(leaf.data, params.flat), name
             assert not leaf.data.flags.writeable, name
-        params.tensors["extra.w"][...] = 2.0
+        with params.writing():
+            params.tensors["extra.w"][...] = 2.0
         assert (result.params["extra.w"].data == 2.0).all()
 
     def test_copy_and_extend_rebuild_the_vector(self):
@@ -528,6 +548,146 @@ class TestFlatParams:
         assert params.flat.size == before.size + 6
         np.testing.assert_array_equal(params.flat[: before.size], before)
         assert np.shares_memory(params.tensors["extra.w"], params.flat)
+
+
+def _forward_bits(scenario, params, probe):
+    """The bytes of a forward's plan and attention weights and of every
+    gradient of a backward from `probe`: the parameters' and the encoded
+    queries'."""
+    result = forward_plan(scenario, params)
+    grads = result.tape.backward_from([(result.plan_node, probe)])
+    weights = [w.tobytes() for mats in result.attention.values() for w in mats]
+    encoded = [grads[result.features.agent_queries].tobytes(),
+               grads[result.features.map_queries].tobytes()]
+    return result.plan_node.data.tobytes(), weights, grads.flat.tobytes(), encoded
+
+
+class TestWriteScope:
+    """Parameters are written inside `writing()`, and a forward derives what
+    depends on them alone once a write, bit for bit."""
+
+    def test_a_write_outside_the_scope_raises(self):
+        params = small_params()
+        view = params.tensors["head.b3"]
+        for write in (lambda: params.flat.__setitem__(0, 1.0),
+                      lambda: params.tensors["head.b3"].__setitem__((0, 0), 1.0),
+                      lambda: np.multiply(params.flat, 2.0, out=params.flat)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        before = params.flat.copy()
+        with params.writing():
+            params.flat[0] = 1.0
+            params.tensors["head.b3"][0, 0] = 2.0
+        assert params.flat[0] == 1.0 and view[0, 0] == 2.0
+        assert np.array_equal(params.flat[1:-12], before[1:-12])
+        # the scope's views are read-only again once it closes
+        with pytest.raises(ValueError, match="read-only"):
+            params.flat[0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 3.0
+        with pytest.raises(RuntimeError, match="already open"):
+            with params.writing():
+                with params.writing():
+                    pass
+
+    @pytest.mark.parametrize("write", ["adamw", "one_element"])
+    def test_a_forward_after_a_scope_equals_one_on_fresh_parameters(self, write):
+        params = InteractionParams.initialize(InteractionConfig(), 4)
+        scenes = [scene_of_kind(kind, 17) for kind in ("dense", "agent_free", "map_free")]
+        probe = np.random.default_rng(3).standard_normal((1, 12))
+        first = forward_plan(scenes[0], params)  # this version's data, derived
+        grad = first.tape.backward_from([(first.plan_node, probe)]).flat
+        optimizer = AdamW(params.flat.size, weight_decay=0.01)
+        for step in range(3):
+            with params.writing():
+                if write == "adamw":
+                    optimizer.step(params.flat, grad, 1e-2)
+                else:  # the ego row's encoder, which the derived data reads
+                    params.tensors["pe1.b1"][0, step] += 0.25
+            fresh = InteractionParams(params.config, params.tensors)
+            for s in scenes:
+                # the first forward of the version, then one that reuses it
+                want = _forward_bits(s, fresh, probe)
+                assert _forward_bits(s, params, probe) == want, (write, step)
+                assert _forward_bits(s, params, probe) == want, (write, step)
+        assert not np.array_equal(params.flat, InteractionParams.initialize(
+            InteractionConfig(), 4).flat)
+
+    def test_a_non_finite_write_is_refused_when_the_scope_closes(self):
+        s = scenario_with(9)
+        params = small_params()
+        want = forward_plan(s, params).plan_node.data.tobytes()
+        # the first non-finite tensor in `tensors` order is named
+        with pytest.raises(ShapeError, match="^non-finite parameter pe2.w1$"):
+            with params.writing():
+                params.tensors["head.b3"][0, 0] = np.inf
+                params.tensors["pe2.w1"][1, 1] = np.nan
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="^non-finite values in tensor$"):
+                forward_plan(s, params)
+        with params.writing():
+            params.tensors["head.b3"][0, 0] = small_params().tensors["head.b3"][0, 0]
+            params.tensors["pe2.w1"][1, 1] = small_params().tensors["pe2.w1"][1, 1]
+        assert forward_plan(s, params).plan_node.data.tobytes() == want
+        # a scope whose body raises passes its error on and still ends the version
+        with pytest.raises(KeyError):
+            with params.writing():
+                params.tensors["pe1.b1"][0, 0] = np.nan
+                params.tensors["no.such"]
+        with pytest.raises(ShapeError, match="^non-finite values in tensor$"):
+            forward_plan(s, params)
+
+    def test_a_forward_inside_an_open_scope_sees_each_write(self):
+        s = scenario_with(9, agent_count_range=(3, 3))
+        params = small_params()
+        probe = np.ones((1, 12))
+        before = _forward_bits(s, params, probe)
+        with params.writing():
+            assert _forward_bits(s, params, probe) == before
+            for name in ("pe1.w2", "pe2.b1", "head.b3", "map_block.ffn.b2"):
+                kept = params.tensors[name][0, 0]
+                params.tensors[name][0, 0] = kept + 0.5
+                seen = _forward_bits(s, params, probe)
+                assert seen == _forward_bits(s, InteractionParams(params.config,
+                                                                  params.tensors), probe), name
+                assert seen[0] != before[0], name
+                params.tensors[name][0, 0] = np.nan
+                with pytest.raises(ShapeError, match="non-finite values in tensor"):
+                    forward_plan(s, params)
+                params.tensors[name][0, 0] = kept
+                assert _forward_bits(s, params, probe) == before, name
+        assert _forward_bits(s, params, probe) == before
+
+    def test_the_ego_row_is_encoded_once_a_version(self, monkeypatch):
+        from vecplan import interact
+
+        encodings = []
+        real = ad._mlp
+
+        def spy(x_in, *rest):
+            if x_in is interact._EGO_ROW:
+                encodings.append(rest[0])
+            return real(x_in, *rest)
+
+        monkeypatch.setattr(ad, "_mlp", spy)
+        s = scenario_with(9)
+        params = small_params()
+        counts = []
+        for _ in range(3):
+            forward_plan(s, params)
+            counts.append(len(encodings))
+        with params.writing():
+            params.tensors["head.b3"][0, 0] += 1.0
+            forward_plan(s, params)
+            forward_plan(s, params)
+            counts.append(len(encodings))
+        forward_plan(s, params)
+        forward_plan(s, params)
+        counts.append(len(encodings))
+        # one encoding a stage: on the first forward, on each in the scope,
+        # then once for the version the scope started
+        assert counts == [2, 2, 2, 6, 8]
+        assert not interact._EGO_ROW.flags.writeable
 
 
 def _slot(params, name):
@@ -675,12 +835,15 @@ class TestFoldedForward:
 
 class TestCallBudget:
     # bounds on the tape's bookkeeping per pass, on the first scene of the
-    # benchmark's dense evaluation (seed 0): 60 frames a forward and 22 a
-    # backward here, where 11 records (positional and status encoders of
-    # their own) made 75 and 26, a node per parameter and copied constants
-    # 90, wrappers around the decoder blocks 92, 20 records 101 and 29, and
-    # per-op node, record and same-tape helpers 329 and 33
-    FORWARD_FRAMES = 60
+    # benchmark's dense evaluation (seed 0): 57 frames a forward that reuses
+    # its parameter version's data, 60 the first forward after a write, and
+    # 22 a backward here, where the ego row encoded by every forward made
+    # 60, 11 records (positional and status encoders of their own) 75 and
+    # 26, a node per parameter and copied constants 90, wrappers around the
+    # decoder blocks 92, 20 records 101 and 29, and per-op node, record and
+    # same-tape helpers 329 and 33
+    FORWARD_FRAMES = 57
+    FIRST_FORWARD_FRAMES = 60
     BACKWARD_FRAMES = 22
 
     def test_forward_and_backward_stay_within_their_frame_budgets(self):
@@ -692,8 +855,12 @@ class TestCallBudget:
         result, forward_frames = package_calls(lambda: forward_plan(s, params))
         seeds = [(result.plan_node, np.ones((1, 12)))]
         _, backward_frames = package_calls(lambda: result.tape.backward_from(seeds))
-        assert len(result.tape._records) == 6
+        with params.writing():
+            params.tensors["head.b3"][0, 0] += 1.0
+        first, first_frames = package_calls(lambda: forward_plan(s, params))
+        assert len(result.tape._records) == len(first.tape._records) == 6
         assert forward_frames <= self.FORWARD_FRAMES
+        assert first_frames <= self.FIRST_FORWARD_FRAMES
         assert backward_frames <= self.BACKWARD_FRAMES
 
 

@@ -247,7 +247,8 @@ class TestOptimizer:
             }
             lr = cosine_lr(2e-3, k, steps)
             adamw_per_tensor_step(ref, grads, m, v, k, lr, weight_decay=0.01)
-            opt.step(params.flat, np.concatenate([g.reshape(-1) for g in grads.values()]), lr)
+            with params.writing():
+                opt.step(params.flat, np.concatenate([g.reshape(-1) for g in grads.values()]), lr)
         for name, arr in ref.items():
             assert np.array_equal(params.tensors[name], arr), name
         assert np.array_equal(opt.m, np.concatenate([a.reshape(-1) for a in m.values()]))
@@ -292,6 +293,30 @@ class TestTrainLoop:
             train(config, TINY_GEN, TINY_NET)
         name = str(info.value).split("non-finite parameter ")[1].split()[0]
         assert name in {n for n, _, _ in parameter_shapes(TINY_NET)}
+
+    def test_a_training_step_scans_the_parameters_once(self, monkeypatch):
+        size = sum(math.prod(shape) for _, shape, _ in parameter_shapes(TINY_NET))
+        scans, at_step = [], []
+        isfinite, step = np.isfinite, AdamW.step
+
+        def spy(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.size == size:
+                scans.append(x.shape)
+            return isfinite(x, *args, **kwargs)
+
+        def counted_step(self, theta, grad, lr):
+            at_step.append(len(scans))
+            return step(self, theta, grad, lr)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        config = tiny_train_config(epochs=2, train_scenarios=4)
+        train(config, TINY_GEN, TINY_NET)
+        steps = config.epochs * config.train_scenarios
+        # the first forward scans the initial parameters; then each step's
+        # write scope scans them once, and no forward or validation again
+        assert at_step == list(range(1, steps + 1))
+        assert scans == [(size,)] * (steps + 1)
 
     def test_validation_set_must_be_non_empty(self):
         with pytest.raises(ConfigError, match="val_scenarios must be >= 1"):
