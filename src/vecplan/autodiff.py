@@ -24,21 +24,30 @@ bits in value and every input gradient: `mlp` (relu(x @ w1 + b1) @ w2 + b2),
 position rows, with its query rows' encoding handed in, multi-head
 cross-attention with output projection and residual, then a perceptron with
 a residual) and `mlp_head` (the `mlp` of its raw status rows,
-concatenation, three layers and a scale).  Their raw rows are kept as
-constants are and checked as they are; a fused vjp runs the vjps of the
-records it replaces, in the order a sweep reaches them, on the operands the
-sweep would hand them.  A record holds input indices and a closure over arrays
-and shapes, never a `Tensor`, and a tape refers to no tensor of its own, so
-a tape holds no reference cycle and reference counting frees it as soon as
-nothing refers to it.  No broadcasting beyond the bias rows and no
-control-flow capture: record exactly what you execute.
+concatenation, three layers and a scale).  Each takes its parameters as one
+layer operand (`Perceptron`, `DecoderStage`, `Head`), built once over
+tensors of one home (a `Leaves` set's, or one tape's): it holds their
+read-only arrays and their input indices in the order the record's vjp
+gives their gradients, and its shapes are checked against each other when
+it is built, a ShapeError naming the first tensor that breaks its chain.  A
+record checks, on every call, only what varies with the call: that its
+layer's home is its tape's leaves or its tape, and the shapes of its
+operand tensors and raw rows against the layer's.  Their raw rows are kept
+as constants are and checked 2-D and finite as they are; a fused vjp runs
+the vjps of the records it replaces, in the order a sweep reaches them, on
+the operands the sweep would hand them.  A record holds input indices and
+a closure over arrays and shapes, never a `Tensor` or a layer, and a tape
+refers to no tensor of its own, so a tape holds no reference cycle and
+reference counting frees it as soon as nothing refers to it.  No
+broadcasting beyond the bias rows and no control-flow capture: record
+exactly what you execute.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -51,6 +60,10 @@ _NO_TAPE = "a record over parameters alone has no tape"
 # the reductions behind ndarray.sum and ndarray.max, without their Python wrappers
 _sum = np.add.reduce
 _max = np.maximum.reduce
+# fields read over a sequence in C, with no Python frame: a tensor's, and an
+# array's columns
+_tape, _data, _index = attrgetter("tape"), attrgetter("data"), attrgetter("index")
+_shape, _cols = attrgetter("shape"), itemgetter(1)
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -116,7 +129,7 @@ _NO_LEAVES = Leaves({})
 def _tape_of(*operands: Tensor) -> "Tape":
     """The tape a record over `operands` goes on: the one its operands other
     than parameters were recorded on, opened on the leaves of the rest."""
-    tapes = set(map(attrgetter("tape"), operands))
+    tapes = set(map(_tape, operands))
     for tape in tapes:
         if tape.__class__ is Tape and tapes <= {tape, tape._params}:
             return tape
@@ -285,16 +298,14 @@ def add_bias_row(x: Tensor, bias: Tensor) -> Tensor:
     )
 
 
-def _mlp(x_in: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, x_grad: bool):
-    """`mlp`'s shape checks, then its value and its vjp, which gives x None
+def _mlp(x_in: np.ndarray, w1_in, b1_in, w2_in, b2_in, x_grad: bool):
+    """`mlp`'s value and vjp over a `Perceptron`'s arrays, after the one
+    check the layer cannot make, its input's width; the vjp gives x None
     unless `x_grad`."""
-    if x_in.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
-        raise ShapeError(f"mlp: {x_in.shape} @ {w1.shape} @ {w2.shape}")
-    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
-        raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} for {w1.shape}, {w2.shape}")
-    w1_in, w2_in = w1.data, w2.data
+    if x_in.shape[1] != w1_in.shape[0]:
+        raise ShapeError(f"mlp: {x_in.shape} @ {w1_in.shape}")
     pre = x_in @ w1_in
-    pre += b1.data
+    pre += b1_in
     mask = pre > 0.0
     h = np.where(mask, pre, 0.0)
 
@@ -304,21 +315,123 @@ def _mlp(x_in: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, x_gra
                 _sum(g_h, axis=0, keepdims=True), h.T @ g, _sum(g, axis=0, keepdims=True))
 
     out = h @ w2_in
-    out += b2.data
+    out += b2_in
     return out, vjp
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def _layer_of(named: Sequence[tuple[str, Tensor]]) -> tuple:
+    """The home, read-only arrays and input indices of a layer's tensors,
+    which must share one home: a `Leaves` set's, or one tape."""
+    homes = {t.tape for _, t in named}
+    if len(homes) != 1:
+        raise ShapeError(_CROSS_TAPE)
+    return homes.pop(), tuple([t.data for _, t in named]), tuple([t.index for _, t in named])
+
+
+def _want(name: str, tensor: Tensor, shape: tuple[int, int]) -> None:
+    if tensor.shape != shape:
+        raise ShapeError(f"layer tensor {name} has shape {tensor.shape}, its layer wants {shape}")
+
+
+def _affine_chain(named: Sequence[tuple[str, Tensor]], width: int) -> int:
+    """Check (weight, bias) pairs that chain from `width` input columns, each
+    weight's rows the previous one's columns and each bias one row of them;
+    returns the output width."""
+    for (w_name, w), (b_name, b) in zip(named[::2], named[1::2]):
+        _want(w_name, w, (width, w.shape[1]))
+        width = w.shape[1]
+        _want(b_name, b, (1, width))
+    return width
+
+
+class Perceptron:
+    """The parameter operand of `mlp`, relu(x @ w1 + b1) @ w2 + b2: its four
+    tensors resolved once into read-only arrays and input indices, their
+    shapes checked against each other (a ShapeError names the first tensor
+    that breaks the chain).  `names` name the tensors in that error."""
+
+    __slots__ = ("tape", "arrays", "inputs", "d_in", "d_out")
+
+    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 names: Sequence[str] = ("w1", "b1", "w2", "b2")):
+        named = list(zip(names, (w1, b1, w2, b2)))
+        self.d_in = w1.shape[0]
+        self.d_out = _affine_chain(named, self.d_in)
+        self.tape, self.arrays, self.inputs = _layer_of(named)
+
+
+_STAGE = ("pe.w1", "pe.b1", "pe.w2", "pe.b2", "wq", "wk", "wv", "wo",
+          "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+
+class DecoderStage:
+    """The parameter operand of `decoder_block`: a positional encoder
+    (`Perceptron`) of width d, four (d, d) attention weights, a (d -> d)
+    feed-forward `Perceptron` and a head count that splits d, checked
+    against each other once, with the record's parameter inputs in the order
+    its vjp gives them: wo, wv, wk, wq, the feed-forward's, then the
+    encoder's twice (the keys' encoding, then the query rows')."""
+
+    __slots__ = ("tape", "encoder", "attention", "ffn", "inputs", "width", "n_heads", "spans",
+                 "scale")
+
+    def __init__(self, pe_w1: Tensor, pe_b1: Tensor, pe_w2: Tensor, pe_b2: Tensor,
+                 wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, n_heads: int, names: Sequence[str] = _STAGE):
+        tensors = (pe_w1, pe_b1, pe_w2, pe_b2, wq, wk, wv, wo, w1, b1, w2, b2)
+        named = list(zip(names, tensors))
+        self.encoder = Perceptron(*tensors[:4], names=names[:4])
+        d = self.width = self.encoder.d_out
+        for name, w in named[4:8]:
+            _want(name, w, (d, d))
+        if _affine_chain(named[8:], d) != d:
+            _want(names[10], w2, (w2.shape[0], d))
+        if n_heads < 1 or d % n_heads:
+            raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
+        self.n_heads = n_heads
+        d_head = d // n_heads
+        self.spans = [(h * d_head, (h + 1) * d_head) for h in range(n_heads)]  # each head's columns
+        self.scale = 1.0 / math.sqrt(d_head)
+        self.ffn = Perceptron(w1, b1, w2, b2, names[8:])
+        self.tape, arrays, _ = _layer_of(named)
+        self.attention = arrays[4:8]
+        self.inputs = (wo.index, wv.index, wk.index, wq.index, *self.ffn.inputs,
+                       *self.encoder.inputs, *self.encoder.inputs)
+
+
+_HEAD = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "w1", "b1", "w2", "b2", "w3", "b3")
+
+
+class Head:
+    """The parameter operand of `mlp_head`: a status encoder (`Perceptron`)
+    and three chained (weight, bias) layers, the last two a `Perceptron`,
+    checked once, with the record's parameter inputs in the order its vjp
+    gives them: the last two layers', b1, w1, then the encoder's."""
+
+    __slots__ = ("tape", "encoder", "w1", "b1", "out", "inputs", "d_in")
+
+    def __init__(self, enc_w1: Tensor, enc_b1: Tensor, enc_w2: Tensor, enc_b2: Tensor,
+                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor,
+                 names: Sequence[str] = _HEAD):
+        tensors = (enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w3, b3)
+        named = list(zip(names, tensors))
+        self.encoder = Perceptron(*tensors[:4], names=names[:4])
+        self.d_in = w1.shape[0]
+        _affine_chain(named[4:], self.d_in)
+        self.out = Perceptron(w2, b2, w3, b3, names[6:])
+        self.tape, arrays, _ = _layer_of(named)
+        self.w1, self.b1 = arrays[4:6]
+        self.inputs = (*self.out.inputs, b1.index, w1.index, *self.encoder.inputs)
+
+
+def mlp(x: Tensor, layer: Perceptron) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one record; the same numpy operations,
     in the same order, as the `matmul`, `add_bias_row` and `relu` chain."""
     tape = x.tape
-    # a fast check of the forward's layout, weights from the tape's leaves;
-    # `_tape_of` resolves any other
-    if tape.__class__ is not Tape or not (tape._params is w1.tape is b1.tape is w2.tape
-                                          is b2.tape):
-        tape = _tape_of(x, w1, b1, w2, b2)
-    out, vjp = _mlp(x.data, w1, b1, w2, b2, x.index not in tape._constants)
-    return tape._op(out, (x.index, w1.index, b1.index, w2.index, b2.index), vjp)
+    if tape.__class__ is not Tape or layer.tape is not tape._params and layer.tape is not tape:
+        tape = _tape_of(x, layer)
+    out, vjp = _mlp(x.data, *layer.arrays, x.index not in tape._constants)
+    return tape._op(out, (x.index, *layer.inputs), vjp)
 
 
 def _frozen(rows: np.ndarray) -> np.ndarray:
@@ -351,73 +464,71 @@ def _softmax_scaled(logits: np.ndarray, scale: float) -> np.ndarray:
     return y
 
 
-def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
+def _head_vjp(g_o, y, qs, k_t, vs, scale: float):
+    """One attention head's (values, keys, queries) column gradients."""
+    g_y = g_o @ vs.T
+    g_logits = y * (g_y - _sum(g_y * y, axis=1, keepdims=True))
+    g_raw = g_logits * scale
+    return y.T @ g_o, (qs.T @ g_raw).T, g_raw @ k_t.T
+
+
+def _attention(q, q_pos, k, k_pos, v, stage: DecoderStage):
     """Multi-head cross-attention with output projection and residual, for
     keys of at least one row: q + concat_h(softmax((q + q_pos) wq_h
     ((k + k_pos) wk_h)^T / sqrt(d_head)) (v wv)_h) wo, with the heads taking
-    equal column slices; q_pos and k_pos are arrays, the rest tensors.
+    the equal column slices `stage.spans`; q, k and v are tensors, q_pos and
+    k_pos arrays, and q's width is the stage's.
 
-    Checks the operands' shapes, then returns the value, each head's read-only
-    (q rows, k rows) weights and the vjp, which gives the gradients of (q, wo,
-    v, wv, wk, k, k_pos, wq, q, q_pos): the order in which the chain's
-    records, replayed in reverse, reach them, the residual before the query
-    path and the values before the keys.  It runs the numpy operations of the
+    Checks the operands' shapes against q's, then returns the value, each
+    head's read-only (q rows, k rows) weights and the vjp, which gives the
+    gradients of (q, v, k, q, wo, wv, wk, wq): each node read twice, q and
+    the keys that are also the values, gets them in the order in which the
+    chain's records, replayed in reverse, reach it, the residual before the
+    query path and the values before the keys; the encodings' gradients are
+    the keys' and the second q's.  It runs the numpy operations of the
     `add`, `matmul`, `slice_cols`, `transpose`, `scalar_mul`, `softmax_rows`
     and `concat_cols` chain in the same order, on the same memory layouts,
     so both give the same bits; one head spans every column, so it needs no
     slice, no copy of a C-contiguous slice and no concatenation."""
-    d = q.shape[1]
-    if (q_pos.shape != q.shape or k.shape[1] != d or k_pos.shape != k.shape
-            or v.shape != k.shape or {wq.shape, wk.shape, wv.shape, wo.shape} != {(d, d)}):
+    if q_pos.shape != q.shape or k.shape[1] != q.shape[1] or k_pos.shape != k.shape or (
+            v.shape != k.shape):
         raise ShapeError(
             f"attention: q {q.shape}, q_pos {q_pos.shape}, k {k.shape}, k_pos {k_pos.shape}, "
-            f"v {v.shape}, weights {[w.shape for w in (wq, wk, wv, wo)]}"
+            f"v {v.shape}"
         )
-    if n_heads < 1 or d % n_heads:
-        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
-    q_in, v_in, wq_in, wk_in, wv_in, wo_in = q.data, v.data, wq.data, wk.data, wv.data, wo.data
+    wq_in, wk_in, wv_in, wo_in = stage.attention
+    n_heads, scale, spans = stage.n_heads, stage.scale, stage.spans
+    q_in, v_in = q.data, v.data
     qq = q_in + q_pos
     kk = k.data + k_pos
     qh = qq @ wq_in
     kh = kk @ wk_in
     vh = v_in @ wv_in
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
     if n_heads == 1:
         k_t = np.ascontiguousarray(kh.T)
         y = _softmax_scaled(qh @ k_t, scale)
         weights = [y]
         att = y @ vh
     else:
-        spans = [(h * d_head, (h + 1) * d_head) for h in range(n_heads)]
         heads = [(np.ascontiguousarray(qh[:, lo:hi]), np.ascontiguousarray(kh[:, lo:hi].T),
                   np.ascontiguousarray(vh[:, lo:hi])) for lo, hi in spans]
         weights = [_softmax_scaled(qs @ k_t, scale) for qs, k_t, _ in heads]
         att = np.concatenate([y @ vs for y, (_, _, vs) in zip(weights, heads)], axis=1)
 
-    def head_vjp(g_o, y, qs, k_t, vs):
-        # one head's (values, keys, queries) column gradients
-        g_y = g_o @ vs.T
-        g_logits = y * (g_y - _sum(g_y * y, axis=1, keepdims=True))
-        g_raw = g_logits * scale
-        return y.T @ g_o, (qs.T @ g_raw).T, g_raw @ k_t.T
-
     def vjp(g):
         g_att = g @ wo_in.T
         if n_heads == 1:
-            g_vh, g_kh, g_qh = head_vjp(g_att, y, qh, k_t, vh)
+            g_vh, g_kh, g_qh = _head_vjp(g_att, y, qh, k_t, vh, scale)
             g_kh = np.ascontiguousarray(g_kh)
         else:
             g_qh = g_kh = g_vh = None
             for (lo, hi), y_h, head in zip(reversed(spans), reversed(weights), reversed(heads)):
-                g_v, g_k, g_q = head_vjp(np.array(g_att[:, lo:hi]), y_h, *head)
+                g_v, g_k, g_q = _head_vjp(np.array(g_att[:, lo:hi]), y_h, *head, scale)
                 g_vh = _add_cols(g_vh, g_v, v_in.shape, lo, hi)
                 g_kh = _add_cols(g_kh, g_k, kk.shape, lo, hi)
                 g_qh = _add_cols(g_qh, g_q, qq.shape, lo, hi)
-        g_kk = g_kh @ wk_in.T
-        g_qq = g_qh @ wq_in.T
-        return (g, att.T @ g, g_vh @ wv_in.T, v_in.T @ g_vh, kk.T @ g_kh, g_kk, g_kk,
-                qq.T @ g_qh, g_qq, g_qq)
+        return (g, g_vh @ wv_in.T, g_kh @ wk_in.T, g_qh @ wq_in.T, att.T @ g, v_in.T @ g_vh,
+                kk.T @ g_kh, qq.T @ g_qh)
 
     out = att @ wo_in
     out += q_in  # the bits of q_in + att @ wo_in: a sum commutes
@@ -425,105 +536,101 @@ def _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
 
 
 def decoder_block(q: Tensor, q_enc: tuple[np.ndarray, Callable], k: Tensor, k_rows: np.ndarray,
-                  v: Tensor, pe_w1: Tensor, pe_b1: Tensor, pe_w2: Tensor, pe_b2: Tensor,
-                  wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w1: Tensor, b1: Tensor,
-                  w2: Tensor, b2: Tensor, n_heads: int) -> tuple[Tensor, list[np.ndarray]]:
-    """A transformer-decoder stage as one record: x + mlp(x, w1, b1, w2, b2)
-    with x the multi-head cross-attention of q over k (`_attention`) with
-    the positional encodings q_pos and k_pos = mlp(k_rows, pe) of the raw
-    key position rows, or x = q where k has no rows (v, pe and q_enc are
-    then not read, and there are no weights).  `q_enc` is the query rows'
-    encoding `_mlp(q_rows, pe_w1, pe_b1, pe_w2, pe_b2, False)`, its value
-    and its vjp, over rows its caller never writes: it depends on the
+                  v: Tensor, stage: DecoderStage) -> tuple[Tensor, list[np.ndarray]]:
+    """A transformer-decoder stage as one record: x + mlp(x, stage.ffn) with
+    x the multi-head cross-attention of q over k (`_attention`) with the
+    positional encodings q_pos and k_pos = mlp(k_rows, stage.encoder) of the
+    raw key position rows, or x = q where k has no rows (v, the encoder and
+    q_enc are then not read, and there are no weights).  `q_enc` is the
+    query rows' encoding `_mlp(q_rows, *stage.encoder.arrays, False)`, its
+    value and its vjp, over rows its caller never writes: it depends on the
     parameters alone, so a caller may make it once and hand it to every
     record over the same parameter values, and the record's vjp runs its
     vjp.  The key rows, which come from the scene, are checked and kept as
-    `Tape.constant` enters an array.  The bits of the two positional `mlp`
-    records over constants, the attention chain, `mlp` and `add`, in value
-    and in every input gradient.  Returns the output and each head's
-    attention weights."""
+    `Tape.constant` enters an array; q, k and v are checked against the
+    stage's width, whose own shapes were checked when it was built.  The
+    bits of the two positional `mlp` records over constants, the attention
+    chain, `mlp` and `add`, in value and in every input gradient.  Returns
+    the output and each head's attention weights."""
     tape = k.tape
     if (tape.__class__ is not Tape or v.tape is not tape
             or q.tape is not tape and q.tape is not tape._params
-            or not (tape._params is pe_w1.tape is pe_b1.tape is pe_w2.tape is pe_b2.tape
-                    is wq.tape is wk.tape is wv.tape is wo.tape is w1.tape is b1.tape
-                    is w2.tape is b2.tape)):
-        tape = _tape_of(q, k, v, pe_w1, pe_b1, pe_w2, pe_b2, wq, wk, wv, wo, w1, b1, w2, b2)
-    if w2.shape[1] != q.shape[1]:
-        raise ShapeError(f"decoder_block: feed-forward {w2.shape} for input {q.shape}")
-    pe = (pe_w1, pe_b1, pe_w2, pe_b2)
+            or stage.tape is not tape._params and stage.tape is not tape):
+        tape = _tape_of(q, k, v, stage)
+    if q.shape[1] != stage.width:
+        raise ShapeError(f"decoder_block: query {q.shape} for a stage of width {stage.width}")
     _frozen(k_rows)
     if k.shape[0]:
         q_pos, q_pos_vjp = q_enc
-        k_pos, k_pos_vjp = _mlp(k_rows, *pe, False)
-        x_in, weights, att_vjp = _attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
-        # the attention's inputs but the encodings, the feed-forward's, then
-        # the encoder's twice: the keys' record, then the ego row's, the order
-        # in which the sweep reaches them
-        pe_in = (pe_w1.index, pe_b1.index, pe_w2.index, pe_b2.index)
-        inputs = (q.index, wo.index, v.index, wv.index, wk.index, k.index, wq.index, q.index,
-                  w1.index, b1.index, w2.index, b2.index) + pe_in + pe_in
+        k_pos, k_pos_vjp = _mlp(k_rows, *stage.encoder.arrays, False)
+        x_in, weights, att_vjp = _attention(q, q_pos, k, k_pos, v, stage)
+        inputs = (q.index, v.index, k.index, q.index, *stage.inputs)
     else:
         # the residual's gradient, then the feed-forward's, as through `add`
         x_in, weights = q.data, []
-        inputs = (q.index, q.index, w1.index, b1.index, w2.index, b2.index)
-    m, ffn_vjp = _mlp(x_in, w1, b1, w2, b2, True)
+        inputs = (q.index, q.index, *stage.ffn.inputs)
+    m, ffn_vjp = _mlp(x_in, *stage.ffn.arrays, True)
 
     def vjp(g):
         g_x, *g_ffn = ffn_vjp(g)
         if not weights:
             return (g, g_x, *g_ffn)
-        g_q, g_wo, g_v, g_wv, g_wk, g_k, g_kk, g_wq, g_qq_q, g_qq = att_vjp(g + g_x)
+        g_att = att_vjp(g + g_x)
         # an encoding's gradient is a fresh product, which the sweep would
-        # hold as it is
-        return (g_q, g_wo, g_v, g_wv, g_wk, g_k, g_wq, g_qq_q, *g_ffn, *k_pos_vjp(g_kk)[1:],
-                *q_pos_vjp(g_qq)[1:])
+        # hold as it is: the keys', then the query rows'
+        return (*g_att, *g_ffn, *k_pos_vjp(g_att[2])[1:], *q_pos_vjp(g_att[3])[1:])
 
     m += x_in  # the bits of x_in + m
     return tape._op(m, inputs, vjp), weights
 
 
-def mlp_head(queries: Sequence[Tensor], status: np.ndarray, enc_w1: Tensor, enc_b1: Tensor,
-             enc_w2: Tensor, enc_b2: Tensor, command: Tensor, w1: Tensor, b1: Tensor,
-             w2: Tensor, b2: Tensor, w3: Tensor, b3: Tensor, scale: float) -> Tensor:
-    """scale * mlp(relu(concat_cols([*queries, mlp(status, enc), command]) @
-    w1 + b1), w2, b2, w3, b3) as one record, the raw `status` rows checked
-    and kept as `Tape.constant` enters them: the bits of the status `mlp`
-    record over a constant and the `concat_cols`, `matmul`, `add_bias_row`,
-    `relu`, `mlp` and `scalar_mul` chain, in value and in every input
-    gradient."""
-    tape = _tape_of(*queries, command, enc_w1, enc_b1, enc_w2, enc_b2, w1, b1, w2, b2, w3, b3)
-    embed, enc_vjp = _mlp(_frozen(status), enc_w1, enc_b1, enc_w2, enc_b2, False)
-    parts = [t.data for t in queries] + [embed, command.data]
-    offsets = list(accumulate([p.shape[1] for p in parts], initial=0))
-    if (len({p.shape[0] for p in parts}) != 1 or offsets[-1] != w1.shape[0]
-            or b1.shape != (1, w1.shape[1])):
-        raise ShapeError(f"mlp_head: parts {[p.shape for p in parts]} @ {w1.shape} + {b1.shape}")
+def mlp_head(queries: Sequence[Tensor], status: np.ndarray, command: Tensor, head: Head,
+             scale: float) -> Tensor:
+    """scale * mlp(relu(concat_cols([*queries, mlp(status, head.encoder),
+    command]) @ w1 + b1), head.out) as one record, the raw `status` rows
+    checked and kept as `Tape.constant` enters them: the bits of the status
+    `mlp` record over a constant and the `concat_cols`, `matmul`,
+    `add_bias_row`, `relu`, `mlp` and `scalar_mul` chain, in value and in
+    every input gradient.  The parts are checked against the head's input
+    width, whose own shapes were checked when it was built."""
+    tape = command.tape
+    if tape.__class__ is not Tape or head.tape is not tape._params and head.tape is not tape:
+        tape = _tape_of(command, head, *queries)
+    for t in queries:
+        if t.tape is not tape and t.tape is not tape._params:
+            tape = _tape_of(command, head, *queries)
+    embed, enc_vjp = _mlp(_frozen(status), *head.encoder.arrays, False)
+    parts = [*map(_data, queries), embed, command.data]
+    try:
+        feat = np.concatenate(parts, axis=1)
+    except ValueError:  # parts of unequal row counts
+        feat = None
+    if feat is None or feat.shape[1] != head.d_in:
+        raise ShapeError(f"mlp_head: parts {[p.shape for p in parts]} for input width "
+                         f"{head.d_in}")
     c = float(scale)
-    w1_in = w1.data
-    feat = np.concatenate(parts, axis=1)
+    w1_in = head.w1
     pre = feat @ w1_in
-    pre += b1.data
+    pre += head.b1
     mask = pre > 0.0
-    out, mlp_vjp = _mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
+    out, mlp_vjp = _mlp(np.where(mask, pre, 0.0), *head.out.arrays, True)
     status_at = len(queries)
 
     def vjp(g):
         g_h1, *g_mlp = mlp_vjp(g * c)
         g_pre = g_h1 * mask
         g_feat = g_pre @ w1_in.T
+        offsets = list(accumulate(map(_cols, map(_shape, parts)), initial=0))
         g_parts = [g_feat[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
         g_embed = g_parts.pop(status_at)
         # the array the sweep would hold for the status encoder's output
         g_embed = g_embed if g_embed.flags.c_contiguous else np.ascontiguousarray(g_embed)
-        return (*g_mlp, _sum(g_pre, axis=0, keepdims=True), feat.T @ g_pre, *g_parts,
+        return (*g_parts, *g_mlp, _sum(g_pre, axis=0, keepdims=True), feat.T @ g_pre,
                 *enc_vjp(g_embed)[1:])
 
-    # in the order the chain's records, replayed in reverse, reach them: the
-    # status encoder's record last
-    inputs = (w2.index, b2.index, w3.index, b3.index, b1.index, w1.index,
-              *[t.index for t in queries], command.index, enc_w1.index, enc_b1.index,
-              enc_w2.index, enc_b2.index)
+    # the parts, then the parameters in the order the chain's records,
+    # replayed in reverse, reach them: the status encoder's record last
+    inputs = (*map(_index, queries), command.index, *head.inputs)
     out *= c
     return tape._op(out, inputs, vjp)
 

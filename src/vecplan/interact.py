@@ -14,27 +14,34 @@ tape on the parameters' `autodiff.Leaves`, built once with them, so it makes
 no node for a parameter, and makes six records: the agent and map encoders,
 one per interaction stage (`ad.decoder_block`, which encodes the stage's key
 positions itself), the command embedding and the head (`ad.mlp_head`, which
-encodes the status row itself).  The input rows it builds from the scene
-enter as they are, the agent and map rows and the command row as constants
-(`Tape.constant`), each checked for finiteness once.
+encodes the status row itself).
 
-Parameters are written only inside `InteractionParams.writing()`, and each
-write starts a new parameter version.  What a forward needs of the
-parameters alone, that they are finite and each stage's encoding of the
-ego's origin row with its vjp, the first forward of a version derives and
-the later ones reuse; a forward inside an open write scope derives it
-afresh.
+What is checked when:
+- once a parameter layout (`_pack`, `extend`), by its first forward: each
+  layer's shapes against each other (`network_layers`), a ShapeError naming
+  the tensor that breaks its layer's chain;
+- once a parameter version: that the parameters are finite (by the exit of
+  the write scope that started the version, or else by its first forward);
+- on every forward: the scene's input rows, each checked 2-D and finite once
+  (the agent and map rows and the command row, entered as constants with
+  `Tape.constant`, each stage's key positions and the status row), and
+  each record's operands against its layer's widths and its tape.
+
+Parameters are written only inside `InteractionParams.writing()`, which
+lends writable views and revokes them when it closes, and each write starts
+a new parameter version.  What a forward needs of the parameter values
+alone, that they are finite and each stage's encoding of the ego's origin
+row with its vjp, the first forward of a version derives and the later ones
+reuse; a forward inside an open write scope derives it afresh.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -82,18 +89,6 @@ class InteractionConfig:
 
 _PERCEPTRON = ("w1", "b1", "w2", "b2")
 _ATTENTION = ("wq", "wk", "wv", "wo")
-# a decoder block's parameters, in the order `ad.decoder_block` takes them
-_BLOCK = _ATTENTION + tuple(f"ffn.{part}" for part in _PERCEPTRON)
-
-
-@functools.cache
-def _layer(prefix: str, parts: tuple[str, ...] = _PERCEPTRON) -> itemgetter:
-    """A getter of one layer's parameters from a tape's leaves, a
-    perceptron's by default, in the order its record takes them; cached, so
-    a forward formats no name."""
-    return itemgetter(*(f"{prefix}.{part}" for part in parts))
-
-
 # each interaction stage's positional encoder
 _POSITION_ENCODER = {"agent": "pe1", "map": "pe2"}
 # the ego's position, the origin: the query row of every stage, read-only
@@ -102,10 +97,46 @@ _EGO_ROW = np.zeros((1, 2))
 _EGO_ROW.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class NetworkLayers:
+    """The network's parameters as the operands its records take, each
+    layer's shapes checked once (`network_layers`)."""
+
+    agent_enc: ad.Perceptron
+    map_enc: ad.Perceptron
+    ego_query: Tensor
+    stages: dict[str, ad.DecoderStage]  # by stage name, `_POSITION_ENCODER`'s keys
+    cmd_embed: Tensor
+    head: ad.Head
+
+
+def _names(prefix: str, parts: tuple[str, ...] = _PERCEPTRON) -> list[str]:
+    return [f"{prefix}.{part}" for part in parts]
+
+
+def network_layers(p: Mapping[str, Tensor], config: InteractionConfig) -> NetworkLayers:
+    """The layers of the network over the tensors `p` by name (a `Leaves`
+    set's, or leaves of one tape): a ShapeError names a tensor whose shape
+    breaks its layer's chain."""
+
+    def layer(build, names, *extra):
+        return build(*[p[n] for n in names], *extra, names=names)
+
+    stages = {}
+    for stage, pe in _POSITION_ENCODER.items():
+        block = f"{stage}_block"
+        names = _names(pe) + _names(block, _ATTENTION) + _names(f"{block}.ffn")
+        stages[stage] = layer(ad.DecoderStage, names, config.n_heads)
+    head = _names("status_enc") + _names("head.l1")[:2] + _names("head", ("w2", "b2", "w3", "b3"))
+    return NetworkLayers(layer(ad.Perceptron, _names("agent_enc")),
+                         layer(ad.Perceptron, _names("map_enc")), p["ego_query"], stages,
+                         p["cmd_embed"], layer(ad.Head, head))
+
+
 def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
     # biases share the layer's fan_in bound; zero biases would leave the
     # (0, 0) ego position exactly on the relu kink
-    w1, b1, w2, b2 = (f"{prefix}.{part}" for part in _PERCEPTRON)
+    w1, b1, w2, b2 = _names(prefix)
     return [
         (w1, (d_in, d_hidden), d_in),
         (b1, (1, d_hidden), d_in),
@@ -115,7 +146,7 @@ def _mlp_shapes(d_in: int, d_hidden: int, d_out: int, prefix: str):
 
 
 def _block_shapes(d: int, prefix: str):
-    shapes = [(f"{prefix}.{part}", (d, d), d) for part in _ATTENTION]
+    shapes = [(name, (d, d), d) for name in _names(prefix, _ATTENTION)]
     shapes += _mlp_shapes(d, d, d, f"{prefix}.ffn")
     return shapes
 
@@ -142,6 +173,26 @@ def parameter_shapes(config: InteractionConfig) -> list[tuple[str, tuple[int, in
     return shapes
 
 
+class _Lent(Mapping):
+    """A write scope's `tensors`: each lookup lends a new writable view of
+    the tensor, recorded so that the scope makes it read-only when it
+    closes."""
+
+    def __init__(self, views: Mapping[str, np.ndarray], lent: list[np.ndarray]):
+        self._views, self._lent = views, lent
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        view = self._views[name].view()
+        self._lent.append(view)
+        return view
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 class InteractionParams:
     """Named parameter arrays for the interaction network, held in one
     contiguous float64 vector.
@@ -149,13 +200,15 @@ class InteractionParams:
     `flat` holds every parameter, tensor after tensor in the order of
     `tensors`, a read-only mapping from each name to a reshaped view of
     `flat`; assigning a new array to a name raises, since it would leave
-    `flat` stale.  Both are read-only but inside a `writing()` scope, where
-    they are writable views of the same memory: a write goes there, and its
-    scope's exit starts a new parameter version, as `extend` does.  `leaves`
-    holds the read-only views as an `autodiff.Leaves` set, built once, on
-    which `forward_plan` opens each tape; it sees every write.  The first
-    forward of a version derives the data that depends on the parameters
-    alone (`_derive`), and the later ones reuse it.  `extend` rebuilds the
+    `flat` stale.  Both are read-only but inside a `writing()` scope, which
+    lends writable views of the same memory and revokes them when it closes:
+    a write goes there, and its scope's exit starts a new parameter version,
+    as `extend` does.  `leaves` holds the read-only views as an
+    `autodiff.Leaves` set, built once a layout, on which `forward_plan`
+    opens each tape; it sees every write.  The first forward of a layout
+    builds the network's layers over it (`network_layers`), and the first
+    of a version derives the data that depends on the parameter values
+    alone (`_derive`); later forwards reuse both.  `extend` rebuilds the
     vector, so views taken before it no longer alias the parameters.
     """
 
@@ -179,10 +232,12 @@ class InteractionParams:
             offset += arr.size
         flat = buffer.view()
         flat.flags.writeable = False
+        # never handed out: a scope lends views of these
         self._writable = (buffer, MappingProxyType(views))
         self._read_only = (flat, MappingProxyType(read_only))
         self.flat, self.tensors = self._read_only
         self.leaves = ad.Leaves(read_only)
+        self._layers = None  # `network_layers` over `leaves`, once a forward made them
         self._new_version()
 
     def _new_version(self) -> None:
@@ -191,20 +246,26 @@ class InteractionParams:
 
     @contextlib.contextmanager
     def writing(self):
-        """The scope in which `flat` and `tensors` are writable.  Its exit
-        starts a new parameter version and, unless its body raised, checks
-        every parameter finite: a ShapeError names the first tensor that is
-        not.  The next forward then scans no parameter.  A view taken inside
-        must not be kept past the exit: it stays writable, and a write
-        through it would start no version."""
+        """The scope in which `flat` and `tensors` are writable: it lends a
+        writable view as `flat`, and one for each `tensors` lookup, and makes
+        every view it lent read-only when it closes, so a write through a
+        kept one raises (a view taken of a lent view is not lent, and stays
+        writable).  Its exit starts a new parameter version and, unless its
+        body raised, checks every parameter finite: a ShapeError names the
+        first tensor that is not.  The next forward then scans no
+        parameter."""
         if self._open:
             raise RuntimeError("parameters are already open for writing")
         self._open = True
         self._new_version()
-        self.flat, self.tensors = self._writable
+        buffer, views = self._writable
+        lent = [buffer.view()]
+        self.flat, self.tensors = lent[0], _Lent(views, lent)
         try:
             yield
         finally:
+            for view in lent:
+                view.flags.writeable = False
             self.flat, self.tensors = self._read_only
             self._open = False
             self._new_version()
@@ -214,21 +275,25 @@ class InteractionParams:
             raise ShapeError(f"non-finite parameter {name}")
         self._finite = True
 
-    def _derive(self) -> dict[str, tuple[np.ndarray, Callable]]:
+    def _derive(self) -> tuple[NetworkLayers, dict[str, tuple[np.ndarray, Callable]]]:
         """What a forward needs of the parameters alone: a check that they
-        are finite, unless the write that started this version made it, then
+        are finite, unless the write that started this version made it, the
+        network's layers, built by the first forward of this layout, and
         each stage's positional encoding of the ego's origin row with its
         vjp, as `ad.decoder_block` takes it.  Kept for the later forwards of
         this version, unless a write scope is open."""
         flat = self.flat
         if not self._finite and np.count_nonzero(np.isfinite(flat)) != flat.size:
             raise ShapeError("non-finite values in tensor")
-        p = self.leaves.tensors
-        derived = {}
-        for stage, pe in _POSITION_ENCODER.items():
-            value, vjp = ad._mlp(_EGO_ROW, *_layer(pe)(p), False)
+        layers = self._layers
+        if layers is None:
+            layers = self._layers = network_layers(self.leaves.tensors, self.config)
+        encodings = {}
+        for name, stage in layers.stages.items():
+            value, vjp = ad._mlp(_EGO_ROW, *stage.encoder.arrays, False)
             value.setflags(write=False)
-            derived[stage] = (value, vjp)
+            encodings[name] = (value, vjp)
+        derived = (layers, encodings)
         if not self._open:
             self._finite, self._derived = True, derived
         return derived
@@ -340,7 +405,7 @@ def scene_features(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _agent_features(scenario), *_map_features(scenario)
 
 
-def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape,
+def encode_queries(scenario: Scenario, layers: NetworkLayers, tape: Tape,
                    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> QueryFeatures:
     """Embed agents and map elements into query rows.
 
@@ -351,10 +416,9 @@ def encode_queries(scenario: Scenario, p: dict[str, Tensor], tape: Tape,
     """
     agent_rows, map_rows, centroids = scene_features(scenario) if rows is None else rows
     queries = []  # a loop, where a comprehension would cost a forward a call
-    for rows, encoder in ((agent_rows, "agent_enc"), (map_rows, "map_enc")):
-        w1, b1, w2, b2 = _layer(encoder)(p)
-        queries.append(ad.mlp(tape.constant(rows), w1, b1, w2, b2) if len(rows)
-                       else tape.constant(np.zeros((0, w2.shape[1]))))
+    for rows, encoder in ((agent_rows, layers.agent_enc), (map_rows, layers.map_enc)):
+        queries.append(ad.mlp(tape.constant(rows), encoder) if len(rows)
+                       else tape.constant(np.zeros((0, encoder.d_out))))
     agent_q, map_q = queries
     return QueryFeatures(agent_q, map_q, agent_rows[:, :2] / POSITION_SCALE, centroids)
 
@@ -364,8 +428,9 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
     """Run the full interaction pipeline and return the plan plus its tape.
     `rows` are the scene's `scene_features`, where the caller holds them
     already: training builds each training scene's once for the run.  The
-    parameters' own data (`InteractionParams._derive`) comes from the first
-    forward of their version."""
+    network's layers and the parameters' own data
+    (`InteractionParams._derive`) come from the first forward of their
+    layout and version."""
     config = params.config
     if scenario.t_future != config.t_future:
         raise ConfigError(
@@ -375,13 +440,13 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
     derived = params._derived
     if derived is None:
         derived = params._derive()
+    layers, encodings = derived
     tape = Tape(params.leaves)
-    p = params.leaves.tensors
 
-    features = encode_queries(scenario, p, tape, rows)
+    features = encode_queries(scenario, layers, tape, rows)
     attention: dict[str, list[np.ndarray]] = {}
 
-    ego_q = p["ego_query"]
+    ego_q = layers.ego_query
     stages = (
         ("agent", config.use_agent_interaction, features.agent_queries, features.agent_positions),
         ("map", config.use_map_interaction, features.map_queries, features.map_positions),
@@ -393,9 +458,8 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
             # each position encoded by the stage's perceptron, the ego's once
             # a parameter version
             ego_q, attention[name] = ad.decoder_block(
-                ego_q, derived[name], keys, positions * POSITION_SCALE, keys,
-                *_layer(_POSITION_ENCODER[name])(p),
-                *_layer(f"{name}_block", _BLOCK)(p), config.n_heads,
+                ego_q, encodings[name], keys, positions * POSITION_SCALE, keys,
+                layers.stages[name],
             )
         q_after.append(ego_q)
 
@@ -404,15 +468,12 @@ def forward_plan(scenario: Scenario, params: InteractionParams,
                         ego.steering_angle * STEER_SCALE]])
     one_hot = np.zeros((1, 3))
     one_hot[0, COMMAND_INDEX[ego.command]] = 1.0
-    cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])
+    cmd_embed = ad.matmul(tape.constant(one_hot), layers.cmd_embed)
 
     # the head decodes the concatenated planning feature into 2*T_f coordinates
-    plan_node = ad.mlp_head(
-        q_after, status, *_layer("status_enc")(p), cmd_embed, p["head.l1.w1"], p["head.l1.b1"],
-        p["head.w2"], p["head.b2"], p["head.w3"], p["head.b3"], OUTPUT_SCALE,
-    )
+    plan_node = ad.mlp_head(q_after, status, cmd_embed, layers.head, OUTPUT_SCALE)
     plan = PlanTrajectory(plan_node.data.reshape(config.t_future, 2))
-    return ForwardResult(plan, tape, plan_node, p, features, attention)
+    return ForwardResult(plan, tape, plan_node, params.leaves.tensors, features, attention)
 
 
 def plan_gradient_seed(grad_waypoints: np.ndarray) -> np.ndarray:

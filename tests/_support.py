@@ -710,11 +710,12 @@ def _unfolded_attention(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads: int):
     return out, weights, inputs, vjp
 
 
-def query_encoding(q_rows, w1, b1, w2, b2):
-    """The `q_enc` that `ad.decoder_block` takes for the query position rows
-    `q_rows`, made read-only: their positional encoding and its vjp."""
+def query_encoding(q_rows, stage):
+    """The `q_enc` that `ad.decoder_block` takes with the `ad.DecoderStage`
+    `stage` for the query position rows `q_rows`, made read-only: their
+    positional encoding and its vjp."""
     q_rows.setflags(write=False)
-    return ad._mlp(q_rows, w1, b1, w2, b2, False)
+    return ad._mlp(q_rows, *stage.encoder.arrays, False)
 
 
 def unfolded_decoder_block(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_heads):
@@ -731,7 +732,7 @@ def unfolded_decoder_block(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2
             q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
     else:
         x_in, weights, inputs = q.data, [], (q.index, q.index)
-    m, ffn_vjp = ad._mlp(x_in, w1, b1, w2, b2, True)
+    m, ffn_vjp = ad._mlp(x_in, w1.data, b1.data, w2.data, b2.data, True)
 
     def vjp(g):
         g_x, *g_ffn = ffn_vjp(g)
@@ -757,7 +758,7 @@ def unfolded_mlp_head(parts, w1, b1, w2, b2, w3, b3, scale):
     pre = feat @ w1_in
     pre += b1.data
     mask = pre > 0.0
-    out, mlp_vjp = ad._mlp(np.where(mask, pre, 0.0), w2, b2, w3, b3, True)
+    out, mlp_vjp = ad._mlp(np.where(mask, pre, 0.0), w2.data, b2.data, w3.data, b3.data, True)
 
     def vjp(g):
         g_h1, *g_mlp = mlp_vjp(g * c)
@@ -776,13 +777,16 @@ def unfolded_forward_plan(scenario, params):
     `mlp` records of their own, over constants, and the unfolded block and
     head: the reference of its plan and of every gradient."""
     from vecplan import interact
-    from vecplan.interact import POSITION_SCALE, ForwardResult, encode_queries
+    from vecplan.interact import POSITION_SCALE, ForwardResult, encode_queries, network_layers
 
     config = params.config
     tape = ad.Tape(params.leaves)
     p = params.leaves.tensors
-    layer = interact._layer
-    features = encode_queries(scenario, p, tape)
+
+    def layer(prefix, parts=("w1", "b1", "w2", "b2")):
+        return [p[f"{prefix}.{part}"] for part in parts]
+
+    features = encode_queries(scenario, network_layers(p, config), tape)
     attention = {}
     ego_q = p["ego_query"]
     ego_row = tape.constant(np.zeros((1, 2)))
@@ -794,18 +798,20 @@ def unfolded_forward_plan(scenario, params):
     q_after = []
     for name, used, keys, positions, pe in stages:
         if used:
-            pe = layer(pe)(p)
-            q_pos = ad.mlp(ego_row, *pe)
-            k_pos = (ad.mlp(tape.constant(positions * POSITION_SCALE), *pe) if len(positions)
+            pe = ad.Perceptron(*layer(pe))
+            q_pos = ad.mlp(ego_row, pe)
+            k_pos = (ad.mlp(tape.constant(positions * POSITION_SCALE), pe) if len(positions)
                      else tape.constant(np.zeros((0, config.d_model))))
             ego_q, attention[name] = unfolded_decoder_block(
-                ego_q, q_pos, keys, k_pos, keys, *layer(f"{name}_block", interact._BLOCK)(p),
+                ego_q, q_pos, keys, k_pos, keys,
+                *layer(f"{name}_block", ("wq", "wk", "wv", "wo", "ffn.w1", "ffn.b1", "ffn.w2",
+                                         "ffn.b2")),
                 config.n_heads)
         q_after.append(ego_q)
     ego = scenario.ego
     status = np.array([[ego.velocity * interact.SPEED_SCALE, ego.acceleration * interact.ACCEL_SCALE,
                         ego.steering_angle * interact.STEER_SCALE]])
-    status_embed = ad.mlp(tape.constant(status), *layer("status_enc")(p))
+    status_embed = ad.mlp(tape.constant(status), ad.Perceptron(*layer("status_enc")))
     one_hot = np.zeros((1, 3))
     one_hot[0, interact.COMMAND_INDEX[ego.command]] = 1.0
     cmd_embed = ad.matmul(tape.constant(one_hot), p["cmd_embed"])

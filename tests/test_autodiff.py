@@ -68,9 +68,15 @@ class TestForwardValues:
             ad.l1_to_target(a, np.zeros((3, 2)))
         w1, b1 = tape.leaf(np.zeros((3, 4))), tape.leaf(np.zeros((1, 4)))
         w2, b2 = tape.leaf(np.zeros((4, 2))), tape.leaf(np.zeros((1, 2)))
-        for args in ((w2, b1, w2, b2), (w1, b1, w1, b2), (w1, b2, w2, b2), (w1, b1, w2, b1)):
-            with pytest.raises(ShapeError, match="mlp"):
-                ad.mlp(a, *args)
+        # a perceptron's own shapes are checked once, when it is built,
+        # naming the first tensor that breaks its chain
+        for args, name in (((w2, b1, w2, b2), "b1"), ((w1, b1, w1, b2), "w2"),
+                           ((w1, b2, w2, b2), "b1"), ((w1, b1, w2, b1), "b2")):
+            with pytest.raises(ShapeError, match=f"^layer tensor {name} has shape"):
+                ad.Perceptron(*args)
+        # its input's width, on every record
+        with pytest.raises(ShapeError, match="mlp"):
+            ad.mlp(tape.leaf(np.zeros((2, 4))), ad.Perceptron(w1, b1, w2, b2))
 
     def test_cross_tape_operands_rejected(self):
         a = ad.Tape().leaf(np.zeros((2, 2)))
@@ -167,6 +173,44 @@ class TestParamLeaves:
         # a parameter may come first: the record goes on its other operand's tape
         assert ad.matmul(w, x).tape is tape
 
+    def test_a_layer_of_other_leaves_is_refused_by_its_record(self):
+        rng = np.random.default_rng(6)
+        shapes = {"x": (1, 2), "pe.w1": (2, 3), "pe.b1": (1, 3), "pe.w2": (3, 4), "pe.b2": (1, 4),
+                  "wq": (4, 4), "wk": (4, 4), "wv": (4, 4), "wo": (4, 4), "ffn.w1": (4, 4),
+                  "ffn.b1": (1, 4), "ffn.w2": (4, 4), "ffn.b2": (1, 4), "w1": (10, 3),
+                  "b1": (1, 3), "w2": (3, 2), "b2": (1, 2), "w3": (2, 1), "b3": (1, 1)}
+        views = {name: rng.uniform(-1, 1, size=shape) for name, shape in shapes.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        leaves, other = ad.Leaves(views), ad.Leaves(views)
+        tape = ad.Tape(leaves)
+        k = tape.leaf(rng.uniform(-1, 1, size=(3, 4)))
+
+        def layers(params):
+            p = [params.tensors[name] for name in shapes]
+            return ad.Perceptron(*p[1:5]), ad.DecoderStage(*p[1:13], 1), ad.Head(*p[1:5], *p[13:])
+
+        def records(perceptron, stage, head):
+            return (lambda: ad.mlp(tape.leaf(np.zeros((3, 2))), perceptron),
+                    lambda: ad.decoder_block(tape.leaf(np.zeros((1, 4))),
+                                             query_encoding(np.zeros((1, 2)), stage), k,
+                                             np.zeros((3, 2)), k, stage),
+                    lambda: ad.mlp_head([tape.leaf(np.zeros((1, 4)))], np.zeros((1, 2)),
+                                        tape.leaf(np.zeros((1, 2))), head, 10.0))
+
+        mlp_out, (block_out, _), head_out = (record() for record in records(*layers(leaves)))
+        # the set the tape was opened on: each record goes on the tape
+        assert mlp_out.tape is block_out.tape is head_out.tape is tape
+        for record in records(*layers(other)):
+            with pytest.raises(ShapeError, match="different tapes"):
+                record()
+        # a layer's tensors share one home, and a record over parameters alone has no tape
+        with pytest.raises(ShapeError, match="different tapes"):
+            ad.Perceptron(leaves.tensors["pe.w1"], other.tensors["pe.b1"],
+                          leaves.tensors["pe.w2"], leaves.tensors["pe.b2"])
+        with pytest.raises(ShapeError, match="parameters alone"):
+            ad.mlp(leaves.tensors["x"], layers(leaves)[0])
+
     def test_a_dropped_set_and_its_tapes_are_freed_without_the_cycle_collector(self):
         view = np.ones((2, 2))
         view.flags.writeable = False
@@ -193,6 +237,11 @@ class TestParamLeaves:
         assert params.leaves.tensors["w"].data.flags.c_contiguous
 
 
+def _mlp(x, w1, b1, w2, b2):
+    """`ad.mlp` over a perceptron of the four tensors."""
+    return ad.mlp(x, ad.Perceptron(w1, b1, w2, b2))
+
+
 def _mlp_by_parts(x, w1, b1, w2, b2):
     h = ad.relu(ad.add_bias_row(ad.matmul(x, w1), b1))
     return ad.add_bias_row(ad.matmul(h, w2), b2)
@@ -211,7 +260,7 @@ class TestFusedMlp:
                 arrays[2][0, 0] = -1e3  # a unit that is dead for every row
             probe = rng.standard_normal((rows, d_out))
             results = []
-            for build in (ad.mlp, _mlp_by_parts):
+            for build in (_mlp, _mlp_by_parts):
                 tape = ad.Tape()
                 leaves = [tape.leaf(a) for a in arrays]
                 out = build(*leaves)
@@ -236,11 +285,11 @@ class TestFusedMlp:
 
             def value():
                 tape = ad.Tape()
-                return float((ad.mlp(*(tape.leaf(a) for a in arrays)).data * probe).sum())
+                return float((_mlp(*(tape.leaf(a) for a in arrays)).data * probe).sum())
 
             tape = ad.Tape()
             leaves = [tape.leaf(a) for a in arrays]
-            grads = tape.backward_from([(ad.mlp(*leaves), probe)])
+            grads = tape.backward_from([(_mlp(*leaves), probe)])
             for i, arr in enumerate(arrays):
                 err = max_rel_err(grads[leaves[i]], fd_param_gradient(value, arr))
                 assert err < 1e-6, f"trial {trial} input {i}: rel err {err}"
@@ -279,7 +328,7 @@ def _block_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, w1, b1, w2, b2, n_hea
         x, weights = _attention_by_parts(q, q_pos, k, k_pos, v, wq, wk, wv, wo, n_heads)
     else:
         x, weights = q, []
-    return ad.add(x, ad.mlp(x, w1, b1, w2, b2)), weights
+    return ad.add(x, _mlp(x, w1, b1, w2, b2)), weights
 
 
 def _attention_arrays(rng, rows, n_keys, d, spread=1.0):
@@ -329,12 +378,13 @@ def _stage(tape, tensors, q_rows, k_rows, n_heads, folded):
     `folded`, the two positional `mlp` records over constants, the ego rows'
     first, then the oracle."""
     q, k, v, *weights = tensors
-    pe, block = weights[:4], weights[4:]
     if folded:
-        return ad.decoder_block(q, query_encoding(q_rows.copy(), *pe), k, k_rows.copy(), v, *pe,
-                                *block, n_heads)
-    q_pos = ad.mlp(tape.constant(q_rows.copy()), *pe)
-    k_pos = (ad.mlp(tape.constant(k_rows.copy()), *pe) if len(k_rows)
+        stage = ad.DecoderStage(*weights, n_heads)
+        return ad.decoder_block(q, query_encoding(q_rows.copy(), stage), k, k_rows.copy(), v,
+                                stage)
+    pe, block = weights[:4], weights[4:]
+    q_pos = _mlp(tape.constant(q_rows.copy()), *pe)
+    k_pos = (_mlp(tape.constant(k_rows.copy()), *pe) if len(k_rows)
              else tape.constant(np.zeros(k.shape)))
     return unfolded_decoder_block(q, q_pos, k, k_pos, v, *block, n_heads)
 
@@ -392,30 +442,37 @@ class TestFusedAttention:
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
         pe, attention, ffn = weights[:4], weights[4:8], weights[8:]
-        q_enc = query_encoding(q_rows, *pe)
+        stage = ad.DecoderStage(*weights, 1)
+        q_enc = query_encoding(q_rows, stage)
+        # the stage's own shapes are checked once, when it is built
         with pytest.raises(ShapeError, match="heads"):
-            ad.decoder_block(q, q_enc, k, k_rows, v, *weights, 3)
+            ad.DecoderStage(*weights, 3)
+        with pytest.raises(ShapeError, match="^layer tensor pe.b2 has shape"):
+            ad.DecoderStage(*pe[:3], pe[1], *attention, *ffn, 1)
+        with pytest.raises(ShapeError, match="^layer tensor wv has shape"):
+            ad.DecoderStage(*pe, *attention[:2], tape.leaf(np.zeros((4, 3))), attention[3], *ffn, 1)
+        # the operands, on every record
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_enc, k, k_rows[:2], v, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows[:2], v, stage)
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_enc, k, k_rows, q, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows, q, stage)
         narrow = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, q_enc, narrow, k_rows, narrow, *weights, 1)
+            ad.decoder_block(q, q_enc, narrow, k_rows, narrow, stage)
+        with pytest.raises(ShapeError, match="decoder_block"):
+            ad.decoder_block(tape.leaf(np.zeros((1, 3))), q_enc, k, k_rows, v, stage)
         with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_enc, k, np.zeros((3, 3)), v, *weights, 1)
-        with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_enc, k, k_rows, v, *pe[:3], pe[1], *attention, *ffn, 1)
+            ad.decoder_block(q, q_enc, k, np.zeros((3, 3)), v, stage)
         # an encoding of two query rows for one query
         with pytest.raises(ShapeError, match="attention"):
-            ad.decoder_block(q, query_encoding(np.zeros((2, 2)), *pe), k, k_rows, v, *weights, 1)
+            ad.decoder_block(q, query_encoding(np.zeros((2, 2)), stage), k, k_rows, v, stage)
         with pytest.raises(ShapeError, match="2-D"):
-            ad.decoder_block(q, q_enc, k, k_rows[None], v, *weights, 1)
+            ad.decoder_block(q, q_enc, k, k_rows[None], v, stage)
         for bad in (np.nan, np.inf):
             rows = k_rows.copy()
             rows[1, 0] = bad
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
-                ad.decoder_block(q, q_enc, k, rows, v, *weights, 1)
+                ad.decoder_block(q, q_enc, k, rows, v, stage)
 
 
 class TestFusedBlock:
@@ -446,13 +503,14 @@ class TestFusedBlock:
         tape = ad.Tape()
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         q, k, v, *weights = [tape.leaf(a) for a in (q, k, v, *weights)]
-        q_enc = query_encoding(q_rows, *weights[:4])
+        # refused when the stage is built, naming the tensor that breaks
+        # its chain: an output, then an input, of another width
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((4, 4), (1, 4), (4, 3), (1, 3))]
-        with pytest.raises(ShapeError, match="decoder_block"):
-            ad.decoder_block(q, q_enc, k, k_rows, v, *weights[:8], *ffn, 1)
+        with pytest.raises(ShapeError, match="^layer tensor ffn.w2 has shape"):
+            ad.DecoderStage(*weights[:8], *ffn, 1)
         ffn = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 4), (1, 4))]
-        with pytest.raises(ShapeError, match="mlp"):
-            ad.decoder_block(q, q_enc, k, k_rows, v, *weights[:8], *ffn, 1)
+        with pytest.raises(ShapeError, match="^layer tensor ffn.w1 has shape"):
+            ad.DecoderStage(*weights[:8], *ffn, 1)
 
 
 class TestFoldedStage:
@@ -494,22 +552,22 @@ class TestFoldedStage:
         rng = np.random.default_rng(2)
         q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
         tape = ad.Tape()
-        weights = [tape.leaf(w) for w in weights]
-        q_enc = query_encoding(q_rows, *weights[:4])
-        ad.decoder_block(tape.leaf(q), q_enc, tape.leaf(k), k_rows, tape.leaf(v), *weights, 1)
+        stage = ad.DecoderStage(*[tape.leaf(w) for w in weights], 1)
+        q_enc = query_encoding(q_rows, stage)
+        ad.decoder_block(tape.leaf(q), q_enc, tape.leaf(k), k_rows, tape.leaf(v), stage)
         assert not q_rows.flags.writeable and not k_rows.flags.writeable
         # the query rows' encoding is the caller's own: not scanned, as the
         # key rows are
-        nan_enc = query_encoding(np.full((1, 2), np.nan), *weights[:4])
+        nan_enc = query_encoding(np.full((1, 2), np.nan), stage)
         out, _ = ad.decoder_block(tape.leaf(q), nan_enc, tape.leaf(k), k_rows, tape.leaf(v),
-                                  *weights, 1)
+                                  stage)
         assert out.shape == (1, 4)
 
 
 def _head_by_parts(parts, w1, b1, w2, b2, w3, b3, scale):
     """The public-op chain that `unfolded_mlp_head` stands in for, op for op."""
     h1 = ad.relu(ad.add_bias_row(ad.matmul(ad.concat_cols(parts), w1), b1))
-    return ad.scalar_mul(ad.mlp(h1, w2, b2, w3, b3), scale)
+    return ad.scalar_mul(_mlp(h1, w2, b2, w3, b3), scale)
 
 
 class TestFusedHead:
@@ -550,22 +608,25 @@ class TestFusedHead:
         enc = [tape.leaf(np.zeros(shape)) for shape in ((3, 4), (1, 4), (4, 2), (1, 2))]
         layers = [tape.leaf(np.zeros(shape)) for shape in
                   ((5, 4), (1, 4), (4, 4), (1, 4), (4, 2), (1, 2))]
+        head = ad.Head(*enc, *layers)
         with pytest.raises(ShapeError, match="mlp_head"):
-            ad.mlp_head([], status, *enc, command, *layers, 10.0)
+            ad.mlp_head([], status, command, head, 10.0)
         with pytest.raises(ShapeError, match="mlp_head"):
-            ad.mlp_head([tape.leaf(np.zeros((2, 2)))], status, *enc, command, *layers, 10.0)
+            ad.mlp_head([tape.leaf(np.zeros((2, 2)))], status, command, head, 10.0)
         with pytest.raises(ShapeError, match="mlp_head"):
-            ad.mlp_head([query], np.zeros((2, 3)), *enc, command, *layers, 10.0)
+            ad.mlp_head([query], np.zeros((2, 3)), command, head, 10.0)
         with pytest.raises(ShapeError, match="mlp"):
-            ad.mlp_head([query], np.zeros((1, 2)), *enc, command, *layers, 10.0)
-        with pytest.raises(ShapeError, match="mlp"):
-            ad.mlp_head([query], status, *enc, command, *layers[:4],
-                        tape.leaf(np.zeros((3, 2))), layers[5], 10.0)
+            ad.mlp_head([query], np.zeros((1, 2)), command, head, 10.0)
+        # the head's own shapes are checked once, when it is built
+        with pytest.raises(ShapeError, match="^layer tensor w3 has shape"):
+            ad.Head(*enc, *layers[:4], tape.leaf(np.zeros((3, 2))), layers[5])
+        with pytest.raises(ShapeError, match="^layer tensor enc.b1 has shape"):
+            ad.Head(enc[0], enc[3], *enc[2:], *layers)
         with pytest.raises(ShapeError, match="tape"):
-            ad.mlp_head([ad.Tape().leaf(np.zeros((1, 2)))], status, *enc, command, *layers, 10.0)
+            ad.mlp_head([ad.Tape().leaf(np.zeros((1, 2)))], status, command, head, 10.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ShapeError, match="non-finite values in tensor"):
-                ad.mlp_head([query], np.array([[0.0, bad, 0.0]]), *enc, command, *layers, 10.0)
+                ad.mlp_head([query], np.array([[0.0, bad, 0.0]]), command, head, 10.0)
 
 
 class TestFoldedHead:
@@ -599,10 +660,10 @@ class TestFoldedHead:
                 cmd = tape.leaf(command)
                 layer_leaves = [tape.leaf(a) for a in layers]
                 if folded:
-                    out = ad.mlp_head(query_leaves, status.copy(), *enc_leaves, cmd,
-                                      *layer_leaves, 10.0)
+                    out = ad.mlp_head(query_leaves, status.copy(), cmd,
+                                      ad.Head(*enc_leaves, *layer_leaves), 10.0)
                 else:
-                    embed = ad.mlp(tape.constant(status.copy()), *enc_leaves)
+                    embed = _mlp(tape.constant(status.copy()), *enc_leaves)
                     out = unfolded_mlp_head([*query_leaves, embed, cmd], *layer_leaves, 10.0)
                 # the command starts with a gradient of its own
                 grads = tape.backward_from(zip((out, cmd), probes))
@@ -627,7 +688,7 @@ class TestConstants:
             x = getattr(tape, enter)(x_arr)
             w = tape.leaf(w_arr)
             layers = [tape.leaf(a) for a in mlp_arrays]
-            outs = [ad.matmul(x, w), ad.mlp(x, *layers)]
+            outs = [ad.matmul(x, w), _mlp(x, *layers)]
             grads = tape.backward_from([(out, probe) for out in outs])
             results.append((x, grads, [grads[t] for t in [w, *layers]]))
         (leaf, leaf_grads, leaf_g), (const, const_grads, const_g) = results
@@ -652,7 +713,7 @@ class TestConstants:
         x = tape.constant(np.ones((2, 3)))
         w = tape.constant(np.ones((3, 3)))
         layers = [tape.leaf(np.ones(shape)) for shape in ((3, 2), (1, 2), (2, 1), (1, 1))]
-        outs = [ad.matmul(x, w), ad.mlp(x, *layers)]
+        outs = [ad.matmul(x, w), _mlp(x, *layers)]
         (_, _, matmul_vjp), (_, _, mlp_vjp) = tape._records
         assert matmul_vjp(np.ones(outs[0].shape)) == (None, None)
         g = mlp_vjp(np.ones(outs[1].shape))
@@ -855,7 +916,7 @@ class TestTapeLifecycle:
             for _, build, arrays in _primitive_cases(rng):
                 outs.append(build(tape, [tape.leaf(a) for a in arrays]))
             mlp_shapes = ((2, 3), (3, 4), (1, 4), (4, 2), (1, 2))
-            outs.append(ad.mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
+            outs.append(_mlp(*(tape.leaf(rand(rng, *shape)) for shape in mlp_shapes)))
             q, q_rows, k, k_rows, v, *weights = _stage_arrays(rng, 1, 3, 4)
             stage = [tape.leaf(a) for a in (q, k, v, *weights)]
             outs.append(_stage(tape, stage, q_rows, k_rows, 2, folded=True)[0])

@@ -33,6 +33,7 @@ from vecplan.interact import (
     InteractionParams,
     encode_queries,
     forward_plan,
+    network_layers,
     parameter_shapes,
     scene_features,
 )
@@ -86,7 +87,7 @@ class TestEncodeQueries:
         params = small_params()
         tape = ad.Tape()
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
-        qf = encode_queries(s, p, tape)
+        qf = encode_queries(s, network_layers(p, SMALL), tape)
         assert qf.agent_queries.shape == (3, SMALL.d_model)
         assert qf.map_queries.shape == (len(s.map_xy), SMALL.d_model)
         assert qf.agent_positions.shape == (3, 2)
@@ -98,7 +99,7 @@ class TestEncodeQueries:
         params = small_params()
         tape = ad.Tape()
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
-        qf = encode_queries(s2, p, tape)
+        qf = encode_queries(s2, network_layers(p, SMALL), tape)
         np.testing.assert_array_equal(qf.agent_queries.data[0], qf.agent_queries.data[1])
 
     def test_permuting_agents_permutes_rows(self):
@@ -108,8 +109,9 @@ class TestEncodeQueries:
         params = small_params()
         tape = ad.Tape()
         p = {n: tape.leaf(a) for n, a in params.tensors.items()}
-        q1 = encode_queries(s, p, tape).agent_queries.data
-        q2 = encode_queries(s2, p, tape).agent_queries.data
+        layers = network_layers(p, SMALL)
+        q1 = encode_queries(s, layers, tape).agent_queries.data
+        q2 = encode_queries(s2, layers, tape).agent_queries.data
         np.testing.assert_array_equal(q2, q1[perm])
 
 
@@ -125,8 +127,8 @@ def _stage_params(p, prefix="agent_block", pe="pe1"):
 def _block(q, q_rows, k, k_rows, v, p):
     """`ad.decoder_block` over the agent stage's parameters `p`, the query
     rows encoded by its positional encoder."""
-    weights = _stage_params(p)
-    return ad.decoder_block(q, query_encoding(q_rows, *weights[:4]), k, k_rows, v, *weights, 1)
+    stage = ad.DecoderStage(*_stage_params(p), 1)
+    return ad.decoder_block(q, query_encoding(q_rows, stage), k, k_rows, v, stage)
 
 
 class TestDecoderBlock:
@@ -202,7 +204,7 @@ class TestDecoderBlock:
             else:
                 # what the skip branch is: only the feed-forward sublayer
                 ffn = [p[f"agent_block.ffn.{n}"] for n in ("w1", "b1", "w2", "b2")]
-                out, attn = ad.add(q, ad.mlp(q, *ffn)), []
+                out, attn = ad.add(q, ad.mlp(q, ad.Perceptron(*ffn))), []
             grads = tape.backward_from([(out, probe)])
             results.append((len(tape._records) - before, out.data, grads[q], attn))
         (n_skip, out_skip, g_skip, attn_skip), (n_ref, out_ref, g_ref, _) = results
@@ -590,6 +592,27 @@ class TestWriteScope:
                 with params.writing():
                     pass
 
+    def test_a_view_lent_by_the_scope_is_read_only_after_it(self):
+        s = scenario_with(9)
+        params = small_params()
+        probe = np.ones((1, 12))
+        with params.writing():
+            kept, flat = params.tensors["pe1.b1"], params.flat
+            kept[0, 0] += 0.25  # writable while the scope is open
+            flat[0] += 0.25
+        forward_plan(s, params)  # derives this version's ego encodings
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, :] += 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 1.0
+        # a later scope lends views of its own, and the kept ones stay revoked
+        with params.writing():
+            params.tensors["pe1.b1"][0, 1] += 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, :] += 0.5
+        fresh = InteractionParams(params.config, params.tensors)
+        assert _forward_bits(s, params, probe) == _forward_bits(s, fresh, probe)
+
     @pytest.mark.parametrize("write", ["adamw", "one_element"])
     def test_a_forward_after_a_scope_equals_one_on_fresh_parameters(self, write):
         params = InteractionParams.initialize(InteractionConfig(), 4)
@@ -835,15 +858,16 @@ class TestFoldedForward:
 
 class TestCallBudget:
     # bounds on the tape's bookkeeping per pass, on the first scene of the
-    # benchmark's dense evaluation (seed 0): 57 frames a forward that reuses
-    # its parameter version's data, 60 the first forward after a write, and
-    # 22 a backward here, where the ego row encoded by every forward made
+    # benchmark's dense evaluation (seed 0): 52 frames a forward that reuses
+    # its parameter version's data, 55 the first forward after a write, and
+    # 22 a backward here, where the head's generic tape lookup and operand
+    # comprehensions made 57 and 60, the ego row encoded by every forward
     # 60, 11 records (positional and status encoders of their own) 75 and
     # 26, a node per parameter and copied constants 90, wrappers around the
     # decoder blocks 92, 20 records 101 and 29, and per-op node, record and
     # same-tape helpers 329 and 33
-    FORWARD_FRAMES = 57
-    FIRST_FORWARD_FRAMES = 60
+    FORWARD_FRAMES = 52
+    FIRST_FORWARD_FRAMES = 55
     BACKWARD_FRAMES = 22
 
     def test_forward_and_backward_stay_within_their_frame_budgets(self):
@@ -862,6 +886,75 @@ class TestCallBudget:
         assert forward_frames <= self.FORWARD_FRAMES
         assert first_frames <= self.FIRST_FORWARD_FRAMES
         assert backward_frames <= self.BACKWARD_FRAMES
+
+
+def _layer_tensors(config):
+    """The names of the tensors that belong to a layer's (weight, bias)
+    chain past its input width, each with the shape that breaks it: a row
+    more for a weight, a column more for a bias."""
+    broken = {}
+    for name, shape, _ in parameter_shapes(config):
+        if name in ("ego_query", "cmd_embed") or name.endswith("w1") and "ffn" not in name:
+            continue  # not a layer's, or its rows are the input width
+        last = name.rsplit(".", 1)[1]
+        broken[name] = (1, shape[1] + 1) if last.startswith("b") else (shape[0] + 1, shape[1])
+    return broken
+
+
+class TestLayout:
+    """The network's layers are built once a parameter layout, by its first
+    forward, which checks each layer's shapes against each other; a record
+    checks only its operands that vary with the scene."""
+
+    @pytest.mark.parametrize("name", sorted(_layer_tensors(SMALL)))
+    def test_a_tensor_that_breaks_its_layer_is_refused_by_name(self, name):
+        tensors = dict(small_params().tensors)
+        tensors[name] = np.zeros(_layer_tensors(SMALL)[name])
+        params = InteractionParams(SMALL, tensors)
+        for _ in range(2):  # no layout is kept
+            with pytest.raises(ShapeError, match=f"^layer tensor {name} has shape"):
+                forward_plan(scenario_with(9), params)
+        assert params._layers is None
+
+    def test_a_first_layer_of_another_input_width_is_refused_by_its_record(self):
+        tensors = dict(small_params().tensors)
+        tensors["agent_enc.w1"] = np.zeros((7, 8))
+        with pytest.raises(ShapeError, match=r"^mlp: \(\d+, 6\) @ \(7, 8\)$"):
+            forward_plan(scenario_with(9), InteractionParams(SMALL, tensors))
+
+    def test_the_layers_are_built_once_a_layout(self):
+        s = scenario_with(9)
+        params = small_params()
+        assert params._layers is None  # `initialize` packs an empty set first
+        forward_plan(s, params)
+        layers = params._layers
+        with params.writing():
+            params.tensors["head.b3"][0, 0] += 1.0
+        forward_plan(s, params)
+        assert params._layers is layers
+        assert layers.head.tape is params.leaves._home
+        params.extend([("extra.w", (1, 1), 1)], seed=0)
+        assert params._layers is None
+        forward_plan(s, params)
+        assert params._layers is not layers and params._layers.head.tape is params.leaves._home
+
+    def test_a_forward_after_extend_equals_one_on_fresh_parameters(self):
+        config, gen_config = InteractionConfig(), GeneratorConfig()
+        params = InteractionParams.initialize(config, 2)
+        scenes = [scene_of_kind(kind, 23) for kind in ("dense", "agent_free", "map_free")]
+        probe = np.random.default_rng(5).standard_normal((1, 12))
+        forward_plan(scenes[0], params)  # the first layout's layers, built
+        params.extend(aux_head_shapes(config, gen_config), seed=3)
+        fresh = InteractionParams(config, params.tensors)
+        for s in scenes:
+            results = []
+            for p in (params, fresh):
+                result = forward_plan(s, p)
+                seeds = [(result.plan_node, probe), *_aux_losses(result, s, LossWeights())[2]]
+                grads = result.tape.backward_from(seeds)
+                results.append((result.plan_node.data.tobytes(), grads.flat.tobytes()))
+            assert results[0] == results[1]
+            assert _forward_bits(s, params, probe) == _forward_bits(s, fresh, probe)
 
 
 class TestParamsIO:
