@@ -23,7 +23,18 @@ Each input is checked once.  A plan's waypoints were checked when the frozen
 `PlanTrajectory` was made, so the losses hand them, and the arrays they
 derive from them, down the geometry chain as `geometry.Checked`.  A track or
 expert array is checked on entry unless it comes as `Checked`, as
-`total_planning_loss` passes the read-only arrays of a packed scene.
+`total_planning_loss` passes the read-only arrays of a packed scene.  The
+margins were checked against the scene's horizon when it was packed
+(`ConstraintParams.check_horizon`), so no hinge sum overflows.
+
+An evaluation makes as few calls as the paths it takes allow, and each
+shortcut keeps every operand and the order of every sum, so its bits are
+those of the full computation: the collision loss returns once no agent
+is in range and otherwise reads each step and axis's nearest candidate
+off one `argmin`; the boundary loss returns before any gather when no
+step is within clearance; the direction loss takes whole rows when every
+step is active and gathers and scatters the active ones otherwise; and
+`weighted_sum` adds a term of weight 1.0 without the product.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .geometry import (
     Checked,
     Nearest,
@@ -43,6 +54,7 @@ from .geometry import (
     angular_difference,
     checked,
     closest_polyline_within,
+    count_nonzero,
 )
 from .scene import MAP_ROWS, MapClass, PackedScene, PlanTrajectory, ego_vectors
 
@@ -100,6 +112,23 @@ class ConstraintParams:
                 stacklevel=2,
             )
 
+    def check_horizon(self, t_future: int) -> None:
+        """Refuse a margin whose hinge, summed over the `t_future` steps of a
+        plan, could overflow to inf.  A step adds at most its margin to a
+        hinge sum, and the collision loss adds its two axes' sums, so a
+        margin passes while 4 x `t_future` x margin is finite, which leaves
+        room for both axes and for rounding.  `scene.pack` checks each
+        scene's horizon, so the losses add no check of their own.
+
+        Raises:
+            ConfigError: naming the config key of the first such margin.
+        """
+        for name in ("lateral_safety", "longitudinal_safety", "boundary_clearance"):
+            margin = getattr(self, name)
+            if not math.isfinite(4.0 * t_future * margin):
+                raise ConfigError(f"constraints.{name} {margin!r} overflows its hinge summed "
+                                  f"over a {t_future}-step plan")
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -148,7 +177,7 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
         ShapeError: on tracks of another horizon than the plan.
     """
     w = plan.waypoints
-    tracks = checked(tracks, "track point", ndim=3)
+    tracks = tracks.xy if type(tracks) is Checked else checked(tracks, "track point", ndim=3)
     if tracks.shape[1:] != w.shape:
         raise ShapeError(f"tracks {tracks.shape} do not match plan {w.shape}")
     t_f = w.shape[0]
@@ -159,29 +188,29 @@ def collision_loss(plan: PlanTrajectory, tracks, params: ConstraintParams) -> Lo
     delta = tracks - w
     dist = np.hypot(delta[..., 0], delta[..., 1])
     candidate = dist <= params.agent_search_range
+    if not count_nonzero(candidate):  # the common case: no agent is in range
+        return LossResult(0.0, np.zeros(w.shape))
     if params.collision_mode == "single_nearest":
         nearest = np.argmin(np.where(candidate, dist, np.inf), axis=0)
         candidate &= np.arange(len(tracks))[:, None] == nearest
-    # per-axis distances to the candidates, both axes at once, and each
-    # step and axis's nearest: inf where there is none
-    candidate = candidate[..., None]
-    gap = np.abs(delta)
-    short = np.subtract((params.lateral_safety, params.longitudinal_safety),
-                        np.minimum.reduce(gap, axis=0, where=candidate, initial=np.inf))
+    # per-axis distances to the candidates, inf elsewhere, and each step and
+    # axis's nearest candidate, the lowest agent index on ties, at its place
+    # agent * 2 T_f + column in the flattened (N_a, T_f, 2) arrays; its
+    # distance is the minimum, inf where there is no candidate
+    gap = np.where(candidate[..., None], np.abs(delta), np.inf)
+    place = gap.argmin(axis=0)
+    place *= 2 * t_f
+    place += np.arange(2 * t_f).reshape(t_f, 2)
+    short = np.subtract((params.lateral_safety, params.longitudinal_safety), gap.take(place))
     active = short > 0.0
-    if not np.count_nonzero(active):  # the common case: no hinge is active
+    if not count_nonzero(active):  # no hinge is active
         return LossResult(0.0, np.zeros(w.shape))
     # each axis's hinge terms summed in step order (the bits of a sum over
     # the active steps alone while T_f < 8), then the two axes
     lateral, longitudinal = np.add.reduce(np.maximum(short, 0.0), axis=0).tolist()
     # d = |a.axis - w.axis|, so d(margin - d)/dw = sign(a.axis - w.axis) of
-    # the nearest candidate, the lowest agent index on ties, taken at its
-    # place agent * 2 T_f + column in the flattened (N_a, T_f, 2) arrays
-    np.copyto(gap, np.inf, where=~candidate)
-    winner = gap.argmin(axis=0)
-    winner *= 2 * t_f
-    winner += np.arange(2 * t_f).reshape(t_f, 2)
-    grad = np.where(active, np.sign(delta.take(winner)), 0.0)
+    # the nearest candidate
+    grad = np.where(active, np.sign(delta.take(place)), 0.0)
     grad /= t_f
     return LossResult((lateral + longitudinal) / t_f, grad)
 
@@ -216,7 +245,7 @@ def boundary_loss(
     # no boundary: every distance is inf, so no step is active
     dist = near.dist[_BOUNDARY_ROW]
     active = dist < params.boundary_clearance
-    if not np.count_nonzero(active):  # the common case: no step is near one
+    if not count_nonzero(active):  # the common case: no step is near one
         return LossResult(0.0, grad)
     total = float(np.add.reduce(params.boundary_clearance - dist[active]))
     pull = active & (dist > 0.0)
@@ -248,13 +277,18 @@ def direction_loss(
     # the gradient divides by it, so a step moves only where it is not 0
     norm_sq = vectors * vectors
     norm_sq = norm_sq[:, 0] + norm_sq[:, 1]
-    active = (near.found[_DIVIDER_ROW] & (norm_sq > 0.0)).nonzero()[0]
-    if active.size == 0:
+    moving = near.found[_DIVIDER_ROW] & (norm_sq > 0.0)
+    count = count_nonzero(moving)
+    if not count:
         return LossResult(0.0, np.zeros(w.shape))
     # the winning segment's step, end - start
-    lane_dir = near.segments.step.reshape(-1, 2).take(
-        near.index[_DIVIDER_ROW].take(active), axis=0)
-    v = vectors.take(active, axis=0)
+    lane_dir = near.segments.step.reshape(-1, 2).take(near.index[_DIVIDER_ROW], axis=0)
+    v = vectors
+    if count < t_f:  # otherwise, the common case, every step is active
+        active = moving.nonzero()[0]
+        lane_dir = lane_dir.take(active, axis=0)
+        v = v.take(active, axis=0)
+        norm_sq = norm_sq.take(active)
     total = float(np.add.reduce(angular_difference(Checked(lane_dir), Checked(v))))
 
     # d angle / d v for the unsigned angle: sign comes from the 2-D cross
@@ -264,15 +298,21 @@ def direction_loss(
     cross = lane_dir * swapped
     turn = np.sign(cross[:, 0] - cross[:, 1])
     # sign * (-vy, vx) / |v|^2, rounded in that order, for the active steps
-    # of a plan padded with a zero step
     g_v = swapped * _PERPENDICULAR
     g_v *= turn[:, None]
-    g_v /= norm_sq.take(active)[:, None]
-    padded = np.zeros((t_f + 1, 2))
-    padded[active] = g_v
-    # v_t = w_t - w_{t-1}: each step's gradient enters w_t and leaves w_{t-1}
-    grad = padded[:-1] + 0.0
-    grad -= padded[1:]
+    g_v /= norm_sq[:, None]
+    # v_t = w_t - w_{t-1}: each step's gradient enters w_t (+ 0.0, so that a
+    # -0.0 enters as +0.0) and leaves w_{t-1}; a step that is not active
+    # has a zero gradient, so every step's is scattered into a zero-padded
+    # plan unless all are active
+    if count < t_f:
+        padded = np.zeros((t_f + 1, 2))
+        padded[active] = g_v
+        grad = padded[:-1] + 0.0
+        grad -= padded[1:]
+    else:
+        grad = g_v + 0.0
+        grad[:-1] -= g_v[1:]
     grad /= t_f
     return LossResult(total / t_f, grad)
 
@@ -308,12 +348,21 @@ def constraint_terms(
 
 def weighted_sum(terms) -> LossResult:
     """The sum of weight x term over (weight, LossResult) pairs, values and
-    gradients each summed in the order given."""
+    gradients each summed in the order given.  A term of weight exactly 1.0
+    goes in without the product, which is the term itself for every double,
+    -0.0 included.  The terms' gradients are not written."""
     (weight, first), *rest = terms
-    value, grad = weight * first.value, weight * first.grad
+    if weight == 1.0:
+        value, grad = first.value, first.grad.copy()
+    else:
+        value, grad = weight * first.value, weight * first.grad
     for weight, term in rest:
-        value = value + weight * term.value
-        grad += weight * term.grad
+        if weight == 1.0:
+            value = value + term.value
+            grad += term.grad
+        else:
+            value = value + weight * term.value
+            grad += weight * term.grad
     return LossResult(value, grad)
 
 

@@ -60,6 +60,12 @@ import numpy as np
 
 from .errors import GeometryError
 
+try:  # numpy's C `count_nonzero`, which `np.count_nonzero` calls through a
+    # Python frame that costs more than the count on the small arrays here
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero
+
 
 class Point2(namedtuple("Point2", "x y")):
     """A point (or free vector) in the ego BEV frame, in meters: a finite
@@ -77,7 +83,7 @@ class Point2(namedtuple("Point2", "x y")):
 def _all(a: np.ndarray) -> bool:
     """`a.all()` without the call overhead of a ufunc reduction, which
     dominates on the small arrays the kernels check."""
-    return np.count_nonzero(a) == a.size
+    return count_nonzero(a) == a.size
 
 
 class Checked(NamedTuple):
@@ -164,17 +170,17 @@ class PolylineSet:
                                 f"mask, got {xy.shape} and {real.shape}")
         if not _all(np.isfinite(xy)):
             raise GeometryError("non-finite polyline point")
-        if xy.shape[-2] < 2 and np.count_nonzero(real):
+        if xy.shape[-2] < 2 and count_nonzero(real):
             raise GeometryError(f"polyline needs at least 2 points, got {xy.shape[-2]}")
         segs = max(xy.shape[-2] - 1, 0)
         out = cls(xy[..., :-1, :].reshape(-1, 2), xy[..., 1:, :].reshape(-1, 2),
-                  np.repeat(np.arange(real.size), segs), int(np.count_nonzero(real)),
+                  np.repeat(np.arange(real.size), segs), int(count_nonzero(real)),
                   (len(xy), 1, real.shape[1] * segs))
         # a row is live if any of its segments is, and must be live iff real
         live = out.live.reshape(real.shape + (segs,)).any(axis=-1)
         if not _all(live == real):
             raise GeometryError("polyline has no non-degenerate segment"
-                                if np.count_nonzero(real & ~live)
+                                if count_nonzero(real & ~live)
                                 else "a padding row has a non-degenerate segment")
         return out
 
@@ -238,16 +244,15 @@ class Nearest(NamedTuple):
         return self.segments.end.reshape(-1, 2).take(self.index, axis=0)
 
 
-def _query(p, pls: PolylineSet) -> np.ndarray:
+def _query(p, pls: PolylineSet) -> Checked:
     """`checked` query points of a search of `pls`, where they enter the
     chain: (K, 2), or (B, K, 2) for the set's B scenes (a GeometryError
-    otherwise); a `Checked` array as it is."""
-    if type(p) is Checked:
-        return p.xy
+    otherwise), as `Checked`.  The chain hands a `Checked` query down as it
+    is and calls this only on a bare one."""
     q = checked(p, ndim=(2, 3))
     if q.ndim == 3 and len(q) != len(pls.start):
         raise GeometryError(f"queries of {len(q)} scenes for a set of {len(pls.start)}")
-    return q
+    return Checked(q)
 
 
 def _columns(q: np.ndarray) -> np.ndarray:
@@ -265,7 +270,7 @@ def closest_point_on_segment(p, segments: PolylineSet) -> np.ndarray:
     gives a_s.  The feet are held axis by axis: the result is a view of a
     (2, B, K, S) array, which `transpose(3, 0, 1, 2)` gives back.
     """
-    q = _query(p, segments)
+    q = (p if type(p) is Checked else _query(p, segments)).xy
     # along-segment parameter, both axes' terms at once, then summed,
     # projected and clamped to [0, 1] in place
     terms = _columns(q) - segments.sxy
@@ -293,13 +298,14 @@ def point_polyline_distance(p, pls: PolylineSet):
     Raises:
         GeometryError: if the set is empty.
     """
-    q = _query(p, pls)
+    if type(p) is not Checked:
+        p = _query(p, pls)
     if not pls.count:
         raise GeometryError("no polyline to measure the distance to")
-    feet = closest_point_on_segment(Checked(q), pls).transpose(3, 0, 1, 2)
+    feet = closest_point_on_segment(p, pls).transpose(3, 0, 1, 2)
     # both distance terms in one (2, B, K, S) array, the distances in its
     # first row
-    dist = _columns(q) - feet
+    dist = _columns(p.xy) - feet
     dist = np.hypot(dist[0], dist[1], out=dist[0])
     if not pls.all_live:
         np.copyto(dist, np.inf, where=pls.dead)
@@ -323,14 +329,15 @@ def angular_difference(v1, v2) -> np.ndarray:
     Raises:
         GeometryError: if any vector has zero length.
     """
-    a, b = checked(v1, "vector"), checked(v2, "vector")
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    n1 = np.hypot(ax, ay)
-    n2 = np.hypot(bx, by)
-    if not (_all(n1) and _all(n2)):
+    a = v1.xy if type(v1) is Checked else checked(v1, "vector")
+    b = v2.xy if type(v2) is Checked else checked(v2, "vector")
+    n1 = np.hypot(a[:, 0], a[:, 1])
+    n2 = np.hypot(b[:, 0], b[:, 1])
+    if count_nonzero(n1) != n1.size or count_nonzero(n2) != n2.size:
         raise GeometryError("angular_difference requires non-zero vectors")
-    c = ax * bx
-    c += ay * by
+    # ax bx + ay by, each product rounded, then their sum
+    c = a * b
+    c = c[:, 0] + c[:, 1]
     c /= n1 * n2
     np.maximum(-1.0, c, out=c)
     np.minimum(1.0, c, out=c)
@@ -343,10 +350,11 @@ def closest_polyline(p, pls: PolylineSet) -> Nearest | None:
     is empty.  Ties resolve to the lowest polyline index, then to the lowest
     segment index.
     """
-    q = _query(p, pls)
+    if type(p) is not Checked:
+        p = _query(p, pls)
     if not pls.count:
         return None
-    dist, index, foot = point_polyline_distance(Checked(q), pls)
+    dist, index, foot = point_polyline_distance(p, pls)
     return Nearest(pls, index, dist, foot)
 
 
@@ -358,8 +366,12 @@ def closest_polyline_within(p, pls: PolylineSet, within: float) -> Nearest | Non
     """
     if not (within > 0.0 and math.isfinite(within)):
         raise GeometryError(f"search range must be positive and finite, got {within}")
-    hit = closest_polyline(p, pls)
-    return hit if hit is None else Nearest(*hit[:4], hit.dist <= within)
+    if type(p) is not Checked:
+        p = _query(p, pls)
+    if not pls.count:
+        return None
+    dist, index, foot = point_polyline_distance(p, pls)
+    return Nearest(pls, index, dist, foot, dist <= within)
 
 
 class Poses(NamedTuple):
@@ -548,7 +560,7 @@ def swept_box_frame_if_clear(xy: np.ndarray, heading: float, dims: np.ndarray,
     and decided by `oriented_rect_overlap`."""
     x, y = xy[:, 0], xy[:, 1]
     circles = _circles(x, y, 0.5 * dims)
-    if np.count_nonzero(np.hypot(placed.x - x, placed.y - y) < circles[0] + placed.inner):
+    if count_nonzero(np.hypot(placed.x - x, placed.y - y) < circles[0] + placed.inner):
         return None
     box = _frame(xy, pose_track(Checked(xy), xy[0].tolist(), heading).heading, dims, circles)
     return None if oriented_rect_overlap(box, placed) else box
@@ -651,8 +663,8 @@ def oriented_rect_overlap(f1: BoxFrame, f2: BoxFrame) -> bool:
     dx, dy = f2.x - f1.x, f2.y - f1.y
     gap = np.hypot(dx, dy)
     # count_nonzero is `any` without the call overhead of a ufunc reduction
-    if np.count_nonzero(gap < f1.inner + f2.inner):
+    if count_nonzero(gap < f1.inner + f2.inner):
         return True
-    if not np.count_nonzero(gap <= f1.outer + f2.outer):
+    if not count_nonzero(gap <= f1.outer + f2.outer):
         return False
-    return bool(np.count_nonzero(_sat_margin(f1, f2, dx, dy) >= 0.0))
+    return bool(count_nonzero(_sat_margin(f1, f2, dx, dy) >= 0.0))

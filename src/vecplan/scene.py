@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ScenarioFormatError, read_text
-from .geometry import BoxFrame, Point2, PolylineSet, swept_box_frame, swept_box_frame_if_clear
+from .geometry import (BoxFrame, Point2, PolylineSet, count_nonzero, swept_box_frame,
+                       swept_box_frame_if_clear)
 
 if TYPE_CHECKING:
     from .constraints import ConstraintParams
@@ -67,10 +68,32 @@ class PlanTrajectory:
             raise ScenarioFormatError(f"waypoints must be (T_f, 2), got {w.shape}")
         if w.shape[0] < 1:
             raise ScenarioFormatError("plan needs at least one waypoint")
-        if np.count_nonzero(np.isfinite(w)) != w.size:
+        if count_nonzero(np.isfinite(w)) != w.size:
             raise ScenarioFormatError("non-finite plan waypoints")
         w.flags.writeable = False
         object.__setattr__(self, "waypoints", w)
+
+    @classmethod
+    def adopt(cls, waypoints: np.ndarray) -> "PlanTrajectory":
+        """The plan of `waypoints`, a new (T_f, 2) float64 array that the
+        caller made and hands over: checked for finite values as the
+        constructor checks a copy, and made read-only in place instead of
+        copied.  The refine descent makes its iterates this way.
+
+        Raises:
+            ScenarioFormatError: on another shape or type, or a non-finite
+                waypoint.
+        """
+        if (waypoints.dtype != np.float64 or waypoints.ndim != 2 or waypoints.shape[1] != 2
+                or not len(waypoints)):
+            raise ScenarioFormatError(f"adopted waypoints must be a (T_f, 2) float64 array, "
+                                      f"got {waypoints.dtype} {waypoints.shape}")
+        if count_nonzero(np.isfinite(waypoints)) != waypoints.size:
+            raise ScenarioFormatError("non-finite plan waypoints")
+        waypoints.flags.writeable = False
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "waypoints", waypoints)
+        return plan
 
     @property
     def horizon(self) -> int:
@@ -285,7 +308,12 @@ def pack(scenario: Scenario, params: ConstraintParams) -> PackedScene:
 
     Row i of the map set holds the kept elements of class `MAP_ROWS[i]` in
     scene order, then dead all-zero rows up to the longer row's count.
+
+    Raises:
+        ConfigError: on margins of `params` whose hinges could overflow over
+            the scene's horizon (`ConstraintParams.check_horizon`).
     """
+    params.check_horizon(scenario.t_future)
     tracks = scenario.agent_track[scenario.agent_confidence >= params.agent_min_confidence]
     tracks.flags.writeable = False
     kept = scenario.map_confidence >= params.map_min_confidence

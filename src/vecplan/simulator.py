@@ -241,9 +241,11 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
     t_f = w.shape[0]
     if t_f < 2:
         return LossResult(0.0, np.zeros(w.shape))
+    # 2 x is taken as x + x throughout: the same bits, with no scalar
+    # operand for numpy to convert
     q = np.zeros((t_f + 1, 2))
     q[1:] = w
-    second = q[2:] - 2.0 * q[1:-1]
+    second = q[2:] - (q[1:-1] + q[1:-1])
     second += q[:-2]
     n = t_f - 1
     value = float(np.add.reduce(second * second, axis=None) / n)
@@ -251,10 +253,10 @@ def smoothness_loss(plan: PlanTrajectory) -> LossResult:
     # origin; each waypoint sums its +1/-2/+1 shares in order of k, from
     # the coefficients 2 second / n padded with zeros, one before, two after
     coeff = np.zeros((t_f + 2, 2))
-    np.multiply(2.0, second, out=coeff[1:-2])
+    np.add(second, second, out=coeff[1:-2])
     coeff /= n
     grad = coeff[:-2] + 0.0
-    grad -= 2.0 * coeff[1:-1]
+    grad -= coeff[1:-1] + coeff[1:-1]
     grad += coeff[2:]
     return LossResult(value, grad)
 
@@ -281,12 +283,14 @@ def refine_trajectory(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not 0.0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    # (lateral, longitudinal) half extents of the perception range
+    # (lateral, longitudinal) half extents of the perception range, one row
+    # a waypoint: a clamp of whole arrays is cheaper than one broadcast
     long_extent, lat_extent = packed.scenario.perception_range
-    high = np.array((lat_extent / 2.0, long_extent / 2.0))
+    high = np.tile((lat_extent / 2.0, long_extent / 2.0), (seed_plan.horizon, 1))
     low = -high
 
-    # A plan's waypoints are a read-only copy, so an iterate is kept as its
+    # Each iterate is a new array, so its plan adopts it, checked in place
+    # rather than copied; a plan is read-only, so an iterate is kept as its
     # plan.
     #
     # The expert term has no place here, not even at weight 0: 0 x its
@@ -300,7 +304,7 @@ def refine_trajectory(
         if step:
             current = plan.waypoints - step_size * res.grad
             np.minimum(np.maximum(current, low, out=current), high, out=current)
-            plan = PlanTrajectory(current)
+            plan = PlanTrajectory.adopt(current)
         col, bd, dr = constraint_terms(plan, packed)
         res = weighted_sum(((weights.collision, col), (weights.boundary, bd),
                             (weights.direction, dr), (weights.imitation, smoothness_loss(plan))))

@@ -23,7 +23,7 @@ from vecplan.cli import (
 )
 from vecplan.errors import VecplanError
 from vecplan.interact import InteractionParams
-from vecplan.scene import generate_scenario, load_scenario, save_scenario
+from vecplan.scene import GeneratorConfig, generate_scenario, load_scenario, save_scenario
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -747,6 +747,47 @@ class TestOverflow:
             r"error:divergence: non-finite plan at epoch \d+, scenario seed \d+", lines[0]
         ), lines
         assert not (tmp_path / "out" / "checkpoint.txt").exists()
+
+    @staticmethod
+    def _margins_run(tmp_path, command, t_future, margin):
+        """`command` with the refine planner on a scenario file of `t_future`
+        steps, both safety margins and the agent search range set to
+        `margin`; the exit code and the stderr lines."""
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(4, GeneratorConfig(t_future=t_future)), scenario)
+        sets = [arg for key in ("agent_search_range", "lateral_safety", "longitudinal_safety")
+                for arg in ("--set", f"constraints.{key}={margin}")]
+        return _stderr_lines(command, "--scenario", str(scenario), "--planner", "refine",
+                             "--out", str(tmp_path / "out"), *sets)
+
+    @pytest.mark.parametrize("t_future", [6, 10])
+    @pytest.mark.parametrize("command", ["plan", "simulate", "evaluate"])
+    def test_margins_whose_hinge_sum_overflows_are_one_config_line(self, tmp_path, command,
+                                                                  t_future):
+        # each step's hinge is finite at 1e308 and their sum is not: simulate
+        # wrote inf into every loss_collision cell, and plan stopped on its
+        # report with a generic invalid-input line
+        rc, lines = self._margins_run(tmp_path, command, t_future, "1e308")
+        assert rc == 1
+        assert lines == ["error:config-parse: constraints.lateral_safety 1e+308 overflows its "
+                         f"hinge summed over a {t_future}-step plan"], lines
+        assert not (tmp_path / "out").exists()
+
+    def test_a_margin_is_checked_against_the_horizon_of_each_scene(self, tmp_path):
+        # 4 x 6 x 5e306 is finite and 4 x 10 x 5e306 is not: a 6-step scene
+        # rolls out with finite losses, a 10-step one is refused
+        rc, lines = self._margins_run(tmp_path, "simulate", 6, "5e306")
+        assert (rc, lines) == (0, [])
+        table = (tmp_path / "out" / "rollouts" / "scenario.rollout.csv").read_text().splitlines()
+        losses = [float(v) for row in table[1:] for v in row.split(",")[6:]]
+        assert losses and all(math.isfinite(v) for v in losses)
+        assert any(float(row.split(",")[6]) > 1e306 for row in table[1:])
+        longer = tmp_path / "longer"
+        longer.mkdir()
+        rc, lines = self._margins_run(longer, "simulate", 10, "5e306")
+        assert rc == 1
+        assert lines == ["error:config-parse: constraints.lateral_safety 5e+306 overflows its "
+                         "hinge summed over a 10-step plan"], lines
 
     @pytest.mark.parametrize("field", ["speed_range", "agent_speed_range", "lane_width"])
     def test_an_int_too_large_for_a_float_is_one_config_line(self, tmp_path, field):

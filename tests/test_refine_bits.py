@@ -180,15 +180,19 @@ def test_descent_never_makes_a_negative_zero(seed, monkeypatch):
     # the refine objective leaves out the expert term at weight 0, whose only
     # trace on the gradient is the sign of a zero entry; that sign can move
     # an iterate only where a waypoint is -0.0, and no iterate has one
+    # (each seed plan is made by `constant_velocity_plan`, and each later
+    # iterate is adopted by its plan, so the spies see every iterate)
     iterates = []
+    seed_plan, adopt = simulator.constant_velocity_plan, PlanTrajectory.adopt.__func__
 
-    def recorded(waypoints):
-        plan = PlanTrajectory(waypoints)
-        iterates.append(plan.waypoints)
-        return plan
+    def recorded(made):
+        iterates.append(made.waypoints)
+        return made
 
     views, _, _ = rollouts(seed)
-    monkeypatch.setattr(simulator, "PlanTrajectory", recorded)
+    monkeypatch.setattr(simulator, "constant_velocity_plan", lambda s: recorded(seed_plan(s)))
+    monkeypatch.setattr(PlanTrajectory, "adopt",
+                        classmethod(lambda cls, w: recorded(adopt(cls, w))))
     for view in views:
         simulator.RefinePlanner(steps=60).plan(view)
     assert len(iterates) == len(views) * 61  # each seed plan and its 60 steps

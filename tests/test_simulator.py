@@ -233,10 +233,12 @@ class TestSmoothness:
 
 class TestRefineTrajectory:
     # a bound on the Python frames of one 60-step replan (61 evaluations) on
-    # the first scene of the benchmark's refine rollouts (seed 0): 1,479
-    # here, where a per-descent objective closure and a search chain that
-    # sized its set through `__len__` made 1,540
-    REPLAN_FRAMES = 1479
+    # the first scene of the benchmark's refine rollouts (seed 0): 933 here,
+    # where checking each query and vector again below where it entered,
+    # two `Nearest`s a search and copying each iterate into its plan made
+    # 1,479, and a per-descent objective closure and a search chain that
+    # sized its set through `__len__` made 1,540 before that
+    REPLAN_FRAMES = 933
 
     def test_a_replan_stays_within_its_frame_budget(self):
         s = generate_scenario(int(np.random.SeedSequence((0, 2)).generate_state(2)[0]))
